@@ -106,6 +106,12 @@ class EnsembleModel:
         widths = {m.input_width for m in self.experts.values()}
         if len(widths) != 1:
             raise ValueError(f"experts disagree on input width: {sorted(widths)}")
+        if len({tuple(m.feature_names) for m in self.experts.values()}) != 1:
+            raise ValueError("experts disagree on their feature names")
+
+    @property
+    def feature_names(self) -> list[str]:
+        return next(iter(self.experts.values())).feature_names
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ bytes stay deterministic for fixed seeds.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -210,11 +211,13 @@ class ExperimentReport:
 
 @dataclass
 class PipelineCache:
-    """Labeled, stripped, time/addr-encoded flows shared across experiments."""
+    """Labeled, stripped, time/addr-encoded flows shared across experiments,
+    and the feature rankings already computed on splits of them."""
 
     flows: list[FlowRecord]
     footnotes: list[str]
     traces: dict[str, list[simnet.PacketRecord]] = field(default_factory=dict)
+    rankings: dict[tuple, featsel.FeatureRanking] = field(default_factory=dict)
 
 
 def _stage(name: str):
@@ -339,7 +342,7 @@ def build_datasets(plan: ExperimentPlan, cache: PipelineCache, footnotes: list[s
             )
     if plan.feature_k < train_ds.width - _n_address_columns(train_ds):
         with _stage("select"):
-            ranking = compute_ranking(train_ds, plan.selection_method, plan.seed)
+            ranking = compute_ranking(train_ds, plan.selection_method, plan.seed, cache.rankings)
             train_ds = featsel.select(train_ds, ranking, plan.feature_k)
             test_ds = test_ds.project(train_ds.feature_names)
             footnotes.append(
@@ -348,8 +351,31 @@ def build_datasets(plan: ExperimentPlan, cache: PipelineCache, footnotes: list[s
     return train_ds, test_ds
 
 
-def compute_ranking(train_ds: Dataset, method: str, seed: int) -> featsel.FeatureRanking:
-    """One of the four ranking methods, or their rank-averaged consensus."""
+def compute_ranking(
+    train_ds: Dataset, method: str, seed: int, memo: dict | None = None
+) -> featsel.FeatureRanking:
+    """One of the four ranking methods, or their rank-averaged consensus.
+
+    With `memo`, a ranking already computed there for the same method, seed
+    and training split is returned instead of being computed again.  The key
+    is the content of the split (names, labels and a digest of the matrix),
+    so it holds however the split was built.
+    """
+    if memo is None:
+        return _rank(train_ds, method, seed)
+    key = (
+        method,
+        seed,
+        tuple(train_ds.feature_names),
+        tuple(train_ds.labels),
+        hashlib.blake2b(np.ascontiguousarray(train_ds.matrix).data).hexdigest(),
+    )
+    if key not in memo:
+        memo[key] = _rank(train_ds, method, seed)
+    return memo[key]
+
+
+def _rank(train_ds: Dataset, method: str, seed: int) -> featsel.FeatureRanking:
     if method == "univariate":
         return featsel.rank_univariate(train_ds)
     if method == "rfe":
@@ -462,12 +488,12 @@ def run_experiment(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
     if cache is None:
         cache = build_cache(plan, out_dir)
     footnotes = list(cache.footnotes)
     train_ds, test_ds = build_datasets(plan, cache, footnotes)
 
-    started = time.perf_counter()
     experts, single, ensemble = train_models(plan, train_ds)
     rows = evaluate_models(plan, test_ds, experts, single, ensemble)
 
@@ -659,6 +685,10 @@ def _cmd_preprocess(args) -> int:
         label_name, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--flows expects label=path, got {spec!r}")
+        if label_name != "benign" and label_name not in LABEL_RULES:
+            raise ValueError(
+                f"--flows label {label_name!r} is not one of: benign, {', '.join(LABEL_RULES)}"
+            )
         flows = flowmeter.read_flow_csv(path)
         if label_name != "benign":
             with warnings.catch_warnings(record=True) as caught:
@@ -697,8 +727,8 @@ def _cmd_select(args) -> int:
     rankers = {
         "univariate": featsel.rank_univariate,
         "rfe": featsel.rank_rfe,
-        "lasso": featsel.rank_lasso,
-        "importance": featsel.rank_importance,
+        "lasso": lambda ds: featsel.rank_lasso(ds, seed=args.seed),
+        "importance": lambda ds: featsel.rank_importance(ds, seed=args.seed),
     }
     if args.method == "all":
         rankings = [rankers[m](train_ds) for m in ("lasso", "rfe", "univariate", "importance")]
@@ -732,7 +762,7 @@ def _cmd_evaluate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = detector.load_model(args.model)
-    test_ds = preprocess.read_dataset_csv(args.test)
+    test_ds = _model_view(model, preprocess.read_dataset_csv(args.test))
     if isinstance(model, EnsembleModel):
         verdicts = detector.adjudicate(model, test_ds.matrix)
         counts = confusion_from(test_ds.labels, verdicts == "benign")
@@ -743,6 +773,18 @@ def _cmd_evaluate(args) -> int:
     det_text = "n/a" if det is None else f"{det:.2f}%"
     print(f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn} accuracy={acc:.2f}% detection={det_text}")
     return 0
+
+
+def _model_view(model: DetectorModel | EnsembleModel, test_ds: Dataset) -> Dataset:
+    """The test set projected onto the feature columns the model was trained
+    on, in the model's order; unchanged for a model that stores no names."""
+    wanted = model.feature_names
+    if not wanted or wanted == test_ds.feature_names:
+        return test_ds
+    missing = [n for n in wanted if n not in test_ds.feature_names]
+    if missing:
+        raise ValueError(f"test set lacks {len(missing)} of the model's features: {', '.join(missing)}")
+    return test_ds.project(wanted)
 
 
 def _cmd_experiment(args) -> int:

@@ -167,9 +167,6 @@ class FlowRecord:
     def feature(self, name: str) -> float:
         return self.features[FEATURE_INDEX[name]]
 
-    def set_feature(self, name: str, value: float) -> None:
-        self.features[FEATURE_INDEX[name]] = value
-
 
 def flow_key(pkt: PacketRecord) -> tuple:
     """Direction-insensitive 5-tuple key."""

@@ -351,21 +351,10 @@ def build_dataset(
     )
 
 
-def filter_sessions(flows: Sequence[FlowRecord], protocols: Sequence[int] = (17,)) -> list[FlowRecord]:
-    """Protocol allowlist; identity on traffic the simulator emits."""
-    allowed = set(protocols)
-    return [f for f in flows if f.protocol in allowed]
-
-
 def write_manifest(path, manifest: dict) -> None:
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_manifest(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def dataset_manifest(

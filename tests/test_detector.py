@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,12 @@ class TestAdjudication:
     def test_missing_expert_rejected(self):
         with pytest.raises(ValueError, match="experts"):
             EnsembleModel(experts={"dos": self.constant_model(0.9)})
+
+    def test_experts_must_agree_on_feature_names(self):
+        experts = {a: self.constant_model(0.9) for a in ("dos", "clone", "malsub")}
+        experts["clone"] = replace(experts["clone"], feature_names=["a", "b"])
+        with pytest.raises(ValueError, match="feature names"):
+            EnsembleModel(experts=experts)
 
     def test_union_identity_on_random_triples(self):
         rng = np.random.default_rng(44)

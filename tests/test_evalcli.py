@@ -1,7 +1,10 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ddsids import detector, evalcli
+from ddsids import detector, evalcli, featsel, flowmeter, preprocess
 from ddsids.evalcli import (
     ConfusionCounts,
     ExperimentPlan,
@@ -163,6 +166,39 @@ class TestExperimentPipeline:
         )
         assert [r.name for r in report.rows] == ["DoS"]
 
+    def test_total_time_covers_selection(self, monkeypatch):
+        def slow_ranking(train_ds, method, seed, memo=None):
+            time.sleep(0.2)
+            return featsel.rank_univariate(train_ds)
+
+        monkeypatch.setattr(evalcli, "compute_ranking", slow_ranking)
+        report = run_experiment(replace(SMALL_PLAN, feature_k=5, model="expert:dos"))
+        assert report.timing["total_s"] >= 0.2
+
+    def test_ranking_reused_across_k(self, monkeypatch):
+        calls = {}
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        for name in ("rank_lasso", "rank_rfe", "rank_univariate", "rank_importance"):
+            counting(featsel, name)
+        counting(evalcli, "compute_ranking")
+        plan = replace(SMALL_PLAN, model="expert:dos")
+        cache = build_cache(plan)
+        reports = [run_experiment(replace(plan, feature_k=k), cache=cache) for k in (5, 20)]
+        assert calls == {"rank_lasso": 1, "rank_rfe": 1, "rank_univariate": 1,
+                         "rank_importance": 1, "compute_ranking": 2}
+        assert len(cache.rankings) == 1
+        assert [r.footnotes[-1] for r in reports] == [
+            "projected to top-5 features by consensus", "projected to top-20 features by consensus"]
+
     def test_unknown_model_kind(self):
         with pytest.raises(ValueError, match="unknown model"):
             run_experiment(ExperimentPlan(seed=5, scale=0.06, model="mystery"))
@@ -250,3 +286,91 @@ class TestCli:
         parser = evalcli.build_parser()
         args = parser.parse_args(["simulate", "--scenario", "benign"])
         assert str(tmp_path / "envout") == args.out_dir
+
+
+def toy_dataset(n=300, width=6, seed=0):
+    """Label follows feature f0; the other columns are noise."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, size=n)
+    X = rng.uniform(0, 1, size=(n, width))
+    X[:, 0] = y * 0.8 + 0.1 + rng.uniform(-0.05, 0.05, n)
+    return Dataset(
+        matrix=X,
+        labels=["benign" if v else "dos" for v in y],
+        feature_names=[f"f{i}" for i in range(width)],
+        shuffle_seed=0,
+        norm_min=np.zeros(width),
+        norm_max=np.ones(width),
+    )
+
+
+def scores_order(path):
+    return [line.split(",")[1].strip('"') for line in path.read_text().splitlines()[1:]]
+
+
+class TestCliContracts:
+    def test_select_seed_reaches_ranker(self, tmp_path):
+        # The label thresholds f0 + f1 + f2, so the three carry similar
+        # importance and their order depends on the permutation seed.
+        rng = np.random.default_rng(1)
+        X = rng.uniform(0, 1, size=(400, 5))
+        ds = replace(toy_dataset(n=400, width=5), matrix=X,
+                     labels=["benign" if v > 1.5 else "dos" for v in X[:, :3].sum(axis=1)])
+        train = tmp_path / "train.csv"
+        preprocess.write_dataset_csv(ds, train)
+        orders = {}
+        for seed in (0, 5):
+            out = tmp_path / f"seed{seed}"
+            rc = main(["select", "--train", str(train), "--method", "importance", "--k", "2",
+                       "--seed", str(seed), "--out-dir", str(out)])
+            assert rc == 0
+            orders[seed] = scores_order(out / "scores-importance.csv")
+        expected = featsel.rank_importance(preprocess.read_dataset_csv(train), seed=5)
+        assert orders[5] == expected.ranked_names
+        assert orders[5] != orders[0]
+
+    def test_preprocess_rejects_unknown_label(self, tmp_path, capsys):
+        flows = tmp_path / "dos.flows.csv"
+        flowmeter.write_flow_csv([], flows)
+        rc = main(["preprocess", "--flows", f"dso={flows}", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ddsids:") and "'dso'" in err and "malsub" in err
+
+    def trained(self, ds):
+        return detector.train(ds, detector.default_shape(ds.width), detector.TrainConfig(epochs=5, seed=1))
+
+    def test_evaluate_projects_onto_model_features(self, tmp_path, capsys):
+        full = toy_dataset(seed=1)
+        model = self.trained(full.project(["f4", "f0", "f2"]))
+        test_csv = tmp_path / "test.csv"
+        preprocess.write_dataset_csv(full, test_csv)
+        view = preprocess.read_dataset_csv(test_csv).project(model.feature_names)
+        ensemble = detector.EnsembleModel(experts={a: model for a in detector.EXPERT_ATTACKS})
+        cases = {
+            "single": (model, detector.classify(model, view.matrix)),
+            "ensemble": (ensemble, detector.adjudicate(ensemble, view.matrix) == "benign"),
+        }
+        for name, (m, benign_pred) in cases.items():
+            counts = confusion_from(view.labels, benign_pred)
+            path = tmp_path / f"{name}.model.txt"
+            detector.save_model(m, path)
+            capsys.readouterr()
+            rc = main(["evaluate", "--model", str(path), "--test", str(test_csv), "--out-dir", str(tmp_path / name)])
+            assert rc == 0
+            assert capsys.readouterr().out.startswith(
+                f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn} ")
+        hist = (tmp_path / "single" / "histogram.csv").read_text().splitlines()[1:]
+        expected = emit_histogram(model, view)
+        assert [tuple(int(c) for c in line.split(",")[1:]) for line in hist] == [(e, p) for _, e, p in expected]
+
+    def test_evaluate_rejects_other_columns_of_the_same_width(self, tmp_path, capsys):
+        full = toy_dataset(seed=2)
+        path = tmp_path / "model.txt"
+        detector.save_model(self.trained(full.project(["f0", "f1", "f2"])), path)
+        test_csv = tmp_path / "test.csv"
+        preprocess.write_dataset_csv(full.project(["f3", "f4", "f5"]), test_csv)
+        rc = main(["evaluate", "--model", str(path), "--test", str(test_csv), "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ddsids:") and "f0, f1, f2" in err

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle_lasso
 
 from ddsids.featsel import (
     F_SENTINEL,
@@ -146,6 +149,45 @@ class TestLasso:
         ds = binary_toy(width=5, seed=11)
         ranking = rank_lasso(ds)
         assert sorted(ranking.ranked_names) == sorted(ds.feature_names)
+
+
+def lasso_split(seed, n=150, width=6):
+    """A small binary split whose label follows a sparse linear score."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, size=(n, width))
+    weights = rng.normal(0, 1, width) * (rng.uniform(0, 1, width) < 0.6)
+    weights[0] = 1.0
+    latent = X @ weights
+    labels = ["benign" if v > np.median(latent) else "dos" for v in latent]
+    return dataset_from(X, labels)
+
+
+class TestLassoAgainstResidualOracle:
+    """The covariance-update solver against the residual-form solver it
+    replaced: same ranking, same coefficients up to rounding."""
+
+    def assert_matches_oracle(self, ds, seed=0):
+        ranking = rank_lasso(ds, seed=seed)
+        ranked, scores = oracle_lasso.rank_lasso(ds.matrix, ds.binary_labels(), ds.feature_names, seed=seed)
+        assert ranking.ranked_names == ranked
+        for name in ds.feature_names:
+            assert abs(ranking.scores[name] - scores[name]) <= 1e-9
+
+    def test_duplicate_columns(self):
+        ds = lasso_split(1)
+        ds.matrix[:, 3] = ds.matrix[:, 1]
+        self.assert_matches_oracle(ds)
+
+    def test_constant_column(self):
+        ds = lasso_split(2)
+        ds.matrix[:, 0] = 0.0
+        ds.matrix[:, 4] = 0.5
+        self.assert_matches_oracle(ds, seed=3)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_random_split(self, seed):
+        self.assert_matches_oracle(lasso_split(seed), seed=seed % 97)
 
 
 class TestUnivariate:
