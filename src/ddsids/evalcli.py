@@ -351,18 +351,14 @@ def build_datasets(plan: ExperimentPlan, cache: PipelineCache, footnotes: list[s
     return train_ds, test_ds
 
 
-def compute_ranking(
-    train_ds: Dataset, method: str, seed: int, memo: dict | None = None
-) -> featsel.FeatureRanking:
+def compute_ranking(train_ds: Dataset, method: str, seed: int, memo: dict) -> featsel.FeatureRanking:
     """One of the four ranking methods, or their rank-averaged consensus.
 
-    With `memo`, a ranking already computed there for the same method, seed
-    and training split is returned instead of being computed again.  The key
-    is the content of the split (names, labels and a digest of the matrix),
-    so it holds however the split was built.
+    A ranking already in `memo` for the same method, seed and training split
+    is returned instead of being computed again.  The key is the content of
+    the split (names, labels and a digest of the matrix), so it holds however
+    the split was built.
     """
-    if memo is None:
-        return _rank(train_ds, method, seed)
     key = (
         method,
         seed,

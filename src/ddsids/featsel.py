@@ -169,7 +169,8 @@ def _path(stats: _GramStats, lambdas: np.ndarray) -> list[tuple[np.ndarray, floa
 
 
 def _lasso_path(X: np.ndarray, y: np.ndarray, lambdas: np.ndarray) -> list[np.ndarray]:
-    """Coefficients per lambda, warm-started along the descending grid."""
+    """Coefficients per lambda, warm-started along the descending grid, from
+    the raw matrix."""
     return [w for w, _ in _path(_GramStats.of(X, y), lambdas)]
 
 
@@ -205,7 +206,7 @@ def rank_lasso(
         if cv_loss[gi] < cv_loss[best_gi]:
             best_gi = gi
 
-    path = _lasso_path(X, y, grid)
+    path = [w for w, _ in _path(_GramStats.of(X, y), grid)]
     if not np.any(path[-1]):
         raise ValueError(
             f"lasso kept no features even at the grid floor {grid[-1]:g}; "

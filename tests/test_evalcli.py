@@ -167,7 +167,7 @@ class TestExperimentPipeline:
         assert [r.name for r in report.rows] == ["DoS"]
 
     def test_total_time_covers_selection(self, monkeypatch):
-        def slow_ranking(train_ds, method, seed, memo=None):
+        def slow_ranking(train_ds, method, seed, memo):
             time.sleep(0.2)
             return featsel.rank_univariate(train_ds)
 

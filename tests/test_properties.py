@@ -134,9 +134,10 @@ class TestMeterProperties:
 
 def within_rounding(reported: float, exact: Fraction) -> bool:
     """A percentage rounded to 2 decimals is at most 0.005 from the exact
-    value.  Compared on the decimal it prints as: the float nearest a rounded
-    tie (47.875 -> 47.88) lies a few 1e-15 past 0.005."""
-    return abs(Fraction(f"{reported:.2f}") - exact) <= Fraction(1, 200)
+    value.  Compared on the float's shortest decimal (its repr), not on the
+    binary float: the float nearest a rounded tie (47.875 -> 47.88) lies a
+    few 1e-15 past 0.005, while any value off by more than 0.005 still fails."""
+    return abs(Fraction(repr(reported)) - exact) <= Fraction(1, 200)
 
 
 class TestMetricProperties:
