@@ -31,11 +31,10 @@ import numpy as np
 from . import detector, featsel, flowmeter, preprocess, simnet
 from .detector import DetectorModel, EnsembleModel, TrainConfig
 from .flowmeter import FlowRecord, MeterConfig
-from .preprocess import AnonymizeMode, Dataset, LabelRule
+from .preprocess import IP_MODES, AnonymizeMode, Dataset, LabelRule
 from .simnet import ScenarioConfig
 
 OUT_DIR_ENV = "DDSIDS_OUT_DIR"
-IP_MODES = ("both", "source_only", "destination_only", "none")
 EXPERT_ROW_NAMES = {"dos": "DoS", "clone": "Clone", "malsub": "Malicious Subscriber"}
 SUBNET_HOSTS = (2, 3, 4, 5, 6)
 
@@ -216,7 +215,6 @@ class PipelineCache:
 
     flows: list[FlowRecord]
     footnotes: list[str]
-    traces: dict[str, list[simnet.PacketRecord]] = field(default_factory=dict)
     rankings: dict[tuple, featsel.FeatureRanking] = field(default_factory=dict)
 
 
@@ -239,7 +237,7 @@ class _StageError(RuntimeError):
 
 def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCache:
     footnotes: list[str] = []
-    traces: dict[str, list[simnet.PacketRecord]] = {}
+    traces: dict[str, simnet.PacketTrace] = {}
     with _stage("simulate"):
         for name, cfg in scenario_configs(plan).items():
             traces[name] = simnet.generate(cfg)
@@ -282,7 +280,7 @@ def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCa
             fdir.mkdir(parents=True, exist_ok=True)
             flowmeter.write_flow_csv(pooled, fdir / "pooled.flows.csv")
             flowmeter.write_feature_names(fdir / "features.txt")
-    return PipelineCache(flows=pooled, footnotes=footnotes, traces=traces)
+    return PipelineCache(flows=pooled, footnotes=footnotes)
 
 
 def _apply_anonymize(plan: ExperimentPlan, train_flows, test_flows, footnotes):

@@ -33,15 +33,23 @@ format mimics is not self-consistent:
 
 The ``Timestamp`` feature holds the flow start time in seconds at metering
 time; downstream preprocessing replaces it with inter-session deltas.
+
+The meter works on the columns of a ``PacketTrace``: one stable sort groups
+the packets by flow, and every feature is a reduction over each flow's
+segment of the sorted columns.  Float sums are added left to right within a
+flow and squares are taken with Python's ``**``, so each value is the one a
+per-packet loop over the flow would compute, to the last bit.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .simnet import PacketRecord
+import numpy as np
+
+from .simnet import PacketRecord, PacketTrace
 
 FEATURE_NAMES = [
     "Protocol",
@@ -168,266 +176,256 @@ class FlowRecord:
         return self.features[FEATURE_INDEX[name]]
 
 
-def flow_key(pkt: PacketRecord) -> tuple:
-    """Direction-insensitive 5-tuple key."""
-    a = (pkt.src_ip, pkt.src_port)
-    b = (pkt.dst_ip, pkt.dst_port)
-    return (a, b, pkt.proto) if a <= b else (b, a, pkt.proto)
+def _ordered_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum of each run of `values` (consecutive runs of the given sizes),
+    added left to right from 0.0 as Python's ``sum()`` adds a list; numpy's
+    own reductions add pairwise and round differently.  One step per offset
+    into the runs, over the runs still open at that offset."""
+    total = np.zeros(len(sizes))
+    if not len(values):
+        return total
+    by_size = np.argsort(-sizes, kind="stable")
+    starts = (np.cumsum(sizes) - sizes)[by_size]
+    still_open = len(sizes) - np.cumsum(np.bincount(sizes))
+    acc = np.zeros(len(sizes))
+    for j, k in enumerate(still_open[:-1].tolist()):
+        acc[:k] += values[starts[:k] + j]
+    total[by_size] = acc
+    return total
 
 
-def _stats(values: Sequence[float]) -> tuple[float, float, float, float]:
-    """(max, min, mean, population std); zeros on empty input."""
-    if not values:
-        return 0.0, 0.0, 0.0, 0.0
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    return max(values), min(values), mean, math.sqrt(var)
+_pow = np.frompyfunc(operator.pow, 2, 1)
 
 
-def _iat_us(times: Sequence[float]) -> list[float]:
-    return [(times[i] - times[i - 1]) * 1e6 for i in range(1, len(times))]
+def _squared(values: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each value as Python computes it (libm ``pow``, which
+    rounds a few squares differently from ``v * v``), once per distinct value."""
+    distinct, where = np.unique(values, return_inverse=True)
+    return _pow(distinct, 2).astype(np.float64)[where]
 
 
-def _rate(total: float, duration_s: float) -> float:
-    return total / max(duration_s, _MIN_RATE_DIVISOR_S)
+def _run_stats(values: np.ndarray, sizes: np.ndarray):
+    """(max, min, mean, population std, sum) of each run of `values`; zeros
+    for an empty run."""
+    nonempty = sizes > 0
+    mx, mn = np.zeros(len(sizes)), np.zeros(len(sizes))
+    if len(values):
+        starts = (np.cumsum(sizes) - sizes)[nonempty]
+        mx[nonempty] = np.maximum.reduceat(values, starts)
+        mn[nonempty] = np.minimum.reduceat(values, starts)
+    n = np.maximum(sizes, 1)
+    total = _ordered_sums(values, sizes)
+    mean = total / n
+    deviations = values - np.repeat(mean, sizes)
+    var = _ordered_sums(_squared(deviations), sizes) / n
+    return mx, mn, mean, np.sqrt(var), total
 
 
-def _bulks(packets: Sequence[PacketRecord], fwd_src: tuple, bulk_gap: float):
-    """Per-direction bulk aggregates: {dir: [count, pkts, bytes, duration_us]}.
-
-    Data packets (payload >= 1) are segmented at direction changes and at
-    gaps >= bulk_gap; segments of >= 4 packets count as bulks.
-    """
-    agg = {True: [0, 0, 0, 0.0], False: [0, 0, 0, 0.0]}
-    segment: list[PacketRecord] = []
-    seg_fwd = True
-
-    def close():
-        if len(segment) >= 4:
-            a = agg[seg_fwd]
-            a[0] += 1
-            a[1] += len(segment)
-            a[2] += sum(p.payload_len for p in segment)
-            a[3] += (segment[-1].ts - segment[0].ts) * 1e6
-
-    for pkt in packets:
-        if pkt.payload_len < 1:
-            continue
-        is_fwd = (pkt.src_ip, pkt.src_port) == fwd_src
-        if segment and (is_fwd != seg_fwd or pkt.ts - segment[-1].ts >= bulk_gap):
-            close()
-            segment = []
-        seg_fwd = is_fwd
-        segment.append(pkt)
-    close()
-    return agg
+def _run_sums(values: np.ndarray, starts: np.ndarray, n_runs: int) -> np.ndarray:
+    """Exact sums of integer `values` over runs beginning at `starts`."""
+    out = np.zeros(n_runs, dtype=values.dtype)
+    if len(values):
+        out[:] = np.add.reduceat(values, starts)
+    return out
 
 
-def _active_idle(times: Sequence[float], activity_timeout: float) -> tuple[list[float], list[float]]:
-    """Active and idle span lengths in microseconds."""
-    active: list[float] = []
-    idle: list[float] = []
-    span_start = times[0]
-    last = times[0]
-    for t in times[1:]:
-        gap = t - last
-        if gap > activity_timeout:
-            if last > span_start:
-                active.append((last - span_start) * 1e6)
-            idle.append(gap * 1e6)
-            span_start = t
-        last = t
-    if last > span_start:
-        active.append((last - span_start) * 1e6)
-    return active, idle
+def _assemble(trace: PacketTrace, flow_timeout: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group packets into flows: one stable sort on the direction-insensitive
+    5-tuple, cut at gaps > flow_timeout.  Returns the packet order that lists
+    each flow's packets in time order, flows ordered by their first packet;
+    each flow's packet count; and each flow's serial among the flows of its
+    5-tuple."""
+    sa, sp, da, dp = trace.src, trace.src_port, trace.dst, trace.dst_port
+    src_low = (sa < da) | ((sa == da) & (sp <= dp))
+    key = np.stack([np.where(src_low, sa, da), np.where(src_low, sp, dp),
+                    np.where(src_low, da, sa), np.where(src_low, dp, sp), trace.proto])
+    by_key = np.lexsort(key[::-1])
+    key, ts = key[:, by_key], trace.ts[by_key]
+    new_key = np.ones(len(ts), dtype=bool)
+    new_key[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
+    new_flow = new_key.copy()
+    new_flow[1:] |= ts[1:] - ts[:-1] > flow_timeout
+    flow_starts = np.flatnonzero(new_flow)
+    flow_no = np.arange(len(flow_starts))
+    serial = flow_no - np.maximum.accumulate(np.where(new_key[flow_starts], flow_no, 0))
+    sizes = np.diff(np.append(flow_starts, len(ts)))
+    first = by_key[flow_starts]
+    by_first = np.argsort(first)
+    order = by_key[np.argsort(np.repeat(first, sizes), kind="stable")]
+    return order, sizes[by_first], serial[by_first]
 
 
-def compute_features(packets: Sequence[PacketRecord], cfg: MeterConfig, start_time: float) -> list[float]:
-    """78-entry feature vector for one flow's time-ordered packets."""
-    first = packets[0]
-    fwd_src = (first.src_ip, first.src_port)
-    fwd = [p for p in packets if (p.src_ip, p.src_port) == fwd_src]
-    bwd = [p for p in packets if (p.src_ip, p.src_port) != fwd_src]
+def _features(trace: PacketTrace, order: np.ndarray, sizes: np.ndarray, cfg: MeterConfig) -> np.ndarray:
+    """(flows, 78) feature matrix; `order` lists the packets flow by flow."""
+    ts, payload, header, flags = (getattr(trace, c)[order] for c in ("ts", "payload_len", "header_len", "flags"))
+    src, sport = trace.src[order], trace.src_port[order]
+    n_flows = len(sizes)
+    starts = np.cumsum(sizes) - sizes
+    ends = starts + sizes - 1
+    flow_of = np.repeat(np.arange(n_flows), sizes)
+    fwd = (src == src[starts][flow_of]) & (sport == sport[starts][flow_of])
+    out = np.zeros((n_flows, len(FEATURE_NAMES)))
 
-    duration_s = packets[-1].ts - packets[0].ts
-    duration_us = duration_s * 1e6
+    def put(name: str, values) -> None:
+        out[:, FEATURE_INDEX[name]] = values
 
-    fwd_len = [float(p.payload_len) for p in fwd]
-    bwd_len = [float(p.payload_len) for p in bwd]
-    all_len = [float(p.payload_len) for p in packets]
+    def put_stats(prefix: str, stats) -> None:
+        for suffix, values in zip(("Max", "Min", "Mean", "Std"), stats):
+            put(f"{prefix} {suffix}", values)
 
-    fwd_stats = _stats(fwd_len)
-    bwd_stats = _stats(bwd_len)
+    def per_flow(flow: np.ndarray) -> np.ndarray:
+        return np.bincount(flow, minlength=n_flows)
 
-    flow_iat = _iat_us([p.ts for p in packets])
-    fwd_iat = _iat_us([p.ts for p in fwd])
-    bwd_iat = _iat_us([p.ts for p in bwd])
-    flow_iat_stats = _stats(flow_iat)
-    fwd_iat_stats = _stats(fwd_iat)
-    bwd_iat_stats = _stats(bwd_iat)
+    def count(mask: np.ndarray) -> np.ndarray:
+        return per_flow(flow_of[mask])
 
-    tot_fwd_bytes = float(sum(p.payload_len for p in fwd))
-    tot_bwd_bytes = float(sum(p.payload_len for p in bwd))
-    total_bytes = tot_fwd_bytes + tot_bwd_bytes
+    def gaps_us(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Inter-arrival times (us) between the masked packets of each flow,
+        and the flow of each."""
+        t, f = ts[mask], flow_of[mask]
+        same = f[1:] == f[:-1]
+        return ((t[1:] - t[:-1]) * 1e6)[same], f[1:][same]
 
-    pkt_max, pkt_min, pkt_mean, pkt_std = _stats(all_len)
-    pkt_var = pkt_std * pkt_std
+    duration_s = ts[ends] - ts[starts]
+    rate_divisor = np.maximum(duration_s, _MIN_RATE_DIVISOR_S)
+    n_fwd = count(fwd)
+    n_bwd = sizes - n_fwd
+    fwd_bytes = _run_sums(np.where(fwd, payload, 0), starts, n_flows).astype(np.float64)
+    bwd_bytes = _run_sums(np.where(fwd, 0, payload), starts, n_flows).astype(np.float64)
+    total_bytes = fwd_bytes + bwd_bytes
+    length = payload.astype(np.float64)
 
-    def flag_count(pkts, bit):
-        return float(sum(1 for p in pkts if p.flags & bit))
+    put("Protocol", trace.proto[order[starts]])
+    put("Timestamp", ts[starts])
+    put("Flow Duration", duration_s * 1e6)
+    put("Tot Fwd Pkts", n_fwd)
+    put("Tot Bwd Pkts", n_bwd)
+    put("TotLen Fwd Pkts", fwd_bytes)
+    put("TotLen Bwd Pkts", bwd_bytes)
+    put_stats("Fwd Pkt Len", _run_stats(length[fwd], n_fwd))
+    put_stats("Bwd Pkt Len", _run_stats(length[~fwd], n_bwd))
+    put("Flow Byts/s", total_bytes / rate_divisor)
+    put("Flow Pkts/s", sizes / rate_divisor)
 
-    bulks = _bulks(packets, fwd_src, cfg.bulk_gap)
-    fb_count, fb_pkts, fb_bytes, fb_dur_us = bulks[True]
-    bb_count, bb_pkts, bb_bytes, bb_dur_us = bulks[False]
+    flow_iat, iat_flow = gaps_us(np.ones(len(ts), dtype=bool))
+    put_stats("Flow IAT", _run_stats(flow_iat, per_flow(iat_flow)))
+    for prefix, mask in (("Fwd", fwd), ("Bwd", ~fwd)):
+        iat, flow = gaps_us(mask)
+        stats = _run_stats(iat, per_flow(flow))
+        put(f"{prefix} IAT Tot", stats[4])
+        put_stats(f"{prefix} IAT", stats)
 
-    n_subflows = 1 + sum(1 for g in flow_iat if g > cfg.subflow_gap * 1e6)
+    for name, mask in (("Fwd", fwd), ("Bwd", ~fwd)):
+        for flag in ("PSH", "URG"):
+            put(f"{name} {flag} Flags", count(mask & ((flags & FLAG_BITS[flag]) != 0)))
+    put("Fwd Header Len", _run_sums(np.where(fwd, header, 0), starts, n_flows))
+    put("Bwd Header Len", _run_sums(np.where(fwd, 0, header), starts, n_flows))
+    put("Fwd Pkts/s", n_fwd / rate_divisor)
+    put("Bwd Pkts/s", n_bwd / rate_divisor)
 
-    active, idle = _active_idle([p.ts for p in packets], cfg.activity_timeout)
-    active_stats = _stats(active)
-    idle_stats = _stats(idle)
+    pkt_max, pkt_min, pkt_mean, pkt_std, _ = _run_stats(length, sizes)
+    put("Pkt Len Min", pkt_min)
+    put("Pkt Len Max", pkt_max)
+    put("Pkt Len Mean", pkt_mean)
+    put("Pkt Len Std", pkt_std)
+    put("Pkt Len Var", pkt_std * pkt_std)
+    for flag, bit in FLAG_BITS.items():
+        put(f"{flag} Flag Cnt", count((flags & bit) != 0))
 
-    values = {
-        "Protocol": float(first.proto),
-        "Timestamp": start_time,
-        "Flow Duration": duration_us,
-        "Tot Fwd Pkts": float(len(fwd)),
-        "Tot Bwd Pkts": float(len(bwd)),
-        "TotLen Fwd Pkts": tot_fwd_bytes,
-        "TotLen Bwd Pkts": tot_bwd_bytes,
-        "Fwd Pkt Len Max": fwd_stats[0],
-        "Fwd Pkt Len Min": fwd_stats[1],
-        "Fwd Pkt Len Mean": fwd_stats[2],
-        "Fwd Pkt Len Std": fwd_stats[3],
-        "Bwd Pkt Len Max": bwd_stats[0],
-        "Bwd Pkt Len Min": bwd_stats[1],
-        "Bwd Pkt Len Mean": bwd_stats[2],
-        "Bwd Pkt Len Std": bwd_stats[3],
-        "Flow Byts/s": _rate(total_bytes, duration_s),
-        "Flow Pkts/s": _rate(float(len(packets)), duration_s),
-        "Flow IAT Mean": flow_iat_stats[2],
-        "Flow IAT Std": flow_iat_stats[3],
-        "Flow IAT Max": flow_iat_stats[0],
-        "Flow IAT Min": flow_iat_stats[1],
-        "Fwd IAT Tot": sum(fwd_iat),
-        "Fwd IAT Mean": fwd_iat_stats[2],
-        "Fwd IAT Std": fwd_iat_stats[3],
-        "Fwd IAT Max": fwd_iat_stats[0],
-        "Fwd IAT Min": fwd_iat_stats[1],
-        "Bwd IAT Tot": sum(bwd_iat),
-        "Bwd IAT Mean": bwd_iat_stats[2],
-        "Bwd IAT Std": bwd_iat_stats[3],
-        "Bwd IAT Max": bwd_iat_stats[0],
-        "Bwd IAT Min": bwd_iat_stats[1],
-        "Fwd PSH Flags": flag_count(fwd, FLAG_BITS["PSH"]),
-        "Bwd PSH Flags": flag_count(bwd, FLAG_BITS["PSH"]),
-        "Fwd URG Flags": flag_count(fwd, FLAG_BITS["URG"]),
-        "Bwd URG Flags": flag_count(bwd, FLAG_BITS["URG"]),
-        "Fwd Header Len": float(sum(p.header_len for p in fwd)),
-        "Bwd Header Len": float(sum(p.header_len for p in bwd)),
-        "Fwd Pkts/s": _rate(float(len(fwd)), duration_s),
-        "Bwd Pkts/s": _rate(float(len(bwd)), duration_s),
-        "Pkt Len Min": pkt_min,
-        "Pkt Len Max": pkt_max,
-        "Pkt Len Mean": pkt_mean,
-        "Pkt Len Std": pkt_std,
-        "Pkt Len Var": pkt_var,
-        "FIN Flag Cnt": flag_count(packets, FLAG_BITS["FIN"]),
-        "SYN Flag Cnt": flag_count(packets, FLAG_BITS["SYN"]),
-        "RST Flag Cnt": flag_count(packets, FLAG_BITS["RST"]),
-        "PSH Flag Cnt": flag_count(packets, FLAG_BITS["PSH"]),
-        "ACK Flag Cnt": flag_count(packets, FLAG_BITS["ACK"]),
-        "URG Flag Cnt": flag_count(packets, FLAG_BITS["URG"]),
-        "CWE Flag Cnt": flag_count(packets, FLAG_BITS["CWE"]),
-        "ECE Flag Cnt": flag_count(packets, FLAG_BITS["ECE"]),
-        "Down/Up Ratio": float(len(bwd) // max(len(fwd), 1)),
-        "Pkt Size Avg": total_bytes / len(packets),
-        "Fwd Seg Size Avg": tot_fwd_bytes / len(fwd) if fwd else 0.0,
-        "Bwd Seg Size Avg": tot_bwd_bytes / len(bwd) if bwd else 0.0,
-        "Fwd Byts/b Avg": fb_bytes / fb_count if fb_count else 0.0,
-        "Fwd Pkts/b Avg": fb_pkts / fb_count if fb_count else 0.0,
-        "Fwd Blk Rate Avg": _rate(float(fb_bytes), fb_dur_us / 1e6) if fb_count else 0.0,
-        "Bwd Byts/b Avg": bb_bytes / bb_count if bb_count else 0.0,
-        "Bwd Pkts/b Avg": bb_pkts / bb_count if bb_count else 0.0,
-        "Bwd Blk Rate Avg": _rate(float(bb_bytes), bb_dur_us / 1e6) if bb_count else 0.0,
-        "Subflow Fwd Pkts": len(fwd) / n_subflows,
-        "Subflow Fwd Byts": tot_fwd_bytes / n_subflows,
-        "Subflow Bwd Pkts": len(bwd) / n_subflows,
-        "Subflow Bwd Byts": tot_bwd_bytes / n_subflows,
-        "Init Fwd Win Byts": 0.0,
-        "Init Bwd Win Byts": 0.0,
-        "Fwd Act Data Pkts": float(sum(1 for p in fwd if p.payload_len >= 1)),
-        "Fwd Seg Size Min": float(min((p.header_len for p in fwd), default=0)),
-        "Active Mean": active_stats[2],
-        "Active Std": active_stats[3],
-        "Active Max": active_stats[0],
-        "Active Min": active_stats[1],
-        "Idle Mean": idle_stats[2],
-        "Idle Std": idle_stats[3],
-        "Idle Max": idle_stats[0],
-        "Idle Min": idle_stats[1],
-    }
-    return [values[name] for name in FEATURE_NAMES]
+    put("Down/Up Ratio", n_bwd // np.maximum(n_fwd, 1))
+    put("Pkt Size Avg", total_bytes / sizes)
+    put("Fwd Seg Size Avg", np.where(n_fwd > 0, fwd_bytes / np.maximum(n_fwd, 1), 0.0))
+    put("Bwd Seg Size Avg", np.where(n_bwd > 0, bwd_bytes / np.maximum(n_bwd, 1), 0.0))
+
+    # Bulks: runs of data packets cut at a flow or direction change and at
+    # gaps >= bulk_gap; runs of 4 or more count.
+    data = np.flatnonzero(payload >= 1)
+    run_start = np.ones(len(data), dtype=bool)
+    run_start[1:] = (
+        (flow_of[data][1:] != flow_of[data][:-1])
+        | (fwd[data][1:] != fwd[data][:-1])
+        | (ts[data][1:] - ts[data][:-1] >= cfg.bulk_gap)
+    )
+    run_starts = np.flatnonzero(run_start)
+    run_len = np.diff(np.append(run_starts, len(data)))
+    run_bytes = _run_sums(payload[data], run_starts, len(run_starts))
+    run_first, run_last = data[run_starts], data[run_starts + run_len - 1]
+    run_us = (ts[run_last] - ts[run_first]) * 1e6
+    for prefix, direction in (("Fwd", True), ("Bwd", False)):
+        bulk = (run_len >= 4) & (fwd[run_first] == direction)
+        bulk_flow = flow_of[run_first][bulk]
+        n_bulks = per_flow(bulk_flow)
+        pkts = np.bincount(bulk_flow, weights=run_len[bulk], minlength=n_flows)
+        nbytes = np.zeros(n_flows, dtype=np.int64)
+        np.add.at(nbytes, bulk_flow, run_bytes[bulk])
+        dur_s = _ordered_sums(run_us[bulk], n_bulks) / 1e6
+        has = n_bulks > 0
+        per = np.maximum(n_bulks, 1)
+        put(f"{prefix} Byts/b Avg", np.where(has, nbytes / per, 0.0))
+        put(f"{prefix} Pkts/b Avg", np.where(has, pkts / per, 0.0))
+        put(f"{prefix} Blk Rate Avg", np.where(has, nbytes / np.maximum(dur_s, _MIN_RATE_DIVISOR_S), 0.0))
+
+    n_subflows = 1 + per_flow(iat_flow[flow_iat > cfg.subflow_gap * 1e6])
+    put("Subflow Fwd Pkts", n_fwd / n_subflows)
+    put("Subflow Fwd Byts", fwd_bytes / n_subflows)
+    put("Subflow Bwd Pkts", n_bwd / n_subflows)
+    put("Subflow Bwd Byts", bwd_bytes / n_subflows)
+    put("Fwd Act Data Pkts", count(fwd & (payload >= 1)))
+    fwd_header_min = np.full(n_flows, np.iinfo(np.int64).max)
+    np.minimum.at(fwd_header_min, flow_of[fwd], header[fwd])
+    put("Fwd Seg Size Min", np.where(n_fwd > 0, fwd_header_min, 0))
+
+    # Active and idle spans: split at gaps > activity_timeout; an active
+    # span of zero width is not recorded.
+    cut = np.zeros(len(ts), dtype=bool)
+    cut[1:] = (flow_of[1:] == flow_of[:-1]) & (ts[1:] - ts[:-1] > cfg.activity_timeout)
+    span_start = cut.copy()
+    span_start[starts] = True
+    span_starts = np.flatnonzero(span_start)
+    span_ends = np.append(span_starts[1:], len(ts)) - 1
+    active = ts[span_ends] > ts[span_starts]
+    put_stats("Active", _run_stats(((ts[span_ends] - ts[span_starts]) * 1e6)[active],
+                               per_flow(flow_of[span_starts][active])))
+    put_stats("Idle", _run_stats(((ts[1:] - ts[:-1]) * 1e6)[cut[1:]], count(cut)))
+    return out
 
 
 def meter(packets: Iterable[PacketRecord], cfg: MeterConfig | None = None) -> list[FlowRecord]:
     """Assemble time-sorted packets into flows and compute their features.
 
-    Raises ValueError on the first timestamp inversion in the input.
+    `packets` is a ``PacketTrace`` or any iterable of ``PacketRecord``s,
+    which is turned into one.  Flows come out in the order of their first
+    packets.  Raises ValueError on the first timestamp inversion in the input.
     """
     cfg = cfg or MeterConfig()
-    packets = list(packets)
-    for i in range(1, len(packets)):
-        if packets[i].ts < packets[i - 1].ts:
-            raise ValueError(
-                f"packets not time-sorted: index {i} has ts={packets[i].ts:.6f} "
-                f"after ts={packets[i - 1].ts:.6f}"
-            )
-
-    # Group by key, cutting at idle gaps > flow_timeout.  Each open flow keeps
-    # (first-packet-global-index, packet list) so output ordering is stable.
-    flows: list[tuple[float, int, list[PacketRecord]]] = []
-    open_flows: dict[tuple, list[PacketRecord]] = {}
-    open_order: dict[tuple, int] = {}
-    for idx, pkt in enumerate(packets):
-        key = flow_key(pkt)
-        cur = open_flows.get(key)
-        if cur is not None and pkt.ts - cur[-1].ts > cfg.flow_timeout:
-            flows.append((cur[0].ts, open_order[key], cur))
-            cur = None
-        if cur is None:
-            open_flows[key] = [pkt]
-            open_order[key] = idx
-        else:
-            cur.append(pkt)
-    for key, cur in open_flows.items():
-        flows.append((cur[0].ts, open_order[key], cur))
-    flows.sort(key=lambda item: (item[0], item[1]))
-
-    records = []
-    serial: dict[tuple, int] = {}
-    for start, _, pkts in flows:
-        first = pkts[0]
-        key = flow_key(first)
-        n = serial.get(key, 0)
-        serial[key] = n + 1
-        fid = (
-            f"{first.src_ip}:{first.src_port}->{first.dst_ip}:{first.dst_port}"
-            f"/{first.proto}#{n}"
+    trace = packets if isinstance(packets, PacketTrace) else PacketTrace.from_records(packets)
+    ts = trace.ts
+    inverted = np.flatnonzero(ts[1:] < ts[:-1])
+    if len(inverted):
+        i = int(inverted[0]) + 1
+        raise ValueError(f"packets not time-sorted: index {i} has ts={ts[i]:.6f} after ts={ts[i - 1]:.6f}")
+    if not len(trace):
+        return []
+    order, sizes, serial = _assemble(trace, cfg.flow_timeout)
+    first = order[np.cumsum(sizes) - sizes]
+    features = _features(trace, order, sizes, cfg)
+    src_ip = [trace.addresses[a] for a in trace.src[first].tolist()]
+    dst_ip = [trace.addresses[a] for a in trace.dst[first].tolist()]
+    columns = zip(src_ip, trace.src_port[first].tolist(), dst_ip, trace.dst_port[first].tolist(),
+                  trace.proto[first].tolist(), serial.tolist(), trace.ts[first].tolist(), features.tolist())
+    return [
+        FlowRecord(
+            flow_id=f"{s}:{sp}->{d}:{dp}/{proto}#{n}",
+            src_ip=s,
+            src_port=sp,
+            dst_ip=d,
+            dst_port=dp,
+            protocol=proto,
+            start_time=start,
+            features=row,
         )
-        records.append(
-            FlowRecord(
-                flow_id=fid,
-                src_ip=first.src_ip,
-                src_port=first.src_port,
-                dst_ip=first.dst_ip,
-                dst_port=first.dst_port,
-                protocol=first.proto,
-                start_time=start,
-                features=compute_features(pkts, cfg, start),
-            )
-        )
-    return records
+        for s, sp, d, dp, proto, n, start, row in columns
+    ]
 
 
 def write_feature_names(path) -> None:

@@ -36,7 +36,10 @@ function of (config, seed).
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import islice, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -83,6 +86,66 @@ class PacketRecord(NamedTuple):
     payload_len: int
     header_len: int
     flags: int
+
+
+PACKET_COLUMNS = ("ts", "src", "src_port", "dst", "dst_port", "proto", "payload_len", "header_len", "flags")
+_ROW_BLOCK = 1 << 14  # rows turned into records or text at a time
+
+
+class PacketTrace(Sequence[PacketRecord]):
+    """A read-only packet trace held as columns.
+
+    ``ts`` is a float64 column of seconds; ``src`` and ``dst`` index into
+    ``addresses``, a small table of address strings; the other columns are
+    int64.  Indexing with an int yields a ``PacketRecord`` and with a slice a
+    ``PacketTrace``; a trace equals any sequence of records (another trace
+    included) that holds the same packets in the same order.
+    """
+
+    def __init__(self, addresses: Sequence[str], ts, src, src_port, dst, dst_port, proto, payload_len,
+                 header_len, flags):
+        self.addresses = tuple(addresses)
+        columns = (ts, src, src_port, dst, dst_port, proto, payload_len, header_len, flags)
+        for name, values in zip(PACKET_COLUMNS, columns):
+            values = np.array(values, dtype=np.float64 if name == "ts" else np.int64)
+            if values.shape != (len(columns[0]),):
+                raise ValueError(f"packet column {name} has shape {values.shape}, expected ({len(columns[0])},)")
+            values.flags.writeable = False
+            setattr(self, name, values)
+
+    @classmethod
+    def from_records(cls, records: Iterable[PacketRecord]) -> "PacketTrace":
+        columns = list(zip(*records)) or [()] * len(PACKET_COLUMNS)
+        index: dict[str, int] = {}
+        src = [index.setdefault(a, len(index)) for a in columns[1]]
+        dst = [index.setdefault(a, len(index)) for a in columns[3]]
+        return cls(index, columns[0], src, columns[2], dst, *columns[4:])
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def _records(self, rows: slice) -> list[PacketRecord]:
+        columns = [getattr(self, name)[rows].tolist() for name in PACKET_COLUMNS]
+        for k in (1, 3):
+            columns[k] = [self.addresses[i] for i in columns[k]]
+        return list(map(PacketRecord._make, zip(*columns)))
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return PacketTrace(self.addresses, *(getattr(self, name)[item] for name in PACKET_COLUMNS))
+        i = range(len(self))[item]
+        return self._records(slice(i, i + 1))[0]
+
+    def __iter__(self):
+        for lo in range(0, len(self), _ROW_BLOCK):
+            yield from self._records(slice(lo, lo + _ROW_BLOCK))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -149,7 +212,9 @@ class _TraceBuilder:
         self.cfg = config
         self.rng = np.random.default_rng(config.rng_seed)
         self.duration_us = int(round(config.duration * 1e6))
-        self.events: list[tuple[int, int, str, int, str, int, int]] = []
+        # Six fields per emitted packet: t_us, src host, src port, dst host,
+        # dst port, payload.
+        self.events = array("q")
         self.used_ports: set[tuple[int, int]] = set()
 
     def ephemeral_port(self, host: int) -> int:
@@ -162,7 +227,7 @@ class _TraceBuilder:
     def emit(self, t_us: int, src: int, sport: int, dst: int, dport: int, payload: int) -> bool:
         if not 0 <= t_us < self.duration_us:
             return False
-        self.events.append((t_us, len(self.events), host_ip(src), sport, host_ip(dst), dport, payload))
+        self.events.extend((t_us, src, sport, dst, dport, payload))
         return True
 
     def discovery(self, t_us: int, joiner: int, jport: int, peer: int, pport: int) -> None:
@@ -197,12 +262,16 @@ class _TraceBuilder:
             t_us += int(round(interval_s * (1.0 + eps) * 1e6))
         return sent
 
-    def finish(self) -> list[PacketRecord]:
-        self.events.sort(key=lambda e: (e[0], e[1]))
-        return [
-            PacketRecord(t / 1e6, src, sport, dst, dport, PROTO_UDP, payload, HEADER_LEN, 0)
-            for t, _, src, sport, dst, dport, payload in self.events
-        ]
+    def finish(self) -> PacketTrace:
+        """The emitted packets ordered by (time, emit order)."""
+        events = np.frombuffer(self.events, dtype=np.int64).reshape(-1, 6)
+        t_us, src, sport, dst, dport, payload = events[np.argsort(events[:, 0], kind="stable")].T
+        hosts, ends = np.unique(np.concatenate([src, dst]), return_inverse=True)
+        n = len(t_us)
+        return PacketTrace(
+            [host_ip(h) for h in hosts.tolist()], t_us / 1e6, ends[:n], sport, ends[n:], dport,
+            np.full(n, PROTO_UDP), payload, np.full(n, HEADER_LEN), np.zeros(n),
+        )
 
 
 def _draw_topics(b: _TraceBuilder) -> int:
@@ -260,7 +329,7 @@ def _attack_launches(cfg: ScenarioConfig) -> list[int]:
     return launches
 
 
-def generate_benign(config: ScenarioConfig) -> list[PacketRecord]:
+def generate_benign(config: ScenarioConfig) -> PacketTrace:
     """Benign pub/sub trace (also the substrate of dos and clone traces)."""
     b = _TraceBuilder(config)
     sub_port = b.ephemeral_port(4)
@@ -268,7 +337,7 @@ def generate_benign(config: ScenarioConfig) -> list[PacketRecord]:
     return b.finish()
 
 
-def generate_attack(config: ScenarioConfig) -> list[PacketRecord]:
+def generate_attack(config: ScenarioConfig) -> PacketTrace:
     if config.scenario not in ATTACK_SCENARIOS:
         raise ValueError(f"generate_attack requires an attack scenario, got {config.scenario!r}")
     launches = _attack_launches(config)
@@ -385,7 +454,7 @@ def generate_attack(config: ScenarioConfig) -> list[PacketRecord]:
     return b.finish()
 
 
-def generate(config: ScenarioConfig) -> list[PacketRecord]:
+def generate(config: ScenarioConfig) -> PacketTrace:
     if config.scenario == "benign":
         return generate_benign(config)
     return generate_attack(config)
@@ -395,38 +464,48 @@ PACKET_CSV_HEADER = "ts,src_ip,src_port,dst_ip,dst_port,proto,payload_len,header
 
 
 def write_packet_csv(trace: Iterable[PacketRecord], path) -> None:
+    if not isinstance(trace, PacketTrace):
+        trace = PacketTrace.from_records(trace)
+    addresses = np.array(trace.addresses, dtype=object)
+    row = "{:.6f},{},{},{},{},{},{},{},{}\n".format
     try:
         with open(path, "w") as fh:
             fh.write(PACKET_CSV_HEADER + "\n")
-            for p in trace:
-                fh.write(
-                    f"{p.ts:.6f},{p.src_ip},{p.src_port},{p.dst_ip},{p.dst_port},"
-                    f"{p.proto},{p.payload_len},{p.header_len},{p.flags}\n"
-                )
+            for lo in range(0, len(trace), _ROW_BLOCK):
+                rows = slice(lo, lo + _ROW_BLOCK)
+                columns = [getattr(trace, name)[rows] for name in PACKET_COLUMNS]
+                columns[1], columns[3] = addresses[columns[1]], addresses[columns[3]]
+                fh.writelines(map(row, *(c.tolist() for c in columns)))
     except OSError as exc:
         raise OSError(f"cannot write packet csv {path}: {exc}") from exc
 
 
-def read_packet_csv(path) -> list[PacketRecord]:
+def read_packet_csv(path) -> PacketTrace:
+    index: dict[str, int] = {}  # address -> its row in the trace's table
+    blocks = []
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n")
             if header != PACKET_CSV_HEADER:
                 raise ValueError(f"{path}: unexpected packet csv header {header!r}")
-            trace = []
-            for line in fh:
-                f = line.rstrip("\n").split(",")
-                if len(f) != 9:
-                    raise ValueError(f"{path}: malformed row {line!r}")
-                trace.append(
-                    PacketRecord(
-                        float(f[0]), f[1], int(f[2]), f[3], int(f[4]),
-                        int(f[5]), int(f[6]), int(f[7]), int(f[8]),
-                    )
-                )
+            while lines := list(islice(fh, _ROW_BLOCK)):
+                commas = list(map(str.count, lines, repeat(",", len(lines))))
+                if commas.count(8) != len(lines):
+                    bad = next(line for line, c in zip(lines, commas) if c != 8)
+                    raise ValueError(f"{path}: malformed row {bad!r}")
+                fields = "".join(lines).replace("\n", ",").split(",")
+                ts, src, sport, dst, *rest = (fields[k : 9 * len(lines) : 9] for k in range(9))
+                src = [index.setdefault(a, len(index)) for a in src]
+                dst = [index.setdefault(a, len(index)) for a in dst]
+                ints = [src, list(map(int, sport)), dst] + [list(map(int, c)) for c in rest]
+                try:
+                    blocks.append([np.array(list(map(float, ts)))] + [np.array(c, dtype=np.int64) for c in ints])
+                except OverflowError:
+                    raise ValueError(f"{path}: integer field outside the 64-bit range") from None
     except OSError as exc:
         raise OSError(f"cannot read packet csv {path}: {exc}") from exc
-    return trace
+    columns = [np.concatenate(c) for c in zip(*blocks)] or [[]] * len(PACKET_COLUMNS)
+    return PacketTrace(index, *columns)
 
 
 _CONFIG_FIELDS = {
