@@ -7,8 +7,6 @@ are rectifiers, the output is logistic, training is mini-batch gradient
 descent with momentum on binary cross-entropy.  Benign is the positive class:
 a score at or above the threshold reads "benign", anything below it "attack".
 
-An optional leading width-preserving 1-D convolution (kernel 3, stride 1,
-zero padding) over the feature vector can be enabled; it is off by default.
 All randomness flows from the seed in TrainConfig, so identical data and
 configuration reproduce identical parameters and loss curves bit for bit.
 """
@@ -22,10 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .preprocess import Dataset
+from .simnet import ATTACK_SCENARIOS as EXPERT_ATTACKS
 
 MODEL_MAGIC = "ddsids-model v1"
 ENSEMBLE_MAGIC = "ddsids-ensemble v1"
-EXPERT_ATTACKS = ("dos", "clone", "malsub")
 _SCORE_EPS = 1e-12
 
 
@@ -68,7 +66,6 @@ class TrainConfig:
     epochs: int = 100
     seed: int = 0
     holdout_fraction: float = 0.1
-    conv_front: bool = False
     threshold: float = 0.5
 
 
@@ -77,9 +74,6 @@ class DetectorModel:
     shape: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    conv_kernel: np.ndarray | None = None
-    conv_bias: float = 0.0
-    hidden_activation: str = "relu"
     threshold: float = 0.5
     feature_names: list[str] = field(default_factory=list)
     norm_min: np.ndarray | None = None
@@ -123,20 +117,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_same(x: np.ndarray, kernel: np.ndarray, bias: float) -> np.ndarray:
-    """Width-preserving kernel-3 convolution along the feature axis."""
-    left = np.concatenate([np.zeros((x.shape[0], 1)), x[:, :-1]], axis=1)
-    right = np.concatenate([x[:, 1:], np.zeros((x.shape[0], 1))], axis=1)
-    return kernel[0] * left + kernel[1] * x + kernel[2] * right + bias
-
-
-def _forward(model: DetectorModel, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
-    """Returns (pre-activations per layer, activations incl. input, conv pre-act)."""
-    conv_z = None
+def _forward(model: DetectorModel, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Returns (pre-activations per layer, activations incl. input)."""
     a = X
-    if model.conv_kernel is not None:
-        conv_z = _conv_same(X, model.conv_kernel, model.conv_bias)
-        a = np.maximum(conv_z, 0.0)
     activations = [a]
     zs = []
     n_layers = len(model.weights)
@@ -145,7 +128,7 @@ def _forward(model: DetectorModel, X: np.ndarray) -> tuple[list[np.ndarray], lis
         zs.append(z)
         a = _sigmoid(z) if i == n_layers - 1 else np.maximum(z, 0.0)
         activations.append(a)
-    return zs, activations, conv_z
+    return zs, activations
 
 
 def predict(model: DetectorModel, rows: np.ndarray) -> np.ndarray:
@@ -153,7 +136,7 @@ def predict(model: DetectorModel, rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if rows.shape[1] != model.input_width:
         raise ValueError(f"row width {rows.shape[1]} does not match model input width {model.input_width}")
-    _, activations, _ = _forward(model, rows)
+    _, activations = _forward(model, rows)
     return np.clip(activations[-1][:, 0], _SCORE_EPS, 1.0 - _SCORE_EPS)
 
 
@@ -171,12 +154,12 @@ def bce_loss(model: DetectorModel, X: np.ndarray, y: np.ndarray) -> float:
 def loss_and_gradients(model: DetectorModel, X: np.ndarray, y: np.ndarray):
     """Mean BCE and its gradients for every parameter tensor.
 
-    Returns (loss, grads_W, grads_b, grad_conv_kernel, grad_conv_bias).
+    Returns (loss, grads_W, grads_b).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = X.shape[0]
-    zs, activations, conv_z = _forward(model, X)
+    zs, activations = _forward(model, X)
     p = np.clip(activations[-1][:, 0], _SCORE_EPS, 1.0 - _SCORE_EPS)
     loss = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
@@ -189,18 +172,7 @@ def loss_and_gradients(model: DetectorModel, X: np.ndarray, y: np.ndarray):
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ model.weights[i].T) * (zs[i - 1] > 0)
-    grad_kernel = None
-    grad_cbias = 0.0
-    if model.conv_kernel is not None:
-        # After the loop, delta holds dL/dz for the first dense layer.
-        dconv = (delta @ model.weights[0].T) * (conv_z > 0)
-        left = np.concatenate([np.zeros((n, 1)), X[:, :-1]], axis=1)
-        right = np.concatenate([X[:, 1:], np.zeros((n, 1))], axis=1)
-        grad_kernel = np.array(
-            [float((dconv * left).sum()), float((dconv * X).sum()), float((dconv * right).sum())]
-        )
-        grad_cbias = float(dconv.sum())
-    return loss, grads_W, grads_b, grad_kernel, grad_cbias
+    return loss, grads_W, grads_b
 
 
 def _holdout_split(n: int, y: np.ndarray, fraction: float, rng: np.random.Generator):
@@ -244,17 +216,11 @@ def train(dataset: Dataset, shape: Sequence[int], config: TrainConfig = TrainCon
             W[:, flip] *= -1.0
         weights.append(W)
         biases.append(np.full(fan_out, 0.01) if hidden else np.zeros(fan_out))
-    conv_kernel = None
-    conv_bias = 0.0
-    if config.conv_front:
-        conv_kernel = rng.uniform(-1.0, 1.0, size=3) / np.sqrt(3.0)
 
     model = DetectorModel(
         shape=list(int(w) for w in shape),
         weights=weights,
         biases=biases,
-        conv_kernel=conv_kernel,
-        conv_bias=conv_bias,
         threshold=config.threshold,
         feature_names=list(dataset.feature_names),
         norm_min=None if dataset.norm_min is None else np.array(dataset.norm_min, dtype=np.float64),
@@ -269,8 +235,6 @@ def train(dataset: Dataset, shape: Sequence[int], config: TrainConfig = TrainCon
 
     vel_W = [np.zeros_like(W) for W in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
-    vel_k = np.zeros(3)
-    vel_kb = 0.0
 
     started = time.perf_counter()
     n = len(y_fit)
@@ -279,7 +243,7 @@ def train(dataset: Dataset, shape: Sequence[int], config: TrainConfig = TrainCon
         batch_losses = []
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            loss, gW, gb, gk, gkb = loss_and_gradients(model, X_fit[idx], y_fit[idx])
+            loss, gW, gb = loss_and_gradients(model, X_fit[idx], y_fit[idx])
             if not np.isfinite(loss):
                 raise ValueError(f"training diverged: non-finite loss at epoch {epoch}")
             batch_losses.append(loss)
@@ -288,11 +252,6 @@ def train(dataset: Dataset, shape: Sequence[int], config: TrainConfig = TrainCon
                 vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * gb[i]
                 model.weights[i] += vel_W[i]
                 model.biases[i] += vel_b[i]
-            if model.conv_kernel is not None and gk is not None:
-                vel_k = config.momentum * vel_k - config.learning_rate * gk
-                vel_kb = config.momentum * vel_kb - config.learning_rate * gkb
-                model.conv_kernel = model.conv_kernel + vel_k
-                model.conv_bias = model.conv_bias + vel_kb
         model.loss_curve.append(float(np.mean(batch_losses)))
         if len(X_hold):
             correct = (classify(model, X_hold) == (y_hold >= 0.5)).mean()
@@ -333,7 +292,7 @@ def _from_hex(text: str) -> list[float]:
 def _write_model_block(fh, model: DetectorModel) -> None:
     fh.write(MODEL_MAGIC + "\n")
     fh.write("shape: " + " ".join(str(w) for w in model.shape) + "\n")
-    fh.write(f"hidden_activation: {model.hidden_activation}\n")
+    fh.write("hidden_activation: relu\n")
     fh.write(f"threshold: {float(model.threshold).hex()}\n")
     fh.write(f"seed: {model.seed}\n")
     fh.write(f"epochs: {model.epochs}\n")
@@ -342,10 +301,7 @@ def _write_model_block(fh, model: DetectorModel) -> None:
     fh.write("norm_max: " + ("-" if model.norm_max is None else _hex_list(model.norm_max)) + "\n")
     fh.write("loss_curve: " + _hex_list(model.loss_curve) + "\n")
     fh.write("holdout_accuracy: " + _hex_list(model.holdout_accuracy) + "\n")
-    if model.conv_kernel is None:
-        fh.write("conv: -\n")
-    else:
-        fh.write("conv: " + _hex_list(list(model.conv_kernel) + [model.conv_bias]) + "\n")
+    fh.write("conv: -\n")
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
         fh.write(f"layer: {i} {W.shape[0]} {W.shape[1]}\n")
         for row in W:
@@ -371,6 +327,12 @@ class _BlockReader:
             raise ValueError(f"{self.path}: expected {tag!r} line, got {line!r}")
         return line[len(tag) + 1 :].strip()
 
+    def fixed(self, tag: str, value: str) -> None:
+        """A field every model file carries with the one value this reader runs."""
+        found = self.tagged(tag)
+        if found != value:
+            raise ValueError(f"{self.path}: unsupported {tag} {found!r}, expected {value!r}")
+
 
 def _read_model_block(reader: _BlockReader, magic_seen: bool = False) -> DetectorModel:
     if not magic_seen:
@@ -378,7 +340,7 @@ def _read_model_block(reader: _BlockReader, magic_seen: bool = False) -> Detecto
         if magic != MODEL_MAGIC:
             raise ValueError(f"{reader.path}: unsupported model version {magic!r}")
     shape = [int(tok) for tok in reader.tagged("shape").split()]
-    hidden_activation = reader.tagged("hidden_activation")
+    reader.fixed("hidden_activation", "relu")
     threshold = float.fromhex(reader.tagged("threshold"))
     seed = int(reader.tagged("seed"))
     epochs = int(reader.tagged("epochs"))
@@ -388,15 +350,7 @@ def _read_model_block(reader: _BlockReader, magic_seen: bool = False) -> Detecto
     norm_max_raw = reader.tagged("norm_max")
     loss_curve = _from_hex(reader.tagged("loss_curve"))
     holdout = _from_hex(reader.tagged("holdout_accuracy"))
-    conv_raw = reader.tagged("conv")
-    conv_kernel = None
-    conv_bias = 0.0
-    if conv_raw != "-":
-        conv_vals = _from_hex(conv_raw)
-        if len(conv_vals) != 4:
-            raise ValueError(f"{reader.path}: conv line must carry 3 kernel weights and a bias")
-        conv_kernel = np.array(conv_vals[:3])
-        conv_bias = conv_vals[3]
+    reader.fixed("conv", "-")
 
     weights, biases = [], []
     for i in range(len(shape) - 1):
@@ -426,9 +380,6 @@ def _read_model_block(reader: _BlockReader, magic_seen: bool = False) -> Detecto
         shape=shape,
         weights=weights,
         biases=biases,
-        conv_kernel=conv_kernel,
-        conv_bias=conv_bias,
-        hidden_activation=hidden_activation,
         threshold=threshold,
         feature_names=feature_names,
         norm_min=None if norm_min_raw == "-" else np.array(_from_hex(norm_min_raw)),

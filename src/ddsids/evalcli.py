@@ -21,7 +21,6 @@ import hashlib
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -31,18 +30,12 @@ import numpy as np
 from . import detector, featsel, flowmeter, preprocess, simnet
 from .detector import DetectorModel, EnsembleModel, TrainConfig
 from .flowmeter import FlowRecord, MeterConfig
-from .preprocess import IP_MODES, AnonymizeMode, Dataset, LabelRule
+from .preprocess import IP_MODES, AnonymizeMode, Dataset
 from .simnet import ScenarioConfig
 
 OUT_DIR_ENV = "DDSIDS_OUT_DIR"
 EXPERT_ROW_NAMES = {"dos": "DoS", "clone": "Clone", "malsub": "Malicious Subscriber"}
 SUBNET_HOSTS = (2, 3, 4, 5, 6)
-
-LABEL_RULES = {
-    "dos": LabelRule("dos", "bidirectional"),
-    "clone": LabelRule("clone", "source_only"),
-    "malsub": LabelRule("malsub", "bidirectional"),
-}
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,7 @@ def confusion_from(labels: Sequence[str], predicted_benign: np.ndarray) -> Confu
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    scenarios: tuple[str, ...] = ("benign", "dos", "clone", "malsub")
+    scenarios: tuple[str, ...] = simnet.SCENARIOS
     ip_mode: str = "both"
     feature_k: int = 78
     model: str = "all"  # all | experts | single | ensemble | expert:<attack>
@@ -104,8 +97,6 @@ class ExperimentPlan:
     epochs: int = 40
     anonymize: str = "none"  # none | shift:<k> | switch:<a>,<b> | randomize
     selection_method: str = "consensus"
-    keep_timestamp: bool = True
-    drop_ports: bool = True
     scale: float = 1.0
 
     def __post_init__(self):
@@ -253,15 +244,8 @@ def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCa
         for name in plan.scenarios:
             if name not in traces:
                 continue
-            flows = flowmeter.meter(traces[name], meter_cfg)
-            if name in LABEL_RULES:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    flows = preprocess.label(flows, LABEL_RULES[name])
-                for w in caught:
-                    footnotes.append(str(w.message))
-            for f in flows:
-                f.flow_id = f"{name}:{f.flow_id}"
+            flows, notes = preprocess.label_scenario(name, flowmeter.meter(traces[name], meter_cfg))
+            footnotes.extend(notes)
             pooled.extend(flows)
             if out_dir is not None:
                 fdir = out_dir / "flows"
@@ -269,12 +253,9 @@ def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCa
                 flowmeter.write_flow_csv(flows, fdir / f"{name}.flows.csv")
 
     with _stage("preprocess"):
-        pooled, removed = preprocess.strip_router_flows(pooled)
+        pooled, removed = preprocess.pool(pooled)
         if removed:
             footnotes.append(f"removed {removed} router session(s)")
-        pooled.sort(key=lambda f: f.start_time)
-        pooled = preprocess.encode_timestamps(pooled)
-        pooled = preprocess.encode_ips(pooled)
         if out_dir is not None:
             fdir = out_dir / "flows"
             fdir.mkdir(parents=True, exist_ok=True)
@@ -292,13 +273,13 @@ def _apply_anonymize(plan: ExperimentPlan, train_flows, test_flows, footnotes):
         k = int(spec.split(":", 1)[1])
         mode = AnonymizeMode("shift", shift_by=k)
         footnotes.append(f"addresses shifted by {k} across train and test")
-        merged = preprocess.anonymize(list(train_flows) + list(test_flows), mode, seed)
+        merged = preprocess.anonymize(list(train_flows) + list(test_flows), mode)
         return merged[: len(train_flows)], merged[len(train_flows) :]
     if spec.startswith("switch:"):
         a, b = (int(x) for x in spec.split(":", 1)[1].split(","))
         mode = AnonymizeMode("switch", pair=(a, b))
         footnotes.append(f"addresses {a} and {b} switched in the test split")
-        return train_flows, preprocess.anonymize(test_flows, mode, seed)
+        return train_flows, preprocess.anonymize(test_flows, mode)
     if spec == "randomize":
         footnotes.append("test-split addresses reassigned per session from the subnet range")
         return train_flows, randomize_sessions(test_flows, seed)
@@ -329,8 +310,6 @@ def build_datasets(plan: ExperimentPlan, cache: PipelineCache, footnotes: list[s
         train_ds, test_ds = preprocess.build_dataset_from_split(
             train_flows,
             test_flows,
-            drop_ports=plan.drop_ports,
-            keep_timestamp=plan.keep_timestamp,
             shuffle_seed=plan.seed * 1000 + 10,
             ip_mode=plan.ip_mode,
         )
@@ -510,13 +489,7 @@ def run_experiment(
             (out_dir / "timing.csv").write_text("stage,seconds\n" + "\n".join(timing_lines) + "\n")
             mdir = out_dir / "models"
             mdir.mkdir(exist_ok=True)
-            manifest = preprocess.dataset_manifest(
-                train_ds,
-                {s: LABEL_RULES[s] for s in plan.scenarios if s in LABEL_RULES},
-                plan.anonymize,
-                plan.seed * 1000 + 30,
-                ["Flow ID", "Start Time"] + (["Src Port", "Dst Port"] if plan.drop_ports else []),
-            )
+            manifest = preprocess.dataset_manifest(train_ds, plan.scenarios, plan.anonymize, plan.seed * 1000 + 30)
             preprocess.write_manifest(out_dir / "dataset.manifest.json", manifest)
             preprocess.write_dataset_csv(train_ds, out_dir / "train.csv")
             preprocess.write_dataset_csv(test_ds, out_dir / "test.csv")
@@ -675,27 +648,16 @@ def _cmd_preprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     pooled: list[FlowRecord] = []
     footnotes: list[str] = []
+    scenarios: list[str] = []
     for spec in args.flows:
         label_name, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--flows expects label=path, got {spec!r}")
-        if label_name != "benign" and label_name not in LABEL_RULES:
-            raise ValueError(
-                f"--flows label {label_name!r} is not one of: benign, {', '.join(LABEL_RULES)}"
-            )
-        flows = flowmeter.read_flow_csv(path)
-        if label_name != "benign":
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                flows = preprocess.label(flows, LABEL_RULES[label_name])
-            footnotes.extend(str(w.message) for w in caught)
-        for f in flows:
-            f.flow_id = f"{label_name}:{f.flow_id}"
+        flows, notes = preprocess.label_scenario(label_name, flowmeter.read_flow_csv(path))
+        footnotes.extend(notes)
         pooled.extend(flows)
-    pooled, removed = preprocess.strip_router_flows(pooled)
-    pooled.sort(key=lambda f: f.start_time)
-    pooled = preprocess.encode_timestamps(pooled)
-    pooled = preprocess.encode_ips(pooled)
+        scenarios.append(label_name)
+    pooled, removed = preprocess.pool(pooled)
     train_ds, test_ds = preprocess.build_dataset(
         pooled,
         drop_ports=not args.keep_ports,
@@ -706,7 +668,9 @@ def _cmd_preprocess(args) -> int:
     )
     preprocess.write_dataset_csv(train_ds, out / "train.csv")
     preprocess.write_dataset_csv(test_ds, out / "test.csv")
-    manifest = preprocess.dataset_manifest(train_ds, None, "none", None, ["Flow ID", "Start Time"])
+    manifest = preprocess.dataset_manifest(
+        train_ds, scenarios, "none", None, drop_ports=not args.keep_ports, keep_timestamp=not args.no_timestamp
+    )
     manifest["router_sessions_removed"] = removed
     manifest["notes"] = footnotes
     preprocess.write_manifest(out / "dataset.manifest.json", manifest)

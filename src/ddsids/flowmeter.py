@@ -395,11 +395,17 @@ def meter(packets: Iterable[PacketRecord], cfg: MeterConfig | None = None) -> li
 
     `packets` is a ``PacketTrace`` or any iterable of ``PacketRecord``s,
     which is turned into one.  Flows come out in the order of their first
-    packets.  Raises ValueError on the first timestamp inversion in the input.
+    packets.  Raises ValueError on the first timestamp inversion in the input,
+    and on a non-finite timestamp or a negative length.
     """
     cfg = cfg or MeterConfig()
     trace = packets if isinstance(packets, PacketTrace) else PacketTrace.from_records(packets)
     ts = trace.ts
+    for name, bad in (("ts", ~np.isfinite(ts)), ("payload_len", trace.payload_len < 0),
+                      ("header_len", trace.header_len < 0)):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"packet {i} has an invalid {name}: {getattr(trace, name)[i].item()}")
     inverted = np.flatnonzero(ts[1:] < ts[:-1])
     if len(inverted):
         i = int(inverted[0]) + 1

@@ -1,11 +1,12 @@
 """Turns labeled flow records into model-ready datasets.
 
-The pipeline is: label each trace's flows, strip router sessions, sort by
-start time, rewrite the Timestamp feature as inter-session deltas, encode the
-addresses down to their varying octet, optionally anonymize them, then build
-the train/test matrices.  Session identity metadata (flow id, ports when
-dropped) never reaches the matrix, and min-max normalization is fitted on the
-training split only; test values are clipped into [0, 1].
+The pipeline is: label each scenario's flows (`label_scenario`); pool them,
+strip router sessions, sort by start time, rewrite the Timestamp feature as
+inter-session deltas and encode the addresses down to their varying octet
+(`pool`); optionally anonymize them; then build the train/test matrices.
+Session identity metadata (flow id, ports when dropped) never reaches the
+matrix, and min-max normalization is fitted on the training split only; test
+values are clipped into [0, 1].
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FlowRecord
+from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS
 
-ATTACK_LABELS = ("dos", "clone", "malsub")
 DIRECTIONALITIES = ("bidirectional", "destination_only", "source_only")
 IP_MODES = ("both", "source_only", "destination_only", "none")
 SRC_IP_COL = "Src IP"
@@ -53,14 +54,23 @@ class LabelRule:
             raise ValueError("malicious_octet must be within 2..254")
 
 
+# The rule each attack scenario's flows are labelled by; benign traces keep
+# the meter's "benign" label.
+LABEL_RULES = {
+    "dos": LabelRule("dos", "bidirectional"),
+    "clone": LabelRule("clone", "source_only"),
+    "malsub": LabelRule("malsub", "bidirectional"),
+}
+
+
 @dataclass(frozen=True)
 class AnonymizeMode:
-    kind: str  # keep | remove | randomize | shift | switch
+    kind: str  # shift | switch
     shift_by: int = 1
     pair: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("keep", "remove", "randomize", "shift", "switch"):
+        if self.kind not in ("shift", "switch"):
             raise ValueError(f"unknown anonymize kind {self.kind!r}")
         if self.kind == "shift" and self.shift_by < 1:
             raise ValueError("shift_by must be >= 1")
@@ -98,7 +108,37 @@ def label(flows: Sequence[FlowRecord], rule: LabelRule, strict: bool = False) ->
     return out
 
 
-def strip_router_flows(flows: Sequence[FlowRecord], router_octets: Sequence[int] = (2, 3)) -> tuple[list[FlowRecord], int]:
+def label_scenario(name: str, flows: list[FlowRecord]) -> tuple[list[FlowRecord], list[str]]:
+    """Label one scenario's flows by its rule and prefix their ids with the
+    scenario name; returns (flows, the rule's warnings as notes)."""
+    if name != "benign" and name not in LABEL_RULES:
+        raise ValueError(f"scenario {name!r} is not one of: benign, {', '.join(LABEL_RULES)}")
+    notes: list[str] = []
+    if name in LABEL_RULES:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            flows = label(flows, LABEL_RULES[name])
+        notes = [str(w.message) for w in caught]
+    for f in flows:
+        f.flow_id = f"{name}:{f.flow_id}"
+    return flows, notes
+
+
+def pool(flows: list[FlowRecord]) -> tuple[list[FlowRecord], int]:
+    """Strip router sessions, sort by start time and encode timestamps and
+    addresses; returns (pooled flows, router sessions removed).
+
+    `flows` is emptied, so the records from before encoding are freed as
+    soon as their encoded copies exist, not when the caller drops its list.
+    """
+    kept, removed = strip_router_flows(flows)
+    flows.clear()
+    kept.sort(key=lambda f: f.start_time)
+    kept = encode_timestamps(kept)
+    return encode_ips(kept), removed
+
+
+def strip_router_flows(flows: Sequence[FlowRecord], router_octets: Sequence[int] = ROUTER_HOSTS) -> tuple[list[FlowRecord], int]:
     """Drop flows touching the router addresses; returns (kept, removed count)."""
     routers = set(router_octets)
     kept = [f for f in flows if _octet(f.src_ip) not in routers and _octet(f.dst_ip) not in routers]
@@ -144,29 +184,15 @@ def observed_addresses(flows: Sequence[FlowRecord]) -> list[int]:
     return sorted(seen)
 
 
-def anonymize(flows: Sequence[FlowRecord], mode: AnonymizeMode, seed: int = 0) -> list[FlowRecord]:
+def anonymize(flows: Sequence[FlowRecord], mode: AnonymizeMode) -> list[FlowRecord]:
     """Apply an address anonymization experiment to encoded flows.
 
-    keep       identity;
-    remove     scrub both address values (the dataset builder then drops the
-               address columns);
-    randomize  one seeded permutation of the observed address set, applied to
-               every row;
     shift      observed addresses move k steps along the sorted observed list,
                wrapping at the end;
     switch     the two addresses of the pair trade places.
     """
-    if mode.kind == "keep":
-        return list(flows)
-    if mode.kind == "remove":
-        return [replace(f, src_ip="", dst_ip="") for f in flows]
-
     observed = observed_addresses(flows)
-    if mode.kind == "randomize":
-        rng = np.random.default_rng(seed)
-        shuffled = [observed[i] for i in rng.permutation(len(observed))]
-        mapping = dict(zip(observed, shuffled))
-    elif mode.kind == "shift":
+    if mode.kind == "shift":
         n = len(observed)
         mapping = {observed[i]: observed[(i + mode.shift_by) % n] for i in range(n)}
     else:
@@ -270,16 +296,14 @@ def split_flows(
     return train, test
 
 
-def _column_names(flows: Sequence[FlowRecord], drop_ports: bool, keep_timestamp: bool, ip_mode: str) -> list[str]:
+def _column_names(drop_ports: bool, keep_timestamp: bool, ip_mode: str) -> list[str]:
     if ip_mode not in IP_MODES:
         raise ValueError(f"ip_mode must be one of {IP_MODES}")
-    scrubbed = any(f.src_ip == "" for f in flows)
     columns: list[str] = []
-    if not scrubbed:
-        if ip_mode in ("both", "source_only"):
-            columns.append(SRC_IP_COL)
-        if ip_mode in ("both", "destination_only"):
-            columns.append(DST_IP_COL)
+    if ip_mode in ("both", "source_only"):
+        columns.append(SRC_IP_COL)
+    if ip_mode in ("both", "destination_only"):
+        columns.append(DST_IP_COL)
     if not drop_ports:
         columns += [SRC_PORT_COL, DST_PORT_COL]
     columns += [n for n in FEATURE_NAMES if keep_timestamp or n != "Timestamp"]
@@ -312,7 +336,7 @@ def build_dataset_from_split(
 ) -> tuple[Dataset, Dataset]:
     """Assemble matrices for an existing flow split; normalization constants
     come from the training side only."""
-    columns = _column_names(list(train_flows) + list(test_flows), drop_ports, keep_timestamp, ip_mode)
+    columns = _column_names(drop_ports, keep_timestamp, ip_mode)
     train_m = np.array([_row(f, columns) for f in train_flows], dtype=np.float64)
     test_m = np.array([_row(f, columns) for f in test_flows], dtype=np.float64).reshape(len(test_flows), len(columns))
 
@@ -359,24 +383,22 @@ def write_manifest(path, manifest: dict) -> None:
 
 def dataset_manifest(
     train: Dataset,
-    rule_by_scenario: dict[str, LabelRule] | None,
+    scenarios: Iterable[str],
     anonymize_mode: str,
     anonymize_seed: int | None,
-    dropped_columns: Sequence[str],
+    drop_ports: bool = True,
+    keep_timestamp: bool = True,
 ) -> dict:
+    """What built `train`: the label rules of the pooled scenarios, the flow
+    columns left out of the matrix and the normalization constants."""
     return {
-        "label_rules": {
-            scenario: {
-                "attack_label": rule.attack_label,
-                "directionality": rule.directionality,
-                "malicious_octet": rule.malicious_octet,
-            }
-            for scenario, rule in (rule_by_scenario or {}).items()
-        },
+        "label_rules": {s: asdict(LABEL_RULES[s]) for s in scenarios if s in LABEL_RULES},
         "anonymize_mode": anonymize_mode,
         "anonymize_seed": anonymize_seed,
         "shuffle_seed": train.shuffle_seed,
-        "dropped_columns": list(dropped_columns),
+        "dropped_columns": ["Flow ID", "Start Time"]
+        + ([SRC_PORT_COL, DST_PORT_COL] if drop_ports else [])
+        + ([] if keep_timestamp else ["Timestamp"]),
         "feature_names": list(train.feature_names),
         "constant_features": list(train.constant_features),
         "normalization": {

@@ -198,7 +198,7 @@ def test_criterion_3_gradient_check():
     for _ in range(2):
         X = rng.uniform(0, 1, size=(5, 78))
         y = rng.integers(0, 2, size=5).astype(float)
-        _, gW, gb, _, _ = detector.loss_and_gradients(model, X, y)
+        _, gW, gb = detector.loss_and_gradients(model, X, y)
         for li in range(len(model.weights)):
             for tensor, analytic in ((model.weights[li], gW[li]), (model.biases[li], gb[li])):
                 numeric = np.zeros_like(analytic)

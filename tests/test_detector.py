@@ -46,13 +46,11 @@ def small_shape(width):
     return [width, width, width, width, 1]
 
 
-def random_model(shape, seed=1, conv=False):
+def random_model(shape, seed=1):
     rng = np.random.default_rng(seed)
     weights = [rng.normal(0, 0.5, size=(a, b)) for a, b in zip(shape[:-1], shape[1:])]
     biases = [rng.normal(0, 0.1, size=b) for b in shape[1:]]
-    kernel = rng.normal(0, 0.5, size=3) if conv else None
-    return DetectorModel(shape=list(shape), weights=weights, biases=biases,
-                         conv_kernel=kernel, conv_bias=0.05 if conv else 0.0)
+    return DetectorModel(shape=list(shape), weights=weights, biases=biases)
 
 
 class TestShapeValidation:
@@ -150,7 +148,7 @@ class TestTraining:
 
 class TestGradients:
     def gradcheck(self, model, X, y, rel_tol=1e-4, h=1e-6):
-        loss, gW, gb, gk, gkb = loss_and_gradients(model, X, y)
+        loss, gW, gb = loss_and_gradients(model, X, y)
 
         def numeric(get, set_):
             orig = get()
@@ -180,26 +178,11 @@ class TestGradients:
                 nb[j] = numeric(lambda j=j, b=b: b[j], bset)
             denom = max(np.linalg.norm(gb[li]), np.linalg.norm(nb), 1e-12)
             assert np.linalg.norm(gb[li] - nb) / denom < rel_tol
-        if model.conv_kernel is not None:
-            nk = np.zeros(3)
-            for j in range(3):
-                def kset(v, j=j):
-                    model.conv_kernel[j] = v
-                nk[j] = numeric(lambda j=j: model.conv_kernel[j], kset)
-            denom = max(np.linalg.norm(gk), np.linalg.norm(nk), 1e-12)
-            assert np.linalg.norm(gk - nk) / denom < rel_tol
 
     def test_small_dense_model(self):
         rng = np.random.default_rng(11)
         model = random_model([4, 4, 3, 2, 1], seed=2)
         X = rng.uniform(0, 1, size=(5, 4))
-        y = rng.integers(0, 2, size=5).astype(float)
-        self.gradcheck(model, X, y)
-
-    def test_conv_front_model(self):
-        rng = np.random.default_rng(12)
-        model = random_model([6, 6, 4, 2, 1], seed=5, conv=True)
-        X = rng.uniform(0, 1, size=(5, 6))
         y = rng.integers(0, 2, size=5).astype(float)
         self.gradcheck(model, X, y)
 
@@ -298,13 +281,21 @@ class TestSaveLoad:
         assert back.loss_curve == model.loss_curve
         assert np.array_equal(back.norm_min, model.norm_min)
 
-    def test_conv_round_trip(self, tmp_path):
-        model = random_model([5, 5, 4, 3, 1], seed=3, conv=True)
-        path = tmp_path / "conv.txt"
-        save_model(model, path)
-        back = load_model(path)
-        X = np.random.default_rng(3).uniform(0, 1, (10, 5))
-        assert np.array_equal(predict(model, X), predict(back, X))
+    @pytest.mark.parametrize("line, other", [
+        ("hidden_activation: relu", "hidden_activation: tanh"),
+        ("conv: -", "conv: " + " ".join(float(v).hex() for v in (0.1, 0.2, 0.3, 0.0))),
+    ])
+    def test_fixed_fields_checked(self, tmp_path, capsys, line, other):
+        from ddsids.evalcli import main
+
+        path = tmp_path / "model.txt"
+        save_model(random_model([3, 3, 2, 2, 1], seed=3), path)
+        assert line + "\n" in path.read_text()
+        path.write_text(path.read_text().replace(line, other))
+        with pytest.raises(ValueError, match="unsupported " + line.split(":")[0]):
+            load_model(path)
+        rc = main(["evaluate", "--model", str(path), "--test", str(tmp_path / "test.csv"), "--out-dir", str(tmp_path)])
+        assert rc == 1 and capsys.readouterr().err.startswith("ddsids: error:")
 
     def test_truncated_file_rejected(self, tmp_path):
         ds = toy_dataset(n=60, seed=7)

@@ -1,3 +1,4 @@
+import json
 import time
 from dataclasses import replace
 
@@ -266,6 +267,40 @@ class TestCli:
         rc = main(["select", "--train", str(out / "train.csv"), "--method", "univariate", "--k", "5", "--out-dir", str(out)])
         assert rc == 0
         assert (out / "train.top5.csv").exists()
+
+    def test_cli_preprocess_is_the_experiment_chain(self, tmp_path):
+        # simulate -> meter -> preprocess over files must build the datasets
+        # an experiment builds in memory for the same plan.
+        plan = replace(SMALL_PLAN, model="single", epochs=1)
+        chain, data, exp = tmp_path / "chain", tmp_path / "data", tmp_path / "exp"
+        flow_args = []
+        for scenario in plan.scenarios:
+            assert main(["simulate", "--scenario", scenario, "--seed", str(plan.seed),
+                         "--scale", str(plan.scale), "--out-dir", str(chain)]) == 0
+            assert main(["meter", "--packets", str(chain / f"{scenario}.packets.csv"), "--out-dir", str(chain)]) == 0
+            flow_args += ["--flows", f"{scenario}={chain / f'{scenario}.flows.csv'}"]
+        assert main(["preprocess", *flow_args, "--split", str(plan.split_fraction),
+                     "--seed", str(plan.seed * 1000 + 10), "--out-dir", str(data)]) == 0
+        run_experiment(plan, exp)
+        for name in ("train.csv", "test.csv"):
+            assert (data / name).read_bytes() == (exp / name).read_bytes(), name
+        cli, ref = (json.loads((d / "dataset.manifest.json").read_text()) for d in (data, exp))
+        for key in ("label_rules", "dropped_columns", "feature_names", "constant_features", "normalization"):
+            assert cli[key] == ref[key], key
+        assert set(cli["label_rules"]) == {"dos", "clone", "malsub"}
+        assert cli["dropped_columns"] == ["Flow ID", "Start Time", "Src Port", "Dst Port"]
+
+    def test_cli_manifest_names_what_it_dropped(self, tmp_path):
+        out = tmp_path / "chain"
+        assert main(["simulate", "--scenario", "dos", "--seed", "4", "--scale", "0.05", "--out-dir", str(out)]) == 0
+        assert main(["meter", "--packets", str(out / "dos.packets.csv"), "--out-dir", str(out)]) == 0
+        assert main(["preprocess", "--flows", f"dos={out / 'dos.flows.csv'}", "--keep-ports", "--no-timestamp",
+                     "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "dataset.manifest.json").read_text())
+        assert manifest["dropped_columns"] == ["Flow ID", "Start Time", "Timestamp"]
+        assert list(manifest["label_rules"]) == ["dos"]
+        assert {"Src Port", "Dst Port"} <= set(manifest["feature_names"])
+        assert "Timestamp" not in manifest["feature_names"]
 
     def test_experiment_cli_writes_report(self, tmp_path):
         out = tmp_path / "exp"

@@ -168,6 +168,30 @@ class TestErrorsAndConfig:
         with pytest.raises(ValueError, match="index 1"):
             meter([pkt(2.0), pkt(1.0)])
 
+    @pytest.mark.parametrize("bad, field", [
+        (dict(ts=float("nan")), "ts"),
+        (dict(ts=float("inf")), "ts"),
+        (dict(payload=-5), "payload_len"),
+        (dict(header=-1), "header_len"),
+    ])
+    def test_invalid_packet_rejected(self, bad, field):
+        packets = [pkt(0.0), pkt(**{"ts": 1.0, **bad}), pkt(2.0)]
+        with pytest.raises(ValueError, match=f"packet 1 has an invalid {field}"):
+            meter(packets)
+
+    def test_meter_cli_rejects_nan_and_negative_length(self, tmp_path, capsys):
+        from ddsids.evalcli import main
+
+        path = tmp_path / "bad.packets.csv"
+        rows = ["1.0,10.0.5.5,40000,10.0.5.4,50000,17,100,28,0",
+                "nan,10.0.5.5,40000,10.0.5.4,50000,17,-5,28,0",
+                "0.5,10.0.5.5,40000,10.0.5.4,50000,17,100,28,0"]
+        path.write_text("ts,src_ip,src_port,dst_ip,dst_port,proto,payload_len,header_len,flags\n"
+                        + "\n".join(rows) + "\n")
+        assert main(["meter", "--packets", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("ddsids:")
+        assert not (tmp_path / "out" / "bad.flows.csv").exists()
+
     def test_meter_config_validation(self):
         with pytest.raises(ValueError, match="flow_timeout"):
             MeterConfig(flow_timeout=0)

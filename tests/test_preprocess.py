@@ -174,38 +174,15 @@ class TestAnonymize:
         with pytest.raises(ValueError, match="not observed"):
             anonymize(self.encoded(), AnonymizeMode("switch", pair=(5, 99)))
 
-    def test_randomize_is_bijection(self):
-        flows = self.encoded()
-        observed = observed_addresses(flows)
-        out = anonymize(flows, AnonymizeMode("randomize"), seed=13)
-        mapping = {}
-        for before, after in zip(flows, out):
-            for x, y in (( before.src_ip, after.src_ip), (before.dst_ip, after.dst_ip)):
-                assert mapping.setdefault(int(x), int(y)) == int(y)
-        assert sorted(mapping.values()) == observed
-
-    def test_randomize_deterministic_per_seed(self):
-        flows = self.encoded()
-        a = anonymize(flows, AnonymizeMode("randomize"), seed=3)
-        b = anonymize(flows, AnonymizeMode("randomize"), seed=3)
-        assert [(f.src_ip, f.dst_ip) for f in a] == [(f.src_ip, f.dst_ip) for f in b]
-
     def test_anonymize_never_touches_features(self):
         flows = self.encoded()
         for mode in (
             AnonymizeMode("shift", shift_by=2),
             AnonymizeMode("switch", pair=(5, 6)),
-            AnonymizeMode("randomize"),
-            AnonymizeMode("remove"),
-            AnonymizeMode("keep"),
         ):
-            out = anonymize(flows, mode, seed=1)
+            out = anonymize(flows, mode)
             for before, after in zip(flows, out):
                 assert before.features == after.features
-
-    def test_remove_scrubs_addresses(self):
-        out = anonymize(self.encoded(), AnonymizeMode("remove"))
-        assert all(f.src_ip == "" and f.dst_ip == "" for f in out)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="shift_by"):
@@ -245,11 +222,6 @@ class TestBuildDataset:
         ):
             train, _ = build_dataset(flows, split_fraction=0.5, shuffle_seed=1, ip_mode=mode)
             assert {n for n in train.feature_names if "IP" in n} == expected
-
-    def test_removed_addresses_leave_no_ip_columns(self):
-        flows = anonymize(pool(), AnonymizeMode("remove"))
-        train, _ = build_dataset(flows, split_fraction=0.5, shuffle_seed=1, ip_mode="both")
-        assert all("IP" not in n for n in train.feature_names)
 
     def test_timestamp_toggle(self):
         flows = pool()

@@ -69,24 +69,12 @@ class TestAnonymizeProperties:
         out = anonymize(anonymize(flows, mode), mode)
         assert [(f.src_ip, f.dst_ip) for f in out] == [(f.src_ip, f.dst_ip) for f in flows]
 
-    @given(address_pairs(), st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_randomize_is_a_bijection(self, pairs, seed):
-        flows = flows_from_octets(pairs)
-        observed = observed_addresses(flows)
-        out = anonymize(flows, AnonymizeMode("randomize"), seed=seed)
-        mapping = {}
-        for before, after in zip(flows, out):
-            for x, y in ((before.src_ip, after.src_ip), (before.dst_ip, after.dst_ip)):
-                assert mapping.setdefault(int(x), int(y)) == int(y)
-        assert sorted(mapping.values()) == observed
-
     @given(address_pairs())
     @settings(max_examples=30, deadline=None)
     def test_anonymize_preserves_features(self, pairs):
         flows = flows_from_octets(pairs)
-        for mode in (AnonymizeMode("shift", shift_by=3), AnonymizeMode("randomize"), AnonymizeMode("remove")):
-            out = anonymize(flows, mode, seed=1)
+        for mode in (AnonymizeMode("shift", shift_by=3),):
+            out = anonymize(flows, mode)
             assert [f.features for f in out] == [f.features for f in flows]
 
 
