@@ -9,11 +9,19 @@ a score at or above the threshold reads "benign", anything below it "attack".
 
 All randomness flows from the seed in TrainConfig, so identical data and
 configuration reproduce identical parameters and loss curves bit for bit.
+
+`train_many` trains several models in lockstep as one stacked network: the
+weights of m models that share a dataset and a shape are (m, fan_in,
+fan_out) arrays, a step gathers an (m, batch, width) batch, one matmul per
+layer runs every model's product, and the momentum update runs in place
+over one flat buffer per model.  Each model keeps its own rng,
+initialisation, holdout split, batch order and config, and every product and
+sum still runs per model, so each model is bit for bit the one it would be
+trained alone; `train` is the one-job case.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -82,7 +90,6 @@ class DetectorModel:
     epochs: int = 0
     loss_curve: list[float] = field(default_factory=list)
     holdout_accuracy: list[float] = field(default_factory=list)
-    train_seconds: float = 0.0
 
     @property
     def input_width(self) -> int:
@@ -109,26 +116,25 @@ class EnsembleModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so no exp overflows."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def _forward(model: DetectorModel, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Returns (pre-activations per layer, activations incl. input)."""
-    a = X
-    activations = [a]
-    zs = []
-    n_layers = len(model.weights)
-    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ W + b
-        zs.append(z)
-        a = _sigmoid(z) if i == n_layers - 1 else np.maximum(z, 0.0)
-        activations.append(a)
-    return zs, activations
+def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], X: np.ndarray) -> list[np.ndarray]:
+    """Activations of every layer, the input included.
+
+    Works on one model (X of shape (rows, width), W of (fan_in, fan_out)) and
+    on a stack of m models (X of (m, rows, width), W of (m, fan_in, fan_out),
+    b of (m, 1, fan_out)), where one matmul runs every model's product.
+    """
+    activations = [X]
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        z = activations[-1] @ W
+        z += b
+        activations.append(_sigmoid(z) if i == len(weights) - 1 else np.maximum(z, 0.0, out=z))
+    return activations
 
 
 def predict(model: DetectorModel, rows: np.ndarray) -> np.ndarray:
@@ -136,8 +142,7 @@ def predict(model: DetectorModel, rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if rows.shape[1] != model.input_width:
         raise ValueError(f"row width {rows.shape[1]} does not match model input width {model.input_width}")
-    _, activations = _forward(model, rows)
-    return np.clip(activations[-1][:, 0], _SCORE_EPS, 1.0 - _SCORE_EPS)
+    return np.clip(_forward(model.weights, model.biases, rows)[-1][:, 0], _SCORE_EPS, 1.0 - _SCORE_EPS)
 
 
 def classify(model: DetectorModel, rows: np.ndarray, threshold: float | None = None) -> np.ndarray:
@@ -151,28 +156,44 @@ def bce_loss(model: DetectorModel, X: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
+def _stacked_gradients(Ws, bs, X, y, gWs, gbs) -> np.ndarray:
+    """Mean BCE of each of m stacked models on its own batch.
+
+    X is (m, rows, width) and y (m, rows); Ws, bs, gWs and gbs are per-layer
+    (m, fan_in, fan_out) and (m, 1, fan_out) arrays.  The gradients are
+    written into gWs and gbs; the m losses are returned.  Each model's numbers
+    are the ones its batch gives alone: every product and sum runs per model.
+    """
+    n = X.shape[1]
+    activations = _forward(Ws, bs, X)
+    p = np.clip(activations[-1][..., 0], _SCORE_EPS, 1.0 - _SCORE_EPS)
+    losses = -(np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=1) / n)
+    # d loss / d z for the logistic output under BCE.
+    delta = (activations[-1] - y[..., None]) / n
+    for i in range(len(Ws) - 1, -1, -1):
+        np.matmul(activations[i].transpose(0, 2, 1), delta, out=gWs[i])
+        np.add.reduce(delta, axis=1, keepdims=True, out=gbs[i])
+        if i > 0:
+            delta = delta @ Ws[i].transpose(0, 2, 1)
+            # A rectifier passes gradient where its output is positive.
+            delta *= activations[i] > 0
+    return losses
+
+
 def loss_and_gradients(model: DetectorModel, X: np.ndarray, y: np.ndarray):
-    """Mean BCE and its gradients for every parameter tensor.
+    """Mean BCE and its gradients for every parameter tensor: the one-model
+    case of the kernel training runs.
 
     Returns (loss, grads_W, grads_b).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    n = X.shape[0]
-    zs, activations = _forward(model, X)
-    p = np.clip(activations[-1][:, 0], _SCORE_EPS, 1.0 - _SCORE_EPS)
-    loss = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-    grads_W: list[np.ndarray] = [np.empty(0)] * len(model.weights)
-    grads_b: list[np.ndarray] = [np.empty(0)] * len(model.biases)
-    # d loss / d z for the logistic output under BCE.
-    delta = (activations[-1] - y.reshape(-1, 1)) / n
-    for i in range(len(model.weights) - 1, -1, -1):
-        grads_W[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].T) * (zs[i - 1] > 0)
-    return loss, grads_W, grads_b
+    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    gWs = [np.empty((1,) + W.shape) for W in model.weights]
+    gbs = [np.empty((1, 1) + b.shape) for b in model.biases]
+    losses = _stacked_gradients(
+        [W[None] for W in model.weights], [b[None, None] for b in model.biases], X[None], y, gWs, gbs
+    )
+    return float(losses[0]), [g[0] for g in gWs], [g[0, 0] for g in gbs]
 
 
 def _holdout_split(n: int, y: np.ndarray, fraction: float, rng: np.random.Generator):
@@ -188,78 +209,197 @@ def _holdout_split(n: int, y: np.ndarray, fraction: float, rng: np.random.Genera
     return fit, hold
 
 
+@dataclass(frozen=True, eq=False)
+class TrainJob:
+    """One model to train: rows of a dataset, a network shape and a config.
+
+    `rows` picks the training rows out of `dataset.matrix` by index, in
+    order; None trains on every row.  Indexing the shared matrix gives the
+    same bits as a subset copy of it, without the copy.
+    """
+
+    dataset: Dataset
+    shape: Sequence[int]
+    config: TrainConfig = TrainConfig()
+    rows: np.ndarray | None = None
+
+
+class _Run:
+    """A job's own state: rng, initial model, holdout split, epoch position
+    and the loss and holdout curves."""
+
+    def __init__(self, job: TrainJob):
+        dataset, shape, config = job.dataset, job.shape, job.config
+        violations = validate_shape(shape)
+        if violations:
+            raise ValueError("invalid network shape: " + "; ".join(violations))
+        if shape[0] != dataset.width:
+            raise ValueError(f"shape input width {shape[0]} does not match dataset width {dataset.width}")
+        if config.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
+        self.matrix = dataset.matrix
+        self.labels = dataset.binary_labels()
+        rows = np.arange(len(self.labels)) if job.rows is None else np.asarray(job.rows, dtype=np.intp)
+        y = self.labels[rows]
+        if len(set(y.tolist())) < 2:
+            raise ValueError("training data contains a single class; need both benign and attack rows")
+
+        self.rng = rng = np.random.default_rng(config.seed)
+        weights = []
+        biases = []
+        for i, (fan_in, fan_out) in enumerate(zip(shape[:-1], shape[1:])):
+            W = rng.uniform(-1.0, 1.0, size=(fan_in, fan_out)) / np.sqrt(fan_in)
+            hidden = i < len(shape) - 2
+            if hidden:
+                # Sign-align each unit so it starts active on non-negative inputs;
+                # narrow layers would otherwise risk starting fully dead.
+                flip = W.sum(axis=0) < 0
+                W[:, flip] *= -1.0
+            weights.append(W)
+            biases.append(np.full(fan_out, 0.01) if hidden else np.zeros(fan_out))
+        self.model = DetectorModel(
+            shape=list(int(w) for w in shape),
+            weights=weights,
+            biases=biases,
+            threshold=config.threshold,
+            feature_names=list(dataset.feature_names),
+            norm_min=None if dataset.norm_min is None else np.array(dataset.norm_min, dtype=np.float64),
+            norm_max=None if dataset.norm_max is None else np.array(dataset.norm_max, dtype=np.float64),
+            seed=config.seed,
+            epochs=config.epochs,
+        )
+
+        fit_idx, hold_idx = _holdout_split(len(y), y, config.holdout_fraction, rng)
+        self.fit_rows = rows[fit_idx]
+        self.X_hold, self.y_hold = dataset.matrix[rows[hold_idx]], y[hold_idx]
+        self.config = config
+        self.batches_per_epoch = -(-len(self.fit_rows) // config.batch_size)
+        self.steps = config.epochs * self.batches_per_epoch
+        self.epoch = 0
+        self.batch = 0
+        self.epoch_rows = self.fit_rows
+        self.batch_losses: list[float] = []
+
+    def next_rows(self) -> np.ndarray:
+        """Matrix rows of this step's batch; a new epoch draws its order."""
+        if self.batch == 0:
+            self.epoch_rows = self.fit_rows[self.rng.permutation(len(self.fit_rows))]
+        lo = self.batch * self.config.batch_size
+        return self.epoch_rows[lo : lo + self.config.batch_size]
+
+    def stepped(self, loss: float) -> None:
+        """Records a step's loss; at the end of an epoch, the epoch's mean
+        loss and the holdout accuracy of the updated weights."""
+        self.batch_losses.append(float(loss))
+        self.batch += 1
+        if self.batch < self.batches_per_epoch:
+            return
+        model = self.model
+        model.loss_curve.append(float(np.mean(self.batch_losses)))
+        if len(self.X_hold):
+            correct = (classify(model, self.X_hold) == (self.y_hold >= 0.5)).mean()
+            model.holdout_accuracy.append(float(correct))
+        else:
+            model.holdout_accuracy.append(float("nan"))
+        self.batch_losses = []
+        self.batch = 0
+        self.epoch += 1
+
+
 def train(dataset: Dataset, shape: Sequence[int], config: TrainConfig = TrainConfig()) -> DetectorModel:
     """Mini-batch SGD with momentum on binary cross-entropy.
 
     Benign rows are targets of 1.0, attacks 0.0.  Deterministic for a given
     (dataset, shape, config).
     """
-    violations = validate_shape(shape)
-    if violations:
-        raise ValueError("invalid network shape: " + "; ".join(violations))
-    if shape[0] != dataset.width:
-        raise ValueError(f"shape input width {shape[0]} does not match dataset width {dataset.width}")
-    y = dataset.binary_labels()
-    if len(set(y.tolist())) < 2:
-        raise ValueError("training data contains a single class; need both benign and attack rows")
+    return train_many([TrainJob(dataset, shape, config)])[0]
 
-    rng = np.random.default_rng(config.seed)
-    weights = []
-    biases = []
-    for i, (fan_in, fan_out) in enumerate(zip(shape[:-1], shape[1:])):
-        W = rng.uniform(-1.0, 1.0, size=(fan_in, fan_out)) / np.sqrt(fan_in)
-        hidden = i < len(shape) - 2
-        if hidden:
-            # Sign-align each unit so it starts active on non-negative inputs;
-            # narrow layers would otherwise risk starting fully dead.
-            flip = W.sum(axis=0) < 0
-            W[:, flip] *= -1.0
-        weights.append(W)
-        biases.append(np.full(fan_out, 0.01) if hidden else np.zeros(fan_out))
 
-    model = DetectorModel(
-        shape=list(int(w) for w in shape),
-        weights=weights,
-        biases=biases,
-        threshold=config.threshold,
-        feature_names=list(dataset.feature_names),
-        norm_min=None if dataset.norm_min is None else np.array(dataset.norm_min, dtype=np.float64),
-        norm_max=None if dataset.norm_max is None else np.array(dataset.norm_max, dtype=np.float64),
-        seed=config.seed,
-        epochs=config.epochs,
-    )
+def train_many(jobs: Sequence[TrainJob]) -> list[DetectorModel]:
+    """Trains every job; the models come back in job order.
 
-    fit_idx, hold_idx = _holdout_split(len(y), y, config.holdout_fraction, rng)
-    X_fit, y_fit = dataset.matrix[fit_idx], y[fit_idx]
-    X_hold, y_hold = dataset.matrix[hold_idx], y[hold_idx]
+    Jobs that share a dataset and a shape train in lockstep as one stacked
+    network: a step runs one matmul per layer for all of them.  Each model
+    keeps its own rng, initialisation, holdout split, batch order and
+    config, so it is bit for bit the model `train` gives for its job alone.
+    Every job is checked before any training starts.
+    """
+    runs = [_Run(job) for job in jobs]
+    groups: dict[tuple, list[_Run]] = {}
+    for job, run in zip(jobs, runs):
+        groups.setdefault((id(job.dataset), tuple(run.model.shape)), []).append(run)
+    for group in groups.values():
+        _lockstep(group)
+    return [run.model for run in runs]
 
-    vel_W = [np.zeros_like(W) for W in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
 
-    started = time.perf_counter()
-    n = len(y_fit)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        batch_losses = []
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            loss, gW, gb = loss_and_gradients(model, X_fit[idx], y_fit[idx])
-            if not np.isfinite(loss):
-                raise ValueError(f"training diverged: non-finite loss at epoch {epoch}")
-            batch_losses.append(loss)
-            for i in range(len(model.weights)):
-                vel_W[i] = config.momentum * vel_W[i] - config.learning_rate * gW[i]
-                vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * gb[i]
-                model.weights[i] += vel_W[i]
-                model.biases[i] += vel_b[i]
-        model.loss_curve.append(float(np.mean(batch_losses)))
-        if len(X_hold):
-            correct = (classify(model, X_hold) == (y_hold >= 0.5)).mean()
-            model.holdout_accuracy.append(float(correct))
+def _lockstep(runs: list[_Run]) -> None:
+    """Trains runs that share a dataset and a shape together, step by step.
+
+    Parameters, gradients and velocities live in three (m, P) buffers, one
+    row per model; each layer's stacked weights and biases are views into
+    them, and so are each model's own arrays while it trains, so the
+    momentum step is four in-place calls on whole buffers.  Runs are ordered
+    longest first, so those still training are always a leading slice.  A
+    step whose batches differ in length (a partial last batch) runs each
+    model on its own one-model slice.
+    """
+    runs = sorted(runs, key=lambda r: -r.steps)
+    m = len(runs)
+    shape = runs[0].model.shape
+    matrix, labels = runs[0].matrix, runs[0].labels
+    size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(shape[:-1], shape[1:]))
+    theta, grad, vel = np.zeros((m, size)), np.zeros((m, size)), np.zeros((m, size))
+    Ws, bs, gWs, gbs = [], [], [], []
+    at = 0
+    for fan_in, fan_out in zip(shape[:-1], shape[1:]):
+        end = at + fan_in * fan_out
+        Ws.append(theta[:, at:end].reshape(m, fan_in, fan_out))
+        gWs.append(grad[:, at:end].reshape(m, fan_in, fan_out))
+        bs.append(theta[:, end : end + fan_out].reshape(m, 1, fan_out))
+        gbs.append(grad[:, end : end + fan_out].reshape(m, 1, fan_out))
+        at = end + fan_out
+    for k, run in enumerate(runs):
+        model = run.model
+        for W, b, W0, b0 in zip(Ws, bs, model.weights, model.biases):
+            W[k], b[k, 0] = W0, b0
+        model.weights = [W[k] for W in Ws]
+        model.biases = [b[k, 0] for b in bs]
+    momentum = np.array([[run.config.momentum] for run in runs])
+    rate = np.array([[run.config.learning_rate] for run in runs])
+
+    def step(lo: int, hi: int, rows: np.ndarray) -> np.ndarray:
+        """One step of models lo..hi-1, model k on the matrix rows rows[k - lo]."""
+        losses = _stacked_gradients(
+            [W[lo:hi] for W in Ws], [b[lo:hi] for b in bs], matrix[rows], labels[rows],
+            [g[lo:hi] for g in gWs], [g[lo:hi] for g in gbs],
+        )
+        finite = np.isfinite(losses)
+        if not finite.all():
+            epoch = runs[lo + int(np.argmin(finite))].epoch
+            raise ValueError(f"training diverged: non-finite loss at epoch {epoch}")
+        # vel = momentum * vel - rate * grad; theta += vel
+        v, g = vel[lo:hi], grad[lo:hi]
+        v *= momentum[lo:hi]
+        g *= rate[lo:hi]
+        v -= g
+        theta[lo:hi] += v
+        return losses
+
+    active = m
+    for t in range(runs[0].steps):
+        while runs[active - 1].steps <= t:
+            active -= 1
+        batches = [run.next_rows() for run in runs[:active]]
+        if all(len(rows) == len(batches[0]) for rows in batches):
+            losses = step(0, active, np.stack(batches))
         else:
-            model.holdout_accuracy.append(float("nan"))
-    model.train_seconds = time.perf_counter() - started
-    return model
+            losses = np.concatenate([step(k, k + 1, rows[None]) for k, rows in enumerate(batches)])
+        for run, loss in zip(runs, losses):
+            run.stepped(loss)
+    for run in runs:
+        run.model.weights = [W.copy() for W in run.model.weights]
+        run.model.biases = [b.copy() for b in run.model.biases]
 
 
 def adjudicate(ensemble: EnsembleModel, rows: np.ndarray) -> np.ndarray:

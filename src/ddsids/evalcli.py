@@ -10,8 +10,8 @@ selection) -> train -> evaluate and renders one table row per model, in the
 style of the detection-result tables: per-attack experts on benign+attack
 test rows, the single universal model and the OR-adjudicated ensemble on the
 full test set.  Reports carry their confusion counts so every metric is
-recomputable; training wall-times go to a separate timing sidecar so report
-bytes stay deterministic for fixed seeds.
+recomputable; the wall time of each stage goes to a separate timing sidecar
+so report bytes stay deterministic for fixed seeds.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import hashlib
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -100,6 +101,11 @@ class ExperimentPlan:
     scale: float = 1.0
 
     def __post_init__(self):
+        unknown = [name for name in self.scenarios if name not in simnet.SCENARIOS]
+        if unknown:
+            raise ValueError(f"unknown scenario(s) {', '.join(map(repr, unknown))}; known: {', '.join(simnet.SCENARIOS)}")
+        if len(set(self.scenarios)) != len(self.scenarios):
+            raise ValueError(f"scenarios repeat a name: {', '.join(self.scenarios)}")
         if self.ip_mode not in IP_MODES:
             raise ValueError(f"ip_mode must be one of {IP_MODES}")
         if not 0 < self.scale <= 1.0:
@@ -202,24 +208,28 @@ class ExperimentReport:
 @dataclass
 class PipelineCache:
     """Labeled, stripped, time/addr-encoded flows shared across experiments,
-    and the feature rankings already computed on splits of them."""
+    the wall time of the stages that built them, and the feature rankings
+    already computed on splits of them."""
 
     flows: list[FlowRecord]
     footnotes: list[str]
+    timing: dict[str, float] = field(default_factory=dict)
     rankings: dict[tuple, featsel.FeatureRanking] = field(default_factory=dict)
 
 
-def _stage(name: str):
-    class _StageContext:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, _StageError):
-                raise _StageError(f"stage {name}: {exc}") from exc
-            return False
-
-    return _StageContext()
+@contextmanager
+def _stage(name: str, timing: dict[str, float]):
+    """Runs one pipeline stage: an error raised inside is tagged with the
+    stage's name, and its wall time is added to timing[f"{name}_s"]."""
+    started = time.perf_counter()
+    try:
+        yield
+    except _StageError:
+        raise
+    except Exception as exc:
+        raise _StageError(f"stage {name}: {exc}") from exc
+    finally:
+        timing[f"{name}_s"] = timing.get(f"{name}_s", 0.0) + time.perf_counter() - started
 
 
 class _StageError(RuntimeError):
@@ -228,8 +238,9 @@ class _StageError(RuntimeError):
 
 def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCache:
     footnotes: list[str] = []
+    timing: dict[str, float] = {}
     traces: dict[str, simnet.PacketTrace] = {}
-    with _stage("simulate"):
+    with _stage("simulate", timing):
         for name, cfg in scenario_configs(plan).items():
             traces[name] = simnet.generate(cfg)
             if out_dir is not None:
@@ -239,12 +250,11 @@ def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCa
                 simnet.save_scenario_config(cfg, tdir / f"{name}.config.txt")
 
     pooled: list[FlowRecord] = []
-    with _stage("meter"):
+    with _stage("meter", timing):
         meter_cfg = MeterConfig()
         for name in plan.scenarios:
-            if name not in traces:
-                continue
-            flows, notes = preprocess.label_scenario(name, flowmeter.meter(traces[name], meter_cfg))
+            # Each trace is freed once it is metered.
+            flows, notes = preprocess.label_scenario(name, flowmeter.meter(traces.pop(name), meter_cfg))
             footnotes.extend(notes)
             pooled.extend(flows)
             if out_dir is not None:
@@ -252,7 +262,7 @@ def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCa
                 fdir.mkdir(parents=True, exist_ok=True)
                 flowmeter.write_flow_csv(flows, fdir / f"{name}.flows.csv")
 
-    with _stage("preprocess"):
+    with _stage("preprocess", timing):
         pooled, removed = preprocess.pool(pooled)
         if removed:
             footnotes.append(f"removed {removed} router session(s)")
@@ -261,7 +271,7 @@ def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCa
             fdir.mkdir(parents=True, exist_ok=True)
             flowmeter.write_flow_csv(pooled, fdir / "pooled.flows.csv")
             flowmeter.write_feature_names(fdir / "features.txt")
-    return PipelineCache(flows=pooled, footnotes=footnotes)
+    return PipelineCache(flows=pooled, footnotes=footnotes, timing=timing)
 
 
 def _apply_anonymize(plan: ExperimentPlan, train_flows, test_flows, footnotes):
@@ -301,8 +311,10 @@ def randomize_sessions(flows: Sequence[FlowRecord], seed: int, hosts: Sequence[i
     return out
 
 
-def build_datasets(plan: ExperimentPlan, cache: PipelineCache, footnotes: list[str]) -> tuple[Dataset, Dataset]:
-    with _stage("preprocess"):
+def build_datasets(
+    plan: ExperimentPlan, cache: PipelineCache, footnotes: list[str], timing: dict[str, float]
+) -> tuple[Dataset, Dataset]:
+    with _stage("preprocess", timing):
         train_flows, test_flows = preprocess.split_flows(
             cache.flows, plan.split_fraction, plan.seed * 1000 + 10
         )
@@ -318,7 +330,7 @@ def build_datasets(plan: ExperimentPlan, cache: PipelineCache, footnotes: list[s
                 "constant feature(s) normalized to zero: " + ", ".join(train_ds.constant_features)
             )
     if plan.feature_k < train_ds.width - _n_address_columns(train_ds):
-        with _stage("select"):
+        with _stage("select", timing):
             ranking = compute_ranking(train_ds, plan.selection_method, plan.seed, cache.rankings)
             train_ds = featsel.select(train_ds, ranking, plan.feature_k)
             test_ds = test_ds.project(train_ds.feature_names)
@@ -395,20 +407,24 @@ def _wanted_models(plan: ExperimentPlan) -> tuple[list[str], bool, bool]:
 
 
 def train_models(
-    plan: ExperimentPlan, train_ds: Dataset
+    plan: ExperimentPlan, train_ds: Dataset, timing: dict[str, float]
 ) -> tuple[dict[str, DetectorModel], DetectorModel | None, EnsembleModel | None]:
+    """The experts on benign plus their attack's rows of the training split,
+    and the single model on all of it, trained together in lockstep."""
     attacks, want_single, want_ensemble = _wanted_models(plan)
-    experts: dict[str, DetectorModel] = {}
     shape = detector.default_shape(train_ds.width)
-    with _stage("train"):
-        for i, attack in enumerate(attacks):
-            view = train_ds.subset({"benign", attack})
-            config = TrainConfig(epochs=plan.epochs, seed=plan.seed * 1000 + 21 + i)
-            experts[attack] = detector.train(view, shape, config)
-        single = None
-        if want_single:
-            config = TrainConfig(epochs=plan.epochs, seed=plan.seed * 1000 + 24)
-            single = detector.train(train_ds, shape, config)
+    jobs = []
+    for i, attack in enumerate(attacks):
+        rows = np.flatnonzero([lab in ("benign", attack) for lab in train_ds.labels])
+        config = TrainConfig(epochs=plan.epochs, seed=plan.seed * 1000 + 21 + i)
+        jobs.append(detector.TrainJob(train_ds, shape, config, rows))
+    if want_single:
+        config = TrainConfig(epochs=plan.epochs, seed=plan.seed * 1000 + 24)
+        jobs.append(detector.TrainJob(train_ds, shape, config))
+    with _stage("train", timing):
+        models = detector.train_many(jobs)
+        experts = dict(zip(attacks, models))
+        single = models[-1] if want_single else None
         ensemble = None
         if want_ensemble:
             if sorted(experts) != sorted(detector.EXPERT_ATTACKS):
@@ -423,9 +439,10 @@ def evaluate_models(
     experts: dict[str, DetectorModel],
     single: DetectorModel | None,
     ensemble: EnsembleModel | None,
+    timing: dict[str, float],
 ) -> list[ReportRow]:
     rows = []
-    with _stage("evaluate"):
+    with _stage("evaluate", timing):
         for attack in detector.EXPERT_ATTACKS:
             if attack not in experts:
                 continue
@@ -462,31 +479,26 @@ def run_experiment(
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
+    timing: dict[str, float] = {}
     if cache is None:
         cache = build_cache(plan, out_dir)
+        timing.update(cache.timing)
     footnotes = list(cache.footnotes)
-    train_ds, test_ds = build_datasets(plan, cache, footnotes)
+    train_ds, test_ds = build_datasets(plan, cache, footnotes, timing)
 
-    experts, single, ensemble = train_models(plan, train_ds)
-    rows = evaluate_models(plan, test_ds, experts, single, ensemble)
+    experts, single, ensemble = train_models(plan, train_ds, timing)
+    rows = evaluate_models(plan, test_ds, experts, single, ensemble, timing)
 
     title = (
         f"experiment ip_mode={plan.ip_mode} k={plan.feature_k} model={plan.model} "
         f"anonymize={plan.anonymize} seed={plan.seed}"
     )
-    report = ExperimentReport(title=title, rows=rows, footnotes=footnotes)
-    report.timing["total_s"] = time.perf_counter() - started
-    for attack, model in experts.items():
-        report.timing[f"train_{attack}_s"] = model.train_seconds
-    if single is not None:
-        report.timing["train_single_s"] = single.train_seconds
+    report = ExperimentReport(title=title, rows=rows, footnotes=footnotes, timing=timing)
 
     if out_dir is not None:
-        with _stage("report"):
+        with _stage("report", timing):
             (out_dir / "report.txt").write_text(report.text())
             (out_dir / "report.csv").write_text(report.csv())
-            timing_lines = [f"{k},{v:.3f}" for k, v in sorted(report.timing.items())]
-            (out_dir / "timing.csv").write_text("stage,seconds\n" + "\n".join(timing_lines) + "\n")
             mdir = out_dir / "models"
             mdir.mkdir(exist_ok=True)
             manifest = preprocess.dataset_manifest(train_ds, plan.scenarios, plan.anonymize, plan.seed * 1000 + 30)
@@ -503,6 +515,10 @@ def run_experiment(
                 write_histogram_csv(hist, out_dir / "single.histogram.csv")
             if ensemble is not None:
                 detector.save_model(ensemble, mdir / "ensemble.model.txt")
+    timing["total_s"] = time.perf_counter() - started
+    if out_dir is not None:
+        timing_lines = [f"{k},{v:.3f}" for k, v in sorted(timing.items())]
+        (out_dir / "timing.csv").write_text("stage,seconds\n" + "\n".join(timing_lines) + "\n")
     return report
 
 

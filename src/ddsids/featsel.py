@@ -304,12 +304,17 @@ def rank_importance(
 
     X_hold = dataset.matrix[hold]
     y_hold = y[hold] >= 0.5
-    baseline = float((detector.classify(model, X_hold) == y_hold).mean())
-    majority = max(float(y_hold.mean()), 1.0 - float(y_hold.mean()))
-    if baseline <= majority:
+    predicted = detector.classify(model, X_hold)
+    baseline = float((predicted == y_hold).mean())
+    # Balanced accuracy, the mean recall of the two classes: a constant
+    # predictor scores exactly 0.5 however unequal the classes are.
+    if y_hold.all() or not y_hold.any():
+        raise ValueError("the baseline holdout split holds a single class; permutation importance is not meaningful")
+    balanced = 0.5 * (float(predicted[y_hold].mean()) + float((~predicted[~y_hold]).mean()))
+    if balanced <= 0.5:
         raise ValueError(
-            f"baseline accuracy {baseline:.3f} does not beat the majority class "
-            f"({majority:.3f}); permutation importance is not meaningful"
+            f"baseline balanced accuracy {balanced:.3f} does not beat the 0.500 of a constant "
+            "(majority-class) guess; permutation importance is not meaningful"
         )
 
     drops = np.zeros(dataset.width)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddsids import detector, evalcli, featsel, flowmeter, preprocess
+from ddsids import detector, evalcli, featsel, flowmeter, preprocess, simnet
 from ddsids.evalcli import (
     ConfusionCounts,
     ExperimentPlan,
@@ -131,6 +131,14 @@ class TestScenarioConfigs:
         configs = scenario_configs(ExperimentPlan(seed=1, scenarios=("benign", "dos")))
         assert set(configs) == {"benign", "dos"}
 
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(ValueError, match="unknown scenario.*'dso'"):
+            ExperimentPlan(seed=5, scale=0.06, scenarios=simnet.SCENARIOS + ("dso",))
+
+    def test_repeated_scenario_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            ExperimentPlan(seed=5, scale=0.06, scenarios=("benign", "dos", "benign"))
+
 
 class TestExperimentPipeline:
     def test_small_experiment_report(self, tmp_path):
@@ -166,6 +174,17 @@ class TestExperimentPipeline:
             ExperimentPlan(seed=5, scale=0.06, epochs=4, model="expert:dos")
         )
         assert [r.name for r in report.rows] == ["DoS"]
+
+    def test_stage_times_cover_the_run(self, tmp_path):
+        plan = replace(SMALL_PLAN, feature_k=5, selection_method="univariate")
+        report = run_experiment(plan, out_dir=tmp_path / "exp")
+        stages = [f"{name}_s" for name in ("simulate", "meter", "preprocess", "select", "train", "evaluate", "report")]
+        assert sorted(report.timing) == sorted(stages + ["total_s"])
+        lines = (tmp_path / "exp" / "timing.csv").read_text().splitlines()
+        assert lines[0] == "stage,seconds"
+        assert lines[1:] == [f"{k},{v:.3f}" for k, v in sorted(report.timing.items())]
+        total = report.timing["total_s"]
+        assert 0.9 * total <= sum(report.timing[s] for s in stages) <= total
 
     def test_total_time_covers_selection(self, monkeypatch):
         def slow_ranking(train_ds, method, seed, memo):

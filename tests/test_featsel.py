@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_lasso
 
+from ddsids import detector
+from ddsids.evalcli import ExperimentPlan, build_cache, build_datasets
 from ddsids.featsel import (
     F_SENTINEL,
     rank_importance,
@@ -291,6 +293,31 @@ class TestImportance:
         ds.matrix = rng.uniform(0, 1, ds.matrix.shape)  # pure noise
         with pytest.raises(ValueError, match="majority"):
             rank_importance(ds, trials=2, seed=4, epochs=5)
+
+    @pytest.mark.parametrize("score", [0.5, 0.01])
+    def test_constant_baseline_rejected(self, monkeypatch, score):
+        # A constant predictor scores a balanced accuracy of exactly 0.5,
+        # whichever class it names and however unequal the classes are.
+        def constant(dataset, shape, config):
+            weights = [np.zeros((a, b)) for a, b in zip(shape[:-1], shape[1:])]
+            biases = [np.zeros(b) for b in shape[1:]]
+            biases[-1][0] = np.log(score / (1 - score))
+            return detector.DetectorModel(shape=list(shape), weights=weights, biases=biases)
+
+        monkeypatch.setattr(detector, "train", constant)
+        labels = ["benign"] * 150 + ["dos"] * 50
+        ds = dataset_from(np.random.default_rng(2).uniform(0, 1, (200, 3)), labels)
+        with pytest.raises(ValueError, match="balanced accuracy 0.500"):
+            rank_importance(ds, trials=2, seed=4, epochs=5)
+
+    def test_imbalanced_small_split_ranks(self):
+        # Scale 0.2, seed 3, without addresses: 704 of 943 training rows are
+        # benign, and the baseline's plain accuracy (0.699) is below the
+        # majority share (0.737) although it separates the classes.
+        plan = ExperimentPlan(seed=3, scale=0.2, ip_mode="none")
+        train_ds, _ = build_datasets(plan, build_cache(plan), [], {})
+        ranking = rank_importance(train_ds, trials=3, seed=3)
+        assert sorted(ranking.ranked_names) == sorted(train_ds.feature_names)
 
     def test_deterministic(self):
         ds = binary_toy(n=250, width=3, informative=2, seed=21)
