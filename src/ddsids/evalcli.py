@@ -101,6 +101,8 @@ class ExperimentPlan:
     scale: float = 1.0
 
     def __post_init__(self):
+        if not self.scenarios:
+            raise ValueError(f"scenarios must name at least one of {', '.join(simnet.SCENARIOS)}")
         unknown = [name for name in self.scenarios if name not in simnet.SCENARIOS]
         if unknown:
             raise ValueError(f"unknown scenario(s) {', '.join(map(repr, unknown))}; known: {', '.join(simnet.SCENARIOS)}")
@@ -110,6 +112,16 @@ class ExperimentPlan:
             raise ValueError(f"ip_mode must be one of {IP_MODES}")
         if not 0 < self.scale <= 1.0:
             raise ValueError("scale must be within (0, 1]")
+        if not 0 < self.split_fraction < 1:
+            raise ValueError("split_fraction must be within (0, 1)")
+        if self.feature_k < 1:
+            raise ValueError("feature_k must be at least 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if self.selection_method not in SELECTION_METHODS:
+            raise ValueError(f"unknown selection method {self.selection_method!r}; known: {', '.join(SELECTION_METHODS)}")
+        _wanted_models(self)
+        _anonymize_mode(self.anonymize)
 
 
 def scenario_configs(plan: ExperimentPlan) -> dict[str, ScenarioConfig]:
@@ -274,26 +286,37 @@ def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCa
     return PipelineCache(flows=pooled, footnotes=footnotes, timing=timing)
 
 
+def _anonymize_mode(spec: str) -> AnonymizeMode | None:
+    """The address mode of a `shift:<k>` or `switch:<a>,<b>` spec; None for
+    "none" and "randomize".  Raises ValueError on any other spec."""
+    if spec in ("none", "randomize"):
+        return None
+    kind, _, arg = spec.partition(":")
+    try:
+        if kind == "shift":
+            return AnonymizeMode("shift", shift_by=int(arg))
+        if kind == "switch":
+            a, b = (int(x) for x in arg.split(","))
+            return AnonymizeMode("switch", pair=(a, b))
+    except ValueError as exc:
+        raise ValueError(f"bad anonymize spec {spec!r}: {exc}") from None
+    raise ValueError(f"unknown anonymize spec {spec!r}; expected none, shift:<k>, switch:<a>,<b> or randomize")
+
+
 def _apply_anonymize(plan: ExperimentPlan, train_flows, test_flows, footnotes):
-    spec = plan.anonymize
-    seed = plan.seed * 1000 + 30
-    if spec == "none":
+    mode = _anonymize_mode(plan.anonymize)
+    if plan.anonymize == "randomize":
+        footnotes.append("test-split addresses reassigned per session from the subnet range")
+        return train_flows, randomize_sessions(test_flows, plan.seed * 1000 + 30)
+    if mode is None:
         return train_flows, test_flows
-    if spec.startswith("shift:"):
-        k = int(spec.split(":", 1)[1])
-        mode = AnonymizeMode("shift", shift_by=k)
-        footnotes.append(f"addresses shifted by {k} across train and test")
+    if mode.kind == "shift":
+        footnotes.append(f"addresses shifted by {mode.shift_by} across train and test")
         merged = preprocess.anonymize(list(train_flows) + list(test_flows), mode)
         return merged[: len(train_flows)], merged[len(train_flows) :]
-    if spec.startswith("switch:"):
-        a, b = (int(x) for x in spec.split(":", 1)[1].split(","))
-        mode = AnonymizeMode("switch", pair=(a, b))
-        footnotes.append(f"addresses {a} and {b} switched in the test split")
-        return train_flows, preprocess.anonymize(test_flows, mode)
-    if spec == "randomize":
-        footnotes.append("test-split addresses reassigned per session from the subnet range")
-        return train_flows, randomize_sessions(test_flows, seed)
-    raise ValueError(f"unknown anonymize spec {spec!r}")
+    a, b = mode.pair
+    footnotes.append(f"addresses {a} and {b} switched in the test split")
+    return train_flows, preprocess.anonymize(test_flows, mode)
 
 
 def randomize_sessions(flows: Sequence[FlowRecord], seed: int, hosts: Sequence[int] = SUBNET_HOSTS) -> list[FlowRecord]:
@@ -360,23 +383,20 @@ def compute_ranking(train_ds: Dataset, method: str, seed: int, memo: dict) -> fe
     return memo[key]
 
 
+# The single ranking methods, in the order the consensus averages them.
+_RANKERS = {
+    "lasso": lambda ds, seed: featsel.rank_lasso(ds, seed=seed),
+    "rfe": lambda ds, seed: featsel.rank_rfe(ds, step=5),
+    "univariate": lambda ds, seed: featsel.rank_univariate(ds),
+    "importance": lambda ds, seed: featsel.rank_importance(ds, trials=3, seed=seed),
+}
+SELECTION_METHODS = ("consensus", *_RANKERS)
+
+
 def _rank(train_ds: Dataset, method: str, seed: int) -> featsel.FeatureRanking:
-    if method == "univariate":
-        return featsel.rank_univariate(train_ds)
-    if method == "rfe":
-        return featsel.rank_rfe(train_ds, step=5)
-    if method == "lasso":
-        return featsel.rank_lasso(train_ds, seed=seed)
-    if method == "importance":
-        return featsel.rank_importance(train_ds, trials=3, seed=seed)
     if method != "consensus":
-        raise ValueError(f"unknown selection method {method!r}")
-    rankings = [
-        featsel.rank_lasso(train_ds, seed=seed),
-        featsel.rank_rfe(train_ds, step=5),
-        featsel.rank_univariate(train_ds),
-        featsel.rank_importance(train_ds, trials=3, seed=seed),
-    ]
+        return _RANKERS[method](train_ds, seed)
+    rankings = [rank(train_ds, seed) for rank in _RANKERS.values()]
     names = train_ds.feature_names
     mean_pos = {n: float(np.mean([r.ranked_names.index(n) for r in rankings])) for n in names}
     ranked = sorted(names, key=lambda n: (mean_pos[n], names.index(n)))
@@ -517,9 +537,13 @@ def run_experiment(
                 detector.save_model(ensemble, mdir / "ensemble.model.txt")
     timing["total_s"] = time.perf_counter() - started
     if out_dir is not None:
-        timing_lines = [f"{k},{v:.3f}" for k, v in sorted(timing.items())]
-        (out_dir / "timing.csv").write_text("stage,seconds\n" + "\n".join(timing_lines) + "\n")
+        write_timing_csv(timing, out_dir / "timing.csv")
     return report
+
+
+def write_timing_csv(timing: dict[str, float], path) -> None:
+    lines = [f"{k},{v:.3f}" for k, v in sorted(timing.items())]
+    Path(path).write_text("stage,seconds\n" + "\n".join(lines) + "\n")
 
 
 def emit_histogram(model: DetectorModel, test_ds: Dataset, bins: int = 20) -> list[tuple[float, int, int]]:
@@ -545,7 +569,9 @@ def sweep_ip_modes(
     base_plan: ExperimentPlan, out_dir: Path | None = None, cache: PipelineCache | None = None
 ) -> tuple[dict[str, ExperimentReport], str]:
     """The four address regimes on identical traffic and seeds, plus the
-    per-attack detection ordering check (both >= destination_only >= none)."""
+    per-attack detection ordering check (both >= destination_only >= none).
+    With an out_dir, the comparison and the stage times of the shared cache
+    (`timing.csv`) go to its root."""
     if cache is None:
         cache = build_cache(base_plan, Path(out_dir) if out_dir else None)
     reports = {}
@@ -582,6 +608,7 @@ def sweep_ip_modes(
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         (Path(out_dir) / "ip_mode_comparison.txt").write_text(comparison)
+        write_timing_csv(cache.timing, Path(out_dir) / "timing.csv")
     return reports, comparison
 
 
@@ -720,6 +747,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.epochs < 1:
+        raise ValueError("--epochs must be at least 1")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_ds = preprocess.read_dataset_csv(args.train)
@@ -839,8 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--anonymize", default="none")
-    p.add_argument("--method", default="consensus",
-                   choices=("consensus", "univariate", "rfe", "lasso", "importance"))
+    p.add_argument("--method", default="consensus", choices=SELECTION_METHODS)
     p.add_argument("--scale", type=float, default=1.0)
     p.set_defaults(func=_cmd_experiment)
 

@@ -45,11 +45,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
-from .simnet import PacketRecord, PacketTrace
+from .simnet import PacketRecord, PacketTrace, format_once
 
 FEATURE_NAMES = [
     "Protocol",
@@ -141,6 +142,7 @@ LABEL_NAME = "Label"
 FLAG_BITS = {"FIN": 1, "SYN": 2, "RST": 4, "PSH": 8, "ACK": 16, "URG": 32, "CWE": 64, "ECE": 128}
 
 _MIN_RATE_DIVISOR_S = 1e-6
+FLOW_BLOCK = 256  # flows (or dataset rows) formatted or gathered at a time
 
 
 @dataclass(frozen=True)
@@ -442,14 +444,19 @@ def write_feature_names(path) -> None:
 
 
 def write_flow_csv(flows: Iterable[FlowRecord], path) -> None:
+    """One quoted metadata prefix, the features by their float repr and the
+    quoted label per flow; `flows` may be any iterable."""
     header = METADATA_NAMES + FEATURE_NAMES + [LABEL_NAME]
+    flows = iter(flows)
     with open(path, "w") as fh:
         fh.write(",".join(f'"{h}"' for h in header) + "\n")
-        for f in flows:
-            meta = [f.flow_id, f.src_ip, str(f.src_port), f.dst_ip, str(f.dst_port), repr(f.start_time)]
-            fh.write(",".join(f'"{m}"' for m in meta))
-            fh.write("," + ",".join(repr(v) for v in f.features))
-            fh.write(f',"{f.label}"\n')
+        while block := list(islice(flows, FLOW_BLOCK)):
+            cells = np.empty((len(block), len(FEATURE_NAMES) + 2), dtype=object)
+            cells[:, 0] = [f'"{f.flow_id}","{f.src_ip}","{f.src_port}","{f.dst_ip}","{f.dst_port}","{f.start_time!r}",'
+                           for f in block]
+            cells[:, 1:-1] = format_once(np.array([f.features for f in block], dtype=np.float64), "{!r},".format)
+            cells[:, -1] = [f'"{f.label}"\n' for f in block]
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def read_flow_csv(path) -> list[FlowRecord]:

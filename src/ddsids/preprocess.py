@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FlowRecord
-from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS
+from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowRecord
+from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, format_once
 
 DIRECTIONALITIES = ("bidirectional", "destination_only", "source_only")
 IP_MODES = ("both", "source_only", "destination_only", "none")
@@ -310,20 +310,29 @@ def _column_names(drop_ports: bool, keep_timestamp: bool, ip_mode: str) -> list[
     return columns
 
 
-def _row(flow: FlowRecord, columns: Sequence[str]) -> list[float]:
-    values = []
-    for name in columns:
-        if name == SRC_IP_COL:
-            values.append(float(int(flow.src_ip)))
-        elif name == DST_IP_COL:
-            values.append(float(int(flow.dst_ip)))
-        elif name == SRC_PORT_COL:
-            values.append(float(flow.src_port))
-        elif name == DST_PORT_COL:
-            values.append(float(flow.dst_port))
-        else:
-            values.append(flow.features[FEATURE_INDEX[name]])
-    return values
+# Matrix columns taken from a flow's metadata rather than its features.
+_METADATA_COLUMNS = {
+    SRC_IP_COL: lambda f: int(f.src_ip),
+    DST_IP_COL: lambda f: int(f.dst_ip),
+    SRC_PORT_COL: lambda f: f.src_port,
+    DST_PORT_COL: lambda f: f.dst_port,
+}
+
+
+def _matrix(flows: Sequence[FlowRecord], columns: Sequence[str]) -> np.ndarray:
+    """The flows' values of `columns`, filled column by column from one
+    feature array per block of rows."""
+    matrix = np.empty((len(flows), len(columns)))
+    for lo in range(0, len(flows), FLOW_BLOCK):
+        block = flows[lo : lo + FLOW_BLOCK]
+        rows = slice(lo, lo + len(block))
+        features = np.array([f.features for f in block], dtype=np.float64)
+        for j, name in enumerate(columns):
+            if name in _METADATA_COLUMNS:
+                matrix[rows, j] = [float(_METADATA_COLUMNS[name](f)) for f in block]
+            else:
+                matrix[rows, j] = features[:, FEATURE_INDEX[name]]
+    return matrix
 
 
 def build_dataset_from_split(
@@ -337,8 +346,8 @@ def build_dataset_from_split(
     """Assemble matrices for an existing flow split; normalization constants
     come from the training side only."""
     columns = _column_names(drop_ports, keep_timestamp, ip_mode)
-    train_m = np.array([_row(f, columns) for f in train_flows], dtype=np.float64)
-    test_m = np.array([_row(f, columns) for f in test_flows], dtype=np.float64).reshape(len(test_flows), len(columns))
+    train_m = _matrix(train_flows, columns)
+    test_m = _matrix(test_flows, columns)
 
     lo = train_m.min(axis=0)
     hi = train_m.max(axis=0)
@@ -346,13 +355,15 @@ def build_dataset_from_split(
     constant = [columns[j] for j in np.nonzero(span == 0)[0]]
     safe_span = np.where(span == 0, 1.0, span)
 
-    train_norm = (train_m - lo) / safe_span
-    train_norm[:, span == 0] = 0.0
-    test_norm = np.clip((test_m - lo) / safe_span, 0.0, 1.0)
-    test_norm[:, span == 0] = 0.0
+    # Normalized in place: the raw matrices are not needed once lo and hi are.
+    for m in (train_m, test_m):
+        m -= lo
+        m /= safe_span
+        m[:, span == 0] = 0.0
+    np.clip(test_m, 0.0, 1.0, out=test_m)
 
-    train = Dataset(train_norm, [f.label for f in train_flows], columns, shuffle_seed, lo, hi, constant)
-    test = Dataset(test_norm, [f.label for f in test_flows], list(columns), shuffle_seed, lo, hi, list(constant))
+    train = Dataset(train_m, [f.label for f in train_flows], columns, shuffle_seed, lo, hi, constant)
+    test = Dataset(test_m, [f.label for f in test_flows], list(columns), shuffle_seed, lo, hi, list(constant))
     return train, test
 
 
@@ -409,10 +420,15 @@ def dataset_manifest(
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
+    matrix = np.asarray(dataset.matrix, dtype=np.float64)
     with open(path, "w") as fh:
         fh.write(",".join(f'"{n}"' for n in dataset.feature_names) + ',"Label"\n')
-        for row, lab in zip(dataset.matrix, dataset.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f',"{lab}"\n')
+        for lo in range(0, len(matrix), FLOW_BLOCK):
+            rows = slice(lo, lo + FLOW_BLOCK)
+            cells = np.empty((len(matrix[rows]), matrix.shape[1] + 1), dtype=object)
+            cells[:, :-1] = format_once(matrix[rows], "{!r},".format)
+            cells[:, -1] = [f'"{lab}"\n' for lab in dataset.labels[rows]]
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def read_dataset_csv(path, norm_min: np.ndarray | None = None, norm_max: np.ndarray | None = None) -> Dataset:

@@ -89,7 +89,7 @@ class PacketRecord(NamedTuple):
 
 
 PACKET_COLUMNS = ("ts", "src", "src_port", "dst", "dst_port", "proto", "payload_len", "header_len", "flags")
-_ROW_BLOCK = 1 << 14  # rows turned into records or text at a time
+_ROW_BLOCK = 1 << 14  # rows simulated, or turned into records or text, at a time
 
 
 class PacketTrace(Sequence[PacketRecord]):
@@ -171,8 +171,9 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.publish_interval <= 0:
-            raise ValueError("publish_interval must be positive")
+        if not self.publish_interval >= 1e-6:
+            # A shorter interval rounds a stream's step to 0 us on the 1 us clock.
+            raise ValueError("publish_interval must be at least 1e-6 s, the clock resolution")
         if not MIN_TOPICS <= self.topics_per_publisher <= 500:
             raise ValueError("topics_per_publisher must be within 50..500")
         if self.relaunch_period <= 0:
@@ -230,6 +231,12 @@ class _TraceBuilder:
         self.events.extend((t_us, src, sport, dst, dport, payload))
         return True
 
+    def emit_rows(self, rows: np.ndarray) -> None:
+        """Append a C-ordered (n, 6) int64 block of events that are already in
+        emit order and inside the trace."""
+        if len(rows):
+            self.events.frombytes(memoryview(rows).cast("B"))
+
     def discovery(self, t_us: int, joiner: int, jport: int, peer: int, pport: int) -> None:
         for i in range(4):
             src, sport, dst, dport = (joiner, jport, peer, pport) if i % 2 == 0 else (peer, pport, joiner, jport)
@@ -246,21 +253,50 @@ class _TraceBuilder:
         payload: int,
         interval_s: float,
         jitter_scale: float,
-        ack_from_dst: bool = True,
     ) -> int:
         """Emit one topic batch per interval from start to end; the receiver
-        acknowledges every ACK_EVERY-th batch.  Returns batches emitted."""
+        acknowledges every ACK_EVERY-th batch.  Returns batches emitted.
+
+        The interval jitters are drawn in blocks, and a block draws only
+        jitters the one-at-a-time loop (send a batch, then draw the jitter of
+        the next step) would draw.  No step reaches `longest`, so the k
+        batches of a block all fall before the limit and each draws its one
+        jitter; the rng therefore ends where the loop's would.  A block
+        holds at most _ROW_BLOCK batches, which bounds its memory.  Needs
+        jitter_scale < 1, which keeps every step positive.
+        """
+        limit = min(end_us, self.duration_us)
+        longest = math.ceil(interval_s * (1.0 + jitter_scale) * 1e6) + 1
         t_us = start_us
         sent = 0
-        while t_us < min(end_us, self.duration_us):
-            if not self.emit(t_us, src, sport, dst, dport, payload):
-                break
-            sent += 1
-            if ack_from_dst and sent % ACK_EVERY == 0:
-                self.emit(t_us + 2000, dst, dport, src, sport, ACK_PAYLOAD)
-            eps = float(self.rng.uniform(-jitter_scale, jitter_scale))
-            t_us += int(round(interval_s * (1.0 + eps) * 1e6))
+        while 0 <= t_us < limit:
+            k = min((limit - 1 - t_us) // longest + 1, _ROW_BLOCK)
+            eps = self.rng.uniform(-jitter_scale, jitter_scale, size=k)
+            steps = np.rint(interval_s * (1.0 + eps) * 1e6).astype(np.int64)
+            ends = t_us + np.cumsum(steps)
+            # One slot pair per batch, in emit order: the batch, then its ack.
+            rows = np.empty((k, 2, 6), dtype=np.int64)
+            rows[:, 0, 0] = ends - steps
+            rows[:, 0, 1:] = (src, sport, dst, dport, payload)
+            rows[:, 1, 0] = rows[:, 0, 0] + 2000
+            rows[:, 1, 1:] = (dst, dport, src, sport, ACK_PAYLOAD)
+            keep = np.zeros((k, 2), dtype=bool)
+            keep[:, 0] = True
+            keep[(ACK_EVERY - 1 - sent) % ACK_EVERY :: ACK_EVERY, 1] = True
+            keep[:, 1] &= rows[:, 1, 0] < self.duration_us
+            self.emit_rows(rows[keep])
+            sent += k
+            t_us = int(ends[-1])
         return sent
+
+    def flood(self, start_us: int, end_us: int, src: int, sport: int, dst: int, dport: int, payload: int,
+              gap_us: int) -> None:
+        """Emit one datagram every gap_us from start (>= 0) to end."""
+        times = np.arange(start_us, min(end_us, self.duration_us), gap_us)
+        rows = np.empty((len(times), 6), dtype=np.int64)
+        rows[:, 0] = times
+        rows[:, 1:] = (src, sport, dst, dport, payload)
+        self.emit_rows(rows)
 
     def finish(self) -> PacketTrace:
         """The emitted packets ordered by (time, emit order)."""
@@ -353,13 +389,8 @@ def generate_attack(config: ScenarioConfig) -> PacketTrace:
             b.emit(t_us + 5_000, 4, sub_port, 6, port, n_topics * SUBSCRIPTION_KEY_BYTES)
             if config.scenario == "dos":
                 active = config.attack_active if config.attack_active is not None else 0.08
-                t = t_us + 10_000
-                end = t_us + int(round(active * 1e6))
                 gap_us = max(1, int(round(config.dos_gap * 1e6)))
-                while t < end:
-                    if not b.emit(t, 6, port, 4, sub_port, DOS_PAYLOAD):
-                        break
-                    t += gap_us
+                b.flood(t_us + 10_000, t_us + int(round(active * 1e6)), 6, port, 4, sub_port, DOS_PAYLOAD, gap_us)
             else:
                 # The clone matches the genuine rate; some launches push the
                 # fixed 256-byte filler, the rest forge a plausible topic
@@ -463,19 +494,35 @@ def generate(config: ScenarioConfig) -> PacketTrace:
 PACKET_CSV_HEADER = "ts,src_ip,src_port,dst_ip,dst_port,proto,payload_len,header_len,flags"
 
 
+def format_once(values: np.ndarray, fmt) -> np.ndarray:
+    """``fmt(v)`` for each value, as an object array of the same shape, with
+    each distinct value formatted once.  Floats are told apart by their bits,
+    so -0.0 and every NaN payload keep their own text.
+
+    The CSV writers format each cell with the separator that follows it, so
+    a block of rows is written by one join of its cells."""
+    values = np.ascontiguousarray(values)
+    keys = values.view(np.int64) if values.dtype == np.float64 else values
+    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+    texts = np.array([fmt(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
+    return texts[inverse].reshape(values.shape)
+
+
 def write_packet_csv(trace: Iterable[PacketRecord], path) -> None:
     if not isinstance(trace, PacketTrace):
         trace = PacketTrace.from_records(trace)
-    addresses = np.array(trace.addresses, dtype=object)
-    row = "{:.6f},{},{},{},{},{},{},{},{}\n".format
+    address = [a + "," for a in trace.addresses]
+    formats = ["{:.6f},".format, address.__getitem__, "{},".format, address.__getitem__, *["{},".format] * 4,
+               "{}\n".format]
     try:
         with open(path, "w") as fh:
             fh.write(PACKET_CSV_HEADER + "\n")
             for lo in range(0, len(trace), _ROW_BLOCK):
                 rows = slice(lo, lo + _ROW_BLOCK)
-                columns = [getattr(trace, name)[rows] for name in PACKET_COLUMNS]
-                columns[1], columns[3] = addresses[columns[1]], addresses[columns[3]]
-                fh.writelines(map(row, *(c.tolist() for c in columns)))
+                cells = np.empty((len(trace.ts[rows]), len(PACKET_COLUMNS)), dtype=object)
+                for k, (name, fmt) in enumerate(zip(PACKET_COLUMNS, formats)):
+                    cells[:, k] = format_once(getattr(trace, name)[rows], fmt)
+                fh.write("".join(cells.ravel().tolist()))
     except OSError as exc:
         raise OSError(f"cannot write packet csv {path}: {exc}") from exc
 

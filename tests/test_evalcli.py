@@ -241,6 +241,18 @@ class TestSweep:
         assert "SINGLE CNN / Clone" in randomize_rows
         assert "SINGLE CNN / Malicious Subscriber" in randomize_rows
 
+    def test_sweep_root_timing_records_the_shared_cache(self, tmp_path):
+        rc = main(["sweep", "--seed", "5", "--scale", "0.06", "--epochs", "1", "--model", "expert:dos",
+                   "--skip-anonymize", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "timing.csv").read_text().splitlines()
+        assert lines[0] == "stage,seconds"
+        assert [line.split(",")[0] for line in lines[1:]] == ["meter_s", "preprocess_s", "simulate_s"]
+        assert all(float(line.split(",")[1]) >= 0 for line in lines[1:])
+        # Each regime's own timing has no cache stages: the cache was built once.
+        regime = (tmp_path / "ip-none" / "timing.csv").read_text()
+        assert "simulate_s" not in regime and "train_s" in regime
+
     def test_sweep_cli(self, tmp_path):
         rc = main([
             "sweep", "--seed", "5", "--scale", "0.06", "--epochs", "4",
@@ -250,7 +262,55 @@ class TestSweep:
         assert (tmp_path / "ip_mode_comparison.txt").exists()
 
 
+class TestPlanValidation:
+    """A plan that cannot run is rejected when it is made, before any trace
+    is simulated."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"model": "mystery"}, "unknown model kind"),
+        ({"model": "expert:nobody"}, "unknown expert"),
+        ({"scenarios": ()}, "at least one"),
+        ({"anonymize": "scramble"}, "unknown anonymize spec"),
+        ({"anonymize": "shift:one"}, "bad anonymize spec"),
+        ({"anonymize": "shift:0"}, "shift_by"),
+        ({"anonymize": "switch:5"}, "bad anonymize spec"),
+        ({"anonymize": "switch:5,5"}, "distinct"),
+        ({"selection_method": "pca"}, "unknown selection method"),
+        ({"split_fraction": 0.0}, "split_fraction"),
+        ({"split_fraction": 1.0}, "split_fraction"),
+        ({"split_fraction": -0.5}, "split_fraction"),
+        ({"feature_k": 0}, "feature_k"),
+        ({"epochs": 0}, "epochs"),
+    ])
+    def test_rejected_on_construction(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(SMALL_PLAN, **change)
+
+    @pytest.mark.parametrize("spec", ["none", "shift:2", "switch:5,6", "randomize"])
+    def test_known_anonymize_specs_accepted(self, spec):
+        assert replace(SMALL_PLAN, anonymize=spec).anonymize == spec
+
+    def test_cli_rejects_before_simulating(self, tmp_path, monkeypatch, capsys):
+        def no_simulation(config):
+            raise AssertionError("simulated a rejected plan")
+
+        monkeypatch.setattr(simnet, "generate", no_simulation)
+        for flag, value in (("--epochs", "0"), ("--model", "mystery"), ("--k", "0"), ("--anonymize", "scramble")):
+            rc = main(["experiment", "--seed", "5", "--scale", "0.06", flag, value, "--out-dir", str(tmp_path)])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("ddsids: error: ")
+
+
 class TestCli:
+    def test_train_rejects_zero_epochs(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.random((12, 3)), ["benign", "dos"] * 6, ["f0", "f1", "f2"], 0, np.zeros(3), np.ones(3))
+        preprocess.write_dataset_csv(ds, tmp_path / "train.csv")
+        rc = main(["train", "--train", str(tmp_path / "train.csv"), "--epochs", "0", "--out-dir", str(tmp_path / "m")])
+        assert rc == 1
+        assert capsys.readouterr().err == "ddsids: error: --epochs must be at least 1\n"
+        assert not (tmp_path / "m").exists()
+
     def test_simulate_and_meter(self, tmp_path):
         out = tmp_path / "art"
         rc = main(["simulate", "--scenario", "dos", "--seed", "3", "--scale", "0.05", "--out-dir", str(out)])

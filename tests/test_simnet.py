@@ -41,6 +41,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="publish_interval"):
             ScenarioConfig("benign", duration=10.0, publish_interval=0.0)
 
+    @pytest.mark.parametrize("interval", [1e-7, 4.9e-7, float("nan")])
+    def test_rejects_interval_below_the_clock_resolution(self, interval):
+        # A step that rounds to 0 us would never let a stream reach its end.
+        with pytest.raises(ValueError, match="publish_interval"):
+            ScenarioConfig("benign", duration=10.0, publish_interval=interval)
+
     def test_rejects_bad_scenario(self):
         with pytest.raises(ValueError, match="scenario"):
             ScenarioConfig("flood", duration=10.0)
