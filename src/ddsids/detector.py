@@ -480,6 +480,9 @@ def _read_model_block(reader: _BlockReader, magic_seen: bool = False) -> Detecto
         if magic != MODEL_MAGIC:
             raise ValueError(f"{reader.path}: unsupported model version {magic!r}")
     shape = [int(tok) for tok in reader.tagged("shape").split()]
+    violations = validate_shape(shape)
+    if violations:
+        raise ValueError(f"{reader.path}: invalid network shape: " + "; ".join(violations))
     reader.fixed("hidden_activation", "relu")
     threshold = float.fromhex(reader.tagged("threshold"))
     seed = int(reader.tagged("seed"))

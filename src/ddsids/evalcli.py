@@ -30,7 +30,7 @@ import numpy as np
 
 from . import detector, featsel, flowmeter, preprocess, simnet
 from .detector import DetectorModel, EnsembleModel, TrainConfig
-from .flowmeter import FlowRecord, MeterConfig
+from .flowmeter import FlowRecord, FlowTable, MeterConfig
 from .preprocess import IP_MODES, AnonymizeMode, Dataset
 from .simnet import ScenarioConfig
 
@@ -220,13 +220,20 @@ class ExperimentReport:
 @dataclass
 class PipelineCache:
     """Labeled, stripped, time/addr-encoded flows shared across experiments,
+    the notes of their label rules, the router sessions stripped from them,
     the wall time of the stages that built them, and the feature rankings
     already computed on splits of them."""
 
-    flows: list[FlowRecord]
-    footnotes: list[str]
+    flows: FlowTable
+    notes: list[str]
+    router_sessions_removed: int = 0
     timing: dict[str, float] = field(default_factory=dict)
     rankings: dict[tuple, featsel.FeatureRanking] = field(default_factory=dict)
+
+    @property
+    def footnotes(self) -> list[str]:
+        removed = self.router_sessions_removed
+        return self.notes + ([f"removed {removed} router session(s)"] if removed else [])
 
 
 @contextmanager
@@ -249,7 +256,7 @@ class _StageError(RuntimeError):
 
 
 def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCache:
-    footnotes: list[str] = []
+    notes: list[str] = []
     timing: dict[str, float] = {}
     traces: dict[str, simnet.PacketTrace] = {}
     with _stage("simulate", timing):
@@ -261,29 +268,27 @@ def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCa
                 simnet.write_packet_csv(traces[name], tdir / f"{name}.packets.csv")
                 simnet.save_scenario_config(cfg, tdir / f"{name}.config.txt")
 
-    pooled: list[FlowRecord] = []
+    scenario_flows: list[FlowTable] = []
     with _stage("meter", timing):
         meter_cfg = MeterConfig()
         for name in plan.scenarios:
             # Each trace is freed once it is metered.
-            flows, notes = preprocess.label_scenario(name, flowmeter.meter(traces.pop(name), meter_cfg))
-            footnotes.extend(notes)
-            pooled.extend(flows)
+            flows, rule_notes = preprocess.label_scenario(name, flowmeter.meter(traces.pop(name), meter_cfg))
+            notes.extend(rule_notes)
+            scenario_flows.append(flows)
             if out_dir is not None:
                 fdir = out_dir / "flows"
                 fdir.mkdir(parents=True, exist_ok=True)
                 flowmeter.write_flow_csv(flows, fdir / f"{name}.flows.csv")
 
     with _stage("preprocess", timing):
-        pooled, removed = preprocess.pool(pooled)
-        if removed:
-            footnotes.append(f"removed {removed} router session(s)")
+        pooled, removed = preprocess.pool(FlowTable.concat(scenario_flows))
         if out_dir is not None:
             fdir = out_dir / "flows"
             fdir.mkdir(parents=True, exist_ok=True)
             flowmeter.write_flow_csv(pooled, fdir / "pooled.flows.csv")
             flowmeter.write_feature_names(fdir / "features.txt")
-    return PipelineCache(flows=pooled, footnotes=footnotes, timing=timing)
+    return PipelineCache(flows=pooled, notes=notes, router_sessions_removed=removed, timing=timing)
 
 
 def _anonymize_mode(spec: str) -> AnonymizeMode | None:
@@ -312,26 +317,23 @@ def _apply_anonymize(plan: ExperimentPlan, train_flows, test_flows, footnotes):
         return train_flows, test_flows
     if mode.kind == "shift":
         footnotes.append(f"addresses shifted by {mode.shift_by} across train and test")
-        merged = preprocess.anonymize(list(train_flows) + list(test_flows), mode)
+        merged = preprocess.anonymize(FlowTable.concat([train_flows, test_flows]), mode)
         return merged[: len(train_flows)], merged[len(train_flows) :]
     a, b = mode.pair
     footnotes.append(f"addresses {a} and {b} switched in the test split")
     return train_flows, preprocess.anonymize(test_flows, mode)
 
 
-def randomize_sessions(flows: Sequence[FlowRecord], seed: int, hosts: Sequence[int] = SUBNET_HOSTS) -> list[FlowRecord]:
+def randomize_sessions(flows: Sequence[FlowRecord], seed: int, hosts: Sequence[int] = SUBNET_HOSTS) -> FlowTable:
     """Per-session random address assignment from the subnet host range,
-    keeping src != dst."""
+    keeping src != dst: each flow draws its source, then its destination
+    among the other hosts."""
+    flows = FlowTable.of(flows)
     rng = np.random.default_rng(seed)
-    out = []
-    hosts = list(hosts)
-    for f in flows:
-        i = int(rng.integers(len(hosts)))
-        j = int(rng.integers(len(hosts) - 1))
-        if j >= i:
-            j += 1
-        out.append(replace(f, src_ip=str(hosts[i]), dst_ip=str(hosts[j])))
-    return out
+    n = len(hosts)
+    draws = np.array([(rng.integers(n), rng.integers(n - 1)) for _ in range(len(flows))], dtype=np.int64)
+    src, dst = draws.reshape(-1, 2).T
+    return flows.with_columns(addresses=[str(h) for h in hosts], src=src, dst=dst + (dst >= src))
 
 
 def build_datasets(
@@ -521,7 +523,8 @@ def run_experiment(
             (out_dir / "report.csv").write_text(report.csv())
             mdir = out_dir / "models"
             mdir.mkdir(exist_ok=True)
-            manifest = preprocess.dataset_manifest(train_ds, plan.scenarios, plan.anonymize, plan.seed * 1000 + 30)
+            manifest = preprocess.dataset_manifest(train_ds, test_ds, plan.scenarios, plan.anonymize, plan.seed * 1000 + 30,
+                                                   cache.router_sessions_removed, cache.notes)
             preprocess.write_manifest(out_dir / "dataset.manifest.json", manifest)
             preprocess.write_dataset_csv(train_ds, out_dir / "train.csv")
             preprocess.write_dataset_csv(test_ds, out_dir / "test.csv")
@@ -689,18 +692,18 @@ def _cmd_meter(args) -> int:
 def _cmd_preprocess(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pooled: list[FlowRecord] = []
-    footnotes: list[str] = []
+    scenario_flows: list[FlowTable] = []
+    notes: list[str] = []
     scenarios: list[str] = []
     for spec in args.flows:
         label_name, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--flows expects label=path, got {spec!r}")
-        flows, notes = preprocess.label_scenario(label_name, flowmeter.read_flow_csv(path))
-        footnotes.extend(notes)
-        pooled.extend(flows)
+        flows, rule_notes = preprocess.label_scenario(label_name, flowmeter.read_flow_csv(path))
+        notes.extend(rule_notes)
+        scenario_flows.append(flows)
         scenarios.append(label_name)
-    pooled, removed = preprocess.pool(pooled)
+    pooled, removed = preprocess.pool(FlowTable.concat(scenario_flows))
     train_ds, test_ds = preprocess.build_dataset(
         pooled,
         drop_ports=not args.keep_ports,
@@ -712,10 +715,9 @@ def _cmd_preprocess(args) -> int:
     preprocess.write_dataset_csv(train_ds, out / "train.csv")
     preprocess.write_dataset_csv(test_ds, out / "test.csv")
     manifest = preprocess.dataset_manifest(
-        train_ds, scenarios, "none", None, drop_ports=not args.keep_ports, keep_timestamp=not args.no_timestamp
+        train_ds, test_ds, scenarios, "none", None, removed, notes,
+        drop_ports=not args.keep_ports, keep_timestamp=not args.no_timestamp,
     )
-    manifest["router_sessions_removed"] = removed
-    manifest["notes"] = footnotes
     preprocess.write_manifest(out / "dataset.manifest.json", manifest)
     print(f"{out}: train {train_ds.matrix.shape}, test {test_ds.matrix.shape}")
     return 0

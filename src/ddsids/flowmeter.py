@@ -43,6 +43,7 @@ per-packet loop over the flow would compute, to the last bit.
 
 from __future__ import annotations
 
+import csv
 import operator
 from dataclasses import dataclass
 from itertools import islice
@@ -50,7 +51,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .simnet import PacketRecord, PacketTrace, format_once
+from .simnet import ColumnTable, PacketRecord, PacketTrace, write_rows
 
 FEATURE_NAMES = [
     "Protocol",
@@ -142,7 +143,7 @@ LABEL_NAME = "Label"
 FLAG_BITS = {"FIN": 1, "SYN": 2, "RST": 4, "PSH": 8, "ACK": 16, "URG": 32, "CWE": 64, "ECE": 128}
 
 _MIN_RATE_DIVISOR_S = 1e-6
-FLOW_BLOCK = 256  # flows (or dataset rows) formatted or gathered at a time
+FLOW_BLOCK = 256  # flows (or dataset rows) formatted or parsed at a time
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,16 @@ class FlowRecord:
 
     def feature(self, name: str) -> float:
         return self.features[FEATURE_INDEX[name]]
+
+
+class FlowTable(ColumnTable):
+    """Flows held as columns, with a (flows, 78) ``features`` matrix; it reads
+    as a sequence of ``FlowRecord``s, each a copy."""
+
+    COLUMNS = ("flow_id", "src", "src_port", "dst", "dst_port", "protocol", "start_time", "features", "label")
+    DTYPES = (object, np.int64, np.int64, np.int64, np.int64, np.int64, np.float64, np.float64, object)
+    SHAPES = {"features": (len(FEATURE_NAMES),)}
+    RECORD = FlowRecord
 
 
 def _ordered_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -392,16 +403,16 @@ def _features(trace: PacketTrace, order: np.ndarray, sizes: np.ndarray, cfg: Met
     return out
 
 
-def meter(packets: Iterable[PacketRecord], cfg: MeterConfig | None = None) -> list[FlowRecord]:
+def meter(packets: Iterable[PacketRecord], cfg: MeterConfig | None = None) -> FlowTable:
     """Assemble time-sorted packets into flows and compute their features.
 
     `packets` is a ``PacketTrace`` or any iterable of ``PacketRecord``s,
-    which is turned into one.  Flows come out in the order of their first
-    packets.  Raises ValueError on the first timestamp inversion in the input,
-    and on a non-finite timestamp or a negative length.
+    which is turned into one.  Flows come out benign, in the order of their
+    first packets.  Raises ValueError on the first timestamp inversion in the
+    input, and on a non-finite timestamp or a negative length.
     """
     cfg = cfg or MeterConfig()
-    trace = packets if isinstance(packets, PacketTrace) else PacketTrace.from_records(packets)
+    trace = PacketTrace.of(packets)
     ts = trace.ts
     for name, bad in (("ts", ~np.isfinite(ts)), ("payload_len", trace.payload_len < 0),
                       ("header_len", trace.header_len < 0)):
@@ -413,27 +424,15 @@ def meter(packets: Iterable[PacketRecord], cfg: MeterConfig | None = None) -> li
         i = int(inverted[0]) + 1
         raise ValueError(f"packets not time-sorted: index {i} has ts={ts[i]:.6f} after ts={ts[i - 1]:.6f}")
     if not len(trace):
-        return []
+        return FlowTable.from_records([])
     order, sizes, serial = _assemble(trace, cfg.flow_timeout)
     first = order[np.cumsum(sizes) - sizes]
+    src, sport, dst, dport, proto = (getattr(trace, c)[first] for c in ("src", "src_port", "dst", "dst_port", "proto"))
+    address = trace.addresses
+    flow_id = [f"{address[s]}:{sp}->{address[d]}:{dp}/{p}#{n}" for s, sp, d, dp, p, n in
+               zip(src.tolist(), sport.tolist(), dst.tolist(), dport.tolist(), proto.tolist(), serial.tolist())]
     features = _features(trace, order, sizes, cfg)
-    src_ip = [trace.addresses[a] for a in trace.src[first].tolist()]
-    dst_ip = [trace.addresses[a] for a in trace.dst[first].tolist()]
-    columns = zip(src_ip, trace.src_port[first].tolist(), dst_ip, trace.dst_port[first].tolist(),
-                  trace.proto[first].tolist(), serial.tolist(), trace.ts[first].tolist(), features.tolist())
-    return [
-        FlowRecord(
-            flow_id=f"{s}:{sp}->{d}:{dp}/{proto}#{n}",
-            src_ip=s,
-            src_port=sp,
-            dst_ip=d,
-            dst_port=dp,
-            protocol=proto,
-            start_time=start,
-            features=row,
-        )
-        for s, sp, d, dp, proto, n, start, row in columns
-    ]
+    return FlowTable(address, flow_id, src, sport, dst, dport, proto, ts[first], features, ["benign"] * len(first))
 
 
 def write_feature_names(path) -> None:
@@ -445,55 +444,46 @@ def write_feature_names(path) -> None:
 
 def write_flow_csv(flows: Iterable[FlowRecord], path) -> None:
     """One quoted metadata prefix, the features by their float repr and the
-    quoted label per flow; `flows` may be any iterable."""
-    header = METADATA_NAMES + FEATURE_NAMES + [LABEL_NAME]
-    flows = iter(flows)
+    quoted label per flow; `flows` may be any iterable of ``FlowRecord``s."""
+    flows = FlowTable.of(flows)
+    address = [f'"{a}",' for a in flows.addresses]
+    quoted = '"{}",'.format
     with open(path, "w") as fh:
-        fh.write(",".join(f'"{h}"' for h in header) + "\n")
-        while block := list(islice(flows, FLOW_BLOCK)):
-            cells = np.empty((len(block), len(FEATURE_NAMES) + 2), dtype=object)
-            cells[:, 0] = [f'"{f.flow_id}","{f.src_ip}","{f.src_port}","{f.dst_ip}","{f.dst_port}","{f.start_time!r}",'
-                           for f in block]
-            cells[:, 1:-1] = format_once(np.array([f.features for f in block], dtype=np.float64), "{!r},".format)
-            cells[:, -1] = [f'"{f.label}"\n' for f in block]
-            fh.write("".join(cells.ravel().tolist()))
+        fh.write(",".join(f'"{h}"' for h in METADATA_NAMES + FEATURE_NAMES + [LABEL_NAME]) + "\n")
+        write_rows(fh, [(flows.flow_id, quoted), (flows.src, address.__getitem__), (flows.src_port, quoted),
+                        (flows.dst, address.__getitem__), (flows.dst_port, quoted), (flows.start_time, '"{!r}",'.format),
+                        (flows.features, "{!r},".format), (flows.label, '"{}"\n'.format)], FLOW_BLOCK)
 
 
-def read_flow_csv(path) -> list[FlowRecord]:
-    """Inverse of write_flow_csv; rejects files whose header deviates from the catalog."""
-    import csv as _csv
-
+def read_flow_csv(path) -> FlowTable:
+    """Inverse of write_flow_csv, parsed FLOW_BLOCK rows at a time; rejects a header off the catalog."""
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty flow file") from None
         expected = METADATA_NAMES + FEATURE_NAMES + [LABEL_NAME]
-        known = set(expected)
         for col in header:
-            if col not in known:
+            if col not in expected:
                 raise ValueError(f"{path}: unknown column {col!r}")
         for col in expected:
             if col not in header:
                 raise ValueError(f"{path}: missing column {col!r}")
         if header != expected:
             raise ValueError(f"{path}: columns out of catalog order")
-        flows = []
-        for row in reader:
-            if len(row) != len(expected):
-                raise ValueError(f"{path}: row with {len(row)} fields, expected {len(expected)}")
-            flows.append(
-                FlowRecord(
-                    flow_id=row[0],
-                    src_ip=row[1],
-                    src_port=int(row[2]),
-                    dst_ip=row[3],
-                    dst_port=int(row[4]),
-                    protocol=int(float(row[6 + FEATURE_INDEX["Protocol"]])),
-                    start_time=float(row[5]),
-                    features=[float(v) for v in row[6:-1]],
-                    label=row[-1],
-                )
-            )
-    return flows
+        blocks = []
+        while rows := list(islice(reader, FLOW_BLOCK)):
+            bad = next((row for row in rows if len(row) != len(expected)), None)
+            if bad is not None:
+                raise ValueError(f"{path}: row with {len(bad)} fields, expected {len(expected)}")
+            flow_id, src, sport, dst, dport, start = zip(*(row[:6] for row in rows))
+            features = np.array([list(map(float, row[6:-1])) for row in rows])
+            protocol = list(map(int, features[:, FEATURE_INDEX["Protocol"]].tolist()))
+            try:
+                blocks.append(FlowTable.from_columns([flow_id, src, list(map(int, sport)), dst, list(map(int, dport)),
+                                                      protocol, list(map(float, start)), features,
+                                                      [row[-1] for row in rows]]))
+            except OverflowError:
+                raise ValueError(f"{path}: integer field outside the 64-bit range") from None
+    return FlowTable.concat(blocks)

@@ -1,26 +1,35 @@
-"""Turns labeled flow records into model-ready datasets.
+"""Turns labeled flow tables into model-ready datasets.
 
 The pipeline is: label each scenario's flows (`label_scenario`); pool them,
 strip router sessions, sort by start time, rewrite the Timestamp feature as
 inter-session deltas and encode the addresses down to their varying octet
-(`pool`); optionally anonymize them; then build the train/test matrices.
-Session identity metadata (flow id, ports when dropped) never reaches the
-matrix, and min-max normalization is fitted on the training split only; test
-values are clipped into [0, 1].
+(`pool`); split them; optionally anonymize them; then build the train/test
+matrices.  Session identity metadata (flow id, ports when dropped) never
+reaches the matrix, and min-max normalization is fitted on the training split
+only; test values are clipped into [0, 1].
+
+Every step is a column operation on a ``FlowTable``: labels and router
+stripping are masks over the octets of the few addresses in its address
+table, the timestamp deltas are one ``np.diff`` over the start times, address
+encoding and anonymization rewrite only the address table, the split takes a
+per-label quota of the shuffled rows, and the matrix is filled by column
+slices.  A list of ``FlowRecord``s handed to a public function is turned
+into a table once, at entry.
 """
 
 from __future__ import annotations
 
+import csv
 import json
-import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowRecord
-from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, format_once
+from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowRecord, FlowTable
+from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, write_rows
 
 DIRECTIONALITIES = ("bidirectional", "destination_only", "source_only")
 IP_MODES = ("both", "source_only", "destination_only", "none")
@@ -83,7 +92,19 @@ def _octet(address: str) -> int:
     return int(address.rsplit(".", 1)[-1])
 
 
-def label(flows: Sequence[FlowRecord], rule: LabelRule, strict: bool = False) -> list[FlowRecord]:
+def _used_addresses(flows: FlowTable) -> list[int]:
+    return np.unique(np.concatenate([flows.src, flows.dst])).tolist()
+
+
+def _octets(flows: FlowTable, parse=_octet) -> np.ndarray:
+    """`parse` of each address-table entry some flow uses; -1 for the others."""
+    octets = np.full(len(flows.addresses), -1, dtype=np.int64)
+    for i in _used_addresses(flows):
+        octets[i] = parse(flows.addresses[i])
+    return octets
+
+
+def label(flows: Sequence[FlowRecord], rule: LabelRule, strict: bool = False) -> FlowTable:
     """Label flows whose addresses match the rule; everything else is benign."""
     combo = (rule.attack_label, rule.directionality)
     if combo not in DOCUMENTED_RULE_COMBOS:
@@ -94,103 +115,83 @@ def label(flows: Sequence[FlowRecord], rule: LabelRule, strict: bool = False) ->
         if strict:
             raise ValueError(message)
         warnings.warn(message, stacklevel=2)
-    out = []
-    for f in flows:
-        src_hit = _octet(f.src_ip) == rule.malicious_octet
-        dst_hit = _octet(f.dst_ip) == rule.malicious_octet
-        if rule.directionality == "source_only":
-            hit = src_hit
-        elif rule.directionality == "destination_only":
-            hit = dst_hit
-        else:
-            hit = src_hit or dst_hit
-        out.append(replace(f, label=rule.attack_label if hit else "benign"))
-    return out
+    flows = FlowTable.of(flows)
+    malicious = _octets(flows) == rule.malicious_octet
+    src_hit, dst_hit = malicious[flows.src], malicious[flows.dst]
+    hit = {"source_only": src_hit, "destination_only": dst_hit}.get(rule.directionality, src_hit | dst_hit)
+    return flows.with_columns(label=np.array(["benign", rule.attack_label], dtype=object)[hit.astype(np.intp)])
 
 
-def label_scenario(name: str, flows: list[FlowRecord]) -> tuple[list[FlowRecord], list[str]]:
+def label_scenario(name: str, flows: Sequence[FlowRecord]) -> tuple[FlowTable, list[str]]:
     """Label one scenario's flows by its rule and prefix their ids with the
     scenario name; returns (flows, the rule's warnings as notes)."""
     if name != "benign" and name not in LABEL_RULES:
         raise ValueError(f"scenario {name!r} is not one of: benign, {', '.join(LABEL_RULES)}")
+    flows = FlowTable.of(flows)
     notes: list[str] = []
     if name in LABEL_RULES:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             flows = label(flows, LABEL_RULES[name])
         notes = [str(w.message) for w in caught]
-    for f in flows:
-        f.flow_id = f"{name}:{f.flow_id}"
-    return flows, notes
+    return flows.with_columns(flow_id=[f"{name}:{i}" for i in flows.flow_id.tolist()]), notes
 
 
-def pool(flows: list[FlowRecord]) -> tuple[list[FlowRecord], int]:
-    """Strip router sessions, sort by start time and encode timestamps and
-    addresses; returns (pooled flows, router sessions removed).
-
-    `flows` is emptied, so the records from before encoding are freed as
-    soon as their encoded copies exist, not when the caller drops its list.
-    """
+def pool(flows: Sequence[FlowRecord]) -> tuple[FlowTable, int]:
+    """Strip router sessions, sort by start time (stably) and encode
+    timestamps and addresses; returns (pooled flows, router sessions removed)."""
     kept, removed = strip_router_flows(flows)
-    flows.clear()
-    kept.sort(key=lambda f: f.start_time)
-    kept = encode_timestamps(kept)
-    return encode_ips(kept), removed
+    kept = kept[np.argsort(kept.start_time, kind="stable")]
+    return encode_ips(encode_timestamps(kept)), removed
 
 
-def strip_router_flows(flows: Sequence[FlowRecord], router_octets: Sequence[int] = ROUTER_HOSTS) -> tuple[list[FlowRecord], int]:
+def strip_router_flows(flows: Sequence[FlowRecord], router_octets: Sequence[int] = ROUTER_HOSTS) -> tuple[FlowTable, int]:
     """Drop flows touching the router addresses; returns (kept, removed count)."""
-    routers = set(router_octets)
-    kept = [f for f in flows if _octet(f.src_ip) not in routers and _octet(f.dst_ip) not in routers]
-    return kept, len(flows) - len(kept)
+    flows = FlowTable.of(flows)
+    router = np.isin(_octets(flows), list(router_octets))
+    keep = ~(router[flows.src] | router[flows.dst])
+    return flows[keep], len(flows) - int(keep.sum())
 
 
-def encode_timestamps(flows: Sequence[FlowRecord]) -> list[FlowRecord]:
+def encode_timestamps(flows: Sequence[FlowRecord]) -> FlowTable:
     """Rewrite the Timestamp feature: 0 for the earliest session, then the
     start delta (seconds) to the immediately preceding session."""
-    out = []
-    prev_start = None
-    for i, f in enumerate(flows):
-        if prev_start is not None and f.start_time < prev_start:
-            raise ValueError(f"flows not ordered by start time at index {i}")
-        features = list(f.features)
-        features[FEATURE_INDEX["Timestamp"]] = 0.0 if prev_start is None else f.start_time - prev_start
-        prev_start = f.start_time
-        out.append(replace(f, features=features))
-    return out
+    flows = FlowTable.of(flows)
+    start = flows.start_time
+    unordered = np.flatnonzero(start[1:] < start[:-1])
+    if len(unordered):
+        raise ValueError(f"flows not ordered by start time at index {unordered[0] + 1}")
+    features = flows.features.copy()
+    features[:, FEATURE_INDEX["Timestamp"]] = 0.0
+    features[1:, FEATURE_INDEX["Timestamp"]] = np.diff(start)
+    return flows.with_columns(features=features)
 
 
-def encode_ips(flows: Sequence[FlowRecord]) -> list[FlowRecord]:
+def encode_ips(flows: Sequence[FlowRecord]) -> FlowTable:
     """Reduce addresses to their only varying octet (10.0.5.5 -> 5)."""
-    prefixes = {ip.rsplit(".", 1)[0] for f in flows for ip in (f.src_ip, f.dst_ip)}
+    flows = FlowTable.of(flows)
+    prefixes = {flows.addresses[i].rsplit(".", 1)[0] for i in _used_addresses(flows)}
     if len(prefixes) > 1:
         raise ValueError(f"mixed subnets cannot be octet-encoded: {sorted(prefixes)}")
-    return [replace(f, src_ip=str(_octet(f.src_ip)), dst_ip=str(_octet(f.dst_ip))) for f in flows]
+    return flows.with_columns(addresses=[str(octet) for octet in _octets(flows).tolist()])
 
 
-def _encoded(flow: FlowRecord) -> tuple[int, int]:
+def observed_addresses(flows: Sequence[FlowRecord]) -> list[int]:
+    flows = FlowTable.of(flows)
     try:
-        return int(flow.src_ip), int(flow.dst_ip)
+        return sorted({int(flows.addresses[i]) for i in _used_addresses(flows)})
     except ValueError:
         raise ValueError("anonymize requires octet-encoded addresses (run encode_ips first)") from None
 
 
-def observed_addresses(flows: Sequence[FlowRecord]) -> list[int]:
-    seen = set()
-    for f in flows:
-        src, dst = _encoded(f)
-        seen.add(src)
-        seen.add(dst)
-    return sorted(seen)
-
-
-def anonymize(flows: Sequence[FlowRecord], mode: AnonymizeMode) -> list[FlowRecord]:
+def anonymize(flows: Sequence[FlowRecord], mode: AnonymizeMode) -> FlowTable:
     """Apply an address anonymization experiment to encoded flows.
 
     shift      observed addresses move k steps along the sorted observed list,
                wrapping at the end;
     switch     the two addresses of the pair trade places.
     """
+    flows = FlowTable.of(flows)
     observed = observed_addresses(flows)
     if mode.kind == "shift":
         n = len(observed)
@@ -201,12 +202,7 @@ def anonymize(flows: Sequence[FlowRecord], mode: AnonymizeMode) -> list[FlowReco
         if missing:
             raise ValueError(f"switch pair addresses not observed: {missing}")
         mapping = {a: b, b: a}
-
-    out = []
-    for f in flows:
-        src, dst = _encoded(f)
-        out.append(replace(f, src_ip=str(mapping.get(src, src)), dst_ip=str(mapping.get(dst, dst))))
-    return out
+    return flows.with_columns(addresses=[str(mapping.get(a, a)) for a in _octets(flows, int).tolist()])
 
 
 @dataclass
@@ -269,31 +265,24 @@ class Dataset:
 
 def split_flows(
     flows: Sequence[FlowRecord], split_fraction: float, shuffle_seed: int
-) -> tuple[list[FlowRecord], list[FlowRecord]]:
+) -> tuple[FlowTable, FlowTable]:
     """Seeded shuffle, then a label-stratified split at split_fraction."""
     if not 0 < split_fraction < 1:
         raise ValueError("split_fraction must be within (0, 1)")
+    flows = FlowTable.of(flows)
     rng = np.random.default_rng(shuffle_seed)
     order = rng.permutation(len(flows))
-    shuffled = [flows[i] for i in order]
-
-    totals: dict[str, int] = {}
-    for f in shuffled:
-        totals[f.label] = totals.get(f.label, 0) + 1
-    quota = {lab: int(math.floor(split_fraction * n + 0.5)) for lab, n in totals.items()}
-    empty = [lab for lab, q in quota.items() if q == 0]
+    labels, code = np.unique(flows.label[order], return_inverse=True)
+    totals = np.bincount(code, minlength=len(labels))
+    quota = np.floor(split_fraction * totals + 0.5).astype(np.int64)
+    empty = labels[quota == 0].tolist()
     if empty:
         raise ValueError(f"split leaves no training rows for label(s): {sorted(empty)}")
-
-    taken: dict[str, int] = {lab: 0 for lab in totals}
-    train, test = [], []
-    for f in shuffled:
-        if taken[f.label] < quota[f.label]:
-            taken[f.label] += 1
-            train.append(f)
-        else:
-            test.append(f)
-    return train, test
+    # Each shuffled flow's position among the shuffled flows of its label.
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[np.argsort(code, kind="stable")] = np.arange(len(order)) - np.repeat(np.cumsum(totals) - totals, totals)
+    train = rank < quota[code]
+    return flows[order[train]], flows[order[~train]]
 
 
 def _column_names(drop_ports: bool, keep_timestamp: bool, ip_mode: str) -> list[str]:
@@ -312,27 +301,17 @@ def _column_names(drop_ports: bool, keep_timestamp: bool, ip_mode: str) -> list[
 
 # Matrix columns taken from a flow's metadata rather than its features.
 _METADATA_COLUMNS = {
-    SRC_IP_COL: lambda f: int(f.src_ip),
-    DST_IP_COL: lambda f: int(f.dst_ip),
-    SRC_PORT_COL: lambda f: f.src_port,
-    DST_PORT_COL: lambda f: f.dst_port,
+    SRC_IP_COL: lambda t: _octets(t, int)[t.src],
+    DST_IP_COL: lambda t: _octets(t, int)[t.dst],
+    SRC_PORT_COL: lambda t: t.src_port,
+    DST_PORT_COL: lambda t: t.dst_port,
 }
 
 
-def _matrix(flows: Sequence[FlowRecord], columns: Sequence[str]) -> np.ndarray:
-    """The flows' values of `columns`, filled column by column from one
-    feature array per block of rows."""
-    matrix = np.empty((len(flows), len(columns)))
-    for lo in range(0, len(flows), FLOW_BLOCK):
-        block = flows[lo : lo + FLOW_BLOCK]
-        rows = slice(lo, lo + len(block))
-        features = np.array([f.features for f in block], dtype=np.float64)
-        for j, name in enumerate(columns):
-            if name in _METADATA_COLUMNS:
-                matrix[rows, j] = [float(_METADATA_COLUMNS[name](f)) for f in block]
-            else:
-                matrix[rows, j] = features[:, FEATURE_INDEX[name]]
-    return matrix
+def _matrix(flows: FlowTable, columns: Sequence[str]) -> np.ndarray:
+    """The flows' values of `columns`, one column slice each."""
+    return np.column_stack([_METADATA_COLUMNS[name](flows) if name in _METADATA_COLUMNS
+                            else flows.features[:, FEATURE_INDEX[name]] for name in columns])
 
 
 def build_dataset_from_split(
@@ -345,6 +324,7 @@ def build_dataset_from_split(
 ) -> tuple[Dataset, Dataset]:
     """Assemble matrices for an existing flow split; normalization constants
     come from the training side only."""
+    train_flows, test_flows = FlowTable.of(train_flows), FlowTable.of(test_flows)
     columns = _column_names(drop_ports, keep_timestamp, ip_mode)
     train_m = _matrix(train_flows, columns)
     test_m = _matrix(test_flows, columns)
@@ -362,8 +342,8 @@ def build_dataset_from_split(
         m[:, span == 0] = 0.0
     np.clip(test_m, 0.0, 1.0, out=test_m)
 
-    train = Dataset(train_m, [f.label for f in train_flows], columns, shuffle_seed, lo, hi, constant)
-    test = Dataset(test_m, [f.label for f in test_flows], list(columns), shuffle_seed, lo, hi, list(constant))
+    train = Dataset(train_m, train_flows.label.tolist(), columns, shuffle_seed, lo, hi, constant)
+    test = Dataset(test_m, test_flows.label.tolist(), list(columns), shuffle_seed, lo, hi, list(constant))
     return train, test
 
 
@@ -394,22 +374,30 @@ def write_manifest(path, manifest: dict) -> None:
 
 def dataset_manifest(
     train: Dataset,
+    test: Dataset,
     scenarios: Iterable[str],
     anonymize_mode: str,
     anonymize_seed: int | None,
+    router_sessions_removed: int,
+    notes: Sequence[str],
     drop_ports: bool = True,
     keep_timestamp: bool = True,
 ) -> dict:
-    """What built `train`: the label rules of the pooled scenarios, the flow
-    columns left out of the matrix and the normalization constants."""
+    """What built `train` and `test`: the label rules of the pooled scenarios
+    and the notes they raised, the router sessions stripped, the flow columns
+    left out of the matrix, the rows per label of each split and the
+    normalization constants."""
     return {
         "label_rules": {s: asdict(LABEL_RULES[s]) for s in scenarios if s in LABEL_RULES},
+        "notes": list(notes),
+        "router_sessions_removed": router_sessions_removed,
         "anonymize_mode": anonymize_mode,
         "anonymize_seed": anonymize_seed,
         "shuffle_seed": train.shuffle_seed,
         "dropped_columns": ["Flow ID", "Start Time"]
         + ([SRC_PORT_COL, DST_PORT_COL] if drop_ports else [])
         + ([] if keep_timestamp else ["Timestamp"]),
+        "rows_per_label": {"train": train.class_counts(), "test": test.class_counts()},
         "feature_names": list(train.feature_names),
         "constant_features": list(train.constant_features),
         "normalization": {
@@ -420,37 +408,36 @@ def dataset_manifest(
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    matrix = np.asarray(dataset.matrix, dtype=np.float64)
     with open(path, "w") as fh:
         fh.write(",".join(f'"{n}"' for n in dataset.feature_names) + ',"Label"\n')
-        for lo in range(0, len(matrix), FLOW_BLOCK):
-            rows = slice(lo, lo + FLOW_BLOCK)
-            cells = np.empty((len(matrix[rows]), matrix.shape[1] + 1), dtype=object)
-            cells[:, :-1] = format_once(matrix[rows], "{!r},".format)
-            cells[:, -1] = [f'"{lab}"\n' for lab in dataset.labels[rows]]
-            fh.write("".join(cells.ravel().tolist()))
+        write_rows(fh, [(np.asarray(dataset.matrix, dtype=np.float64), "{!r},".format),
+                        (dataset.labels, '"{}"\n'.format)], FLOW_BLOCK)
 
 
-def read_dataset_csv(path, norm_min: np.ndarray | None = None, norm_max: np.ndarray | None = None) -> Dataset:
-    import csv as _csv
-
+def read_dataset_csv(path) -> Dataset:
+    """Inverse of write_dataset_csv, read FLOW_BLOCK rows at a time.  Rejects
+    an empty file, a row with the wrong number of fields and a non-finite
+    cell, naming the line (and column) of the first one."""
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise ValueError(f"{path}: empty dataset file")
         if header[-1] != "Label":
             raise ValueError(f"{path}: last column must be Label")
         names = header[:-1]
-        rows, labels = [], []
-        for row in reader:
-            rows.append([float(v) for v in row[:-1]])
-            labels.append(row[-1])
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+        blocks, labels = [np.empty((0, len(names)))], []
+        while rows := list(islice(reader, FLOW_BLOCK)):
+            first_line = len(labels) + 2
+            for line, row in enumerate(rows, first_line):
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
+            block = np.array([list(map(float, row[:-1])) for row in rows])
+            bad = np.argwhere(~np.isfinite(block))
+            if len(bad):
+                r, c = bad[0].tolist()
+                raise ValueError(f"{path}: line {first_line + r}, column {names[c]!r}: non-finite value {rows[r][c]!r}")
+            blocks.append(block)
+            labels += [row[-1] for row in rows]
     width = len(names)
-    return Dataset(
-        matrix=matrix,
-        labels=labels,
-        feature_names=names,
-        shuffle_seed=0,
-        norm_min=np.zeros(width) if norm_min is None else norm_min,
-        norm_max=np.ones(width) if norm_max is None else norm_max,
-    )
+    return Dataset(np.concatenate(blocks), labels, names, 0, np.zeros(width), np.ones(width))

@@ -14,11 +14,10 @@ launch becomes a new bidirectional session.  A session opens with a 4-packet
 16-byte discovery handshake on the same port pair that carries the data,
 followed by the receiver announcing its topic slice (8 bytes per topic key).
 Publishers then serialize one topic batch per interval: each topic is an
-8-byte key plus an 8-byte value (the values sampled from the square GPS
-patrol track), so a batch of n topics is a 16*n-byte datagram.  Receivers
-acknowledge every 8th batch with a 16-byte datagram.  Per-launch topic
-counts mix a compact 50..60 profile with a log-uniform draw across the
-configured range, so batch sizes span the fleet.
+8-byte key plus an 8-byte value, so a batch of n topics is a 16*n-byte
+datagram.  Receivers acknowledge every 8th batch with a 16-byte datagram.
+Per-launch topic counts mix a compact 50..60 profile with a log-uniform draw
+across the configured range, so batch sizes span the fleet.
 
 Fixed accounting decisions: every packet carries a 28-byte header (datagram
 plus network header), zeroed TCP-style flags, protocol 17, and a 1-microsecond
@@ -39,7 +38,8 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import islice, repeat, starmap
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -55,7 +55,6 @@ TOPIC_BYTES = 16  # 8-byte key + 8-byte value
 SUBSCRIPTION_KEY_BYTES = 8
 DOS_PAYLOAD = 256
 MIN_TOPICS = 50
-PATROL_PERIOD_S = 120.0
 
 # Benign lifecycle texture (relative to ScenarioConfig.benign_relaunch_period
 # and publish_interval).
@@ -92,47 +91,81 @@ PACKET_COLUMNS = ("ts", "src", "src_port", "dst", "dst_port", "proto", "payload_
 _ROW_BLOCK = 1 << 14  # rows simulated, or turned into records or text, at a time
 
 
-class PacketTrace(Sequence[PacketRecord]):
-    """A read-only packet trace held as columns.
+class ColumnTable(Sequence):
+    """A read-only sequence of records held as columns.
 
-    ``ts`` is a float64 column of seconds; ``src`` and ``dst`` index into
-    ``addresses``, a small table of address strings; the other columns are
-    int64.  Indexing with an int yields a ``PacketRecord`` and with a slice a
-    ``PacketTrace``; a trace equals any sequence of records (another trace
-    included) that holds the same packets in the same order.
+    A subclass names its ``COLUMNS``, their ``DTYPES`` (and ``SHAPES`` for a
+    column holding a row of values per record) and the ``RECORD`` type a row
+    reads as, whose fields follow the columns.  The ``src`` and ``dst``
+    columns index ``addresses``, a small table of address strings, some
+    perhaps unused.  An int index yields a record; a slice, a row mask or an
+    array of row numbers yields a table.  A table equals any sequence of the
+    same records in the same order, and keeps the arrays it is given behind
+    read-only views.
     """
 
-    def __init__(self, addresses: Sequence[str], ts, src, src_port, dst, dst_port, proto, payload_len,
-                 header_len, flags):
+    COLUMNS: tuple[str, ...]
+    DTYPES: tuple
+    SHAPES: dict[str, tuple[int, ...]] = {}
+    RECORD: type
+    ADDRESS_COLUMNS = ("src", "dst")
+
+    def __init__(self, addresses: Sequence[str], *columns):
         self.addresses = tuple(addresses)
-        columns = (ts, src, src_port, dst, dst_port, proto, payload_len, header_len, flags)
-        for name, values in zip(PACKET_COLUMNS, columns):
-            values = np.array(values, dtype=np.float64 if name == "ts" else np.int64)
-            if values.shape != (len(columns[0]),):
-                raise ValueError(f"packet column {name} has shape {values.shape}, expected ({len(columns[0])},)")
+        for name, dtype, values in zip(self.COLUMNS, self.DTYPES, columns, strict=True):
+            shape = (len(columns[0]), *self.SHAPES.get(name, ()))
+            values = np.asarray(values, dtype=dtype)
+            values = values.view() if values.size else values.reshape(shape)
+            if values.shape != shape:
+                raise ValueError(f"{type(self).__name__} column {name} has shape {values.shape}, expected {shape}")
             values.flags.writeable = False
             setattr(self, name, values)
 
     @classmethod
-    def from_records(cls, records: Iterable[PacketRecord]) -> "PacketTrace":
-        columns = list(zip(*records)) or [()] * len(PACKET_COLUMNS)
+    def from_columns(cls, columns: Sequence) -> "ColumnTable":
+        """A table from one sequence per column, with address strings in the address columns."""
         index: dict[str, int] = {}
-        src = [index.setdefault(a, len(index)) for a in columns[1]]
-        dst = [index.setdefault(a, len(index)) for a in columns[3]]
-        return cls(index, columns[0], src, columns[2], dst, *columns[4:])
+        return cls(index, *([index.setdefault(a, len(index)) for a in values] if name in cls.ADDRESS_COLUMNS else values
+                            for name, values in zip(cls.COLUMNS, columns)))
+
+    @classmethod
+    def from_records(cls, records: Iterable) -> "ColumnTable":
+        fields = attrgetter(*cls.RECORD.__annotations__)
+        return cls.from_columns(list(zip(*map(fields, records))) or [()] * len(cls.COLUMNS))
+
+    @classmethod
+    def of(cls, rows: Iterable) -> "ColumnTable":
+        """`rows` if it is a table of this type, else a table of its records."""
+        return rows if isinstance(rows, cls) else cls.from_records(rows)
+
+    @classmethod
+    def concat(cls, tables: Sequence["ColumnTable"]) -> "ColumnTable":
+        """The rows of `tables` one after another, over one merged address table."""
+        if not tables:
+            return cls.from_records([])
+        index: dict[str, int] = {}
+        where = [np.array([index.setdefault(a, len(index)) for a in t.addresses], dtype=np.int64) for t in tables]
+        return cls(index, *(np.concatenate([w[getattr(t, name)] if name in cls.ADDRESS_COLUMNS else getattr(t, name)
+                                            for t, w in zip(tables, where)]) for name in cls.COLUMNS))
+
+    def with_columns(self, addresses: Sequence[str] | None = None, **columns) -> "ColumnTable":
+        """A table of the same type with the given columns, or address table, replaced."""
+        return type(self)(self.addresses if addresses is None else addresses,
+                          *(columns.get(name, getattr(self, name)) for name in self.COLUMNS))
 
     def __len__(self) -> int:
-        return len(self.ts)
+        return len(getattr(self, self.COLUMNS[0]))
 
-    def _records(self, rows: slice) -> list[PacketRecord]:
-        columns = [getattr(self, name)[rows].tolist() for name in PACKET_COLUMNS]
-        for k in (1, 3):
-            columns[k] = [self.addresses[i] for i in columns[k]]
-        return list(map(PacketRecord._make, zip(*columns)))
+    def _records(self, rows: slice) -> list:
+        columns = [getattr(self, name)[rows].tolist() for name in self.COLUMNS]
+        for k, name in enumerate(self.COLUMNS):
+            if name in self.ADDRESS_COLUMNS:
+                columns[k] = [self.addresses[i] for i in columns[k]]
+        return list(starmap(self.RECORD, zip(*columns)))
 
     def __getitem__(self, item):
-        if isinstance(item, slice):
-            return PacketTrace(self.addresses, *(getattr(self, name)[item] for name in PACKET_COLUMNS))
+        if isinstance(item, (slice, np.ndarray)):
+            return self.with_columns(**{name: getattr(self, name)[item] for name in self.COLUMNS})
         i = range(len(self))[item]
         return self._records(slice(i, i + 1))[0]
 
@@ -148,6 +181,15 @@ class PacketTrace(Sequence[PacketRecord]):
     __hash__ = None
 
 
+class PacketTrace(ColumnTable):
+    """A packet trace held as columns, ``ts`` in seconds; it reads as a
+    sequence of ``PacketRecord``s."""
+
+    COLUMNS = PACKET_COLUMNS
+    DTYPES = (np.float64,) + (np.int64,) * (len(PACKET_COLUMNS) - 1)
+    RECORD = PacketRecord
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
@@ -157,8 +199,6 @@ class ScenarioConfig:
     relaunch_period: float = 1.0
     relaunch_count: int = 0
     rng_seed: int = 1
-    gps_origin: tuple[float, float] = (51.5279719, -0.1024624)
-    gps_max_delta: float = 0.015
     # Artifact knobs the scenario descriptions imply but leave open.
     n_publishers: int = 5
     benign_relaunch_period: float = 40.0
@@ -180,8 +220,6 @@ class ScenarioConfig:
             raise ValueError("relaunch_period must be positive")
         if not 0 <= self.relaunch_count <= 2000:
             raise ValueError("relaunch_count must be within 0..2000")
-        if self.gps_max_delta <= 0:
-            raise ValueError("gps_max_delta must be positive")
         if self.n_publishers < 1:
             raise ValueError("n_publishers must be at least 1")
         if self.dos_gap <= 0:
@@ -192,20 +230,6 @@ class ScenarioConfig:
 
 def host_ip(host: int) -> str:
     return f"{SUBNET}{host}"
-
-
-def patrol_position(origin: tuple[float, float], max_delta: float, t: float) -> tuple[float, float]:
-    """Position on the square patrol perimeter at time t; stays within
-    +/- max_delta of the origin on both axes."""
-    corners = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
-    s = (t % PATROL_PERIOD_S) / PATROL_PERIOD_S * 4.0
-    side = min(int(s), 3)
-    frac = s - side
-    ax, ay = corners[side]
-    bx, by = corners[(side + 1) % 4]
-    lat = origin[0] + max_delta * (ax + frac * (bx - ax))
-    lon = origin[1] + max_delta * (ay + frac * (by - ay))
-    return lat, lon
 
 
 class _TraceBuilder:
@@ -497,10 +521,7 @@ PACKET_CSV_HEADER = "ts,src_ip,src_port,dst_ip,dst_port,proto,payload_len,header
 def format_once(values: np.ndarray, fmt) -> np.ndarray:
     """``fmt(v)`` for each value, as an object array of the same shape, with
     each distinct value formatted once.  Floats are told apart by their bits,
-    so -0.0 and every NaN payload keep their own text.
-
-    The CSV writers format each cell with the separator that follows it, so
-    a block of rows is written by one join of its cells."""
+    so -0.0 and every NaN payload keep their own text."""
     values = np.ascontiguousarray(values)
     keys = values.view(np.int64) if values.dtype == np.float64 else values
     distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
@@ -508,27 +529,30 @@ def format_once(values: np.ndarray, fmt) -> np.ndarray:
     return texts[inverse].reshape(values.shape)
 
 
+def write_rows(fh, columns: Sequence[tuple], block: int) -> None:
+    """Write the rows of `columns`, `block` rows at a time.  A column pairs a
+    sequence, one entry (or, in a 2-D array, one row of cells) per row, with
+    the format of a cell and the separator after it; a block is one join of
+    its cells, each distinct value formatted once."""
+    for lo in range(0, len(columns[0][0]), block):
+        cells = [format_once(values[lo : lo + block], fmt) for values, fmt in columns]
+        fh.write("".join(np.concatenate([c if c.ndim == 2 else c[:, None] for c in cells], axis=1).ravel().tolist()))
+
+
 def write_packet_csv(trace: Iterable[PacketRecord], path) -> None:
-    if not isinstance(trace, PacketTrace):
-        trace = PacketTrace.from_records(trace)
+    trace = PacketTrace.of(trace)
     address = [a + "," for a in trace.addresses]
     formats = ["{:.6f},".format, address.__getitem__, "{},".format, address.__getitem__, *["{},".format] * 4,
                "{}\n".format]
     try:
         with open(path, "w") as fh:
             fh.write(PACKET_CSV_HEADER + "\n")
-            for lo in range(0, len(trace), _ROW_BLOCK):
-                rows = slice(lo, lo + _ROW_BLOCK)
-                cells = np.empty((len(trace.ts[rows]), len(PACKET_COLUMNS)), dtype=object)
-                for k, (name, fmt) in enumerate(zip(PACKET_COLUMNS, formats)):
-                    cells[:, k] = format_once(getattr(trace, name)[rows], fmt)
-                fh.write("".join(cells.ravel().tolist()))
+            write_rows(fh, [(getattr(trace, name), fmt) for name, fmt in zip(PACKET_COLUMNS, formats)], _ROW_BLOCK)
     except OSError as exc:
         raise OSError(f"cannot write packet csv {path}: {exc}") from exc
 
 
 def read_packet_csv(path) -> PacketTrace:
-    index: dict[str, int] = {}  # address -> its row in the trace's table
     blocks = []
     try:
         with open(path) as fh:
@@ -542,17 +566,14 @@ def read_packet_csv(path) -> PacketTrace:
                     raise ValueError(f"{path}: malformed row {bad!r}")
                 fields = "".join(lines).replace("\n", ",").split(",")
                 ts, src, sport, dst, *rest = (fields[k : 9 * len(lines) : 9] for k in range(9))
-                src = [index.setdefault(a, len(index)) for a in src]
-                dst = [index.setdefault(a, len(index)) for a in dst]
-                ints = [src, list(map(int, sport)), dst] + [list(map(int, c)) for c in rest]
                 try:
-                    blocks.append([np.array(list(map(float, ts)))] + [np.array(c, dtype=np.int64) for c in ints])
+                    blocks.append(PacketTrace.from_columns(
+                        [list(map(float, ts)), src, list(map(int, sport)), dst, *(list(map(int, c)) for c in rest)]))
                 except OverflowError:
                     raise ValueError(f"{path}: integer field outside the 64-bit range") from None
     except OSError as exc:
         raise OSError(f"cannot read packet csv {path}: {exc}") from exc
-    columns = [np.concatenate(c) for c in zip(*blocks)] or [[]] * len(PACKET_COLUMNS)
-    return PacketTrace(index, *columns)
+    return PacketTrace.concat(blocks)
 
 
 _CONFIG_FIELDS = {
@@ -563,7 +584,6 @@ _CONFIG_FIELDS = {
     "relaunch_period": float,
     "relaunch_count": int,
     "rng_seed": int,
-    "gps_max_delta": float,
     "n_publishers": int,
     "benign_relaunch_period": float,
     "dos_gap": float,
@@ -583,10 +603,7 @@ def load_scenario_config(path, seed_override: int | None = None) -> ScenarioConf
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key == "gps_origin":
-                lat, lon = value.split(",")
-                kwargs[key] = (float(lat), float(lon))
-            elif key in _CONFIG_FIELDS:
+            if key in _CONFIG_FIELDS:
                 kwargs[key] = _CONFIG_FIELDS[key](value)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown scenario field {key!r}")
@@ -605,8 +622,6 @@ def save_scenario_config(config: ScenarioConfig, path) -> None:
         fh.write(f"relaunch_period = {config.relaunch_period!r}\n")
         fh.write(f"relaunch_count = {config.relaunch_count}\n")
         fh.write(f"rng_seed = {config.rng_seed}\n")
-        fh.write(f"gps_origin = {config.gps_origin[0]!r},{config.gps_origin[1]!r}\n")
-        fh.write(f"gps_max_delta = {config.gps_max_delta!r}\n")
         fh.write(f"n_publishers = {config.n_publishers}\n")
         fh.write(f"benign_relaunch_period = {config.benign_relaunch_period!r}\n")
         fh.write(f"dos_gap = {config.dos_gap!r}\n")

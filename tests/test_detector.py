@@ -297,6 +297,26 @@ class TestSaveLoad:
         rc = main(["evaluate", "--model", str(path), "--test", str(tmp_path / "test.csv"), "--out-dir", str(tmp_path)])
         assert rc == 1 and capsys.readouterr().err.startswith("ddsids: error:")
 
+    def test_shape_gate_on_load(self, tmp_path, capsys):
+        # A model file whose shape has no hidden layers and no output neuron
+        # would score the first input column as if it were the model's output.
+        from ddsids.evalcli import main
+        from ddsids.preprocess import write_dataset_csv
+
+        path = tmp_path / "model.txt"
+        path.write_text("ddsids-model v1\nshape: 2\nhidden_activation: relu\nthreshold: 0x1.0000000000000p-1\n"
+                        "seed: 0\nepochs: 1\nfeature_names: f0|f1\nnorm_min: -\nnorm_max: -\nloss_curve: \n"
+                        "holdout_accuracy: \nconv: -\nend\n")
+        with pytest.raises(ValueError, match="invalid network shape: hidden layer count must be 3 or 4, got -1"):
+            load_model(path)
+        ds = toy_dataset(n=2, seed=1)
+        ds.matrix = np.array([[0.9, 0.1], [0.1, 0.9]])
+        ds.labels = ["benign", "dos"]
+        write_dataset_csv(ds, tmp_path / "test.csv")
+        rc = main(["evaluate", "--model", str(path), "--test", str(tmp_path / "test.csv"), "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"ddsids: error: {path}: invalid network shape: ")
+
     def test_truncated_file_rejected(self, tmp_path):
         ds = toy_dataset(n=60, seed=7)
         model = train(ds, small_shape(2), TrainConfig(epochs=2, seed=4))

@@ -209,7 +209,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         packets = random_flow_packets(rng)
-        flows = meter(packets)
+        flows = list(meter(packets))
         for i, f in enumerate(flows):
             f.label = "dos" if i % 2 else "benign"
         path = tmp_path / "flows.csv"

@@ -1,0 +1,28 @@
+"""One dataset manifest definition for `experiment` and `ddsids preprocess`."""
+
+import json
+
+from ddsids.evalcli import ExperimentPlan, main, run_experiment
+from ddsids.preprocess import read_dataset_csv
+
+
+def test_experiment_and_cli_manifests_carry_the_same_keys(tmp_path):
+    plan = ExperimentPlan(seed=5, scale=0.06, epochs=1, model="single")
+    chain, data, exp = tmp_path / "chain", tmp_path / "data", tmp_path / "exp"
+    flow_args = []
+    for scenario in plan.scenarios:
+        assert main(["simulate", "--scenario", scenario, "--seed", str(plan.seed), "--scale", str(plan.scale),
+                     "--out-dir", str(chain)]) == 0
+        assert main(["meter", "--packets", str(chain / f"{scenario}.packets.csv"), "--out-dir", str(chain)]) == 0
+        flow_args += ["--flows", f"{scenario}={chain / f'{scenario}.flows.csv'}"]
+    assert main(["preprocess", *flow_args, "--split", str(plan.split_fraction),
+                 "--seed", str(plan.seed * 1000 + 10), "--out-dir", str(data)]) == 0
+    run_experiment(plan, exp)
+    cli, ref = (json.loads((d / "dataset.manifest.json").read_text()) for d in (data, exp))
+    assert set(cli) == set(ref)
+    assert cli["router_sessions_removed"] == ref["router_sessions_removed"] > 0
+    assert cli["notes"] == ref["notes"] and len(ref["notes"]) == 2  # the clone and malsub rules
+    for split in ("train", "test"):
+        counts = read_dataset_csv(data / f"{split}.csv").class_counts()
+        assert cli["rows_per_label"][split] == ref["rows_per_label"][split] == counts
+        assert set(counts) == {"benign", "dos", "clone", "malsub"}

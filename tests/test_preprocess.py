@@ -200,7 +200,7 @@ def pool(n_benign=30, n_attack=10, seed=0):
         flows.append(
             make_flow(src="10.0.5.6", start=float(n_benign + i), label_="dos", seed=int(rng.integers(1 << 30)))
         )
-    return encode_ips(flows)
+    return list(encode_ips(flows))
 
 
 class TestBuildDataset:

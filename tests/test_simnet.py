@@ -16,7 +16,6 @@ from ddsids.simnet import (
     generate_attack,
     generate_benign,
     load_scenario_config,
-    patrol_position,
     read_packet_csv,
     save_scenario_config,
     write_packet_csv,
@@ -68,6 +67,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="nonsense_field"):
             load_scenario_config(path)
 
+    def test_gps_fields_are_gone(self, tmp_path):
+        cfg = ScenarioConfig("benign", duration=5.0)
+        path = tmp_path / "scenario.txt"
+        save_scenario_config(cfg, path)
+        assert "gps" not in path.read_text()
+        path.write_text(path.read_text() + "gps_max_delta = 0.015\n")
+        with pytest.raises(ValueError, match="unknown scenario field 'gps_max_delta'"):
+            load_scenario_config(path)
+
 
 class TestBenign:
     def test_single_publisher_one_second(self):
@@ -80,17 +88,6 @@ class TestBenign:
         discovery = [p for p in trace if p.payload_len == DISCOVERY_PAYLOAD]
         assert len(discovery) == 4
         assert max(p.ts for p in discovery) < min(p.ts for p in batches)
-
-    def test_gps_track_stays_within_delta(self):
-        cfg = ScenarioConfig("benign", duration=5.0, n_publishers=1, rng_seed=5)
-        trace = generate_benign(cfg)
-        for p in trace:
-            lat, lon = patrol_position(cfg.gps_origin, cfg.gps_max_delta, p.ts)
-            assert abs(lat - cfg.gps_origin[0]) <= cfg.gps_max_delta + 1e-12
-            assert abs(lon - cfg.gps_origin[1]) <= cfg.gps_max_delta + 1e-12
-        # The track actually moves.
-        positions = {patrol_position(cfg.gps_origin, cfg.gps_max_delta, t) for t in np.linspace(0, 120, 25)}
-        assert len(positions) > 10
 
     def test_same_seed_identical_trace(self):
         cfg = ScenarioConfig("benign", duration=40.0, rng_seed=11)
