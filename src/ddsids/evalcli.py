@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -455,6 +455,16 @@ def train_models(
     return experts, single, ensemble
 
 
+def score(model: DetectorModel | EnsembleModel, dataset: Dataset) -> ConfusionCounts:
+    """The confusion counts of a model's verdicts on a dataset: the detector's
+    benign threshold for a single model, OR-adjudication for an ensemble."""
+    if isinstance(model, EnsembleModel):
+        predicted_benign = detector.adjudicate(model, dataset.matrix) == "benign"
+    else:
+        predicted_benign = detector.classify(model, dataset.matrix)
+    return confusion_from(dataset.labels, predicted_benign)
+
+
 def evaluate_models(
     plan: ExperimentPlan,
     test_ds: Dataset,
@@ -463,34 +473,24 @@ def evaluate_models(
     ensemble: EnsembleModel | None,
     timing: dict[str, float],
 ) -> list[ReportRow]:
+    """One row per model: each expert on the benign and its attack's test rows,
+    the single model and the ensemble on all of them."""
+    scored = [(EXPERT_ROW_NAMES[a], experts[a], {"benign", a}) for a in detector.EXPERT_ATTACKS if a in experts]
+    if single is not None:
+        scored.append(("SINGLE CNN", single, None))
+        if plan.anonymize == "randomize":
+            # The randomization experiment reads out per-attack confusion of
+            # the universal model.
+            scored += [(f"SINGLE CNN / {EXPERT_ROW_NAMES[a]}", single, {"benign", a}) for a in detector.EXPERT_ATTACKS]
+    if ensemble is not None:
+        scored.append(("ENSEMBLE", ensemble, None))
     rows = []
     with _stage("evaluate", timing):
-        for attack in detector.EXPERT_ATTACKS:
-            if attack not in experts:
-                continue
-            view = test_ds.subset({"benign", attack})
-            benign_pred = detector.classify(experts[attack], view.matrix)
-            counts = confusion_from(view.labels, benign_pred)
-            acc, det = metrics(counts)
-            rows.append(ReportRow(EXPERT_ROW_NAMES[attack], counts, acc, det))
-        if single is not None:
-            benign_pred = detector.classify(single, test_ds.matrix)
-            counts = confusion_from(test_ds.labels, benign_pred)
-            acc, det = metrics(counts)
-            rows.append(ReportRow("SINGLE CNN", counts, acc, det))
-            if plan.anonymize == "randomize":
-                # The randomization experiment reads out per-attack confusion
-                # of the universal model.
-                for attack in detector.EXPERT_ATTACKS:
-                    view = test_ds.subset({"benign", attack})
-                    counts = confusion_from(view.labels, detector.classify(single, view.matrix))
-                    acc, det = metrics(counts)
-                    rows.append(ReportRow(f"SINGLE CNN / {EXPERT_ROW_NAMES[attack]}", counts, acc, det))
-        if ensemble is not None:
-            verdicts = detector.adjudicate(ensemble, test_ds.matrix)
-            counts = confusion_from(test_ds.labels, verdicts == "benign")
-            acc, det = metrics(counts)
-            rows.append(ReportRow("ENSEMBLE", counts, acc, det))
+        for name, model, labels in scored:
+            # Each subset view is freed once scored, before the next is made,
+            # so no two are held at once.
+            counts = score(model, test_ds if labels is None else test_ds.subset(labels))
+            rows.append(ReportRow(name, counts, *metrics(counts)))
     return rows
 
 
@@ -642,33 +642,46 @@ def _default_out_dir() -> str:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=7, help="master seed")
-    parser.add_argument("--config", default=None, help="scenario config file (key = value)")
     parser.add_argument("--out-dir", default=_default_out_dir(), help=f"artifact directory (env {OUT_DIR_ENV})")
 
 
+# The options that set an ExperimentPlan field: flag -> (field, argparse
+# keywords, help).  An option that is not given stays out of the parsed
+# arguments, so the plan's own default holds.
+_PLAN_OPTIONS = {
+    "--seed": ("seed", {"type": int}, "master seed"),
+    "--scale": ("scale", {"type": float}, "shrink default scenario sizing"),
+    "--ip-mode": ("ip_mode", {"choices": IP_MODES}, "address columns kept"),
+    "--k": ("feature_k", {"type": int}, "features kept by selection"),
+    "--model": ("model", {}, "all, experts, single, ensemble or expert:<attack>"),
+    "--epochs": ("epochs", {"type": int}, "training epochs"),
+    "--split": ("split_fraction", {"type": float}, "training share of the flows"),
+    "--anonymize": ("anonymize", {}, "none, shift:<k>, switch:<a>,<b> or randomize"),
+    "--method": ("selection_method", {"choices": SELECTION_METHODS}, "feature ranking method"),
+}
+_PLAN_DEFAULTS = {f.name: f.default for f in fields(ExperimentPlan)}
+
+
+def _add_plan_options(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        name, kwargs, text = _PLAN_OPTIONS[flag]
+        parser.add_argument(flag, dest=name, default=argparse.SUPPRESS,
+                            help=f"{text} (default {_PLAN_DEFAULTS[name]})", **kwargs)
+
+
 def _plan_from_args(args) -> ExperimentPlan:
-    return ExperimentPlan(
-        ip_mode=getattr(args, "ip_mode", "both"),
-        feature_k=getattr(args, "k", 78),
-        model=getattr(args, "model", "all"),
-        seed=args.seed,
-        split_fraction=getattr(args, "split", 0.5),
-        epochs=getattr(args, "epochs", 40),
-        anonymize=getattr(args, "anonymize", "none"),
-        selection_method=getattr(args, "method", "consensus"),
-        scale=getattr(args, "scale", 1.0),
-    )
+    """The plan the given plan options set; every other field keeps its default."""
+    return ExperimentPlan(**{name: value for name, value in vars(args).items() if name in _PLAN_DEFAULTS})
 
 
 def _cmd_simulate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.config:
-        config = simnet.load_scenario_config(args.config, seed_override=args.seed)
+        # The file's own rng_seed holds unless --seed is given.
+        config = simnet.load_scenario_config(args.config, seed_override=args.seed if "seed" in args else None)
     else:
-        plan = ExperimentPlan(seed=args.seed, scale=args.scale, scenarios=(args.scenario,))
-        config = scenario_configs(plan)[args.scenario]
+        config = scenario_configs(_plan_from_args(args))[args.scenario]
     trace = simnet.generate(config)
     path = out / f"{config.scenario}.packets.csv"
     simnet.write_packet_csv(trace, path)
@@ -727,20 +740,14 @@ def _cmd_select(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_ds = preprocess.read_dataset_csv(args.train)
-    rankers = {
-        "univariate": featsel.rank_univariate,
-        "rfe": featsel.rank_rfe,
-        "lasso": lambda ds: featsel.rank_lasso(ds, seed=args.seed),
-        "importance": lambda ds: featsel.rank_importance(ds, seed=args.seed),
-    }
     if args.method == "all":
-        rankings = [rankers[m](train_ds) for m in ("lasso", "rfe", "univariate", "importance")]
+        rankings = [rank(train_ds, args.seed) for rank in _RANKERS.values()]
         (out / "ranking_report.txt").write_text(featsel.ranking_report(rankings))
         for r in rankings:
             featsel.write_scores_csv(r, out / f"scores-{r.method}.csv")
         print(out / "ranking_report.txt")
         return 0
-    ranking = rankers[args.method](train_ds)
+    ranking = _RANKERS[args.method](train_ds, args.seed)
     featsel.write_scores_csv(ranking, out / f"scores-{args.method}.csv")
     reduced = featsel.select(train_ds, ranking, args.k)
     preprocess.write_dataset_csv(reduced, out / f"train.top{args.k}.csv")
@@ -768,11 +775,8 @@ def _cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model = detector.load_model(args.model)
     test_ds = _model_view(model, preprocess.read_dataset_csv(args.test))
-    if isinstance(model, EnsembleModel):
-        verdicts = detector.adjudicate(model, test_ds.matrix)
-        counts = confusion_from(test_ds.labels, verdicts == "benign")
-    else:
-        counts = confusion_from(test_ds.labels, detector.classify(model, test_ds.matrix))
+    counts = score(model, test_ds)
+    if not isinstance(model, EnsembleModel):
         write_histogram_csv(emit_histogram(model, test_ds), out / "histogram.csv")
     acc, det = metrics(counts)
     det_text = "n/a" if det is None else f"{det:.2f}%"
@@ -821,8 +825,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate one scenario's packet trace")
     _add_common(p)
+    _add_plan_options(p, "--seed", "--scale")
     p.add_argument("--scenario", choices=simnet.SCENARIOS, default="benign")
-    p.add_argument("--scale", type=float, default=1.0, help="shrink default scenario sizing")
+    p.add_argument("--config", default=None,
+                   help="scenario config file (key = value); its rng_seed holds unless --seed is given")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("meter", help="turn a packet trace into flow features")
@@ -834,9 +840,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="label, encode, split, and normalize flow files")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=ExperimentPlan.seed, help="shuffle seed of the split")
     p.add_argument("--flows", action="append", required=True, metavar="LABEL=PATH",
                    help="flow csv with its scenario label (benign, dos, clone, malsub); repeatable")
-    p.add_argument("--ip-mode", choices=IP_MODES, default="both")
+    p.add_argument("--ip-mode", choices=IP_MODES, default=ExperimentPlan.ip_mode)
     p.add_argument("--keep-ports", action="store_true")
     p.add_argument("--no-timestamp", action="store_true")
     p.add_argument("--split", type=float, default=0.8)
@@ -844,13 +851,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="rank features and project a dataset")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=ExperimentPlan.seed, help="seed of the lasso folds and importance")
     p.add_argument("--train", required=True)
-    p.add_argument("--method", choices=("univariate", "rfe", "lasso", "importance", "all"), default="univariate")
+    p.add_argument("--method", choices=(*_RANKERS, "all"), default="univariate")
     p.add_argument("--k", type=int, default=20)
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("train", help="train a detector on a dataset csv")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=ExperimentPlan.seed, help="training seed")
     p.add_argument("--train", required=True)
     p.add_argument("--shape", default=None, help="comma-separated layer widths")
     p.add_argument("--epochs", type=int, default=100)
@@ -864,22 +873,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="full pipeline for one regime")
     _add_common(p)
-    p.add_argument("--ip-mode", dest="ip_mode", choices=IP_MODES, default="both")
-    p.add_argument("--k", type=int, default=78)
-    p.add_argument("--model", default="all")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--split", type=float, default=0.5)
-    p.add_argument("--anonymize", default="none")
-    p.add_argument("--method", default="consensus", choices=SELECTION_METHODS)
-    p.add_argument("--scale", type=float, default=1.0)
+    _add_plan_options(p, *_PLAN_OPTIONS)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("sweep", help="the four address regimes plus anonymization probes")
     _add_common(p)
-    p.add_argument("--model", default="all")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--split", type=float, default=0.5)
-    p.add_argument("--scale", type=float, default=1.0)
+    _add_plan_options(p, "--seed", "--model", "--epochs", "--split", "--scale")
     p.add_argument("--skip-anonymize", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 

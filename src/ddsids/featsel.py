@@ -144,19 +144,6 @@ def _descend(
     return np.array(wl), b
 
 
-def _coordinate_descent(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    w: np.ndarray,
-    b: float,
-    max_iter: int = 500,
-    tol: float = 1e-8,
-) -> tuple[np.ndarray, float]:
-    """Cyclic coordinate descent on (1/2n)||y - b - Xw||^2 + lam * ||w||_1."""
-    return _descend(_GramStats.of(X, y), lam, w, b, max_iter, tol)
-
-
 def _path(stats: _GramStats, lambdas: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """(coefficients, intercept) per lambda, warm-started along the grid."""
     w = np.zeros(len(stats.xty))
@@ -166,12 +153,6 @@ def _path(stats: _GramStats, lambdas: np.ndarray) -> list[tuple[np.ndarray, floa
         w, b = _descend(stats, float(lam), w, b)
         path.append((w, b))
     return path
-
-
-def _lasso_path(X: np.ndarray, y: np.ndarray, lambdas: np.ndarray) -> list[np.ndarray]:
-    """Coefficients per lambda, warm-started along the descending grid, from
-    the raw matrix."""
-    return [w for w, _ in _path(_GramStats.of(X, y), lambdas)]
 
 
 def rank_lasso(
@@ -230,10 +211,8 @@ def rank_lasso(
     return FeatureRanking("lasso", ranked_names, scores)
 
 
-def rank_univariate(dataset: Dataset, k: int | None = None) -> FeatureRanking:
+def rank_univariate(dataset: Dataset) -> FeatureRanking:
     """One-way ANOVA F between the label groups, ranked descending."""
-    if k is not None and k > dataset.width:
-        raise ValueError(f"k={k} exceeds dataset width {dataset.width}")
     labels = np.array(dataset.labels)
     groups = sorted(set(dataset.labels))
     if len(groups) < 2:

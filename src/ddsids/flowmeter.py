@@ -455,8 +455,22 @@ def write_flow_csv(flows: Iterable[FlowRecord], path) -> None:
                         (flows.features, "{!r},".format), (flows.label, '"{}"\n'.format)], FLOW_BLOCK)
 
 
+def float_cells(path, header: list[str], rows: list[list[str]], columns: slice, first_line: int) -> np.ndarray:
+    """The `columns` cells of a block of CSV rows, the first on line
+    `first_line`, as a float matrix.  Rejects a non-finite cell, naming the
+    line and column of the first one."""
+    block = np.array([list(map(float, row[columns])) for row in rows])
+    bad = np.argwhere(~np.isfinite(block))
+    if len(bad):
+        r, c = bad[0].tolist()
+        raise ValueError(f"{path}: line {first_line + r}, column {header[columns][c]!r}: "
+                         f"non-finite value {rows[r][columns][c]!r}")
+    return block
+
+
 def read_flow_csv(path) -> FlowTable:
-    """Inverse of write_flow_csv, parsed FLOW_BLOCK rows at a time; rejects a header off the catalog."""
+    """Inverse of write_flow_csv, parsed FLOW_BLOCK rows at a time; rejects a
+    header off the catalog and a non-finite start time or feature."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -477,13 +491,13 @@ def read_flow_csv(path) -> FlowTable:
             bad = next((row for row in rows if len(row) != len(expected)), None)
             if bad is not None:
                 raise ValueError(f"{path}: row with {len(bad)} fields, expected {len(expected)}")
-            flow_id, src, sport, dst, dport, start = zip(*(row[:6] for row in rows))
-            features = np.array([list(map(float, row[6:-1])) for row in rows])
+            flow_id, src, sport, dst, dport = zip(*(row[:5] for row in rows))
+            values = float_cells(path, header, rows, slice(5, -1), reader.line_num - len(rows) + 1)
+            start, features = values[:, 0], values[:, 1:]
             protocol = list(map(int, features[:, FEATURE_INDEX["Protocol"]].tolist()))
             try:
                 blocks.append(FlowTable.from_columns([flow_id, src, list(map(int, sport)), dst, list(map(int, dport)),
-                                                      protocol, list(map(float, start)), features,
-                                                      [row[-1] for row in rows]]))
+                                                      protocol, start, features, [row[-1] for row in rows]]))
             except OverflowError:
                 raise ValueError(f"{path}: integer field outside the 64-bit range") from None
     return FlowTable.concat(blocks)

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowRecord, FlowTable
+from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowRecord, FlowTable, float_cells
 from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, write_rows
 
 DIRECTIONALITIES = ("bidirectional", "destination_only", "source_only")
@@ -432,12 +432,7 @@ def read_dataset_csv(path) -> Dataset:
             for line, row in enumerate(rows, first_line):
                 if len(row) != len(header):
                     raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
-            block = np.array([list(map(float, row[:-1])) for row in rows])
-            bad = np.argwhere(~np.isfinite(block))
-            if len(bad):
-                r, c = bad[0].tolist()
-                raise ValueError(f"{path}: line {first_line + r}, column {names[c]!r}: non-finite value {rows[r][c]!r}")
-            blocks.append(block)
+            blocks.append(float_cells(path, header, rows, slice(None, -1), first_line))
             labels += [row[-1] for row in rows]
     width = len(names)
     return Dataset(np.concatenate(blocks), labels, names, 0, np.zeros(width), np.ones(width))

@@ -1,6 +1,6 @@
 import json
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -439,9 +439,64 @@ class TestCliContracts:
                        "--seed", str(seed), "--out-dir", str(out)])
             assert rc == 0
             orders[seed] = scores_order(out / "scores-importance.csv")
-        expected = featsel.rank_importance(preprocess.read_dataset_csv(train), seed=5)
+        expected = featsel.rank_importance(preprocess.read_dataset_csv(train), trials=3, seed=5)
         assert orders[5] == expected.ranked_names
         assert orders[5] != orders[0]
+
+    @pytest.mark.parametrize("method", ["rfe", "importance"])
+    def test_select_ranks_as_the_experiment_does(self, tmp_path, method):
+        ds = toy_dataset(n=300, width=14, seed=3)
+        train = tmp_path / "train.csv"
+        preprocess.write_dataset_csv(ds, train)
+        rc = main(["select", "--train", str(train), "--method", method, "--k", "5", "--seed", "4",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        expected = evalcli._RANKERS[method](preprocess.read_dataset_csv(train), 4)
+        featsel.write_scores_csv(expected, tmp_path / "expected.csv")
+        assert (tmp_path / f"scores-{method}.csv").read_text() == (tmp_path / "expected.csv").read_text()
+
+    def test_simulate_config_reproduces_the_experiment_trace(self, tmp_path):
+        exp = tmp_path / "exp"
+        build_cache(ExperimentPlan(seed=11, scale=0.05), exp)
+        config = exp / "traces" / "dos.config.txt"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "same")]) == 0
+        assert (tmp_path / "same" / "dos.packets.csv").read_bytes() == (exp / "traces" / "dos.packets.csv").read_bytes()
+        assert main(["simulate", "--config", str(config), "--seed", "3", "--out-dir", str(tmp_path / "reseeded")]) == 0
+        assert simnet.load_scenario_config(tmp_path / "reseeded" / "dos.config.txt").rng_seed == 3
+        assert (tmp_path / "reseeded" / "dos.packets.csv").read_bytes() != (exp / "traces" / "dos.packets.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["meter", "--packets", "p.csv", "--seed", "1"],
+        ["evaluate", "--model", "m.txt", "--test", "t.csv", "--seed", "1"],
+        ["experiment", "--config", "x"],
+    ])
+    def test_options_a_verb_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["experiment", "sweep"])
+    def test_bare_verb_runs_the_default_plan(self, verb):
+        args = evalcli.build_parser().parse_args([verb])
+        # The parser restates no plan default: an option not given is not parsed.
+        assert not set(vars(args)) & {f.name for f in fields(ExperimentPlan)}
+        assert evalcli._plan_from_args(args) == ExperimentPlan()
+
+    def test_preprocess_rejects_a_nan_start_time(self, tmp_path, capsys):
+        flows = tmp_path / "dos.flows.csv"
+        assert main(["simulate", "--scenario", "dos", "--seed", "4", "--scale", "0.05", "--out-dir", str(tmp_path)]) == 0
+        assert main(["meter", "--packets", str(tmp_path / "dos.packets.csv"), "--out-dir", str(tmp_path)]) == 0
+        lines = flows.read_text().splitlines(keepends=True)
+        cells = lines[5].split(",")
+        cells[5] = '"nan"'
+        lines[5] = ",".join(cells)
+        flows.write_text("".join(lines))
+        capsys.readouterr()
+        rc = main(["preprocess", "--flows", f"dos={flows}", "--out-dir", str(tmp_path / "data")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"ddsids: error: {flows}: line 6, column 'Start Time': non-finite")
+        assert not (tmp_path / "data" / "train.csv").exists()
 
     def test_preprocess_rejects_unknown_label(self, tmp_path, capsys):
         flows = tmp_path / "dos.flows.csv"

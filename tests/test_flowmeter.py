@@ -1,3 +1,4 @@
+import csv
 
 import numpy as np
 import pytest
@@ -221,6 +222,20 @@ class TestCsv:
             assert a.label == b.label
             assert a.features == b.features
             assert a.start_time == b.start_time
+
+    @pytest.mark.parametrize("column, cell", [("Start Time", "nan"), ("Idle Std", "inf"), ("Flow Duration", "-inf")])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, column, cell):
+        flows = list(meter(random_flow_packets(np.random.default_rng(4))))
+        path = tmp_path / "flows.csv"
+        write_flow_csv(flows, path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = next(csv.reader(lines[:1]))
+        row = next(csv.reader(lines[1:2]))
+        row[header.index(column)] = cell
+        lines[1] = ",".join(f'"{c}"' for c in row) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"line 2, column '{column}': non-finite value '{cell}'"):
+            read_flow_csv(path)
 
     def test_header_column_count(self, tmp_path):
         path = tmp_path / "flows.csv"
