@@ -35,6 +35,7 @@ from .preprocess import IP_MODES, AnonymizeMode, Dataset
 from .simnet import ScenarioConfig
 
 OUT_DIR_ENV = "DDSIDS_OUT_DIR"
+CLI_TOP_K = 20  # features `ddsids select` keeps by default
 EXPERT_ROW_NAMES = {"dos": "DoS", "clone": "Clone", "malsub": "Malicious Subscriber"}
 SUBNET_HOSTS = (2, 3, 4, 5, 6)
 
@@ -681,7 +682,7 @@ def _cmd_simulate(args) -> int:
         # The file's own rng_seed holds unless --seed is given.
         config = simnet.load_scenario_config(args.config, seed_override=args.seed if "seed" in args else None)
     else:
-        config = scenario_configs(_plan_from_args(args))[args.scenario]
+        config = scenario_configs(_plan_from_args(args))[args.scenario or "benign"]
     trace = simnet.generate(config)
     path = out / f"{config.scenario}.packets.csv"
     simnet.write_packet_csv(trace, path)
@@ -747,10 +748,12 @@ def _cmd_select(args) -> int:
             featsel.write_scores_csv(r, out / f"scores-{r.method}.csv")
         print(out / "ranking_report.txt")
         return 0
+    k = CLI_TOP_K if args.k is None else args.k
+    featsel.check_k(train_ds, k)
     ranking = _RANKERS[args.method](train_ds, args.seed)
     featsel.write_scores_csv(ranking, out / f"scores-{args.method}.csv")
-    reduced = featsel.select(train_ds, ranking, args.k)
-    preprocess.write_dataset_csv(reduced, out / f"train.top{args.k}.csv")
+    reduced = featsel.select(train_ds, ranking, k)
+    preprocess.write_dataset_csv(reduced, out / f"train.top{k}.csv")
     print(f"selected: {', '.join(reduced.feature_names)}")
     return 0
 
@@ -826,9 +829,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate one scenario's packet trace")
     _add_common(p)
     _add_plan_options(p, "--seed", "--scale")
-    p.add_argument("--scenario", choices=simnet.SCENARIOS, default="benign")
+    p.add_argument("--scenario", choices=simnet.SCENARIOS, default=None, help="scenario (default benign)")
     p.add_argument("--config", default=None,
-                   help="scenario config file (key = value); its rng_seed holds unless --seed is given")
+                   help="scenario config file (key = value), instead of --scenario and --scale; "
+                        "its rng_seed holds unless --seed is given")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("meter", help="turn a packet trace into flow features")
@@ -854,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=ExperimentPlan.seed, help="seed of the lasso folds and importance")
     p.add_argument("--train", required=True)
     p.add_argument("--method", choices=(*_RANKERS, "all"), default="univariate")
-    p.add_argument("--k", type=int, default=20)
+    p.add_argument("--k", type=int, default=None, help=f"features kept (default {CLI_TOP_K}); not with --method all")
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("train", help="train a detector on a dataset csv")
@@ -885,9 +889,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _clashing_option(args) -> str | None:
+    """The usage error of an option the verb would ignore, given another."""
+    if args.command == "simulate" and args.config is not None:
+        for flag, given in (("--scenario", args.scenario is not None), ("--scale", "scale" in args)):
+            if given:
+                return f"argument {flag}: not allowed with argument --config"
+    if args.command == "select" and args.method == "all" and args.k is not None:
+        return "argument --k: not allowed with argument --method all"
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    clash = _clashing_option(args)
+    if clash:
+        parser.error(clash)
     try:
         return args.func(args)
     except _StageError as exc:

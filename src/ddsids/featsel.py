@@ -312,11 +312,16 @@ def rank_importance(
     return FeatureRanking("importance", ranked_names, scores)
 
 
+def check_k(dataset: Dataset, k: int) -> None:
+    """Rejects a k that `select` could not keep of the dataset's features."""
+    if k < 1 or k > dataset.width:
+        raise ValueError(f"k={k} out of range 1..{dataset.width}")
+
+
 def select(dataset: Dataset, ranking: FeatureRanking, k: int) -> Dataset:
     """Project the dataset onto the ranking's top-k features, keeping the
     dataset's own column order."""
-    if k < 1 or k > dataset.width:
-        raise ValueError(f"k={k} out of range 1..{dataset.width}")
+    check_k(dataset, k)
     top = set(ranking.ranked_names[:k])
     names = [n for n in dataset.feature_names if n in top]
     return dataset.project(names)

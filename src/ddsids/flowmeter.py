@@ -51,7 +51,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .simnet import ColumnTable, PacketRecord, PacketTrace, write_rows
+from .simnet import ColumnTable, PacketRecord, PacketTrace, float_cells, tokenized_rows, write_rows
 
 FEATURE_NAMES = [
     "Protocol",
@@ -455,22 +455,17 @@ def write_flow_csv(flows: Iterable[FlowRecord], path) -> None:
                         (flows.features, "{!r},".format), (flows.label, '"{}"\n'.format)], FLOW_BLOCK)
 
 
-def float_cells(path, header: list[str], rows: list[list[str]], columns: slice, first_line: int) -> np.ndarray:
-    """The `columns` cells of a block of CSV rows, the first on line
-    `first_line`, as a float matrix.  Rejects a non-finite cell, naming the
-    line and column of the first one."""
-    block = np.array([list(map(float, row[columns])) for row in rows])
-    bad = np.argwhere(~np.isfinite(block))
-    if len(bad):
-        r, c = bad[0].tolist()
-        raise ValueError(f"{path}: line {first_line + r}, column {header[columns][c]!r}: "
-                         f"non-finite value {rows[r][columns][c]!r}")
-    return block
+# A flow row as numpy's tokenizer reads it: the start time and the features
+# are one run of floats.
+_FLOW_ROW = np.dtype([("flow_id", object), ("src", object), ("src_port", np.int64), ("dst", object),
+                      ("dst_port", np.int64), ("values", np.float64, (1 + len(FEATURE_NAMES),)), ("label", object)])
 
 
 def read_flow_csv(path) -> FlowTable:
-    """Inverse of write_flow_csv, parsed FLOW_BLOCK rows at a time; rejects a
-    header off the catalog and a non-finite start time or feature."""
+    """Inverse of write_flow_csv: read by numpy's C tokenizer, or else
+    FLOW_BLOCK rows at a time; rejects a header off the catalog, a row with
+    the wrong number of fields, a non-finite start time or feature and an
+    integer outside the 64-bit range."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -486,6 +481,18 @@ def read_flow_csv(path) -> FlowTable:
                 raise ValueError(f"{path}: missing column {col!r}")
         if header != expected:
             raise ValueError(f"{path}: columns out of catalog order")
+        rows = tokenized_rows(path, fh, reader.line_num, _FLOW_ROW, quotechar='"')
+        if rows is not None:
+            values = rows["values"]
+            protocol = values[:, 1 + FEATURE_INDEX["Protocol"]]
+            if np.isfinite(values).all() and ((protocol >= -2.0**63) & (protocol < 2.0**63)).all():
+                return FlowTable.from_columns(
+                    [rows["flow_id"].tolist(), rows["src"].tolist(), rows["src_port"].copy(), rows["dst"].tolist(),
+                     rows["dst_port"].copy(), protocol.astype(np.int64), values[:, 0].copy(),
+                     np.ascontiguousarray(values[:, 1:]), rows["label"].tolist()], FLOW_BLOCK)
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
         blocks = []
         while rows := list(islice(reader, FLOW_BLOCK)):
             bad = next((row for row in rows if len(row) != len(expected)), None)

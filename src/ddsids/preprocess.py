@@ -20,7 +20,10 @@ into a table once, at entry.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
+import os
+import platform
 import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import islice
@@ -28,8 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowRecord, FlowTable, float_cells
-from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, write_rows
+from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowRecord, FlowTable
+from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, float_cells, tokenized_rows, write_rows
 
 DIRECTIONALITIES = ("bidirectional", "destination_only", "source_only")
 IP_MODES = ("both", "source_only", "destination_only", "none")
@@ -366,6 +369,44 @@ def build_dataset(
     )
 
 
+# The core-name call of the OpenBLAS numpy wheels bundle, then of a plain build.
+_OPENBLAS_CORENAME = ("scipy_openblas_get_corename64_", "openblas_get_corename")
+
+
+def _openblas_core() -> str | None:
+    """The CPU kernel set of the OpenBLAS this process has loaded, as the
+    library names it; None where no loaded library tells.  The library is
+    found by path in /proc/self/maps and opened only if already loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except (OSError, AttributeError):  # not loaded, or no RTLD_NOLOAD on this platform
+            continue
+        for symbol in _OPENBLAS_CORENAME:
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def runtime_environment() -> dict:
+    """The interpreter, numpy and BLAS a run used, and the CPU kernel set the
+    BLAS picked: trained weights can differ in the last bits between kernels."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "openblas_core": _openblas_core(),
+    }
+
+
 def write_manifest(path, manifest: dict) -> None:
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -385,9 +426,10 @@ def dataset_manifest(
 ) -> dict:
     """What built `train` and `test`: the label rules of the pooled scenarios
     and the notes they raised, the router sessions stripped, the flow columns
-    left out of the matrix, the rows per label of each split and the
-    normalization constants."""
+    left out of the matrix, the rows per label of each split, the
+    normalization constants and the runtime environment."""
     return {
+        "environment": runtime_environment(),
         "label_rules": {s: asdict(LABEL_RULES[s]) for s in scenarios if s in LABEL_RULES},
         "notes": list(notes),
         "router_sessions_removed": router_sessions_removed,
@@ -415,9 +457,10 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Inverse of write_dataset_csv, read FLOW_BLOCK rows at a time.  Rejects
-    an empty file, a row with the wrong number of fields and a non-finite
-    cell, naming the line (and column) of the first one."""
+    """Inverse of write_dataset_csv: read by numpy's C tokenizer, or else
+    FLOW_BLOCK rows at a time, which rejects an empty file, a row with the
+    wrong number of fields and a non-finite cell, naming the line (and
+    column) of the first one."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -426,13 +469,22 @@ def read_dataset_csv(path) -> Dataset:
         if header[-1] != "Label":
             raise ValueError(f"{path}: last column must be Label")
         names = header[:-1]
-        blocks, labels = [np.empty((0, len(names)))], []
-        while rows := list(islice(reader, FLOW_BLOCK)):
-            first_line = len(labels) + 2
-            for line, row in enumerate(rows, first_line):
-                if len(row) != len(header):
-                    raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
-            blocks.append(float_cells(path, header, rows, slice(None, -1), first_line))
-            labels += [row[-1] for row in rows]
-    width = len(names)
-    return Dataset(np.concatenate(blocks), labels, names, 0, np.zeros(width), np.ones(width))
+        width = len(names)
+        row_type = np.dtype([("values", np.float64, (width,)), ("label", object)])
+        rows = tokenized_rows(path, fh, reader.line_num, row_type, quotechar='"')
+        if rows is not None and np.isfinite(rows["values"]).all():
+            matrix, labels = np.ascontiguousarray(rows["values"]), rows["label"].tolist()
+        else:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            blocks, labels = [np.empty((0, width))], []
+            while rows := list(islice(reader, FLOW_BLOCK)):
+                first_line = len(labels) + 2
+                for line, row in enumerate(rows, first_line):
+                    if len(row) != len(header):
+                        raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
+                blocks.append(float_cells(path, header, rows, slice(None, -1), first_line))
+                labels += [row[-1] for row in rows]
+            matrix = np.concatenate(blocks)
+    return Dataset(matrix, labels, names, 0, np.zeros(width), np.ones(width))

@@ -34,11 +34,14 @@ function of (config, seed).
 
 from __future__ import annotations
 
+import csv
 import math
+import sys
+import warnings
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import islice, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -122,11 +125,21 @@ class ColumnTable(Sequence):
             setattr(self, name, values)
 
     @classmethod
-    def from_columns(cls, columns: Sequence) -> "ColumnTable":
-        """A table from one sequence per column, with address strings in the address columns."""
-        index: dict[str, int] = {}
-        return cls(index, *([index.setdefault(a, len(index)) for a in values] if name in cls.ADDRESS_COLUMNS else values
-                            for name, values in zip(cls.COLUMNS, columns)))
+    def from_columns(cls, columns: Sequence, block: int = 0) -> "ColumnTable":
+        """A table from one sequence per column, with address strings in the
+        address columns.  The address table lists the addresses in the order
+        they first show when the rows are read `block` at a time (all at once
+        for 0), each block one address column after the other: the table
+        `concat` makes of the blocks' own tables."""
+        columns = list(columns)
+        where = [k for k, name in enumerate(cls.COLUMNS) if name in cls.ADDRESS_COLUMNS]
+        n = len(columns[0])
+        step = block or max(n, 1)
+        seen = dict.fromkeys(chain.from_iterable(columns[k][lo : lo + step] for lo in range(0, n, step) for k in where))
+        index = {a: i for i, a in enumerate(seen)}
+        for k in where:
+            columns[k] = np.fromiter(map(index.__getitem__, columns[k]), np.int64, len(columns[k]))
+        return cls(index, *columns)
 
     @classmethod
     def from_records(cls, records: Iterable) -> "ColumnTable":
@@ -552,13 +565,88 @@ def write_packet_csv(trace: Iterable[PacketRecord], path) -> None:
         raise OSError(f"cannot write packet csv {path}: {exc}") from exc
 
 
+def float_cells(path, header: list[str], rows: list[list[str]], columns: slice, first_line: int) -> np.ndarray:
+    """The `columns` cells of a block of CSV rows, the first on line
+    `first_line`, as a float matrix.  Rejects a non-finite cell, naming the
+    line and column of the first one."""
+    block = np.array([list(map(float, row[columns])) for row in rows])
+    bad = np.argwhere(~np.isfinite(block))
+    if len(bad):
+        r, c = bad[0].tolist()
+        raise ValueError(f"{path}: line {first_line + r}, column {header[columns][c]!r}: "
+                         f"non-finite value {rows[r][columns][c]!r}")
+    return block
+
+
+def _line_stats(path) -> tuple[int, int, bool]:
+    """(lines, bytes in the longest line, whether a carriage return or a NUL
+    occurs) of a file, read 1 MiB at a time."""
+    lines = longest = start = size = 0  # `start`: the offset of the line being read
+    odd = False
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + (size + 1)
+            if len(ends):
+                longest = max(longest, int(ends[0]) - start, int(np.diff(ends).max(initial=0)))
+                start, lines = int(ends[-1]), lines + len(ends)
+            size += len(chunk)
+            odd = odd or b"\r" in chunk or b"\0" in chunk
+    if size > start:
+        lines, longest = lines + 1, max(longest, size - start)
+    return lines, longest, odd
+
+
+def tokenized_rows(path, fh, header_lines: int, dtype: np.dtype, quotechar: str | None = None) -> np.ndarray | None:
+    """The rows of the text file `fh`, open on `path` and read past its
+    `header_lines` header lines, read by numpy's C tokenizer into a
+    structured array of `dtype`, one row per line; None where that read could
+    differ from the block parsers'.
+
+    Each CSV reader reads its rows this way first and, on None or a value it
+    rejects, again with its block parser, which returns the same rows or
+    raises its message for the fault.  The tokenizer raises on a row whose
+    field count is off the dtype's, on a cell that is no number and on an
+    integer beyond 64 bits, and its quoting is the csv module's: a quote
+    opens a quoted field only as the field's first character.  It skips
+    blank lines, so the rows must number the file's newline bytes; a
+    carriage return, which ends a line too, and a NUL, which the csv module
+    rejects before Python 3.11, send the file to the block parser.  It has no
+    field size limit, so no line may outgrow the csv module's or Python's
+    int digit limit.
+    """
+    lines, longest, odd = _line_stats(path)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or sys.maxsize
+    if odd or longest > min(csv.field_size_limit(), digits) or lines <= header_lines:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns of input with no rows
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar=quotechar, ndmin=1)
+    except (ValueError, UserWarning):
+        return None
+    return rows if len(rows) == lines - header_lines else None
+
+
+_PACKET_ROW = np.dtype([(name, object if name in ColumnTable.ADDRESS_COLUMNS else dtype)
+                        for name, dtype in zip(PACKET_COLUMNS, PacketTrace.DTYPES)])
+
+
 def read_packet_csv(path) -> PacketTrace:
-    blocks = []
+    """Inverse of write_packet_csv: read by numpy's C tokenizer, or else
+    _ROW_BLOCK rows at a time, which rejects a row without 9 fields and an
+    integer outside the 64-bit range."""
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n")
             if header != PACKET_CSV_HEADER:
                 raise ValueError(f"{path}: unexpected packet csv header {header!r}")
+            rows = tokenized_rows(path, fh, 1, _PACKET_ROW)
+            if rows is not None:
+                return PacketTrace.from_columns([rows[name].tolist() if name in PacketTrace.ADDRESS_COLUMNS
+                                                 else rows[name].copy() for name in PACKET_COLUMNS], _ROW_BLOCK)
+            fh.seek(0)
+            fh.readline()
+            blocks = []
             while lines := list(islice(fh, _ROW_BLOCK)):
                 commas = list(map(str.count, lines, repeat(",", len(lines))))
                 if commas.count(8) != len(lines):

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -543,3 +547,48 @@ class TestCliContracts:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("ddsids:") and "f0, f1, f2" in err
+
+    @pytest.mark.parametrize("extra, flag", [(["--scenario", "benign"], "--scenario"), (["--scale", "0.5"], "--scale")])
+    def test_simulate_config_rejects_what_the_file_sets(self, tmp_path, capsys, extra, flag):
+        config = tmp_path / "dos.config.txt"
+        simnet.save_scenario_config(scenario_configs(SMALL_PLAN)["dos"], config)
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", "--config", str(config), *extra, "--out-dir", str(tmp_path / "out")])
+        assert exited.value.code == 2
+        assert f"argument {flag}: not allowed with argument --config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_select_all_rejects_k(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        preprocess.write_dataset_csv(toy_dataset(), train)
+        with pytest.raises(SystemExit) as exited:
+            main(["select", "--train", str(train), "--method", "all", "--k", "3", "--out-dir", str(tmp_path / "out")])
+        assert exited.value.code == 2
+        assert "argument --k: not allowed with argument --method all" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_select_checks_k_before_ranking(self, tmp_path, capsys, k):
+        train = tmp_path / "train.csv"
+        preprocess.write_dataset_csv(toy_dataset(width=6), train)
+        out = tmp_path / "out"
+        rc = main(["select", "--train", str(train), "--method", "univariate", "--k", str(k), "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"ddsids: error: k={k} out of range 1..6\n"
+        assert list(out.iterdir()) == []
+
+    def test_select_keeps_twenty_by_default(self, tmp_path):
+        train = tmp_path / "train.csv"
+        preprocess.write_dataset_csv(toy_dataset(width=24), train)
+        assert main(["select", "--train", str(train), "--out-dir", str(tmp_path)]) == 0
+        assert preprocess.read_dataset_csv(tmp_path / "train.top20.csv").width == 20
+
+
+def test_python_m_ddsids_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(evalcli.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "ddsids", "--help"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.startswith("usage: ddsids")

@@ -1,7 +1,11 @@
 """One dataset manifest definition for `experiment` and `ddsids preprocess`."""
 
 import json
+import platform
 
+import numpy as np
+
+from ddsids import flowmeter, preprocess, simnet
 from ddsids.evalcli import ExperimentPlan, main, run_experiment
 from ddsids.preprocess import read_dataset_csv
 
@@ -26,3 +30,15 @@ def test_experiment_and_cli_manifests_carry_the_same_keys(tmp_path):
         counts = read_dataset_csv(data / f"{split}.csv").class_counts()
         assert cli["rows_per_label"][split] == ref["rows_per_label"][split] == counts
         assert set(counts) == {"benign", "dos", "clone", "malsub"}
+
+
+def test_manifest_records_the_runtime_environment(tmp_path):
+    flows = tmp_path / "dos.flows.csv"
+    trace = simnet.generate(simnet.ScenarioConfig("dos", duration=10.0, relaunch_count=5, rng_seed=2))
+    flowmeter.write_flow_csv(preprocess.label_scenario("dos", flowmeter.meter(trace))[0], flows)
+    assert main(["preprocess", "--flows", f"dos={flows}", "--split", "0.5", "--out-dir", str(tmp_path)]) == 0
+    environment = json.loads((tmp_path / "dataset.manifest.json").read_text())["environment"]
+    assert environment["python"] == platform.python_version() and environment["numpy"] == np.__version__
+    assert set(environment["blas"]) == {"name", "version"}
+    assert environment["openblas_core"] is None or isinstance(environment["openblas_core"], str)
+    assert environment == preprocess.runtime_environment()

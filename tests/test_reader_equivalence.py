@@ -1,0 +1,254 @@
+"""The packet, flow and dataset readers parse a file with numpy's C tokenizer
+and fall back to their block parsers where it could read it differently.
+Every text, valid or mutated, must give the same columns bit for bit, labels
+and address table either way, or the same error."""
+
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ddsids import flowmeter, preprocess, simnet
+from ddsids.flowmeter import FEATURE_NAMES, FlowRecord, read_flow_csv, write_flow_csv
+from ddsids.preprocess import Dataset, read_dataset_csv, write_dataset_csv
+from ddsids.simnet import PacketRecord, PacketTrace, read_packet_csv, write_packet_csv
+
+# Cells that one tokenizer or the other reads its own way: underscores, hex
+# floats, overflowing floats and integers, NaNs, quoting, padding, an empty
+# cell, a NUL, a carriage return, a newline inside quotes and a field beyond
+# Python's int digit limit.
+ODD_CELLS = ["1_0", "0x1p3", "1e999", "-1e999", "nan", "-nan", "inf", "9223372036854775808", "99999999999999999999",
+             '"1.5"', '"7"', " 7 ", "+3", "-0", "", '"a,b"', '"a""b"', 'a"b', '"a"b', '"x\ny"', "\x00", "\r", "#",
+             "0" * 5000 + "1"]
+# Lines inserted whole; a lone carriage return ends a line for the block
+# parsers but not for a byte count of newlines.
+INSERTED = {"blank line": "\n", "comment line": "# note\n", "stray carriage return": "\r"}
+MUTATIONS = [*INSERTED, "extra field", "missing field", "odd cell"]
+
+
+@st.composite
+def mutations(draw):
+    return (draw(st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 40), st.integers(0, 90),
+                                    st.sampled_from(ODD_CELLS)), max_size=3)),
+            draw(st.booleans()), draw(st.booleans()))
+
+
+def mutate(text: str, edits, crlf: bool, cut_final_newline: bool) -> str:
+    lines = text.splitlines(keepends=True)
+    for kind, row, col, cell in edits:
+        i = row % (len(lines) + 1)
+        if kind in INSERTED:
+            lines.insert(i, INSERTED[kind])
+            continue
+        i = 1 + row % len(lines[1:]) if len(lines) > 1 else 0
+        cells = lines[i].rstrip("\n").split(",")
+        if kind == "extra field":
+            cells.append(cell)
+        elif kind == "missing field":
+            cells.pop(col % len(cells))
+        else:
+            cells[col % len(cells)] = cell
+        lines[i] = ",".join(cells) + "\n"
+    text = "".join(lines)
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    if cut_final_newline:
+        text = text.rstrip("\r\n")
+    return text
+
+
+def snapshot(value):
+    """Everything a reader returns, arrays as dtype, shape, layout and bytes."""
+    def array(a):
+        a = np.asarray(a)
+        return a.tolist() if a.dtype == object else (a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
+    if isinstance(value, Dataset):
+        return array(value.matrix), value.labels, value.feature_names
+    return value.addresses, [array(getattr(value, name)) for name in value.COLUMNS]
+
+
+def outcome(read, path):
+    try:
+        return "read", snapshot(read(path))
+    except Exception as exc:  # the two paths must fail alike, whatever the error
+        return type(exc).__name__, str(exc)
+
+
+@contextmanager
+def block_parsers_only():
+    """The readers with the tokenizer path switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (simnet, flowmeter, preprocess):
+            mp.setattr(module, "tokenized_rows", lambda *args, **kwargs: None)
+        yield
+
+
+@contextmanager
+def small_blocks():
+    """Blocks of two rows, so a few rows span several blocks and the address
+    table's block-wise order shows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "_ROW_BLOCK", 2)
+        mp.setattr(flowmeter, "FLOW_BLOCK", 2)
+        mp.setattr(preprocess, "FLOW_BLOCK", 2)
+        yield
+
+
+def assert_same(read, text: str):
+    with tempfile.TemporaryDirectory() as tmp, small_blocks():
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(text.encode())
+        fast = outcome(read, path)
+        with block_parsers_only():
+            blocks = outcome(read, path)
+    same = fast == blocks  # compared outside the assert: pytest would diff the two at length
+    assert same, f"the two paths read {text[:300]!r} differently"
+
+
+ADDRESSES = ["10.0.5.4", "10.0.5.5", " 10.0.5.6", "host b", "10.0.5.6"]
+LABELS = ["benign", "dos", "a,b", 'say "hi"', "", "#x"]
+FLOATS = [0.0, -0.0, 1.5, -2.25, 1e300, 5e-324, 17.0, 1 / 3]
+
+
+def packet_text(rows) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        write_packet_csv(PacketTrace.from_records(rows), path)
+        return path.read_text()
+
+
+def flow_text(rows) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        write_flow_csv(rows, path)
+        return path.read_text()
+
+
+def dataset_text(matrix, labels, names) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_dataset_csv(Dataset(matrix, labels, names, 0, np.zeros(len(names)), np.ones(len(names))), path)
+        return path.read_text()
+
+
+packets = st.lists(st.builds(
+    PacketRecord, st.sampled_from(FLOATS + [float("nan"), 12.000001]), st.sampled_from(ADDRESSES),
+    st.integers(0, 65535), st.sampled_from(ADDRESSES), st.integers(-5, 65535), st.sampled_from([6, 17]),
+    st.integers(0, 1500), st.integers(-(2**63), 2**63 - 1), st.integers(0, 255)), max_size=7)
+
+flows = st.lists(st.builds(
+    FlowRecord, st.sampled_from(["f0", "a,b", 'q"r', "", "10.0.5.4:1->10.0.5.5:2/17#0"]), st.sampled_from(ADDRESSES),
+    st.integers(0, 65535), st.sampled_from(ADDRESSES), st.integers(0, 2**63 - 1), st.just(17),
+    st.sampled_from(FLOATS), st.tuples(st.sampled_from([6.0, 17.0]), st.lists(
+        st.sampled_from(FLOATS), min_size=len(FEATURE_NAMES) - 1, max_size=len(FEATURE_NAMES) - 1)).map(
+        lambda p: [p[0], *p[1]]),  # "Protocol" first, an integer; odd cells put others there
+    st.sampled_from(LABELS)), max_size=7)
+
+datasets = st.integers(1, 3).flatmap(lambda width: st.tuples(
+    st.lists(st.lists(st.sampled_from(FLOATS), min_size=width, max_size=width), max_size=7),
+    st.just(["a", "b c", "d,e"][:width])))
+
+SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+# Every mutation alone at a fixed place; every odd cell in columns 1-3, 7 (a
+# flow's Protocol) and the last, which hold each type a reader parses.
+SINGLE_EDITS = ([([(kind, 2, 0, "")], False, False) for kind in [*INSERTED, "extra field"]]
+                + [([("missing field", 1, col, "")], False, False) for col in (0, 8)]
+                + [([], True, False), ([], False, True), ([], True, True)]
+                + [([("odd cell", 1, col, cell)], False, False) for cell in ODD_CELLS for col in (0, 1, 2, 6, -1)])
+
+
+class TestReadersAgree:
+    @SETTINGS
+    @given(packets, mutations())
+    def test_packet_csv(self, rows, edits):
+        assert_same(read_packet_csv, mutate(packet_text(rows), *edits))
+
+    @SETTINGS
+    @given(flows, mutations())
+    def test_flow_csv(self, rows, edits):
+        assert_same(read_flow_csv, mutate(flow_text(rows), *edits))
+
+    @SETTINGS
+    @given(datasets, st.lists(st.sampled_from(LABELS), min_size=7, max_size=7), mutations())
+    def test_dataset_csv(self, table, labels, edits):
+        rows, names = table
+        matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+        assert_same(read_dataset_csv, mutate(dataset_text(matrix, labels[: len(rows)], names), *edits))
+
+
+class TestSingleEdits:
+    def check(self, read, text):
+        failed = []
+        for edits in SINGLE_EDITS:
+            try:
+                assert_same(read, mutate(text, *edits))
+            except AssertionError:
+                failed.append(repr(edits)[:120])
+        assert not failed, failed
+
+    def test_packet_csv(self):
+        self.check(read_packet_csv, packet_text([PacketRecord(0.5, ADDRESSES[i % 5], 1000 + i, ADDRESSES[(i + 2) % 5],
+                                                              53, 17, 48, 28, 0) for i in range(3)]))
+
+    def test_flow_csv(self):
+        self.check(read_flow_csv, flow_text([FlowRecord(f"f{i}", ADDRESSES[i % 5], 1000 + i, ADDRESSES[(i + 2) % 5], 53,
+                                                        17, 0.25 * i, [17.0] + FLOATS * 9 + [1.0] * 5, LABELS[i])
+                                             for i in range(3)]))
+
+    def test_dataset_csv(self):
+        self.check(read_dataset_csv, dataset_text(np.array([[0.5, 1e300, -0.0]] * 3), ["benign", "dos", "a,b"],
+                                                  ["a", "b", "c"]))
+
+
+class TestTokenizerPath:
+    """Files as the writers write them take the tokenizer path."""
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        """Whether each read took the tokenizer path."""
+        taken = []
+        real = simnet.tokenized_rows
+
+        def spy(*args, **kwargs):
+            rows = real(*args, **kwargs)
+            taken.append(rows is not None)
+            return rows
+        for module in (simnet, flowmeter, preprocess):
+            monkeypatch.setattr(module, "tokenized_rows", spy)
+        return taken
+
+    def test_writer_output(self, tmp_path, taken):
+        trace = simnet.generate(simnet.ScenarioConfig("dos", duration=10.0, relaunch_count=5, rng_seed=2))
+        write_packet_csv(trace, tmp_path / "p.csv")
+        assert read_packet_csv(tmp_path / "p.csv") == trace
+        flows = flowmeter.meter(trace)
+        write_flow_csv(flows, tmp_path / "f.csv")
+        assert read_flow_csv(tmp_path / "f.csv") == flows
+        train, _ = preprocess.build_dataset(flows, split_fraction=0.5, ip_mode="none")
+        write_dataset_csv(train, tmp_path / "d.csv")
+        assert read_dataset_csv(tmp_path / "d.csv").matrix.tobytes() == train.matrix.tobytes()
+        assert taken == [True, True, True]
+
+
+@pytest.mark.parametrize("write, read, record", [
+    (write_packet_csv, read_packet_csv, lambda i, src, dst: PacketRecord(float(i), src, 1, dst, 2, 17, 0, 28, 0)),
+    (write_flow_csv, read_flow_csv, lambda i, src, dst: FlowRecord(f"f{i}", src, 1, dst, 2, 17, float(i),
+                                                                   [17.0] * len(FEATURE_NAMES))),
+])
+def test_address_table_keeps_block_order(tmp_path, write, read, record):
+    """Across blocks the address table lists each block's new source
+    addresses, then its new destination addresses, as the block parser's
+    concatenation does; one pass over each whole column would not."""
+    path = tmp_path / "in.csv"
+    write([record(i, f"10.0.5.{i % 3}", f"10.0.6.{i}") for i in range(7)], path)
+    with small_blocks():
+        fast = read(path)
+        with block_parsers_only():
+            blocks = read(path)
+    assert fast.addresses == blocks.addresses == (
+        "10.0.5.0", "10.0.5.1", "10.0.6.0", "10.0.6.1", "10.0.5.2", "10.0.6.2", "10.0.6.3",
+        "10.0.6.4", "10.0.6.5", "10.0.6.6")
