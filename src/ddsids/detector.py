@@ -17,7 +17,10 @@ layer runs every model's product, and the momentum update runs in place
 over one flat buffer per model.  Each model keeps its own rng,
 initialisation, holdout split, batch order and config, and every product and
 sum still runs per model, so each model is bit for bit the one it would be
-trained alone; `train` is the one-job case.
+trained alone; `train` is the one-job case.  Because a model's bits do not
+depend on which jobs share its stack, a group is split into one part per
+usable CPU and the parts train side by side in forked workers
+(`parallel.fork_map`).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import parallel
 from .preprocess import Dataset
 from .simnet import ATTACK_SCENARIOS as EXPERT_ATTACKS
 
@@ -322,14 +326,38 @@ def train_many(jobs: Sequence[TrainJob]) -> list[DetectorModel]:
     network: a step runs one matmul per layer for all of them.  Each model
     keeps its own rng, initialisation, holdout split, batch order and
     config, so it is bit for bit the model `train` gives for its job alone.
-    Every job is checked before any training starts.
+    Every job is checked before any training starts.  Each such group is
+    split into at most one part per usable CPU, balanced by steps, and the
+    parts train side by side (`parallel.fork_map`), each in its own lockstep
+    pass.
     """
     runs = [_Run(job) for job in jobs]
     groups: dict[tuple, list[_Run]] = {}
     for job, run in zip(jobs, runs):
         groups.setdefault((id(job.dataset), tuple(run.model.shape)), []).append(run)
-    for group in groups.values():
-        _lockstep(group)
+    parts = [part for group in groups.values() for part in _balanced_parts(group, parallel.usable_cpus())]
+    for part, models in zip(parts, parallel.fork_map(_trained, parts)):
+        for run, model in zip(part, models):
+            run.model = model
+    return [run.model for run in runs]
+
+
+def _balanced_parts(runs: list[_Run], count: int) -> list[list[_Run]]:
+    """The runs dealt into min(count, len(runs)) parts, none empty: longest
+    first, each to the part with the fewest steps so far, then the fewest
+    runs (so runs of 0 steps still fill every part)."""
+    parts: list[list[_Run]] = [[] for _ in range(min(count, len(runs)))]
+    steps = [0] * len(parts)
+    for run in sorted(runs, key=lambda r: -r.steps):
+        k = min(range(len(parts)), key=lambda i: (steps[i], len(parts[i])))
+        parts[k].append(run)
+        steps[k] += run.steps
+    return parts
+
+
+def _trained(runs: list[_Run]) -> list[DetectorModel]:
+    """The models of one lockstep pass over `runs`, in their order."""
+    _lockstep(runs)
     return [run.model for run in runs]
 
 
@@ -342,7 +370,8 @@ def _lockstep(runs: list[_Run]) -> None:
     momentum step is four in-place calls on whole buffers.  Runs are ordered
     longest first, so those still training are always a leading slice.  A
     step whose batches differ in length (a partial last batch) runs each
-    model on its own one-model slice.
+    model on its own one-model slice.  The pass runs in one process and
+    needs at least one run; `train_many` gives it one part of a group.
     """
     runs = sorted(runs, key=lambda r: -r.steps)
     m = len(runs)

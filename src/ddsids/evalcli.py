@@ -339,7 +339,10 @@ def randomize_sessions(flows: Sequence[FlowRecord], seed: int, hosts: Sequence[i
 
 def build_datasets(
     plan: ExperimentPlan, cache: PipelineCache, footnotes: list[str], timing: dict[str, float]
-) -> tuple[Dataset, Dataset]:
+) -> tuple[Dataset, Dataset, featsel.FeatureRanking | None]:
+    """The plan's train and test matrices, projected onto the top-k features
+    of the ranking that selected them; that ranking, or None when every
+    feature is kept."""
     with _stage("preprocess", timing):
         train_flows, test_flows = preprocess.split_flows(
             cache.flows, plan.split_fraction, plan.seed * 1000 + 10
@@ -355,6 +358,7 @@ def build_datasets(
             footnotes.append(
                 "constant feature(s) normalized to zero: " + ", ".join(train_ds.constant_features)
             )
+    ranking = None
     if plan.feature_k < train_ds.width - _n_address_columns(train_ds):
         with _stage("select", timing):
             ranking = compute_ranking(train_ds, plan.selection_method, plan.seed, cache.rankings)
@@ -363,7 +367,7 @@ def build_datasets(
             footnotes.append(
                 f"projected to top-{plan.feature_k} features by {plan.selection_method}"
             )
-    return train_ds, test_ds
+    return train_ds, test_ds, ranking
 
 
 def compute_ranking(train_ds: Dataset, method: str, seed: int, memo: dict) -> featsel.FeatureRanking:
@@ -404,7 +408,8 @@ def _rank(train_ds: Dataset, method: str, seed: int) -> featsel.FeatureRanking:
     mean_pos = {n: float(np.mean([r.ranked_names.index(n) for r in rankings])) for n in names}
     ranked = sorted(names, key=lambda n: (mean_pos[n], names.index(n)))
     scores = {n: float(len(names) - mean_pos[n]) for n in names}
-    return featsel.FeatureRanking("consensus", ranked, scores)
+    flagged = [f"{r.method}: {entry}" for r in rankings for entry in r.flagged]
+    return featsel.FeatureRanking("consensus", ranked, scores, flagged)
 
 
 def _n_address_columns(ds: Dataset) -> int:
@@ -507,7 +512,7 @@ def run_experiment(
         cache = build_cache(plan, out_dir)
         timing.update(cache.timing)
     footnotes = list(cache.footnotes)
-    train_ds, test_ds = build_datasets(plan, cache, footnotes, timing)
+    train_ds, test_ds, ranking = build_datasets(plan, cache, footnotes, timing)
 
     experts, single, ensemble = train_models(plan, train_ds, timing)
     rows = evaluate_models(plan, test_ds, experts, single, ensemble, timing)
@@ -526,6 +531,9 @@ def run_experiment(
             mdir.mkdir(exist_ok=True)
             manifest = preprocess.dataset_manifest(train_ds, test_ds, plan.scenarios, plan.anonymize, plan.seed * 1000 + 30,
                                                    cache.router_sessions_removed, cache.notes)
+            if ranking is not None:
+                manifest["selection"] = {"method": plan.selection_method, "k": plan.feature_k,
+                                         "flagged": len(ranking.flagged)}
             preprocess.write_manifest(out_dir / "dataset.manifest.json", manifest)
             preprocess.write_dataset_csv(train_ds, out_dir / "train.csv")
             preprocess.write_dataset_csv(test_ds, out_dir / "test.csv")

@@ -20,10 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import detector
+from . import detector, parallel
 from .preprocess import Dataset
 
 F_SENTINEL = 1e300  # stands in for an infinite F when within-class variance is 0
+LASSO_MAX_SWEEPS = 500  # coordinate-descent sweeps per lambda before a fit is given up as unconverged
 
 
 @dataclass
@@ -110,21 +111,24 @@ class _GramStats:
 
 
 def _descend(
-    stats: _GramStats, lam: float, w: np.ndarray, b: float, max_iter: int = 500, tol: float = 1e-8
-) -> tuple[np.ndarray, float]:
+    stats: _GramStats, lam: float, w: np.ndarray, b: float, max_iter: int = LASSO_MAX_SWEEPS, tol: float = 1e-8
+) -> tuple[np.ndarray, float, int]:
     """Cyclic coordinate descent on (1/2n)||y - b - Xw||^2 + lam * ||w||_1 by
     covariance updates (Friedman, Hastie & Tibshirani, JSS 2010).
 
     Instead of the n-length residual r = y - b - Xw it carries the d-length
     gradient q = Xᵀr/n and the residual mean, which give the same iterates
-    up to rounding at O(d) per coordinate move.
+    up to rounding at O(d) per coordinate move.  Returns the coefficients,
+    the intercept and the sweeps run: `max_iter` sweeps mean the fit stopped
+    at the cap, not at `tol`.
     """
     G, mean, ms = stats.gram, stats.col_mean.tolist(), stats.col_ms.tolist()
     q = stats.xty - b * stats.col_mean - G @ w
     r_mean = stats.y_mean - b - float(stats.col_mean @ w)
     coords = [j for j in range(len(w)) if ms[j] != 0.0]
     wl = w.tolist()
-    for _ in range(max_iter):
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
         max_delta = 0.0
         for j in coords:
             rho = q.item(j) + ms[j] * wl[j]
@@ -141,17 +145,18 @@ def _descend(
         r_mean = 0.0
         if max_delta < tol:
             break
-    return np.array(wl), b
+    return np.array(wl), b, sweeps
 
 
-def _path(stats: _GramStats, lambdas: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """(coefficients, intercept) per lambda, warm-started along the grid."""
+def _path(stats: _GramStats, lambdas: np.ndarray) -> list[tuple[np.ndarray, float, int]]:
+    """(coefficients, intercept, sweeps) per lambda, warm-started along the
+    grid."""
     w = np.zeros(len(stats.xty))
     b = stats.y_mean
     path = []
     for lam in lambdas:
-        w, b = _descend(stats, float(lam), w, b)
-        path.append((w, b))
+        w, b, sweeps = _descend(stats, float(lam), w, b)
+        path.append((w, b, sweeps))
     return path
 
 
@@ -162,7 +167,14 @@ def rank_lasso(
     seed: int = 0,
 ) -> FeatureRanking:
     """Rank by |coefficient| at the cross-validated lambda; features already
-    at zero there are ordered by where along the path they vanished."""
+    at zero there are ordered by where along the path they vanished.
+
+    The Gram statistics of the `folds` fit sets and of all rows are built
+    here; their `folds + 1` paths are independent and run side by side
+    (`parallel.fork_map`), each bit for bit what it gives alone.  Every fit
+    that ran `LASSO_MAX_SWEEPS` sweeps without converging is named in
+    `flagged` by its path and lambda.
+    """
     y = dataset.binary_labels()
     X = dataset.matrix
     n = len(y)
@@ -174,11 +186,20 @@ def rank_lasso(
     fold_of = np.empty(n, dtype=int)
     fold_of[rng.permutation(n)] = np.arange(n) % folds
 
+    stats = [_GramStats.of(X[fold_of != k], y[fold_of != k]) for k in range(folds)] + [_GramStats.of(X, y)]
+    paths = parallel.fork_map(lambda s: _path(s, grid), stats)
+    flagged = [
+        f"{'full' if k == folds else f'fold {k}'} path, lambda {lam:g}: stopped at {LASSO_MAX_SWEEPS} sweeps"
+        for k, path in enumerate(paths)
+        for lam, (_, _, sweeps) in zip(grid, path)
+        if sweeps == LASSO_MAX_SWEEPS
+    ]
+
     cv_loss = np.zeros(len(grid))
     for k in range(folds):
         fit = fold_of != k
         X_val, y_val = X[~fit], y[~fit]
-        for gi, (w, b) in enumerate(_path(_GramStats.of(X[fit], y[fit]), grid)):
+        for gi, (w, b, _) in enumerate(paths[k]):
             err = y_val - b - X_val @ w
             cv_loss[gi] += float(err @ err) / len(err)
     cv_loss /= folds
@@ -187,7 +208,7 @@ def rank_lasso(
         if cv_loss[gi] < cv_loss[best_gi]:
             best_gi = gi
 
-    path = [w for w, _ in _path(_GramStats.of(X, y), grid)]
+    path = [w for w, _, _ in paths[folds]]
     if not np.any(path[-1]):
         raise ValueError(
             f"lasso kept no features even at the grid floor {grid[-1]:g}; "
@@ -208,7 +229,7 @@ def rank_lasso(
             keyed.append((1, int(first_active[j])))
     ranked_names = _ordered(names, keyed)
     scores = {names[j]: float(abs(coefs[j])) for j in range(X.shape[1])}
-    return FeatureRanking("lasso", ranked_names, scores)
+    return FeatureRanking("lasso", ranked_names, scores, flagged)
 
 
 def rank_univariate(dataset: Dataset) -> FeatureRanking:

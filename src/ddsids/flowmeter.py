@@ -46,12 +46,12 @@ from __future__ import annotations
 import csv
 import operator
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
-from .simnet import ColumnTable, PacketRecord, PacketTrace, float_cells, tokenized_rows, write_rows
+from .simnet import (ColumnTable, PacketRecord, PacketTrace, float_cells, numbered_blocks, tokenized_rows,
+                     write_rows)
 
 FEATURE_NAMES = [
     "Protocol",
@@ -494,12 +494,12 @@ def read_flow_csv(path) -> FlowTable:
         reader = csv.reader(fh)
         next(reader)
         blocks = []
-        while rows := list(islice(reader, FLOW_BLOCK)):
+        for rows, lines in numbered_blocks(reader, FLOW_BLOCK):
             bad = next((row for row in rows if len(row) != len(expected)), None)
             if bad is not None:
                 raise ValueError(f"{path}: row with {len(bad)} fields, expected {len(expected)}")
             flow_id, src, sport, dst, dport = zip(*(row[:5] for row in rows))
-            values = float_cells(path, header, rows, slice(5, -1), reader.line_num - len(rows) + 1)
+            values = float_cells(path, header, rows, slice(5, -1), lines)
             start, features = values[:, 0], values[:, 1:]
             protocol = list(map(int, features[:, FEATURE_INDEX["Protocol"]].tolist()))
             try:

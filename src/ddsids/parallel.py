@@ -1,0 +1,180 @@
+"""Independent tasks run side by side in forked children, and the OpenBLAS
+this process has loaded.
+
+`fork_map(fn, tasks)` gives `[fn(task) for task in tasks]`.  Where more than
+one CPU is usable it deals the tasks round-robin to one worker per CPU (at
+most one per task): the first worker is this process, each other one a child
+made with `os.fork`, which inherits the tasks and `fn` as they stand and
+sends its results back through a pipe, pickled.  Results are therefore bit
+for bit what the calls give in this process.  Children are processes rather
+than threads because the stages this serves make many small numpy calls,
+which the interpreter lock would serialise.
+
+For the length of the forked section OpenBLAS is held at one thread in this
+process and in the children: its worker threads would otherwise spin on the
+cores the workers need whenever a product crosses its threading threshold.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import pickle
+from typing import Callable, Sequence
+
+# The calls of the OpenBLAS the numpy wheels bundle, then of a plain build.
+OPENBLAS_CORENAME = ("scipy_openblas_get_corename64_", "openblas_get_corename")
+OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+# Set in a forked child, so that it runs any nested fork_map in turn.
+_in_child = False
+
+
+def openblas_call(symbols: Sequence[str], restype=ctypes.c_int, argtypes=()):
+    """The first of `symbols` that the OpenBLAS this process has loaded
+    exports, as a ctypes function; None where no loaded library has one.  The
+    library is found by path in /proc/self/maps and opened only if already
+    loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except (OSError, AttributeError):  # not loaded, or no RTLD_NOLOAD on this platform
+            continue
+        for symbol in symbols:
+            call = getattr(lib, symbol, None)
+            if call is not None:
+                call.argtypes, call.restype = list(argtypes), restype
+                return call
+    return None
+
+
+def openblas_core() -> str | None:
+    """The CPU kernel set of the loaded OpenBLAS, as the library names it;
+    None where no loaded library tells."""
+    corename = openblas_call(OPENBLAS_CORENAME, restype=ctypes.c_char_p)
+    return None if corename is None else corename().decode()
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform does not say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+def fork_map(fn: Callable, tasks: Sequence) -> list:
+    """`[fn(task) for task in tasks]`, the tasks spread over the usable CPUs.
+
+    Task i runs in worker i % workers, where workers is the smaller of the
+    task count and `usable_cpus()`; worker 0 is this process and runs first.
+    With one worker, no `os.fork`, or inside a child, the tasks run in turn
+    here.  An exception a task raises in a child is raised here with its type
+    and message (a RuntimeError with its text if it does not survive
+    pickling); a child that ends without sending its results is a
+    RuntimeError naming it.  Every child is reaped before this returns or
+    raises, and one still running when this raises is killed first.
+    """
+    tasks = list(tasks)
+    workers = min(len(tasks), usable_cpus())
+    if workers < 2 or _in_child or not hasattr(os, "fork"):
+        return [fn(task) for task in tasks]
+    results: list = [None] * len(tasks)
+    children: list[tuple[int, int, range]] = []  # (pid, read end of its pipe, its task indices)
+    reaped: set[int] = set()
+    get_threads = openblas_call(OPENBLAS_GET_THREADS)
+    set_threads = openblas_call(OPENBLAS_SET_THREADS, restype=None, argtypes=[ctypes.c_int])
+    threads = get_threads() if get_threads is not None and set_threads is not None else None
+    try:
+        if threads is not None:
+            set_threads(1)
+        for w in range(1, workers):
+            indices = range(w, len(tasks), workers)
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _serve(fn, [tasks[i] for i in indices], write_end)
+            os.close(write_end)
+            children.append((pid, read_end, indices))
+        for i in range(0, len(tasks), workers):
+            results[i] = fn(tasks[i])
+        for pid, read_end, indices in children:
+            with os.fdopen(read_end, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            for i, result in zip(indices, _received(pid, data, status)):
+                results[i] = result
+    finally:
+        for pid, read_end, _ in children:
+            if pid not in reaped:
+                import signal  # only a failed fork_map needs it; importing it costs start-up time
+
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:  # it has exited and waits to be reaped
+                    pass
+                os.waitpid(pid, 0)
+            os.close(read_end)
+        if threads is not None:
+            set_threads(threads)
+    return results
+
+
+def _serve(fn, tasks, write_end: int) -> None:
+    """A child's whole life: run its tasks, send the pickled outcome, and
+    leave by `os._exit`, so nothing the parent buffered is written twice and
+    no cleanup of the parent's runs here."""
+    global _in_child
+    _in_child = True
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, [fn(task) for task in tasks], None), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # the parent raises it again
+            payload = _pickled_error(exc)
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled_error(exc: Exception) -> bytes:
+    """(False, exception, traceback text), or (False, its text, traceback
+    text) for an exception that does not survive a pickle round trip."""
+    import traceback  # only a failing child needs it; importing it costs start-up time
+
+    trace = "".join(traceback.format_exception(exc))
+    try:
+        payload = pickle.dumps((False, exc, trace), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        return pickle.dumps((False, f"{type(exc).__name__}: {exc}", trace), pickle.HIGHEST_PROTOCOL)
+
+
+def _received(pid: int, data: bytes, status: int) -> list:
+    """The results a child sent, or the error it sent raised again."""
+    try:
+        ok, outcome, trace = pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(f"forked worker {pid} ended without sending its results ({how})") from None
+    if ok:
+        return outcome
+    cause = RuntimeError(f"in forked worker {pid}:\n{trace}")
+    if isinstance(outcome, str):
+        raise RuntimeError(outcome) from cause
+    raise outcome from cause

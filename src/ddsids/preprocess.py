@@ -20,19 +20,18 @@ into a table once, at entry.
 from __future__ import annotations
 
 import csv
-import ctypes
 import json
-import os
 import platform
 import warnings
 from dataclasses import asdict, dataclass, field
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowRecord, FlowTable
-from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, float_cells, tokenized_rows, write_rows
+from .parallel import openblas_core, usable_cpus
+from .simnet import (ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, float_cells, numbered_blocks, tokenized_rows,
+                     write_rows)
 
 DIRECTIONALITIES = ("bidirectional", "destination_only", "source_only")
 IP_MODES = ("both", "source_only", "destination_only", "none")
@@ -369,32 +368,6 @@ def build_dataset(
     )
 
 
-# The core-name call of the OpenBLAS numpy wheels bundle, then of a plain build.
-_OPENBLAS_CORENAME = ("scipy_openblas_get_corename64_", "openblas_get_corename")
-
-
-def _openblas_core() -> str | None:
-    """The CPU kernel set of the OpenBLAS this process has loaded, as the
-    library names it; None where no loaded library tells.  The library is
-    found by path in /proc/self/maps and opened only if already loaded."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-        except (OSError, AttributeError):  # not loaded, or no RTLD_NOLOAD on this platform
-            continue
-        for symbol in _OPENBLAS_CORENAME:
-            corename = getattr(lib, symbol, None)
-            if corename is not None:
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
-    return None
-
-
 def runtime_environment() -> dict:
     """The interpreter, numpy and BLAS a run used, and the CPU kernel set the
     BLAS picked: trained weights can differ in the last bits between kernels."""
@@ -403,7 +376,8 @@ def runtime_environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "openblas_core": _openblas_core(),
+        "openblas_core": openblas_core(),
+        "cpus": usable_cpus(),
     }
 
 
@@ -479,12 +453,11 @@ def read_dataset_csv(path) -> Dataset:
             reader = csv.reader(fh)
             next(reader)
             blocks, labels = [np.empty((0, width))], []
-            while rows := list(islice(reader, FLOW_BLOCK)):
-                first_line = len(labels) + 2
-                for line, row in enumerate(rows, first_line):
+            for rows, lines in numbered_blocks(reader, FLOW_BLOCK):
+                for line, row in zip(lines, rows):
                     if len(row) != len(header):
                         raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
-                blocks.append(float_cells(path, header, rows, slice(None, -1), first_line))
+                blocks.append(float_cells(path, header, rows, slice(None, -1), lines))
                 labels += [row[-1] for row in rows]
             matrix = np.concatenate(blocks)
     return Dataset(matrix, labels, names, 0, np.zeros(width), np.ones(width))

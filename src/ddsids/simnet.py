@@ -565,15 +565,32 @@ def write_packet_csv(trace: Iterable[PacketRecord], path) -> None:
         raise OSError(f"cannot write packet csv {path}: {exc}") from exc
 
 
-def float_cells(path, header: list[str], rows: list[list[str]], columns: slice, first_line: int) -> np.ndarray:
-    """The `columns` cells of a block of CSV rows, the first on line
-    `first_line`, as a float matrix.  Rejects a non-finite cell, naming the
+def numbered_blocks(reader, block: int):
+    """The rest of a csv reader's rows, `block` rows at a time, each block
+    with the line every row starts on: a quoted field can span lines, so a
+    count of rows does not give it."""
+    rows, lines = [], []
+    line = reader.line_num + 1
+    for row in reader:
+        rows.append(row)
+        lines.append(line)
+        line = reader.line_num + 1
+        if len(rows) == block:
+            yield rows, lines
+            rows, lines = [], []
+    if rows:
+        yield rows, lines
+
+
+def float_cells(path, header: list[str], rows: list[list[str]], columns: slice, lines: list[int]) -> np.ndarray:
+    """The `columns` cells of a block of CSV rows, row r starting on line
+    `lines[r]`, as a float matrix.  Rejects a non-finite cell, naming the
     line and column of the first one."""
     block = np.array([list(map(float, row[columns])) for row in rows])
     bad = np.argwhere(~np.isfinite(block))
     if len(bad):
         r, c = bad[0].tolist()
-        raise ValueError(f"{path}: line {first_line + r}, column {header[columns][c]!r}: "
+        raise ValueError(f"{path}: line {lines[r]}, column {header[columns][c]!r}: "
                          f"non-finite value {rows[r][columns][c]!r}")
     return block
 

@@ -54,3 +54,14 @@ class TestDatasetCsv:
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=f"line 4, column 'b': non-finite value '{cell}'"):
             read_dataset_csv(path)
+
+    def test_line_after_a_label_spanning_two_lines(self, tmp_path):
+        # The quoted label of the first row runs over lines 2 and 3, so the
+        # bad row is on line 4, not on the row count's line 3.
+        path = tmp_path / "d.csv"
+        path.write_text('"a","b","c","Label"\n0.5,0.5,0.5,"ben\nign"\n0.5,nan,0.5,"dos"\n')
+        with pytest.raises(ValueError, match="line 4, column 'b': non-finite value 'nan'"):
+            read_dataset_csv(path)
+        path.write_text('"a","b","c","Label"\n0.5,0.5,0.5,"ben\nign"\n0.5,0.5,"dos"\n')
+        with pytest.raises(ValueError, match="line 4 has 3 fields, expected 4"):
+            read_dataset_csv(path)

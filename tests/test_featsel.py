@@ -113,7 +113,7 @@ class TestLasso:
         ds = dataset_from(X, labels)
         from ddsids.featsel import _descend, _GramStats
 
-        w, b = _descend(_GramStats.of(X, y), 0.0, np.zeros(2), float(y.mean()), max_iter=5000, tol=1e-13)
+        w, b, _ = _descend(_GramStats.of(X, y), 0.0, np.zeros(2), float(y.mean()), max_iter=5000, tol=1e-13)
         A = np.column_stack([np.ones(n), X])
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
         assert abs(b - coef[0]) < 1e-6
@@ -139,7 +139,7 @@ class TestLasso:
 
         grid = np.sort(np.logspace(-4, 1, 30))[::-1]
         path = _path(_GramStats.of(ds.matrix, ds.binary_labels()), grid)
-        nonzero = [int(np.count_nonzero(w)) for w, _ in path]
+        nonzero = [int(np.count_nonzero(w)) for w, _, _ in path]
         assert all(a <= b for a, b in zip(nonzero, nonzero[1:]))
 
     def test_all_zero_floor_error(self):
@@ -151,6 +151,26 @@ class TestLasso:
         ds = binary_toy(width=5, seed=11)
         ranking = rank_lasso(ds)
         assert sorted(ranking.ranked_names) == sorted(ds.feature_names)
+
+    def test_fits_stopped_at_the_sweep_cap_are_flagged(self):
+        # Two identical columns that sit in a narrow band far from zero, and
+        # so nearly on the intercept: coordinate descent crawls at small lambda.
+        from ddsids.featsel import LASSO_MAX_SWEEPS, _GramStats, _path
+
+        rng = np.random.default_rng(0)
+        X = rng.uniform(0, 1, (120, 4))
+        X[:, 1] = X[:, 0] = 0.9 + 0.05 * rng.uniform(0, 1, 120)
+        ds = dataset_from(X, ["benign" if v else "dos" for v in X[:, 0] + 0.02 * X[:, 2] > 0.925])
+        ranking = rank_lasso(ds)
+        ranked, _ = oracle_lasso.rank_lasso(ds.matrix, ds.binary_labels(), ds.feature_names)
+        assert ranking.ranked_names == ranked
+        grid = np.sort(np.logspace(-4, 1, 30))[::-1]
+        capped = [lam for lam, (_, _, sweeps) in zip(grid, _path(_GramStats.of(X, ds.binary_labels()), grid))
+                  if sweeps == LASSO_MAX_SWEEPS]
+        assert capped
+        full = [entry for entry in ranking.flagged if entry.startswith("full path")]
+        assert full == [f"full path, lambda {lam:g}: stopped at {LASSO_MAX_SWEEPS} sweeps" for lam in capped]
+        assert any(entry.startswith("fold ") for entry in ranking.flagged)
 
 
 def lasso_split(seed, n=150, width=6):
@@ -308,7 +328,7 @@ class TestImportance:
         # benign, and the baseline's plain accuracy (0.699) is below the
         # majority share (0.737) although it separates the classes.
         plan = ExperimentPlan(seed=3, scale=0.2, ip_mode="none")
-        train_ds, _ = build_datasets(plan, build_cache(plan), [], {})
+        train_ds, _, _ = build_datasets(plan, build_cache(plan), [], {})
         ranking = rank_importance(train_ds, trials=3, seed=3)
         assert sorted(ranking.ranked_names) == sorted(train_ds.feature_names)
 

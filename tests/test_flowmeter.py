@@ -237,6 +237,21 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"line 2, column '{column}': non-finite value '{cell}'"):
             read_flow_csv(path)
 
+    def test_line_before_a_label_spanning_two_lines(self, tmp_path):
+        # The second row's quoted label runs over lines 3 and 4; the bad cell
+        # of the first row is still on line 2.
+        flows = list(meter(random_flow_packets(np.random.default_rng(4))))
+        path = tmp_path / "flows.csv"
+        write_flow_csv(flows, path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = next(csv.reader(lines[:1]))
+        first, second = next(csv.reader(lines[1:2])), next(csv.reader(lines[1:2]))
+        first[header.index("Idle Std")] = "nan"
+        second[-1] = "ben\nign"
+        path.write_text(lines[0] + "".join(",".join(f'"{c}"' for c in row) + "\n" for row in (first, second)))
+        with pytest.raises(ValueError, match="line 2, column 'Idle Std': non-finite value 'nan'"):
+            read_flow_csv(path)
+
     def test_header_column_count(self, tmp_path):
         path = tmp_path / "flows.csv"
         write_flow_csv([], path)

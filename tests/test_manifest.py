@@ -1,12 +1,14 @@
 """One dataset manifest definition for `experiment` and `ddsids preprocess`."""
 
 import json
+import os
 import platform
+from dataclasses import replace
 
 import numpy as np
 
-from ddsids import flowmeter, preprocess, simnet
-from ddsids.evalcli import ExperimentPlan, main, run_experiment
+from ddsids import featsel, flowmeter, preprocess, simnet
+from ddsids.evalcli import ExperimentPlan, build_cache, build_datasets, main, run_experiment
 from ddsids.preprocess import read_dataset_csv
 
 
@@ -41,4 +43,16 @@ def test_manifest_records_the_runtime_environment(tmp_path):
     assert environment["python"] == platform.python_version() and environment["numpy"] == np.__version__
     assert set(environment["blas"]) == {"name", "version"}
     assert environment["openblas_core"] is None or isinstance(environment["openblas_core"], str)
+    assert environment["cpus"] == len(os.sched_getaffinity(0))
     assert environment == preprocess.runtime_environment()
+
+
+def test_experiment_manifest_records_the_selection(tmp_path):
+    plan = ExperimentPlan(seed=5, scale=0.06, epochs=1, model="single", selection_method="lasso")
+    cache = build_cache(plan)
+    train_ds, _, ranking = build_datasets(plan, cache, [], {})
+    assert ranking is None
+    flagged = featsel.rank_lasso(train_ds, seed=plan.seed).flagged
+    run_experiment(replace(plan, feature_k=5), tmp_path, cache)
+    manifest = json.loads((tmp_path / "dataset.manifest.json").read_text())
+    assert manifest["selection"] == {"method": "lasso", "k": 5, "flagged": len(flagged)}
