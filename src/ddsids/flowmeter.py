@@ -43,15 +43,13 @@ per-packet loop over the flow would compute, to the last bit.
 
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .simnet import (ColumnTable, PacketRecord, PacketTrace, float_cells, numbered_blocks, tokenized_rows,
-                     write_rows)
+from .simnet import INT64, PORTS, ColumnTable, PacketRecord, PacketTrace, read_rows, write_rows
 
 FEATURE_NAMES = [
     "Protocol",
@@ -143,7 +141,7 @@ LABEL_NAME = "Label"
 FLAG_BITS = {"FIN": 1, "SYN": 2, "RST": 4, "PSH": 8, "ACK": 16, "URG": 32, "CWE": 64, "ECE": 128}
 
 _MIN_RATE_DIVISOR_S = 1e-6
-FLOW_BLOCK = 256  # flows (or dataset rows) formatted or parsed at a time
+FLOW_BLOCK = 256  # flows (or dataset rows) formatted at a time
 
 
 @dataclass(frozen=True)
@@ -455,56 +453,32 @@ def write_flow_csv(flows: Iterable[FlowRecord], path) -> None:
                         (flows.features, "{!r},".format), (flows.label, '"{}"\n'.format)], FLOW_BLOCK)
 
 
-# A flow row as numpy's tokenizer reads it: the start time and the features
-# are one run of floats.
+# A flow row: the start time and the features are one run of floats.
 _FLOW_ROW = np.dtype([("flow_id", object), ("src", object), ("src_port", np.int64), ("dst", object),
                       ("dst_port", np.int64), ("values", np.float64, (1 + len(FEATURE_NAMES),)), ("label", object)])
+_FLOW_HEADER = METADATA_NAMES + FEATURE_NAMES + [LABEL_NAME]
+
+
+def _flow_row(path, header: list[str]) -> np.dtype:
+    if not header:
+        raise ValueError(f"{path}: empty flow file")
+    for col in header:
+        if col not in _FLOW_HEADER:
+            raise ValueError(f"{path}: unknown column {col!r}")
+    for col in _FLOW_HEADER:
+        if col not in header:
+            raise ValueError(f"{path}: missing column {col!r}")
+    if header != _FLOW_HEADER:
+        raise ValueError(f"{path}: columns out of catalog order")
+    return _FLOW_ROW
 
 
 def read_flow_csv(path) -> FlowTable:
-    """Inverse of write_flow_csv: read by numpy's C tokenizer, or else
-    FLOW_BLOCK rows at a time; rejects a header off the catalog, a row with
-    the wrong number of fields, a non-finite start time or feature and an
-    integer outside the 64-bit range."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty flow file") from None
-        expected = METADATA_NAMES + FEATURE_NAMES + [LABEL_NAME]
-        for col in header:
-            if col not in expected:
-                raise ValueError(f"{path}: unknown column {col!r}")
-        for col in expected:
-            if col not in header:
-                raise ValueError(f"{path}: missing column {col!r}")
-        if header != expected:
-            raise ValueError(f"{path}: columns out of catalog order")
-        rows = tokenized_rows(path, fh, reader.line_num, _FLOW_ROW, quotechar='"')
-        if rows is not None:
-            values = rows["values"]
-            protocol = values[:, 1 + FEATURE_INDEX["Protocol"]]
-            if np.isfinite(values).all() and ((protocol >= -2.0**63) & (protocol < 2.0**63)).all():
-                return FlowTable.from_columns(
-                    [rows["flow_id"].tolist(), rows["src"].tolist(), rows["src_port"].copy(), rows["dst"].tolist(),
-                     rows["dst_port"].copy(), protocol.astype(np.int64), values[:, 0].copy(),
-                     np.ascontiguousarray(values[:, 1:]), rows["label"].tolist()], FLOW_BLOCK)
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        blocks = []
-        for rows, lines in numbered_blocks(reader, FLOW_BLOCK):
-            bad = next((row for row in rows if len(row) != len(expected)), None)
-            if bad is not None:
-                raise ValueError(f"{path}: row with {len(bad)} fields, expected {len(expected)}")
-            flow_id, src, sport, dst, dport = zip(*(row[:5] for row in rows))
-            values = float_cells(path, header, rows, slice(5, -1), lines)
-            start, features = values[:, 0], values[:, 1:]
-            protocol = list(map(int, features[:, FEATURE_INDEX["Protocol"]].tolist()))
-            try:
-                blocks.append(FlowTable.from_columns([flow_id, src, list(map(int, sport)), dst, list(map(int, dport)),
-                                                      protocol, start, features, [row[-1] for row in rows]]))
-            except OverflowError:
-                raise ValueError(f"{path}: integer field outside the 64-bit range") from None
-    return FlowTable.concat(blocks)
+    """Inverse of write_flow_csv, through read_rows; rejects a header off the
+    catalog, a port outside 0..65535 and a Protocol outside the 64-bit range."""
+    _, rows = read_rows(path, _flow_row, '"', {"Src Port": PORTS, "Dst Port": PORTS, "Protocol": INT64})
+    values = rows["values"]
+    return FlowTable.from_columns(
+        [rows["flow_id"].tolist(), rows["src"].tolist(), rows["src_port"].copy(), rows["dst"].tolist(),
+         rows["dst_port"].copy(), values[:, 1 + FEATURE_INDEX["Protocol"]].astype(np.int64), values[:, 0].copy(),
+         np.ascontiguousarray(values[:, 1:]), rows["label"].tolist()])

@@ -19,7 +19,6 @@ into a table once, at entry.
 
 from __future__ import annotations
 
-import csv
 import json
 import platform
 import warnings
@@ -30,8 +29,7 @@ import numpy as np
 
 from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowRecord, FlowTable
 from .parallel import openblas_core, usable_cpus
-from .simnet import (ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, float_cells, numbered_blocks, tokenized_rows,
-                     write_rows)
+from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, read_rows, write_rows
 
 DIRECTIONALITIES = ("bidirectional", "destination_only", "source_only")
 IP_MODES = ("both", "source_only", "destination_only", "none")
@@ -430,34 +428,21 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
                         (dataset.labels, '"{}"\n'.format)], FLOW_BLOCK)
 
 
+def _dataset_row(path, header: list[str]) -> np.dtype:
+    if not header:
+        raise ValueError(f"{path}: empty dataset file")
+    if header[-1] != "Label":
+        raise ValueError(f"{path}: last column must be Label")
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise ValueError(f"{path}: repeated column {repeated[0]!r}")
+    return np.dtype([("values", np.float64, (len(header) - 1,)), ("label", object)])
+
+
 def read_dataset_csv(path) -> Dataset:
-    """Inverse of write_dataset_csv: read by numpy's C tokenizer, or else
-    FLOW_BLOCK rows at a time, which rejects an empty file, a row with the
-    wrong number of fields and a non-finite cell, naming the line (and
-    column) of the first one."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValueError(f"{path}: empty dataset file")
-        if header[-1] != "Label":
-            raise ValueError(f"{path}: last column must be Label")
-        names = header[:-1]
-        width = len(names)
-        row_type = np.dtype([("values", np.float64, (width,)), ("label", object)])
-        rows = tokenized_rows(path, fh, reader.line_num, row_type, quotechar='"')
-        if rows is not None and np.isfinite(rows["values"]).all():
-            matrix, labels = np.ascontiguousarray(rows["values"]), rows["label"].tolist()
-        else:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            blocks, labels = [np.empty((0, width))], []
-            for rows, lines in numbered_blocks(reader, FLOW_BLOCK):
-                for line, row in zip(lines, rows):
-                    if len(row) != len(header):
-                        raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
-                blocks.append(float_cells(path, header, rows, slice(None, -1), lines))
-                labels += [row[-1] for row in rows]
-            matrix = np.concatenate(blocks)
-    return Dataset(matrix, labels, names, 0, np.zeros(width), np.ones(width))
+    """Inverse of write_dataset_csv, through simnet.read_rows; rejects an
+    empty file, a last column other than Label and a repeated column name."""
+    header, rows = read_rows(path, _dataset_row, '"', {})
+    width = len(header) - 1
+    return Dataset(np.ascontiguousarray(rows["values"]), rows["label"].tolist(), header[:-1], 0, np.zeros(width),
+                   np.ones(width))

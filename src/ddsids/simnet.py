@@ -41,7 +41,7 @@ import warnings
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, starmap
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -125,18 +125,13 @@ class ColumnTable(Sequence):
             setattr(self, name, values)
 
     @classmethod
-    def from_columns(cls, columns: Sequence, block: int = 0) -> "ColumnTable":
+    def from_columns(cls, columns: Sequence) -> "ColumnTable":
         """A table from one sequence per column, with address strings in the
         address columns.  The address table lists the addresses in the order
-        they first show when the rows are read `block` at a time (all at once
-        for 0), each block one address column after the other: the table
-        `concat` makes of the blocks' own tables."""
+        they first show, one address column after the other."""
         columns = list(columns)
         where = [k for k, name in enumerate(cls.COLUMNS) if name in cls.ADDRESS_COLUMNS]
-        n = len(columns[0])
-        step = block or max(n, 1)
-        seen = dict.fromkeys(chain.from_iterable(columns[k][lo : lo + step] for lo in range(0, n, step) for k in where))
-        index = {a: i for i, a in enumerate(seen)}
+        index = {a: i for i, a in enumerate(dict.fromkeys(chain.from_iterable(columns[k] for k in where)))}
         for k in where:
             columns[k] = np.fromiter(map(index.__getitem__, columns[k]), np.int64, len(columns[k]))
         return cls(index, *columns)
@@ -565,36 +560,6 @@ def write_packet_csv(trace: Iterable[PacketRecord], path) -> None:
         raise OSError(f"cannot write packet csv {path}: {exc}") from exc
 
 
-def numbered_blocks(reader, block: int):
-    """The rest of a csv reader's rows, `block` rows at a time, each block
-    with the line every row starts on: a quoted field can span lines, so a
-    count of rows does not give it."""
-    rows, lines = [], []
-    line = reader.line_num + 1
-    for row in reader:
-        rows.append(row)
-        lines.append(line)
-        line = reader.line_num + 1
-        if len(rows) == block:
-            yield rows, lines
-            rows, lines = [], []
-    if rows:
-        yield rows, lines
-
-
-def float_cells(path, header: list[str], rows: list[list[str]], columns: slice, lines: list[int]) -> np.ndarray:
-    """The `columns` cells of a block of CSV rows, row r starting on line
-    `lines[r]`, as a float matrix.  Rejects a non-finite cell, naming the
-    line and column of the first one."""
-    block = np.array([list(map(float, row[columns])) for row in rows])
-    bad = np.argwhere(~np.isfinite(block))
-    if len(bad):
-        r, c = bad[0].tolist()
-        raise ValueError(f"{path}: line {lines[r]}, column {header[columns][c]!r}: "
-                         f"non-finite value {rows[r][columns][c]!r}")
-    return block
-
-
 def _line_stats(path) -> tuple[int, int, bool]:
     """(lines, bytes in the longest line, whether a carriage return or a NUL
     occurs) of a file, read 1 MiB at a time."""
@@ -616,21 +581,14 @@ def _line_stats(path) -> tuple[int, int, bool]:
 def tokenized_rows(path, fh, header_lines: int, dtype: np.dtype, quotechar: str | None = None) -> np.ndarray | None:
     """The rows of the text file `fh`, open on `path` and read past its
     `header_lines` header lines, read by numpy's C tokenizer into a
-    structured array of `dtype`, one row per line; None where that read could
-    differ from the block parsers'.
-
-    Each CSV reader reads its rows this way first and, on None or a value it
-    rejects, again with its block parser, which returns the same rows or
-    raises its message for the fault.  The tokenizer raises on a row whose
-    field count is off the dtype's, on a cell that is no number and on an
-    integer beyond 64 bits, and its quoting is the csv module's: a quote
-    opens a quoted field only as the field's first character.  It skips
-    blank lines, so the rows must number the file's newline bytes; a
-    carriage return, which ends a line too, and a NUL, which the csv module
-    rejects before Python 3.11, send the file to the block parser.  It has no
-    field size limit, so no line may outgrow the csv module's or Python's
-    int digit limit.
-    """
+    structured array of `dtype`; None where that read could differ from the
+    csv module's.  Its quoting is the csv module's (a quote opens a quoted
+    field only as the field's first character), and it raises on a field
+    count off the dtype's, a cell that is no number and an integer beyond 64
+    bits.  It skips blank lines, so the rows must number the newline bytes;
+    a carriage return (it ends a line too) or a NUL (the csv module rejects
+    it before Python 3.11) sends the file to the csv module, as does a line
+    beyond the csv field size or Python's int digit limit."""
     lines, longest, odd = _line_stats(path)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or sys.maxsize
     if odd or longest > min(csv.field_size_limit(), digits) or lines <= header_lines:
@@ -644,41 +602,123 @@ def tokenized_rows(path, fh, header_lines: int, dtype: np.dtype, quotechar: str 
     return rows if len(rows) == lines - header_lines else None
 
 
-_PACKET_ROW = np.dtype([(name, object if name in ColumnTable.ADDRESS_COLUMNS else dtype)
-                        for name, dtype in zip(PACKET_COLUMNS, PacketTrace.DTYPES)])
+_CELL_BLOCK = 1 << 12  # cells parsed at a time: few, so the csv module's row lists die young
+PORTS = range(1 << 16)
+INT64 = range(-(1 << 63), 1 << 63)
+
+
+def _csv_reader(fh, quotechar: str | None):
+    return csv.reader(fh, quotechar=quotechar) if quotechar else csv.reader(fh, quoting=csv.QUOTE_NONE)
+
+
+def _column_views(rows: np.ndarray) -> list[np.ndarray]:
+    """One view into a structured array of rows per CSV column, in file order."""
+    return [column for name in rows.dtype.names
+            for column in rows[name].reshape(len(rows), math.prod(rows.dtype[name].shape)).T]
+
+
+def _row_fault(row: list[str], header: list[str], dtype: np.dtype, bounds: dict) -> tuple[int | None, str] | None:
+    """(column, reason) of the first cell of a row of text that the readers
+    reject, (None, "") for a field count off the header's, or None.  An
+    integer column is bounded by its declared bound or else by int64."""
+    if len(row) != len(header):
+        return None, ""
+    for c, (name, column, cell) in enumerate(zip(header, _column_views(np.zeros(0, dtype)), row)):
+        kind = column.dtype.kind
+        bound = bounds.get(name, INT64 if kind == "i" else None)
+        try:
+            value = np.array([cell], column.dtype)[0]
+        except ValueError:
+            return c, "not an integer" if kind == "i" else "not a number"
+        except OverflowError:  # an integer beyond 64 bits
+            value = int(cell)
+        if kind == "f" and not np.isfinite(value):
+            return c, "non-finite value"
+        if bound is not None and not bound.start <= value < bound.stop:
+            return c, f"outside {bound.start}..{bound.stop - 1}"
+
+
+def _first_bad_row(rows: np.ndarray, header: list[str], bounds: dict) -> int | None:
+    """The first row with a non-finite float or a value outside its column's bound, or None."""
+    bad = np.zeros(len(rows), bool)
+    for name, column in zip(header, _column_views(rows)):
+        if column.dtype.kind == "f":
+            bad |= ~np.isfinite(column)
+        if name in bounds:
+            bad |= (column < bounds[name].start) | (column >= bounds[name].stop)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _parsed_rows(reader, header: list[str], dtype: np.dtype, bounds: dict) -> tuple[np.ndarray, int | None]:
+    """The rows of the csv reader `reader` in a structured array of `dtype`,
+    _CELL_BLOCK cells at a time (numpy parses a number cell as Python's int
+    or float does), and None; at a block that does not parse, the rows
+    before it and the first of its rows that `_row_fault` rejects."""
+    width = len(header)
+    blocks = [np.zeros(0, dtype)]
+    while cells := list(islice(reader, max(1, _CELL_BLOCK // width))):
+        flat = list(chain.from_iterable(cells))
+        block = np.zeros(len(cells), dtype)  # zeros, not empty: much faster with object fields
+        try:
+            if set(map(len, cells)) != {width}:
+                raise ValueError("a field count off the header's")
+            for c, column in enumerate(_column_views(block)):
+                column[:] = flat[c::width]
+        except (ValueError, OverflowError):
+            rows = np.concatenate(blocks)
+            return rows, len(rows) + next(r for r, row in enumerate(cells) if _row_fault(row, header, dtype, bounds))
+        blocks.append(block)
+    return np.concatenate(blocks), None
+
+
+def read_rows(path, row_type, quotechar: str | None, bounds: dict[str, range]) -> tuple[list[str], np.ndarray]:
+    """The header and the rows of the CSV file `path` (`quotechar` None: no
+    quoting), the rows in a structured array of the dtype (a text, float64
+    or int64 field per column or run of columns) that `row_type(path,
+    header)` gives or raises for the header.  numpy's C tokenizer reads the
+    rows where it reads them as the csv module would, else the csv module
+    does.  A rejection names the path and line, and the column, reason and
+    text of a cell `_row_fault` rejects under the bounds `bounds` declares."""
+    with open(path, newline="") as fh:
+        reader = _csv_reader(fh, quotechar)
+        try:
+            header = next(reader, [])
+            dtype = row_type(path, header)
+            rows, r = tokenized_rows(path, fh, reader.line_num, dtype, quotechar), None
+            if rows is None:
+                fh.seek(0)
+                reader = _csv_reader(fh, quotechar)
+                rows, r = _parsed_rows(islice(reader, 1, None), header, dtype, bounds)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        bad = _first_bad_row(rows, header, bounds)
+        r = r if bad is None else bad
+        if r is not None:
+            # Found only now, as the tokenizer keeps neither lines nor text;
+            # on the files it reads, row r sits on line header_lines + 1 + r.
+            fh.seek(0)
+            reader = _csv_reader(fh, quotechar)
+            next(islice(reader, r + 1, r + 1), None)  # the header and the rows before row r
+            line, row = reader.line_num + 1, next(reader)
+            c, reason = _row_fault(row, header, rows.dtype, bounds)
+            if c is None:
+                raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
+            raise ValueError(f"{path}: line {line}, column {header[c]!r}: {reason} {row[c]!r}")
+    return header, rows
+
+
+def _packet_row(path, header: list[str]) -> np.dtype:
+    if header != PACKET_CSV_HEADER.split(","):
+        raise ValueError(f"{path}: unexpected packet csv header {','.join(header)!r}")
+    return np.dtype([(name, object if name in ColumnTable.ADDRESS_COLUMNS else dtype)
+                     for name, dtype in zip(PACKET_COLUMNS, PacketTrace.DTYPES)])
 
 
 def read_packet_csv(path) -> PacketTrace:
-    """Inverse of write_packet_csv: read by numpy's C tokenizer, or else
-    _ROW_BLOCK rows at a time, which rejects a row without 9 fields and an
-    integer outside the 64-bit range."""
-    try:
-        with open(path) as fh:
-            header = fh.readline().rstrip("\n")
-            if header != PACKET_CSV_HEADER:
-                raise ValueError(f"{path}: unexpected packet csv header {header!r}")
-            rows = tokenized_rows(path, fh, 1, _PACKET_ROW)
-            if rows is not None:
-                return PacketTrace.from_columns([rows[name].tolist() if name in PacketTrace.ADDRESS_COLUMNS
-                                                 else rows[name].copy() for name in PACKET_COLUMNS], _ROW_BLOCK)
-            fh.seek(0)
-            fh.readline()
-            blocks = []
-            while lines := list(islice(fh, _ROW_BLOCK)):
-                commas = list(map(str.count, lines, repeat(",", len(lines))))
-                if commas.count(8) != len(lines):
-                    bad = next(line for line, c in zip(lines, commas) if c != 8)
-                    raise ValueError(f"{path}: malformed row {bad!r}")
-                fields = "".join(lines).replace("\n", ",").split(",")
-                ts, src, sport, dst, *rest = (fields[k : 9 * len(lines) : 9] for k in range(9))
-                try:
-                    blocks.append(PacketTrace.from_columns(
-                        [list(map(float, ts)), src, list(map(int, sport)), dst, *(list(map(int, c)) for c in rest)]))
-                except OverflowError:
-                    raise ValueError(f"{path}: integer field outside the 64-bit range") from None
-    except OSError as exc:
-        raise OSError(f"cannot read packet csv {path}: {exc}") from exc
-    return PacketTrace.concat(blocks)
+    """Inverse of write_packet_csv, through read_rows; ports lie in 0..65535."""
+    _, rows = read_rows(path, _packet_row, None, {"src_port": PORTS, "dst_port": PORTS})
+    return PacketTrace.from_columns([rows[name].tolist() if name in PacketTrace.ADDRESS_COLUMNS else rows[name].copy()
+                                     for name in PACKET_COLUMNS])
 
 
 _CONFIG_FIELDS = {

@@ -65,3 +65,11 @@ class TestDatasetCsv:
         path.write_text('"a","b","c","Label"\n0.5,0.5,0.5,"ben\nign"\n0.5,0.5,"dos"\n')
         with pytest.raises(ValueError, match="line 4 has 3 fields, expected 4"):
             read_dataset_csv(path)
+
+    def test_repeated_column_rejected(self, tmp_path):
+        # Dataset.project looks names up with list.index, so a second 'a'
+        # would silently read the first one's column.
+        path = tmp_path / "d.csv"
+        path.write_text('"a","a","Label"\n0.5,0.25,"dos"\n')
+        with pytest.raises(ValueError, match=f"{path}: repeated column 'a'"):
+            read_dataset_csv(path)

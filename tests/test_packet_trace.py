@@ -69,5 +69,5 @@ class TestPacketTrace:
         write_packet_csv(small_trace()[:3], path)
         with open(path, "a") as fh:
             fh.write("0.5,10.0.5.4,1,10.0.5.5,2,17,16\n")
-        with pytest.raises(ValueError, match="malformed row"):
+        with pytest.raises(ValueError, match="line 5 has 7 fields, expected 9"):
             read_packet_csv(path)

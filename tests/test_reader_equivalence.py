@@ -1,10 +1,12 @@
 """The packet, flow and dataset readers parse a file with numpy's C tokenizer
-and fall back to their block parsers where it could read it differently.
-Every text, valid or mutated, must give the same columns bit for bit, labels
-and address table either way, or the same error."""
+and fall back to the csv module where it could read it differently.  Every
+text, valid or mutated, must give the same columns bit for bit, labels and
+address table either way, or the same error."""
 
+import csv
+import re
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ddsids import flowmeter, preprocess, simnet
+from ddsids.evalcli import main
 from ddsids.flowmeter import FEATURE_NAMES, FlowRecord, read_flow_csv, write_flow_csv
 from ddsids.preprocess import Dataset, read_dataset_csv, write_dataset_csv
 from ddsids.simnet import PacketRecord, PacketTrace, read_packet_csv, write_packet_csv
@@ -81,19 +84,15 @@ def outcome(read, path):
 def block_parsers_only():
     """The readers with the tokenizer path switched off."""
     with pytest.MonkeyPatch.context() as mp:
-        for module in (simnet, flowmeter, preprocess):
-            mp.setattr(module, "tokenized_rows", lambda *args, **kwargs: None)
+        mp.setattr(simnet, "tokenized_rows", lambda *args, **kwargs: None)
         yield
 
 
 @contextmanager
 def small_blocks():
-    """Blocks of two rows, so a few rows span several blocks and the address
-    table's block-wise order shows."""
+    """Blocks of one row, so a few rows span several blocks."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "_ROW_BLOCK", 2)
-        mp.setattr(flowmeter, "FLOW_BLOCK", 2)
-        mp.setattr(preprocess, "FLOW_BLOCK", 2)
+        mp.setattr(simnet, "_CELL_BLOCK", 1)
         yield
 
 
@@ -141,7 +140,7 @@ packets = st.lists(st.builds(
 
 flows = st.lists(st.builds(
     FlowRecord, st.sampled_from(["f0", "a,b", 'q"r', "", "10.0.5.4:1->10.0.5.5:2/17#0"]), st.sampled_from(ADDRESSES),
-    st.integers(0, 65535), st.sampled_from(ADDRESSES), st.integers(0, 2**63 - 1), st.just(17),
+    st.integers(0, 65535), st.sampled_from(ADDRESSES), st.integers(-1, 65536), st.just(17),
     st.sampled_from(FLOATS), st.tuples(st.sampled_from([6.0, 17.0]), st.lists(
         st.sampled_from(FLOATS), min_size=len(FEATURE_NAMES) - 1, max_size=len(FEATURE_NAMES) - 1)).map(
         lambda p: [p[0], *p[1]]),  # "Protocol" first, an integer; odd cells put others there
@@ -217,8 +216,7 @@ class TestTokenizerPath:
             rows = real(*args, **kwargs)
             taken.append(rows is not None)
             return rows
-        for module in (simnet, flowmeter, preprocess):
-            monkeypatch.setattr(module, "tokenized_rows", spy)
+        monkeypatch.setattr(simnet, "tokenized_rows", spy)
         return taken
 
     def test_writer_output(self, tmp_path, taken):
@@ -234,21 +232,65 @@ class TestTokenizerPath:
         assert taken == [True, True, True]
 
 
-@pytest.mark.parametrize("write, read, record", [
-    (write_packet_csv, read_packet_csv, lambda i, src, dst: PacketRecord(float(i), src, 1, dst, 2, 17, 0, 28, 0)),
-    (write_flow_csv, read_flow_csv, lambda i, src, dst: FlowRecord(f"f{i}", src, 1, dst, 2, 17, float(i),
-                                                                   [17.0] * len(FEATURE_NAMES))),
+INT64 = "outside -9223372036854775808..9223372036854775807"
+READERS = {
+    "packet": (read_packet_csv, lambda: packet_text([PacketRecord(0.5 * i, ADDRESSES[i % 2], 1000 + i, ADDRESSES[4], 53,
+                                                                  17, 48, 28, 0) for i in range(3)])),
+    "flow": (read_flow_csv, lambda: flow_text([FlowRecord(f"f{i}", ADDRESSES[i % 2], 1000 + i, ADDRESSES[4], 53, 17,
+                                                          0.25 * i, [17.0] + FLOATS * 9 + [1.0] * 5) for i in range(3)])),
+    "dataset": (read_dataset_csv, lambda: dataset_text(np.array([[0.5, 1e300, -0.0]] * 3), ["benign", "dos", "x"],
+                                                       ["a", "b", "c"])),
+}
+
+
+@pytest.mark.parametrize("fmt, column, cell, reason", [
+    ("packet", "ts", "zz", "not a number 'zz'"),
+    ("packet", "ts", "nan", "non-finite value 'nan'"),
+    ("packet", "src_port", "x", "not an integer 'x'"),
+    ("packet", "src_port", "70000", "outside 0..65535 '70000'"),
+    ("packet", "dst_port", "-5", "outside 0..65535 '-5'"),
+    ("packet", "payload_len", "99999999999999999999", f"{INT64} '99999999999999999999'"),
+    ("packet", "flags", None, "has 8 fields, expected 9"),
+    ("flow", "Flow Duration", "zz", "not a number 'zz'"),
+    ("flow", "Src Port", "x", "not an integer 'x'"),
+    ("flow", "Src Port", "70000", "outside 0..65535 '70000'"),
+    ("flow", "Dst Port", "99999999999999999999", "outside 0..65535 '99999999999999999999'"),
+    ("flow", "Protocol", "1e19", f"{INT64} '1e19'"),
+    ("flow", "Label", None, "has 84 fields, expected 85"),
+    ("dataset", "b", "zz", "not a number 'zz'"),
+    ("dataset", "Label", None, "has 3 fields, expected 4"),
 ])
-def test_address_table_keeps_block_order(tmp_path, write, read, record):
-    """Across blocks the address table lists each block's new source
-    addresses, then its new destination addresses, as the block parser's
-    concatenation does; one pass over each whole column would not."""
+def test_rejection_names_path_line_and_column(tmp_path, fmt, column, cell, reason):
+    """Each fault in the second row, on line 3, read by either path; a cell
+    None drops the column's cell from the row instead."""
+    read, text = READERS[fmt]
+    lines = text().splitlines(keepends=True)
+    header = next(csv.reader(lines[:1]))
+    row = next(csv.reader(lines[2:3]))
+    if cell is None:
+        del row[header.index(column)]
+    else:
+        row[header.index(column)] = cell
+    lines[2] = ",".join(row) + "\n"
     path = tmp_path / "in.csv"
-    write([record(i, f"10.0.5.{i % 3}", f"10.0.6.{i}") for i in range(7)], path)
-    with small_blocks():
-        fast = read(path)
-        with block_parsers_only():
-            blocks = read(path)
-    assert fast.addresses == blocks.addresses == (
-        "10.0.5.0", "10.0.5.1", "10.0.6.0", "10.0.6.1", "10.0.5.2", "10.0.6.2", "10.0.6.3",
-        "10.0.6.4", "10.0.6.5", "10.0.6.6")
+    path.write_text("".join(lines))
+    where = "line 3" if cell is None else f"line 3, column {column!r}:"
+    for parsers in (nullcontext, block_parsers_only):
+        with parsers(), pytest.raises(ValueError, match=re.escape(f"{path}: {where} {reason}")):
+            read(path)
+
+
+@pytest.mark.parametrize("argv, cell, message", [
+    (["meter", "--packets"], "x", "line 3, column 'payload_len': not an integer 'x'"),
+    (["train", "--train"], "zz", "line 3, column 'b': not a number 'zz'"),
+])
+def test_cli_prints_the_rejection(tmp_path, capsys, argv, cell, message):
+    text = (READERS["packet"] if argv[0] == "meter" else READERS["dataset"])[1]()
+    lines = text.splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[6 if argv[0] == "meter" else 1] = cell
+    lines[2] = ",".join(cells)
+    path = tmp_path / "in.csv"
+    path.write_text("".join(lines))
+    assert main([*argv, str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"ddsids: error: {path}: {message}\n"
