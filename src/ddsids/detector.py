@@ -25,14 +25,16 @@ usable CPU and the parts train side by side in forked workers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+import io
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import parallel
 from .preprocess import Dataset
-from .simnet import ATTACK_SCENARIOS as EXPERT_ATTACKS
+from .simnet import ATTACK_SCENARIOS as EXPERT_ATTACKS, parsed
 
 MODEL_MAGIC = "ddsids-model v1"
 ENSEMBLE_MAGIC = "ddsids-ensemble v1"
@@ -451,26 +453,84 @@ def _hex_list(values) -> str:
     return " ".join(float(v).hex() for v in values)
 
 
-def _from_hex(text: str) -> list[float]:
-    try:
-        return [float.fromhex(tok) for tok in text.split()] if text.strip() else []
-    except ValueError:
-        raise ValueError(f"malformed hex float values: {text[:40]!r}") from None
+def _hexes(text: str, width: int | None = None, finite: bool = True) -> list[float]:
+    """The hex floats of a text, `width` of them when given."""
+    values = [parsed(tok, float.fromhex, finite) for tok in text.split()]
+    if width is not None and len(values) != width:
+        raise ValueError(f"has {len(values)} values, expected {width}")
+    return values
+
+
+def _ints(text: str) -> list[int]:
+    return [parsed(tok, int) for tok in text.split()]
+
+
+def _shape(text: str) -> list[int]:
+    violations = validate_shape(shape := _ints(text))
+    if violations:
+        raise ValueError("invalid network shape: " + "; ".join(violations))
+    return shape
+
+
+def _one_of(what: str, *allowed: str):
+    """The read of a text that must be one of `allowed`."""
+    def read(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"unsupported {what} {text!r}, expected {' or '.join(map(repr, allowed))}")
+        return text
+    return read
+
+
+def _names(names: Sequence[str]) -> str:
+    for name in names:
+        if "|" in name or "\n" in name or "\r" in name or name != name.strip():
+            raise ValueError(f"feature name {name!r} cannot be saved in a model file: "
+                             "it holds '|', a line break or padding")
+    return "|".join(names)
+
+
+class _Field(NamedTuple):
+    """How a header value is written and read back; a field with no read
+    carries the one text `write`.  A per-input value has one entry per input
+    column, or none."""
+
+    write: Callable | str
+    read: Callable | None = None
+    per_input: bool = False
+
+
+_NORM = _Field(lambda values: "-" if values is None else _hex_list(values),
+               lambda text: None if text == "-" else np.array(_hexes(text)), per_input=True)
+_CURVE = _Field(_hex_list, partial(_hexes, finite=False))
+# The header of a model block, in file order; each tag is the DetectorModel
+# attribute it carries.  The threshold, the norms, and the weights and biases
+# of the `layer:` and `bias:` lines that follow must be finite; the curves may
+# hold NaN, as a run without a holdout writes NaN accuracies.
+_HEADER = {
+    "shape": _Field(lambda shape: " ".join(map(str, shape)), _shape),
+    "hidden_activation": _Field("relu"),
+    "threshold": _Field(lambda value: float(value).hex(), partial(parsed, kind=float.fromhex)),
+    "seed": _Field(str, partial(parsed, kind=int)),
+    "epochs": _Field(str, partial(parsed, kind=int)),
+    "feature_names": _Field(_names, lambda text: text.split("|") if text else [], per_input=True),
+    "norm_min": _NORM,
+    "norm_max": _NORM,
+    "loss_curve": _CURVE,
+    "holdout_accuracy": _CURVE,
+    "conv": _Field("-"),
+}
+# An ensemble's header: the fields of the model header that EnsembleModel carries.
+_ENSEMBLE_HEADER = {tag: f for tag, f in _HEADER.items() if tag in {x.name for x in fields(EnsembleModel)}}
+
+
+def _write_header(fh, header: dict[str, _Field], obj) -> None:
+    for tag, f in header.items():
+        fh.write(f"{tag}: {f.write(getattr(obj, tag)) if f.read else f.write}\n")
 
 
 def _write_model_block(fh, model: DetectorModel) -> None:
     fh.write(MODEL_MAGIC + "\n")
-    fh.write("shape: " + " ".join(str(w) for w in model.shape) + "\n")
-    fh.write("hidden_activation: relu\n")
-    fh.write(f"threshold: {float(model.threshold).hex()}\n")
-    fh.write(f"seed: {model.seed}\n")
-    fh.write(f"epochs: {model.epochs}\n")
-    fh.write("feature_names: " + "|".join(model.feature_names) + "\n")
-    fh.write("norm_min: " + ("-" if model.norm_min is None else _hex_list(model.norm_min)) + "\n")
-    fh.write("norm_max: " + ("-" if model.norm_max is None else _hex_list(model.norm_max)) + "\n")
-    fh.write("loss_curve: " + _hex_list(model.loss_curve) + "\n")
-    fh.write("holdout_accuracy: " + _hex_list(model.holdout_accuracy) + "\n")
-    fh.write("conv: -\n")
+    _write_header(fh, _HEADER, model)
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
         fh.write(f"layer: {i} {W.shape[0]} {W.shape[1]}\n")
         for row in W:
@@ -479,113 +539,79 @@ def _write_model_block(fh, model: DetectorModel) -> None:
     fh.write("end\n")
 
 
-class _BlockReader:
+class _Lines:
+    """A model file read a line at a time; a fault names the path, the line
+    and the field."""
+
     def __init__(self, fh, path):
-        self.fh = fh
-        self.path = path
+        self.fh, self.path, self.n = fh, path, 0
 
-    def line(self) -> str:
+    def fault(self, tag: str | None, reason: str) -> ValueError:
+        return ValueError(f"{self.path}: line {self.n}{'' if tag is None else f', field {tag!r}'}: {reason}")
+
+    def next(self, tag: str | None, read: Callable, tagged: bool = True):
+        """The next line read by `read`, after its `tag:` when tagged."""
         line = self.fh.readline()
+        self.n += 1
         if not line:
-            raise ValueError(f"{self.path}: truncated model file")
-        return line.rstrip("\n")
-
-    def tagged(self, tag: str) -> str:
-        line = self.line()
-        if not line.startswith(tag + ":"):
-            raise ValueError(f"{self.path}: expected {tag!r} line, got {line!r}")
-        return line[len(tag) + 1 :].strip()
-
-    def fixed(self, tag: str, value: str) -> None:
-        """A field every model file carries with the one value this reader runs."""
-        found = self.tagged(tag)
-        if found != value:
-            raise ValueError(f"{self.path}: unsupported {tag} {found!r}, expected {value!r}")
+            raise self.fault(tag, "truncated model file")
+        line = line.rstrip("\n")
+        if tagged and not line.startswith(f"{tag}:"):
+            raise self.fault(tag, f"expected {tag!r} line, got {line!r}")
+        try:
+            return read(line[len(tag) + 1 :].strip() if tagged else line)
+        except ValueError as exc:
+            raise self.fault(tag, str(exc)) from None
 
 
-def _read_model_block(reader: _BlockReader, magic_seen: bool = False) -> DetectorModel:
-    if not magic_seen:
-        magic = reader.line()
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"{reader.path}: unsupported model version {magic!r}")
-    shape = [int(tok) for tok in reader.tagged("shape").split()]
-    violations = validate_shape(shape)
-    if violations:
-        raise ValueError(f"{reader.path}: invalid network shape: " + "; ".join(violations))
-    reader.fixed("hidden_activation", "relu")
-    threshold = float.fromhex(reader.tagged("threshold"))
-    seed = int(reader.tagged("seed"))
-    epochs = int(reader.tagged("epochs"))
-    names_raw = reader.tagged("feature_names")
-    feature_names = names_raw.split("|") if names_raw else []
-    norm_min_raw = reader.tagged("norm_min")
-    norm_max_raw = reader.tagged("norm_max")
-    loss_curve = _from_hex(reader.tagged("loss_curve"))
-    holdout = _from_hex(reader.tagged("holdout_accuracy"))
-    reader.fixed("conv", "-")
-
-    weights, biases = [], []
-    for i in range(len(shape) - 1):
-        tag = reader.tagged("layer").split()
-        if len(tag) != 3 or int(tag[0]) != i:
-            raise ValueError(f"{reader.path}: malformed layer header {tag!r}")
-        rows, cols = int(tag[1]), int(tag[2])
-        if rows != shape[i] or cols != shape[i + 1]:
-            raise ValueError(
-                f"{reader.path}: layer {i} dimensions {rows}x{cols} do not match shape "
-                f"{shape[i]}x{shape[i + 1]}"
-            )
-        W = np.empty((rows, cols))
-        for r in range(rows):
-            vals = _from_hex(reader.line())
-            if len(vals) != cols:
-                raise ValueError(f"{reader.path}: layer {i} row {r} has {len(vals)} values, expected {cols}")
-            W[r] = vals
-        b = np.array(_from_hex(reader.tagged("bias")))
-        if len(b) != cols:
-            raise ValueError(f"{reader.path}: layer {i} bias width {len(b)}, expected {cols}")
-        weights.append(W)
-        biases.append(b)
-    if reader.line() != "end":
-        raise ValueError(f"{reader.path}: missing end marker")
-    return DetectorModel(
-        shape=shape,
-        weights=weights,
-        biases=biases,
-        threshold=threshold,
-        feature_names=feature_names,
-        norm_min=None if norm_min_raw == "-" else np.array(_from_hex(norm_min_raw)),
-        norm_max=None if norm_max_raw == "-" else np.array(_from_hex(norm_max_raw)),
-        seed=seed,
-        epochs=epochs,
-        loss_curve=loss_curve,
-        holdout_accuracy=holdout,
-    )
+def _read_model_block(lines: _Lines) -> DetectorModel:
+    """The model block after its magic line."""
+    model = DetectorModel(shape=[], weights=[], biases=[])
+    for tag, f in _HEADER.items():
+        value = lines.next(tag, f.read or _one_of(tag, f.write))
+        if f.per_input and value is not None and len(value) not in (0, model.input_width):
+            raise lines.fault(tag, f"has {len(value)} entries, expected {model.input_width}")
+        if f.read:
+            setattr(model, tag, value)
+    for i, (rows, cols) in enumerate(zip(model.shape[:-1], model.shape[1:])):
+        if (dims := lines.next("layer", _ints)) != [i, rows, cols]:
+            raise lines.fault("layer", f"expected '{i} {rows} {cols}', got {' '.join(map(str, dims))!r}")
+        model.weights.append(np.array([lines.next("layer", partial(_hexes, width=cols), tagged=False)
+                                       for _ in range(rows)]))
+        model.biases.append(np.array(lines.next("bias", partial(_hexes, width=cols))))
+    lines.next("end", _one_of("line", "end"), tagged=False)
+    return model
 
 
 def save_model(model: DetectorModel | EnsembleModel, path) -> None:
-    with open(path, "w") as fh:
-        if isinstance(model, EnsembleModel):
-            fh.write(ENSEMBLE_MAGIC + "\n")
-            fh.write(f"threshold: {float(model.threshold).hex()}\n")
-            for attack in EXPERT_ATTACKS:
-                fh.write(f"expert: {attack}\n")
-                _write_model_block(fh, model.experts[attack])
-        else:
-            _write_model_block(fh, model)
+    """Writes a model file; a model whose feature names would not read back
+    leaves no file."""
+    fh = io.StringIO()
+    if isinstance(model, EnsembleModel):
+        fh.write(ENSEMBLE_MAGIC + "\n")
+        _write_header(fh, _ENSEMBLE_HEADER, model)
+        for attack in EXPERT_ATTACKS:
+            fh.write(f"expert: {attack}\n")
+            _write_model_block(fh, model.experts[attack])
+    else:
+        _write_model_block(fh, model)
+    with open(path, "w") as out:
+        out.write(fh.getvalue())
 
 
 def load_model(path) -> DetectorModel | EnsembleModel:
+    """Reads a model file back; a rejection names the path, line and field."""
     with open(path) as fh:
-        reader = _BlockReader(fh, path)
-        magic = reader.line()
-        if magic == MODEL_MAGIC:
-            return _read_model_block(reader, magic_seen=True)
-        if magic != ENSEMBLE_MAGIC:
-            raise ValueError(f"{path}: unsupported model version {magic!r}")
-        threshold = float.fromhex(reader.tagged("threshold"))
+        lines = _Lines(fh, path)
+        if lines.next(None, _one_of("model version", MODEL_MAGIC, ENSEMBLE_MAGIC), tagged=False) == MODEL_MAGIC:
+            return _read_model_block(lines)
+        header = {tag: lines.next(tag, f.read) for tag, f in _ENSEMBLE_HEADER.items()}
         experts = {}
         for _ in EXPERT_ATTACKS:
-            attack = reader.tagged("expert")
-            experts[attack] = _read_model_block(reader)
-        return EnsembleModel(experts=experts, threshold=threshold)
+            attack = lines.next("expert", _one_of("expert", *(a for a in EXPERT_ATTACKS if a not in experts)))
+            lines.next(None, _one_of("model version", MODEL_MAGIC), tagged=False)
+            experts[attack] = _read_model_block(lines)
+    try:
+        return EnsembleModel(experts=experts, **header)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

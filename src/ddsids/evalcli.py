@@ -102,6 +102,8 @@ class ExperimentPlan:
     scale: float = 1.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not self.scenarios:
             raise ValueError(f"scenarios must name at least one of {', '.join(simnet.SCENARIOS)}")
         unknown = [name for name in self.scenarios if name not in simnet.SCENARIOS]
@@ -124,49 +126,27 @@ class ExperimentPlan:
         _wanted_models(self)
         _anonymize_mode(self.anonymize)
 
+    def seed_for(self, use: str) -> int:
+        """The seed of a seeded use of the plan, derived from the master seed:
+        a scenario's trace, "split", "expert:<attack>", "single" or "randomize"."""
+        return self.seed * 1000 + _SEED_OFFSETS[use]
+
+
+# An expert's offset follows its attack's place in EXPERT_ATTACKS, whichever experts a plan trains.
+_SEED_OFFSETS = {**{name: 1 + i for i, name in enumerate(simnet.SCENARIOS)}, "split": 10, "single": 24, "randomize": 30,
+                 **{f"expert:{attack}": 21 + i for i, attack in enumerate(detector.EXPERT_ATTACKS)}}
+
 
 def scenario_configs(plan: ExperimentPlan) -> dict[str, ScenarioConfig]:
     """Desk-scale scenario sizing: roughly 3.5k benign and 350..460 per-attack
     test sessions at the default 50/50 split."""
-    s = plan.scale
-    base = plan.seed * 1000
-
-    def sessions(n: int) -> int:
-        return max(1, int(round(n * s)))
-
-    configs = {
-        "benign": ScenarioConfig(
-            scenario="benign",
-            duration=6900.0 * s,
-            benign_relaunch_period=12.0,
-            rng_seed=base + 1,
-        ),
-        "dos": ScenarioConfig(
-            scenario="dos",
-            duration=425.0 * s,
-            relaunch_period=0.6,
-            relaunch_count=sessions(700),
-            benign_relaunch_period=12.0,
-            rng_seed=base + 2,
-        ),
-        "clone": ScenarioConfig(
-            scenario="clone",
-            duration=8500.0 * s,
-            relaunch_period=11.0,
-            relaunch_count=sessions(770),
-            benign_relaunch_period=12.0,
-            rng_seed=base + 3,
-        ),
-        "malsub": ScenarioConfig(
-            scenario="malsub",
-            duration=6100.0 * s,
-            relaunch_period=6.6,
-            relaunch_count=sessions(920),
-            benign_relaunch_period=12.0,
-            rng_seed=base + 4,
-        ),
-    }
-    return {name: cfg for name, cfg in configs.items() if name in plan.scenarios}
+    # scenario: duration (s) and relaunches at scale 1, and relaunch period (s)
+    sizing = {"benign": (6900.0, 0, 1.0), "dos": (425.0, 700, 0.6), "clone": (8500.0, 770, 11.0),
+              "malsub": (6100.0, 920, 6.6)}
+    return {name: ScenarioConfig(name, duration * plan.scale, relaunch_period=period,
+                                 relaunch_count=max(1, int(round(count * plan.scale))) if count else 0,
+                                 benign_relaunch_period=12.0, rng_seed=plan.seed_for(name))
+            for name, (duration, count, period) in sizing.items() if name in plan.scenarios}
 
 
 @dataclass
@@ -313,7 +293,7 @@ def _apply_anonymize(plan: ExperimentPlan, train_flows, test_flows, footnotes):
     mode = _anonymize_mode(plan.anonymize)
     if plan.anonymize == "randomize":
         footnotes.append("test-split addresses reassigned per session from the subnet range")
-        return train_flows, randomize_sessions(test_flows, plan.seed * 1000 + 30)
+        return train_flows, randomize_sessions(test_flows, plan.seed_for("randomize"))
     if mode is None:
         return train_flows, test_flows
     if mode.kind == "shift":
@@ -344,14 +324,12 @@ def build_datasets(
     of the ranking that selected them; that ranking, or None when every
     feature is kept."""
     with _stage("preprocess", timing):
-        train_flows, test_flows = preprocess.split_flows(
-            cache.flows, plan.split_fraction, plan.seed * 1000 + 10
-        )
+        train_flows, test_flows = preprocess.split_flows(cache.flows, plan.split_fraction, plan.seed_for("split"))
         train_flows, test_flows = _apply_anonymize(plan, train_flows, test_flows, footnotes)
         train_ds, test_ds = preprocess.build_dataset_from_split(
             train_flows,
             test_flows,
-            shuffle_seed=plan.seed * 1000 + 10,
+            shuffle_seed=plan.seed_for("split"),
             ip_mode=plan.ip_mode,
         )
         if train_ds.constant_features:
@@ -418,14 +396,11 @@ def _n_address_columns(ds: Dataset) -> int:
 
 def _wanted_models(plan: ExperimentPlan) -> tuple[list[str], bool, bool]:
     """(expert attacks, train single, build ensemble)."""
-    if plan.model == "all":
-        return list(detector.EXPERT_ATTACKS), True, True
-    if plan.model == "experts":
-        return list(detector.EXPERT_ATTACKS), False, False
-    if plan.model == "ensemble":
-        return list(detector.EXPERT_ATTACKS), False, True
-    if plan.model == "single":
-        return [], True, False
+    experts = list(detector.EXPERT_ATTACKS)
+    kinds = {"all": (experts, True, True), "experts": (experts, False, False), "ensemble": (experts, False, True),
+             "single": ([], True, False)}
+    if plan.model in kinds:
+        return kinds[plan.model]
     if plan.model.startswith("expert:"):
         attack = plan.model.split(":", 1)[1]
         if attack not in detector.EXPERT_ATTACKS:
@@ -442,12 +417,12 @@ def train_models(
     attacks, want_single, want_ensemble = _wanted_models(plan)
     shape = detector.default_shape(train_ds.width)
     jobs = []
-    for i, attack in enumerate(attacks):
+    for attack in attacks:
         rows = np.flatnonzero([lab in ("benign", attack) for lab in train_ds.labels])
-        config = TrainConfig(epochs=plan.epochs, seed=plan.seed * 1000 + 21 + i)
+        config = TrainConfig(epochs=plan.epochs, seed=plan.seed_for(f"expert:{attack}"))
         jobs.append(detector.TrainJob(train_ds, shape, config, rows))
     if want_single:
-        config = TrainConfig(epochs=plan.epochs, seed=plan.seed * 1000 + 24)
+        config = TrainConfig(epochs=plan.epochs, seed=plan.seed_for("single"))
         jobs.append(detector.TrainJob(train_ds, shape, config))
     with _stage("train", timing):
         models = detector.train_many(jobs)
@@ -529,8 +504,9 @@ def run_experiment(
             (out_dir / "report.csv").write_text(report.csv())
             mdir = out_dir / "models"
             mdir.mkdir(exist_ok=True)
-            manifest = preprocess.dataset_manifest(train_ds, test_ds, plan.scenarios, plan.anonymize, plan.seed * 1000 + 30,
-                                                   cache.router_sessions_removed, cache.notes)
+            manifest = preprocess.dataset_manifest(train_ds, test_ds, plan.scenarios, plan.anonymize,
+                                                   plan.seed_for("randomize"), cache.router_sessions_removed,
+                                                   cache.notes)
             if ranking is not None:
                 manifest["selection"] = {"method": plan.selection_method, "k": plan.feature_k,
                                          "flagged": len(ranking.flagged)}
@@ -654,11 +630,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", default=_default_out_dir(), help=f"artifact directory (env {OUT_DIR_ENV})")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 # The options that set an ExperimentPlan field: flag -> (field, argparse
 # keywords, help).  An option that is not given stays out of the parsed
 # arguments, so the plan's own default holds.
 _PLAN_OPTIONS = {
-    "--seed": ("seed", {"type": int}, "master seed"),
+    "--seed": ("seed", {"type": _seed}, "master seed"),
     "--scale": ("scale", {"type": float}, "shrink default scenario sizing"),
     "--ip-mode": ("ip_mode", {"choices": IP_MODES}, "address columns kept"),
     "--k": ("feature_k", {"type": int}, "features kept by selection"),
@@ -687,8 +670,9 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.config:
-        # The file's own rng_seed holds unless --seed is given.
-        config = simnet.load_scenario_config(args.config, seed_override=args.seed if "seed" in args else None)
+        config = simnet.load_scenario_config(args.config)
+        if "seed" in args:  # the file's own rng_seed holds unless --seed is given
+            config = replace(config, rng_seed=args.seed)
     else:
         config = scenario_configs(_plan_from_args(args))[args.scenario or "benign"]
     trace = simnet.generate(config)
@@ -852,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="label, encode, split, and normalize flow files")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=ExperimentPlan.seed, help="shuffle seed of the split")
+    p.add_argument("--seed", type=_seed, default=ExperimentPlan.seed, help="shuffle seed of the split")
     p.add_argument("--flows", action="append", required=True, metavar="LABEL=PATH",
                    help="flow csv with its scenario label (benign, dos, clone, malsub); repeatable")
     p.add_argument("--ip-mode", choices=IP_MODES, default=ExperimentPlan.ip_mode)
@@ -863,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="rank features and project a dataset")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=ExperimentPlan.seed, help="seed of the lasso folds and importance")
+    p.add_argument("--seed", type=_seed, default=ExperimentPlan.seed, help="seed of the lasso folds and importance")
     p.add_argument("--train", required=True)
     p.add_argument("--method", choices=(*_RANKERS, "all"), default="univariate")
     p.add_argument("--k", type=int, default=None, help=f"features kept (default {CLI_TOP_K}); not with --method all")
@@ -871,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a detector on a dataset csv")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=ExperimentPlan.seed, help="training seed")
+    p.add_argument("--seed", type=_seed, default=ExperimentPlan.seed, help="training seed")
     p.add_argument("--train", required=True)
     p.add_argument("--shape", default=None, help="comma-separated layer widths")
     p.add_argument("--epochs", type=int, default=100)

@@ -15,7 +15,7 @@ univariate F, which handles any number of classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -289,14 +289,7 @@ def rank_importance(
     n_hold = max(1, int(round(0.25 * n)))
     hold, fit = order[:n_hold], order[n_hold:]
 
-    fit_ds = Dataset(
-        matrix=dataset.matrix[fit],
-        labels=[dataset.labels[i] for i in fit],
-        feature_names=list(dataset.feature_names),
-        shuffle_seed=dataset.shuffle_seed,
-        norm_min=dataset.norm_min,
-        norm_max=dataset.norm_max,
-    )
+    fit_ds = replace(dataset, matrix=dataset.matrix[fit], labels=[dataset.labels[i] for i in fit])
     config = detector.TrainConfig(
         learning_rate=learning_rate, epochs=epochs, seed=seed, holdout_fraction=0.0
     )

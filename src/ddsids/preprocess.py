@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 import platform
 import warnings
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -224,10 +225,8 @@ class Dataset:
         return np.array([1.0 if lab == "benign" else 0.0 for lab in self.labels])
 
     def class_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for lab in self.labels:
-            counts[lab] = counts.get(lab, 0) + 1
-        return counts
+        """Rows per label, in the order the labels first show."""
+        return dict(Counter(self.labels))
 
     def denormalize(self, matrix: np.ndarray | None = None) -> np.ndarray:
         values = self.matrix if matrix is None else matrix
@@ -237,30 +236,17 @@ class Dataset:
     def subset(self, keep_labels: Iterable[str]) -> "Dataset":
         keep = set(keep_labels)
         idx = [i for i, lab in enumerate(self.labels) if lab in keep]
-        return Dataset(
-            matrix=self.matrix[idx],
-            labels=[self.labels[i] for i in idx],
-            feature_names=list(self.feature_names),
-            shuffle_seed=self.shuffle_seed,
-            norm_min=self.norm_min,
-            norm_max=self.norm_max,
-            constant_features=list(self.constant_features),
-        )
+        return replace(self, matrix=self.matrix[idx], labels=[self.labels[i] for i in idx],
+                       feature_names=list(self.feature_names), constant_features=list(self.constant_features))
 
     def project(self, names: Sequence[str]) -> "Dataset":
         missing = [n for n in names if n not in self.feature_names]
         if missing:
             raise ValueError(f"unknown feature names: {missing}")
         idx = [self.feature_names.index(n) for n in names]
-        return Dataset(
-            matrix=self.matrix[:, idx],
-            labels=list(self.labels),
-            feature_names=list(names),
-            shuffle_seed=self.shuffle_seed,
-            norm_min=self.norm_min[idx],
-            norm_max=self.norm_max[idx],
-            constant_features=[n for n in self.constant_features if n in set(names)],
-        )
+        return replace(self, matrix=self.matrix[:, idx], labels=list(self.labels), feature_names=list(names),
+                       norm_min=self.norm_min[idx], norm_max=self.norm_max[idx],
+                       constant_features=[n for n in self.constant_features if n in set(names)])
 
 
 def split_flows(

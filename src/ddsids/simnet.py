@@ -40,7 +40,7 @@ import sys
 import warnings
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain, islice, starmap
 from operator import attrgetter
 from typing import Iterable, NamedTuple
@@ -230,6 +230,8 @@ class ScenarioConfig:
             raise ValueError("relaunch_count must be within 0..2000")
         if self.n_publishers < 1:
             raise ValueError("n_publishers must be at least 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if self.dos_gap <= 0:
             raise ValueError("dos_gap must be positive")
         if self.attack_active is not None and self.attack_active <= 0:
@@ -605,6 +607,7 @@ def tokenized_rows(path, fh, header_lines: int, dtype: np.dtype, quotechar: str 
 _CELL_BLOCK = 1 << 12  # cells parsed at a time: few, so the csv module's row lists die young
 PORTS = range(1 << 16)
 INT64 = range(-(1 << 63), 1 << 63)
+LENGTHS = range(INT64.stop)
 
 
 def _csv_reader(fh, quotechar: str | None):
@@ -715,61 +718,63 @@ def _packet_row(path, header: list[str]) -> np.dtype:
 
 
 def read_packet_csv(path) -> PacketTrace:
-    """Inverse of write_packet_csv, through read_rows; ports lie in 0..65535."""
-    _, rows = read_rows(path, _packet_row, None, {"src_port": PORTS, "dst_port": PORTS})
+    """Inverse of write_packet_csv, through read_rows; ports lie in 0..65535
+    and lengths are non-negative."""
+    bounds = {"src_port": PORTS, "dst_port": PORTS, "payload_len": LENGTHS, "header_len": LENGTHS}
+    _, rows = read_rows(path, _packet_row, None, bounds)
     return PacketTrace.from_columns([rows[name].tolist() if name in PacketTrace.ADDRESS_COLUMNS else rows[name].copy()
                                      for name in PACKET_COLUMNS])
 
 
-_CONFIG_FIELDS = {
-    "scenario": str,
-    "duration": float,
-    "publish_interval": float,
-    "topics_per_publisher": int,
-    "relaunch_period": float,
-    "relaunch_count": int,
-    "rng_seed": int,
-    "n_publishers": int,
-    "benign_relaunch_period": float,
-    "dos_gap": float,
-    "attack_active": float,
-    "malsub_join_delay": float,
-}
+def parsed(text: str, kind=float, finite: bool = True):
+    """`kind(text)` for kind str, int, float or float.fromhex, rejected with
+    the reasons the CSV readers give: not an integer, not a number, non-finite."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"not {'an integer' if kind is int else 'a number'} {text!r}") from None
+    if finite and isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
-def load_scenario_config(path, seed_override: int | None = None) -> ScenarioConfig:
-    """Parse a key = value scenario file; '#' starts a comment."""
+def load_scenario_config(path) -> ScenarioConfig:
+    """Parse a key = value scenario file; '#' starts a comment.  Each key is
+    a ScenarioConfig field, read by its declared type; a rejection names the
+    path, and the line and field of a value that does not parse, a
+    non-finite float and an unknown or repeated key."""
+    types = {f.name: {"str": str, "int": int, "float": float}[f.type.split(" |")[0]] for f in fields(ScenarioConfig)}
     kwargs: dict = {}
+    lines: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in _CONFIG_FIELDS:
-                kwargs[key] = _CONFIG_FIELDS[key](value)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown scenario field {key!r}")
-    config = ScenarioConfig(**kwargs)
-    if seed_override is not None:
-        config = replace(config, rng_seed=seed_override)
-    return config
+            try:
+                if key not in types:
+                    raise ValueError(f"unknown scenario field {key!r}")
+                if key in lines:
+                    raise ValueError(f"repeated, first set on line {lines[key]}")
+                lines[key], kwargs[key] = lineno, parsed(value, types[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}, field {key!r}: {exc}") from None
+    missing = [f.name for f in fields(ScenarioConfig) if f.default is MISSING and f.name not in kwargs]
+    if missing:
+        raise ValueError(f"{path}: missing field {missing[0]!r}")
+    try:
+        return ScenarioConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_scenario_config(config: ScenarioConfig, path) -> None:
+    """Writes each set field of the config, in declaration order."""
     with open(path, "w") as fh:
-        fh.write(f"scenario = {config.scenario}\n")
-        fh.write(f"duration = {config.duration!r}\n")
-        fh.write(f"publish_interval = {config.publish_interval!r}\n")
-        fh.write(f"topics_per_publisher = {config.topics_per_publisher}\n")
-        fh.write(f"relaunch_period = {config.relaunch_period!r}\n")
-        fh.write(f"relaunch_count = {config.relaunch_count}\n")
-        fh.write(f"rng_seed = {config.rng_seed}\n")
-        fh.write(f"n_publishers = {config.n_publishers}\n")
-        fh.write(f"benign_relaunch_period = {config.benign_relaunch_period!r}\n")
-        fh.write(f"dos_gap = {config.dos_gap!r}\n")
-        if config.attack_active is not None:
-            fh.write(f"attack_active = {config.attack_active!r}\n")
-        fh.write(f"malsub_join_delay = {config.malsub_join_delay!r}\n")
+        for f in fields(ScenarioConfig):
+            value = getattr(config, f.name)
+            if value is not None:
+                fh.write(f"{f.name} = {value!r}\n" if isinstance(value, float) else f"{f.name} = {value}\n")

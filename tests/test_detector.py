@@ -315,7 +315,7 @@ class TestSaveLoad:
         write_dataset_csv(ds, tmp_path / "test.csv")
         rc = main(["evaluate", "--model", str(path), "--test", str(tmp_path / "test.csv"), "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"ddsids: error: {path}: invalid network shape: ")
+        assert capsys.readouterr().err.startswith(f"ddsids: error: {path}: line 2, field 'shape': invalid network shape: ")
 
     def test_truncated_file_rejected(self, tmp_path):
         ds = toy_dataset(n=60, seed=7)

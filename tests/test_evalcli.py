@@ -179,6 +179,14 @@ class TestExperimentPipeline:
         )
         assert [r.name for r in report.rows] == ["DoS"]
 
+    @pytest.mark.parametrize("attack", ["clone", "malsub"])
+    def test_an_expert_alone_is_that_expert_of_all(self, tmp_path, attack):
+        cache = build_cache(SMALL_PLAN)
+        for model in ("all", f"expert:{attack}"):
+            run_experiment(replace(SMALL_PLAN, model=model), tmp_path / model.replace(":", "-"), cache)
+        alone, of_all = (tmp_path / d / "models" / f"expert-{attack}.model.txt" for d in (f"expert-{attack}", "all"))
+        assert alone.read_bytes() == of_all.read_bytes()
+
     def test_stage_times_cover_the_run(self, tmp_path):
         plan = replace(SMALL_PLAN, feature_k=5, selection_method="univariate")
         report = run_experiment(plan, out_dir=tmp_path / "exp")
@@ -285,6 +293,7 @@ class TestPlanValidation:
         ({"split_fraction": -0.5}, "split_fraction"),
         ({"feature_k": 0}, "feature_k"),
         ({"epochs": 0}, "epochs"),
+        ({"seed": -1}, "seed must be non-negative"),
     ])
     def test_rejected_on_construction(self, change, message):
         with pytest.raises(ValueError, match=message):
@@ -303,6 +312,13 @@ class TestPlanValidation:
             rc = main(["experiment", "--seed", "5", "--scale", "0.06", flag, value, "--out-dir", str(tmp_path)])
             assert rc == 1
             assert capsys.readouterr().err.startswith("ddsids: error: ")
+
+    @pytest.mark.parametrize("verb", ["simulate", "preprocess", "select", "train", "experiment", "sweep"])
+    def test_cli_rejects_a_negative_seed_by_name(self, verb, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([verb, "--seed", "-1"])
+        assert exited.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
 class TestCli:

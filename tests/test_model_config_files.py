@@ -1,0 +1,230 @@
+"""Model files and scenario configs: the two files that leave the pipeline and
+come back in.  Each is written and read through one declaration of its
+layout, so saving what was loaded gives the same bytes, and every file the
+readers reject is named by path, line and field."""
+
+import contextlib
+import io
+import re
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ddsids import detector, simnet
+from ddsids.detector import DetectorModel, EnsembleModel, load_model, save_model
+from ddsids.evalcli import ExperimentPlan, main, scenario_configs
+from ddsids.preprocess import Dataset, write_dataset_csv
+from ddsids.simnet import ScenarioConfig, load_scenario_config, save_scenario_config
+from test_reader_equivalence import ODD_CELLS
+
+NAMES = ["f0", "f1", "f2"]
+
+
+def model(seed: int = 1) -> DetectorModel:
+    """A [3, 3, 2, 2, 1] model as training leaves one: names, norms and curves
+    (a NaN holdout accuracy, as a run without a holdout writes)."""
+    rng = np.random.default_rng(seed)
+    shape = [3, 3, 2, 2, 1]
+    return DetectorModel(
+        shape=shape,
+        weights=[rng.normal(0, 0.5, size=(a, b)) for a, b in zip(shape[:-1], shape[1:])],
+        biases=[rng.normal(0, 0.1, size=b) for b in shape[1:]],
+        threshold=0.5,
+        feature_names=list(NAMES),
+        norm_min=np.array([0.0, -1.5, 2.0]),
+        norm_max=np.array([1.0, 3.25, 9.0]),
+        seed=seed,
+        epochs=2,
+        loss_curve=[0.7, 0.6],
+        holdout_accuracy=[float("nan")] * 2,
+    )
+
+
+def ensemble() -> EnsembleModel:
+    return EnsembleModel(experts={a: model(i) for i, a in enumerate(detector.EXPERT_ATTACKS)}, threshold=0.5)
+
+
+def resaved(path, load, save) -> bytes:
+    save(load(path), path.with_suffix(".again"))
+    return path.with_suffix(".again").read_bytes()
+
+
+class TestBytesRoundTrip:
+    """save -> load -> save writes the bytes the first save wrote."""
+
+    @pytest.mark.parametrize("make", [model, ensemble], ids=["model", "ensemble"])
+    def test_model_file(self, tmp_path, make):
+        path = tmp_path / "m.txt"
+        save_model(make(), path)
+        assert resaved(path, load_model, save_model) == path.read_bytes()
+
+    @pytest.mark.parametrize("config", [
+        *scenario_configs(ExperimentPlan()).values(),
+        ScenarioConfig("dos", duration=30.0, relaunch_count=3, attack_active=0.25, rng_seed=9),
+    ], ids=[*simnet.SCENARIOS, "attack_active"])
+    def test_scenario_config(self, tmp_path, config):
+        path = tmp_path / "c.txt"
+        save_scenario_config(config, path)
+        assert load_scenario_config(path) == config
+        assert resaved(path, load_scenario_config, save_scenario_config) == path.read_bytes()
+
+    def test_nan_curves_load(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(model(), path)
+        assert "holdout_accuracy: nan nan\n" in path.read_text()
+        assert np.isnan(load_model(path).holdout_accuracy).all()
+
+
+def edited(text: str, line: int, new: str | None) -> str:
+    """The text with its 1-based line `line` replaced by `new` (appended one
+    past the end); None cuts the text before that line."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[: line - 1] + ([] if new is None else [new + "\n", *lines[line:]]))
+
+
+# A [3, 3, 2, 2, 1] model file: line 1 magic, 2-12 the header, 13 `layer: 0 3
+# 3`, 14-16 its rows, 17 its bias, ... 31 `end`.  An ensemble file: line 1
+# magic, 2 threshold, 3 `expert: dos`, 4-34 its block, 35 `expert: clone`.
+@pytest.mark.parametrize("kind, line, new, message", [
+    ("model", 5, "seed: x", "line 5, field 'seed': not an integer 'x'"),
+    ("model", 4, "threshold: 0.5zz", "line 4, field 'threshold': not a number '0.5zz'"),
+    ("model", 13, "layer: 0 5 x", "line 13, field 'layer': not an integer 'x'"),
+    ("model", 4, "threshold: nan", "line 4, field 'threshold': non-finite value 'nan'"),
+    ("model", 15, "inf 0x0p+0 0x0p+0", "line 15, field 'layer': non-finite value 'inf'"),
+    ("model", 17, "bias: 0x0p+0 -inf 0x0p+0", "line 17, field 'bias': non-finite value '-inf'"),
+    ("model", 8, "norm_min: 0x0p+0 nan 0x0p+0", "line 8, field 'norm_min': non-finite value 'nan'"),
+    ("model", 6, "epochs 2", "line 6, field 'epochs': expected 'epochs' line, got 'epochs 2'"),
+    ("model", 3, "hidden_activation: tanh",
+     "line 3, field 'hidden_activation': unsupported hidden_activation 'tanh', expected 'relu'"),
+    ("model", 2, "shape: 2", "line 2, field 'shape': invalid network shape: hidden layer count must be 3 or 4, "
+                             "got -1; output layer must have exactly 1 neuron, got 2"),
+    ("model", 7, "feature_names: a|b", "line 7, field 'feature_names': has 2 entries, expected 3"),
+    ("model", 9, "norm_max: 0x1p+0", "line 9, field 'norm_max': has 1 entries, expected 3"),
+    ("model", 18, "layer: 1 3 3", "line 18, field 'layer': expected '1 3 2', got '1 3 3'"),
+    ("model", 16, "0x1p-1 0x1p-1", "line 16, field 'layer': has 2 values, expected 3"),
+    ("model", 22, "bias: 0x0p+0", "line 22, field 'bias': has 1 values, expected 2"),
+    ("model", 31, "ending", "line 31, field 'end': unsupported line 'ending', expected 'end'"),
+    ("model", 20, None, "line 20, field 'layer': truncated model file"),
+    ("model", 1, "ddsids-model v2", "line 1: unsupported model version 'ddsids-model v2', "
+                                    "expected 'ddsids-model v1' or 'ddsids-ensemble v1'"),
+    ("ensemble", 2, "threshold: inf", "line 2, field 'threshold': non-finite value 'inf'"),
+    ("ensemble", 3, "expert: flood", "line 3, field 'expert': unsupported expert 'flood', "
+                                     "expected 'dos' or 'clone' or 'malsub'"),
+    ("ensemble", 35, "expert: dos", "line 35, field 'expert': unsupported expert 'dos', "
+                                    "expected 'clone' or 'malsub'"),
+    ("ensemble", 36, "ddsids-ensemble v1", "line 36: unsupported model version 'ddsids-ensemble v1', "
+                                           "expected 'ddsids-model v1'"),
+    ("ensemble", 42, "feature_names: a|b|c", "experts disagree on their feature names"),
+])
+def test_model_file_faults(tmp_path, capsys, kind, line, new, message):
+    path = tmp_path / "m.txt"
+    save_model(model() if kind == "model" else ensemble(), path)
+    path.write_text(edited(path.read_text(), line, new))
+    with pytest.raises(ValueError) as raised:
+        load_model(path)
+    assert str(raised.value) == f"{path}: {message}"
+    assert main(["evaluate", "--model", str(path), "--test", str(tmp_path / "t.csv"), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"ddsids: error: {path}: {message}\n"
+
+
+CONFIG = ScenarioConfig("dos", duration=3.0, relaunch_period=0.5, relaunch_count=2, rng_seed=4)
+
+
+# The saved CONFIG: line 1 scenario, 2 duration, ... 7 rng_seed, ... 10
+# dos_gap, 11 malsub_join_delay (attack_active is None, so not written).
+@pytest.mark.parametrize("line, new, message", [
+    (1, "", "missing field 'scenario'"),
+    (2, "duration = 1e999", "line 2, field 'duration': non-finite value '1e999'"),
+    (10, "dos_gap = inf", "line 10, field 'dos_gap': non-finite value 'inf'"),
+    (2, "duration = nan", "line 2, field 'duration': non-finite value 'nan'"),
+    (2, "duration = abc", "line 2, field 'duration': not a number 'abc'"),
+    (6, "relaunch_count = 2.5", "line 6, field 'relaunch_count': not an integer '2.5'"),
+    (12, "dos_gap = 0.5", "line 12, field 'dos_gap': repeated, first set on line 10"),
+    (12, "gps_max_delta = 0.015", "line 12, field 'gps_max_delta': unknown scenario field 'gps_max_delta'"),
+    (3, "publish_interval 0.5", "line 3: expected 'key = value', got 'publish_interval 0.5\\n'"),
+    (7, "rng_seed = -1", "rng_seed must be non-negative"),
+    (2, "duration = -3.0", "duration must be positive"),
+])
+def test_scenario_config_faults(tmp_path, capsys, line, new, message):
+    path = tmp_path / "c.txt"
+    save_scenario_config(CONFIG, path)
+    path.write_text(edited(path.read_text(), line, new))
+    with pytest.raises(ValueError) as raised:
+        load_scenario_config(path)
+    assert str(raised.value) == f"{path}: {message}"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"ddsids: error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["a|b", "a\nb", "a\rb", " a", "a\t"])
+def test_feature_names_that_cannot_round_trip(tmp_path, name):
+    with pytest.raises(ValueError, match=re.escape(f"feature name {name!r} cannot be saved in a model file")):
+        save_model(replace(model(), feature_names=[name, "c", "d"]), tmp_path / "m.txt")
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_train_rejects_a_feature_name_it_cannot_save(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    ds = Dataset(matrix=rng.uniform(0, 1, (40, 3)), labels=["benign", "dos"] * 20, feature_names=["a|b", "c", "d"],
+                 shuffle_seed=0, norm_min=np.zeros(3), norm_max=np.ones(3))
+    write_dataset_csv(ds, tmp_path / "train.csv")
+    argv = ["train", "--train", str(tmp_path / "train.csv"), "--epochs", "1", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "feature name 'a|b' cannot be saved" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.txt").exists()
+
+
+FUZZ = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def mutated(text: str, token: int, cell: str) -> str:
+    """The text with one of its whitespace-separated tokens replaced by `cell`."""
+    parts = re.split(r"(\s+)", text)
+    words = [i for i, part in enumerate(parts) if part and not part.isspace()]
+    parts[words[token % len(words)]] = cell
+    return "".join(parts)
+
+
+def run_cli(argv: list[str], path) -> None:
+    """The CLI exits 0, or 1 with a message that names `path`; it never raises."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    assert rc == 0 or (rc == 1 and err.getvalue().startswith(f"ddsids: error: {path}: ")), (rc, err.getvalue())
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A saved model, ensemble and scenario config, and a test set the models can score."""
+    root = tmp_path_factory.mktemp("files")
+    save_model(model(), root / "model.txt")
+    save_model(ensemble(), root / "ensemble.txt")
+    save_scenario_config(CONFIG, root / "config.txt")
+    rng = np.random.default_rng(3)
+    write_dataset_csv(Dataset(matrix=rng.uniform(0, 1, (12, 3)), labels=["benign", "dos", "clone", "malsub"] * 3,
+                              feature_names=list(NAMES), shuffle_seed=0, norm_min=np.zeros(3), norm_max=np.ones(3)),
+                      root / "test.csv")
+    return root
+
+
+@FUZZ
+@given(st.sampled_from(["model.txt", "ensemble.txt"]), st.integers(0, 10_000), st.sampled_from(ODD_CELLS))
+def test_evaluate_on_a_mutated_model_file(files, name, token, cell):
+    path = files / "mutated.txt"
+    path.write_text(mutated((files / name).read_text(), token, cell))
+    run_cli(["evaluate", "--model", str(path), "--test", str(files / "test.csv"), "--out-dir", str(files / "out")],
+            path)
+
+
+@FUZZ
+@given(st.integers(0, 10_000), st.sampled_from(ODD_CELLS))
+def test_simulate_on_a_mutated_config(files, token, cell):
+    """The simulation itself is stubbed: a valid config may ask for any size."""
+    path = files / "mutated.config.txt"
+    path.write_text(mutated((files / "config.txt").read_text(), token, cell))
+    trace = simnet.PacketTrace.from_records([])
+    with mock.patch.object(simnet, "generate", lambda config: trace):
+        run_cli(["simulate", "--config", str(path), "--out-dir", str(files / "out")], path)

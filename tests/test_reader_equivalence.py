@@ -249,7 +249,10 @@ READERS = {
     ("packet", "src_port", "x", "not an integer 'x'"),
     ("packet", "src_port", "70000", "outside 0..65535 '70000'"),
     ("packet", "dst_port", "-5", "outside 0..65535 '-5'"),
-    ("packet", "payload_len", "99999999999999999999", f"{INT64} '99999999999999999999'"),
+    ("packet", "payload_len", "99999999999999999999", "outside 0..9223372036854775807 '99999999999999999999'"),
+    ("packet", "payload_len", "-3", "outside 0..9223372036854775807 '-3'"),
+    ("packet", "header_len", "-1", "outside 0..9223372036854775807 '-1'"),
+    ("packet", "flags", "99999999999999999999", f"{INT64} '99999999999999999999'"),
     ("packet", "flags", None, "has 8 fields, expected 9"),
     ("flow", "Flow Duration", "zz", "not a number 'zz'"),
     ("flow", "Src Port", "x", "not an integer 'x'"),

@@ -59,7 +59,6 @@ class TestConfig:
         path = tmp_path / "scenario.txt"
         save_scenario_config(cfg, path)
         assert load_scenario_config(path) == cfg
-        assert load_scenario_config(path, seed_override=9).rng_seed == 9
 
     def test_config_file_errors(self, tmp_path):
         path = tmp_path / "bad.txt"
