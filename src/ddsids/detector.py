@@ -34,7 +34,7 @@ import numpy as np
 
 from . import parallel
 from .preprocess import Dataset
-from .simnet import ATTACK_SCENARIOS as EXPERT_ATTACKS, parsed
+from .simnet import ATTACK_SCENARIOS as EXPERT_ATTACKS, open_text, parsed
 
 MODEL_MAGIC = "ddsids-model v1"
 ENSEMBLE_MAGIC = "ddsids-ensemble v1"
@@ -600,8 +600,9 @@ def save_model(model: DetectorModel | EnsembleModel, path) -> None:
 
 
 def load_model(path) -> DetectorModel | EnsembleModel:
-    """Reads a model file back; a rejection names the path, line and field."""
-    with open(path) as fh:
+    """Reads a model file back; a rejection names the path, line and field,
+    or the line of a byte that is not UTF-8."""
+    with open_text(path) as fh:
         lines = _Lines(fh, path)
         if lines.next(None, _one_of("model version", MODEL_MAGIC, ENSEMBLE_MAGIC), tagged=False) == MODEL_MAGIC:
             return _read_model_block(lines)

@@ -23,12 +23,13 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import detector, featsel, flowmeter, preprocess, simnet
+from . import detector, featsel, flowmeter, parallel, preprocess, simnet
 from .detector import DetectorModel, EnsembleModel, TrainConfig
 from .flowmeter import FlowRecord, FlowTable, MeterConfig
 from .preprocess import IP_MODES, AnonymizeMode, Dataset
@@ -140,8 +141,10 @@ _SEED_OFFSETS = {**{name: 1 + i for i, name in enumerate(simnet.SCENARIOS)}, "sp
 def scenario_configs(plan: ExperimentPlan) -> dict[str, ScenarioConfig]:
     """Desk-scale scenario sizing: roughly 3.5k benign and 350..460 per-attack
     test sessions at the default 50/50 split."""
-    # scenario: duration (s) and relaunches at scale 1, and relaunch period (s)
-    sizing = {"benign": (6900.0, 0, 1.0), "dos": (425.0, 700, 0.6), "clone": (8500.0, 770, 11.0),
+    # scenario: duration (s) and relaunches at scale 1, and relaunch period (s),
+    # largest trace first (seed 7: 135,788 / 90,362 / 58,094 / 55,824 packets),
+    # so that fork_map's round-robin deals two workers near-even loads.
+    sizing = {"clone": (8500.0, 770, 11.0), "benign": (6900.0, 0, 1.0), "dos": (425.0, 700, 0.6),
               "malsub": (6100.0, 920, 6.6)}
     return {name: ScenarioConfig(name, duration * plan.scale, relaunch_period=period,
                                  relaunch_count=max(1, int(round(count * plan.scale))) if count else 0,
@@ -201,12 +204,13 @@ class ExperimentReport:
 @dataclass
 class PipelineCache:
     """Labeled, stripped, time/addr-encoded flows shared across experiments,
-    the notes of their label rules, the router sessions stripped from them,
-    the wall time of the stages that built them, and the feature rankings
-    already computed on splits of them."""
+    the notes of their label rules, each scenario's name, packets and flows,
+    the router sessions stripped from them, the wall time of the stages that
+    built them, and the feature rankings already computed on splits of them."""
 
     flows: FlowTable
     notes: list[str]
+    scenarios: list[dict]
     router_sessions_removed: int = 0
     timing: dict[str, float] = field(default_factory=dict)
     rankings: dict[tuple, featsel.FeatureRanking] = field(default_factory=dict)
@@ -236,40 +240,75 @@ class _StageError(RuntimeError):
     pass
 
 
+def labelled_scenarios(flows_of: Callable, tasks: Sequence[tuple[int, str, object]],
+                       flow_dir: Path | None = None) -> list[tuple[str, FlowTable, list[str]]]:
+    """Each scenario's flows, labelled: (name, flows, the label rule's notes)
+    in position order.  A task is (position, name, source), and
+    `flows_of(name, source)` gives the scenario's flows, which
+    `preprocess.label_scenario` labels and, given `flow_dir`, writes to
+    `<flow_dir>/<name>.flows.csv`.  The tasks run side by side through
+    `parallel.fork_map`, dealt in the order given."""
+    def labelled(task):
+        position, name, source = task
+        flows, notes = preprocess.label_scenario(name, flows_of(name, source))
+        if flow_dir is not None:
+            flowmeter.write_flow_csv(flows, flow_dir / f"{name}.flows.csv")
+        return position, name, flows, notes
+
+    done = sorted(parallel.fork_map(labelled, tasks), key=lambda result: result[0])
+    return [(name, flows, notes) for _, name, flows, notes in done]
+
+
+def pool_scenarios(scenarios: Sequence[tuple[str, FlowTable, list[str]]]) -> tuple[FlowTable, int, list[str], list[dict]]:
+    """The labelled scenarios pooled in the order given, which
+    `preprocess.pool`'s stable sort depends on: (pooled flows, router
+    sessions removed, the notes, each scenario's name, packets and flows).
+    A scenario's packets are those its flows count in both directions."""
+    pooled, removed = preprocess.pool(FlowTable.concat([flows for _, flows, _ in scenarios]))
+    notes = [note for _, _, rule_notes in scenarios for note in rule_notes]
+    sizes = [{"name": name, "packets": _packets(flows), "flows": len(flows)} for name, flows, _ in scenarios]
+    return pooled, removed, notes, sizes
+
+
+def _packets(flows: FlowTable) -> int:
+    columns = [flowmeter.FEATURE_INDEX[name] for name in ("Tot Fwd Pkts", "Tot Bwd Pkts")]
+    return int(flows.features[:, columns].sum())
+
+
+def _simulated_flows(name: str, config: ScenarioConfig, trace_dir: Path | None) -> FlowTable:
+    """A scenario's trace, with its config written to `trace_dir` when
+    given, metered; the trace dies here.  An error names the scenario."""
+    try:
+        trace = simnet.generate(config)
+        if trace_dir is not None:
+            simnet.write_packet_csv(trace, trace_dir / f"{name}.packets.csv")
+            simnet.save_scenario_config(config, trace_dir / f"{name}.config.txt")
+        return flowmeter.meter(trace, MeterConfig())
+    except Exception as exc:  # the stage reports it; the scenario is named here, where it is known
+        raise RuntimeError(f"scenario {name}: {exc}") from exc
+
+
 def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCache:
-    notes: list[str] = []
+    """The plan's scenarios simulated, metered and labelled, each in its own
+    forked worker (`parallel.fork_map`), then pooled in plan order.  Given an
+    `out_dir`, each trace, config and flow table goes under its `traces/` and
+    `flows/`, with the pooled flows and the feature names."""
     timing: dict[str, float] = {}
-    traces: dict[str, simnet.PacketTrace] = {}
-    with _stage("simulate", timing):
-        for name, cfg in scenario_configs(plan).items():
-            traces[name] = simnet.generate(cfg)
-            if out_dir is not None:
-                tdir = out_dir / "traces"
-                tdir.mkdir(parents=True, exist_ok=True)
-                simnet.write_packet_csv(traces[name], tdir / f"{name}.packets.csv")
-                simnet.save_scenario_config(cfg, tdir / f"{name}.config.txt")
-
-    scenario_flows: list[FlowTable] = []
-    with _stage("meter", timing):
-        meter_cfg = MeterConfig()
-        for name in plan.scenarios:
-            # Each trace is freed once it is metered.
-            flows, rule_notes = preprocess.label_scenario(name, flowmeter.meter(traces.pop(name), meter_cfg))
-            notes.extend(rule_notes)
-            scenario_flows.append(flows)
-            if out_dir is not None:
-                fdir = out_dir / "flows"
-                fdir.mkdir(parents=True, exist_ok=True)
-                flowmeter.write_flow_csv(flows, fdir / f"{name}.flows.csv")
-
+    trace_dir = flow_dir = None
+    if out_dir is not None:
+        trace_dir, flow_dir = out_dir / "traces", out_dir / "flows"
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        flow_dir.mkdir(parents=True, exist_ok=True)
+    position = {name: i for i, name in enumerate(plan.scenarios)}
+    tasks = [(position[name], name, config) for name, config in scenario_configs(plan).items()]
+    with _stage("scenarios", timing):
+        scenarios = labelled_scenarios(partial(_simulated_flows, trace_dir=trace_dir), tasks, flow_dir)
     with _stage("preprocess", timing):
-        pooled, removed = preprocess.pool(FlowTable.concat(scenario_flows))
-        if out_dir is not None:
-            fdir = out_dir / "flows"
-            fdir.mkdir(parents=True, exist_ok=True)
-            flowmeter.write_flow_csv(pooled, fdir / "pooled.flows.csv")
-            flowmeter.write_feature_names(fdir / "features.txt")
-    return PipelineCache(flows=pooled, notes=notes, router_sessions_removed=removed, timing=timing)
+        pooled, removed, notes, sizes = pool_scenarios(scenarios)
+        if flow_dir is not None:
+            flowmeter.write_flow_csv(pooled, flow_dir / "pooled.flows.csv")
+            flowmeter.write_feature_names(flow_dir / "features.txt")
+    return PipelineCache(flows=pooled, notes=notes, scenarios=sizes, router_sessions_removed=removed, timing=timing)
 
 
 def _anonymize_mode(spec: str) -> AnonymizeMode | None:
@@ -504,15 +543,14 @@ def run_experiment(
             (out_dir / "report.csv").write_text(report.csv())
             mdir = out_dir / "models"
             mdir.mkdir(exist_ok=True)
-            manifest = preprocess.dataset_manifest(train_ds, test_ds, plan.scenarios, plan.anonymize,
+            manifest = preprocess.dataset_manifest(train_ds, test_ds, cache.scenarios, plan.anonymize,
                                                    plan.seed_for("randomize"), cache.router_sessions_removed,
                                                    cache.notes)
             if ranking is not None:
                 manifest["selection"] = {"method": plan.selection_method, "k": plan.feature_k,
                                          "flagged": len(ranking.flagged)}
             preprocess.write_manifest(out_dir / "dataset.manifest.json", manifest)
-            preprocess.write_dataset_csv(train_ds, out_dir / "train.csv")
-            preprocess.write_dataset_csv(test_ds, out_dir / "test.csv")
+            write_split(train_ds, test_ds, out_dir)
             for attack, model in experts.items():
                 detector.save_model(model, mdir / f"expert-{attack}.model.txt")
                 detector.write_training_log(model, mdir / f"expert-{attack}.training.csv")
@@ -527,6 +565,13 @@ def run_experiment(
     if out_dir is not None:
         write_timing_csv(timing, out_dir / "timing.csv")
     return report
+
+
+def write_split(train_ds: Dataset, test_ds: Dataset, out_dir: Path) -> None:
+    """`train.csv` and `test.csv` in `out_dir`, written side by side
+    through `parallel.fork_map`."""
+    parallel.fork_map(lambda job: preprocess.write_dataset_csv(*job),
+                      [(train_ds, out_dir / "train.csv"), (test_ds, out_dir / "test.csv")])
 
 
 def write_timing_csv(timing: dict[str, float], path) -> None:
@@ -698,18 +743,14 @@ def _cmd_meter(args) -> int:
 def _cmd_preprocess(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scenario_flows: list[FlowTable] = []
-    notes: list[str] = []
-    scenarios: list[str] = []
-    for spec in args.flows:
+    tasks = []
+    for position, spec in enumerate(args.flows):
         label_name, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--flows expects label=path, got {spec!r}")
-        flows, rule_notes = preprocess.label_scenario(label_name, flowmeter.read_flow_csv(path))
-        notes.extend(rule_notes)
-        scenario_flows.append(flows)
-        scenarios.append(label_name)
-    pooled, removed = preprocess.pool(FlowTable.concat(scenario_flows))
+        tasks.append((position, label_name, path))
+    scenarios = labelled_scenarios(lambda name, path: flowmeter.read_flow_csv(path), tasks)
+    pooled, removed, notes, sizes = pool_scenarios(scenarios)
     train_ds, test_ds = preprocess.build_dataset(
         pooled,
         drop_ports=not args.keep_ports,
@@ -718,10 +759,9 @@ def _cmd_preprocess(args) -> int:
         shuffle_seed=args.seed,
         ip_mode=args.ip_mode,
     )
-    preprocess.write_dataset_csv(train_ds, out / "train.csv")
-    preprocess.write_dataset_csv(test_ds, out / "test.csv")
+    write_split(train_ds, test_ds, out)
     manifest = preprocess.dataset_manifest(
-        train_ds, test_ds, scenarios, "none", None, removed, notes,
+        train_ds, test_ds, sizes, "none", None, removed, notes,
         drop_ports=not args.keep_ports, keep_timestamp=not args.no_timestamp,
     )
     preprocess.write_manifest(out / "dataset.manifest.json", manifest)
@@ -902,7 +942,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except _StageError as exc:
         print(f"ddsids: {exc}", file=sys.stderr)
-        return 2
+        return 1
     except (ValueError, OSError) as exc:
         print(f"ddsids: error: {exc}", file=sys.stderr)
         return 1

@@ -6,9 +6,13 @@ one CPU is usable it deals the tasks round-robin to one worker per CPU (at
 most one per task): the first worker is this process, each other one a child
 made with `os.fork`, which inherits the tasks and `fn` as they stand and
 sends its results back through a pipe, pickled.  Results are therefore bit
-for bit what the calls give in this process.  Children are processes rather
-than threads because the stages this serves make many small numpy calls,
-which the interpreter lock would serialise.
+for bit what the calls give in this process.  Its callers: the lockstep
+training parts (`detector.train_many`), the lasso paths (`featsel`), the
+scenario chains of `evalcli.build_cache` (simulate, meter, label, write) and
+the flow reads of `ddsids preprocess`, and the train/test pair writer.
+Children are processes rather than threads because these stages make many
+small numpy calls and much Python work, which the interpreter lock would
+serialise.
 
 For the length of the forked section OpenBLAS is held at one thread in this
 process and in the children: its worker threads would otherwise spin on the

@@ -374,7 +374,7 @@ def write_manifest(path, manifest: dict) -> None:
 def dataset_manifest(
     train: Dataset,
     test: Dataset,
-    scenarios: Iterable[str],
+    scenarios: Sequence[dict],
     anonymize_mode: str,
     anonymize_seed: int | None,
     router_sessions_removed: int,
@@ -382,13 +382,15 @@ def dataset_manifest(
     drop_ports: bool = True,
     keep_timestamp: bool = True,
 ) -> dict:
-    """What built `train` and `test`: the label rules of the pooled scenarios
-    and the notes they raised, the router sessions stripped, the flow columns
-    left out of the matrix, the rows per label of each split, the
-    normalization constants and the runtime environment."""
+    """What built `train` and `test`: the pooled scenarios (each a dict of
+    its name, packets and flows) and their label rules, the notes the rules
+    raised, the router sessions stripped, the flow columns left out of the
+    matrix, the rows per label of each split, the normalization constants
+    and the runtime environment."""
     return {
         "environment": runtime_environment(),
-        "label_rules": {s: asdict(LABEL_RULES[s]) for s in scenarios if s in LABEL_RULES},
+        "scenarios": list(scenarios),
+        "label_rules": {s["name"]: asdict(LABEL_RULES[s["name"]]) for s in scenarios if s["name"] in LABEL_RULES},
         "notes": list(notes),
         "router_sessions_removed": router_sessions_removed,
         "anonymize_mode": anonymize_mode,

@@ -40,6 +40,7 @@ import sys
 import warnings
 from array import array
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain, islice, starmap
 from operator import attrgetter
@@ -580,9 +581,10 @@ def _line_stats(path) -> tuple[int, int, bool]:
     return lines, longest, odd
 
 
-def tokenized_rows(path, fh, header_lines: int, dtype: np.dtype, quotechar: str | None = None) -> np.ndarray | None:
-    """The rows of the text file `fh`, open on `path` and read past its
-    `header_lines` header lines, read by numpy's C tokenizer into a
+def tokenized_rows(fh, line_stats: tuple[int, int, bool], header_lines: int, dtype: np.dtype,
+                   quotechar: str | None = None) -> np.ndarray | None:
+    """The rows of the text file `fh`, whose `_line_stats` are `line_stats`,
+    read past its `header_lines` header lines by numpy's C tokenizer into a
     structured array of `dtype`; None where that read could differ from the
     csv module's.  Its quoting is the csv module's (a quote opens a quoted
     field only as the field's first character), and it raises on a field
@@ -591,7 +593,7 @@ def tokenized_rows(path, fh, header_lines: int, dtype: np.dtype, quotechar: str 
     a carriage return (it ends a line too) or a NUL (the csv module rejects
     it before Python 3.11) sends the file to the csv module, as does a line
     beyond the csv field size or Python's int digit limit."""
-    lines, longest, odd = _line_stats(path)
+    lines, longest, odd = line_stats
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or sys.maxsize
     if odd or longest > min(csv.field_size_limit(), digits) or lines <= header_lines:
         return None
@@ -608,6 +610,31 @@ _CELL_BLOCK = 1 << 12  # cells parsed at a time: few, so the csv module's row li
 PORTS = range(1 << 16)
 INT64 = range(-(1 << 63), 1 << 63)
 LENGTHS = range(INT64.stop)
+
+
+@contextmanager
+def open_text(path, newline: str | None = None):
+    """`path` open for reading as text; a byte that does not decode ends the
+    read with a ValueError naming the path and the byte's line."""
+    try:
+        with open(path, newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise _not_decoded(path, exc) from None
+
+
+def _not_decoded(path, exc: UnicodeDecodeError) -> ValueError:
+    """The rejection of a file that `exc` stopped decoding: the line, byte
+    and column of its first byte that does not decode.  Lines end as the
+    text readers end them, at a line feed, a carriage return or both."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, 1):
+        try:
+            line.decode(exc.encoding)
+        except UnicodeDecodeError as bad:
+            return ValueError(f"{path}: line {lineno}: not UTF-8, byte 0x{line[bad.start]:02x} at column {bad.start + 1}")
+    return ValueError(f"{path}: {exc}")
 
 
 def _csv_reader(fh, quotechar: str | None):
@@ -681,13 +708,18 @@ def read_rows(path, row_type, quotechar: str | None, bounds: dict[str, range]) -
     header)` gives or raises for the header.  numpy's C tokenizer reads the
     rows where it reads them as the csv module would, else the csv module
     does.  A rejection names the path and line, and the column, reason and
-    text of a cell `_row_fault` rejects under the bounds `bounds` declares."""
-    with open(path, newline="") as fh:
+    text of a cell `_row_fault` rejects under the bounds `bounds` declares,
+    or the line of the first byte that is not UTF-8."""
+    stats = _line_stats(path)
+    # The csv module asks for newline="", but a file with no carriage return
+    # (stats[2] flags one, or a NUL) reads the same in the default mode, in
+    # which numpy's tokenizer is faster.
+    with open_text(path, newline="" if stats[2] else None) as fh:
         reader = _csv_reader(fh, quotechar)
         try:
             header = next(reader, [])
             dtype = row_type(path, header)
-            rows, r = tokenized_rows(path, fh, reader.line_num, dtype, quotechar), None
+            rows, r = tokenized_rows(fh, stats, reader.line_num, dtype, quotechar), None
             if rows is None:
                 fh.seek(0)
                 reader = _csv_reader(fh, quotechar)
@@ -742,11 +774,12 @@ def load_scenario_config(path) -> ScenarioConfig:
     """Parse a key = value scenario file; '#' starts a comment.  Each key is
     a ScenarioConfig field, read by its declared type; a rejection names the
     path, and the line and field of a value that does not parse, a
-    non-finite float and an unknown or repeated key."""
+    non-finite float, an unknown or repeated key and a byte that is not
+    UTF-8."""
     types = {f.name: {"str": str, "int": int, "float": float}[f.type.split(" |")[0]] for f in fields(ScenarioConfig)}
     kwargs: dict = {}
     lines: dict[str, int] = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -1,6 +1,7 @@
 """The dataset CSV reader: block-wise parsing and the inputs it rejects."""
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,13 @@ class TestDatasetCsv:
         back = read_dataset_csv(tmp_path / "d.csv")
         assert back.matrix.shape == (n, 3) and back.matrix.tobytes() == ds.matrix.tobytes()
         assert back.labels == ds.labels and back.feature_names == ds.feature_names
+
+    def test_carriage_returns_inside_labels_round_trip(self, tmp_path):
+        # A file with a carriage return must not be read in a newline mode
+        # that translates it.
+        ds = replace(self.dataset(3), labels=["a\rb", "c\r\nd", "e"])
+        write_dataset_csv(ds, tmp_path / "d.csv")
+        assert read_dataset_csv(tmp_path / "d.csv").labels == ds.labels
 
     def test_takes_only_a_path(self):
         assert list(inspect.signature(read_dataset_csv).parameters) == ["path"]

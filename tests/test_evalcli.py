@@ -190,7 +190,7 @@ class TestExperimentPipeline:
     def test_stage_times_cover_the_run(self, tmp_path):
         plan = replace(SMALL_PLAN, feature_k=5, selection_method="univariate")
         report = run_experiment(plan, out_dir=tmp_path / "exp")
-        stages = [f"{name}_s" for name in ("simulate", "meter", "preprocess", "select", "train", "evaluate", "report")]
+        stages = [f"{name}_s" for name in ("scenarios", "preprocess", "select", "train", "evaluate", "report")]
         assert sorted(report.timing) == sorted(stages + ["total_s"])
         lines = (tmp_path / "exp" / "timing.csv").read_text().splitlines()
         assert lines[0] == "stage,seconds"
@@ -259,11 +259,11 @@ class TestSweep:
         assert rc == 0
         lines = (tmp_path / "timing.csv").read_text().splitlines()
         assert lines[0] == "stage,seconds"
-        assert [line.split(",")[0] for line in lines[1:]] == ["meter_s", "preprocess_s", "simulate_s"]
+        assert [line.split(",")[0] for line in lines[1:]] == ["preprocess_s", "scenarios_s"]
         assert all(float(line.split(",")[1]) >= 0 for line in lines[1:])
         # Each regime's own timing has no cache stages: the cache was built once.
         regime = (tmp_path / "ip-none" / "timing.csv").read_text()
-        assert "simulate_s" not in regime and "train_s" in regime
+        assert "scenarios_s" not in regime and "train_s" in regime
 
     def test_sweep_cli(self, tmp_path):
         rc = main([

@@ -28,6 +28,11 @@ def test_experiment_and_cli_manifests_carry_the_same_keys(tmp_path):
     assert set(cli) == set(ref)
     assert cli["router_sessions_removed"] == ref["router_sessions_removed"] > 0
     assert cli["notes"] == ref["notes"] and len(ref["notes"]) == 2  # the clone and malsub rules
+    assert cli["scenarios"] == ref["scenarios"]
+    assert [s["name"] for s in ref["scenarios"]] == list(plan.scenarios)
+    for s in ref["scenarios"]:
+        assert s["packets"] == len(simnet.read_packet_csv(chain / f"{s['name']}.packets.csv"))
+        assert s["flows"] == len(flowmeter.read_flow_csv(chain / f"{s['name']}.flows.csv"))
     for split in ("train", "test"):
         counts = read_dataset_csv(data / f"{split}.csv").class_counts()
         assert cli["rows_per_label"][split] == ref["rows_per_label"][split] == counts

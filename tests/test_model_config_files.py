@@ -159,6 +159,25 @@ def test_scenario_config_faults(tmp_path, capsys, line, new, message):
     assert capsys.readouterr().err == f"ddsids: error: {path}: {message}\n"
 
 
+# Line 2 of each file: "shape: 3 3 2 2 1" and "duration = 3.0".
+@pytest.mark.parametrize("save, load, argv", [
+    (lambda path: save_model(model(), path), load_model, ["evaluate", "--model", "{}", "--test", "t.csv"]),
+    (lambda path: save_scenario_config(CONFIG, path), load_scenario_config, ["simulate", "--config", "{}"]),
+], ids=["model", "config"])
+def test_a_byte_that_is_not_utf8_is_named_by_line(tmp_path, capsys, save, load, argv):
+    path = tmp_path / "f.txt"
+    save(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:2] + b"\xff" + lines[1][3:]
+    path.write_bytes(b"".join(lines))
+    message = f"{path}: line 2: not UTF-8, byte 0xff at column 3"
+    with pytest.raises(ValueError) as raised:
+        load(path)
+    assert str(raised.value) == message
+    assert main([a.format(path) for a in argv] + ["--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"ddsids: error: {message}\n"
+
+
 @pytest.mark.parametrize("name", ["a|b", "a\nb", "a\rb", " a", "a\t"])
 def test_feature_names_that_cannot_round_trip(tmp_path, name):
     with pytest.raises(ValueError, match=re.escape(f"feature name {name!r} cannot be saved in a model file")):

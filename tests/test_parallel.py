@@ -1,5 +1,6 @@
-"""`parallel.fork_map`, and the lockstep trainer and the lasso ranking that
-run on it, forked against serial.
+"""`parallel.fork_map`, and the lockstep trainer, the lasso ranking, the
+scenario chains and the train/test writer that run on it, forked against
+serial.
 
 The usable CPU count is patched, so the forked path runs on a one-CPU
 machine too.  After every call no child may be left: `os.waitpid(-1,
@@ -14,10 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from ddsids import detector, featsel, parallel
+from ddsids import detector, evalcli, featsel, flowmeter, parallel, simnet
 from ddsids.detector import TrainConfig, TrainJob
+from ddsids.evalcli import ExperimentPlan, build_cache, main, write_split
 from test_featsel import dataset_from
 from test_lockstep_train import LABELS, assert_same_bytes, dataset
+from test_reader_equivalence import snapshot
 
 
 def cpus(monkeypatch, count):
@@ -232,3 +235,68 @@ class TestForkedStages:
         assert len(detector.train_many(experiment_like_jobs())) == 7
         ds = dataset(list(LABELS) * 15, 4, seed=9)
         assert len(featsel.rank_lasso(ds).ranked_names) == 4
+
+
+SMALL_PLAN = ExperimentPlan(seed=5, scale=0.06, epochs=1, model="expert:dos")
+
+
+def files_under(root) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestForkedScenarios:
+    def test_build_cache_forked_is_serial_byte_for_byte(self, monkeypatch, tmp_path):
+        cpus(monkeypatch, 1)
+        serial = build_cache(SMALL_PLAN, tmp_path / "serial")
+        cpus(monkeypatch, 2)
+        forks = counted_forks(monkeypatch)
+        forked = build_cache(SMALL_PLAN, tmp_path / "forked")
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert snapshot(forked.flows) == snapshot(serial.flows)
+        assert forked.notes == serial.notes and len(serial.notes) == 2  # the clone and malsub rules
+        assert forked.router_sessions_removed == serial.router_sessions_removed > 0
+        assert forked.scenarios == serial.scenarios
+        assert [s["name"] for s in serial.scenarios] == list(SMALL_PLAN.scenarios)
+        for sub in ("traces", "flows"):
+            assert files_under(tmp_path / "forked" / sub) == files_under(tmp_path / "serial" / sub)
+
+    # The largest trace (clone) is dealt first, to this process; malsub to the child.
+    @pytest.mark.parametrize("scenario, in_child", [("clone", False), ("malsub", True)])
+    def test_a_failing_scenario_is_named_by_its_stage(self, monkeypatch, tmp_path, capsys, scenario, in_child):
+        cpus(monkeypatch, 2)
+        generate, meter, metering = simnet.generate, flowmeter.meter, {}
+
+        def generate_noted(config):
+            metering["scenario"] = config.scenario  # a worker meters the trace it generated last
+            return generate(config)
+
+        def failing_meter(trace, config):
+            if metering["scenario"] == scenario:
+                raise ValueError("meter broke")
+            return meter(trace, config)
+
+        monkeypatch.setattr(simnet, "generate", generate_noted)
+        monkeypatch.setattr(flowmeter, "meter", failing_meter)
+        with pytest.raises(evalcli._StageError, match=f"^stage scenarios: scenario {scenario}: meter broke$") as raised:
+            build_cache(SMALL_PLAN)
+        assert ("in forked worker" in str(raised.value.__cause__.__cause__)) == in_child
+        assert_no_child_left()
+        rc = main(["experiment", "--seed", "5", "--scale", "0.06", "--epochs", "1", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"ddsids: stage scenarios: scenario {scenario}: meter broke\n"
+        assert_no_child_left()
+
+    def test_write_split_forked_is_serial_byte_for_byte(self, monkeypatch, tmp_path):
+        train, test = dataset(list(LABELS) * 5, 4, seed=3), dataset(list(LABELS) * 3, 4, seed=4)
+        for sub in ("serial", "forked"):
+            (tmp_path / sub).mkdir()
+        cpus(monkeypatch, 1)
+        write_split(train, test, tmp_path / "serial")
+        cpus(monkeypatch, 2)
+        forks = counted_forks(monkeypatch)
+        write_split(train, test, tmp_path / "forked")
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert files_under(tmp_path / "forked") == files_under(tmp_path / "serial")
+        assert set(files_under(tmp_path / "serial")) == {"train.csv", "test.csv"}

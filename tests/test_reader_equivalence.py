@@ -297,3 +297,25 @@ def test_cli_prints_the_rejection(tmp_path, capsys, argv, cell, message):
     path.write_text("".join(lines))
     assert main([*argv, str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"ddsids: error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("fmt, argv", [
+    ("packet", ["meter", "--packets", "{}"]),
+    ("flow", ["preprocess", "--flows", "dos={}"]),
+    ("dataset", ["train", "--train", "{}"]),
+])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_byte_that_is_not_utf8_is_named_by_line(tmp_path, capsys, fmt, argv, newline):
+    """Byte 0xff in column 2 of line 3, read by either path and by the verb."""
+    read, text = READERS[fmt]
+    lines = text().replace("\n", newline).encode().splitlines(keepends=True)
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][2:]
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"".join(lines))
+    message = f"{path}: line 3: not UTF-8, byte 0xff at column 2"
+    for parsers in (nullcontext, block_parsers_only):
+        with parsers(), pytest.raises(ValueError) as raised:
+            read(path)
+        assert str(raised.value) == message
+    assert main([a.format(path) for a in argv] + ["--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"ddsids: error: {message}\n"
