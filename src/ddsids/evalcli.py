@@ -31,7 +31,7 @@ import numpy as np
 
 from . import detector, featsel, flowmeter, parallel, preprocess, simnet
 from .detector import DetectorModel, EnsembleModel, TrainConfig
-from .flowmeter import FlowRecord, FlowTable, MeterConfig
+from .flowmeter import FlowTable, MeterConfig
 from .preprocess import IP_MODES, AnonymizeMode, Dataset
 from .simnet import ScenarioConfig
 
@@ -344,11 +344,10 @@ def _apply_anonymize(plan: ExperimentPlan, train_flows, test_flows, footnotes):
     return train_flows, preprocess.anonymize(test_flows, mode)
 
 
-def randomize_sessions(flows: Sequence[FlowRecord], seed: int, hosts: Sequence[int] = SUBNET_HOSTS) -> FlowTable:
+def randomize_sessions(flows: FlowTable, seed: int, hosts: Sequence[int] = SUBNET_HOSTS) -> FlowTable:
     """Per-session random address assignment from the subnet host range,
     keeping src != dst: each flow draws its source, then its destination
     among the other hosts."""
-    flows = FlowTable.of(flows)
     rng = np.random.default_rng(seed)
     n = len(hosts)
     draws = np.array([(rng.integers(n), rng.integers(n - 1)) for _ in range(len(flows))], dtype=np.int64)

@@ -99,7 +99,7 @@ class _GramStats:
     y_mean: float
 
     @classmethod
-    def of(cls, X: np.ndarray, y: np.ndarray) -> "_GramStats":
+    def from_xy(cls, X: np.ndarray, y: np.ndarray) -> "_GramStats":
         n = X.shape[0]
         return cls(
             gram=X.T @ X / n,
@@ -186,7 +186,7 @@ def rank_lasso(
     fold_of = np.empty(n, dtype=int)
     fold_of[rng.permutation(n)] = np.arange(n) % folds
 
-    stats = [_GramStats.of(X[fold_of != k], y[fold_of != k]) for k in range(folds)] + [_GramStats.of(X, y)]
+    stats = [_GramStats.from_xy(X[fold_of != k], y[fold_of != k]) for k in range(folds)] + [_GramStats.from_xy(X, y)]
     paths = parallel.fork_map(lambda s: _path(s, grid), stats)
     flagged = [
         f"{'full' if k == folds else f'fold {k}'} path, lambda {lam:g}: stopped at {LASSO_MAX_SWEEPS} sweeps"

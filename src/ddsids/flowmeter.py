@@ -45,11 +45,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .simnet import INT64, PORTS, ColumnTable, PacketRecord, PacketTrace, read_rows, write_rows
+from .simnet import INT64, PORTS, SCENARIOS, ColumnTable, PacketTrace, read_rows, write_rows
 
 FEATURE_NAMES = [
     "Protocol",
@@ -137,7 +136,7 @@ FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 METADATA_NAMES = ["Flow ID", "Src IP", "Src Port", "Dst IP", "Dst Port", "Start Time"]
 LABEL_NAME = "Label"
 
-# Flag bit positions in PacketRecord.flags.
+# Flag bit positions in a packet's flags.
 FLAG_BITS = {"FIN": 1, "SYN": 2, "RST": 4, "PSH": 8, "ACK": 16, "URG": 32, "CWE": 64, "ECE": 128}
 
 _MIN_RATE_DIVISOR_S = 1e-6
@@ -161,30 +160,12 @@ class MeterConfig:
             raise ValueError("MeterConfig.activity_timeout must be smaller than flow_timeout")
 
 
-@dataclass
-class FlowRecord:
-    flow_id: str
-    src_ip: str
-    src_port: int
-    dst_ip: str
-    dst_port: int
-    protocol: int
-    start_time: float
-    features: list[float]
-    label: str = "benign"
-
-    def feature(self, name: str) -> float:
-        return self.features[FEATURE_INDEX[name]]
-
-
 class FlowTable(ColumnTable):
-    """Flows held as columns, with a (flows, 78) ``features`` matrix; it reads
-    as a sequence of ``FlowRecord``s, each a copy."""
+    """Flows held as columns, with a (flows, 78) ``features`` matrix."""
 
     COLUMNS = ("flow_id", "src", "src_port", "dst", "dst_port", "protocol", "start_time", "features", "label")
     DTYPES = (object, np.int64, np.int64, np.int64, np.int64, np.int64, np.float64, np.float64, object)
     SHAPES = {"features": (len(FEATURE_NAMES),)}
-    RECORD = FlowRecord
 
 
 def _ordered_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -401,35 +382,34 @@ def _features(trace: PacketTrace, order: np.ndarray, sizes: np.ndarray, cfg: Met
     return out
 
 
-def meter(packets: Iterable[PacketRecord], cfg: MeterConfig | None = None) -> FlowTable:
+def meter(packets: PacketTrace, cfg: MeterConfig | None = None) -> FlowTable:
     """Assemble time-sorted packets into flows and compute their features.
 
-    `packets` is a ``PacketTrace`` or any iterable of ``PacketRecord``s,
-    which is turned into one.  Flows come out benign, in the order of their
-    first packets.  Raises ValueError on the first timestamp inversion in the
-    input, and on a non-finite timestamp or a negative length.
+    Flows come out benign, in the order of their first packets.  Raises
+    ValueError on the first timestamp inversion in the input, and on a
+    non-finite timestamp or a negative length.
     """
     cfg = cfg or MeterConfig()
-    trace = PacketTrace.of(packets)
-    ts = trace.ts
-    for name, bad in (("ts", ~np.isfinite(ts)), ("payload_len", trace.payload_len < 0),
-                      ("header_len", trace.header_len < 0)):
+    ts = packets.ts
+    for name, bad in (("ts", ~np.isfinite(ts)), ("payload_len", packets.payload_len < 0),
+                      ("header_len", packets.header_len < 0)):
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"packet {i} has an invalid {name}: {getattr(trace, name)[i].item()}")
+            raise ValueError(f"packet {i} has an invalid {name}: {getattr(packets, name)[i].item()}")
     inverted = np.flatnonzero(ts[1:] < ts[:-1])
     if len(inverted):
         i = int(inverted[0]) + 1
         raise ValueError(f"packets not time-sorted: index {i} has ts={ts[i]:.6f} after ts={ts[i - 1]:.6f}")
-    if not len(trace):
-        return FlowTable.from_records([])
-    order, sizes, serial = _assemble(trace, cfg.flow_timeout)
+    if not len(packets):
+        return FlowTable.empty()
+    order, sizes, serial = _assemble(packets, cfg.flow_timeout)
     first = order[np.cumsum(sizes) - sizes]
-    src, sport, dst, dport, proto = (getattr(trace, c)[first] for c in ("src", "src_port", "dst", "dst_port", "proto"))
-    address = trace.addresses
+    src, sport, dst, dport, proto = (getattr(packets, c)[first]
+                                     for c in ("src", "src_port", "dst", "dst_port", "proto"))
+    address = packets.addresses
     flow_id = [f"{address[s]}:{sp}->{address[d]}:{dp}/{p}#{n}" for s, sp, d, dp, p, n in
                zip(src.tolist(), sport.tolist(), dst.tolist(), dport.tolist(), proto.tolist(), serial.tolist())]
-    features = _features(trace, order, sizes, cfg)
+    features = _features(packets, order, sizes, cfg)
     return FlowTable(address, flow_id, src, sport, dst, dport, proto, ts[first], features, ["benign"] * len(first))
 
 
@@ -440,10 +420,9 @@ def write_feature_names(path) -> None:
             fh.write(name + "\n")
 
 
-def write_flow_csv(flows: Iterable[FlowRecord], path) -> None:
+def write_flow_csv(flows: FlowTable, path) -> None:
     """One quoted metadata prefix, the features by their float repr and the
-    quoted label per flow; `flows` may be any iterable of ``FlowRecord``s."""
-    flows = FlowTable.of(flows)
+    quoted label per flow."""
     address = [f'"{a}",' for a in flows.addresses]
     quoted = '"{}",'.format
     with open(path, "w") as fh:
@@ -475,10 +454,12 @@ def _flow_row(path, header: list[str]) -> np.dtype:
 
 def read_flow_csv(path) -> FlowTable:
     """Inverse of write_flow_csv, through read_rows; rejects a header off the
-    catalog, a port outside 0..65535 and a Protocol outside the 64-bit range."""
-    _, rows = read_rows(path, _flow_row, '"', {"Src Port": PORTS, "Dst Port": PORTS, "Protocol": INT64})
+    catalog, a port outside 0..65535, a Protocol outside the 64-bit range and
+    a label that is not a scenario name."""
+    bounds = {"Src Port": PORTS, "Dst Port": PORTS, "Protocol": INT64, LABEL_NAME: SCENARIOS}
+    _, rows = read_rows(path, _flow_row, '"', bounds)
     values = rows["values"]
     return FlowTable.from_columns(
-        [rows["flow_id"].tolist(), rows["src"].tolist(), rows["src_port"].copy(), rows["dst"].tolist(),
+        [rows["flow_id"].tolist(), rows["src"], rows["src_port"].copy(), rows["dst"],
          rows["dst_port"].copy(), values[:, 1 + FEATURE_INDEX["Protocol"]].astype(np.int64), values[:, 0].copy(),
          np.ascontiguousarray(values[:, 1:]), rows["label"].tolist()])

@@ -13,8 +13,7 @@ stripping are masks over the octets of the few addresses in its address
 table, the timestamp deltas are one ``np.diff`` over the start times, address
 encoding and anonymization rewrite only the address table, the split takes a
 per-label quota of the shuffled rows, and the matrix is filled by column
-slices.  A list of ``FlowRecord``s handed to a public function is turned
-into a table once, at entry.
+slices.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowRecord, FlowTable
+from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowTable
 from .parallel import openblas_core, usable_cpus
-from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, read_rows, write_rows
+from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, SCENARIOS, read_rows, write_rows
 
 DIRECTIONALITIES = ("bidirectional", "destination_only", "source_only")
 IP_MODES = ("both", "source_only", "destination_only", "none")
@@ -105,7 +104,7 @@ def _octets(flows: FlowTable, parse=_octet) -> np.ndarray:
     return octets
 
 
-def label(flows: Sequence[FlowRecord], rule: LabelRule, strict: bool = False) -> FlowTable:
+def label(flows: FlowTable, rule: LabelRule, strict: bool = False) -> FlowTable:
     """Label flows whose addresses match the rule; everything else is benign."""
     combo = (rule.attack_label, rule.directionality)
     if combo not in DOCUMENTED_RULE_COMBOS:
@@ -116,19 +115,17 @@ def label(flows: Sequence[FlowRecord], rule: LabelRule, strict: bool = False) ->
         if strict:
             raise ValueError(message)
         warnings.warn(message, stacklevel=2)
-    flows = FlowTable.of(flows)
     malicious = _octets(flows) == rule.malicious_octet
     src_hit, dst_hit = malicious[flows.src], malicious[flows.dst]
     hit = {"source_only": src_hit, "destination_only": dst_hit}.get(rule.directionality, src_hit | dst_hit)
     return flows.with_columns(label=np.array(["benign", rule.attack_label], dtype=object)[hit.astype(np.intp)])
 
 
-def label_scenario(name: str, flows: Sequence[FlowRecord]) -> tuple[FlowTable, list[str]]:
+def label_scenario(name: str, flows: FlowTable) -> tuple[FlowTable, list[str]]:
     """Label one scenario's flows by its rule and prefix their ids with the
     scenario name; returns (flows, the rule's warnings as notes)."""
     if name != "benign" and name not in LABEL_RULES:
         raise ValueError(f"scenario {name!r} is not one of: benign, {', '.join(LABEL_RULES)}")
-    flows = FlowTable.of(flows)
     notes: list[str] = []
     if name in LABEL_RULES:
         with warnings.catch_warnings(record=True) as caught:
@@ -138,7 +135,7 @@ def label_scenario(name: str, flows: Sequence[FlowRecord]) -> tuple[FlowTable, l
     return flows.with_columns(flow_id=[f"{name}:{i}" for i in flows.flow_id.tolist()]), notes
 
 
-def pool(flows: Sequence[FlowRecord]) -> tuple[FlowTable, int]:
+def pool(flows: FlowTable) -> tuple[FlowTable, int]:
     """Strip router sessions, sort by start time (stably) and encode
     timestamps and addresses; returns (pooled flows, router sessions removed)."""
     kept, removed = strip_router_flows(flows)
@@ -146,18 +143,16 @@ def pool(flows: Sequence[FlowRecord]) -> tuple[FlowTable, int]:
     return encode_ips(encode_timestamps(kept)), removed
 
 
-def strip_router_flows(flows: Sequence[FlowRecord], router_octets: Sequence[int] = ROUTER_HOSTS) -> tuple[FlowTable, int]:
+def strip_router_flows(flows: FlowTable, router_octets: Sequence[int] = ROUTER_HOSTS) -> tuple[FlowTable, int]:
     """Drop flows touching the router addresses; returns (kept, removed count)."""
-    flows = FlowTable.of(flows)
     router = np.isin(_octets(flows), list(router_octets))
     keep = ~(router[flows.src] | router[flows.dst])
     return flows[keep], len(flows) - int(keep.sum())
 
 
-def encode_timestamps(flows: Sequence[FlowRecord]) -> FlowTable:
+def encode_timestamps(flows: FlowTable) -> FlowTable:
     """Rewrite the Timestamp feature: 0 for the earliest session, then the
     start delta (seconds) to the immediately preceding session."""
-    flows = FlowTable.of(flows)
     start = flows.start_time
     unordered = np.flatnonzero(start[1:] < start[:-1])
     if len(unordered):
@@ -168,31 +163,28 @@ def encode_timestamps(flows: Sequence[FlowRecord]) -> FlowTable:
     return flows.with_columns(features=features)
 
 
-def encode_ips(flows: Sequence[FlowRecord]) -> FlowTable:
+def encode_ips(flows: FlowTable) -> FlowTable:
     """Reduce addresses to their only varying octet (10.0.5.5 -> 5)."""
-    flows = FlowTable.of(flows)
     prefixes = {flows.addresses[i].rsplit(".", 1)[0] for i in _used_addresses(flows)}
     if len(prefixes) > 1:
         raise ValueError(f"mixed subnets cannot be octet-encoded: {sorted(prefixes)}")
     return flows.with_columns(addresses=[str(octet) for octet in _octets(flows).tolist()])
 
 
-def observed_addresses(flows: Sequence[FlowRecord]) -> list[int]:
-    flows = FlowTable.of(flows)
+def observed_addresses(flows: FlowTable) -> list[int]:
     try:
         return sorted({int(flows.addresses[i]) for i in _used_addresses(flows)})
     except ValueError:
         raise ValueError("anonymize requires octet-encoded addresses (run encode_ips first)") from None
 
 
-def anonymize(flows: Sequence[FlowRecord], mode: AnonymizeMode) -> FlowTable:
+def anonymize(flows: FlowTable, mode: AnonymizeMode) -> FlowTable:
     """Apply an address anonymization experiment to encoded flows.
 
     shift      observed addresses move k steps along the sorted observed list,
                wrapping at the end;
     switch     the two addresses of the pair trade places.
     """
-    flows = FlowTable.of(flows)
     observed = observed_addresses(flows)
     if mode.kind == "shift":
         n = len(observed)
@@ -250,12 +242,11 @@ class Dataset:
 
 
 def split_flows(
-    flows: Sequence[FlowRecord], split_fraction: float, shuffle_seed: int
+    flows: FlowTable, split_fraction: float, shuffle_seed: int
 ) -> tuple[FlowTable, FlowTable]:
     """Seeded shuffle, then a label-stratified split at split_fraction."""
     if not 0 < split_fraction < 1:
         raise ValueError("split_fraction must be within (0, 1)")
-    flows = FlowTable.of(flows)
     rng = np.random.default_rng(shuffle_seed)
     order = rng.permutation(len(flows))
     labels, code = np.unique(flows.label[order], return_inverse=True)
@@ -301,8 +292,8 @@ def _matrix(flows: FlowTable, columns: Sequence[str]) -> np.ndarray:
 
 
 def build_dataset_from_split(
-    train_flows: Sequence[FlowRecord],
-    test_flows: Sequence[FlowRecord],
+    train_flows: FlowTable,
+    test_flows: FlowTable,
     drop_ports: bool = True,
     keep_timestamp: bool = True,
     shuffle_seed: int = 0,
@@ -310,7 +301,6 @@ def build_dataset_from_split(
 ) -> tuple[Dataset, Dataset]:
     """Assemble matrices for an existing flow split; normalization constants
     come from the training side only."""
-    train_flows, test_flows = FlowTable.of(train_flows), FlowTable.of(test_flows)
     columns = _column_names(drop_ports, keep_timestamp, ip_mode)
     train_m = _matrix(train_flows, columns)
     test_m = _matrix(test_flows, columns)
@@ -334,7 +324,7 @@ def build_dataset_from_split(
 
 
 def build_dataset(
-    flows: Sequence[FlowRecord],
+    flows: FlowTable,
     drop_ports: bool = True,
     keep_timestamp: bool = True,
     split_fraction: float = 0.8,
@@ -429,8 +419,9 @@ def _dataset_row(path, header: list[str]) -> np.dtype:
 
 def read_dataset_csv(path) -> Dataset:
     """Inverse of write_dataset_csv, through simnet.read_rows; rejects an
-    empty file, a last column other than Label and a repeated column name."""
-    header, rows = read_rows(path, _dataset_row, '"', {})
+    empty file, a last column other than Label, a repeated column name and a
+    label that is not a scenario name."""
+    header, rows = read_rows(path, _dataset_row, '"', {"Label": SCENARIOS})
     width = len(header) - 1
     return Dataset(np.ascontiguousarray(rows["values"]), rows["label"].tolist(), header[:-1], 0, np.zeros(width),
                    np.ones(width))

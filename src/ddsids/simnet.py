@@ -42,9 +42,7 @@ from array import array
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
-from itertools import chain, islice, starmap
-from operator import attrgetter
-from typing import Iterable, NamedTuple
+from itertools import chain, islice
 
 import numpy as np
 
@@ -77,41 +75,30 @@ SCENARIOS = ("benign", "dos", "clone", "malsub")
 ATTACK_SCENARIOS = ("dos", "clone", "malsub")
 
 
-class PacketRecord(NamedTuple):
-    """One simulated datagram event."""
-
-    ts: float
-    src_ip: str
-    src_port: int
-    dst_ip: str
-    dst_port: int
-    proto: int
-    payload_len: int
-    header_len: int
-    flags: int
-
-
 PACKET_COLUMNS = ("ts", "src", "src_port", "dst", "dst_port", "proto", "payload_len", "header_len", "flags")
-_ROW_BLOCK = 1 << 14  # rows simulated, or turned into records or text, at a time
+_ROW_BLOCK = 1 << 14  # rows simulated, or turned into text, at a time
 
 
-class ColumnTable(Sequence):
-    """A read-only sequence of records held as columns.
+def _address_codes(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
+    """The distinct addresses of `columns`, in the order they first show, one
+    column after the other, and each column's cells as indices into them."""
+    index = {a: i for i, a in enumerate(dict.fromkeys(chain.from_iterable(columns)))}
+    return list(index), [np.fromiter(map(index.__getitem__, c), np.int64, len(c)) for c in columns]
 
-    A subclass names its ``COLUMNS``, their ``DTYPES`` (and ``SHAPES`` for a
-    column holding a row of values per record) and the ``RECORD`` type a row
-    reads as, whose fields follow the columns.  The ``src`` and ``dst``
-    columns index ``addresses``, a small table of address strings, some
-    perhaps unused.  An int index yields a record; a slice, a row mask or an
-    array of row numbers yields a table.  A table equals any sequence of the
-    same records in the same order, and keeps the arrays it is given behind
-    read-only views.
+
+class ColumnTable:
+    """Rows held as columns, read-only.
+
+    A subclass names its ``COLUMNS``, their ``DTYPES`` and ``SHAPES`` for a
+    column holding a row of values per row.  The ``src`` and ``dst`` columns
+    index ``addresses``, a small table of address strings, some perhaps
+    unused.  A slice, a row mask or an array of row numbers yields a table of
+    those rows.  A table keeps the arrays it is given behind read-only views.
     """
 
     COLUMNS: tuple[str, ...]
     DTYPES: tuple
     SHAPES: dict[str, tuple[int, ...]] = {}
-    RECORD: type
     ADDRESS_COLUMNS = ("src", "dst")
 
     def __init__(self, addresses: Sequence[str], *columns):
@@ -126,36 +113,29 @@ class ColumnTable(Sequence):
             setattr(self, name, values)
 
     @classmethod
+    def empty(cls) -> "ColumnTable":
+        return cls((), *[()] * len(cls.COLUMNS))
+
+    @classmethod
     def from_columns(cls, columns: Sequence) -> "ColumnTable":
         """A table from one sequence per column, with address strings in the
-        address columns.  The address table lists the addresses in the order
-        they first show, one address column after the other."""
+        address columns, coded by `_address_codes`."""
         columns = list(columns)
         where = [k for k, name in enumerate(cls.COLUMNS) if name in cls.ADDRESS_COLUMNS]
-        index = {a: i for i, a in enumerate(dict.fromkeys(chain.from_iterable(columns[k] for k in where)))}
-        for k in where:
-            columns[k] = np.fromiter(map(index.__getitem__, columns[k]), np.int64, len(columns[k]))
-        return cls(index, *columns)
-
-    @classmethod
-    def from_records(cls, records: Iterable) -> "ColumnTable":
-        fields = attrgetter(*cls.RECORD.__annotations__)
-        return cls.from_columns(list(zip(*map(fields, records))) or [()] * len(cls.COLUMNS))
-
-    @classmethod
-    def of(cls, rows: Iterable) -> "ColumnTable":
-        """`rows` if it is a table of this type, else a table of its records."""
-        return rows if isinstance(rows, cls) else cls.from_records(rows)
+        addresses, codes = _address_codes(*(columns[k] for k in where))
+        for k, code in zip(where, codes):
+            columns[k] = code
+        return cls(addresses, *columns)
 
     @classmethod
     def concat(cls, tables: Sequence["ColumnTable"]) -> "ColumnTable":
-        """The rows of `tables` one after another, over one merged address table."""
+        """The rows of `tables` one after another, over their address tables
+        merged by `_address_codes`."""
         if not tables:
-            return cls.from_records([])
-        index: dict[str, int] = {}
-        where = [np.array([index.setdefault(a, len(index)) for a in t.addresses], dtype=np.int64) for t in tables]
-        return cls(index, *(np.concatenate([w[getattr(t, name)] if name in cls.ADDRESS_COLUMNS else getattr(t, name)
-                                            for t, w in zip(tables, where)]) for name in cls.COLUMNS))
+            return cls.empty()
+        addresses, where = _address_codes(*(t.addresses for t in tables))
+        return cls(addresses, *(np.concatenate([w[getattr(t, name)] if name in cls.ADDRESS_COLUMNS else getattr(t, name)
+                                                for t, w in zip(tables, where)]) for name in cls.COLUMNS))
 
     def with_columns(self, addresses: Sequence[str] | None = None, **columns) -> "ColumnTable":
         """A table of the same type with the given columns, or address table, replaced."""
@@ -165,38 +145,17 @@ class ColumnTable(Sequence):
     def __len__(self) -> int:
         return len(getattr(self, self.COLUMNS[0]))
 
-    def _records(self, rows: slice) -> list:
-        columns = [getattr(self, name)[rows].tolist() for name in self.COLUMNS]
-        for k, name in enumerate(self.COLUMNS):
-            if name in self.ADDRESS_COLUMNS:
-                columns[k] = [self.addresses[i] for i in columns[k]]
-        return list(starmap(self.RECORD, zip(*columns)))
+    def __getitem__(self, rows: slice | np.ndarray) -> "ColumnTable":
+        return self.with_columns(**{name: getattr(self, name)[rows] for name in self.COLUMNS})
 
-    def __getitem__(self, item):
-        if isinstance(item, (slice, np.ndarray)):
-            return self.with_columns(**{name: getattr(self, name)[item] for name in self.COLUMNS})
-        i = range(len(self))[item]
-        return self._records(slice(i, i + 1))[0]
-
-    def __iter__(self):
-        for lo in range(0, len(self), _ROW_BLOCK):
-            yield from self._records(slice(lo, lo + _ROW_BLOCK))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
+    __iter__ = None  # not iterable: Python would otherwise index it by int, which it does not take
 
 
 class PacketTrace(ColumnTable):
-    """A packet trace held as columns, ``ts`` in seconds; it reads as a
-    sequence of ``PacketRecord``s."""
+    """A packet trace held as columns, ``ts`` in seconds."""
 
     COLUMNS = PACKET_COLUMNS
     DTYPES = (np.float64,) + (np.int64,) * (len(PACKET_COLUMNS) - 1)
-    RECORD = PacketRecord
 
 
 @dataclass(frozen=True)
@@ -550,8 +509,7 @@ def write_rows(fh, columns: Sequence[tuple], block: int) -> None:
         fh.write("".join(np.concatenate([c if c.ndim == 2 else c[:, None] for c in cells], axis=1).ravel().tolist()))
 
 
-def write_packet_csv(trace: Iterable[PacketRecord], path) -> None:
-    trace = PacketTrace.of(trace)
+def write_packet_csv(trace: PacketTrace, path) -> None:
     address = [a + "," for a in trace.addresses]
     formats = ["{:.6f},".format, address.__getitem__, "{},".format, address.__getitem__, *["{},".format] * 4,
                "{}\n".format]
@@ -650,7 +608,8 @@ def _column_views(rows: np.ndarray) -> list[np.ndarray]:
 def _row_fault(row: list[str], header: list[str], dtype: np.dtype, bounds: dict) -> tuple[int | None, str] | None:
     """(column, reason) of the first cell of a row of text that the readers
     reject, (None, "") for a field count off the header's, or None.  An
-    integer column is bounded by its declared bound or else by int64."""
+    integer column is bounded by its declared range or else by int64; a text
+    column by its declared tuple of allowed values, if any."""
     if len(row) != len(header):
         return None, ""
     for c, (name, column, cell) in enumerate(zip(header, _column_views(np.zeros(0, dtype)), row)):
@@ -664,7 +623,9 @@ def _row_fault(row: list[str], header: list[str], dtype: np.dtype, bounds: dict)
             value = int(cell)
         if kind == "f" and not np.isfinite(value):
             return c, "non-finite value"
-        if bound is not None and not bound.start <= value < bound.stop:
+        if isinstance(bound, tuple) and value not in bound:
+            return c, f"not one of {', '.join(bound)}"
+        if isinstance(bound, range) and not bound.start <= value < bound.stop:
             return c, f"outside {bound.start}..{bound.stop - 1}"
 
 
@@ -672,10 +633,13 @@ def _first_bad_row(rows: np.ndarray, header: list[str], bounds: dict) -> int | N
     """The first row with a non-finite float or a value outside its column's bound, or None."""
     bad = np.zeros(len(rows), bool)
     for name, column in zip(header, _column_views(rows)):
+        bound = bounds.get(name)
         if column.dtype.kind == "f":
             bad |= ~np.isfinite(column)
-        if name in bounds:
-            bad |= (column < bounds[name].start) | (column >= bounds[name].stop)
+        if isinstance(bound, tuple):
+            bad |= ~np.isin(column, bound)
+        elif bound is not None:
+            bad |= (column < bound.start) | (column >= bound.stop)
     return int(np.argmax(bad)) if bad.any() else None
 
 
@@ -701,7 +665,8 @@ def _parsed_rows(reader, header: list[str], dtype: np.dtype, bounds: dict) -> tu
     return np.concatenate(blocks), None
 
 
-def read_rows(path, row_type, quotechar: str | None, bounds: dict[str, range]) -> tuple[list[str], np.ndarray]:
+def read_rows(path, row_type, quotechar: str | None,
+              bounds: dict[str, range | tuple[str, ...]]) -> tuple[list[str], np.ndarray]:
     """The header and the rows of the CSV file `path` (`quotechar` None: no
     quoting), the rows in a structured array of the dtype (a text, float64
     or int64 field per column or run of columns) that `row_type(path,
@@ -754,7 +719,7 @@ def read_packet_csv(path) -> PacketTrace:
     and lengths are non-negative."""
     bounds = {"src_port": PORTS, "dst_port": PORTS, "payload_len": LENGTHS, "header_len": LENGTHS}
     _, rows = read_rows(path, _packet_row, None, bounds)
-    return PacketTrace.from_columns([rows[name].tolist() if name in PacketTrace.ADDRESS_COLUMNS else rows[name].copy()
+    return PacketTrace.from_columns([rows[name] if name in PacketTrace.ADDRESS_COLUMNS else rows[name].copy()
                                      for name in PACKET_COLUMNS])
 
 

@@ -205,7 +205,7 @@ def random_flow_packets(rng, max_packets=20):
     """One random flow's packets on the microsecond grid: mixed directions,
     payload/header/flag variety, and gaps spanning the bulk, subflow and
     activity thresholds."""
-    from ddsids.simnet import PacketRecord
+    from records import PacketRecord
 
     n = int(rng.integers(1, max_packets + 1))
     src = (f"10.0.5.{int(rng.integers(2, 7))}", int(rng.integers(1024, 65536)))

@@ -4,7 +4,8 @@ This is the meter `ddsids.flowmeter` used before its columnar rewrite: it
 walks the packet records one by one, groups them into flows with a dict of
 open flows, and computes each flow's 78 features from Python lists.  The
 grouping and the feature code are kept verbatim; only the names of the
-catalog, the flag bits and the record types come from ddsids.  The columnar
+catalog and the flag bits come from ddsids, and the record types from the
+tests' `records` module.  The columnar
 `meter` is checked against it feature for feature, on the `repr` of each
 value, so a change in summation order or rounding shows.
 
@@ -18,8 +19,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from ddsids.flowmeter import FEATURE_NAMES, FLAG_BITS, FlowRecord, MeterConfig
-from ddsids.simnet import PacketRecord
+from ddsids.flowmeter import FEATURE_NAMES, FLAG_BITS, MeterConfig
+from records import FlowRecord, PacketRecord
 
 _MIN_RATE_DIVISOR_S = 1e-6
 

@@ -4,7 +4,7 @@ These are the functions the columnar `FlowTable` chain replaced, kept
 verbatim: labeling, router stripping, timestamp and address encoding,
 anonymization, the stratified split, the matrix build, per-session address
 randomization and the flow CSV reader.  Each takes and returns plain lists of
-`FlowRecord`s; `label_scenario` and `pool`, which chain them, edit and empty
+`records.FlowRecord`s; `label_scenario` and `pool`, which chain them, edit and empty
 the lists they are given.  `test_prep_oracle.py` runs both chains on the
 same flows and compares them record for record and matrix bit for bit.
 """
@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ddsids.evalcli import SUBNET_HOSTS
-from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, FLOW_BLOCK, LABEL_NAME, METADATA_NAMES, FlowRecord
+from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, FLOW_BLOCK, LABEL_NAME, METADATA_NAMES
 from ddsids.preprocess import (
     DOCUMENTED_RULE_COMBOS,
     DST_IP_COL,
@@ -31,6 +31,7 @@ from ddsids.preprocess import (
     LabelRule,
 )
 from ddsids.simnet import ROUTER_HOSTS
+from records import FlowRecord
 
 
 def _octet(address: str) -> int:

@@ -3,8 +3,8 @@
 These are the writers ddsids used before it formatted each distinct value
 of a block once: one `format` or `repr` call per cell and one line per row.
 The bodies are kept verbatim; only the names they read (column tables,
-headers, the trace class) come from ddsids.  The writers' output is checked
-against them byte for byte.
+headers) come from ddsids, and the flow record from the tests' `records`
+module.  The writers' output is checked against them byte for byte.
 """
 
 from __future__ import annotations
@@ -13,16 +13,15 @@ from typing import Iterable
 
 import numpy as np
 
-from ddsids.flowmeter import FEATURE_NAMES, LABEL_NAME, METADATA_NAMES, FlowRecord
+from ddsids.flowmeter import FEATURE_NAMES, LABEL_NAME, METADATA_NAMES
 from ddsids.preprocess import Dataset
-from ddsids.simnet import PACKET_COLUMNS, PACKET_CSV_HEADER, PacketRecord, PacketTrace
+from ddsids.simnet import PACKET_COLUMNS, PACKET_CSV_HEADER, PacketTrace
+from records import FlowRecord
 
 _ROW_BLOCK = 1 << 14
 
 
-def write_packet_csv(trace: Iterable[PacketRecord], path) -> None:
-    if not isinstance(trace, PacketTrace):
-        trace = PacketTrace.from_records(trace)
+def write_packet_csv(trace: PacketTrace, path) -> None:
     addresses = np.array(trace.addresses, dtype=object)
     row = "{:.6f},{},{},{},{},{},{},{},{}\n".format
     try:

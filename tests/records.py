@@ -1,0 +1,61 @@
+"""Packets and flows one record per row, for the tests and the references
+they check ddsids against.  ddsids takes and returns column tables only;
+`table_of` makes a `PacketTrace` or `FlowTable` of records and `records_of`
+reads a table back as records, so two tables hold the same rows when their
+records are equal, whatever the order of their address tables.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import starmap
+from operator import attrgetter
+from typing import Iterable, NamedTuple
+
+from ddsids.flowmeter import FEATURE_INDEX, FlowTable
+from ddsids.simnet import ColumnTable, PacketTrace
+
+
+class PacketRecord(NamedTuple):
+    ts: float
+    src_ip: str
+    src_port: int
+    dst_ip: str
+    dst_port: int
+    proto: int
+    payload_len: int
+    header_len: int
+    flags: int
+
+
+@dataclass
+class FlowRecord:
+    flow_id: str
+    src_ip: str
+    src_port: int
+    dst_ip: str
+    dst_port: int
+    protocol: int
+    start_time: float
+    features: list[float]
+    label: str = "benign"
+
+    def feature(self, name: str) -> float:
+        return self.features[FEATURE_INDEX[name]]
+
+
+# The record type of each table type; its fields follow the table's columns.
+RECORDS = {PacketTrace: PacketRecord, FlowTable: FlowRecord}
+
+
+def table_of(kind: type[ColumnTable], records: Iterable) -> ColumnTable:
+    fields = attrgetter(*RECORDS[kind].__annotations__)
+    return kind.from_columns(list(zip(*map(fields, records))) or [()] * len(kind.COLUMNS))
+
+
+def records_of(table: ColumnTable) -> list:
+    columns = [getattr(table, name).tolist() for name in table.COLUMNS]
+    for k, name in enumerate(table.COLUMNS):
+        if name in table.ADDRESS_COLUMNS:
+            columns[k] = [table.addresses[i] for i in columns[k]]
+    return list(starmap(RECORDS[type(table)], zip(*columns)))

@@ -1,6 +1,7 @@
 """The dataset CSV reader: block-wise parsing and the inputs it rejects."""
 
 import inspect
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,10 +28,14 @@ class TestDatasetCsv:
 
     def test_carriage_returns_inside_labels_round_trip(self, tmp_path):
         # A file with a carriage return must not be read in a newline mode
-        # that translates it.
-        ds = replace(self.dataset(3), labels=["a\rb", "c\r\nd", "e"])
-        write_dataset_csv(ds, tmp_path / "d.csv")
-        assert read_dataset_csv(tmp_path / "d.csv").labels == ds.labels
+        # that translates it: a label that is no scenario name is rejected
+        # with its text as written.
+        for label in ("a\rb", "c\r\nd"):
+            ds = replace(self.dataset(3), labels=["benign", label, "dos"])
+            write_dataset_csv(ds, tmp_path / "d.csv")
+            with pytest.raises(ValueError, match=re.escape(f"line 3, column 'Label': not one of benign, dos, clone, "
+                                                           f"malsub {label!r}")):
+                read_dataset_csv(tmp_path / "d.csv")
 
     def test_takes_only_a_path(self):
         assert list(inspect.signature(read_dataset_csv).parameters) == ["path"]
@@ -64,13 +69,18 @@ class TestDatasetCsv:
             read_dataset_csv(path)
 
     def test_line_after_a_label_spanning_two_lines(self, tmp_path):
-        # The quoted label of the first row runs over lines 2 and 3, so the
-        # bad row is on line 4, not on the row count's line 3.
+        # A label spanning lines 2 and 3 is no scenario name, named on line
+        # 2.  A quoted column name spanning lines 1 and 2 puts the bad row on
+        # line 4, not on the row count's line 3.
         path = tmp_path / "d.csv"
         path.write_text('"a","b","c","Label"\n0.5,0.5,0.5,"ben\nign"\n0.5,nan,0.5,"dos"\n')
+        with pytest.raises(ValueError, match=re.escape("line 2, column 'Label': not one of benign, dos, clone, malsub "
+                                                       "'ben\\nign'")):
+            read_dataset_csv(path)
+        path.write_text('"a\nz","b","c","Label"\n0.5,0.5,0.5,"dos"\n0.5,nan,0.5,"dos"\n')
         with pytest.raises(ValueError, match="line 4, column 'b': non-finite value 'nan'"):
             read_dataset_csv(path)
-        path.write_text('"a","b","c","Label"\n0.5,0.5,0.5,"ben\nign"\n0.5,0.5,"dos"\n')
+        path.write_text('"a\nz","b","c","Label"\n0.5,0.5,0.5,"dos"\n0.5,0.5,"dos"\n')
         with pytest.raises(ValueError, match="line 4 has 3 fields, expected 4"):
             read_dataset_csv(path)
 

@@ -23,6 +23,7 @@ from ddsids.evalcli import (
     scenario_configs,
 )
 from ddsids.preprocess import Dataset
+from records import records_of
 
 
 SMALL_PLAN = ExperimentPlan(seed=5, scale=0.06, epochs=6)
@@ -108,13 +109,13 @@ class TestHistogram:
 def test_randomize_sessions_addresses():
     plan = ExperimentPlan(seed=2, scale=0.05)
     cache = build_cache(plan)
-    out = randomize_sessions(cache.flows, seed=9)
+    out = records_of(randomize_sessions(cache.flows, seed=9))
     hosts = set(evalcli.SUBNET_HOSTS)
     for f in out:
         assert int(f.src_ip) in hosts and int(f.dst_ip) in hosts
         assert f.src_ip != f.dst_ip
     # features untouched
-    for before, after in zip(cache.flows, out):
+    for before, after in zip(records_of(cache.flows), out):
         assert before.features == after.features
 
 
@@ -520,7 +521,7 @@ class TestCliContracts:
 
     def test_preprocess_rejects_unknown_label(self, tmp_path, capsys):
         flows = tmp_path / "dos.flows.csv"
-        flowmeter.write_flow_csv([], flows)
+        flowmeter.write_flow_csv(flowmeter.FlowTable.empty(), flows)
         rc = main(["preprocess", "--flows", f"dso={flows}", "--out-dir", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err

@@ -113,7 +113,7 @@ class TestLasso:
         ds = dataset_from(X, labels)
         from ddsids.featsel import _descend, _GramStats
 
-        w, b, _ = _descend(_GramStats.of(X, y), 0.0, np.zeros(2), float(y.mean()), max_iter=5000, tol=1e-13)
+        w, b, _ = _descend(_GramStats.from_xy(X, y), 0.0, np.zeros(2), float(y.mean()), max_iter=5000, tol=1e-13)
         A = np.column_stack([np.ones(n), X])
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
         assert abs(b - coef[0]) < 1e-6
@@ -138,7 +138,7 @@ class TestLasso:
         from ddsids.featsel import _GramStats, _path
 
         grid = np.sort(np.logspace(-4, 1, 30))[::-1]
-        path = _path(_GramStats.of(ds.matrix, ds.binary_labels()), grid)
+        path = _path(_GramStats.from_xy(ds.matrix, ds.binary_labels()), grid)
         nonzero = [int(np.count_nonzero(w)) for w, _, _ in path]
         assert all(a <= b for a, b in zip(nonzero, nonzero[1:]))
 
@@ -165,7 +165,7 @@ class TestLasso:
         ranked, _ = oracle_lasso.rank_lasso(ds.matrix, ds.binary_labels(), ds.feature_names)
         assert ranking.ranked_names == ranked
         grid = np.sort(np.logspace(-4, 1, 30))[::-1]
-        capped = [lam for lam, (_, _, sweeps) in zip(grid, _path(_GramStats.of(X, ds.binary_labels()), grid))
+        capped = [lam for lam, (_, _, sweeps) in zip(grid, _path(_GramStats.from_xy(X, ds.binary_labels()), grid))
                   if sweeps == LASSO_MAX_SWEEPS]
         assert capped
         full = [entry for entry in ranking.flagged if entry.startswith("full path")]

@@ -8,15 +8,17 @@ from ddsids.flowmeter import (
     FEATURE_INDEX,
     LABEL_NAME,
     METADATA_NAMES,
+    FlowTable,
     MeterConfig,
     meter,
     read_flow_csv,
     write_feature_names,
     write_flow_csv,
 )
-from ddsids.simnet import PacketRecord
+from ddsids.simnet import PacketTrace
 
 from oracle_flow import EXACT_FEATURES, oracle_features, oracle_flows, random_flow_packets
+from records import PacketRecord, records_of, table_of
 
 A = ("10.0.5.5", 40000)
 B = ("10.0.5.4", 50000)
@@ -24,6 +26,11 @@ B = ("10.0.5.4", 50000)
 
 def pkt(ts, src=A, dst=B, payload=100, header=28, flags=0):
     return PacketRecord(ts, src[0], src[1], dst[0], dst[1], 17, payload, header, flags)
+
+
+def metered(packets, cfg=None):
+    """The flows `meter` makes of a list of packet records, as records."""
+    return records_of(meter(table_of(PacketTrace, packets), cfg))
 
 
 def assert_matches_oracle(flow, packets):
@@ -42,7 +49,7 @@ def assert_matches_oracle(flow, packets):
 
 class TestExamples:
     def test_single_packet_flow(self):
-        flows = meter([pkt(5.0, payload=100)])
+        flows = metered([pkt(5.0, payload=100)])
         assert len(flows) == 1
         f = flows[0]
         assert f.feature("Tot Fwd Pkts") == 1.0
@@ -54,7 +61,7 @@ class TestExamples:
                 assert f.feature(name) == 0.0
 
     def test_two_forward_packets(self):
-        flows = meter([pkt(0.0, payload=64), pkt(2.0, payload=64)])
+        flows = metered([pkt(0.0, payload=64), pkt(2.0, payload=64)])
         f = flows[0]
         assert f.feature("Flow Duration") == 2e6
         assert f.feature("Flow IAT Mean") == 2e6
@@ -69,7 +76,7 @@ class TestExamples:
             pkt(2.0, B, A, payload=0),
             pkt(8.0, A, B, payload=900),
         ]
-        flows = meter(packets)
+        flows = metered(packets)
         assert len(flows) == 1
         assert_matches_oracle(flows[0], packets)
 
@@ -79,7 +86,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(20240811)
         for _ in range(300):
             packets = random_flow_packets(rng)
-            flows = meter(packets)
+            flows = metered(packets)
             grouped = oracle_flows(packets)
             assert len(flows) == len(grouped)
             for flow, pkts in zip(flows, grouped):
@@ -91,7 +98,7 @@ class TestOracleEquivalence:
         for _ in range(25):
             trace.extend(random_flow_packets(rng, max_packets=8))
         trace.sort(key=lambda p: p.ts)
-        flows = meter(trace)
+        flows = metered(trace)
         grouped = oracle_flows(trace)
         assert len(flows) == len(grouped)
         for flow, pkts in zip(flows, grouped):
@@ -105,7 +112,7 @@ class TestInvariants:
         self.cases = []
         for _ in range(60):
             packets = random_flow_packets(rng)
-            for flow, pkts in zip(meter(packets), oracle_flows(packets)):
+            for flow, pkts in zip(metered(packets), oracle_flows(packets)):
                 self.cases.append((flow, pkts))
 
     def test_direction_split(self):
@@ -147,7 +154,7 @@ class TestInvariants:
         for _ in range(20):
             trace.extend(random_flow_packets(rng, max_packets=10))
         trace.sort(key=lambda p: p.ts)
-        whole = meter(trace)
+        whole = metered(trace)
 
         by_key = {}
         for p in trace:
@@ -156,7 +163,7 @@ class TestInvariants:
             by_key.setdefault(key, []).append(p)
         partitioned = []
         for pkts in by_key.values():
-            partitioned.extend(meter(pkts))
+            partitioned.extend(metered(pkts))
         partitioned.sort(key=lambda f: (f.start_time, f.flow_id))
         whole_sorted = sorted(whole, key=lambda f: (f.start_time, f.flow_id))
         assert len(whole_sorted) == len(partitioned)
@@ -167,7 +174,7 @@ class TestInvariants:
 class TestErrorsAndConfig:
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValueError, match="index 1"):
-            meter([pkt(2.0), pkt(1.0)])
+            metered([pkt(2.0), pkt(1.0)])
 
     @pytest.mark.parametrize("bad, field", [
         (dict(ts=float("nan")), "ts"),
@@ -178,7 +185,7 @@ class TestErrorsAndConfig:
     def test_invalid_packet_rejected(self, bad, field):
         packets = [pkt(0.0), pkt(**{"ts": 1.0, **bad}), pkt(2.0)]
         with pytest.raises(ValueError, match=f"packet 1 has an invalid {field}"):
-            meter(packets)
+            metered(packets)
 
     def test_meter_cli_rejects_nan_and_negative_length(self, tmp_path, capsys):
         from ddsids.evalcli import main
@@ -201,7 +208,7 @@ class TestErrorsAndConfig:
 
     def test_flow_timeout_splits_sessions(self):
         packets = [pkt(0.0), pkt(1.0), pkt(200.0), pkt(201.0)]
-        flows = meter(packets)
+        flows = metered(packets)
         assert len(flows) == 2
         assert flows[0].feature("Tot Fwd Pkts") == 2.0
 
@@ -210,12 +217,12 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         packets = random_flow_packets(rng)
-        flows = list(meter(packets))
+        flows = metered(packets)
         for i, f in enumerate(flows):
             f.label = "dos" if i % 2 else "benign"
         path = tmp_path / "flows.csv"
-        write_flow_csv(flows, path)
-        back = read_flow_csv(path)
+        write_flow_csv(table_of(FlowTable, flows), path)
+        back = records_of(read_flow_csv(path))
         assert len(back) == len(flows)
         for a, b in zip(flows, back):
             assert a.flow_id == b.flow_id
@@ -225,7 +232,7 @@ class TestCsv:
 
     @pytest.mark.parametrize("column, cell", [("Start Time", "nan"), ("Idle Std", "inf"), ("Flow Duration", "-inf")])
     def test_non_finite_cell_names_line_and_column(self, tmp_path, column, cell):
-        flows = list(meter(random_flow_packets(np.random.default_rng(4))))
+        flows = meter(table_of(PacketTrace, random_flow_packets(np.random.default_rng(4))))
         path = tmp_path / "flows.csv"
         write_flow_csv(flows, path)
         lines = path.read_text().splitlines(keepends=True)
@@ -240,7 +247,7 @@ class TestCsv:
     def test_line_before_a_label_spanning_two_lines(self, tmp_path):
         # The second row's quoted label runs over lines 3 and 4; the bad cell
         # of the first row is still on line 2.
-        flows = list(meter(random_flow_packets(np.random.default_rng(4))))
+        flows = meter(table_of(PacketTrace, random_flow_packets(np.random.default_rng(4))))
         path = tmp_path / "flows.csv"
         write_flow_csv(flows, path)
         lines = path.read_text().splitlines(keepends=True)
@@ -254,7 +261,7 @@ class TestCsv:
 
     def test_header_column_count(self, tmp_path):
         path = tmp_path / "flows.csv"
-        write_flow_csv([], path)
+        write_flow_csv(FlowTable.empty(), path)
         header = path.read_text().splitlines()[0].split(",")
         assert len(header) == 6 + 78 + 1
         assert len(METADATA_NAMES) == 6

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_meter_rows
 from ddsids.flowmeter import FEATURE_NAMES, MeterConfig, meter
-from ddsids.simnet import PacketRecord, ScenarioConfig, generate
+from ddsids.simnet import PacketTrace, ScenarioConfig, generate
 from oracle_flow import random_flow_packets
+from records import PacketRecord, records_of, table_of
 
 INT_ZERO_FEATURES = {"Fwd IAT Tot", "Bwd IAT Tot"}
 
@@ -40,7 +41,8 @@ def flow_fields(flows):
 
 
 def assert_same_as_rows(packets, cfg=None):
-    got = meter(packets, cfg)
+    """The flows both meters make of the packet records `packets`, as records."""
+    got = records_of(meter(table_of(PacketTrace, packets), cfg))
     want = oracle_meter_rows.meter(packets, cfg)
     assert flow_fields(got) == flow_fields(want)
     return got
@@ -100,8 +102,7 @@ class TestAgainstRowMeter:
             cfg = ScenarioConfig(scenario, duration=60.0, relaunch_period=4.0,
                                  relaunch_count=0 if scenario == "benign" else 10, rng_seed=3)
             trace = generate(cfg)
-            assert_same_as_rows(trace)
-            assert flow_fields(meter(trace)) == flow_fields(meter(list(trace)))
+            assert flow_fields(records_of(meter(trace))) == flow_fields(assert_same_as_rows(records_of(trace)))
 
     def test_reused_five_tuple_gets_next_serial(self):
         a, b = ENDPOINTS[0], ENDPOINTS[1]
@@ -117,7 +118,7 @@ def test_every_feature_is_a_float():
         PacketRecord(0.5, b[0], b[1], a[0], a[1], 17, 10, 28, 0),
     ]
     cfg = ScenarioConfig("malsub", duration=60.0, relaunch_period=4.0, relaunch_count=10, rng_seed=3)
-    for packets in (one_each_way, generate(cfg)):
-        for flow in meter(packets):
+    for packets in (table_of(PacketTrace, one_each_way), generate(cfg)):
+        for flow in records_of(meter(packets)):
             bad = [name for name, v in zip(FEATURE_NAMES, flow.features) if type(v) is not float]
             assert not bad, f"{flow.flow_id}: {bad}"

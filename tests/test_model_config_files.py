@@ -244,6 +244,6 @@ def test_simulate_on_a_mutated_config(files, token, cell):
     """The simulation itself is stubbed: a valid config may ask for any size."""
     path = files / "mutated.config.txt"
     path.write_text(mutated((files / "config.txt").read_text(), token, cell))
-    trace = simnet.PacketTrace.from_records([])
+    trace = simnet.PacketTrace.empty()
     with mock.patch.object(simnet, "generate", lambda config: trace):
         run_cli(["simulate", "--config", str(path), "--out-dir", str(files / "out")], path)

@@ -1,10 +1,12 @@
 """`PacketTrace`: the columnar trace simnet returns and the meter reads."""
 
+import numpy as np
 import pytest
 
 import oracle_meter_rows
-from ddsids.flowmeter import meter
+from ddsids.flowmeter import FlowTable, meter
 from ddsids.simnet import PacketTrace, ScenarioConfig, generate, read_packet_csv, write_packet_csv
+from records import records_of, table_of
 
 
 def small_trace():
@@ -19,35 +21,39 @@ class TestPacketTrace:
         write_packet_csv(trace, path)
         back = read_packet_csv(path)
         assert isinstance(back, PacketTrace)
-        assert back == trace and list(back) == list(trace)
+        assert records_of(back) == records_of(trace)
         again = tmp_path / "again.csv"
-        write_packet_csv(list(back), again)
+        write_packet_csv(back, again)
         assert again.read_bytes() == path.read_bytes()
 
     def test_empty(self, tmp_path):
-        empty = PacketTrace.from_records([])
-        assert empty == [] and len(empty) == 0 and list(empty) == []
-        assert meter(empty) == []
+        empty = PacketTrace.empty()
+        assert len(empty) == 0 and records_of(empty) == []
+        flows = meter(empty)
+        assert isinstance(flows, FlowTable) and len(flows) == 0 and flows.features.shape == (0, 78)
         path = tmp_path / "empty.csv"
         write_packet_csv(empty, path)
-        assert read_packet_csv(path) == []
+        assert records_of(read_packet_csv(path)) == []
 
     def test_slicing_and_indexing(self):
         trace = small_trace()
-        records = list(trace)
-        assert trace[3] == records[3] and trace[-1] == records[-1]
+        records = records_of(trace)
         part = trace[5:40:3]
         assert isinstance(part, PacketTrace)
-        assert part == records[5:40:3]
-        assert trace[:0] == []
-        with pytest.raises(IndexError):
-            trace[len(trace)]
+        assert records_of(part) == records[5:40:3]
+        assert records_of(trace[:0]) == []
+        rows = np.array([3, 0, 3])
+        assert records_of(trace[rows]) == [records[3], records[0], records[3]]
+        mask = trace.payload_len > 100
+        assert records_of(trace[mask]) == [r for r in records if r.payload_len > 100]
+        with pytest.raises(TypeError, match="not iterable"):
+            iter(trace)
 
     def test_from_records_of_iter_is_identity(self):
         trace = small_trace()
-        assert PacketTrace.from_records(iter(trace)) == trace
-        assert trace != list(trace)[:-1]
-        assert trace != trace[1:]
+        back = table_of(PacketTrace, iter(records_of(trace)))
+        assert records_of(back) == records_of(trace)
+        assert records_of(trace[1:]) != records_of(trace)
 
     def test_columns_are_read_only(self):
         trace = small_trace()
@@ -56,10 +62,10 @@ class TestPacketTrace:
 
     def test_unsorted_input_message(self):
         trace = small_trace()
-        swapped = list(trace)
+        swapped = records_of(trace)
         swapped[10], swapped[20] = swapped[20], swapped[10]
         with pytest.raises(ValueError, match="not time-sorted: index 1[01] has ts=") as columnar:
-            meter(PacketTrace.from_records(swapped))
+            meter(table_of(PacketTrace, swapped))
         with pytest.raises(ValueError) as rows:
             oracle_meter_rows.meter(swapped)
         assert str(columnar.value) == str(rows.value)

@@ -17,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_prep
 from ddsids import evalcli, preprocess
-from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, FLOW_BLOCK, FlowRecord, FlowTable, read_flow_csv, write_flow_csv
+from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, FLOW_BLOCK, FlowTable, read_flow_csv, write_flow_csv
 from ddsids.preprocess import DIRECTIONALITIES, IP_MODES, LabelRule
 from ddsids.simnet import ATTACK_SCENARIOS, SCENARIOS
+from records import FlowRecord, records_of, table_of
 
 HOSTS = (2, 3, 4, 5, 6, 7)  # 2 and 3 are the routers
 STARTS = (0.0, 0.5, 0.5, 1.25, 3.0)  # few distinct values, so starts tie
@@ -30,7 +31,10 @@ ANONYMIZE = (st.sampled_from(["randomize", "none"]) | st.integers(1, 8).map("shi
 
 
 def fields(flows):
-    """Every field of every flow, floats by their repr."""
+    """Every field of every flow (records, or a table read as records),
+    floats by their repr."""
+    if isinstance(flows, FlowTable):
+        flows = records_of(flows)
     return [(f.flow_id, f.src_ip, f.src_port, f.dst_ip, f.dst_port, f.protocol, repr(f.start_time), f.label,
              [repr(v) for v in f.features]) for f in flows]
 
@@ -68,7 +72,7 @@ def same(got, want):
 
 
 def table_chain(scenarios, fraction, seed, spec, columns):
-    tables = [preprocess.label_scenario(name, flows)[0] for name, flows in scenarios]
+    tables = [preprocess.label_scenario(name, table_of(FlowTable, flows))[0] for name, flows in scenarios]
     pooled, removed = preprocess.pool(FlowTable.concat(tables))
     split = outcome(preprocess.split_flows, pooled, fraction, seed)
     if isinstance(split, str):
@@ -159,7 +163,7 @@ def test_every_label_rule(pairs, attack, directionality, octet):
     rule = LabelRule(attack, directionality, octet)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert fields(preprocess.label(flows, rule)) == fields(oracle_prep.label(flows, rule))
+        assert fields(preprocess.label(table_of(FlowTable, flows), rule)) == fields(oracle_prep.label(flows, rule))
 
 
 @pytest.mark.parametrize("n", [0, 1, FLOW_BLOCK - 1, FLOW_BLOCK, 2 * FLOW_BLOCK + 1])
@@ -168,8 +172,8 @@ def test_flow_csv_reader(tmp_path, n):
     for f in flows[n // 2 : n // 2 + 1]:
         f.features[-3:] = [-1.7976931348623157e308, 1.7976931348623157e308, 5e-324]
     path = tmp_path / "flows.csv"
-    write_flow_csv(flows, path)
+    write_flow_csv(table_of(FlowTable, flows), path)
     got, want = read_flow_csv(path), oracle_prep.read_flow_csv(path)
     assert isinstance(got, FlowTable)
     assert fields(got) == fields(want)
-    assert [f.flow_id for f in got] == [f.flow_id for f in flows]
+    assert got.flow_id.tolist() == [f.flow_id for f in flows]

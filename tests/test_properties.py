@@ -6,9 +6,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ddsids.evalcli import ConfusionCounts, metrics
-from ddsids.flowmeter import FlowRecord, FEATURE_NAMES, meter
+from ddsids.flowmeter import FEATURE_NAMES, FlowTable, meter
 from ddsids.preprocess import AnonymizeMode, anonymize, encode_ips, observed_addresses
-from ddsids.simnet import PacketRecord
+from ddsids.simnet import PacketTrace
+from records import FlowRecord, PacketRecord, records_of, table_of
 
 
 octets = st.integers(min_value=2, max_value=254)
@@ -28,7 +29,7 @@ def flows_from_octets(pairs):
         )
         for i, (a, b) in enumerate(pairs)
     ]
-    return encode_ips(flows)
+    return encode_ips(table_of(FlowTable, flows))
 
 
 @st.composite
@@ -44,7 +45,7 @@ class TestAnonymizeProperties:
         flows = flows_from_octets(pairs)
         n = len(observed_addresses(flows))
         out = anonymize(flows, AnonymizeMode("shift", shift_by=n))
-        assert [(f.src_ip, f.dst_ip) for f in out] == [(f.src_ip, f.dst_ip) for f in flows]
+        assert [(f.src_ip, f.dst_ip) for f in records_of(out)] == [(f.src_ip, f.dst_ip) for f in records_of(flows)]
 
     @given(address_pairs(), st.integers(min_value=1, max_value=300))
     @settings(max_examples=60, deadline=None)
@@ -53,7 +54,7 @@ class TestAnonymizeProperties:
         observed = observed_addresses(flows)
         out = anonymize(flows, AnonymizeMode("shift", shift_by=k))
         mapping = {}
-        for before, after in zip(flows, out):
+        for before, after in zip(records_of(flows), records_of(out)):
             mapping[int(before.src_ip)] = int(after.src_ip)
             mapping[int(before.dst_ip)] = int(after.dst_ip)
         assert sorted(mapping.values()) == observed
@@ -67,7 +68,7 @@ class TestAnonymizeProperties:
             return
         mode = AnonymizeMode("switch", pair=(observed[0], observed[-1]))
         out = anonymize(anonymize(flows, mode), mode)
-        assert [(f.src_ip, f.dst_ip) for f in out] == [(f.src_ip, f.dst_ip) for f in flows]
+        assert [(f.src_ip, f.dst_ip) for f in records_of(out)] == [(f.src_ip, f.dst_ip) for f in records_of(flows)]
 
     @given(address_pairs())
     @settings(max_examples=30, deadline=None)
@@ -75,7 +76,7 @@ class TestAnonymizeProperties:
         flows = flows_from_octets(pairs)
         for mode in (AnonymizeMode("shift", shift_by=3),):
             out = anonymize(flows, mode)
-            assert [f.features for f in out] == [f.features for f in flows]
+            assert [f.features for f in records_of(out)] == [f.features for f in records_of(flows)]
 
 
 @st.composite
@@ -100,7 +101,7 @@ class TestMeterProperties:
     @given(packet_bursts())
     @settings(max_examples=100, deadline=None)
     def test_direction_split_and_conservation(self, packets):
-        flows = meter(packets)
+        flows = records_of(meter(table_of(PacketTrace, packets)))
         total_pkts = sum(f.feature("Tot Fwd Pkts") + f.feature("Tot Bwd Pkts") for f in flows)
         assert total_pkts == len(packets)
         total_bytes = sum(f.feature("TotLen Fwd Pkts") + f.feature("TotLen Bwd Pkts") for f in flows)
@@ -109,7 +110,7 @@ class TestMeterProperties:
     @given(packet_bursts())
     @settings(max_examples=100, deadline=None)
     def test_rate_and_variance_coherence(self, packets):
-        for f in meter(packets):
+        for f in records_of(meter(table_of(PacketTrace, packets))):
             duration_s = f.feature("Flow Duration") / 1e6
             n = f.feature("Tot Fwd Pkts") + f.feature("Tot Bwd Pkts")
             if duration_s > 0:

@@ -15,9 +15,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ddsids import flowmeter, preprocess, simnet
 from ddsids.evalcli import main
-from ddsids.flowmeter import FEATURE_NAMES, FlowRecord, read_flow_csv, write_flow_csv
+from ddsids.flowmeter import FEATURE_NAMES, FlowTable, read_flow_csv, write_flow_csv
 from ddsids.preprocess import Dataset, read_dataset_csv, write_dataset_csv
-from ddsids.simnet import PacketRecord, PacketTrace, read_packet_csv, write_packet_csv
+from ddsids.simnet import SCENARIOS, PacketTrace, read_packet_csv, write_packet_csv
+from records import FlowRecord, PacketRecord, records_of, table_of
 
 # Cells that one tokenizer or the other reads its own way: underscores, hex
 # floats, overflowing floats and integers, NaNs, quoting, padding, an empty
@@ -107,22 +108,24 @@ def assert_same(read, text: str):
     assert same, f"the two paths read {text[:300]!r} differently"
 
 
-ADDRESSES = ["10.0.5.4", "10.0.5.5", " 10.0.5.6", "host b", "10.0.5.6"]
-LABELS = ["benign", "dos", "a,b", 'say "hi"', "", "#x"]
+ADDRESSES = ["10.0.5.4", "10.0.5.5", " 10.0.5.6", "host b", "10.0.5.6", "10.0.5.中", "10.0.5.255555555555555555"]
+# Mostly scenario names, which the flow and dataset readers accept; the odd
+# texts, a minority, are rejected alike by both paths.
+LABELS = [*SCENARIOS] * 12 + ["a,b", 'say "hi"', "", "#x"]
 FLOATS = [0.0, -0.0, 1.5, -2.25, 1e300, 5e-324, 17.0, 1 / 3]
 
 
 def packet_text(rows) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.csv"
-        write_packet_csv(PacketTrace.from_records(rows), path)
+        write_packet_csv(table_of(PacketTrace, rows), path)
         return path.read_text()
 
 
 def flow_text(rows) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.csv"
-        write_flow_csv(rows, path)
+        write_flow_csv(table_of(FlowTable, rows), path)
         return path.read_text()
 
 
@@ -222,10 +225,10 @@ class TestTokenizerPath:
     def test_writer_output(self, tmp_path, taken):
         trace = simnet.generate(simnet.ScenarioConfig("dos", duration=10.0, relaunch_count=5, rng_seed=2))
         write_packet_csv(trace, tmp_path / "p.csv")
-        assert read_packet_csv(tmp_path / "p.csv") == trace
+        assert records_of(read_packet_csv(tmp_path / "p.csv")) == records_of(trace)
         flows = flowmeter.meter(trace)
         write_flow_csv(flows, tmp_path / "f.csv")
-        assert read_flow_csv(tmp_path / "f.csv") == flows
+        assert records_of(read_flow_csv(tmp_path / "f.csv")) == records_of(flows)
         train, _ = preprocess.build_dataset(flows, split_fraction=0.5, ip_mode="none")
         write_dataset_csv(train, tmp_path / "d.csv")
         assert read_dataset_csv(tmp_path / "d.csv").matrix.tobytes() == train.matrix.tobytes()
@@ -238,8 +241,8 @@ READERS = {
                                                                   17, 48, 28, 0) for i in range(3)])),
     "flow": (read_flow_csv, lambda: flow_text([FlowRecord(f"f{i}", ADDRESSES[i % 2], 1000 + i, ADDRESSES[4], 53, 17,
                                                           0.25 * i, [17.0] + FLOATS * 9 + [1.0] * 5) for i in range(3)])),
-    "dataset": (read_dataset_csv, lambda: dataset_text(np.array([[0.5, 1e300, -0.0]] * 3), ["benign", "dos", "x"],
-                                                       ["a", "b", "c"])),
+    "dataset": (read_dataset_csv, lambda: dataset_text(np.array([[0.5, 1e300, -0.0]] * 3),
+                                                       ["benign", "dos", "clone"], ["a", "b", "c"])),
 }
 
 
@@ -260,8 +263,10 @@ READERS = {
     ("flow", "Dst Port", "99999999999999999999", "outside 0..65535 '99999999999999999999'"),
     ("flow", "Protocol", "1e19", f"{INT64} '1e19'"),
     ("flow", "Label", None, "has 84 fields, expected 85"),
+    ("flow", "Label", "foo", "not one of benign, dos, clone, malsub 'foo'"),
     ("dataset", "b", "zz", "not a number 'zz'"),
     ("dataset", "Label", None, "has 3 fields, expected 4"),
+    ("dataset", "Label", "", "not one of benign, dos, clone, malsub ''"),
 ])
 def test_rejection_names_path_line_and_column(tmp_path, fmt, column, cell, reason):
     """Each fault in the second row, on line 3, read by either path; a cell
@@ -297,6 +302,23 @@ def test_cli_prints_the_rejection(tmp_path, capsys, argv, cell, message):
     path.write_text("".join(lines))
     assert main([*argv, str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"ddsids: error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("fmt, argv", [
+    ("flow", ["preprocess", "--flows", "dos={}"]),
+    ("dataset", ["train", "--train", "{}"]),
+])
+def test_cli_rejects_a_label_that_is_no_scenario(tmp_path, capsys, fmt, argv):
+    """A flow or dataset row labelled "foo" stops the verb with exit 1."""
+    lines = READERS[fmt][1]().splitlines(keepends=True)
+    row = next(csv.reader(lines[2:3]))
+    row[-1] = "foo"
+    lines[2] = ",".join(row) + "\n"
+    path = tmp_path / "in.csv"
+    path.write_text("".join(lines))
+    assert main([a.format(path) for a in argv] + ["--out-dir", str(tmp_path / "out")]) == 1
+    message = f"{path}: line 3, column 'Label': not one of benign, dos, clone, malsub 'foo'"
+    assert capsys.readouterr().err == f"ddsids: error: {message}\n"
 
 
 @pytest.mark.parametrize("fmt, argv", [

@@ -10,7 +10,7 @@ from ddsids.simnet import (
     PROTO_UDP,
     SUBSCRIPTION_KEY_BYTES,
     TOPIC_BYTES,
-    PacketRecord,
+    PacketTrace,
     ScenarioConfig,
     generate,
     generate_attack,
@@ -20,6 +20,7 @@ from ddsids.simnet import (
     save_scenario_config,
     write_packet_csv,
 )
+from records import PacketRecord, records_of, table_of
 
 
 def octet(ip):
@@ -79,7 +80,7 @@ class TestConfig:
 class TestBenign:
     def test_single_publisher_one_second(self):
         cfg = ScenarioConfig("benign", duration=1.0, n_publishers=1, rng_seed=5)
-        trace = generate_benign(cfg)
+        trace = records_of(generate_benign(cfg))
         batches = data_packets(trace, 5)
         # Announce packets travel subscriber -> publisher; batches the other way.
         batches = [p for p in batches if octet(p.dst_ip) == 4]
@@ -90,16 +91,16 @@ class TestBenign:
 
     def test_same_seed_identical_trace(self):
         cfg = ScenarioConfig("benign", duration=40.0, rng_seed=11)
-        assert generate_benign(cfg) == generate_benign(cfg)
+        assert records_of(generate_benign(cfg)) == records_of(generate_benign(cfg))
 
     def test_different_seed_differs(self):
         a = generate_benign(ScenarioConfig("benign", duration=40.0, rng_seed=1))
         b = generate_benign(ScenarioConfig("benign", duration=40.0, rng_seed=2))
-        assert a != b
+        assert records_of(a) != records_of(b)
 
     def test_timestamps_non_decreasing_and_schema(self):
         cfg = ScenarioConfig("benign", duration=60.0, rng_seed=3)
-        trace = generate_benign(cfg)
+        trace = records_of(generate_benign(cfg))
         for prev, cur in zip(trace, trace[1:]):
             assert cur.ts >= prev.ts
         for p in trace:
@@ -117,7 +118,7 @@ class TestAttacks:
 
     def test_dos_payload_is_flood_constant(self):
         cfg = ScenarioConfig("dos", duration=30.0, relaunch_period=1.0, relaunch_count=20, rng_seed=8)
-        trace = generate_attack(cfg)
+        trace = records_of(generate_attack(cfg))
         attacker_data = data_packets(trace, 6)
         assert attacker_data
         assert all(p.payload_len == DOS_PAYLOAD for p in attacker_data)
@@ -132,7 +133,7 @@ class TestAttacks:
     def test_attack_locality(self):
         for scenario in ("dos", "clone", "malsub"):
             cfg = ScenarioConfig(scenario, duration=40.0, relaunch_period=2.0, relaunch_count=15, rng_seed=4)
-            trace = generate_attack(cfg)
+            trace = records_of(generate_attack(cfg))
             attacker = [p for p in trace if octet(p.src_ip) == 6 or octet(p.dst_ip) == 6]
             assert attacker, scenario
             # every malicious packet touches host .6 by construction; verify
@@ -145,7 +146,7 @@ class TestAttacks:
             "clone", duration=120.0, relaunch_period=30.0, relaunch_count=3,
             benign_relaunch_period=25.0, rng_seed=6,
         )
-        trace = generate_attack(cfg)
+        trace = records_of(generate_attack(cfg))
         window = (30.0, 50.0)
         clone_batches = [p for p in data_packets(trace, 6) if window[0] <= p.ts < window[1]]
         benign = data_packets(trace, 5)
@@ -162,7 +163,7 @@ class TestAttacks:
 
     def test_clone_schema_matches_benign(self):
         cfg = ScenarioConfig("clone", duration=60.0, relaunch_period=10.0, relaunch_count=5, rng_seed=6)
-        trace = generate_attack(cfg)
+        trace = records_of(generate_attack(cfg))
         benign_fields = {(p.proto, p.header_len, p.flags) for p in trace if octet(p.src_ip) == 5}
         clone_fields = {(p.proto, p.header_len, p.flags) for p in trace if octet(p.src_ip) == 6}
         assert clone_fields <= benign_fields
@@ -172,7 +173,7 @@ class TestAttacks:
             "malsub", duration=200.0, relaunch_period=20.0, relaunch_count=9,
             benign_relaunch_period=15.0, rng_seed=2,
         )
-        trace = generate_attack(cfg)
+        trace = records_of(generate_attack(cfg))
         # Announces carry 8 bytes per subscribed topic.
         attacker_announce = [
             p for p in trace if octet(p.src_ip) == 6 and p.payload_len not in (DISCOVERY_PAYLOAD, ACK_PAYLOAD)
@@ -195,7 +196,7 @@ class TestAttacks:
         seen = {}
         for scenario in ("dos", "clone", "malsub"):
             cfg = ScenarioConfig(scenario, duration=40.0, relaunch_period=4.0, relaunch_count=8, rng_seed=9)
-            trace = generate_attack(cfg)
+            trace = records_of(generate_attack(cfg))
             seen[scenario] = {octet(p.src_ip) for p in trace} | {octet(p.dst_ip) for p in trace}
         assert 2 in seen["malsub"] and 3 in seen["malsub"]
         for scenario in ("dos", "clone"):
@@ -203,7 +204,7 @@ class TestAttacks:
 
     def test_attack_determinism(self):
         cfg = ScenarioConfig("malsub", duration=50.0, relaunch_period=5.0, relaunch_count=9, rng_seed=12)
-        assert generate(cfg) == generate(cfg)
+        assert records_of(generate(cfg)) == records_of(generate(cfg))
 
 
 class TestPacketCsv:
@@ -212,15 +213,15 @@ class TestPacketCsv:
         trace = generate(cfg)
         path = tmp_path / "trace.csv"
         write_packet_csv(trace, path)
-        assert read_packet_csv(path) == trace
+        assert records_of(read_packet_csv(path)) == records_of(trace)
 
     def test_empty_trace_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_packet_csv([], path)
+        write_packet_csv(PacketTrace.empty(), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("ts,src_ip")
-        assert read_packet_csv(path) == []
+        assert len(read_packet_csv(path)) == 0
 
     def test_two_packets_three_lines(self, tmp_path):
         trace = [
@@ -228,9 +229,9 @@ class TestPacketCsv:
             PacketRecord(0.75, "10.0.5.4", 2048, "10.0.5.5", 1024, 17, 16, 28, 0),
         ]
         path = tmp_path / "two.csv"
-        write_packet_csv(trace, path)
+        write_packet_csv(table_of(PacketTrace, trace), path)
         assert len(path.read_text().splitlines()) == 3
 
     def test_write_failure_names_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such/dir"):
-            write_packet_csv([], tmp_path / "no" / "such" / "dir" / "x.csv")
+            write_packet_csv(PacketTrace.empty(), tmp_path / "no" / "such" / "dir" / "x.csv")

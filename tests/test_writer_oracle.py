@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_writers
-from ddsids.flowmeter import FEATURE_NAMES, FLOW_BLOCK, FlowRecord, write_flow_csv
+from ddsids.flowmeter import FEATURE_NAMES, FLOW_BLOCK, FlowTable, write_flow_csv
 from ddsids.preprocess import Dataset, write_dataset_csv
 from ddsids.simnet import _ROW_BLOCK, PacketTrace, ScenarioConfig, generate, write_packet_csv
+from records import FlowRecord, table_of
 
 
 def _bits(u: int) -> float:
@@ -87,8 +88,7 @@ def flow_lists(draw) -> list[FlowRecord]:
 @settings(max_examples=40, deadline=None)
 def test_flow_csv_matches_row_writer(flows):
     want = written(oracle_writers.write_flow_csv, flows, "f.csv")
-    assert written(write_flow_csv, flows, "f.csv") == want
-    assert written(write_flow_csv, (f for f in flows), "f.csv") == want
+    assert written(write_flow_csv, table_of(FlowTable, flows), "f.csv") == want
 
 
 @st.composite
@@ -110,7 +110,6 @@ def packet_traces(draw) -> PacketTrace:
 def test_packet_csv_matches_row_writer(trace):
     want = written(oracle_writers.write_packet_csv, trace, "p.csv")
     assert written(write_packet_csv, trace, "p.csv") == want
-    assert written(write_packet_csv, list(trace), "p.csv") == want
 
 
 @pytest.mark.parametrize("rows", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
