@@ -21,6 +21,16 @@ trained alone; `train` is the one-job case.  Because a model's bits do not
 depend on which jobs share its stack, a group is split into one part per
 usable CPU and the parts train side by side in forked workers
 (`parallel.fork_map`).
+
+A part is one buffered pass (`_lockstep`).  Its activation, delta and mask
+buffers are allocated once, and a step is a row gather, the GEMMs of
+forward and back-propagation (11 with three hidden layers) and a few
+in-place calls (`_gradients`) with every rounding of the plain formulas.
+Per-run work moves from every step to every epoch: a run lays out its
+epoch's batch rows when it draws the epoch's permutation, and its step
+losses are reduced at the epoch's end from the outputs and targets the
+steps kept.  The bits of a model depend on the OpenBLAS kernel set, which
+may round its GEMMs differently.
 """
 
 from __future__ import annotations
@@ -157,33 +167,102 @@ def classify(model: DetectorModel, rows: np.ndarray, threshold: float | None = N
     return predict(model, rows) >= th
 
 
+def _loss_sums(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sums along the last axis of the BCE terms y log p + (1 - y) log(1 - p),
+    with the outputs p clipped into [eps, 1 - eps]."""
+    p = np.clip(p, _SCORE_EPS, 1.0 - _SCORE_EPS)
+    return np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
+
+
 def bce_loss(model: DetectorModel, X: np.ndarray, y: np.ndarray) -> float:
-    p = np.clip(predict(model, X), _SCORE_EPS, 1.0 - _SCORE_EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    p = predict(model, X)
+    return float(-(_loss_sums(p, y) / len(p)))
 
 
-def _stacked_gradients(Ws, bs, X, y, gWs, gbs) -> np.ndarray:
-    """Mean BCE of each of m stacked models on its own batch.
+class _Buffers:
+    """The step buffers of up to m stacked models on up to n rows each,
+    allocated once for a whole pass: the activations of the input and the
+    hidden layers, every layer's deltas, the rectifier masks and the
+    logistic output's terms."""
 
-    X is (m, rows, width) and y (m, rows); Ws, bs, gWs and gbs are per-layer
-    (m, fan_in, fan_out) and (m, 1, fan_out) arrays.  The gradients are
-    written into gWs and gbs; the m losses are returned.  Each model's numbers
-    are the ones its batch gives alone: every product and sum runs per model.
+    def __init__(self, shape: Sequence[int], m: int, n: int):
+        self.acts = [np.empty((m, n, w)) for w in shape[:-1]]
+        self.deltas = [np.empty((m, n, w)) for w in shape[1:]]
+        self.live = [np.empty((m, n, w), dtype=bool) for w in shape[1:-1]]
+        self.e, self.d = np.empty((2, m, n))
+        self.nonneg = np.empty((m, n), dtype=bool)
+
+
+class _Step:
+    """What one gradient step of models lo..hi-1 of a stack works on, each
+    model on a batch of n rows: views of the stacked parameters and
+    gradients and of the pass's buffers, grouped per layer in the order
+    `_gradients` reads them and made once, so that a step slices nothing."""
+
+    def __init__(self, buffers: _Buffers, params, lo: int, hi: int, n: int):
+        Ws, bs, gWs, gbs = ([a[lo:hi] for a in arrays] for arrays in params)
+        acts = [a[lo:hi, :n] for a in buffers.acts]
+        deltas = [d[lo:hi, :n] for d in buffers.deltas]
+        live = [m[lo:hi, :n] for m in buffers.live]
+        last = len(Ws) - 1
+        self.X = acts[0]
+        # Forward: (input, W, b, output) of each hidden layer; then the output layer's (input, W, b).
+        self.hidden = [(acts[i], Ws[i], bs[i], acts[i + 1]) for i in range(last)]
+        self.top = acts[last], Ws[last], bs[last]
+        # Backward, from the output layer down to the second: (input transposed, delta, gW, gb,
+        # W transposed, the delta below, the input, its rectifier mask); then the first layer's
+        # (input transposed, delta, gW, gb).
+        self.back = [(acts[i].transpose(0, 2, 1), deltas[i], gWs[i], gbs[i],
+                      Ws[i].transpose(0, 2, 1), deltas[i - 1], acts[i], live[i - 1]) for i in range(last, 0, -1)]
+        self.first = acts[0].transpose(0, 2, 1), deltas[0], gWs[0], gbs[0]
+        self.delta = deltas[last][..., 0]
+        self.n = np.full((), float(n))
+        self.e, self.d, self.nonneg = buffers.e[lo:hi, :n], buffers.d[lo:hi, :n], buffers.nonneg[lo:hi, :n]
+
+
+# 0-d operands: a ufunc converts a Python float on every call.
+_ZERO, _ONE, _MINUS_ONE = np.zeros(()), np.ones(()), -np.ones(())
+
+
+def _gradients(s: _Step, out: np.ndarray, y: np.ndarray) -> None:
+    """One back-propagation of the mean BCE of each model of a stack on its
+    own batch, which the caller has put in s.X: the logistic outputs go into
+    `out`, (models, rows, 1), and the gradients into the stack's gradient
+    views; y holds the (models, rows) targets.
+
+    Every product and sum runs per model and rounds as the plain formulas
+    do (`oracle_train` in the tests), in place.  The loss needs only the
+    outputs and the targets, so `_loss_sums` takes it from them later.
     """
-    n = X.shape[1]
-    activations = _forward(Ws, bs, X)
-    p = np.clip(activations[-1][..., 0], _SCORE_EPS, 1.0 - _SCORE_EPS)
-    losses = -(np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=1) / n)
+    for A, W, b, z in s.hidden:
+        np.matmul(A, W, out=z)
+        np.add(z, b, out=z)
+        np.maximum(z, _ZERO, out=z)
+    A, W, b = s.top
+    np.matmul(A, W, out=out)
+    np.add(out, b, out=out)
+    # The logistic output as _sigmoid gives it: where(z >= 0, 1, e) / (1 + e)
+    # with e = exp(-|z|).
+    z, e, d = out[..., 0], s.e, s.d
+    np.copysign(z, _MINUS_ONE, out=e)
+    np.exp(e, out=e)
+    np.add(e, _ONE, out=d)
+    np.greater_equal(z, _ZERO, out=s.nonneg)
+    np.copyto(e, _ONE, where=s.nonneg)
+    np.divide(e, d, out=z)
     # d loss / d z for the logistic output under BCE.
-    delta = (activations[-1] - y[..., None]) / n
-    for i in range(len(Ws) - 1, -1, -1):
-        np.matmul(activations[i].transpose(0, 2, 1), delta, out=gWs[i])
-        np.add.reduce(delta, axis=1, keepdims=True, out=gbs[i])
-        if i > 0:
-            delta = delta @ Ws[i].transpose(0, 2, 1)
-            # A rectifier passes gradient where its output is positive.
-            delta *= activations[i] > 0
-    return losses
+    np.subtract(z, y, out=s.delta)
+    np.divide(s.delta, s.n, out=s.delta)
+    for A_T, delta, gW, gb, W_T, below, A, live in s.back:
+        np.matmul(A_T, delta, out=gW)
+        np.add.reduce(delta, axis=1, keepdims=True, out=gb)
+        np.matmul(delta, W_T, out=below)
+        # A rectifier passes gradient where its output is positive.
+        np.greater(A, _ZERO, out=live)
+        np.multiply(below, live, out=below)
+    A_T, delta, gW, gb = s.first
+    np.matmul(A_T, delta, out=gW)
+    np.add.reduce(delta, axis=1, keepdims=True, out=gb)
 
 
 def loss_and_gradients(model: DetectorModel, X: np.ndarray, y: np.ndarray):
@@ -194,12 +273,15 @@ def loss_and_gradients(model: DetectorModel, X: np.ndarray, y: np.ndarray):
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    n = X.shape[0]
     gWs = [np.empty((1,) + W.shape) for W in model.weights]
     gbs = [np.empty((1, 1) + b.shape) for b in model.biases]
-    losses = _stacked_gradients(
-        [W[None] for W in model.weights], [b[None, None] for b in model.biases], X[None], y, gWs, gbs
-    )
-    return float(losses[0]), [g[0] for g in gWs], [g[0, 0] for g in gbs]
+    params = ([W[None] for W in model.weights], [b[None, None] for b in model.biases], gWs, gbs)
+    s = _Step(_Buffers([W.shape[0] for W in model.weights] + [1], 1, n), params, 0, 1, n)
+    s.X[0] = X
+    out = np.empty((1, n, 1))
+    _gradients(s, out, y)
+    return float(-(_loss_sums(out[..., 0], y)[0] / n)), [g[0] for g in gWs], [g[0, 0] for g in gbs]
 
 
 def _holdout_split(n: int, y: np.ndarray, fraction: float, rng: np.random.Generator):
@@ -231,7 +313,7 @@ class TrainJob:
 
 
 class _Run:
-    """A job's own state: rng, initial model, holdout split, epoch position
+    """A job's own state: rng, initial model, holdout split, batch lengths
     and the loss and holdout curves."""
 
     def __init__(self, job: TrainJob):
@@ -281,35 +363,38 @@ class _Run:
         self.config = config
         self.batches_per_epoch = -(-len(self.fit_rows) // config.batch_size)
         self.steps = config.epochs * self.batches_per_epoch
-        self.epoch = 0
-        self.batch = 0
-        self.epoch_rows = self.fit_rows
-        self.batch_losses: list[float] = []
+        # Rows per step of an epoch: full batches, then what is left.
+        self.batch_rows = np.full(self.batches_per_epoch, float(config.batch_size))
+        self.batch_rows[-1] = len(self.fit_rows) - (self.batches_per_epoch - 1) * config.batch_size
 
-    def next_rows(self) -> np.ndarray:
-        """Matrix rows of this step's batch; a new epoch draws its order."""
-        if self.batch == 0:
-            self.epoch_rows = self.fit_rows[self.rng.permutation(len(self.fit_rows))]
-        lo = self.batch * self.config.batch_size
-        return self.epoch_rows[lo : lo + self.config.batch_size]
+    def epoch_rows(self) -> np.ndarray:
+        """Matrix rows of the next epoch, in the order of its permutation."""
+        return self.fit_rows[self.rng.permutation(len(self.fit_rows))]
 
-    def stepped(self, loss: float) -> None:
-        """Records a step's loss; at the end of an epoch, the epoch's mean
-        loss and the holdout accuracy of the updated weights."""
-        self.batch_losses.append(float(loss))
-        self.batch += 1
-        if self.batch < self.batches_per_epoch:
-            return
+    def rows_at(self, t: int) -> int:
+        """The batch length of step t."""
+        return int(self.batch_rows[t % self.batches_per_epoch])
+
+    def end_epoch(self, outputs: np.ndarray, targets: np.ndarray) -> bool:
+        """Records an epoch from the logistic outputs and the targets of its
+        steps, (steps, batch_size) arrays whose last row starts with the last
+        batch: the mean step loss and the holdout accuracy of the updated
+        weights.  False, recording nothing, when a step's loss is not finite,
+        which it is exactly where an output is NaN."""
+        sums = _loss_sums(outputs, targets)
+        last = int(self.batch_rows[-1])
+        sums[-1] = _loss_sums(outputs[-1, :last], targets[-1, :last])
+        loss = float(np.mean(-(sums / self.batch_rows)))
+        if not np.isfinite(loss):
+            return False
         model = self.model
-        model.loss_curve.append(float(np.mean(self.batch_losses)))
+        model.loss_curve.append(loss)
         if len(self.X_hold):
             correct = (classify(model, self.X_hold) == (self.y_hold >= 0.5)).mean()
             model.holdout_accuracy.append(float(correct))
         else:
             model.holdout_accuracy.append(float("nan"))
-        self.batch_losses = []
-        self.batch = 0
-        self.epoch += 1
+        return True
 
 
 def train(dataset: Dataset, shape: Sequence[int], config: TrainConfig = TrainConfig()) -> DetectorModel:
@@ -370,10 +455,23 @@ def _lockstep(runs: list[_Run]) -> None:
     row per model; each layer's stacked weights and biases are views into
     them, and so are each model's own arrays while it trains, so the
     momentum step is four in-place calls on whole buffers.  Runs are ordered
-    longest first, so those still training are always a leading slice.  A
-    step whose batches differ in length (a partial last batch) runs each
-    model on its own one-model slice.  The pass runs in one process and
-    needs at least one run; `train_many` gives it one part of a group.
+    longest first, so those still training are always a leading slice.
+
+    The pass is cut into segments at every step where a run starts or ends
+    an epoch, and all per-run work happens at the cuts.  A run starting an
+    epoch draws its permutation and lays the epoch's batch rows and targets
+    out in ring buffers indexed (step mod ring, model, row), the ring as
+    long as the longest epoch.  A step in between gathers its batch with one
+    `take`, runs `_gradients` over buffers allocated once and leaves its
+    logistic outputs in the ring.  A run ending an epoch reduces its step
+    losses from the outputs and targets there and measures its holdout.
+    Within a segment every run's batch length is fixed; where the lengths
+    differ (a partial last batch) each model steps on its own one-model
+    slice.  A step loss is non-finite exactly where an output is NaN: the
+    first epoch end after one finds it, still in the ring, and stops the
+    pass with the epoch of the first run in stack order at the first bad
+    step.  The pass runs in one process and needs at least one run;
+    `train_many` gives it one part of a group.
     """
     runs = sorted(runs, key=lambda r: -r.steps)
     m = len(runs)
@@ -396,38 +494,76 @@ def _lockstep(runs: list[_Run]) -> None:
             W[k], b[k, 0] = W0, b0
         model.weights = [W[k] for W in Ws]
         model.biases = [b[k, 0] for b in bs]
-    momentum = np.array([[run.config.momentum] for run in runs])
-    rate = np.array([[run.config.learning_rate] for run in runs])
 
-    def step(lo: int, hi: int, rows: np.ndarray) -> np.ndarray:
-        """One step of models lo..hi-1, model k on the matrix rows rows[k - lo]."""
-        losses = _stacked_gradients(
-            [W[lo:hi] for W in Ws], [b[lo:hi] for b in bs], matrix[rows], labels[rows],
-            [g[lo:hi] for g in gWs], [g[lo:hi] for g in gbs],
-        )
-        finite = np.isfinite(losses)
-        if not finite.all():
-            epoch = runs[lo + int(np.argmin(finite))].epoch
-            raise ValueError(f"training diverged: non-finite loss at epoch {epoch}")
-        # vel = momentum * vel - rate * grad; theta += vel
-        v, g = vel[lo:hi], grad[lo:hi]
-        v *= momentum[lo:hi]
-        g *= rate[lo:hi]
-        v -= g
-        theta[lo:hi] += v
-        return losses
+    batch = max(run.config.batch_size for run in runs)
+    ring = max(run.batches_per_epoch for run in runs)
+    buffers = _Buffers(shape, m, batch)
+    # Per ring slot and model: the batch's matrix rows, targets and outputs.
+    slot_rows = np.zeros((ring, m, batch), dtype=np.intp)
+    slot_y = np.zeros((ring, m, batch))
+    slot_out = np.zeros((ring, m, batch, 1))
 
-    active = m
-    for t in range(runs[0].steps):
-        while runs[active - 1].steps <= t:
-            active -= 1
-        batches = [run.next_rows() for run in runs[:active]]
-        if all(len(rows) == len(batches[0]) for rows in batches):
-            losses = step(0, active, np.stack(batches))
+    def lay_out(k: int, t: int) -> None:
+        """Run k's next epoch, which starts at step t, in the ring."""
+        run = runs[k]
+        width, count = run.config.batch_size, run.batches_per_epoch
+        rows = np.zeros(count * width, dtype=np.intp)
+        rows[: len(run.fit_rows)] = run.epoch_rows()
+        rows = rows.reshape(count, width)
+        slots = np.arange(t, t + count) % ring
+        slot_rows[slots, k, :width] = rows
+        slot_y[slots, k, :width] = labels[rows]
+
+    def diverged(t1: int, k: int) -> ValueError:
+        """The error of the first NaN output of the ring before step t1, where
+        run k's epoch ended with a non-finite loss."""
+        epoch = t1 // runs[k].batches_per_epoch - 1
+        for t in range(max(0, t1 - ring), t1):
+            bad = [run for run, out in zip(runs, slot_out[t % ring])
+                   if t < run.steps and np.isnan(out[: run.rows_at(t)]).any()]
+            if bad:
+                epoch = t // bad[0].batches_per_epoch
+                break
+        return ValueError(f"training diverged: non-finite loss at epoch {epoch}")
+
+    cuts = {0, runs[0].steps}
+    for run in runs:
+        count = run.batches_per_epoch
+        cuts.update(c for e in range(1, run.config.epochs + 1) for c in (e * count - 1, e * count))
+    cuts = sorted(cuts)
+    for t0, t1 in zip(cuts, cuts[1:]):
+        active = sum(run.steps > t0 for run in runs)
+        for k in range(active):
+            if t0 % runs[k].batches_per_epoch == 0:
+                lay_out(k, t0)
+        lengths = [run.rows_at(t0) for run in runs[:active]]
+        if len(set(lengths)) == 1:
+            parts = [(0, active, lengths[0])]
         else:
-            losses = np.concatenate([step(k, k + 1, rows[None]) for k, rows in enumerate(batches)])
-        for run, loss in zip(runs, losses):
-            run.stepped(loss)
+            parts = [(k, k + 1, n) for k, n in enumerate(lengths)]
+        for lo, hi, n in parts:
+            s = _Step(buffers, (Ws, bs, gWs, gbs), lo, hi, n)
+            # The models' momentum and learning rate: one 0-d array when they share it.
+            rates = ([run.config.momentum for run in runs[lo:hi]], [run.config.learning_rate for run in runs[lo:hi]])
+            mu, lr = (np.array(v[0]) if len(set(v)) == 1 else np.array(v)[:, None] for v in rates)
+            X, rows, y, out = s.X, slot_rows[:, lo:hi, :n], slot_y[:, lo:hi, :n], slot_out[:, lo:hi, :n]
+            v, g, th = vel[lo:hi], grad[lo:hi], theta[lo:hi]
+            for t in range(t0, t1):
+                slot = t % ring
+                matrix.take(rows[slot], axis=0, out=X, mode="clip")
+                _gradients(s, out[slot], y[slot])
+                # vel = momentum * vel - rate * grad; theta += vel
+                np.multiply(v, mu, out=v)
+                np.multiply(g, lr, out=g)
+                np.subtract(v, g, out=v)
+                np.add(th, v, out=th)
+        for k in range(active):
+            run = runs[k]
+            count, width = run.batches_per_epoch, run.config.batch_size
+            if t1 % count == 0:
+                slots = np.arange(t1 - count, t1) % ring
+                if not run.end_epoch(slot_out[slots, k, :width, 0], slot_y[slots, k, :width]):
+                    raise diverged(t1, k)
     for run in runs:
         run.model.weights = [W.copy() for W in run.model.weights]
         run.model.biases = [b.copy() for b in run.model.biases]

@@ -62,6 +62,17 @@ def _logistic_weights(X: np.ndarray, y: np.ndarray, l2: float = 1e-3, iters: int
     return w
 
 
+def _binary_targets(dataset: Dataset, method: str) -> np.ndarray:
+    """The benign-vs-attack targets a linear ranker fits; a training set of
+    one class, which gives it nothing to separate, is rejected by its
+    labels."""
+    y = dataset.binary_labels()
+    if len(set(y.tolist())) < 2:
+        found = ", ".join(sorted(set(dataset.labels))) or "no rows"
+        raise ValueError(f"{method} ranking needs both benign and attack rows; the training set holds only {found}")
+    return y
+
+
 def rank_rfe(dataset: Dataset, step: int = 1) -> FeatureRanking:
     """Repeatedly fit, drop the `step` weakest |weight| features, and rank by
     reverse elimination order."""
@@ -69,7 +80,7 @@ def rank_rfe(dataset: Dataset, step: int = 1) -> FeatureRanking:
         raise ValueError("rfe needs at least 2 features")
     if step < 1:
         raise ValueError("step must be >= 1")
-    y = dataset.binary_labels()
+    y = _binary_targets(dataset, "rfe")
     names = dataset.feature_names
     remaining = list(range(dataset.width))
     eliminated: list[int] = []
@@ -175,7 +186,7 @@ def rank_lasso(
     that ran `LASSO_MAX_SWEEPS` sweeps without converging is named in
     `flagged` by its path and lambda.
     """
-    y = dataset.binary_labels()
+    y = _binary_targets(dataset, "lasso")
     X = dataset.matrix
     n = len(y)
     if folds < 2 or folds > n:

@@ -7,10 +7,15 @@ seed 7, the seed of the committed reports, and on seed 11, held out.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,6 +407,29 @@ def test_golden_artifacts(small_experiments):
     paths += sorted(out.glob("traces/*.packets.csv")) + sorted(out.glob("flows/*.flows.csv"))
     digests = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
     assert digests == GOLDEN
+
+
+def test_reports_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Model files may differ in their last bits between OpenBLAS kernels;
+    # what the run reports, and the data it reports on, may not.
+    src = str(Path(evalcli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    outs = {"default": tmp_path / "default", "Haswell": tmp_path / "haswell"}
+    for core, out in outs.items():
+        child_env = env if core == "default" else {**env, "OPENBLAS_CORETYPE": core}
+        done = subprocess.run([sys.executable, "-m", "ddsids", "experiment", "--seed", "7", "--scale", "0.08",
+                               "--out-dir", str(out)], capture_output=True, text=True, env=child_env, timeout=300)
+        assert done.returncode == 0, done.stderr
+    cores = {core: json.loads((out / "dataset.manifest.json").read_text())["environment"]["openblas_core"]
+             for core, out in outs.items()}
+    if cores["default"] == cores["Haswell"]:
+        pytest.skip(f"both runs used the {cores['default']} kernels: not a DYNAMIC_ARCH OpenBLAS, "
+                    "or OPENBLAS_CORETYPE was not honoured")
+    names = ["report.txt", "report.csv", "train.csv", "test.csv"]
+    names += [p.relative_to(outs["default"]).as_posix() for p in sorted(outs["default"].glob("*/*.csv"))
+              if p.parent.name in ("traces", "flows")]
+    for name in names:
+        assert (outs["default"] / name).read_bytes() == (outs["Haswell"] / name).read_bytes(), name
 
 
 # --------------------------------------------------------------------------

@@ -594,6 +594,18 @@ class TestCliContracts:
         assert capsys.readouterr().err == f"ddsids: error: k={k} out of range 1..6\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("method", ["rfe", "lasso", "univariate", "importance"])
+    def test_select_rejects_a_one_class_training_set(self, tmp_path, capsys, method):
+        train = tmp_path / "train.csv"
+        preprocess.write_dataset_csv(replace(toy_dataset(n=200), labels=["benign"] * 200), train)
+        out = tmp_path / "out"
+        rc = main(["select", "--train", str(train), "--method", method, "--k", "3", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("ddsids: ") and err.count("\n") == 1
+        assert method not in ("rfe", "lasso") or "the training set holds only benign" in err
+        assert list(out.iterdir()) == []
+
     def test_select_keeps_twenty_by_default(self, tmp_path):
         train = tmp_path / "train.csv"
         preprocess.write_dataset_csv(toy_dataset(width=24), train)

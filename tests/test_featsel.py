@@ -90,6 +90,14 @@ class TestRfe:
         assert ranking.ranked_names[-1] == "f2"
 
 
+@pytest.mark.parametrize("rank", [rank_rfe, rank_lasso])
+@pytest.mark.parametrize("labels, found", [(["benign"], "benign"), (["dos", "clone"], "clone, dos")])
+def test_linear_rankers_reject_one_class(rank, labels, found):
+    ds = dataset_from(np.random.default_rng(9).uniform(0, 1, (60, 4)), labels * (60 // len(labels)))
+    with pytest.raises(ValueError, match=f"needs both benign and attack rows; the training set holds only {found}$"):
+        rank(ds)
+
+
 class TestLasso:
     def test_noise_shrinks_before_signal(self):
         rng = np.random.default_rng(6)
@@ -347,6 +355,13 @@ class TestSelect:
         out = select(ds, ranking, 4)
         assert out.feature_names == ds.feature_names
         assert np.array_equal(out.matrix, ds.matrix)
+
+    def test_projection_is_row_major(self):
+        # A training batch gathers rows of the selected matrix.
+        ds = binary_toy(width=6, seed=25)
+        out = select(ds, rank_univariate(ds), 3)
+        assert out.matrix.flags.c_contiguous
+        assert np.array_equal(out.matrix, ds.matrix[:, [ds.feature_names.index(n) for n in out.feature_names]])
 
     def test_top_k_names(self):
         ds = binary_toy(width=6, seed=23)

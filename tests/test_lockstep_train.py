@@ -5,15 +5,20 @@ model must still be, byte for byte, what training it alone gives: weights,
 biases, loss curve and holdout accuracy.  Jobs are drawn so that row counts
 leave partial last batches and the jobs run different numbers of batches per
 epoch, with and without a holdout split and with their own momentum and
-learning rate.
+learning rate.  Stacks of one shape are drawn on C- and Fortran-ordered
+matrices, and diverging stacks must name the epoch the oracle names for the
+first job, in stack order, to diverge at the earliest step.
 """
+
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_train
-from ddsids import detector
+from ddsids import detector, parallel
 from ddsids.detector import TrainConfig, TrainJob
 from ddsids.preprocess import Dataset
 
@@ -123,3 +128,138 @@ def test_single_class_rows_rejected():
             TrainJob(ds, [3, 3, 3, 3, 1], TrainConfig(epochs=1), benign_only)]
     with pytest.raises(ValueError, match="single class"):
         detector.train_many(jobs)
+
+
+@st.composite
+def shared_shape_stacks(draw):
+    """3-4 jobs on one dataset and one shape, so they train as one stack:
+    subsets of different sizes give unequal partial last batches, and each
+    job has its own momentum and learning rate.  The dataset matrix is in C
+    or in Fortran order."""
+    width = draw(st.integers(min_value=2, max_value=9))
+    n = draw(st.integers(min_value=40, max_value=160))
+    labels = list(LABELS) + draw(st.lists(st.sampled_from(LABELS), min_size=n - 4, max_size=n - 4))
+    ds = dataset(labels, width, draw(st.integers(min_value=0, max_value=2**16)))
+    if draw(st.booleans()):
+        ds.matrix = np.asfortranarray(ds.matrix)
+    shape = draw(st.sampled_from([detector.default_shape(width), [width] * 4 + [1]]))
+    batch_size = draw(st.sampled_from([5, 7, 16]))
+    count = draw(st.integers(min_value=3, max_value=4))
+    momenta = draw(st.permutations([0.0, 0.5, 0.7, 0.9]))
+    rates = draw(st.permutations([0.01, 0.05, 0.1, 0.2]))
+    jobs = []
+    for k in range(count):
+        kept = draw(st.sampled_from([None, "dos", "clone", "malsub"]))
+        rows = None if kept is None else np.flatnonzero([lab in ("benign", kept) for lab in labels])
+        config = TrainConfig(
+            learning_rate=rates[k],
+            momentum=momenta[k],
+            batch_size=batch_size,
+            epochs=draw(st.integers(min_value=1, max_value=3)),
+            seed=draw(st.integers(min_value=0, max_value=2**16)),
+            holdout_fraction=draw(st.sampled_from([0.0, 0.1])),
+        )
+        jobs.append(TrainJob(ds, shape, config, rows))
+    return jobs
+
+
+@given(shared_shape_stacks())
+@settings(max_examples=40, deadline=None)
+def test_a_shared_shape_stack_matches_the_oracle(jobs):
+    for job, model in zip(jobs, detector.train_many(jobs)):
+        assert_same_bytes(model, oracle_model(job))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_desk_width_stack_matches_the_oracle_in_either_matrix_order(order):
+    # The experiment's shape on both layouts of one matrix, four jobs of one
+    # stack with unequal last batches and their own momentum and rate.
+    rng = np.random.default_rng(8)
+    labels = list(LABELS) + [str(lab) for lab in rng.choice(LABELS, size=300)]
+    ds = dataset(labels, 80, seed=9)
+    ds.matrix = np.asarray(ds.matrix, order=order)
+    shape = detector.default_shape(80)
+    kept = ("dos", "clone", "malsub", None)
+    jobs = [
+        TrainJob(ds, shape, TrainConfig(epochs=2, seed=30 + i, momentum=0.9 - 0.2 * i, learning_rate=0.01 * (i + 1)),
+                 None if attack is None else np.flatnonzero([lab in ("benign", attack) for lab in labels]))
+        for i, attack in enumerate(kept)
+    ]
+    for job, model in zip(jobs, detector.train_many(jobs)):
+        assert_same_bytes(model, oracle_model(job))
+
+
+def oracle_failure(job: TrainJob):
+    """(step, message) of the oracle's divergence error for a job; None when
+    it trains to the end."""
+    calls = []
+    kernel = oracle_train.loss_and_gradients
+    with mock.patch.object(oracle_train, "loss_and_gradients", lambda *args: calls.append(1) or kernel(*args)):
+        try:
+            oracle_model(job)
+        except ValueError as exc:
+            return len(calls) - 1, str(exc)
+    return None
+
+
+@st.composite
+def diverging_stacks(draw):
+    """2-4 jobs of one stack, some with learning rates that diverge at some
+    step of some epoch, the epochs of one to a few dozen batches; no holdout,
+    so a job's steps are its epochs times its batches."""
+    width = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=30, max_value=120))
+    labels = list(LABELS) + draw(st.lists(st.sampled_from(LABELS), min_size=n - 4, max_size=n - 4))
+    ds = dataset(labels, width, draw(st.integers(min_value=0, max_value=2**16)))
+    jobs = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        kept = draw(st.sampled_from([None, "dos", "clone", "malsub"]))
+        rows = None if kept is None else np.flatnonzero([lab in ("benign", kept) for lab in labels])
+        config = TrainConfig(
+            learning_rate=draw(st.sampled_from([0.05, 30.0, 300.0, 3e3, 1e5, 1e300])),
+            momentum=draw(st.sampled_from([0.0, 0.9])),
+            batch_size=draw(st.sampled_from([5, 16, 64])),
+            epochs=draw(st.integers(min_value=1, max_value=5)),
+            seed=draw(st.integers(min_value=0, max_value=2**16)),
+            holdout_fraction=0.0,
+        )
+        jobs.append(TrainJob(ds, detector.default_shape(width), config, rows))
+    return jobs
+
+
+@given(diverging_stacks())
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_divergence_names_the_first_bad_step(jobs):
+    # The stack is ordered by steps, longest first; its error is the one of
+    # the first job in that order to diverge at the earliest step.
+    steps = [job.config.epochs * -(-(len(job.dataset.labels) if job.rows is None else len(job.rows))
+                                    // job.config.batch_size) for job in jobs]
+    stack = sorted(range(len(jobs)), key=lambda i: -steps[i])
+    failures = [(failure[0], stack.index(i), failure[1])
+                for i, failure in enumerate(map(oracle_failure, jobs)) if failure is not None]
+    with mock.patch.object(parallel, "usable_cpus", lambda: 1):
+        if not failures:
+            detector.train_many(jobs)
+            return
+        with pytest.raises(ValueError) as raised:
+            detector.train_many(jobs)
+    assert str(raised.value) == min(failures)[2]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_divergence_found_at_another_runs_epoch_end():
+    # Both jobs diverge at step 2.  The short one, a single batch per epoch,
+    # ends its epoch 2 there; the long one, first in the stack, is then in
+    # its epoch 0, and that is the epoch the error names.
+    ds = dataset(list(LABELS) * 10, 3, seed=11)
+    shape = detector.default_shape(3)
+    config = TrainConfig(epochs=3, learning_rate=1e300, holdout_fraction=0.0)
+    long = TrainJob(ds, shape, replace(config, seed=0, batch_size=5))
+    short = TrainJob(ds, shape, replace(config, seed=1, batch_size=64),
+                     np.flatnonzero([lab in ("benign", "dos") for lab in ds.labels]))
+    assert oracle_failure(long) == (2, "training diverged: non-finite loss at epoch 0")
+    assert oracle_failure(short) == (2, "training diverged: non-finite loss at epoch 2")
+    with mock.patch.object(parallel, "usable_cpus", lambda: 1):
+        with pytest.raises(ValueError, match="^training diverged: non-finite loss at epoch 0$"):
+            detector.train_many([short, long])
