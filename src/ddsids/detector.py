@@ -197,7 +197,8 @@ class _Step:
     """What one gradient step of models lo..hi-1 of a stack works on, each
     model on a batch of n rows: views of the stacked parameters and
     gradients and of the pass's buffers, grouped per layer in the order
-    `_gradients` reads them and made once, so that a step slices nothing."""
+    `_gradients` reads them.  They are made once per segment of a pass, so
+    a step indexes only its ring slot."""
 
     def __init__(self, buffers: _Buffers, params, lo: int, hi: int, n: int):
         Ws, bs, gWs, gbs = ([a[lo:hi] for a in arrays] for arrays in params)
