@@ -138,27 +138,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], X: np.ndarray) -> list[np.ndarray]:
-    """Activations of every layer, the input included.
-
-    Works on one model (X of shape (rows, width), W of (fan_in, fan_out)) and
-    on a stack of m models (X of (m, rows, width), W of (m, fan_in, fan_out),
-    b of (m, 1, fan_out)), where one matmul runs every model's product.
-    """
-    activations = [X]
-    for i, (W, b) in enumerate(zip(weights, biases)):
-        z = activations[-1] @ W
-        z += b
-        activations.append(_sigmoid(z) if i == len(weights) - 1 else np.maximum(z, 0.0, out=z))
-    return activations
-
-
 def predict(model: DetectorModel, rows: np.ndarray) -> np.ndarray:
-    """Per-row benign score, strictly inside (0, 1)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if rows.shape[1] != model.input_width:
-        raise ValueError(f"row width {rows.shape[1]} does not match model input width {model.input_width}")
-    return np.clip(_forward(model.weights, model.biases, rows)[-1][:, 0], _SCORE_EPS, 1.0 - _SCORE_EPS)
+    """Per-row benign score, strictly inside (0, 1).  Each layer's activation
+    is dropped once the next one is computed, so at most two are held."""
+    a = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    if a.shape[1] != model.input_width:
+        raise ValueError(f"row width {a.shape[1]} does not match model input width {model.input_width}")
+    last = len(model.weights) - 1
+    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ W
+        z += b
+        a = _sigmoid(z) if i == last else np.maximum(z, 0.0, out=z)
+    return np.clip(a[:, 0], _SCORE_EPS, 1.0 - _SCORE_EPS)
 
 
 def classify(model: DetectorModel, rows: np.ndarray, threshold: float | None = None) -> np.ndarray:
@@ -376,26 +367,21 @@ class _Run:
         """The batch length of step t."""
         return int(self.batch_rows[t % self.batches_per_epoch])
 
-    def end_epoch(self, outputs: np.ndarray, targets: np.ndarray) -> bool:
+    def end_epoch(self, outputs: np.ndarray, targets: np.ndarray) -> None:
         """Records an epoch from the logistic outputs and the targets of its
         steps, (steps, batch_size) arrays whose last row starts with the last
         batch: the mean step loss and the holdout accuracy of the updated
-        weights.  False, recording nothing, when a step's loss is not finite,
-        which it is exactly where an output is NaN."""
+        weights."""
         sums = _loss_sums(outputs, targets)
         last = int(self.batch_rows[-1])
         sums[-1] = _loss_sums(outputs[-1, :last], targets[-1, :last])
-        loss = float(np.mean(-(sums / self.batch_rows)))
-        if not np.isfinite(loss):
-            return False
         model = self.model
-        model.loss_curve.append(loss)
+        model.loss_curve.append(float(np.mean(-(sums / self.batch_rows))))
         if len(self.X_hold):
             correct = (classify(model, self.X_hold) == (self.y_hold >= 0.5)).mean()
             model.holdout_accuracy.append(float(correct))
         else:
             model.holdout_accuracy.append(float("nan"))
-        return True
 
 
 def train(dataset: Dataset, shape: Sequence[int], config: TrainConfig = TrainConfig()) -> DetectorModel:
@@ -468,16 +454,16 @@ def _lockstep(runs: list[_Run]) -> None:
     losses from the outputs and targets there and measures its holdout.
     Within a segment every run's batch length is fixed; where the lengths
     differ (a partial last batch) each model steps on its own one-model
-    slice.  A step loss is non-finite exactly where an output is NaN: the
-    first epoch end after one finds it, still in the ring, and stops the
-    pass with the epoch of the first run in stack order at the first bad
-    step.  The pass runs in one process and needs at least one run;
-    `train_many` gives it one part of a group.
+    slice.  A step loss is non-finite exactly where an output is NaN, so a
+    step with a NaN output stops the pass with the epoch of the first run
+    in stack order to have one.  The pass gathers from a C-ordered copy of
+    a matrix that is not C-ordered, made once.  It runs in one process and
+    needs at least one run; `train_many` gives it one part of a group.
     """
     runs = sorted(runs, key=lambda r: -r.steps)
     m = len(runs)
     shape = runs[0].model.shape
-    matrix, labels = runs[0].matrix, runs[0].labels
+    matrix, labels = np.ascontiguousarray(runs[0].matrix), runs[0].labels
     size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(shape[:-1], shape[1:]))
     theta, grad, vel = np.zeros((m, size)), np.zeros((m, size)), np.zeros((m, size))
     Ws, bs, gWs, gbs = [], [], [], []
@@ -515,18 +501,6 @@ def _lockstep(runs: list[_Run]) -> None:
         slot_rows[slots, k, :width] = rows
         slot_y[slots, k, :width] = labels[rows]
 
-    def diverged(t1: int, k: int) -> ValueError:
-        """The error of the first NaN output of the ring before step t1, where
-        run k's epoch ended with a non-finite loss."""
-        epoch = t1 // runs[k].batches_per_epoch - 1
-        for t in range(max(0, t1 - ring), t1):
-            bad = [run for run, out in zip(runs, slot_out[t % ring])
-                   if t < run.steps and np.isnan(out[: run.rows_at(t)]).any()]
-            if bad:
-                epoch = t // bad[0].batches_per_epoch
-                break
-        return ValueError(f"training diverged: non-finite loss at epoch {epoch}")
-
     cuts = {0, runs[0].steps}
     for run in runs:
         count = run.batches_per_epoch
@@ -542,17 +516,24 @@ def _lockstep(runs: list[_Run]) -> None:
             parts = [(0, active, lengths[0])]
         else:
             parts = [(k, k + 1, n) for k, n in enumerate(lengths)]
-        for lo, hi, n in parts:
-            s = _Step(buffers, (Ws, bs, gWs, gbs), lo, hi, n)
-            # The models' momentum and learning rate: one 0-d array when they share it.
-            rates = ([run.config.momentum for run in runs[lo:hi]], [run.config.learning_rate for run in runs[lo:hi]])
-            mu, lr = (np.array(v[0]) if len(set(v)) == 1 else np.array(v)[:, None] for v in rates)
-            X, rows, y, out = s.X, slot_rows[:, lo:hi, :n], slot_y[:, lo:hi, :n], slot_out[:, lo:hi, :n]
-            v, g, th = vel[lo:hi], grad[lo:hi], theta[lo:hi]
-            for t in range(t0, t1):
-                slot = t % ring
-                matrix.take(rows[slot], axis=0, out=X, mode="clip")
+        steps = [
+            (lo, _Step(buffers, (Ws, bs, gWs, gbs), lo, hi, n),
+             np.array([[run.config.momentum] for run in runs[lo:hi]]),
+             np.array([[run.config.learning_rate] for run in runs[lo:hi]]),
+             slot_rows[:, lo:hi, :n], slot_y[:, lo:hi, :n], slot_out[:, lo:hi, :n],
+             vel[lo:hi], grad[lo:hi], theta[lo:hi])
+            for lo, hi, n in parts
+        ]
+        # Every part takes step t before any takes t + 1, so the first NaN
+        # found is at the earliest bad step.
+        for t in range(t0, t1):
+            slot = t % ring
+            for lo, s, mu, lr, rows, y, out, v, g, th in steps:
+                matrix.take(rows[slot], axis=0, out=s.X, mode="clip")
                 _gradients(s, out[slot], y[slot])
+                if np.isnan(out[slot]).any():
+                    k = lo + int(np.isnan(out[slot]).any(axis=(1, 2)).argmax())
+                    raise ValueError(f"training diverged: non-finite loss at epoch {t // runs[k].batches_per_epoch}")
                 # vel = momentum * vel - rate * grad; theta += vel
                 np.multiply(v, mu, out=v)
                 np.multiply(g, lr, out=g)
@@ -563,8 +544,7 @@ def _lockstep(runs: list[_Run]) -> None:
             count, width = run.batches_per_epoch, run.config.batch_size
             if t1 % count == 0:
                 slots = np.arange(t1 - count, t1) % ring
-                if not run.end_epoch(slot_out[slots, k, :width, 0], slot_y[slots, k, :width]):
-                    raise diverged(t1, k)
+                run.end_epoch(slot_out[slots, k, :width, 0], slot_y[slots, k, :width])
     for run in runs:
         run.model.weights = [W.copy() for W in run.model.weights]
         run.model.biases = [b.copy() for b in run.model.biases]

@@ -10,6 +10,7 @@ matrices, and diverging stacks must name the epoch the oracle names for the
 first job, in stack order, to diverge at the earliest step.
 """
 
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -248,10 +249,11 @@ def test_divergence_names_the_first_bad_step(jobs):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
-def test_divergence_found_at_another_runs_epoch_end():
-    # Both jobs diverge at step 2.  The short one, a single batch per epoch,
-    # ends its epoch 2 there; the long one, first in the stack, is then in
-    # its epoch 0, and that is the epoch the error names.
+def test_divergence_names_the_epoch_of_the_first_job_in_stack_order():
+    # Both jobs diverge at step 2, each on batches of its own length.  The
+    # short one, a single batch per epoch, is then in its epoch 2; the long
+    # one, first in the stack, is in its epoch 0, and that is the epoch the
+    # error names.
     ds = dataset(list(LABELS) * 10, 3, seed=11)
     shape = detector.default_shape(3)
     config = TrainConfig(epochs=3, learning_rate=1e300, holdout_fraction=0.0)
@@ -263,3 +265,44 @@ def test_divergence_found_at_another_runs_epoch_end():
     with mock.patch.object(parallel, "usable_cpus", lambda: 1):
         with pytest.raises(ValueError, match="^training diverged: non-finite loss at epoch 0$"):
             detector.train_many([short, long])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_divergence_in_a_shared_step_names_the_diverging_job():
+    # Both jobs take full batches of 5 rows, so every step runs them as one
+    # stack.  Only the long one diverges, at step 2 of its epoch 0; the short
+    # one, two batches per epoch, is then in its epoch 1.
+    ds = dataset(list(LABELS) * 10, 3, seed=11)
+    shape = detector.default_shape(3)
+    config = TrainConfig(epochs=3, batch_size=5, holdout_fraction=0.0)
+    long = TrainJob(ds, shape, replace(config, seed=0, learning_rate=1e300))
+    short = TrainJob(ds, shape, replace(config, seed=1, learning_rate=0.05), np.arange(10))
+    assert oracle_failure(long) == (2, "training diverged: non-finite loss at epoch 0")
+    assert oracle_failure(short) is None
+    with mock.patch.object(parallel, "usable_cpus", lambda: 1):
+        with pytest.raises(ValueError, match="^training diverged: non-finite loss at epoch 0$"):
+            detector.train_many([short, long])
+
+def test_a_fortran_ordered_matrix_is_copied_once_per_pass():
+    # A row gather from a Fortran-ordered matrix copies the whole matrix into
+    # C order first.  The pass makes that copy once: every step gathers from
+    # one C-ordered array.
+    ds = dataset(list(LABELS) * 10, 6, seed=5)
+    ds.matrix = np.asfortranarray(ds.matrix)
+    job = TrainJob(ds, detector.default_shape(6), TrainConfig(epochs=2, batch_size=8))
+    sources = []
+
+    def record(frame, event, arg):
+        if event == "c_call" and frame.f_code is detector._lockstep.__code__ and arg.__name__ == "take":
+            sources.append(arg.__self__)
+
+    with mock.patch.object(parallel, "usable_cpus", lambda: 1):
+        sys.setprofile(record)
+        try:
+            model = detector.train(ds, job.shape, job.config)
+        finally:
+            sys.setprofile(None)
+    assert len(sources) == 2 * 5
+    assert len({id(source) for source in sources}) == 1
+    assert sources[0].flags.c_contiguous
+    assert_same_bytes(model, oracle_model(job))
