@@ -224,7 +224,9 @@ class PipelineCache:
 @contextmanager
 def _stage(name: str, timing: dict[str, float]):
     """Runs one pipeline stage: an error raised inside is tagged with the
-    stage's name, and its wall time is added to timing[f"{name}_s"]."""
+    stage's name, the heap it freed goes back to the OS
+    (`parallel.trim_heap`), and its wall time, the trim included, is added
+    to timing[f"{name}_s"]."""
     started = time.perf_counter()
     try:
         yield
@@ -233,6 +235,7 @@ def _stage(name: str, timing: dict[str, float]):
     except Exception as exc:
         raise _StageError(f"stage {name}: {exc}") from exc
     finally:
+        parallel.trim_heap()
         timing[f"{name}_s"] = timing.get(f"{name}_s", 0.0) + time.perf_counter() - started
 
 

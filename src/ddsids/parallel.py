@@ -1,5 +1,5 @@
-"""Independent tasks run side by side in forked children, and the OpenBLAS
-this process has loaded.
+"""Independent tasks run side by side in forked children, the OpenBLAS
+this process has loaded, and its C heap.
 
 `fork_map(fn, tasks)` gives `[fn(task) for task in tasks]`.  Where more than
 one CPU is usable it deals the tasks round-robin to one worker per CPU (at
@@ -17,6 +17,13 @@ serialise.
 For the length of the forked section OpenBLAS is held at one thread in this
 process and in the children: its worker threads would otherwise spin on the
 cores the workers need whenever a product crosses its threading threshold.
+
+`trim_heap()` hands the free pages of the C heap back to the OS.  glibc
+keeps a freed block resident until the free space at the heap's top exceeds
+a trim threshold, which it raises to twice the largest mmap'd block freed so
+far, so what a finished stage leaves resident depends on the sizes and order
+of everything freed before it.  `evalcli` trims at the end of every pipeline
+stage, so that the next stage's peak does not sit on that remainder.
 """
 
 from __future__ import annotations
@@ -56,6 +63,16 @@ def openblas_call(symbols: Sequence[str], restype=ctypes.c_int, argtypes=()):
                 call.argtypes, call.restype = list(argtypes), restype
                 return call
     return None
+
+
+def trim_heap() -> None:
+    """glibc's `malloc_trim(0)`: every free page of the C heap goes back to
+    the OS.  Nothing where the C library has no such call."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):  # no C library by that name, or no malloc_trim in it
+        return
+    trim(0)
 
 
 def openblas_core() -> str | None:

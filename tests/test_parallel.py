@@ -10,7 +10,10 @@ WNOHANG)` raises ChildProcessError only when this process has none.
 import ctypes
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +303,49 @@ class TestForkedScenarios:
         assert_no_child_left()
         assert files_under(tmp_path / "forked") == files_under(tmp_path / "serial")
         assert set(files_under(tmp_path / "serial")) == {"train.csv", "test.csv"}
+
+
+# Frees a 16 MB array, which glibc mmap'd: that raises its mmap threshold to
+# 16 MB and its trim threshold to 32 MB.  The 24 MB of 1 MB arrays made next
+# come from the heap and, freed, stay at its top, below the trim threshold.
+# Prints the resident MB that trim_heap gives back.
+TRIM_PROBE = """
+import numpy as np
+from ddsids import parallel
+
+def rss_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
+
+big = np.ones(2 << 20)
+del big
+blocks = [np.ones(1 << 17) for _ in range(24)]
+del blocks
+before = rss_mb()
+parallel.trim_heap()
+print(before - rss_mb())
+"""
+
+
+class TestTrimHeap:
+    @pytest.mark.skipif(sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "malloc_trim"),
+                        reason="needs glibc's malloc_trim and /proc")
+    def test_freed_heap_goes_back_to_the_os(self):
+        src = str(Path(parallel.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", TRIM_PROBE], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) > 12
+
+    def test_every_stage_trims_even_when_it_fails(self, monkeypatch):
+        trims = []
+        monkeypatch.setattr(parallel, "trim_heap", lambda: trims.append(1))
+        timing = {}
+        with evalcli._stage("select", timing):
+            pass
+        with pytest.raises(evalcli._StageError, match="^stage train: broke$"):
+            with evalcli._stage("train", timing):
+                raise ValueError("broke")
+        assert len(trims) == 2
+        assert set(timing) == {"select_s", "train_s"}
