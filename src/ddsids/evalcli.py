@@ -948,6 +948,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"ddsids: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        parallel.trim_heap()
 
 
 if __name__ == "__main__":

@@ -23,7 +23,8 @@ keeps a freed block resident until the free space at the heap's top exceeds
 a trim threshold, which it raises to twice the largest mmap'd block freed so
 far, so what a finished stage leaves resident depends on the sizes and order
 of everything freed before it.  `evalcli` trims at the end of every pipeline
-stage, so that the next stage's peak does not sit on that remainder.
+stage and every command, so that the next one's peak does not sit on that
+remainder.
 """
 
 from __future__ import annotations

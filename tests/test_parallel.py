@@ -338,7 +338,7 @@ class TestTrimHeap:
         assert done.returncode == 0, done.stderr
         assert float(done.stdout) > 12
 
-    def test_every_stage_trims_even_when_it_fails(self, monkeypatch):
+    def test_every_stage_and_command_trims_even_when_it_fails(self, monkeypatch, tmp_path, capsys):
         trims = []
         monkeypatch.setattr(parallel, "trim_heap", lambda: trims.append(1))
         timing = {}
@@ -349,3 +349,6 @@ class TestTrimHeap:
                 raise ValueError("broke")
         assert len(trims) == 2
         assert set(timing) == {"select_s", "train_s"}
+        assert main(["meter", "--packets", str(tmp_path / "missing.packets.csv"), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("ddsids: error: ")
+        assert len(trims) == 3
