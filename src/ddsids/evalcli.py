@@ -33,12 +33,11 @@ from . import detector, featsel, flowmeter, parallel, preprocess, simnet
 from .detector import DetectorModel, EnsembleModel, TrainConfig
 from .flowmeter import FlowTable, MeterConfig
 from .preprocess import IP_MODES, AnonymizeMode, Dataset
-from .simnet import ScenarioConfig
+from .simnet import SUBNET_HOSTS, ScenarioConfig
 
 OUT_DIR_ENV = "DDSIDS_OUT_DIR"
 CLI_TOP_K = 20  # features `ddsids select` keeps by default
 EXPERT_ROW_NAMES = {"dos": "DoS", "clone": "Clone", "malsub": "Malicious Subscriber"}
-SUBNET_HOSTS = (2, 3, 4, 5, 6)
 
 
 @dataclass(frozen=True)

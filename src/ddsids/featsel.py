@@ -50,13 +50,7 @@ def _logistic_weights(X: np.ndarray, y: np.ndarray, l2: float = 1e-3, iters: int
     w = np.zeros(d)
     b = 0.0
     for _ in range(iters):
-        z = X @ w + b
-        p = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))), 0.0)
-        neg = z < 0
-        if neg.any():
-            ez = np.exp(z[neg])
-            p[neg] = ez / (1.0 + ez)
-        g = p - y
+        g = detector._sigmoid(X @ w + b) - y
         w -= lr * (X.T @ g / n + l2 * w)
         b -= lr * float(g.mean())
     return w

@@ -154,7 +154,7 @@ class MeterConfig:
 
     def __post_init__(self):
         for name in ("flow_timeout", "activity_timeout", "bulk_gap", "subflow_gap"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN too
                 raise ValueError(f"MeterConfig.{name} must be positive")
         if self.activity_timeout >= self.flow_timeout:
             raise ValueError("MeterConfig.activity_timeout must be smaller than flow_timeout")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import platform
-import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
@@ -29,7 +28,7 @@ import numpy as np
 
 from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowTable
 from .parallel import openblas_core, usable_cpus
-from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ROUTER_HOSTS, SCENARIOS, read_rows, write_rows
+from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ATTACKER_HOST, ROUTER_HOSTS, SCENARIOS, read_rows, write_rows
 
 DIRECTIONALITIES = ("bidirectional", "destination_only", "source_only")
 IP_MODES = ("both", "source_only", "destination_only", "none")
@@ -39,7 +38,7 @@ SRC_PORT_COL = "Src Port"
 DST_PORT_COL = "Dst Port"
 
 # Directional labeling combinations reported as reliable; anything else is
-# accepted but warned about (or rejected under strict=True).
+# accepted with a note in the report.
 DOCUMENTED_RULE_COMBOS = {
     ("dos", "bidirectional"),
     ("dos", "destination_only"),
@@ -52,7 +51,7 @@ DOCUMENTED_RULE_COMBOS = {
 class LabelRule:
     attack_label: str
     directionality: str = "bidirectional"
-    malicious_octet: int = 6
+    malicious_octet: int = ATTACKER_HOST
 
     def __post_init__(self):
         if self.attack_label not in ATTACK_LABELS:
@@ -104,17 +103,8 @@ def _octets(flows: FlowTable, parse=_octet) -> np.ndarray:
     return octets
 
 
-def label(flows: FlowTable, rule: LabelRule, strict: bool = False) -> FlowTable:
+def label(flows: FlowTable, rule: LabelRule) -> FlowTable:
     """Label flows whose addresses match the rule; everything else is benign."""
-    combo = (rule.attack_label, rule.directionality)
-    if combo not in DOCUMENTED_RULE_COMBOS:
-        message = (
-            f"labeling combination {rule.attack_label}/{rule.directionality} is outside "
-            "the documented reliable set"
-        )
-        if strict:
-            raise ValueError(message)
-        warnings.warn(message, stacklevel=2)
     malicious = _octets(flows) == rule.malicious_octet
     src_hit, dst_hit = malicious[flows.src], malicious[flows.dst]
     hit = {"source_only": src_hit, "destination_only": dst_hit}.get(rule.directionality, src_hit | dst_hit)
@@ -123,15 +113,17 @@ def label(flows: FlowTable, rule: LabelRule, strict: bool = False) -> FlowTable:
 
 def label_scenario(name: str, flows: FlowTable) -> tuple[FlowTable, list[str]]:
     """Label one scenario's flows by its rule and prefix their ids with the
-    scenario name; returns (flows, the rule's warnings as notes)."""
+    scenario name; returns (flows, notes), a note for a rule outside
+    DOCUMENTED_RULE_COMBOS."""
     if name != "benign" and name not in LABEL_RULES:
         raise ValueError(f"scenario {name!r} is not one of: benign, {', '.join(LABEL_RULES)}")
     notes: list[str] = []
     if name in LABEL_RULES:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            flows = label(flows, LABEL_RULES[name])
-        notes = [str(w.message) for w in caught]
+        rule = LABEL_RULES[name]
+        flows = label(flows, rule)
+        if (rule.attack_label, rule.directionality) not in DOCUMENTED_RULE_COMBOS:
+            notes.append(f"labeling combination {rule.attack_label}/{rule.directionality} is outside "
+                         "the documented reliable set")
     return flows.with_columns(flow_id=[f"{name}:{i}" for i in flows.flow_id.tolist()]), notes
 
 

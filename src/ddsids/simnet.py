@@ -24,12 +24,15 @@ plus network header), zeroed TCP-style flags, protocol 17, and a 1-microsecond
 clock resolution.  The DoS flood keeps a 1 ms minimum inter-packet gap by
 default (``dos_gap``) so inter-arrival statistics stay finite.
 
-The clone keeps the genuine cadence and alternates between its two payloads:
-a filler datagram of the maximum topic length and a forged topic batch whose
-false values leave no visible trace at the metadata level.  The malicious
-subscriber's sessions reuse the genuine session shape end to end; only its
-address and its narrow topic slice set it apart.  Trace generation is a pure
-function of (config, seed).
+Every session has that one shape, opened by `_session`: the benign
+publishers, the clone, the dos launches (which flood after the announcement
+instead of streaming) and both subscribers of the malsub scenario.  The clone
+keeps the genuine cadence and alternates between its two payloads: a filler
+datagram of the maximum topic length and a forged topic batch whose false
+values leave no visible trace at the metadata level.  The malicious
+subscriber's sessions differ from the genuine one's only by address and
+narrow topic slice.  `generate`, the one entry point, looks the scenario up in
+a table of traffic functions; a trace is a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ import numpy as np
 
 SUBNET = "10.0.5."
 ROUTER_HOSTS = (2, 3)
+ATTACKER_HOST = 6
+SUBNET_HOSTS = (*ROUTER_HOSTS, 4, 5, ATTACKER_HOST)
 PROTO_UDP = 17
 HEADER_LEN = 28
 DISCOVERY_PAYLOAD = 16
@@ -198,10 +203,6 @@ class ScenarioConfig:
             raise ValueError("attack_active must be positive when set")
 
 
-def host_ip(host: int) -> str:
-    return f"{SUBNET}{host}"
-
-
 class _TraceBuilder:
     def __init__(self, config: ScenarioConfig):
         self.cfg = config
@@ -299,7 +300,7 @@ class _TraceBuilder:
         hosts, ends = np.unique(np.concatenate([src, dst]), return_inverse=True)
         n = len(t_us)
         return PacketTrace(
-            [host_ip(h) for h in hosts.tolist()], t_us / 1e6, ends[:n], sport, ends[n:], dport,
+            [f"{SUBNET}{h}" for h in hosts.tolist()], t_us / 1e6, ends[:n], sport, ends[n:], dport,
             np.full(n, PROTO_UDP), payload, np.full(n, HEADER_LEN), np.zeros(n),
         )
 
@@ -314,42 +315,39 @@ def _draw_topics(b: _TraceBuilder) -> int:
     return min(hi, int(round(MIN_TOPICS * math.exp(float(b.rng.uniform()) * span))))
 
 
-def _benign_substrate(b: _TraceBuilder, sub_host: int, pub_host: int, sub_port: int) -> None:
-    """Five (configurable) publisher instances streaming topic batches to the
-    subscriber, each instance relaunching on a fresh port every cycle."""
-    cfg = b.cfg
-    for i in range(cfg.n_publishers):
-        t_us = int(round(i * 0.1 * 1e6))
-        while t_us < b.duration_us:
-            cycle_s = cfg.benign_relaunch_period * float(b.rng.uniform(*CYCLE_JITTER))
-            n_topics = _draw_topics(b)
-            jitter_scale = float(b.rng.uniform(0.0, BENIGN_INTERVAL_JITTER_MAX))
-            port = b.ephemeral_port(pub_host)
-            b.discovery(t_us, pub_host, port, sub_host, sub_port)
-            b.emit(t_us + 5_000, sub_host, sub_port, pub_host, port, n_topics * SUBSCRIPTION_KEY_BYTES)
-            end_us = t_us + int(round(cycle_s * 1e6))
-            b.stream(
-                t_us + int(FIRST_DATA_OFFSET_S * 1e6),
-                end_us,
-                pub_host,
-                port,
-                sub_host,
-                sub_port,
-                n_topics * TOPIC_BYTES,
-                cfg.publish_interval,
-                jitter_scale,
-            )
-            t_us = end_us + int(RELAUNCH_DOWNTIME_S * 1e6)
+def _cycle(b: _TraceBuilder) -> float:
+    """A publisher cycle (s): the benign relaunch period, jittered."""
+    return b.cfg.benign_relaunch_period * float(b.rng.uniform(*CYCLE_JITTER))
+
+
+def _jitter(b: _TraceBuilder) -> float:
+    """A stream's interval jitter scale."""
+    return float(b.rng.uniform(0.0, BENIGN_INTERVAL_JITTER_MAX))
+
+
+def _attack_window(b: _TraceBuilder) -> float:
+    """How long (s) an attacker's session streams: attack_active, or else a cycle."""
+    return b.cfg.attack_active if b.cfg.attack_active is not None else _cycle(b)
+
+
+def _session(b: _TraceBuilder, t_us: int, pub: int, pub_port: int, sub: int, sub_port: int, n_topics: int,
+             end_us: int | None = None, jitter: float = 0.0, payload: int | None = None) -> None:
+    """One pub/sub session from t_us: the publisher's discovery handshake,
+    the subscriber's announcement of its n_topics-key slice and, given
+    end_us, the publisher's topic stream until then, of n_topics-topic
+    batches unless `payload` says otherwise.  It draws only the stream's
+    jitters, so a caller draws its arguments first, in its scenario's order."""
+    b.discovery(t_us, pub, pub_port, sub, sub_port)
+    b.emit(t_us + 5_000, sub, sub_port, pub, pub_port, n_topics * SUBSCRIPTION_KEY_BYTES)
+    if end_us is not None:
+        b.stream(t_us + int(FIRST_DATA_OFFSET_S * 1e6), end_us, pub, pub_port, sub, sub_port,
+                 n_topics * TOPIC_BYTES if payload is None else payload, b.cfg.publish_interval, jitter)
 
 
 def _attack_launches(cfg: ScenarioConfig) -> list[int]:
     """Launch times (us) for the attacker, one per malicious session."""
-    launches = []
-    for k in range(cfg.relaunch_count):
-        t = k * cfg.relaunch_period
-        if t + 0.01 >= cfg.duration:
-            break
-        launches.append(int(round(t * 1e6)))
+    launches = [int(round(k * cfg.relaunch_period * 1e6)) for k in range(cfg.relaunch_count)
+                if k * cfg.relaunch_period + 0.01 < cfg.duration]
     if len(launches) < cfg.relaunch_count:
         raise ValueError(
             f"{cfg.scenario}: only {len(launches)} of {cfg.relaunch_count} malicious "
@@ -359,112 +357,81 @@ def _attack_launches(cfg: ScenarioConfig) -> list[int]:
     return launches
 
 
-def generate_benign(config: ScenarioConfig) -> PacketTrace:
-    """Benign pub/sub trace (also the substrate of dos and clone traces)."""
-    b = _TraceBuilder(config)
+def _benign(b: _TraceBuilder) -> int:
+    """Five (configurable) publisher instances on .5 streaming topic batches
+    to the subscriber on .4, each instance relaunching on a fresh port every
+    cycle; returns the subscriber's port."""
     sub_port = b.ephemeral_port(4)
-    _benign_substrate(b, sub_host=4, pub_host=5, sub_port=sub_port)
-    return b.finish()
-
-
-def generate_attack(config: ScenarioConfig) -> PacketTrace:
-    if config.scenario not in ATTACK_SCENARIOS:
-        raise ValueError(f"generate_attack requires an attack scenario, got {config.scenario!r}")
-    launches = _attack_launches(config)
-    b = _TraceBuilder(config)
-
-    if config.scenario in ("dos", "clone"):
-        sub_port = b.ephemeral_port(4)
-        _benign_substrate(b, sub_host=4, pub_host=5, sub_port=sub_port)
-        for t_us in launches:
-            port = b.ephemeral_port(6)
+    for i in range(b.cfg.n_publishers):
+        t_us = int(round(i * 0.1 * 1e6))
+        while t_us < b.duration_us:
+            end_us = t_us + int(round(_cycle(b) * 1e6))
             n_topics = _draw_topics(b)
-            b.discovery(t_us, 6, port, 4, sub_port)
-            b.emit(t_us + 5_000, 4, sub_port, 6, port, n_topics * SUBSCRIPTION_KEY_BYTES)
-            if config.scenario == "dos":
-                active = config.attack_active if config.attack_active is not None else 0.08
-                gap_us = max(1, int(round(config.dos_gap * 1e6)))
-                b.flood(t_us + 10_000, t_us + int(round(active * 1e6)), 6, port, 4, sub_port, DOS_PAYLOAD, gap_us)
-            else:
-                # The clone matches the genuine rate; some launches push the
-                # fixed 256-byte filler, the rest forge a plausible topic
-                # batch with false values.
-                if config.attack_active is not None:
-                    active = config.attack_active
-                else:
-                    active = config.benign_relaunch_period * float(b.rng.uniform(*CYCLE_JITTER))
-                # The forged batch mirrors the announced slice, as a genuine
-                # publisher's would.
-                if float(b.rng.uniform()) < CLONE_FILLER_FRACTION:
-                    payload = DOS_PAYLOAD
-                else:
-                    payload = n_topics * TOPIC_BYTES
-                jitter_scale = float(b.rng.uniform(0.0, BENIGN_INTERVAL_JITTER_MAX))
-                b.stream(
-                    t_us + int(FIRST_DATA_OFFSET_S * 1e6),
-                    t_us + int(round(active * 1e6)),
-                    6,
-                    port,
-                    4,
-                    sub_port,
-                    payload,
-                    config.publish_interval,
-                    jitter_scale,
-                )
-        return b.finish()
+            jitter = _jitter(b)
+            _session(b, t_us, 5, b.ephemeral_port(5), 4, sub_port, n_topics, end_us, jitter)
+            t_us = end_us + int(RELAUNCH_DOWNTIME_S * 1e6)
+    return sub_port
 
-    # malsub: the publisher on .4 opens one stream per subscriber session;
-    # the receiver announces its topic slice, then batches flow to it.
+
+def _publisher_attack(b: _TraceBuilder) -> None:
+    """dos and clone: the benign fleet, joined at each launch by the
+    attacker as one more publisher.  The dos floods the subscriber; the
+    clone matches the genuine rate, and some launches push the fixed
+    256-byte filler while the rest forge a topic batch with false values
+    that mirrors the announced slice, as a genuine publisher's would."""
+    cfg = b.cfg
+    launches = _attack_launches(cfg)
+    sub_port = _benign(b)
+    for t_us in launches:
+        port = b.ephemeral_port(ATTACKER_HOST)
+        n_topics = _draw_topics(b)
+        if cfg.scenario == "dos":
+            _session(b, t_us, ATTACKER_HOST, port, 4, sub_port, n_topics)
+            active = cfg.attack_active if cfg.attack_active is not None else 0.08
+            gap_us = max(1, int(round(cfg.dos_gap * 1e6)))
+            b.flood(t_us + 10_000, t_us + int(round(active * 1e6)), ATTACKER_HOST, port, 4, sub_port, DOS_PAYLOAD,
+                    gap_us)
+        else:
+            end_us = t_us + int(round(_attack_window(b) * 1e6))
+            payload = DOS_PAYLOAD if float(b.rng.uniform()) < CLONE_FILLER_FRACTION else n_topics * TOPIC_BYTES
+            _session(b, t_us, ATTACKER_HOST, port, 4, sub_port, n_topics, end_us, _jitter(b), payload)
+
+
+def _malsub(b: _TraceBuilder) -> None:
+    """The publisher on .4 opens one session per subscriber session: the
+    genuine subscriber on .5, re-served each cycle with all topics, and the
+    malicious one, which joins after a delay, harvests 50..60 of the topics
+    for a limited window and leaves before the trace ends.  Router chatter,
+    removed later by preprocessing, runs alongside."""
+    cfg = b.cfg
+    launches = _attack_launches(cfg)
     mgmt_port = b.ephemeral_port(4)
-
-    def subscriber_session(t_us: int, host: int, n_topics: int, active_s: float, jitter: float) -> None:
-        pub_port = b.ephemeral_port(4)
-        port = b.ephemeral_port(host)
-        b.discovery(t_us, 4, pub_port, host, port)
-        b.emit(t_us + 5_000, host, port, 4, pub_port, n_topics * SUBSCRIPTION_KEY_BYTES)
-        b.stream(
-            t_us + int(FIRST_DATA_OFFSET_S * 1e6),
-            t_us + int(round(active_s * 1e6)),
-            4,
-            pub_port,
-            host,
-            port,
-            n_topics * TOPIC_BYTES,
-            config.publish_interval,
-            jitter,
-        )
-
-    # Genuine subscriber on .5, re-served each publisher cycle with all topics.
     t_us = 0
     while t_us < b.duration_us:
-        cycle_s = config.benign_relaunch_period * float(b.rng.uniform(*CYCLE_JITTER))
-        jitter_scale = float(b.rng.uniform(0.0, BENIGN_INTERVAL_JITTER_MAX))
-        subscriber_session(t_us, 5, config.topics_per_publisher, cycle_s, jitter_scale)
+        cycle_s = _cycle(b)
+        jitter = _jitter(b)
+        _session(b, t_us, 4, b.ephemeral_port(4), 5, b.ephemeral_port(5), cfg.topics_per_publisher,
+                 t_us + int(round(cycle_s * 1e6)), jitter)
         t_us += int(round((cycle_s + RELAUNCH_DOWNTIME_S) * 1e6))
 
-    # Malicious subscriber on .6: joins after a delay, harvests 50..60 of the
-    # topics for a limited window, leaves before the trace ends.
-    join_delay_us = int(round(config.malsub_join_delay * 1e6))
+    join_delay_us = int(round(cfg.malsub_join_delay * 1e6))
     for t_us in launches:
-        if config.attack_active is not None:
-            active = config.attack_active
-        else:
-            active = config.benign_relaunch_period * float(b.rng.uniform(*CYCLE_JITTER))
-        active = min(active, (b.duration_us - t_us - join_delay_us) / 1e6 - 0.05)
+        t_us += join_delay_us
+        active = min(_attack_window(b), (b.duration_us - t_us) / 1e6 - 0.05)
         if active <= 0:
             active = 0.05
         n_topics = int(b.rng.integers(50, 61))
-        jitter_scale = float(b.rng.uniform(0.0, BENIGN_INTERVAL_JITTER_MAX))
-        subscriber_session(t_us + join_delay_us, 6, n_topics, active, jitter_scale)
+        jitter = _jitter(b)
+        _session(b, t_us, 4, b.ephemeral_port(4), ATTACKER_HOST, b.ephemeral_port(ATTACKER_HOST), n_topics,
+                 t_us + int(round(active * 1e6)), jitter)
 
-    # Router chatter, removed later by preprocessing.
     t_us = 0
     while t_us < b.duration_us:
         pa = b.ephemeral_port(2)
         pb = b.ephemeral_port(3)
         b.discovery(t_us, 2, pa, 3, pb)
         t = t_us + 50_000
-        end = t_us + int(round(config.benign_relaunch_period * 1e6))
+        end = t_us + int(round(cfg.benign_relaunch_period * 1e6))
         sent = 0
         while t < end and b.emit(t, 2, pa, 3, pb, 48):
             sent += 1
@@ -476,13 +443,15 @@ def generate_attack(config: ScenarioConfig) -> PacketTrace:
         b.emit(t_us + 9_000, 4, mgmt_port, 3, pc, 64)
         t_us = end + int(RELAUNCH_DOWNTIME_S * 1e6)
 
-    return b.finish()
+
+_SCENARIO_TRAFFIC = {"benign": _benign, "dos": _publisher_attack, "clone": _publisher_attack, "malsub": _malsub}
 
 
 def generate(config: ScenarioConfig) -> PacketTrace:
-    if config.scenario == "benign":
-        return generate_benign(config)
-    return generate_attack(config)
+    """The packet trace of the config's scenario, a pure function of the config."""
+    b = _TraceBuilder(config)
+    _SCENARIO_TRAFFIC[config.scenario](b)
+    return b.finish()
 
 
 PACKET_CSV_HEADER = "ts,src_ip,src_port,dst_ip,dst_port,proto,payload_len,header_len,flags"

@@ -1,6 +1,7 @@
 """The package's only runtime dependency outside the standard library is
 numpy, and of numpy only the public API: pyproject promises numpy>=1.24, and
-numpy 2 renamed the private `numpy.core` to `numpy._core`."""
+numpy 2 renamed the private `numpy.core` to `numpy._core`.  Nor does the
+package keep private code that nothing calls."""
 
 import ast
 import sys
@@ -49,3 +50,37 @@ def test_no_private_numpy_modules():
                 names = [f"{node.value.id}.{node.attr}"]
             private += [f"{path.name}:{node.lineno}: {name}" for name in names if private_numpy(name)]
     assert not private, "private numpy modules: " + ", ".join(private)
+
+
+def private_definitions(tree) -> list[tuple[str, ast.AST]]:
+    """The module-level `_name`s a module defines (dunders aside), each with its defining statement."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(name, node) for name in names if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def test_every_private_name_is_used():
+    trees = package_trees()
+    uses: dict[str, list[ast.AST]] = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name is not None:
+                uses.setdefault(name, []).append(node)
+    unused = []
+    for path, tree in trees:
+        for name, definition in private_definitions(tree):
+            own = {id(n) for n in ast.walk(definition)}
+            if not any(id(n) not in own for n in uses.get(name, [])):
+                unused.append(f"{path.name}:{definition.lineno}: {name}")
+    assert not unused, "private names nothing else in the package uses: " + ", ".join(unused)

@@ -343,6 +343,23 @@ class TestCli:
         assert (out / "dos.flows.csv").exists()
         assert (out / "features.txt").exists()
 
+    @pytest.mark.parametrize("flow, activity", [("nan", "nan"), ("nan", "5"), ("120", "nan")])
+    def test_meter_rejects_nan_timeouts(self, tmp_path, capsys, flow, activity):
+        packets = tmp_path / "benign.packets.csv"
+        simnet.write_packet_csv(simnet.generate(simnet.ScenarioConfig("benign", duration=2.0)), packets)
+        rc = main(["meter", "--packets", str(packets), "--flow-timeout", flow, "--activity-timeout", activity,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ddsids: error: ")
+        assert not (tmp_path / "benign.flows.csv").exists()
+
+    def test_meter_takes_an_infinite_flow_timeout(self, tmp_path):
+        packets = tmp_path / "benign.packets.csv"
+        simnet.write_packet_csv(simnet.generate(simnet.ScenarioConfig("benign", duration=2.0)), packets)
+        rc = main(["meter", "--packets", str(packets), "--flow-timeout", "inf", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "benign.flows.csv").exists()
+
     def test_full_cli_chain(self, tmp_path):
         out = tmp_path / "chain"
         for scenario in ("benign", "dos", "clone", "malsub"):

@@ -11,6 +11,7 @@ from ddsids.preprocess import (
     encode_ips,
     encode_timestamps,
     label,
+    label_scenario,
     observed_addresses,
     split_flows,
     strip_router_flows,
@@ -56,14 +57,12 @@ class TestLabel:
         labels = label(table_of(FlowTable, flows), LabelRule("dos", "bidirectional")).label.tolist()
         assert labels == ["dos", "dos", "benign"]
 
-    def test_undocumented_combo_warns(self):
-        flows = [make_flow()]
-        with pytest.warns(UserWarning, match="outside"):
-            label(table_of(FlowTable, flows), LabelRule("clone", "bidirectional"))
-
-    def test_undocumented_combo_strict_raises(self):
-        with pytest.raises(ValueError, match="outside"):
-            label(table_of(FlowTable, [make_flow()]), LabelRule("malsub", "source_only"), strict=True)
+    def test_undocumented_combo_notes(self):
+        flows = table_of(FlowTable, [make_flow()])
+        notes = {name: label_scenario(name, flows)[1] for name in ("benign", "dos", "clone", "malsub")}
+        outside = "labeling combination {} is outside the documented reliable set"
+        assert notes == {"benign": [], "dos": [], "clone": [outside.format("clone/source_only")],
+                         "malsub": [outside.format("malsub/bidirectional")]}
 
     def test_purity_under_permutation(self):
         flows = [make_flow(src=f"10.0.5.{o}", seed=o) for o in (2, 4, 5, 6, 6, 3)]

@@ -13,8 +13,6 @@ from ddsids.simnet import (
     PacketTrace,
     ScenarioConfig,
     generate,
-    generate_attack,
-    generate_benign,
     load_scenario_config,
     read_packet_csv,
     save_scenario_config,
@@ -80,7 +78,7 @@ class TestConfig:
 class TestBenign:
     def test_single_publisher_one_second(self):
         cfg = ScenarioConfig("benign", duration=1.0, n_publishers=1, rng_seed=5)
-        trace = records_of(generate_benign(cfg))
+        trace = records_of(generate(cfg))
         batches = data_packets(trace, 5)
         # Announce packets travel subscriber -> publisher; batches the other way.
         batches = [p for p in batches if octet(p.dst_ip) == 4]
@@ -91,16 +89,16 @@ class TestBenign:
 
     def test_same_seed_identical_trace(self):
         cfg = ScenarioConfig("benign", duration=40.0, rng_seed=11)
-        assert records_of(generate_benign(cfg)) == records_of(generate_benign(cfg))
+        assert records_of(generate(cfg)) == records_of(generate(cfg))
 
     def test_different_seed_differs(self):
-        a = generate_benign(ScenarioConfig("benign", duration=40.0, rng_seed=1))
-        b = generate_benign(ScenarioConfig("benign", duration=40.0, rng_seed=2))
+        a = generate(ScenarioConfig("benign", duration=40.0, rng_seed=1))
+        b = generate(ScenarioConfig("benign", duration=40.0, rng_seed=2))
         assert records_of(a) != records_of(b)
 
     def test_timestamps_non_decreasing_and_schema(self):
         cfg = ScenarioConfig("benign", duration=60.0, rng_seed=3)
-        trace = records_of(generate_benign(cfg))
+        trace = records_of(generate(cfg))
         for prev, cur in zip(trace, trace[1:]):
             assert cur.ts >= prev.ts
         for p in trace:
@@ -112,13 +110,9 @@ class TestBenign:
 
 
 class TestAttacks:
-    def test_benign_config_rejected(self):
-        with pytest.raises(ValueError, match="attack scenario"):
-            generate_attack(ScenarioConfig("benign", duration=10.0))
-
     def test_dos_payload_is_flood_constant(self):
         cfg = ScenarioConfig("dos", duration=30.0, relaunch_period=1.0, relaunch_count=20, rng_seed=8)
-        trace = records_of(generate_attack(cfg))
+        trace = records_of(generate(cfg))
         attacker_data = data_packets(trace, 6)
         assert attacker_data
         assert all(p.payload_len == DOS_PAYLOAD for p in attacker_data)
@@ -128,12 +122,12 @@ class TestAttacks:
     def test_relaunch_shortfall_error(self):
         cfg = ScenarioConfig("dos", duration=5.0, relaunch_period=1.0, relaunch_count=50, rng_seed=8)
         with pytest.raises(ValueError, match="short by 45"):
-            generate_attack(cfg)
+            generate(cfg)
 
     def test_attack_locality(self):
         for scenario in ("dos", "clone", "malsub"):
             cfg = ScenarioConfig(scenario, duration=40.0, relaunch_period=2.0, relaunch_count=15, rng_seed=4)
-            trace = records_of(generate_attack(cfg))
+            trace = records_of(generate(cfg))
             attacker = [p for p in trace if octet(p.src_ip) == 6 or octet(p.dst_ip) == 6]
             assert attacker, scenario
             # every malicious packet touches host .6 by construction; verify
@@ -146,7 +140,7 @@ class TestAttacks:
             "clone", duration=120.0, relaunch_period=30.0, relaunch_count=3,
             benign_relaunch_period=25.0, rng_seed=6,
         )
-        trace = records_of(generate_attack(cfg))
+        trace = records_of(generate(cfg))
         window = (30.0, 50.0)
         clone_batches = [p for p in data_packets(trace, 6) if window[0] <= p.ts < window[1]]
         benign = data_packets(trace, 5)
@@ -163,7 +157,7 @@ class TestAttacks:
 
     def test_clone_schema_matches_benign(self):
         cfg = ScenarioConfig("clone", duration=60.0, relaunch_period=10.0, relaunch_count=5, rng_seed=6)
-        trace = records_of(generate_attack(cfg))
+        trace = records_of(generate(cfg))
         benign_fields = {(p.proto, p.header_len, p.flags) for p in trace if octet(p.src_ip) == 5}
         clone_fields = {(p.proto, p.header_len, p.flags) for p in trace if octet(p.src_ip) == 6}
         assert clone_fields <= benign_fields
@@ -173,7 +167,7 @@ class TestAttacks:
             "malsub", duration=200.0, relaunch_period=20.0, relaunch_count=9,
             benign_relaunch_period=15.0, rng_seed=2,
         )
-        trace = records_of(generate_attack(cfg))
+        trace = records_of(generate(cfg))
         # Announces carry 8 bytes per subscribed topic.
         attacker_announce = [
             p for p in trace if octet(p.src_ip) == 6 and p.payload_len not in (DISCOVERY_PAYLOAD, ACK_PAYLOAD)
@@ -196,7 +190,7 @@ class TestAttacks:
         seen = {}
         for scenario in ("dos", "clone", "malsub"):
             cfg = ScenarioConfig(scenario, duration=40.0, relaunch_period=4.0, relaunch_count=8, rng_seed=9)
-            trace = records_of(generate_attack(cfg))
+            trace = records_of(generate(cfg))
             seen[scenario] = {octet(p.src_ip) for p in trace} | {octet(p.dst_ip) for p in trace}
         assert 2 in seen["malsub"] and 3 in seen["malsub"]
         for scenario in ("dos", "clone"):
