@@ -418,10 +418,16 @@ _RANKERS = {
 SELECTION_METHODS = ("consensus", *_RANKERS)
 
 
+def _rankings(train_ds: Dataset, seed: int) -> list[featsel.FeatureRanking]:
+    """Every single method's ranking of the split, in `_RANKERS` order, the
+    methods run side by side (`parallel.fork_map`)."""
+    return parallel.fork_map(lambda rank: rank(train_ds, seed), list(_RANKERS.values()))
+
+
 def _rank(train_ds: Dataset, method: str, seed: int) -> featsel.FeatureRanking:
     if method != "consensus":
         return _RANKERS[method](train_ds, seed)
-    rankings = [rank(train_ds, seed) for rank in _RANKERS.values()]
+    rankings = _rankings(train_ds, seed)
     names = train_ds.feature_names
     mean_pos = {n: float(np.mean([r.ranked_names.index(n) for r in rankings])) for n in names}
     ranked = sorted(names, key=lambda n: (mean_pos[n], names.index(n)))
@@ -775,7 +781,7 @@ def _cmd_select(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     train_ds = preprocess.read_dataset_csv(args.train)
     if args.method == "all":
-        rankings = [rank(train_ds, args.seed) for rank in _RANKERS.values()]
+        rankings = _rankings(train_ds, args.seed)
         (out / "ranking_report.txt").write_text(featsel.ranking_report(rankings))
         for r in rankings:
             featsel.write_scores_csv(r, out / f"scores-{r.method}.csv")

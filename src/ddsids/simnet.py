@@ -182,14 +182,15 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
-        if self.duration <= 0:
+        # Written as `not x > 0`, so that NaN, which fails every comparison, is rejected too.
+        if not self.duration > 0:
             raise ValueError("duration must be positive")
         if not self.publish_interval >= 1e-6:
             # A shorter interval rounds a stream's step to 0 us on the 1 us clock.
             raise ValueError("publish_interval must be at least 1e-6 s, the clock resolution")
         if not MIN_TOPICS <= self.topics_per_publisher <= 500:
             raise ValueError("topics_per_publisher must be within 50..500")
-        if self.relaunch_period <= 0:
+        if not self.relaunch_period > 0:
             raise ValueError("relaunch_period must be positive")
         if not 0 <= self.relaunch_count <= 2000:
             raise ValueError("relaunch_count must be within 0..2000")
@@ -197,10 +198,14 @@ class ScenarioConfig:
             raise ValueError("n_publishers must be at least 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
-        if self.dos_gap <= 0:
+        if not self.benign_relaunch_period > 0:
+            raise ValueError("benign_relaunch_period must be positive")
+        if not self.dos_gap > 0:
             raise ValueError("dos_gap must be positive")
-        if self.attack_active is not None and self.attack_active <= 0:
+        if self.attack_active is not None and not self.attack_active > 0:
             raise ValueError("attack_active must be positive when set")
+        if not 0 <= self.malsub_join_delay < math.inf:
+            raise ValueError("malsub_join_delay must be finite and non-negative")
 
 
 class _TraceBuilder:

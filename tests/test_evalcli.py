@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddsids import detector, evalcli, featsel, flowmeter, preprocess, simnet
+from ddsids import detector, evalcli, featsel, flowmeter, parallel, preprocess, simnet
 from ddsids.evalcli import (
     ConfusionCounts,
     ExperimentPlan,
@@ -220,6 +220,8 @@ class TestExperimentPipeline:
 
             monkeypatch.setattr(owner, name, wrapped)
 
+        # In turn, so that every ranker call is counted here and not in a child.
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         for name in ("rank_lasso", "rank_rfe", "rank_univariate", "rank_importance"):
             counting(featsel, name)
         counting(evalcli, "compute_ranking")

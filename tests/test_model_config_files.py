@@ -133,8 +133,9 @@ def test_model_file_faults(tmp_path, capsys, kind, line, new, message):
 CONFIG = ScenarioConfig("dos", duration=3.0, relaunch_period=0.5, relaunch_count=2, rng_seed=4)
 
 
-# The saved CONFIG: line 1 scenario, 2 duration, ... 7 rng_seed, ... 10
-# dos_gap, 11 malsub_join_delay (attack_active is None, so not written).
+# The saved CONFIG: line 1 scenario, 2 duration, ... 7 rng_seed, ... 9
+# benign_relaunch_period, 10 dos_gap, 11 malsub_join_delay (attack_active is
+# None, so not written).
 @pytest.mark.parametrize("line, new, message", [
     (1, "", "missing field 'scenario'"),
     (2, "duration = 1e999", "line 2, field 'duration': non-finite value '1e999'"),
@@ -147,6 +148,8 @@ CONFIG = ScenarioConfig("dos", duration=3.0, relaunch_period=0.5, relaunch_count
     (3, "publish_interval 0.5", "line 3: expected 'key = value', got 'publish_interval 0.5\\n'"),
     (7, "rng_seed = -1", "rng_seed must be non-negative"),
     (2, "duration = -3.0", "duration must be positive"),
+    (9, "benign_relaunch_period = -1.0", "benign_relaunch_period must be positive"),
+    (11, "malsub_join_delay = -100.0", "malsub_join_delay must be finite and non-negative"),
 ])
 def test_scenario_config_faults(tmp_path, capsys, line, new, message):
     path = tmp_path / "c.txt"

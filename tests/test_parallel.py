@@ -1,6 +1,6 @@
 """`parallel.fork_map`, and the lockstep trainer, the lasso ranking, the
-scenario chains and the train/test writer that run on it, forked against
-serial.
+consensus rankers, the scenario chains and the train/test writer that run
+on it, forked against serial.
 
 The usable CPU count is patched, so the forked path runs on a one-CPU
 machine too.  After every call no child may be left: `os.waitpid(-1,
@@ -13,12 +13,13 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddsids import detector, evalcli, featsel, flowmeter, parallel, simnet
+from ddsids import detector, evalcli, featsel, flowmeter, parallel, preprocess, simnet
 from ddsids.detector import TrainConfig, TrainJob
 from ddsids.evalcli import ExperimentPlan, build_cache, main, write_split
 from test_featsel import dataset_from
@@ -245,6 +246,61 @@ SMALL_PLAN = ExperimentPlan(seed=5, scale=0.06, epochs=1, model="expert:dos")
 
 def files_under(root) -> dict:
     return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def capped_lasso_split():
+    """A split on which some lasso fits hit the cap (two identical columns
+    near the intercept) and column f2 separates the classes."""
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0, 1, (200, 6))
+    X[:, 1] = X[:, 0] = 0.9 + 0.05 * rng.uniform(0, 1, 200)
+    return dataset_from(X, ["benign" if v else "dos" for v in X[:, 2] > 0.5])
+
+
+class TestForkedRankings:
+    def test_consensus_forked_is_serial_bit_for_bit(self, monkeypatch):
+        ds = capped_lasso_split()
+        cpus(monkeypatch, 1)
+        serial = evalcli.compute_ranking(ds, "consensus", 3, {})
+        cpus(monkeypatch, 2)
+        forks = counted_forks(monkeypatch)
+        forked = evalcli.compute_ranking(ds, "consensus", 3, {})
+        assert len(forks) == 2  # rfe and importance, then the lasso paths
+        assert_no_child_left()
+        assert forked.ranked_names == serial.ranked_names
+        assert np.array(list(forked.scores.values())).tobytes() == np.array(list(serial.scores.values())).tobytes()
+        assert forked.flagged == serial.flagged
+        assert any(entry.startswith("lasso: ") for entry in serial.flagged)
+
+    def test_select_all_forked_is_serial_byte_for_byte(self, monkeypatch, tmp_path):
+        train = tmp_path / "train.csv"
+        preprocess.write_dataset_csv(capped_lasso_split(), train)
+        outputs = {}
+        for count in (1, 2):
+            cpus(monkeypatch, count)
+            out = tmp_path / f"cpus{count}"
+            assert main(["select", "--train", str(train), "--method", "all", "--seed", "3", "--out-dir", str(out)]) == 0
+            assert_no_child_left()
+            outputs[count] = files_under(out)
+        assert outputs[2] == outputs[1]
+        assert set(outputs[1]) == {"ranking_report.txt", *(f"scores-{m}.csv" for m in evalcli._RANKERS)}
+
+    def test_importance_baseline_message_survives_a_child(self, monkeypatch):
+        ds = capped_lasso_split()
+        monkeypatch.setattr(detector, "classify", lambda model, rows, threshold=None: np.ones(len(rows), bool))
+        message = "^baseline balanced accuracy 0.500 does not beat the 0.500 of a constant"
+        cpus(monkeypatch, 1)
+        with pytest.raises(ValueError, match=message) as serial:
+            evalcli.compute_ranking(ds, "consensus", 3, {})
+        cpus(monkeypatch, 2)
+        with pytest.raises(ValueError) as forked:
+            evalcli.compute_ranking(ds, "consensus", 3, {})
+        assert str(forked.value) == str(serial.value)
+        assert "in forked worker" in str(forked.value.__cause__)
+        assert_no_child_left()
+        with pytest.raises(evalcli._StageError, match=f"^stage select: {message[1:]}"):
+            evalcli.run_experiment(replace(SMALL_PLAN, feature_k=5))
+        assert_no_child_left()
 
 
 class TestForkedScenarios:

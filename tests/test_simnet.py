@@ -45,6 +45,26 @@ class TestConfig:
         with pytest.raises(ValueError, match="publish_interval"):
             ScenarioConfig("benign", duration=10.0, publish_interval=interval)
 
+    # NaN fails every comparison, so each check must be written to reject it.
+    @pytest.mark.parametrize("field, value, message", [
+        ("duration", float("nan"), "duration must be positive"),
+        ("relaunch_period", float("nan"), "relaunch_period must be positive"),
+        ("dos_gap", float("nan"), "dos_gap must be positive"),
+        ("attack_active", float("nan"), "attack_active must be positive when set"),
+        ("benign_relaunch_period", float("nan"), "benign_relaunch_period must be positive"),
+        ("benign_relaunch_period", -1.0, "benign_relaunch_period must be positive"),
+        ("benign_relaunch_period", 0.0, "benign_relaunch_period must be positive"),
+        ("malsub_join_delay", float("nan"), "malsub_join_delay must be finite and non-negative"),
+        ("malsub_join_delay", -100.0, "malsub_join_delay must be finite and non-negative"),
+        ("malsub_join_delay", float("inf"), "malsub_join_delay must be finite and non-negative"),
+    ])
+    def test_rejects_nan_and_out_of_range_timings(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScenarioConfig("malsub", **{"duration": 10.0, field: value})
+
+    def test_join_delay_may_be_zero(self):
+        assert ScenarioConfig("malsub", duration=10.0, malsub_join_delay=0.0).malsub_join_delay == 0.0
+
     def test_rejects_bad_scenario(self):
         with pytest.raises(ValueError, match="scenario"):
             ScenarioConfig("flood", duration=10.0)
