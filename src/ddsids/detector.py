@@ -9,6 +9,7 @@ a score at or above the threshold reads "benign", anything below it "attack".
 
 All randomness flows from the seed in TrainConfig, so identical data and
 configuration reproduce identical parameters and loss curves bit for bit.
+Momentum, batch size and threshold are constants; TrainConfig holds the rest.
 
 `train_many` trains several models in lockstep as one stacked network: the
 weights of m models that share a dataset and a shape are (m, fan_in,
@@ -49,6 +50,10 @@ from .simnet import ATTACK_SCENARIOS as EXPERT_ATTACKS, open_text, parsed
 MODEL_MAGIC = "ddsids-model v1"
 ENSEMBLE_MAGIC = "ddsids-ensemble v1"
 _SCORE_EPS = 1e-12
+MOMENTUM = 0.9
+BATCH_SIZE = 32  # rows per training step
+THRESHOLD = 0.5  # benign score cut-off of every model trained here
+MAX_EPOCHS = 10_000  # 250x the experiment's 40; a pass lays out every epoch's cuts up front
 
 
 def validate_shape(shape: Sequence[int]) -> list[str]:
@@ -85,12 +90,13 @@ def default_shape(width: int) -> list[int]:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 32
     epochs: int = 100
     seed: int = 0
     holdout_fraction: float = 0.1
-    threshold: float = 0.5
+
+    def __post_init__(self):
+        if self.epochs > MAX_EPOCHS:
+            raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {self.epochs}")
 
 
 @dataclass
@@ -98,7 +104,7 @@ class DetectorModel:
     shape: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    threshold: float = 0.5
+    threshold: float = THRESHOLD
     feature_names: list[str] = field(default_factory=list)
     norm_min: np.ndarray | None = None
     norm_max: np.ndarray | None = None
@@ -115,7 +121,7 @@ class DetectorModel:
 @dataclass
 class EnsembleModel:
     experts: dict[str, DetectorModel]
-    threshold: float = 0.5
+    threshold: float = THRESHOLD
 
     def __post_init__(self):
         if sorted(self.experts) != sorted(EXPERT_ATTACKS):
@@ -152,10 +158,9 @@ def predict(model: DetectorModel, rows: np.ndarray) -> np.ndarray:
     return np.clip(a[:, 0], _SCORE_EPS, 1.0 - _SCORE_EPS)
 
 
-def classify(model: DetectorModel, rows: np.ndarray, threshold: float | None = None) -> np.ndarray:
+def classify(model: DetectorModel, rows: np.ndarray) -> np.ndarray:
     """True where the row is classified benign."""
-    th = model.threshold if threshold is None else threshold
-    return predict(model, rows) >= th
+    return predict(model, rows) >= model.threshold
 
 
 def _loss_sums(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -213,7 +218,7 @@ class _Step:
 
 
 # 0-d operands: a ufunc converts a Python float on every call.
-_ZERO, _ONE, _MINUS_ONE = np.zeros(()), np.ones(()), -np.ones(())
+_ZERO, _ONE, _MINUS_ONE, _MOMENTUM = np.zeros(()), np.ones(()), -np.ones(()), np.full((), MOMENTUM)
 
 
 def _gradients(s: _Step, out: np.ndarray, y: np.ndarray) -> None:
@@ -315,8 +320,6 @@ class _Run:
             raise ValueError("invalid network shape: " + "; ".join(violations))
         if shape[0] != dataset.width:
             raise ValueError(f"shape input width {shape[0]} does not match dataset width {dataset.width}")
-        if config.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
         self.matrix = dataset.matrix
         self.labels = dataset.binary_labels()
         rows = np.arange(len(self.labels)) if job.rows is None else np.asarray(job.rows, dtype=np.intp)
@@ -341,7 +344,6 @@ class _Run:
             shape=list(int(w) for w in shape),
             weights=weights,
             biases=biases,
-            threshold=config.threshold,
             feature_names=list(dataset.feature_names),
             norm_min=None if dataset.norm_min is None else np.array(dataset.norm_min, dtype=np.float64),
             norm_max=None if dataset.norm_max is None else np.array(dataset.norm_max, dtype=np.float64),
@@ -353,11 +355,11 @@ class _Run:
         self.fit_rows = rows[fit_idx]
         self.X_hold, self.y_hold = dataset.matrix[rows[hold_idx]], y[hold_idx]
         self.config = config
-        self.batches_per_epoch = -(-len(self.fit_rows) // config.batch_size)
+        self.batches_per_epoch = -(-len(self.fit_rows) // BATCH_SIZE)
         self.steps = config.epochs * self.batches_per_epoch
         # Rows per step of an epoch: full batches, then what is left.
-        self.batch_rows = np.full(self.batches_per_epoch, float(config.batch_size))
-        self.batch_rows[-1] = len(self.fit_rows) - (self.batches_per_epoch - 1) * config.batch_size
+        self.batch_rows = np.full(self.batches_per_epoch, float(BATCH_SIZE))
+        self.batch_rows[-1] = len(self.fit_rows) - (self.batches_per_epoch - 1) * BATCH_SIZE
 
     def epoch_rows(self) -> np.ndarray:
         """Matrix rows of the next epoch, in the order of its permutation."""
@@ -369,7 +371,7 @@ class _Run:
 
     def end_epoch(self, outputs: np.ndarray, targets: np.ndarray) -> None:
         """Records an epoch from the logistic outputs and the targets of its
-        steps, (steps, batch_size) arrays whose last row starts with the last
+        steps, (steps, BATCH_SIZE) arrays whose last row starts with the last
         batch: the mean step loss and the holdout accuracy of the updated
         weights."""
         sums = _loss_sums(outputs, targets)
@@ -482,24 +484,23 @@ def _lockstep(runs: list[_Run]) -> None:
         model.weights = [W[k] for W in Ws]
         model.biases = [b[k, 0] for b in bs]
 
-    batch = max(run.config.batch_size for run in runs)
     ring = max(run.batches_per_epoch for run in runs)
-    buffers = _Buffers(shape, m, batch)
+    buffers = _Buffers(shape, m, BATCH_SIZE)
     # Per ring slot and model: the batch's matrix rows, targets and outputs.
-    slot_rows = np.zeros((ring, m, batch), dtype=np.intp)
-    slot_y = np.zeros((ring, m, batch))
-    slot_out = np.zeros((ring, m, batch, 1))
+    slot_rows = np.zeros((ring, m, BATCH_SIZE), dtype=np.intp)
+    slot_y = np.zeros((ring, m, BATCH_SIZE))
+    slot_out = np.zeros((ring, m, BATCH_SIZE, 1))
 
     def lay_out(k: int, t: int) -> None:
         """Run k's next epoch, which starts at step t, in the ring."""
         run = runs[k]
-        width, count = run.config.batch_size, run.batches_per_epoch
-        rows = np.zeros(count * width, dtype=np.intp)
+        count = run.batches_per_epoch
+        rows = np.zeros(count * BATCH_SIZE, dtype=np.intp)
         rows[: len(run.fit_rows)] = run.epoch_rows()
-        rows = rows.reshape(count, width)
+        rows = rows.reshape(count, BATCH_SIZE)
         slots = np.arange(t, t + count) % ring
-        slot_rows[slots, k, :width] = rows
-        slot_y[slots, k, :width] = labels[rows]
+        slot_rows[slots, k] = rows
+        slot_y[slots, k] = labels[rows]
 
     cuts = {0, runs[0].steps}
     for run in runs:
@@ -518,7 +519,6 @@ def _lockstep(runs: list[_Run]) -> None:
             parts = [(k, k + 1, n) for k, n in enumerate(lengths)]
         steps = [
             (lo, _Step(buffers, (Ws, bs, gWs, gbs), lo, hi, n),
-             np.array([[run.config.momentum] for run in runs[lo:hi]]),
              np.array([[run.config.learning_rate] for run in runs[lo:hi]]),
              slot_rows[:, lo:hi, :n], slot_y[:, lo:hi, :n], slot_out[:, lo:hi, :n],
              vel[lo:hi], grad[lo:hi], theta[lo:hi])
@@ -528,23 +528,23 @@ def _lockstep(runs: list[_Run]) -> None:
         # found is at the earliest bad step.
         for t in range(t0, t1):
             slot = t % ring
-            for lo, s, mu, lr, rows, y, out, v, g, th in steps:
+            for lo, s, lr, rows, y, out, v, g, th in steps:
                 matrix.take(rows[slot], axis=0, out=s.X, mode="clip")
                 _gradients(s, out[slot], y[slot])
                 if np.isnan(out[slot]).any():
                     k = lo + int(np.isnan(out[slot]).any(axis=(1, 2)).argmax())
                     raise ValueError(f"training diverged: non-finite loss at epoch {t // runs[k].batches_per_epoch}")
                 # vel = momentum * vel - rate * grad; theta += vel
-                np.multiply(v, mu, out=v)
+                np.multiply(v, _MOMENTUM, out=v)
                 np.multiply(g, lr, out=g)
                 np.subtract(v, g, out=v)
                 np.add(th, v, out=th)
         for k in range(active):
             run = runs[k]
-            count, width = run.batches_per_epoch, run.config.batch_size
+            count = run.batches_per_epoch
             if t1 % count == 0:
                 slots = np.arange(t1 - count, t1) % ring
-                run.end_epoch(slot_out[slots, k, :width, 0], slot_y[slots, k, :width])
+                run.end_epoch(slot_out[slots, k, :, 0], slot_y[slots, k])
     for run in runs:
         run.model.weights = [W.copy() for W in run.model.weights]
         run.model.biases = [b.copy() for b in run.model.biases]

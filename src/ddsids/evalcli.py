@@ -37,6 +37,7 @@ from .simnet import SUBNET_HOSTS, ScenarioConfig
 
 OUT_DIR_ENV = "DDSIDS_OUT_DIR"
 CLI_TOP_K = 20  # features `ddsids select` keeps by default
+HISTOGRAM_BINS = 20  # equal-width score bins over [0, 1]
 EXPERT_ROW_NAMES = {"dos": "DoS", "clone": "Clone", "malsub": "Malicious Subscriber"}
 
 
@@ -90,7 +91,6 @@ def confusion_from(labels: Sequence[str], predicted_benign: np.ndarray) -> Confu
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    scenarios: tuple[str, ...] = simnet.SCENARIOS
     ip_mode: str = "both"
     feature_k: int = 78
     model: str = "all"  # all | experts | single | ensemble | expert:<attack>
@@ -104,13 +104,6 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not self.scenarios:
-            raise ValueError(f"scenarios must name at least one of {', '.join(simnet.SCENARIOS)}")
-        unknown = [name for name in self.scenarios if name not in simnet.SCENARIOS]
-        if unknown:
-            raise ValueError(f"unknown scenario(s) {', '.join(map(repr, unknown))}; known: {', '.join(simnet.SCENARIOS)}")
-        if len(set(self.scenarios)) != len(self.scenarios):
-            raise ValueError(f"scenarios repeat a name: {', '.join(self.scenarios)}")
         if self.ip_mode not in IP_MODES:
             raise ValueError(f"ip_mode must be one of {IP_MODES}")
         if not 0 < self.scale <= 1.0:
@@ -121,6 +114,7 @@ class ExperimentPlan:
             raise ValueError("feature_k must be at least 1")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
+        TrainConfig(epochs=self.epochs)  # checks the epoch ceiling
         if self.selection_method not in SELECTION_METHODS:
             raise ValueError(f"unknown selection method {self.selection_method!r}; known: {', '.join(SELECTION_METHODS)}")
         _wanted_models(self)
@@ -138,8 +132,8 @@ _SEED_OFFSETS = {**{name: 1 + i for i, name in enumerate(simnet.SCENARIOS)}, "sp
 
 
 def scenario_configs(plan: ExperimentPlan) -> dict[str, ScenarioConfig]:
-    """Desk-scale scenario sizing: roughly 3.5k benign and 350..460 per-attack
-    test sessions at the default 50/50 split."""
+    """Desk-scale sizing of every scenario: roughly 3.5k benign and 350..460
+    per-attack test sessions at the default 50/50 split."""
     # scenario: duration (s) and relaunches at scale 1, and relaunch period (s),
     # largest trace first (seed 7: 135,788 / 90,362 / 58,094 / 55,824 packets),
     # so that fork_map's round-robin deals two workers near-even loads.
@@ -148,7 +142,7 @@ def scenario_configs(plan: ExperimentPlan) -> dict[str, ScenarioConfig]:
     return {name: ScenarioConfig(name, duration * plan.scale, relaunch_period=period,
                                  relaunch_count=max(1, int(round(count * plan.scale))) if count else 0,
                                  benign_relaunch_period=12.0, rng_seed=plan.seed_for(name))
-            for name, (duration, count, period) in sizing.items() if name in plan.scenarios}
+            for name, (duration, count, period) in sizing.items()}
 
 
 @dataclass
@@ -291,8 +285,8 @@ def _simulated_flows(name: str, config: ScenarioConfig, trace_dir: Path | None) 
 
 
 def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCache:
-    """The plan's scenarios simulated, metered and labelled, each in its own
-    forked worker (`parallel.fork_map`), then pooled in plan order.  Given an
+    """Every scenario simulated, metered and labelled, each in its own forked
+    worker (`parallel.fork_map`), then pooled in SCENARIOS order.  Given an
     `out_dir`, each trace, config and flow table goes under its `traces/` and
     `flows/`, with the pooled flows and the feature names."""
     timing: dict[str, float] = {}
@@ -301,8 +295,7 @@ def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCa
         trace_dir, flow_dir = out_dir / "traces", out_dir / "flows"
         trace_dir.mkdir(parents=True, exist_ok=True)
         flow_dir.mkdir(parents=True, exist_ok=True)
-    position = {name: i for i, name in enumerate(plan.scenarios)}
-    tasks = [(position[name], name, config) for name, config in scenario_configs(plan).items()]
+    tasks = [(simnet.SCENARIOS.index(name), name, config) for name, config in scenario_configs(plan).items()]
     with _stage("scenarios", timing):
         scenarios = labelled_scenarios(partial(_simulated_flows, trace_dir=trace_dir), tasks, flow_dir)
     with _stage("preprocess", timing):
@@ -346,15 +339,15 @@ def _apply_anonymize(plan: ExperimentPlan, train_flows, test_flows, footnotes):
     return train_flows, preprocess.anonymize(test_flows, mode)
 
 
-def randomize_sessions(flows: FlowTable, seed: int, hosts: Sequence[int] = SUBNET_HOSTS) -> FlowTable:
-    """Per-session random address assignment from the subnet host range,
-    keeping src != dst: each flow draws its source, then its destination
-    among the other hosts."""
+def randomize_sessions(flows: FlowTable, seed: int) -> FlowTable:
+    """Per-session random address assignment from the subnet host range
+    (`simnet.SUBNET_HOSTS`), keeping src != dst: each flow draws its source,
+    then its destination among the other hosts."""
     rng = np.random.default_rng(seed)
-    n = len(hosts)
+    n = len(SUBNET_HOSTS)
     draws = np.array([(rng.integers(n), rng.integers(n - 1)) for _ in range(len(flows))], dtype=np.int64)
     src, dst = draws.reshape(-1, 2).T
-    return flows.with_columns(addresses=[str(h) for h in hosts], src=src, dst=dst + (dst >= src))
+    return flows.with_columns(addresses=[str(h) for h in SUBNET_HOSTS], src=src, dst=dst + (dst >= src))
 
 
 def build_datasets(
@@ -408,12 +401,13 @@ def compute_ranking(train_ds: Dataset, method: str, seed: int, memo: dict) -> fe
     return memo[key]
 
 
-# The single ranking methods, in the order the consensus averages them.
+# The single ranking methods, in the order the consensus averages them; each
+# looks its `featsel.rank_*` up when called, so a patched one is what runs.
 _RANKERS = {
-    "lasso": lambda ds, seed: featsel.rank_lasso(ds, seed=seed),
-    "rfe": lambda ds, seed: featsel.rank_rfe(ds, step=5),
+    "lasso": lambda ds, seed: featsel.rank_lasso(ds, seed),
+    "rfe": lambda ds, seed: featsel.rank_rfe(ds),
     "univariate": lambda ds, seed: featsel.rank_univariate(ds),
-    "importance": lambda ds, seed: featsel.rank_importance(ds, trials=3, seed=seed),
+    "importance": lambda ds, seed: featsel.rank_importance(ds, seed),
 }
 SELECTION_METHODS = ("consensus", *_RANKERS)
 
@@ -586,16 +580,14 @@ def write_timing_csv(timing: dict[str, float], path) -> None:
     Path(path).write_text("stage,seconds\n" + "\n".join(lines) + "\n")
 
 
-def emit_histogram(model: DetectorModel, test_ds: Dataset, bins: int = 20) -> list[tuple[float, int, int]]:
-    """(bin_low, expected count, predicted count) rows over [0, 1]."""
+def emit_histogram(model: DetectorModel, test_ds: Dataset) -> list[tuple[float, int, int]]:
+    """(bin_low, expected count, predicted count) per bin of HISTOGRAM_BINS over [0, 1]."""
     if len(test_ds.labels) == 0:
         raise ValueError("empty test set")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     expected, _ = np.histogram(test_ds.binary_labels(), bins=edges)
     predicted, _ = np.histogram(detector.predict(model, test_ds.matrix), bins=edges)
-    return [(float(edges[i]), int(expected[i]), int(predicted[i])) for i in range(bins)]
+    return [(float(edges[i]), int(expected[i]), int(predicted[i])) for i in range(HISTOGRAM_BINS)]
 
 
 def write_histogram_csv(rows: Sequence[tuple[float, int, int]], path) -> None:
@@ -755,9 +747,14 @@ def _cmd_preprocess(args) -> int:
         label_name, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--flows expects label=path, got {spec!r}")
+        if label_name in [name for _, name, _ in tasks]:
+            raise ValueError(f"--flows gives the label {label_name!r} twice")
         tasks.append((position, label_name, path))
     scenarios = labelled_scenarios(lambda name, path: flowmeter.read_flow_csv(path), tasks)
     pooled, removed, notes, sizes = pool_scenarios(scenarios)
+    if len(classes := sorted(set(pooled.label))) < 2:
+        raise ValueError(f"the pooled flows hold only {', '.join(classes) or 'nothing'}; "
+                         "a split needs benign and attack flows")
     train_ds, test_ds = preprocess.build_dataset(
         pooled,
         drop_ports=not args.keep_ports,
@@ -797,15 +794,26 @@ def _cmd_select(args) -> int:
     return 0
 
 
+def _widths(text: str) -> list[int]:
+    """A --shape value, comma-separated layer widths; a rejection names the cell."""
+    widths = []
+    for i, cell in enumerate(text.split(","), 1):
+        try:
+            widths.append(simnet.parsed(cell, int))
+        except ValueError as exc:
+            raise ValueError(f"--shape cell {i}: {exc}") from None
+    return widths
+
+
 def _cmd_train(args) -> int:
     if args.epochs < 1:
         raise ValueError("--epochs must be at least 1")
+    config = TrainConfig(epochs=args.epochs, seed=args.seed)
+    shape = _widths(args.shape) if args.shape else None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_ds = preprocess.read_dataset_csv(args.train)
-    shape = [int(x) for x in args.shape.split(",")] if args.shape else detector.default_shape(train_ds.width)
-    config = TrainConfig(epochs=args.epochs, seed=args.seed)
-    model = detector.train(train_ds, shape, config)
+    model = detector.train(train_ds, shape or detector.default_shape(train_ds.width), config)
     detector.save_model(model, out / "model.txt")
     detector.write_training_log(model, out / "training.csv")
     print(f"{out / 'model.txt'}: final loss {model.loss_curve[-1]:.6f}")

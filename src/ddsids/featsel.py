@@ -9,8 +9,9 @@ most impactful first, with ties broken by the dataset's column order:
 * univariate  one-way analysis-of-variance F statistic per feature,
 * importance  permutation importance measured on this package's own detector.
 
-Targets are binarized benign-vs-malicious throughout except for the
-univariate F, which handles any number of classes.
+Their settings are the constants below, one value each.  Targets are
+binarized benign-vs-malicious throughout except for the univariate F, which
+handles any number of classes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from . import detector, parallel
 from .preprocess import Dataset
 
 F_SENTINEL = 1e300  # stands in for an infinite F when within-class variance is 0
+RFE_STEP = 5  # features dropped per elimination fit
+LASSO_LAMBDAS = np.logspace(-4, 1, 30)[::-1]  # the lambda path, largest first
+LASSO_FOLDS = 5
 LASSO_MAX_SWEEPS = 500  # coordinate-descent sweeps per lambda before a fit is given up as unconverged
+IMPORTANCE_EPOCHS = 60
+IMPORTANCE_LEARNING_RATE = 0.05  # hotter than the detector's, to converge on small splits too
+IMPORTANCE_TRIALS = 3  # shuffles of each feature
+REPORT_TOP = 20  # names per method in a ranking report
 
 
 @dataclass
@@ -67,13 +75,11 @@ def _binary_targets(dataset: Dataset, method: str) -> np.ndarray:
     return y
 
 
-def rank_rfe(dataset: Dataset, step: int = 1) -> FeatureRanking:
-    """Repeatedly fit, drop the `step` weakest |weight| features, and rank by
-    reverse elimination order."""
+def rank_rfe(dataset: Dataset) -> FeatureRanking:
+    """Repeatedly fit, drop the RFE_STEP weakest |weight| features, and rank
+    by reverse elimination order."""
     if dataset.width < 2:
         raise ValueError("rfe needs at least 2 features")
-    if step < 1:
-        raise ValueError("step must be >= 1")
     y = _binary_targets(dataset, "rfe")
     names = dataset.feature_names
     remaining = list(range(dataset.width))
@@ -81,7 +87,7 @@ def rank_rfe(dataset: Dataset, step: int = 1) -> FeatureRanking:
     while len(remaining) > 1:
         w = _logistic_weights(dataset.matrix[:, remaining], y)
         order = sorted(range(len(remaining)), key=lambda j: (abs(w[j]), remaining[j]))
-        drop = order[: min(step, len(remaining) - 1)]
+        drop = order[: min(RFE_STEP, len(remaining) - 1)]
         eliminated.extend(remaining[j] for j in drop)
         kept = set(drop)
         remaining = [idx for j, idx in enumerate(remaining) if j not in kept]
@@ -165,17 +171,12 @@ def _path(stats: _GramStats, lambdas: np.ndarray) -> list[tuple[np.ndarray, floa
     return path
 
 
-def rank_lasso(
-    dataset: Dataset,
-    lambda_grid: Sequence[float] | None = None,
-    folds: int = 5,
-    seed: int = 0,
-) -> FeatureRanking:
+def rank_lasso(dataset: Dataset, seed: int = 0) -> FeatureRanking:
     """Rank by |coefficient| at the cross-validated lambda; features already
     at zero there are ordered by where along the path they vanished.
 
-    The Gram statistics of the `folds` fit sets and of all rows are built
-    here; their `folds + 1` paths are independent and run side by side
+    The Gram statistics of the LASSO_FOLDS fit sets and of all rows are
+    built here; their paths are independent and run side by side
     (`parallel.fork_map`), each bit for bit what it gives alone.  Every fit
     that ran `LASSO_MAX_SWEEPS` sweeps without converging is named in
     `flagged` by its path and lambda.
@@ -183,46 +184,43 @@ def rank_lasso(
     y = _binary_targets(dataset, "lasso")
     X = dataset.matrix
     n = len(y)
-    if folds < 2 or folds > n:
-        raise ValueError("folds must be within 2..n_rows")
-    grid = np.sort(np.asarray(lambda_grid if lambda_grid is not None else np.logspace(-4, 1, 30)))[::-1]
+    if n < LASSO_FOLDS:
+        raise ValueError(f"lasso needs at least {LASSO_FOLDS} rows, one per fold")
 
     rng = np.random.default_rng(seed)
     fold_of = np.empty(n, dtype=int)
-    fold_of[rng.permutation(n)] = np.arange(n) % folds
+    fold_of[rng.permutation(n)] = np.arange(n) % LASSO_FOLDS
 
-    stats = [_GramStats.from_xy(X[fold_of != k], y[fold_of != k]) for k in range(folds)] + [_GramStats.from_xy(X, y)]
-    paths = parallel.fork_map(lambda s: _path(s, grid), stats)
+    stats = [_GramStats.from_xy(X[fold_of != k], y[fold_of != k]) for k in range(LASSO_FOLDS)]
+    stats.append(_GramStats.from_xy(X, y))
+    paths = parallel.fork_map(lambda s: _path(s, LASSO_LAMBDAS), stats)
     flagged = [
-        f"{'full' if k == folds else f'fold {k}'} path, lambda {lam:g}: stopped at {LASSO_MAX_SWEEPS} sweeps"
+        f"{'full' if k == LASSO_FOLDS else f'fold {k}'} path, lambda {lam:g}: stopped at {LASSO_MAX_SWEEPS} sweeps"
         for k, path in enumerate(paths)
-        for lam, (_, _, sweeps) in zip(grid, path)
+        for lam, (_, _, sweeps) in zip(LASSO_LAMBDAS, path)
         if sweeps == LASSO_MAX_SWEEPS
     ]
 
-    cv_loss = np.zeros(len(grid))
-    for k in range(folds):
+    cv_loss = np.zeros(len(LASSO_LAMBDAS))
+    for k in range(LASSO_FOLDS):
         fit = fold_of != k
         X_val, y_val = X[~fit], y[~fit]
         for gi, (w, b, _) in enumerate(paths[k]):
             err = y_val - b - X_val @ w
             cv_loss[gi] += float(err @ err) / len(err)
-    cv_loss /= folds
+    cv_loss /= LASSO_FOLDS
     best_gi = 0
-    for gi in range(1, len(grid)):
+    for gi in range(1, len(LASSO_LAMBDAS)):
         if cv_loss[gi] < cv_loss[best_gi]:
             best_gi = gi
 
-    path = [w for w, _, _ in paths[folds]]
+    path = [w for w, _, _ in paths[LASSO_FOLDS]]
     if not np.any(path[-1]):
-        raise ValueError(
-            f"lasso kept no features even at the grid floor {grid[-1]:g}; "
-            "extend lambda_grid to smaller values"
-        )
+        raise ValueError(f"lasso kept no features even at the grid floor {LASSO_LAMBDAS[-1]:g}")
     coefs = path[best_gi]
-    first_active = np.full(X.shape[1], len(grid), dtype=int)
+    first_active = np.full(X.shape[1], len(LASSO_LAMBDAS), dtype=int)
     for gi, w in enumerate(path):
-        newly = (w != 0) & (first_active == len(grid))
+        newly = (w != 0) & (first_active == len(LASSO_LAMBDAS))
         first_active[newly] = gi
 
     names = dataset.feature_names
@@ -273,20 +271,9 @@ def rank_univariate(dataset: Dataset) -> FeatureRanking:
     return FeatureRanking("univariate", ranked_names, scores, flagged)
 
 
-def rank_importance(
-    dataset: Dataset,
-    trials: int = 5,
-    seed: int = 0,
-    epochs: int = 60,
-    learning_rate: float = 0.05,
-) -> FeatureRanking:
-    """Permutation importance against a freshly trained baseline detector.
-
-    The baseline uses a hotter learning rate than the production detector so
-    it converges on small ranking datasets too.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def rank_importance(dataset: Dataset, seed: int = 0) -> FeatureRanking:
+    """Permutation importance against a freshly trained baseline detector:
+    each feature's mean accuracy drop over IMPORTANCE_TRIALS shuffles."""
     rng = np.random.default_rng(seed)
     y = dataset.binary_labels()
     n = len(y)
@@ -296,7 +283,7 @@ def rank_importance(
 
     fit_ds = replace(dataset, matrix=dataset.matrix[fit], labels=[dataset.labels[i] for i in fit])
     config = detector.TrainConfig(
-        learning_rate=learning_rate, epochs=epochs, seed=seed, holdout_fraction=0.0
+        learning_rate=IMPORTANCE_LEARNING_RATE, epochs=IMPORTANCE_EPOCHS, seed=seed, holdout_fraction=0.0
     )
     model = detector.train(fit_ds, detector.default_shape(dataset.width), config)
 
@@ -318,13 +305,13 @@ def rank_importance(
     drops = np.zeros(dataset.width)
     for j in range(dataset.width):
         total = 0.0
-        for _ in range(trials):
+        for _ in range(IMPORTANCE_TRIALS):
             perm = rng.permutation(len(hold))
             shuffled = X_hold.copy()
             shuffled[:, j] = X_hold[perm, j]
             acc = float((detector.classify(model, shuffled) == y_hold).mean())
             total += baseline - acc
-        drops[j] = total / trials
+        drops[j] = total / IMPORTANCE_TRIALS
 
     ranked_names = _ordered(dataset.feature_names, [(-drops[j],) for j in range(dataset.width)])
     scores = {dataset.feature_names[j]: float(drops[j]) for j in range(dataset.width)}
@@ -346,9 +333,9 @@ def select(dataset: Dataset, ranking: FeatureRanking, k: int) -> Dataset:
     return dataset.project(names)
 
 
-def ranking_report(rankings: Sequence[FeatureRanking], top: int = 20) -> str:
-    """Aligned text table, one column per method, top-n rows."""
-    columns = [r.ranked_names[:top] for r in rankings]
+def ranking_report(rankings: Sequence[FeatureRanking]) -> str:
+    """Aligned text table, one column per method, REPORT_TOP rows."""
+    columns = [r.ranked_names[:REPORT_TOP] for r in rankings]
     headers = [r.method for r in rankings]
     widths = [max(len(h), max((len(n) for n in col), default=0)) for h, col in zip(headers, columns)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]

@@ -19,11 +19,11 @@ format mimics is not self-consistent:
 * standard deviations are population (ddof=0) and ``Pkt Len Var`` is the
   squared population deviation,
 * a "bulk" is a run of >= 4 consecutive same-direction data packets
-  (payload >= 1) whose successive gaps are all < ``bulk_gap``; packets with
+  (payload >= 1) whose successive gaps are all < ``BULK_GAP_S``; packets with
   empty payload neither join nor break a run, a data packet of the opposite
   direction breaks it,
 * subflows are the segments obtained by splitting the whole flow at gaps
-  > ``subflow_gap``; the ``Subflow *`` features divide the flow totals by the
+  > ``SUBFLOW_GAP_S``; the ``Subflow *`` features divide the flow totals by the
   segment count,
 * active/idle spans split at gaps > ``activity_timeout``; active spans of
   zero width are not recorded,
@@ -140,20 +140,20 @@ LABEL_NAME = "Label"
 FLAG_BITS = {"FIN": 1, "SYN": 2, "RST": 4, "PSH": 8, "ACK": 16, "URG": 32, "CWE": 64, "ECE": 128}
 
 _MIN_RATE_DIVISOR_S = 1e-6
+BULK_GAP_S = 1.0  # a gap this long ends a bulk
+SUBFLOW_GAP_S = 1.0  # a longer gap starts a subflow
 FLOW_BLOCK = 256  # flows (or dataset rows) formatted at a time
 
 
 @dataclass(frozen=True)
 class MeterConfig:
-    """Cut-over thresholds, all in seconds."""
+    """The flow and activity cut-overs, in seconds."""
 
     flow_timeout: float = 120.0
     activity_timeout: float = 5.0
-    bulk_gap: float = 1.0
-    subflow_gap: float = 1.0
 
     def __post_init__(self):
-        for name in ("flow_timeout", "activity_timeout", "bulk_gap", "subflow_gap"):
+        for name in ("flow_timeout", "activity_timeout"):
             if not getattr(self, name) > 0:  # NaN too
                 raise ValueError(f"MeterConfig.{name} must be positive")
         if self.activity_timeout >= self.flow_timeout:
@@ -330,13 +330,13 @@ def _features(trace: PacketTrace, order: np.ndarray, sizes: np.ndarray, cfg: Met
     put("Bwd Seg Size Avg", np.where(n_bwd > 0, bwd_bytes / np.maximum(n_bwd, 1), 0.0))
 
     # Bulks: runs of data packets cut at a flow or direction change and at
-    # gaps >= bulk_gap; runs of 4 or more count.
+    # gaps >= BULK_GAP_S; runs of 4 or more count.
     data = np.flatnonzero(payload >= 1)
     run_start = np.ones(len(data), dtype=bool)
     run_start[1:] = (
         (flow_of[data][1:] != flow_of[data][:-1])
         | (fwd[data][1:] != fwd[data][:-1])
-        | (ts[data][1:] - ts[data][:-1] >= cfg.bulk_gap)
+        | (ts[data][1:] - ts[data][:-1] >= BULK_GAP_S)
     )
     run_starts = np.flatnonzero(run_start)
     run_len = np.diff(np.append(run_starts, len(data)))
@@ -357,7 +357,7 @@ def _features(trace: PacketTrace, order: np.ndarray, sizes: np.ndarray, cfg: Met
         put(f"{prefix} Pkts/b Avg", np.where(has, pkts / per, 0.0))
         put(f"{prefix} Blk Rate Avg", np.where(has, nbytes / np.maximum(dur_s, _MIN_RATE_DIVISOR_S), 0.0))
 
-    n_subflows = 1 + per_flow(iat_flow[flow_iat > cfg.subflow_gap * 1e6])
+    n_subflows = 1 + per_flow(iat_flow[flow_iat > SUBFLOW_GAP_S * 1e6])
     put("Subflow Fwd Pkts", n_fwd / n_subflows)
     put("Subflow Fwd Byts", fwd_bytes / n_subflows)
     put("Subflow Bwd Pkts", n_bwd / n_subflows)

@@ -135,9 +135,10 @@ def pool(flows: FlowTable) -> tuple[FlowTable, int]:
     return encode_ips(encode_timestamps(kept)), removed
 
 
-def strip_router_flows(flows: FlowTable, router_octets: Sequence[int] = ROUTER_HOSTS) -> tuple[FlowTable, int]:
-    """Drop flows touching the router addresses; returns (kept, removed count)."""
-    router = np.isin(_octets(flows), list(router_octets))
+def strip_router_flows(flows: FlowTable) -> tuple[FlowTable, int]:
+    """Drop flows touching the router hosts (`simnet.ROUTER_HOSTS`); returns
+    (kept, removed count)."""
+    router = np.isin(_octets(flows), ROUTER_HOSTS)
     keep = ~(router[flows.src] | router[flows.dst])
     return flows[keep], len(flows) - int(keep.sum())
 
@@ -212,10 +213,9 @@ class Dataset:
         """Rows per label, in the order the labels first show."""
         return dict(Counter(self.labels))
 
-    def denormalize(self, matrix: np.ndarray | None = None) -> np.ndarray:
-        values = self.matrix if matrix is None else matrix
+    def denormalize(self) -> np.ndarray:
         span = self.norm_max - self.norm_min
-        return values * span + self.norm_min
+        return self.matrix * span + self.norm_min
 
     def subset(self, keep_labels: Iterable[str]) -> "Dataset":
         keep = set(keep_labels)

@@ -206,6 +206,9 @@ class ScenarioConfig:
             raise ValueError("attack_active must be positive when set")
         if not 0 <= self.malsub_join_delay < math.inf:
             raise ValueError("malsub_join_delay must be finite and non-negative")
+        for f in fields(self):
+            if isinstance(value := getattr(self, f.name), float) and math.isinf(value):
+                raise ValueError(f"{f.name} must be finite")
 
 
 class _TraceBuilder:

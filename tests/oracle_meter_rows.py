@@ -23,6 +23,8 @@ from ddsids.flowmeter import FEATURE_NAMES, FLAG_BITS, MeterConfig
 from records import FlowRecord, PacketRecord
 
 _MIN_RATE_DIVISOR_S = 1e-6
+BULK_GAP = 1.0  # seconds; a gap this long ends a bulk
+SUBFLOW_GAP = 1.0  # seconds; a longer gap starts a subflow
 
 LEFT_TO_RIGHT_SUM = sum([1e100, 1.0, -1e100]) == 0.0
 
@@ -136,11 +138,11 @@ def compute_features(packets: Sequence[PacketRecord], cfg: MeterConfig, start_ti
     def flag_count(pkts, bit):
         return float(sum(1 for p in pkts if p.flags & bit))
 
-    bulks = _bulks(packets, fwd_src, cfg.bulk_gap)
+    bulks = _bulks(packets, fwd_src, BULK_GAP)
     fb_count, fb_pkts, fb_bytes, fb_dur_us = bulks[True]
     bb_count, bb_pkts, bb_bytes, bb_dur_us = bulks[False]
 
-    n_subflows = 1 + sum(1 for g in flow_iat if g > cfg.subflow_gap * 1e6)
+    n_subflows = 1 + sum(1 for g in flow_iat if g > SUBFLOW_GAP * 1e6)
 
     active, idle = _active_idle([p.ts for p in packets], cfg.activity_timeout)
     active_stats = _stats(active)

@@ -18,6 +18,11 @@ from typing import Sequence
 import numpy as np
 
 _SCORE_EPS = 1e-12
+# The training constants, written out here so the reference shares no value
+# with ddsids either.
+MOMENTUM = 0.9
+BATCH_SIZE = 32
+THRESHOLD = 0.5
 
 
 @dataclass
@@ -103,8 +108,7 @@ def train(matrix: np.ndarray, y: np.ndarray, shape: Sequence[int], config) -> Or
     """Mini-batch SGD with momentum on binary cross-entropy, one model alone.
 
     `y` holds 1.0 for benign rows and 0.0 for attacks; `config` is read for
-    learning_rate, momentum, batch_size, epochs, seed, holdout_fraction and
-    threshold.
+    learning_rate, epochs, seed and holdout_fraction.
     """
     rng = np.random.default_rng(config.seed)
     weights = []
@@ -120,7 +124,7 @@ def train(matrix: np.ndarray, y: np.ndarray, shape: Sequence[int], config) -> Or
         weights.append(W)
         biases.append(np.full(fan_out, 0.01) if hidden else np.zeros(fan_out))
 
-    model = OracleModel(weights=weights, biases=biases, threshold=config.threshold)
+    model = OracleModel(weights=weights, biases=biases, threshold=THRESHOLD)
 
     fit_idx, hold_idx = _holdout_split(len(y), y, config.holdout_fraction, rng)
     X_fit, y_fit = matrix[fit_idx], y[fit_idx]
@@ -133,15 +137,15 @@ def train(matrix: np.ndarray, y: np.ndarray, shape: Sequence[int], config) -> Or
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         batch_losses = []
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
+        for lo in range(0, n, BATCH_SIZE):
+            idx = order[lo : lo + BATCH_SIZE]
             loss, gW, gb = loss_and_gradients(model, X_fit[idx], y_fit[idx])
             if not np.isfinite(loss):
                 raise ValueError(f"training diverged: non-finite loss at epoch {epoch}")
             batch_losses.append(loss)
             for i in range(len(model.weights)):
-                vel_W[i] = config.momentum * vel_W[i] - config.learning_rate * gW[i]
-                vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * gb[i]
+                vel_W[i] = MOMENTUM * vel_W[i] - config.learning_rate * gW[i]
+                vel_b[i] = MOMENTUM * vel_b[i] - config.learning_rate * gb[i]
                 model.weights[i] += vel_W[i]
                 model.biases[i] += vel_b[i]
         model.loss_curve.append(float(np.mean(batch_losses)))

@@ -1,14 +1,18 @@
 """Every option of every ddsids verb is read: the verb's `_cmd_*` function
 reads it as `args.<dest>`, or it sets an ExperimentPlan field and the verb
 builds its plan with `_plan_from_args`.  An option nothing reads would be
-accepted and silently ignored."""
+accepted and silently ignored.
+
+Every field of a settings class is set to a value other than its default
+somewhere: a field nothing sets holds one value and belongs in a constant."""
 
 import argparse
 import ast
 import inspect
 from dataclasses import fields
+from pathlib import Path
 
-from ddsids import evalcli
+from ddsids import detector, evalcli, flowmeter
 
 PLAN_FIELDS = {f.name for f in fields(evalcli.ExperimentPlan)}
 
@@ -41,3 +45,30 @@ def test_every_option_is_read_by_its_verb():
                 unread.append(f"{verb} {'/'.join(action.option_strings)}")
     assert not unread, "options no verb reads: " + ", ".join(unread)
 
+
+
+SETTINGS = (detector.TrainConfig, flowmeter.MeterConfig, evalcli.ExperimentPlan)
+
+
+def set_in_source(cls) -> set[str]:
+    """The fields of `cls` that some call in the package sets: by keyword or
+    by position in a call of the class, or by keyword in a `replace` call."""
+    names = [f.name for f in fields(cls)]
+    found = set()
+    for path in Path(evalcli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if callee == cls.__name__:
+                found.update(names[: len(node.args)])
+            if callee in (cls.__name__, "replace"):
+                found.update(k.arg for k in node.keywords if k.arg)
+    return found
+
+
+def test_every_settings_field_is_set_by_a_call_or_an_option():
+    dests = {action.dest for parser in verbs().values() for action in parser._actions}
+    unset = [f"{cls.__name__}.{f.name}" for cls in SETTINGS for f in fields(cls)
+             if f.name not in set_in_source(cls) | dests]
+    assert not unset, "fields nothing sets: " + ", ".join(unset)

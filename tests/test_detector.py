@@ -129,6 +129,11 @@ class TestTraining:
         with pytest.raises(ValueError, match="width"):
             train(ds, small_shape(2), TrainConfig(epochs=1))
 
+    def test_epochs_past_the_ceiling_rejected(self):
+        assert TrainConfig(epochs=detector.MAX_EPOCHS).epochs == 10_000
+        with pytest.raises(ValueError, match="^epochs must be at most 10000, got 1000000000000$"):
+            TrainConfig(epochs=10**12)
+
     def test_loss_curve_recorded(self):
         ds = toy_dataset(n=80, seed=4)
         model = train(ds, small_shape(2), TrainConfig(epochs=12, seed=1))

@@ -86,7 +86,7 @@ class TestHistogram:
 
     def test_all_benign_perfect_model(self):
         ds = self.dataset(["benign"] * 40)
-        rows = emit_histogram(self.constant_model(0.999), ds, bins=20)
+        rows = emit_histogram(self.constant_model(0.999), ds)
         assert len(rows) == 20
         assert rows[-1][1] == 40  # expected mass in the top bin
         assert rows[-1][2] == 40  # predicted mass in the top bin
@@ -94,7 +94,7 @@ class TestHistogram:
 
     def test_near_half_scores_hit_middle_band(self):
         ds = self.dataset(["benign"] * 10 + ["dos"] * 10)
-        rows = emit_histogram(self.constant_model(0.52), ds, bins=20)
+        rows = emit_histogram(self.constant_model(0.52), ds)
         middle = [r for r in rows if 0.4 <= r[0] < 0.6]
         assert sum(r[2] for r in middle) == 20
         assert rows[0][1] == 10 and rows[-1][1] == 10
@@ -132,17 +132,6 @@ class TestScenarioConfigs:
         assert small["dos"].relaunch_count < full["dos"].relaunch_count
         assert small["dos"].duration < full["dos"].duration
 
-    def test_scenario_subset(self):
-        configs = scenario_configs(ExperimentPlan(seed=1, scenarios=("benign", "dos")))
-        assert set(configs) == {"benign", "dos"}
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError, match="unknown scenario.*'dso'"):
-            ExperimentPlan(seed=5, scale=0.06, scenarios=simnet.SCENARIOS + ("dso",))
-
-    def test_repeated_scenario_rejected(self):
-        with pytest.raises(ValueError, match="repeat"):
-            ExperimentPlan(seed=5, scale=0.06, scenarios=("benign", "dos", "benign"))
 
 
 class TestExperimentPipeline:
@@ -284,7 +273,7 @@ class TestPlanValidation:
     @pytest.mark.parametrize("change, message", [
         ({"model": "mystery"}, "unknown model kind"),
         ({"model": "expert:nobody"}, "unknown expert"),
-        ({"scenarios": ()}, "at least one"),
+        ({"epochs": detector.MAX_EPOCHS + 1}, "epochs must be at most 10000"),
         ({"anonymize": "scramble"}, "unknown anonymize spec"),
         ({"anonymize": "shift:one"}, "bad anonymize spec"),
         ({"anonymize": "shift:0"}, "shift_by"),
@@ -311,10 +300,12 @@ class TestPlanValidation:
             raise AssertionError("simulated a rejected plan")
 
         monkeypatch.setattr(simnet, "generate", no_simulation)
-        for flag, value in (("--epochs", "0"), ("--model", "mystery"), ("--k", "0"), ("--anonymize", "scramble")):
+        for flag, value in (("--epochs", "0"), ("--epochs", "1000000000000"), ("--model", "mystery"), ("--k", "0"),
+                            ("--anonymize", "scramble")):
             rc = main(["experiment", "--seed", "5", "--scale", "0.06", flag, value, "--out-dir", str(tmp_path)])
             assert rc == 1
-            assert capsys.readouterr().err.startswith("ddsids: error: ")
+            err = capsys.readouterr().err
+            assert err.startswith("ddsids: error: ") and flag.lstrip("-") in err
 
     @pytest.mark.parametrize("verb", ["simulate", "preprocess", "select", "train", "experiment", "sweep"])
     def test_cli_rejects_a_negative_seed_by_name(self, verb, capsys):
@@ -333,6 +324,19 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == "ddsids: error: --epochs must be at least 1\n"
         assert not (tmp_path / "m").exists()
+
+    def test_train_rejects_epochs_past_the_ceiling_before_reading(self, tmp_path, capsys):
+        # The training file does not exist: the ceiling is checked first.
+        rc = main(["train", "--train", str(tmp_path / "missing.csv"), "--epochs", "1000000000000",
+                   "--out-dir", str(tmp_path / "m")])
+        assert rc == 1
+        assert capsys.readouterr().err == "ddsids: error: epochs must be at most 10000, got 1000000000000\n"
+        assert not (tmp_path / "m").exists()
+
+    def test_train_names_the_shape_cell_it_cannot_read(self, tmp_path, capsys):
+        rc = main(["train", "--train", str(tmp_path / "missing.csv"), "--shape", "5,x", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "ddsids: error: --shape cell 2: not an integer 'x'\n"
 
     def test_simulate_and_meter(self, tmp_path):
         out = tmp_path / "art"
@@ -393,7 +397,7 @@ class TestCli:
         plan = replace(SMALL_PLAN, model="single", epochs=1)
         chain, data, exp = tmp_path / "chain", tmp_path / "data", tmp_path / "exp"
         flow_args = []
-        for scenario in plan.scenarios:
+        for scenario in simnet.SCENARIOS:
             assert main(["simulate", "--scenario", scenario, "--seed", str(plan.seed),
                          "--scale", str(plan.scale), "--out-dir", str(chain)]) == 0
             assert main(["meter", "--packets", str(chain / f"{scenario}.packets.csv"), "--out-dir", str(chain)]) == 0
@@ -458,6 +462,14 @@ def toy_dataset(n=300, width=6, seed=0):
     )
 
 
+def scenario_flows(tmp_path, scenario):
+    """A flow file of the scenario's trace at scale 0.02."""
+    path = tmp_path / f"{scenario}.flows.csv"
+    config = scenario_configs(ExperimentPlan(seed=4, scale=0.02))[scenario]
+    flowmeter.write_flow_csv(flowmeter.meter(simnet.generate(config)), path)
+    return path
+
+
 def scores_order(path):
     return [line.split(",")[1].strip('"') for line in path.read_text().splitlines()[1:]]
 
@@ -479,7 +491,7 @@ class TestCliContracts:
                        "--seed", str(seed), "--out-dir", str(out)])
             assert rc == 0
             orders[seed] = scores_order(out / "scores-importance.csv")
-        expected = featsel.rank_importance(preprocess.read_dataset_csv(train), trials=3, seed=5)
+        expected = featsel.rank_importance(preprocess.read_dataset_csv(train), seed=5)
         assert orders[5] == expected.ranked_names
         assert orders[5] != orders[0]
 
@@ -536,6 +548,22 @@ class TestCliContracts:
         rc = main(["preprocess", "--flows", f"dos={flows}", "--out-dir", str(tmp_path / "data")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"ddsids: error: {flows}: line 6, column 'Start Time': non-finite")
+        assert not (tmp_path / "data" / "train.csv").exists()
+
+    def test_preprocess_rejects_a_repeated_label(self, tmp_path, capsys):
+        flows = scenario_flows(tmp_path, "benign")
+        rc = main(["preprocess", "--flows", f"benign={flows}", "--flows", f"benign={flows}",
+                   "--out-dir", str(tmp_path / "data")])
+        assert rc == 1
+        assert capsys.readouterr().err == "ddsids: error: --flows gives the label 'benign' twice\n"
+        assert not (tmp_path / "data" / "train.csv").exists()
+
+    def test_preprocess_rejects_a_one_class_pool(self, tmp_path, capsys):
+        flows = scenario_flows(tmp_path, "benign")
+        rc = main(["preprocess", "--flows", f"benign={flows}", "--out-dir", str(tmp_path / "data")])
+        assert rc == 1
+        assert capsys.readouterr().err == ("ddsids: error: the pooled flows hold only benign; "
+                                           "a split needs benign and attack flows\n")
         assert not (tmp_path / "data" / "train.csv").exists()
 
     def test_preprocess_rejects_unknown_label(self, tmp_path, capsys):

@@ -4,10 +4,10 @@
 model must still be, byte for byte, what training it alone gives: weights,
 biases, loss curve and holdout accuracy.  Jobs are drawn so that row counts
 leave partial last batches and the jobs run different numbers of batches per
-epoch, with and without a holdout split and with their own momentum and
-learning rate.  Stacks of one shape are drawn on C- and Fortran-ordered
-matrices, and diverging stacks must name the epoch the oracle names for the
-first job, in stack order, to diverge at the earliest step.
+epoch, with and without a holdout split and with their own learning rate.
+Stacks of one shape are drawn on C- and Fortran-ordered matrices, and
+diverging stacks must name the epoch the oracle names for the first job, in
+stack order, to diverge at the earliest step.
 """
 
 import sys
@@ -67,8 +67,6 @@ def lockstep_jobs(draw):
         shape = detector.default_shape(width) if draw(st.booleans()) else [width] * 5 + [1]
         config = TrainConfig(
             learning_rate=draw(st.sampled_from([0.01, 0.05, 0.2])),
-            momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
-            batch_size=draw(st.sampled_from([5, 7, 16, 32])),
             epochs=draw(st.integers(min_value=0, max_value=4)),
             seed=draw(st.integers(min_value=0, max_value=2**16)),
             holdout_fraction=draw(st.sampled_from([0.0, 0.1, 0.3])),
@@ -135,7 +133,7 @@ def test_single_class_rows_rejected():
 def shared_shape_stacks(draw):
     """3-4 jobs on one dataset and one shape, so they train as one stack:
     subsets of different sizes give unequal partial last batches, and each
-    job has its own momentum and learning rate.  The dataset matrix is in C
+    job has its own learning rate.  The dataset matrix is in C
     or in Fortran order."""
     width = draw(st.integers(min_value=2, max_value=9))
     n = draw(st.integers(min_value=40, max_value=160))
@@ -144,9 +142,7 @@ def shared_shape_stacks(draw):
     if draw(st.booleans()):
         ds.matrix = np.asfortranarray(ds.matrix)
     shape = draw(st.sampled_from([detector.default_shape(width), [width] * 4 + [1]]))
-    batch_size = draw(st.sampled_from([5, 7, 16]))
     count = draw(st.integers(min_value=3, max_value=4))
-    momenta = draw(st.permutations([0.0, 0.5, 0.7, 0.9]))
     rates = draw(st.permutations([0.01, 0.05, 0.1, 0.2]))
     jobs = []
     for k in range(count):
@@ -154,8 +150,6 @@ def shared_shape_stacks(draw):
         rows = None if kept is None else np.flatnonzero([lab in ("benign", kept) for lab in labels])
         config = TrainConfig(
             learning_rate=rates[k],
-            momentum=momenta[k],
-            batch_size=batch_size,
             epochs=draw(st.integers(min_value=1, max_value=3)),
             seed=draw(st.integers(min_value=0, max_value=2**16)),
             holdout_fraction=draw(st.sampled_from([0.0, 0.1])),
@@ -174,7 +168,7 @@ def test_a_shared_shape_stack_matches_the_oracle(jobs):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_desk_width_stack_matches_the_oracle_in_either_matrix_order(order):
     # The experiment's shape on both layouts of one matrix, four jobs of one
-    # stack with unequal last batches and their own momentum and rate.
+    # stack with unequal last batches and their own rate.
     rng = np.random.default_rng(8)
     labels = list(LABELS) + [str(lab) for lab in rng.choice(LABELS, size=300)]
     ds = dataset(labels, 80, seed=9)
@@ -182,7 +176,7 @@ def test_desk_width_stack_matches_the_oracle_in_either_matrix_order(order):
     shape = detector.default_shape(80)
     kept = ("dos", "clone", "malsub", None)
     jobs = [
-        TrainJob(ds, shape, TrainConfig(epochs=2, seed=30 + i, momentum=0.9 - 0.2 * i, learning_rate=0.01 * (i + 1)),
+        TrainJob(ds, shape, TrainConfig(epochs=2, seed=30 + i, learning_rate=0.01 * (i + 1)),
                  None if attack is None else np.flatnonzero([lab in ("benign", attack) for lab in labels]))
         for i, attack in enumerate(kept)
     ]
@@ -218,8 +212,6 @@ def diverging_stacks(draw):
         rows = None if kept is None else np.flatnonzero([lab in ("benign", kept) for lab in labels])
         config = TrainConfig(
             learning_rate=draw(st.sampled_from([0.05, 30.0, 300.0, 3e3, 1e5, 1e300])),
-            momentum=draw(st.sampled_from([0.0, 0.9])),
-            batch_size=draw(st.sampled_from([5, 16, 64])),
             epochs=draw(st.integers(min_value=1, max_value=5)),
             seed=draw(st.integers(min_value=0, max_value=2**16)),
             holdout_fraction=0.0,
@@ -235,7 +227,7 @@ def test_divergence_names_the_first_bad_step(jobs):
     # The stack is ordered by steps, longest first; its error is the one of
     # the first job in that order to diverge at the earliest step.
     steps = [job.config.epochs * -(-(len(job.dataset.labels) if job.rows is None else len(job.rows))
-                                    // job.config.batch_size) for job in jobs]
+                                    // detector.BATCH_SIZE) for job in jobs]
     stack = sorted(range(len(jobs)), key=lambda i: -steps[i])
     failures = [(failure[0], stack.index(i), failure[1])
                 for i, failure in enumerate(map(oracle_failure, jobs)) if failure is not None]
@@ -254,12 +246,11 @@ def test_divergence_names_the_epoch_of_the_first_job_in_stack_order():
     # short one, a single batch per epoch, is then in its epoch 2; the long
     # one, first in the stack, is in its epoch 0, and that is the epoch the
     # error names.
-    ds = dataset(list(LABELS) * 10, 3, seed=11)
+    ds = dataset(list(LABELS) * 25, 3, seed=11)
     shape = detector.default_shape(3)
     config = TrainConfig(epochs=3, learning_rate=1e300, holdout_fraction=0.0)
-    long = TrainJob(ds, shape, replace(config, seed=0, batch_size=5))
-    short = TrainJob(ds, shape, replace(config, seed=1, batch_size=64),
-                     np.flatnonzero([lab in ("benign", "dos") for lab in ds.labels]))
+    long = TrainJob(ds, shape, replace(config, seed=0))
+    short = TrainJob(ds, shape, replace(config, seed=1), np.arange(20))
     assert oracle_failure(long) == (2, "training diverged: non-finite loss at epoch 0")
     assert oracle_failure(short) == (2, "training diverged: non-finite loss at epoch 2")
     with mock.patch.object(parallel, "usable_cpus", lambda: 1):
@@ -269,14 +260,14 @@ def test_divergence_names_the_epoch_of_the_first_job_in_stack_order():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_divergence_in_a_shared_step_names_the_diverging_job():
-    # Both jobs take full batches of 5 rows, so every step runs them as one
+    # Both jobs take full batches of 32 rows, so every step runs them as one
     # stack.  Only the long one diverges, at step 2 of its epoch 0; the short
     # one, two batches per epoch, is then in its epoch 1.
-    ds = dataset(list(LABELS) * 10, 3, seed=11)
+    ds = dataset(list(LABELS) * 24, 3, seed=11)
     shape = detector.default_shape(3)
-    config = TrainConfig(epochs=3, batch_size=5, holdout_fraction=0.0)
+    config = TrainConfig(epochs=3, holdout_fraction=0.0)
     long = TrainJob(ds, shape, replace(config, seed=0, learning_rate=1e300))
-    short = TrainJob(ds, shape, replace(config, seed=1, learning_rate=0.05), np.arange(10))
+    short = TrainJob(ds, shape, replace(config, seed=1, learning_rate=0.05), np.arange(64))
     assert oracle_failure(long) == (2, "training diverged: non-finite loss at epoch 0")
     assert oracle_failure(short) is None
     with mock.patch.object(parallel, "usable_cpus", lambda: 1):
@@ -287,9 +278,10 @@ def test_a_fortran_ordered_matrix_is_copied_once_per_pass():
     # A row gather from a Fortran-ordered matrix copies the whole matrix into
     # C order first.  The pass makes that copy once: every step gathers from
     # one C-ordered array.
-    ds = dataset(list(LABELS) * 10, 6, seed=5)
+    # 160 rows: 16 held out, 144 fit in 5 batches per epoch.
+    ds = dataset(list(LABELS) * 40, 6, seed=5)
     ds.matrix = np.asfortranarray(ds.matrix)
-    job = TrainJob(ds, detector.default_shape(6), TrainConfig(epochs=2, batch_size=8))
+    job = TrainJob(ds, detector.default_shape(6), TrainConfig(epochs=2))
     sources = []
 
     def record(frame, event, arg):

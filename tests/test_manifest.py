@@ -16,7 +16,7 @@ def test_experiment_and_cli_manifests_carry_the_same_keys(tmp_path):
     plan = ExperimentPlan(seed=5, scale=0.06, epochs=1, model="single")
     chain, data, exp = tmp_path / "chain", tmp_path / "data", tmp_path / "exp"
     flow_args = []
-    for scenario in plan.scenarios:
+    for scenario in simnet.SCENARIOS:
         assert main(["simulate", "--scenario", scenario, "--seed", str(plan.seed), "--scale", str(plan.scale),
                      "--out-dir", str(chain)]) == 0
         assert main(["meter", "--packets", str(chain / f"{scenario}.packets.csv"), "--out-dir", str(chain)]) == 0
@@ -29,7 +29,7 @@ def test_experiment_and_cli_manifests_carry_the_same_keys(tmp_path):
     assert cli["router_sessions_removed"] == ref["router_sessions_removed"] > 0
     assert cli["notes"] == ref["notes"] and len(ref["notes"]) == 2  # the clone and malsub rules
     assert cli["scenarios"] == ref["scenarios"]
-    assert [s["name"] for s in ref["scenarios"]] == list(plan.scenarios)
+    assert [s["name"] for s in ref["scenarios"]] == list(simnet.SCENARIOS)
     for s in ref["scenarios"]:
         assert s["packets"] == len(simnet.read_packet_csv(chain / f"{s['name']}.packets.csv"))
         assert s["flows"] == len(flowmeter.read_flow_csv(chain / f"{s['name']}.flows.csv"))

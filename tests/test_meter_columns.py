@@ -51,10 +51,15 @@ def assert_same_as_rows(packets, cfg=None):
 ENDPOINTS = [("10.0.5.2", 1024), ("10.0.5.4", 5000), ("10.0.5.4", 65535), ("10.0.5.6", 1024), ("10.0.5.5", 7)]
 GAPS_US = [0, 0, 1, 250_000, 999_999, 1_000_000, 1_000_001, 5_000_000, 5_000_001, 120_000_000, 120_000_001,
            300_000_000]
+# Gaps at the edges of the bulk and subflow gaps (1 s) and of the cut-overs
+# of OTHER_THRESHOLDS (0.5 s and 2 s).
+OTHER_THRESHOLDS = MeterConfig(flow_timeout=2.0, activity_timeout=0.5)
+OTHER_GAPS_US = [0, 0, 1, 250_000, 499_999, 500_000, 500_001, 999_999, 1_000_000, 1_000_001, 1_999_999,
+                 2_000_000, 2_000_001, 5_000_000]
 
 
 @st.composite
-def interleaved_traces(draw):
+def interleaved_traces(draw, gaps_us=GAPS_US):
     """Time-sorted packets of a few flows that share endpoints: equal
     timestamps, gaps on both sides of the bulk, subflow, activity and flow
     timeouts (so a 5-tuple comes back after its flow timed out), empty
@@ -71,7 +76,7 @@ def interleaved_traces(draw):
         header = draw(st.integers(min_value=8, max_value=60))
         flags = draw(st.sampled_from([0, 0, 8, 32, 255]))
         packets.append(PacketRecord(t_us / 1e6, src[0], src[1], dst[0], dst[1], proto, payload, header, flags))
-        t_us += draw(st.sampled_from(GAPS_US) | st.integers(min_value=0, max_value=2_000_000))
+        t_us += draw(st.sampled_from(gaps_us) | st.integers(min_value=0, max_value=2_000_000))
     return packets
 
 
@@ -82,11 +87,10 @@ class TestAgainstRowMeter:
     def test_interleaved_flows(self, packets):
         assert_same_as_rows(packets)
 
-    @given(interleaved_traces())
+    @given(interleaved_traces(OTHER_GAPS_US))
     @settings(max_examples=50, deadline=None)
     def test_other_thresholds(self, packets):
-        cfg = MeterConfig(flow_timeout=2.0, activity_timeout=0.5, bulk_gap=0.2, subflow_gap=0.3)
-        assert_same_as_rows(packets, cfg)
+        assert_same_as_rows(packets, OTHER_THRESHOLDS)
 
     def test_random_multi_flow_traces(self):
         rng = np.random.default_rng(5)

@@ -140,6 +140,10 @@ CONFIG = ScenarioConfig("dos", duration=3.0, relaunch_period=0.5, relaunch_count
     (1, "", "missing field 'scenario'"),
     (2, "duration = 1e999", "line 2, field 'duration': non-finite value '1e999'"),
     (10, "dos_gap = inf", "line 10, field 'dos_gap': non-finite value 'inf'"),
+    (3, "publish_interval = inf", "line 3, field 'publish_interval': non-finite value 'inf'"),
+    (5, "relaunch_period = inf", "line 5, field 'relaunch_period': non-finite value 'inf'"),
+    (9, "benign_relaunch_period = inf", "line 9, field 'benign_relaunch_period': non-finite value 'inf'"),
+    (12, "attack_active = inf", "line 12, field 'attack_active': non-finite value 'inf'"),
     (2, "duration = nan", "line 2, field 'duration': non-finite value 'nan'"),
     (2, "duration = abc", "line 2, field 'duration': not a number 'abc'"),
     (6, "relaunch_count = 2.5", "line 6, field 'relaunch_count': not an integer '2.5'"),

@@ -174,7 +174,7 @@ def experiment_like_jobs():
     jobs.append(TrainJob(ds, shape, TrainConfig(epochs=3, seed=24)))
     jobs.append(TrainJob(ds, shape, TrainConfig(epochs=0, seed=25)))
     wide = [12, 12, 12, 12, 1]
-    jobs += [TrainJob(ds, wide, TrainConfig(epochs=2, seed=s, batch_size=20)) for s in (26, 27)]
+    jobs += [TrainJob(ds, wide, TrainConfig(epochs=2, seed=s)) for s in (26, 27)]
     return jobs
 
 
@@ -287,7 +287,7 @@ class TestForkedRankings:
 
     def test_importance_baseline_message_survives_a_child(self, monkeypatch):
         ds = capped_lasso_split()
-        monkeypatch.setattr(detector, "classify", lambda model, rows, threshold=None: np.ones(len(rows), bool))
+        monkeypatch.setattr(detector, "classify", lambda model, rows: np.ones(len(rows), bool))
         message = "^baseline balanced accuracy 0.500 does not beat the 0.500 of a constant"
         cpus(monkeypatch, 1)
         with pytest.raises(ValueError, match=message) as serial:
@@ -316,7 +316,7 @@ class TestForkedScenarios:
         assert forked.notes == serial.notes and len(serial.notes) == 2  # the clone and malsub rules
         assert forked.router_sessions_removed == serial.router_sessions_removed > 0
         assert forked.scenarios == serial.scenarios
-        assert [s["name"] for s in serial.scenarios] == list(SMALL_PLAN.scenarios)
+        assert [s["name"] for s in serial.scenarios] == list(simnet.SCENARIOS)
         for sub in ("traces", "flows"):
             assert files_under(tmp_path / "forked" / sub) == files_under(tmp_path / "serial" / sub)
 

@@ -57,6 +57,12 @@ class TestConfig:
         ("malsub_join_delay", float("nan"), "malsub_join_delay must be finite and non-negative"),
         ("malsub_join_delay", -100.0, "malsub_join_delay must be finite and non-negative"),
         ("malsub_join_delay", float("inf"), "malsub_join_delay must be finite and non-negative"),
+        ("duration", float("inf"), "duration must be finite"),
+        ("publish_interval", float("inf"), "publish_interval must be finite"),
+        ("relaunch_period", float("inf"), "relaunch_period must be finite"),
+        ("benign_relaunch_period", float("inf"), "benign_relaunch_period must be finite"),
+        ("dos_gap", float("inf"), "dos_gap must be finite"),
+        ("attack_active", float("inf"), "attack_active must be finite"),
     ])
     def test_rejects_nan_and_out_of_range_timings(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -69,7 +69,7 @@ def configs(draw) -> ScenarioConfig:
     scenario = draw(st.sampled_from(SCENARIOS))
     seed = draw(st.integers(min_value=0, max_value=2**20))
     scale = draw(st.floats(min_value=0.02, max_value=1.0))
-    config = scenario_configs(ExperimentPlan(scenarios=(scenario,), seed=seed, scale=scale))[scenario]
+    config = scenario_configs(ExperimentPlan(seed=seed, scale=scale))[scenario]
     interval = draw(st.floats(min_value=0.002, max_value=1.5))
     duration = config.duration * min(1.0, interval / 0.5) * draw(st.floats(min_value=0.05, max_value=1.0))
     duration = max(1.0, round(duration, 6))
