@@ -412,10 +412,17 @@ _RANKERS = {
 SELECTION_METHODS = ("consensus", *_RANKERS)
 
 
+# The order `_rankings` deals the methods in.  fork_map gives task i to worker
+# i % workers, so on two CPUs importance, which trains a detector and takes
+# as long as the other three together, runs beside univariate alone.
+_DEAL = ("lasso", "importance", "rfe", "univariate")
+
+
 def _rankings(train_ds: Dataset, seed: int) -> list[featsel.FeatureRanking]:
     """Every single method's ranking of the split, in `_RANKERS` order, the
     methods run side by side (`parallel.fork_map`)."""
-    return parallel.fork_map(lambda rank: rank(train_ds, seed), list(_RANKERS.values()))
+    ranked = dict(zip(_DEAL, parallel.fork_map(lambda method: _RANKERS[method](train_ds, seed), _DEAL)))
+    return [ranked[method] for method in _RANKERS]
 
 
 def _rank(train_ds: Dataset, method: str, seed: int) -> featsel.FeatureRanking:

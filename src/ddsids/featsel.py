@@ -4,8 +4,8 @@ All four methods return a full permutation of the dataset's feature names,
 most impactful first, with ties broken by the dataset's column order:
 
 * rfe         recursive elimination around an L2-regularized logistic fit,
-* lasso       cross-validated L1 linear regression by coordinate descent
-              with covariance updates,
+* lasso       cross-validated L1 linear regression, each path solved
+              exactly by the LARS-lasso homotopy,
 * univariate  one-way analysis-of-variance F statistic per feature,
 * importance  permutation importance measured on this package's own detector.
 
@@ -21,14 +21,19 @@ from typing import Sequence
 
 import numpy as np
 
-from . import detector, parallel
+from . import detector
 from .preprocess import Dataset
 
 F_SENTINEL = 1e300  # stands in for an infinite F when within-class variance is 0
 RFE_STEP = 5  # features dropped per elimination fit
+RFE_L2 = 1e-3  # L2 penalty of the logistic fit RFE ranks by
+RFE_ITERS = 300  # full-batch gradient steps per logistic fit
+RFE_LEARNING_RATE = 0.5
 LASSO_LAMBDAS = np.logspace(-4, 1, 30)[::-1]  # the lambda path, largest first
 LASSO_FOLDS = 5
-LASSO_MAX_SWEEPS = 500  # coordinate-descent sweeps per lambda before a fit is given up as unconverged
+LASSO_JOIN_GUARD = 1e-10  # share of its variance a column must keep apart from the active ones to join
+LASSO_MAX_STEPS = 1000  # homotopy events per path; the grid fits past the last one are left to the KKT check
+LASSO_KKT_TOL = 1e-9  # a grid fit whose KKT residual exceeds this is named in `flagged`
 IMPORTANCE_EPOCHS = 60
 IMPORTANCE_LEARNING_RATE = 0.05  # hotter than the detector's, to converge on small splits too
 IMPORTANCE_TRIALS = 3  # shuffles of each feature
@@ -49,7 +54,7 @@ def _ordered(names: Sequence[str], keyed: list[tuple]) -> list[str]:
     return [names[j] for j in order]
 
 
-def _logistic_weights(X: np.ndarray, y: np.ndarray, l2: float = 1e-3, iters: int = 300, lr: float = 0.5) -> np.ndarray:
+def _logistic_weights(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Full-batch gradient descent on L2-regularized logistic loss.
 
     Deterministic (zero init); returns the weight vector without intercept.
@@ -57,10 +62,10 @@ def _logistic_weights(X: np.ndarray, y: np.ndarray, l2: float = 1e-3, iters: int
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
-    for _ in range(iters):
+    for _ in range(RFE_ITERS):
         g = detector._sigmoid(X @ w + b) - y
-        w -= lr * (X.T @ g / n + l2 * w)
-        b -= lr * float(g.mean())
+        w -= RFE_LEARNING_RATE * (X.T @ g / n + RFE_L2 * w)
+        b -= RFE_LEARNING_RATE * float(g.mean())
     return w
 
 
@@ -99,87 +104,135 @@ def rank_rfe(dataset: Dataset) -> FeatureRanking:
 
 @dataclass(frozen=True)
 class _GramStats:
-    """What the lasso objective needs of (X, y), each averaged over the n rows:
-    XᵀX/n, Xᵀy/n, the column means, the column mean squares and the mean of
-    y.  Built once per data set, outside the λ loop."""
+    """What the lasso objective needs of (X, y), each averaged over the n rows
+    and centered, so that the intercept drops out: Gc = XᵀX/n − x̄x̄ᵀ and
+    c = Xᵀy/n − x̄ȳ, formed as products of the centered columns, with the
+    column means and the mean of y that give the intercept b = ȳ − x̄ᵀw.
+    A column constant within these rows is zeroed in Gc and c, so that
+    diag(Gc) > 0 marks the columns the lasso may use.  Built once per data
+    set, outside the λ loop."""
 
     gram: np.ndarray
     xty: np.ndarray
     col_mean: np.ndarray
-    col_ms: np.ndarray
     y_mean: float
 
     @classmethod
     def from_xy(cls, X: np.ndarray, y: np.ndarray) -> "_GramStats":
         n = X.shape[0]
-        return cls(
-            gram=X.T @ X / n,
-            xty=X.T @ y / n,
-            col_mean=X.mean(axis=0),
-            col_ms=(X * X).mean(axis=0),
-            y_mean=float(y.mean()),
-        )
+        col_mean = X.mean(axis=0)
+        y_mean = float(y.mean())
+        Xc = X - col_mean
+        Xc[:, X.min(axis=0) == X.max(axis=0)] = 0.0
+        return cls(gram=Xc.T @ Xc / n, xty=Xc.T @ (y - y_mean) / n, col_mean=col_mean, y_mean=y_mean)
+
+    def intercepts(self, W: np.ndarray) -> np.ndarray:
+        """The intercept of each row of coefficients."""
+        return self.y_mean - W @ self.col_mean
+
+    def kkt_residual(self, lambdas: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Per row of W, the largest violation of the lasso's optimality
+        conditions at its λ: an active coefficient's correlation c − Gc·w
+        must equal λ·sign(w), an inactive one's may not exceed λ in size."""
+        corr = self.xty - W @ self.gram
+        lam = lambdas[:, None]
+        off = np.where(W != 0, np.abs(corr - lam * np.sign(W)), np.maximum(np.abs(corr) - lam, 0.0))
+        return off.max(axis=1, initial=0.0)
 
 
-def _descend(
-    stats: _GramStats, lam: float, w: np.ndarray, b: float, max_iter: int = LASSO_MAX_SWEEPS, tol: float = 1e-8
-) -> tuple[np.ndarray, float, int]:
-    """Cyclic coordinate descent on (1/2n)||y - b - Xw||^2 + lam * ||w||_1 by
-    covariance updates (Friedman, Hastie & Tibshirani, JSS 2010).
+def _homotopy(stats: _GramStats, lambdas: np.ndarray) -> np.ndarray:
+    """The exact lasso coefficients at each λ of a descending grid, one row
+    per λ, by the LARS-lasso homotopy (Efron, Hastie, Johnstone & Tibshirani,
+    Ann. Statist. 2004) on (1/2)wᵀGc·w − cᵀw + λ||w||₁.
 
-    Instead of the n-length residual r = y - b - Xw it carries the d-length
-    gradient q = Xᵀr/n and the residual mean, which give the same iterates
-    up to rounding at O(d) per coordinate move.  Returns the coefficients,
-    the intercept and the sweeps run: `max_iter` sweeps mean the fit stopped
-    at the cap, not at `tol`.
+    Between two events the active coefficients solve Gc_AA·w_A = c_A − λ·s_A
+    for the active signs s, so they are affine in λ (w_A = u − λv) and so is
+    every correlation c − Gc·w (p + λq).  The next event is the largest λ
+    below the current one at which an inactive usable column's correlation
+    reaches ±λ (it joins with that sign) or an active coefficient reaches
+    zero (it drops); ties go to the lower column index.  A column that just
+    dropped may not rejoin at once with the sign it dropped with, nor may
+    one that just joined drop at once.  A column whose variance left over
+    after regression on the active columns is at most LASSO_JOIN_GUARD of
+    its own may not join: it adds no direction, and Gc_AA would turn
+    singular.  Grid λs inside a segment take its affine solution.
     """
-    G, mean, ms = stats.gram, stats.col_mean.tolist(), stats.col_ms.tolist()
-    q = stats.xty - b * stats.col_mean - G @ w
-    r_mean = stats.y_mean - b - float(stats.col_mean @ w)
-    coords = [j for j in range(len(w)) if ms[j] != 0.0]
-    wl = w.tolist()
-    sweeps = 0
-    for sweeps in range(1, max_iter + 1):
-        max_delta = 0.0
-        for j in coords:
-            rho = q.item(j) + ms[j] * wl[j]
-            shrunk = abs(rho) - lam
-            new = (shrunk if rho > 0 else -shrunk) / ms[j] if shrunk > 0.0 else 0.0
-            delta = new - wl[j]
-            if delta != 0.0:
-                q -= delta * G[j]  # row j is column j: the Gram matrix is symmetric
-                r_mean -= delta * mean[j]
-                wl[j] = new
-                max_delta = max(max_delta, abs(delta))
-        q -= r_mean * stats.col_mean
-        b += r_mean
-        r_mean = 0.0
-        if max_delta < tol:
+    G, c = stats.gram, stats.xty
+    d = len(c)
+    W = np.zeros((len(lambdas), d))
+    diag = np.diag(G)
+    usable = diag > 0
+    lam = float(np.abs(c).max(initial=0.0))
+    gi = int(np.count_nonzero(lambdas >= lam))  # these keep w = 0
+    if not usable.any() or gi == len(lambdas):
+        return W
+    joined = int(np.argmax(np.abs(c)))
+    dropped = -1
+    active: list[int] = []
+    signs: list[float] = []
+    sign = 1.0 if c[joined] > 0 else -1.0  # of the column that last joined or dropped
+    for step in range(LASSO_MAX_STEPS):
+        if joined >= 0:
+            active.append(joined)
+            signs.append(sign)
+        A, s = np.array(active), np.array(signs)
+        G_A = G[A]
+        solved = np.linalg.solve(G_A[:, A], np.column_stack([c[A], s, G_A]))
+        u, v, Z = solved[:, 0], solved[:, 1], solved[:, 2:]
+        p, q = c - u @ G_A, v @ G_A
+
+        joinable = usable.copy()
+        joinable[A] = False
+        joinable &= diag - np.einsum("ij,ij->j", G_A, Z) > LASSO_JOIN_GUARD * diag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rise = np.where(joinable & (q < 1), p / (1 - q), -np.inf)  # correlation reaches +λ
+            fall = np.where(joinable & (q > -1), -p / (1 + q), -np.inf)  # correlation reaches −λ
+        if dropped >= 0:  # its correlation sits at ±λ with the sign it dropped with
+            (rise if sign > 0 else fall)[dropped] = -np.inf
+        at = np.maximum(rise, fall)
+        shrinking = (s * v < 0) & (A != joined)  # moving toward zero
+        at[A[shrinking]] = u[shrinking] / v[shrinking]
+        at = np.minimum(at, lam)
+        event = int(np.argmax(at))
+        nxt = float(at[event]) if step < LASSO_MAX_STEPS - 1 else -np.inf
+
+        while gi < len(lambdas) and lambdas[gi] >= nxt:
+            W[gi, A] = u - lambdas[gi] * v
+            gi += 1
+        if gi == len(lambdas):
             break
-    return np.array(wl), b, sweeps
+        lam = nxt
+        if event in active:
+            sign = signs.pop(active.index(event))
+            active.remove(event)
+            joined, dropped = -1, event
+        else:
+            joined, dropped = event, -1
+            sign = 1.0 if rise[event] >= fall[event] else -1.0
+    return W
 
 
-def _path(stats: _GramStats, lambdas: np.ndarray) -> list[tuple[np.ndarray, float, int]]:
-    """(coefficients, intercept, sweeps) per lambda, warm-started along the
-    grid."""
-    w = np.zeros(len(stats.xty))
-    b = stats.y_mean
-    path = []
-    for lam in lambdas:
-        w, b, sweeps = _descend(stats, float(lam), w, b)
-        path.append((w, b, sweeps))
-    return path
+def _lasso_paths(X: np.ndarray, y: np.ndarray, seed: int) -> tuple[np.ndarray, list[tuple[_GramStats, np.ndarray]]]:
+    """The fold of each row, and (statistics, coefficients along LASSO_LAMBDAS)
+    for the fit rows of each of the LASSO_FOLDS folds and then for all rows."""
+    n = len(y)
+    rng = np.random.default_rng(seed)
+    fold_of = np.empty(n, dtype=int)
+    fold_of[rng.permutation(n)] = np.arange(n) % LASSO_FOLDS
+    paths = []
+    for k in range(LASSO_FOLDS + 1):
+        fit = fold_of != k  # all rows for k == LASSO_FOLDS
+        stats = _GramStats.from_xy(X[fit], y[fit])
+        paths.append((stats, _homotopy(stats, LASSO_LAMBDAS)))
+    return fold_of, paths
 
 
 def rank_lasso(dataset: Dataset, seed: int = 0) -> FeatureRanking:
     """Rank by |coefficient| at the cross-validated lambda; features already
-    at zero there are ordered by where along the path they vanished.
+    at zero there are ordered by where along the path they joined.
 
-    The Gram statistics of the LASSO_FOLDS fit sets and of all rows are
-    built here; their paths are independent and run side by side
-    (`parallel.fork_map`), each bit for bit what it gives alone.  Every fit
-    that ran `LASSO_MAX_SWEEPS` sweeps without converging is named in
-    `flagged` by its path and lambda.
+    Every path is exact (`_homotopy`); a grid fit whose KKT residual exceeds
+    LASSO_KKT_TOL is named in `flagged` by its path and lambda.
     """
     y = _binary_targets(dataset, "lasso")
     X = dataset.matrix
@@ -187,34 +240,26 @@ def rank_lasso(dataset: Dataset, seed: int = 0) -> FeatureRanking:
     if n < LASSO_FOLDS:
         raise ValueError(f"lasso needs at least {LASSO_FOLDS} rows, one per fold")
 
-    rng = np.random.default_rng(seed)
-    fold_of = np.empty(n, dtype=int)
-    fold_of[rng.permutation(n)] = np.arange(n) % LASSO_FOLDS
-
-    stats = [_GramStats.from_xy(X[fold_of != k], y[fold_of != k]) for k in range(LASSO_FOLDS)]
-    stats.append(_GramStats.from_xy(X, y))
-    paths = parallel.fork_map(lambda s: _path(s, LASSO_LAMBDAS), stats)
+    fold_of, paths = _lasso_paths(X, y, seed)
     flagged = [
-        f"{'full' if k == LASSO_FOLDS else f'fold {k}'} path, lambda {lam:g}: stopped at {LASSO_MAX_SWEEPS} sweeps"
-        for k, path in enumerate(paths)
-        for lam, (_, _, sweeps) in zip(LASSO_LAMBDAS, path)
-        if sweeps == LASSO_MAX_SWEEPS
+        f"{'full' if k == LASSO_FOLDS else f'fold {k}'} path, lambda {lam:g}: KKT residual {off:.2g}"
+        for k, (stats, W) in enumerate(paths)
+        for lam, off in zip(LASSO_LAMBDAS, stats.kkt_residual(LASSO_LAMBDAS, W))
+        if off > LASSO_KKT_TOL
     ]
 
     cv_loss = np.zeros(len(LASSO_LAMBDAS))
-    for k in range(LASSO_FOLDS):
-        fit = fold_of != k
-        X_val, y_val = X[~fit], y[~fit]
-        for gi, (w, b, _) in enumerate(paths[k]):
-            err = y_val - b - X_val @ w
-            cv_loss[gi] += float(err @ err) / len(err)
+    for k, (stats, W) in enumerate(paths[:LASSO_FOLDS]):
+        val = fold_of == k
+        err = y[val, None] - stats.intercepts(W) - X[val] @ W.T
+        cv_loss += (err * err).sum(axis=0) / len(err)
     cv_loss /= LASSO_FOLDS
     best_gi = 0
     for gi in range(1, len(LASSO_LAMBDAS)):
         if cv_loss[gi] < cv_loss[best_gi]:
             best_gi = gi
 
-    path = [w for w, _, _ in paths[LASSO_FOLDS]]
+    path = paths[LASSO_FOLDS][1]
     if not np.any(path[-1]):
         raise ValueError(f"lasso kept no features even at the grid floor {LASSO_LAMBDAS[-1]:g}")
     coefs = path[best_gi]

@@ -7,13 +7,12 @@ most one per task): the first worker is this process, each other one a child
 made with `os.fork`, which inherits the tasks and `fn` as they stand and
 sends its results back through a pipe, pickled.  Results are therefore bit
 for bit what the calls give in this process.  Its callers: the lockstep
-training parts (`detector.train_many`), the lasso paths (`featsel`), the four
-rankers of a consensus and of `ddsids select --method all`
-(`evalcli._rankings`), the scenario chains of `evalcli.build_cache`
-(simulate, meter, label, write) and the flow reads of `ddsids preprocess`,
-and the train/test pair writer.  The calls nest: a `fork_map` inside worker
-0's share forks again (the lasso's paths, beside the child that ranks by rfe
-and importance), and one inside a child runs its tasks in turn there.
+training parts (`detector.train_many`), the four rankers of a consensus and
+of `ddsids select --method all` (`evalcli._rankings`), the scenario chains
+of `evalcli.build_cache` (simulate, meter, label, write) and the flow reads
+of `ddsids preprocess`, and the train/test pair writer.  None of these runs
+inside another, so nothing nests a fork; a `fork_map` inside a child would
+run its tasks in turn there.
 Children are processes rather than threads because these stages make many
 small numpy calls and much Python work, which the interpreter lock would
 serialise.

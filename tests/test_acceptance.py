@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  The heavyweight artifacts
 (simulated traces, metered flows, trained models) are session fixtures shared
 across criteria; everything is seeded and deterministic.  Criteria 4-7 run on
-seed 7, the seed of the committed reports, and on seed 11, held out.
+seed 7, the seed of the committed reports, and on seed 11, held out;
+`--acceptance-seeds 0-6,8-10` runs them on more seeds besides those two.
 """
 
 import hashlib
@@ -20,11 +21,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddsids import detector, evalcli, flowmeter
+from ddsids import detector, evalcli, featsel, flowmeter
 from ddsids.detector import DetectorModel, EnsembleModel, TrainConfig
 from ddsids.evalcli import ConfusionCounts, ExperimentPlan, metrics
 from ddsids.simnet import PacketTrace
 
+import oracle_lasso
 from oracle_flow import EXACT_FEATURES, oracle_features, oracle_flows, random_flow_packets
 from records import records_of, table_of
 
@@ -32,11 +34,27 @@ SEEDS = (7, 11)
 _timings: dict[tuple[int, str], float] = {}
 
 
+def acceptance_seeds(option: str) -> tuple[int, ...]:
+    """SEEDS, then the other seeds an --acceptance-seeds value names: a
+    comma-separated list of seeds and a-b ranges."""
+    extra = set()
+    for part in filter(None, option.replace(" ", "").split(",")):
+        low, _, high = part.partition("-")
+        extra.update(range(int(low), int(high or low) + 1))
+    return SEEDS + tuple(sorted(extra - set(SEEDS)))
+
+
+def pytest_generate_tests(metafunc):
+    if "plan" in metafunc.fixturenames:
+        seeds = acceptance_seeds(metafunc.config.getoption("--acceptance-seeds"))
+        metafunc.parametrize("plan", seeds, indirect=True, scope="session")
+
+
 def _announce(criterion: int, text: str) -> None:
     print(f"\nACCEPTANCE {criterion}: PASS - {text}")
 
 
-@pytest.fixture(scope="session", params=SEEDS)
+@pytest.fixture(scope="session")
 def plan(request):
     return ExperimentPlan(seed=request.param)
 
@@ -296,6 +314,41 @@ def test_criterion_6_reduced_features(reduced_reports):
               + " (k=5/10/20)")
 
 
+# The no-IP consensus ranking whose top-k the reduced-feature study keeps.
+# A change that moves it names the move here.
+CONSENSUS_TOP20 = {
+    7: ["Fwd Pkt Len Max", "Flow Byts/s", "Fwd Pkts/s", "Pkt Len Std", "Fwd Pkt Len Mean", "Flow Pkts/s",
+        "Tot Fwd Pkts", "TotLen Fwd Pkts", "Bwd Pkt Len Max", "Fwd Pkt Len Std", "Pkt Len Max", "Fwd IAT Min",
+        "Flow IAT Std", "Pkt Len Mean", "Flow Duration", "Bwd Pkt Len Mean", "Fwd Seg Size Avg", "Flow IAT Max",
+        "Bwd Pkt Len Std", "TotLen Bwd Pkts"],
+    11: ["Fwd Pkt Len Max", "Fwd Pkt Len Std", "Pkt Len Std", "Fwd Pkt Len Mean", "Flow Pkts/s", "TotLen Fwd Pkts",
+         "Flow Byts/s", "Pkt Len Max", "Fwd IAT Min", "Tot Fwd Pkts", "Bwd Pkt Len Max", "Flow IAT Mean",
+         "Pkt Len Mean", "Bwd Pkt Len Mean", "Fwd Pkts/s", "Fwd IAT Tot", "Fwd Seg Size Avg", "Flow Duration",
+         "Fwd Blk Rate Avg", "Tot Bwd Pkts"],
+}
+
+
+def test_reduced_features_keep_the_pinned_consensus(plan, cache, reduced_reports):
+    if plan.seed not in CONSENSUS_TOP20:
+        pytest.skip(f"no consensus ranking pinned for seed {plan.seed}")
+    [ranking] = [r for key, r in cache.rankings.items() if key[0] == "consensus"]
+    for k in (5, 10, 20):
+        assert ranking.ranked_names[:k] == CONSENSUS_TOP20[plan.seed][:k], f"top-{k}"
+
+
+def test_lasso_kkt_certificate(plan, cache):
+    # Every fit of the five fold paths and the full path on the no-IP split,
+    # checked from its own rows.
+    train_ds, _, _ = evalcli.build_datasets(replace(plan, ip_mode="none"), cache, [], {})
+    X, y = train_ds.matrix, train_ds.binary_labels()
+    fold_of, paths = featsel._lasso_paths(X, y, plan.seed)
+    assert len(paths) == featsel.LASSO_FOLDS + 1
+    for k, (_, W) in enumerate(paths):
+        rows = fold_of != k
+        for lam, w in zip(featsel.LASSO_LAMBDAS, W):
+            assert oracle_lasso.kkt_residual(X[rows], y[rows], lam, w) <= 1e-10, (k, lam)
+
+
 # --------------------------------------------------------------------------
 # criterion 7: anonymization semantics
 
@@ -430,6 +483,20 @@ def test_reports_do_not_depend_on_the_blas_kernel(tmp_path):
               if p.parent.name in ("traces", "flows")]
     for name in names:
         assert (outs["default"] / name).read_bytes() == (outs["Haswell"] / name).read_bytes(), name
+    # The lasso's small solves go through LAPACK: its selection may not move
+    # either, though its scores may differ in their last bits.
+    train = outs["default"] / "train.csv"
+    for core, out in outs.items():
+        child_env = env if core == "default" else {**env, "OPENBLAS_CORETYPE": core}
+        done = subprocess.run([sys.executable, "-m", "ddsids", "select", "--train", str(train), "--method", "lasso",
+                               "--k", "20", "--seed", "7", "--out-dir", str(out / "select")],
+                              capture_output=True, text=True, env=child_env, timeout=300)
+        assert done.returncode == 0, done.stderr
+    selected = {core: out / "select" for core, out in outs.items()}
+    assert (selected["default"] / "train.top20.csv").read_bytes() == (selected["Haswell"] / "train.top20.csv").read_bytes()
+    ranked = {core: [line.rsplit(",", 1)[0] for line in (path / "scores-lasso.csv").read_text().splitlines()]
+              for core, path in selected.items()}
+    assert ranked["default"] == ranked["Haswell"]
 
 
 # --------------------------------------------------------------------------

@@ -100,6 +100,16 @@ def test_linear_rankers_reject_one_class(rank, labels, found):
         rank(ds)
 
 
+def capped_split():
+    """Two identical columns that sit in a narrow band far from zero, and so
+    nearly on the intercept: coordinate descent crawls here at small lambda
+    and stops at its sweep cap."""
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0, 1, (120, 4))
+    X[:, 1] = X[:, 0] = 0.9 + 0.05 * rng.uniform(0, 1, 120)
+    return dataset_from(X, ["benign" if v else "dos" for v in X[:, 0] + 0.02 * X[:, 2] > 0.925])
+
+
 class TestLasso:
     def test_noise_shrinks_before_signal(self):
         rng = np.random.default_rng(6)
@@ -119,15 +129,12 @@ class TestLasso:
         n = 150
         X = rng.uniform(0, 1, size=(n, 2))
         y = (X[:, 0] * 0.7 - X[:, 1] * 0.3 + 0.2 > 0.35).astype(float)
-        labels = ["benign" if v else "dos" for v in y]
-        ds = dataset_from(X, labels)
-        from ddsids.featsel import _descend, _GramStats
-
-        w, b, _ = _descend(_GramStats.from_xy(X, y), 0.0, np.zeros(2), float(y.mean()), max_iter=5000, tol=1e-13)
+        stats = featsel._GramStats.from_xy(X, y)
+        W = featsel._homotopy(stats, np.array([1.0, 0.01, 0.0]))
         A = np.column_stack([np.ones(n), X])
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        assert abs(b - coef[0]) < 1e-6
-        assert np.allclose(w, coef[1:], atol=1e-6)
+        assert abs(stats.intercepts(W)[-1] - coef[0]) < 1e-12
+        assert np.allclose(W[-1], coef[1:], rtol=0, atol=1e-12)
 
     def test_duplicate_columns_deterministic(self):
         ds = binary_toy(width=3, informative=0, seed=8)
@@ -135,8 +142,10 @@ class TestLasso:
         a = rank_lasso(ds)
         b = rank_lasso(ds)
         assert a.ranked_names == b.ranked_names
-        # cyclic descent concentrates weight on the first duplicate
+        # The lower index joins on the tie; the copy adds no direction, so
+        # the join guard keeps it out of the path.
         assert a.ranked_names.index("f0") < a.ranked_names.index("f1")
+        assert a.scores["f1"] == 0.0 and a.flagged == []
 
     def test_nonzero_count_monotone_in_lambda(self):
         rng = np.random.default_rng(9)
@@ -145,11 +154,8 @@ class TestLasso:
         latent = X @ np.array([1.2, -0.8, 0.5, 0.0, 0.0, 0.0])
         labels = ["benign" if v > np.median(latent) else "dos" for v in latent]
         ds = dataset_from(X, labels)
-        from ddsids.featsel import _GramStats, _path
-
-        grid = np.sort(np.logspace(-4, 1, 30))[::-1]
-        path = _path(_GramStats.from_xy(ds.matrix, ds.binary_labels()), grid)
-        nonzero = [int(np.count_nonzero(w)) for w, _, _ in path]
+        W = featsel._homotopy(featsel._GramStats.from_xy(ds.matrix, ds.binary_labels()), featsel.LASSO_LAMBDAS)
+        nonzero = [int(np.count_nonzero(w)) for w in W]
         assert all(a <= b for a, b in zip(nonzero, nonzero[1:]))
 
     def test_all_zero_floor_error(self):
@@ -165,25 +171,41 @@ class TestLasso:
         ranking = rank_lasso(ds)
         assert sorted(ranking.ranked_names) == sorted(ds.feature_names)
 
-    def test_fits_stopped_at_the_sweep_cap_are_flagged(self):
-        # Two identical columns that sit in a narrow band far from zero, and
-        # so nearly on the intercept: coordinate descent crawls at small lambda.
-        from ddsids.featsel import LASSO_MAX_SWEEPS, _GramStats, _path
+    def test_split_that_caps_coordinate_descent_converges(self):
+        ds = capped_split()
+        *_, converged = oracle_lasso.rank_lasso(ds.matrix, ds.binary_labels(), ds.feature_names)
+        assert not converged
+        assert rank_lasso(ds).flagged == []
+        assert_exact_paths(ds, seed=0)
 
-        rng = np.random.default_rng(0)
-        X = rng.uniform(0, 1, (120, 4))
-        X[:, 1] = X[:, 0] = 0.9 + 0.05 * rng.uniform(0, 1, 120)
-        ds = dataset_from(X, ["benign" if v else "dos" for v in X[:, 0] + 0.02 * X[:, 2] > 0.925])
-        ranking = rank_lasso(ds)
-        ranked, _ = oracle_lasso.rank_lasso(ds.matrix, ds.binary_labels(), ds.feature_names)
-        assert ranking.ranked_names == ranked
-        grid = np.sort(np.logspace(-4, 1, 30))[::-1]
-        capped = [lam for lam, (_, _, sweeps) in zip(grid, _path(_GramStats.from_xy(X, ds.binary_labels()), grid))
-                  if sweeps == LASSO_MAX_SWEEPS]
-        assert capped
-        full = [entry for entry in ranking.flagged if entry.startswith("full path")]
-        assert full == [f"full path, lambda {lam:g}: stopped at {LASSO_MAX_SWEEPS} sweeps" for lam in capped]
-        assert any(entry.startswith("fold ") for entry in ranking.flagged)
+    def test_fits_off_their_kkt_conditions_are_flagged(self, monkeypatch):
+        # Active coefficients 1e-6 off the exact path violate the optimality
+        # conditions; each such fit is named, with its residual.
+        exact = featsel._homotopy
+        monkeypatch.setattr(featsel, "_homotopy", lambda stats, lambdas: exact(stats, lambdas) * (1 + 1e-6))
+        ds = capped_split()
+        X, y = ds.matrix, ds.binary_labels()
+        fold_of, paths = featsel._lasso_paths(X, y, 0)
+        expected = {}
+        for k, (_, W) in enumerate(paths):
+            rows = fold_of != k
+            for lam, w in zip(featsel.LASSO_LAMBDAS, W):
+                off = oracle_lasso.kkt_residual(X[rows], y[rows], lam, w)
+                if off > featsel.LASSO_KKT_TOL:
+                    expected[f"{'full' if k == featsel.LASSO_FOLDS else f'fold {k}'} path, lambda {lam:g}"] = off
+        flagged = dict(entry.split(": KKT residual ") for entry in rank_lasso(ds).flagged)
+        assert flagged.keys() == expected.keys()
+        assert len(expected) >= featsel.LASSO_FOLDS + 1
+        for where, off in expected.items():
+            assert float(flagged[where]) == pytest.approx(off, rel=0.05)
+
+    def test_paths_cut_at_the_step_cap_are_flagged(self, monkeypatch):
+        # Cut after two events, each path carries its second segment down to
+        # the grid floor, past joins it did not make.
+        monkeypatch.setattr(featsel, "LASSO_MAX_STEPS", 2)
+        flagged = rank_lasso(capped_split()).flagged
+        assert {entry.split(" path")[0] for entry in flagged} == {f"fold {k}" for k in range(5)} | {"full"}
+        assert all(float(entry.split(": KKT residual ")[1]) > featsel.LASSO_KKT_TOL for entry in flagged)
 
 
 def lasso_split(seed, n=150, width=6):
@@ -197,32 +219,70 @@ def lasso_split(seed, n=150, width=6):
     return dataset_from(X, labels)
 
 
-class TestLassoAgainstResidualOracle:
-    """The covariance-update solver against the residual-form solver it
-    replaced: same ranking, same coefficients up to rounding."""
+def assert_exact_paths(ds, seed):
+    """Every fit of the six paths against the enumerated minimum, on its own
+    rows: a KKT residual of at most 1e-10, an objective no higher, and, where
+    the minimizer is unique, the same coefficients within 1e-9."""
+    X, y = ds.matrix, ds.binary_labels()
+    fold_of, paths = featsel._lasso_paths(X, y, seed)
+    assert np.array_equal(fold_of, oracle_lasso.fold_assignment(len(y), featsel.LASSO_FOLDS, seed))
+    for k, (_, W) in enumerate(paths):
+        Xk, yk = X[fold_of != k], y[fold_of != k]
+        varying = Xk.min(axis=0) < Xk.max(axis=0)
+        unique = np.linalg.matrix_rank(Xk[:, varying] - Xk[:, varying].mean(axis=0)) == varying.sum()
+        exact = oracle_lasso.exact_lasso(Xk, yk, featsel.LASSO_LAMBDAS)
+        for lam, w, best in zip(featsel.LASSO_LAMBDAS, W, exact):
+            assert oracle_lasso.kkt_residual(Xk, yk, lam, w) <= 1e-10
+            assert oracle_lasso.objective(Xk, yk, lam, w) <= oracle_lasso.objective(Xk, yk, lam, best) + 1e-14
+            if unique:
+                assert np.abs(w - best).max() <= 1e-9
 
-    def assert_matches_oracle(self, ds, seed=0):
-        ranking = rank_lasso(ds, seed=seed)
-        ranked, scores = oracle_lasso.rank_lasso(ds.matrix, ds.binary_labels(), ds.feature_names, seed=seed)
+
+def assert_matches_residual_oracle(ds, seed):
+    """Where coordinate descent met its tolerance on every fit, the same
+    ranking and |coefficients| within 1e-6: its stop bounds the last sweep's
+    step (1e-8), not the distance to the minimum.  Returns whether it did."""
+    ranking = rank_lasso(ds, seed=seed)
+    ranked, scores, converged = oracle_lasso.rank_lasso(ds.matrix, ds.binary_labels(), ds.feature_names, seed=seed)
+    if converged:
         assert ranking.ranked_names == ranked
         for name in ds.feature_names:
-            assert abs(ranking.scores[name] - scores[name]) <= 1e-9
+            assert abs(ranking.scores[name] - scores[name]) <= 1e-6
+    return converged
+
+
+class TestLassoAgainstResidualOracle:
+    """The exact paths against the enumerated lasso on every draw, and the
+    ranking against the residual-form coordinate descent wherever that
+    converged."""
 
     def test_duplicate_columns(self):
+        # The minimizer is not unique; the path keeps the copy f3 at zero, so
+        # the ranking is that of the split without it, with f3 last.
         ds = lasso_split(1)
         ds.matrix[:, 3] = ds.matrix[:, 1]
-        self.assert_matches_oracle(ds)
+        assert_exact_paths(ds, 0)
+        ranking = rank_lasso(ds)
+        assert ranking.flagged == [] and ranking.scores["f3"] == 0.0 and ranking.ranked_names[-1] == "f3"
+        without = ds.project([n for n in ds.feature_names if n != "f3"])
+        assert rank_lasso(without).ranked_names == ranking.ranked_names[:-1]
+        assert assert_matches_residual_oracle(without, 0)
 
     def test_constant_column(self):
         ds = lasso_split(2)
         ds.matrix[:, 0] = 0.0
         ds.matrix[:, 4] = 0.5
-        self.assert_matches_oracle(ds, seed=3)
+        assert_exact_paths(ds, 3)
+        assert rank_lasso(ds, seed=3).flagged == []
+        assert assert_matches_residual_oracle(ds, 3)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=8, deadline=None)
     def test_random_split(self, seed):
-        self.assert_matches_oracle(lasso_split(seed), seed=seed % 97)
+        ds = lasso_split(seed)
+        assert_exact_paths(ds, seed % 97)
+        assert rank_lasso(ds, seed=seed % 97).flagged == []
+        assert_matches_residual_oracle(ds, seed % 97)
 
 
 class TestUnivariate:

@@ -1,6 +1,6 @@
-"""`parallel.fork_map`, and the lockstep trainer, the lasso ranking, the
-consensus rankers, the scenario chains and the train/test writer that run
-on it, forked against serial.
+"""`parallel.fork_map`, and the lockstep trainer, the consensus rankers,
+the scenario chains and the train/test writer that run on it, forked
+against serial; the lasso ranking, which does not fork.
 
 The usable CPU count is patched, so the forked path runs on a one-CPU
 machine too.  After every call no child may be left: `os.waitpid(-1,
@@ -216,22 +216,12 @@ class TestForkedStages:
         assert "in forked worker" in str(forked.value.__cause__)
         assert_no_child_left()
 
-    def test_rank_lasso_forked_is_serial_bit_for_bit(self, monkeypatch):
-        # Two identical columns near the intercept, so some fits hit the cap.
-        rng = np.random.default_rng(5)
-        X = rng.uniform(0, 1, (150, 6))
-        X[:, 1] = X[:, 0] = 0.9 + 0.05 * rng.uniform(0, 1, 150)
-        ds = dataset_from(X, ["benign" if v else "dos" for v in X[:, 0] + 0.02 * X[:, 2] > 0.925])
-        cpus(monkeypatch, 1)
-        serial = featsel.rank_lasso(ds, seed=3)
+    def test_rank_lasso_makes_no_fork(self, monkeypatch):
+        # Its six exact paths take milliseconds; a fork would cost more.
         cpus(monkeypatch, 2)
-        forks = counted_forks(monkeypatch)
-        forked = featsel.rank_lasso(ds, seed=3)
-        assert len(forks) == 1
-        assert forked.ranked_names == serial.ranked_names
-        assert np.array(list(forked.scores.values())).tobytes() == np.array(list(serial.scores.values())).tobytes()
-        assert forked.flagged == serial.flagged and serial.flagged
-        assert_no_child_left()
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        ranking = featsel.rank_lasso(capped_lasso_split(), seed=3)
+        assert ranking.flagged == [] and len(ranking.ranked_names) == 6
 
     def test_one_cpu_never_forks(self, monkeypatch):
         cpus(monkeypatch, 1)
@@ -249,8 +239,9 @@ def files_under(root) -> dict:
 
 
 def capped_lasso_split():
-    """A split on which some lasso fits hit the cap (two identical columns
-    near the intercept) and column f2 separates the classes."""
+    """A split on which lasso coordinate descent stopped at its sweep cap
+    (two identical columns near the intercept) and column f2 separates the
+    classes."""
     rng = np.random.default_rng(5)
     X = rng.uniform(0, 1, (200, 6))
     X[:, 1] = X[:, 0] = 0.9 + 0.05 * rng.uniform(0, 1, 200)
@@ -265,12 +256,11 @@ class TestForkedRankings:
         cpus(monkeypatch, 2)
         forks = counted_forks(monkeypatch)
         forked = evalcli.compute_ranking(ds, "consensus", 3, {})
-        assert len(forks) == 2  # rfe and importance, then the lasso paths
+        assert len(forks) == 1  # importance and univariate; the lasso and rfe run here
         assert_no_child_left()
         assert forked.ranked_names == serial.ranked_names
         assert np.array(list(forked.scores.values())).tobytes() == np.array(list(serial.scores.values())).tobytes()
         assert forked.flagged == serial.flagged
-        assert any(entry.startswith("lasso: ") for entry in serial.flagged)
 
     def test_select_all_forked_is_serial_byte_for_byte(self, monkeypatch, tmp_path):
         train = tmp_path / "train.csv"
