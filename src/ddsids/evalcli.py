@@ -31,7 +31,7 @@ import numpy as np
 
 from . import detector, featsel, flowmeter, parallel, preprocess, simnet
 from .detector import DetectorModel, EnsembleModel, TrainConfig
-from .flowmeter import FlowTable, MeterConfig
+from .flowmeter import FlowTable
 from .preprocess import IP_MODES, AnonymizeMode, Dataset
 from .simnet import SUBNET_HOSTS, ScenarioConfig
 
@@ -141,7 +141,7 @@ def scenario_configs(plan: ExperimentPlan) -> dict[str, ScenarioConfig]:
               "malsub": (6100.0, 920, 6.6)}
     return {name: ScenarioConfig(name, duration * plan.scale, relaunch_period=period,
                                  relaunch_count=max(1, int(round(count * plan.scale))) if count else 0,
-                                 benign_relaunch_period=12.0, rng_seed=plan.seed_for(name))
+                                 rng_seed=plan.seed_for(name))
             for name, (duration, count, period) in sizing.items()}
 
 
@@ -279,7 +279,7 @@ def _simulated_flows(name: str, config: ScenarioConfig, trace_dir: Path | None) 
         if trace_dir is not None:
             simnet.write_packet_csv(trace, trace_dir / f"{name}.packets.csv")
             simnet.save_scenario_config(config, trace_dir / f"{name}.config.txt")
-        return flowmeter.meter(trace, MeterConfig())
+        return flowmeter.meter(trace)
     except Exception as exc:  # the stage reports it; the scenario is named here, where it is known
         raise RuntimeError(f"scenario {name}: {exc}") from exc
 
@@ -738,7 +738,7 @@ def _cmd_meter(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     packets = simnet.read_packet_csv(args.packets)
-    flows = flowmeter.meter(packets, MeterConfig(flow_timeout=args.flow_timeout, activity_timeout=args.activity_timeout))
+    flows = flowmeter.meter(packets)
     path = out / (Path(args.packets).stem.replace(".packets", "") + ".flows.csv")
     flowmeter.write_flow_csv(flows, path)
     flowmeter.write_feature_names(out / "features.txt")
@@ -762,19 +762,10 @@ def _cmd_preprocess(args) -> int:
     if len(classes := sorted(set(pooled.label))) < 2:
         raise ValueError(f"the pooled flows hold only {', '.join(classes) or 'nothing'}; "
                          "a split needs benign and attack flows")
-    train_ds, test_ds = preprocess.build_dataset(
-        pooled,
-        drop_ports=not args.keep_ports,
-        keep_timestamp=not args.no_timestamp,
-        split_fraction=args.split,
-        shuffle_seed=args.seed,
-        ip_mode=args.ip_mode,
-    )
+    train_ds, test_ds = preprocess.build_dataset(pooled, split_fraction=args.split, shuffle_seed=args.seed,
+                                                 ip_mode=args.ip_mode)
     write_split(train_ds, test_ds, out)
-    manifest = preprocess.dataset_manifest(
-        train_ds, test_ds, sizes, "none", None, removed, notes,
-        drop_ports=not args.keep_ports, keep_timestamp=not args.no_timestamp,
-    )
+    manifest = preprocess.dataset_manifest(train_ds, test_ds, sizes, "none", None, removed, notes)
     preprocess.write_manifest(out / "dataset.manifest.json", manifest)
     print(f"{out}: train {train_ds.matrix.shape}, test {test_ds.matrix.shape}")
     return 0
@@ -793,7 +784,8 @@ def _cmd_select(args) -> int:
         return 0
     k = CLI_TOP_K if args.k is None else args.k
     featsel.check_k(train_ds, k)
-    ranking = _RANKERS[args.method](train_ds, args.seed)
+    with parallel.one_blas_thread():
+        ranking = _RANKERS[args.method](train_ds, args.seed)
     featsel.write_scores_csv(ranking, out / f"scores-{args.method}.csv")
     reduced = featsel.select(train_ds, ranking, k)
     preprocess.write_dataset_csv(reduced, out / f"train.top{k}.csv")
@@ -892,8 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("meter", help="turn a packet trace into flow features")
     _add_common(p)
     p.add_argument("--packets", required=True)
-    p.add_argument("--flow-timeout", type=float, default=120.0)
-    p.add_argument("--activity-timeout", type=float, default=5.0)
     p.set_defaults(func=_cmd_meter)
 
     p = sub.add_parser("preprocess", help="label, encode, split, and normalize flow files")
@@ -902,8 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows", action="append", required=True, metavar="LABEL=PATH",
                    help="flow csv with its scenario label (benign, dos, clone, malsub); repeatable")
     p.add_argument("--ip-mode", choices=IP_MODES, default=ExperimentPlan.ip_mode)
-    p.add_argument("--keep-ports", action="store_true")
-    p.add_argument("--no-timestamp", action="store_true")
     p.add_argument("--split", type=float, default=0.8)
     p.set_defaults(func=_cmd_preprocess)
 

@@ -65,7 +65,7 @@ def _logistic_weights(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     for _ in range(RFE_ITERS):
         g = detector._sigmoid(X @ w + b) - y
         w -= RFE_LEARNING_RATE * (X.T @ g / n + RFE_L2 * w)
-        b -= RFE_LEARNING_RATE * float(g.mean())
+        b -= RFE_LEARNING_RATE * float(g.sum() / n)  # g.mean()'s bits, without its wrapper
     return w
 
 

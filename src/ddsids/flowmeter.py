@@ -2,7 +2,7 @@
 
 Packets are grouped by the direction-insensitive 5-tuple (addresses, ports,
 protocol).  A group is cut into separate flows whenever the idle gap between
-consecutive packets exceeds ``flow_timeout``.  The "forward" direction of a
+consecutive packets exceeds ``FLOW_TIMEOUT_S``.  The "forward" direction of a
 flow is the direction of its first packet.
 
 Each flow yields 78 numeric features (see FEATURE_NAMES).  Conventions used
@@ -25,7 +25,7 @@ format mimics is not self-consistent:
 * subflows are the segments obtained by splitting the whole flow at gaps
   > ``SUBFLOW_GAP_S``; the ``Subflow *`` features divide the flow totals by the
   segment count,
-* active/idle spans split at gaps > ``activity_timeout``; active spans of
+* active/idle spans split at gaps > ``ACTIVITY_TIMEOUT_S``; active spans of
   zero width are not recorded,
 * ``Init Fwd/Bwd Win Byts`` are structurally 0 for datagram traffic but kept
   so the catalog stays at 78 features,
@@ -44,7 +44,6 @@ per-packet loop over the flow would compute, to the last bit.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,24 +139,11 @@ LABEL_NAME = "Label"
 FLAG_BITS = {"FIN": 1, "SYN": 2, "RST": 4, "PSH": 8, "ACK": 16, "URG": 32, "CWE": 64, "ECE": 128}
 
 _MIN_RATE_DIVISOR_S = 1e-6
+FLOW_TIMEOUT_S = 120.0  # a longer gap ends a flow
+ACTIVITY_TIMEOUT_S = 5.0  # a longer gap ends an active span
 BULK_GAP_S = 1.0  # a gap this long ends a bulk
 SUBFLOW_GAP_S = 1.0  # a longer gap starts a subflow
 FLOW_BLOCK = 256  # flows (or dataset rows) formatted at a time
-
-
-@dataclass(frozen=True)
-class MeterConfig:
-    """The flow and activity cut-overs, in seconds."""
-
-    flow_timeout: float = 120.0
-    activity_timeout: float = 5.0
-
-    def __post_init__(self):
-        for name in ("flow_timeout", "activity_timeout"):
-            if not getattr(self, name) > 0:  # NaN too
-                raise ValueError(f"MeterConfig.{name} must be positive")
-        if self.activity_timeout >= self.flow_timeout:
-            raise ValueError("MeterConfig.activity_timeout must be smaller than flow_timeout")
 
 
 class FlowTable(ColumnTable):
@@ -221,9 +207,9 @@ def _run_sums(values: np.ndarray, starts: np.ndarray, n_runs: int) -> np.ndarray
     return out
 
 
-def _assemble(trace: PacketTrace, flow_timeout: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _assemble(trace: PacketTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group packets into flows: one stable sort on the direction-insensitive
-    5-tuple, cut at gaps > flow_timeout.  Returns the packet order that lists
+    5-tuple, cut at gaps > FLOW_TIMEOUT_S.  Returns the packet order that lists
     each flow's packets in time order, flows ordered by their first packet;
     each flow's packet count; and each flow's serial among the flows of its
     5-tuple."""
@@ -236,7 +222,7 @@ def _assemble(trace: PacketTrace, flow_timeout: float) -> tuple[np.ndarray, np.n
     new_key = np.ones(len(ts), dtype=bool)
     new_key[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
     new_flow = new_key.copy()
-    new_flow[1:] |= ts[1:] - ts[:-1] > flow_timeout
+    new_flow[1:] |= ts[1:] - ts[:-1] > FLOW_TIMEOUT_S
     flow_starts = np.flatnonzero(new_flow)
     flow_no = np.arange(len(flow_starts))
     serial = flow_no - np.maximum.accumulate(np.where(new_key[flow_starts], flow_no, 0))
@@ -247,7 +233,7 @@ def _assemble(trace: PacketTrace, flow_timeout: float) -> tuple[np.ndarray, np.n
     return order, sizes[by_first], serial[by_first]
 
 
-def _features(trace: PacketTrace, order: np.ndarray, sizes: np.ndarray, cfg: MeterConfig) -> np.ndarray:
+def _features(trace: PacketTrace, order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """(flows, 78) feature matrix; `order` lists the packets flow by flow."""
     ts, payload, header, flags = (getattr(trace, c)[order] for c in ("ts", "payload_len", "header_len", "flags"))
     src, sport = trace.src[order], trace.src_port[order]
@@ -367,10 +353,10 @@ def _features(trace: PacketTrace, order: np.ndarray, sizes: np.ndarray, cfg: Met
     np.minimum.at(fwd_header_min, flow_of[fwd], header[fwd])
     put("Fwd Seg Size Min", np.where(n_fwd > 0, fwd_header_min, 0))
 
-    # Active and idle spans: split at gaps > activity_timeout; an active
+    # Active and idle spans: split at gaps > ACTIVITY_TIMEOUT_S; an active
     # span of zero width is not recorded.
     cut = np.zeros(len(ts), dtype=bool)
-    cut[1:] = (flow_of[1:] == flow_of[:-1]) & (ts[1:] - ts[:-1] > cfg.activity_timeout)
+    cut[1:] = (flow_of[1:] == flow_of[:-1]) & (ts[1:] - ts[:-1] > ACTIVITY_TIMEOUT_S)
     span_start = cut.copy()
     span_start[starts] = True
     span_starts = np.flatnonzero(span_start)
@@ -382,14 +368,13 @@ def _features(trace: PacketTrace, order: np.ndarray, sizes: np.ndarray, cfg: Met
     return out
 
 
-def meter(packets: PacketTrace, cfg: MeterConfig | None = None) -> FlowTable:
+def meter(packets: PacketTrace) -> FlowTable:
     """Assemble time-sorted packets into flows and compute their features.
 
     Flows come out benign, in the order of their first packets.  Raises
     ValueError on the first timestamp inversion in the input, and on a
     non-finite timestamp or a negative length.
     """
-    cfg = cfg or MeterConfig()
     ts = packets.ts
     for name, bad in (("ts", ~np.isfinite(ts)), ("payload_len", packets.payload_len < 0),
                       ("header_len", packets.header_len < 0)):
@@ -402,14 +387,14 @@ def meter(packets: PacketTrace, cfg: MeterConfig | None = None) -> FlowTable:
         raise ValueError(f"packets not time-sorted: index {i} has ts={ts[i]:.6f} after ts={ts[i - 1]:.6f}")
     if not len(packets):
         return FlowTable.empty()
-    order, sizes, serial = _assemble(packets, cfg.flow_timeout)
+    order, sizes, serial = _assemble(packets)
     first = order[np.cumsum(sizes) - sizes]
     src, sport, dst, dport, proto = (getattr(packets, c)[first]
                                      for c in ("src", "src_port", "dst", "dst_port", "proto"))
     address = packets.addresses
     flow_id = [f"{address[s]}:{sp}->{address[d]}:{dp}/{p}#{n}" for s, sp, d, dp, p, n in
                zip(src.tolist(), sport.tolist(), dst.tolist(), dport.tolist(), proto.tolist(), serial.tolist())]
-    features = _features(packets, order, sizes, cfg)
+    features = _features(packets, order, sizes)
     return FlowTable(address, flow_id, src, sport, dst, dport, proto, ts[first], features, ["benign"] * len(first))
 
 

@@ -18,8 +18,10 @@ small numpy calls and much Python work, which the interpreter lock would
 serialise.
 
 For the length of the forked section OpenBLAS is held at one thread in this
-process and in the children: its worker threads would otherwise spin on the
-cores the workers need whenever a product crosses its threading threshold.
+process and in the children (`one_blas_thread`): its worker threads would
+otherwise spin on the cores the workers need whenever a product crosses its
+threading threshold.  `ddsids select` holds it there for its one ranker too,
+which would otherwise thread against whatever else keeps a core busy.
 
 `trim_heap()` hands the free pages of the C heap back to the OS.  glibc
 keeps a freed block resident until the free space at the heap's top exceeds
@@ -35,6 +37,7 @@ from __future__ import annotations
 import ctypes
 import os
 import pickle
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 # The calls of the OpenBLAS the numpy wheels bundle, then of a plain build.
@@ -86,6 +89,23 @@ def openblas_core() -> str | None:
     return None if corename is None else corename().decode()
 
 
+@contextmanager
+def one_blas_thread():
+    """OpenBLAS held at one thread for the block, then set back to the
+    count it had; nothing where no loaded OpenBLAS has both calls."""
+    get_threads = openblas_call(OPENBLAS_GET_THREADS)
+    set_threads = openblas_call(OPENBLAS_SET_THREADS, restype=None, argtypes=[ctypes.c_int])
+    if get_threads is None or set_threads is None:
+        yield
+        return
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def usable_cpus() -> int:
     """The CPUs this process may run on; 1 where the platform does not say."""
     affinity = getattr(os, "sched_getaffinity", None)
@@ -111,48 +131,42 @@ def fork_map(fn: Callable, tasks: Sequence) -> list:
     results: list = [None] * len(tasks)
     children: list[tuple[int, int, range]] = []  # (pid, read end of its pipe, its task indices)
     reaped: set[int] = set()
-    get_threads = openblas_call(OPENBLAS_GET_THREADS)
-    set_threads = openblas_call(OPENBLAS_SET_THREADS, restype=None, argtypes=[ctypes.c_int])
-    threads = get_threads() if get_threads is not None and set_threads is not None else None
-    try:
-        if threads is not None:
-            set_threads(1)
-        for w in range(1, workers):
-            indices = range(w, len(tasks), workers)
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                os.close(read_end)
-                _serve(fn, [tasks[i] for i in indices], write_end)
-            os.close(write_end)
-            children.append((pid, read_end, indices))
-        for i in range(0, len(tasks), workers):
-            results[i] = fn(tasks[i])
-        for pid, read_end, indices in children:
-            with os.fdopen(read_end, "rb", closefd=False) as fh:
-                data = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            reaped.add(pid)
-            for i, result in zip(indices, _received(pid, data, status)):
-                results[i] = result
-    finally:
-        for pid, read_end, _ in children:
-            if pid not in reaped:
-                import signal  # only a failed fork_map needs it; importing it costs start-up time
-
+    with one_blas_thread():
+        try:
+            for w in range(1, workers):
+                indices = range(w, len(tasks), workers)
+                read_end, write_end = os.pipe()
                 try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:  # it has exited and waits to be reaped
-                    pass
-                os.waitpid(pid, 0)
-            os.close(read_end)
-        if threads is not None:
-            set_threads(threads)
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_end)
+                    os.close(write_end)
+                    raise
+                if pid == 0:
+                    os.close(read_end)
+                    _serve(fn, [tasks[i] for i in indices], write_end)
+                os.close(write_end)
+                children.append((pid, read_end, indices))
+            for i in range(0, len(tasks), workers):
+                results[i] = fn(tasks[i])
+            for pid, read_end, indices in children:
+                with os.fdopen(read_end, "rb", closefd=False) as fh:
+                    data = fh.read()
+                status = os.waitpid(pid, 0)[1]
+                reaped.add(pid)
+                for i, result in zip(indices, _received(pid, data, status)):
+                    results[i] = result
+        finally:
+            for pid, read_end, _ in children:
+                if pid not in reaped:
+                    import signal  # only a failed fork_map needs it; importing it costs start-up time
+
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:  # it has exited and waits to be reaped
+                        pass
+                    os.waitpid(pid, 0)
+                os.close(read_end)
     return results
 
 

@@ -4,7 +4,7 @@ The pipeline is: label each scenario's flows (`label_scenario`); pool them,
 strip router sessions, sort by start time, rewrite the Timestamp feature as
 inter-session deltas and encode the addresses down to their varying octet
 (`pool`); split them; optionally anonymize them; then build the train/test
-matrices.  Session identity metadata (flow id, ports when dropped) never
+matrices.  Session identity metadata (flow id, start time, ports) never
 reaches the matrix, and min-max normalization is fitted on the training split
 only; test values are clipped into [0, 1].
 
@@ -256,7 +256,7 @@ def split_flows(
     return flows[order[train]], flows[order[~train]]
 
 
-def _column_names(drop_ports: bool, keep_timestamp: bool, ip_mode: str) -> list[str]:
+def _column_names(ip_mode: str) -> list[str]:
     if ip_mode not in IP_MODES:
         raise ValueError(f"ip_mode must be one of {IP_MODES}")
     columns: list[str] = []
@@ -264,18 +264,13 @@ def _column_names(drop_ports: bool, keep_timestamp: bool, ip_mode: str) -> list[
         columns.append(SRC_IP_COL)
     if ip_mode in ("both", "destination_only"):
         columns.append(DST_IP_COL)
-    if not drop_ports:
-        columns += [SRC_PORT_COL, DST_PORT_COL]
-    columns += [n for n in FEATURE_NAMES if keep_timestamp or n != "Timestamp"]
-    return columns
+    return columns + FEATURE_NAMES
 
 
 # Matrix columns taken from a flow's metadata rather than its features.
 _METADATA_COLUMNS = {
     SRC_IP_COL: lambda t: _octets(t, int)[t.src],
     DST_IP_COL: lambda t: _octets(t, int)[t.dst],
-    SRC_PORT_COL: lambda t: t.src_port,
-    DST_PORT_COL: lambda t: t.dst_port,
 }
 
 
@@ -288,14 +283,12 @@ def _matrix(flows: FlowTable, columns: Sequence[str]) -> np.ndarray:
 def build_dataset_from_split(
     train_flows: FlowTable,
     test_flows: FlowTable,
-    drop_ports: bool = True,
-    keep_timestamp: bool = True,
     shuffle_seed: int = 0,
     ip_mode: str = "both",
 ) -> tuple[Dataset, Dataset]:
     """Assemble matrices for an existing flow split; normalization constants
     come from the training side only."""
-    columns = _column_names(drop_ports, keep_timestamp, ip_mode)
+    columns = _column_names(ip_mode)
     train_m = _matrix(train_flows, columns)
     test_m = _matrix(test_flows, columns)
 
@@ -319,21 +312,12 @@ def build_dataset_from_split(
 
 def build_dataset(
     flows: FlowTable,
-    drop_ports: bool = True,
-    keep_timestamp: bool = True,
     split_fraction: float = 0.8,
     shuffle_seed: int = 0,
     ip_mode: str = "both",
 ) -> tuple[Dataset, Dataset]:
     train_flows, test_flows = split_flows(flows, split_fraction, shuffle_seed)
-    return build_dataset_from_split(
-        train_flows,
-        test_flows,
-        drop_ports=drop_ports,
-        keep_timestamp=keep_timestamp,
-        shuffle_seed=shuffle_seed,
-        ip_mode=ip_mode,
-    )
+    return build_dataset_from_split(train_flows, test_flows, shuffle_seed=shuffle_seed, ip_mode=ip_mode)
 
 
 def runtime_environment() -> dict:
@@ -363,8 +347,6 @@ def dataset_manifest(
     anonymize_seed: int | None,
     router_sessions_removed: int,
     notes: Sequence[str],
-    drop_ports: bool = True,
-    keep_timestamp: bool = True,
 ) -> dict:
     """What built `train` and `test`: the pooled scenarios (each a dict of
     its name, packets and flows) and their label rules, the notes the rules
@@ -380,9 +362,7 @@ def dataset_manifest(
         "anonymize_mode": anonymize_mode,
         "anonymize_seed": anonymize_seed,
         "shuffle_seed": train.shuffle_seed,
-        "dropped_columns": ["Flow ID", "Start Time"]
-        + ([SRC_PORT_COL, DST_PORT_COL] if drop_ports else [])
-        + ([] if keep_timestamp else ["Timestamp"]),
+        "dropped_columns": ["Flow ID", "Start Time", SRC_PORT_COL, DST_PORT_COL],
         "rows_per_label": {"train": train.class_counts(), "test": test.class_counts()},
         "feature_names": list(train.feature_names),
         "constant_features": list(train.constant_features),

@@ -17,12 +17,12 @@ Publishers then serialize one topic batch per interval: each topic is an
 8-byte key plus an 8-byte value, so a batch of n topics is a 16*n-byte
 datagram.  Receivers acknowledge every 8th batch with a 16-byte datagram.
 Per-launch topic counts mix a compact 50..60 profile with a log-uniform draw
-across the configured range, so batch sizes span the fleet.
+up to ``TOPICS_PER_PUBLISHER``, so batch sizes span the fleet.
 
 Fixed accounting decisions: every packet carries a 28-byte header (datagram
 plus network header), zeroed TCP-style flags, protocol 17, and a 1-microsecond
-clock resolution.  The DoS flood keeps a 1 ms minimum inter-packet gap by
-default (``dos_gap``) so inter-arrival statistics stay finite.
+clock resolution.  The DoS flood keeps a 1 ms inter-packet gap
+(``DOS_GAP_S``) so inter-arrival statistics stay finite.
 
 Every session has that one shape, opened by `_session`: the benign
 publishers, the clone, the dos launches (which flood after the announcement
@@ -63,8 +63,17 @@ SUBSCRIPTION_KEY_BYTES = 8
 DOS_PAYLOAD = 256
 MIN_TOPICS = 50
 
-# Benign lifecycle texture (relative to ScenarioConfig.benign_relaunch_period
-# and publish_interval).
+# The traffic model every scenario shares, read at call time.
+PUBLISH_INTERVAL_S = 0.5  # a publisher's topic batch period
+TOPICS_PER_PUBLISHER = 200  # the largest topic slice, and the genuine subscriber's
+N_PUBLISHERS = 5  # benign publisher instances
+BENIGN_RELAUNCH_PERIOD_S = 12.0  # a publisher cycle, before its jitter
+DOS_GAP_S = 0.001  # between flood datagrams
+DOS_ACTIVE_S = 0.08  # how long a dos launch floods
+MALSUB_JOIN_DELAY_S = 0.3  # from a malicious subscriber's launch to its join
+
+# Benign lifecycle texture (relative to BENIGN_RELAUNCH_PERIOD_S and
+# PUBLISH_INTERVAL_S).
 CYCLE_JITTER = (0.7, 1.3)
 BENIGN_INTERVAL_JITTER_MAX = 0.01
 RELAUNCH_DOWNTIME_S = 0.2
@@ -167,17 +176,9 @@ class PacketTrace(ColumnTable):
 class ScenarioConfig:
     scenario: str
     duration: float
-    publish_interval: float = 0.5
-    topics_per_publisher: int = 200
     relaunch_period: float = 1.0
     relaunch_count: int = 0
     rng_seed: int = 1
-    # Artifact knobs the scenario descriptions imply but leave open.
-    n_publishers: int = 5
-    benign_relaunch_period: float = 40.0
-    dos_gap: float = 0.001
-    attack_active: float | None = None
-    malsub_join_delay: float = 0.3
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -185,27 +186,12 @@ class ScenarioConfig:
         # Written as `not x > 0`, so that NaN, which fails every comparison, is rejected too.
         if not self.duration > 0:
             raise ValueError("duration must be positive")
-        if not self.publish_interval >= 1e-6:
-            # A shorter interval rounds a stream's step to 0 us on the 1 us clock.
-            raise ValueError("publish_interval must be at least 1e-6 s, the clock resolution")
-        if not MIN_TOPICS <= self.topics_per_publisher <= 500:
-            raise ValueError("topics_per_publisher must be within 50..500")
         if not self.relaunch_period > 0:
             raise ValueError("relaunch_period must be positive")
         if not 0 <= self.relaunch_count <= 2000:
             raise ValueError("relaunch_count must be within 0..2000")
-        if self.n_publishers < 1:
-            raise ValueError("n_publishers must be at least 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
-        if not self.benign_relaunch_period > 0:
-            raise ValueError("benign_relaunch_period must be positive")
-        if not self.dos_gap > 0:
-            raise ValueError("dos_gap must be positive")
-        if self.attack_active is not None and not self.attack_active > 0:
-            raise ValueError("attack_active must be positive when set")
-        if not 0 <= self.malsub_join_delay < math.inf:
-            raise ValueError("malsub_join_delay must be finite and non-negative")
         for f in fields(self):
             if isinstance(value := getattr(self, f.name), float) and math.isinf(value):
                 raise ValueError(f"{f.name} must be finite")
@@ -315,27 +301,21 @@ class _TraceBuilder:
 
 def _draw_topics(b: _TraceBuilder) -> int:
     """Per-launch topic count: a compact 50..60 batch for some launches,
-    otherwise log-uniform across the configured range."""
-    hi = b.cfg.topics_per_publisher
-    if hi <= 60 or float(b.rng.uniform()) < COMPACT_BATCH_FRACTION:
-        return int(b.rng.integers(MIN_TOPICS, min(60, hi) + 1))
-    span = math.log(hi / MIN_TOPICS)
-    return min(hi, int(round(MIN_TOPICS * math.exp(float(b.rng.uniform()) * span))))
+    otherwise log-uniform up to TOPICS_PER_PUBLISHER."""
+    if float(b.rng.uniform()) < COMPACT_BATCH_FRACTION:
+        return int(b.rng.integers(MIN_TOPICS, 61))
+    span = math.log(TOPICS_PER_PUBLISHER / MIN_TOPICS)
+    return min(TOPICS_PER_PUBLISHER, int(round(MIN_TOPICS * math.exp(float(b.rng.uniform()) * span))))
 
 
 def _cycle(b: _TraceBuilder) -> float:
     """A publisher cycle (s): the benign relaunch period, jittered."""
-    return b.cfg.benign_relaunch_period * float(b.rng.uniform(*CYCLE_JITTER))
+    return BENIGN_RELAUNCH_PERIOD_S * float(b.rng.uniform(*CYCLE_JITTER))
 
 
 def _jitter(b: _TraceBuilder) -> float:
     """A stream's interval jitter scale."""
     return float(b.rng.uniform(0.0, BENIGN_INTERVAL_JITTER_MAX))
-
-
-def _attack_window(b: _TraceBuilder) -> float:
-    """How long (s) an attacker's session streams: attack_active, or else a cycle."""
-    return b.cfg.attack_active if b.cfg.attack_active is not None else _cycle(b)
 
 
 def _session(b: _TraceBuilder, t_us: int, pub: int, pub_port: int, sub: int, sub_port: int, n_topics: int,
@@ -349,7 +329,7 @@ def _session(b: _TraceBuilder, t_us: int, pub: int, pub_port: int, sub: int, sub
     b.emit(t_us + 5_000, sub, sub_port, pub, pub_port, n_topics * SUBSCRIPTION_KEY_BYTES)
     if end_us is not None:
         b.stream(t_us + int(FIRST_DATA_OFFSET_S * 1e6), end_us, pub, pub_port, sub, sub_port,
-                 n_topics * TOPIC_BYTES if payload is None else payload, b.cfg.publish_interval, jitter)
+                 n_topics * TOPIC_BYTES if payload is None else payload, PUBLISH_INTERVAL_S, jitter)
 
 
 def _attack_launches(cfg: ScenarioConfig) -> list[int]:
@@ -366,11 +346,11 @@ def _attack_launches(cfg: ScenarioConfig) -> list[int]:
 
 
 def _benign(b: _TraceBuilder) -> int:
-    """Five (configurable) publisher instances on .5 streaming topic batches
-    to the subscriber on .4, each instance relaunching on a fresh port every
-    cycle; returns the subscriber's port."""
+    """N_PUBLISHERS publisher instances on .5 streaming topic batches to the
+    subscriber on .4, each instance relaunching on a fresh port every cycle;
+    returns the subscriber's port."""
     sub_port = b.ephemeral_port(4)
-    for i in range(b.cfg.n_publishers):
+    for i in range(N_PUBLISHERS):
         t_us = int(round(i * 0.1 * 1e6))
         while t_us < b.duration_us:
             end_us = t_us + int(round(_cycle(b) * 1e6))
@@ -387,20 +367,17 @@ def _publisher_attack(b: _TraceBuilder) -> None:
     clone matches the genuine rate, and some launches push the fixed
     256-byte filler while the rest forge a topic batch with false values
     that mirrors the announced slice, as a genuine publisher's would."""
-    cfg = b.cfg
-    launches = _attack_launches(cfg)
+    launches = _attack_launches(b.cfg)
     sub_port = _benign(b)
     for t_us in launches:
         port = b.ephemeral_port(ATTACKER_HOST)
         n_topics = _draw_topics(b)
-        if cfg.scenario == "dos":
+        if b.cfg.scenario == "dos":
             _session(b, t_us, ATTACKER_HOST, port, 4, sub_port, n_topics)
-            active = cfg.attack_active if cfg.attack_active is not None else 0.08
-            gap_us = max(1, int(round(cfg.dos_gap * 1e6)))
-            b.flood(t_us + 10_000, t_us + int(round(active * 1e6)), ATTACKER_HOST, port, 4, sub_port, DOS_PAYLOAD,
-                    gap_us)
+            b.flood(t_us + 10_000, t_us + int(round(DOS_ACTIVE_S * 1e6)), ATTACKER_HOST, port, 4, sub_port,
+                    DOS_PAYLOAD, int(round(DOS_GAP_S * 1e6)))
         else:
-            end_us = t_us + int(round(_attack_window(b) * 1e6))
+            end_us = t_us + int(round(_cycle(b) * 1e6))
             payload = DOS_PAYLOAD if float(b.rng.uniform()) < CLONE_FILLER_FRACTION else n_topics * TOPIC_BYTES
             _session(b, t_us, ATTACKER_HOST, port, 4, sub_port, n_topics, end_us, _jitter(b), payload)
 
@@ -411,21 +388,20 @@ def _malsub(b: _TraceBuilder) -> None:
     malicious one, which joins after a delay, harvests 50..60 of the topics
     for a limited window and leaves before the trace ends.  Router chatter,
     removed later by preprocessing, runs alongside."""
-    cfg = b.cfg
-    launches = _attack_launches(cfg)
+    launches = _attack_launches(b.cfg)
     mgmt_port = b.ephemeral_port(4)
     t_us = 0
     while t_us < b.duration_us:
         cycle_s = _cycle(b)
         jitter = _jitter(b)
-        _session(b, t_us, 4, b.ephemeral_port(4), 5, b.ephemeral_port(5), cfg.topics_per_publisher,
+        _session(b, t_us, 4, b.ephemeral_port(4), 5, b.ephemeral_port(5), TOPICS_PER_PUBLISHER,
                  t_us + int(round(cycle_s * 1e6)), jitter)
         t_us += int(round((cycle_s + RELAUNCH_DOWNTIME_S) * 1e6))
 
-    join_delay_us = int(round(cfg.malsub_join_delay * 1e6))
+    join_delay_us = int(round(MALSUB_JOIN_DELAY_S * 1e6))
     for t_us in launches:
         t_us += join_delay_us
-        active = min(_attack_window(b), (b.duration_us - t_us) / 1e6 - 0.05)
+        active = min(_cycle(b), (b.duration_us - t_us) / 1e6 - 0.05)
         if active <= 0:
             active = 0.05
         n_topics = int(b.rng.integers(50, 61))
@@ -439,7 +415,7 @@ def _malsub(b: _TraceBuilder) -> None:
         pb = b.ephemeral_port(3)
         b.discovery(t_us, 2, pa, 3, pb)
         t = t_us + 50_000
-        end = t_us + int(round(cfg.benign_relaunch_period * 1e6))
+        end = t_us + int(round(BENIGN_RELAUNCH_PERIOD_S * 1e6))
         sent = 0
         while t < end and b.emit(t, 2, pa, 3, pb, 48):
             sent += 1
@@ -718,7 +694,7 @@ def load_scenario_config(path) -> ScenarioConfig:
     path, and the line and field of a value that does not parse, a
     non-finite float, an unknown or repeated key and a byte that is not
     UTF-8."""
-    types = {f.name: {"str": str, "int": int, "float": float}[f.type.split(" |")[0]] for f in fields(ScenarioConfig)}
+    types = {f.name: {"str": str, "int": int, "float": float}[f.type] for f in fields(ScenarioConfig)}
     kwargs: dict = {}
     lines: dict[str, int] = {}
     with open_text(path) as fh:
@@ -747,9 +723,8 @@ def load_scenario_config(path) -> ScenarioConfig:
 
 
 def save_scenario_config(config: ScenarioConfig, path) -> None:
-    """Writes each set field of the config, in declaration order."""
+    """Writes each field of the config, in declaration order."""
     with open(path, "w") as fh:
         for f in fields(ScenarioConfig):
             value = getattr(config, f.name)
-            if value is not None:
-                fh.write(f"{f.name} = {value!r}\n" if isinstance(value, float) else f"{f.name} = {value}\n")
+            fh.write(f"{f.name} = {value!r}\n" if isinstance(value, float) else f"{f.name} = {value}\n")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from ddsids.flowmeter import FEATURE_NAMES, FLAG_BITS, MeterConfig
+from ddsids.flowmeter import FEATURE_NAMES, FLAG_BITS
 from records import FlowRecord, PacketRecord
 
 _MIN_RATE_DIVISOR_S = 1e-6
@@ -104,7 +104,7 @@ def _active_idle(times: Sequence[float], activity_timeout: float) -> tuple[list[
     return active, idle
 
 
-def compute_features(packets: Sequence[PacketRecord], cfg: MeterConfig, start_time: float) -> list[float]:
+def compute_features(packets: Sequence[PacketRecord], activity_timeout: float, start_time: float) -> list[float]:
     """78-entry feature vector for one flow's time-ordered packets."""
     first = packets[0]
     fwd_src = (first.src_ip, first.src_port)
@@ -144,7 +144,7 @@ def compute_features(packets: Sequence[PacketRecord], cfg: MeterConfig, start_ti
 
     n_subflows = 1 + sum(1 for g in flow_iat if g > SUBFLOW_GAP * 1e6)
 
-    active, idle = _active_idle([p.ts for p in packets], cfg.activity_timeout)
+    active, idle = _active_idle([p.ts for p in packets], activity_timeout)
     active_stats = _stats(active)
     idle_stats = _stats(idle)
 
@@ -231,12 +231,12 @@ def compute_features(packets: Sequence[PacketRecord], cfg: MeterConfig, start_ti
     return [values[name] for name in FEATURE_NAMES]
 
 
-def meter(packets: Iterable[PacketRecord], cfg: MeterConfig | None = None) -> list[FlowRecord]:
+def meter(packets: Iterable[PacketRecord], flow_timeout: float = 120.0,
+          activity_timeout: float = 5.0) -> list[FlowRecord]:
     """Assemble time-sorted packets into flows and compute their features.
 
     Raises ValueError on the first timestamp inversion in the input.
     """
-    cfg = cfg or MeterConfig()
     packets = list(packets)
     for i in range(1, len(packets)):
         if packets[i].ts < packets[i - 1].ts:
@@ -253,7 +253,7 @@ def meter(packets: Iterable[PacketRecord], cfg: MeterConfig | None = None) -> li
     for idx, pkt in enumerate(packets):
         key = flow_key(pkt)
         cur = open_flows.get(key)
-        if cur is not None and pkt.ts - cur[-1].ts > cfg.flow_timeout:
+        if cur is not None and pkt.ts - cur[-1].ts > flow_timeout:
             flows.append((cur[0].ts, open_order[key], cur))
             cur = None
         if cur is None:
@@ -285,7 +285,7 @@ def meter(packets: Iterable[PacketRecord], cfg: MeterConfig | None = None) -> li
                 dst_port=first.dst_port,
                 protocol=first.proto,
                 start_time=start,
-                features=compute_features(pkts, cfg, start),
+                features=compute_features(pkts, activity_timeout, start),
             )
         )
     return records

@@ -23,10 +23,8 @@ from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, FLOW_BLOCK, LABEL_NAM
 from ddsids.preprocess import (
     DOCUMENTED_RULE_COMBOS,
     DST_IP_COL,
-    DST_PORT_COL,
     LABEL_RULES,
     SRC_IP_COL,
-    SRC_PORT_COL,
     AnonymizeMode,
     LabelRule,
 )
@@ -196,8 +194,6 @@ def split_flows(
 _METADATA_COLUMNS = {
     SRC_IP_COL: lambda f: int(f.src_ip),
     DST_IP_COL: lambda f: int(f.dst_ip),
-    SRC_PORT_COL: lambda f: f.src_port,
-    DST_PORT_COL: lambda f: f.dst_port,
 }
 
 

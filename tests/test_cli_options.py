@@ -12,7 +12,7 @@ import inspect
 from dataclasses import fields
 from pathlib import Path
 
-from ddsids import detector, evalcli, flowmeter
+from ddsids import detector, evalcli, simnet
 
 PLAN_FIELDS = {f.name for f in fields(evalcli.ExperimentPlan)}
 
@@ -47,7 +47,7 @@ def test_every_option_is_read_by_its_verb():
 
 
 
-SETTINGS = (detector.TrainConfig, flowmeter.MeterConfig, evalcli.ExperimentPlan)
+SETTINGS = (detector.TrainConfig, simnet.ScenarioConfig, evalcli.ExperimentPlan)
 
 
 def set_in_source(cls) -> set[str]:

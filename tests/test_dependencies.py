@@ -1,7 +1,8 @@
 """The package's only runtime dependency outside the standard library is
 numpy, and of numpy only the public API: pyproject promises numpy>=1.24, and
 numpy 2 renamed the private `numpy.core` to `numpy._core`.  Nor does the
-package keep private code that nothing calls."""
+package keep private code that nothing calls, or a constant that nothing
+reads."""
 
 import ast
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import ddsids
 
+ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "ddsids"}
 
 
@@ -52,8 +54,9 @@ def test_no_private_numpy_modules():
     assert not private, "private numpy modules: " + ", ".join(private)
 
 
-def private_definitions(tree) -> list[tuple[str, ast.AST]]:
-    """The module-level `_name`s a module defines (dunders aside), each with its defining statement."""
+def module_definitions(tree, wanted) -> list[tuple[str, ast.AST]]:
+    """The module-level names a module defines for which `wanted(name)`
+    holds, each with its defining statement."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -63,14 +66,16 @@ def private_definitions(tree) -> list[tuple[str, ast.AST]]:
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        found += [(name, node) for name in names if name.startswith("_") and not name.startswith("__")]
+        found += [(name, node) for name in names if wanted(name)]
     return found
 
 
-def test_every_private_name_is_used():
-    trees = package_trees()
+def unused_definitions(wanted, readers) -> list[str]:
+    """`path:line: name` of each module-level name of the package, picked by
+    `wanted`, that no node of the trees `readers` loads, names as an
+    attribute or imports, outside its own defining statement."""
     uses: dict[str, list[ast.AST]] = {}
-    for _, tree in trees:
+    for _, tree in readers:
         for node in ast.walk(tree):
             name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else
                     node.attr if isinstance(node, ast.Attribute) else
@@ -78,9 +83,24 @@ def test_every_private_name_is_used():
             if name is not None:
                 uses.setdefault(name, []).append(node)
     unused = []
-    for path, tree in trees:
-        for name, definition in private_definitions(tree):
+    for path, tree in package_trees():
+        for name, definition in module_definitions(tree, wanted):
             own = {id(n) for n in ast.walk(definition)}
             if not any(id(n) not in own for n in uses.get(name, [])):
                 unused.append(f"{path.name}:{definition.lineno}: {name}")
+    return unused
+
+
+def test_every_private_name_is_used():
+    unused = unused_definitions(lambda name: name.startswith("_") and not name.startswith("__"), package_trees())
     assert not unused, "private names nothing else in the package uses: " + ", ".join(unused)
+
+
+def test_every_constant_is_read():
+    """A module-level UPPER_CASE name is read in the package, the tests or
+    the benchmark; one that nothing reads is left over from a setting that
+    has gone."""
+    scripts = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    readers = package_trees() + [(path, ast.parse(path.read_text(), filename=str(path))) for path in scripts]
+    unused = unused_definitions(lambda name: name.strip("_").isupper(), readers)
+    assert not unused, "constants nothing reads: " + ", ".join(unused)

@@ -351,20 +351,15 @@ class TestCli:
 
     @pytest.mark.parametrize("flow, activity", [("nan", "nan"), ("nan", "5"), ("120", "nan")])
     def test_meter_rejects_nan_timeouts(self, tmp_path, capsys, flow, activity):
+        # The timeouts are flowmeter constants: the options are usage errors.
         packets = tmp_path / "benign.packets.csv"
         simnet.write_packet_csv(simnet.generate(simnet.ScenarioConfig("benign", duration=2.0)), packets)
-        rc = main(["meter", "--packets", str(packets), "--flow-timeout", flow, "--activity-timeout", activity,
-                   "--out-dir", str(tmp_path)])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("ddsids: error: ")
+        with pytest.raises(SystemExit) as exited:
+            main(["meter", "--packets", str(packets), "--flow-timeout", flow, "--activity-timeout", activity,
+                  "--out-dir", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --flow-timeout" in capsys.readouterr().err
         assert not (tmp_path / "benign.flows.csv").exists()
-
-    def test_meter_takes_an_infinite_flow_timeout(self, tmp_path):
-        packets = tmp_path / "benign.packets.csv"
-        simnet.write_packet_csv(simnet.generate(simnet.ScenarioConfig("benign", duration=2.0)), packets)
-        rc = main(["meter", "--packets", str(packets), "--flow-timeout", "inf", "--out-dir", str(tmp_path)])
-        assert rc == 0
-        assert (tmp_path / "benign.flows.csv").exists()
 
     def test_full_cli_chain(self, tmp_path):
         out = tmp_path / "chain"
@@ -417,13 +412,12 @@ class TestCli:
         out = tmp_path / "chain"
         assert main(["simulate", "--scenario", "dos", "--seed", "4", "--scale", "0.05", "--out-dir", str(out)]) == 0
         assert main(["meter", "--packets", str(out / "dos.packets.csv"), "--out-dir", str(out)]) == 0
-        assert main(["preprocess", "--flows", f"dos={out / 'dos.flows.csv'}", "--keep-ports", "--no-timestamp",
-                     "--out-dir", str(out)]) == 0
+        assert main(["preprocess", "--flows", f"dos={out / 'dos.flows.csv'}", "--out-dir", str(out)]) == 0
         manifest = json.loads((out / "dataset.manifest.json").read_text())
-        assert manifest["dropped_columns"] == ["Flow ID", "Start Time", "Timestamp"]
+        assert manifest["dropped_columns"] == ["Flow ID", "Start Time", "Src Port", "Dst Port"]
         assert list(manifest["label_rules"]) == ["dos"]
-        assert {"Src Port", "Dst Port"} <= set(manifest["feature_names"])
-        assert "Timestamp" not in manifest["feature_names"]
+        assert not set(manifest["dropped_columns"]) & set(manifest["feature_names"])
+        assert "Timestamp" in manifest["feature_names"]
 
     def test_experiment_cli_writes_report(self, tmp_path):
         out = tmp_path / "exp"
@@ -521,6 +515,10 @@ class TestCliContracts:
         ["meter", "--packets", "p.csv", "--seed", "1"],
         ["evaluate", "--model", "m.txt", "--test", "t.csv", "--seed", "1"],
         ["experiment", "--config", "x"],
+        # The meter's timeouts and the dataset's columns are constants.
+        ["meter", "--packets", "p.csv", "--flow-timeout", "5"],
+        ["preprocess", "--flows", "dos=f.csv", "--keep-ports"],
+        ["preprocess", "--flows", "dos=f.csv", "--no-timestamp"],
     ])
     def test_options_a_verb_does_not_read_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exited:

@@ -9,7 +9,6 @@ from ddsids.flowmeter import (
     LABEL_NAME,
     METADATA_NAMES,
     FlowTable,
-    MeterConfig,
     meter,
     read_flow_csv,
     write_feature_names,
@@ -28,9 +27,9 @@ def pkt(ts, src=A, dst=B, payload=100, header=28, flags=0):
     return PacketRecord(ts, src[0], src[1], dst[0], dst[1], 17, payload, header, flags)
 
 
-def metered(packets, cfg=None):
+def metered(packets):
     """The flows `meter` makes of a list of packet records, as records."""
-    return records_of(meter(table_of(PacketTrace, packets), cfg))
+    return records_of(meter(table_of(PacketTrace, packets)))
 
 
 def assert_matches_oracle(flow, packets):
@@ -199,12 +198,6 @@ class TestErrorsAndConfig:
         assert main(["meter", "--packets", str(path), "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("ddsids:")
         assert not (tmp_path / "out" / "bad.flows.csv").exists()
-
-    def test_meter_config_validation(self):
-        with pytest.raises(ValueError, match="flow_timeout"):
-            MeterConfig(flow_timeout=0)
-        with pytest.raises(ValueError, match="activity_timeout"):
-            MeterConfig(activity_timeout=130.0)
 
     def test_flow_timeout_splits_sessions(self):
         packets = [pkt(0.0), pkt(1.0), pkt(200.0), pkt(201.0)]

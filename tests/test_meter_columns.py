@@ -7,12 +7,16 @@ with fewer than two packets had an integer 0 for ``Fwd/Bwd IAT Tot`` and now
 has 0.0.
 """
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_meter_rows
-from ddsids.flowmeter import FEATURE_NAMES, MeterConfig, meter
+from ddsids import flowmeter
+from ddsids.flowmeter import FEATURE_NAMES, meter
 from ddsids.simnet import PacketTrace, ScenarioConfig, generate
 from oracle_flow import random_flow_packets
 from records import PacketRecord, records_of, table_of
@@ -40,10 +44,15 @@ def flow_fields(flows):
     return out
 
 
-def assert_same_as_rows(packets, cfg=None):
-    """The flows both meters make of the packet records `packets`, as records."""
-    got = records_of(meter(table_of(PacketTrace, packets), cfg))
-    want = oracle_meter_rows.meter(packets, cfg)
+def assert_same_as_rows(packets, **timeouts):
+    """The flows both meters make of the packet records `packets`, as
+    records.  Given `flow_timeout`/`activity_timeout`, the row meter takes
+    them and the columnar meter's FLOW_TIMEOUT_S/ACTIVITY_TIMEOUT_S are
+    patched to them."""
+    patched = {f"{name.upper()}_S": value for name, value in timeouts.items()}
+    with mock.patch.multiple(flowmeter, **patched) if patched else nullcontext():
+        got = records_of(meter(table_of(PacketTrace, packets)))
+    want = oracle_meter_rows.meter(packets, **timeouts)
     assert flow_fields(got) == flow_fields(want)
     return got
 
@@ -53,7 +62,7 @@ GAPS_US = [0, 0, 1, 250_000, 999_999, 1_000_000, 1_000_001, 5_000_000, 5_000_001
            300_000_000]
 # Gaps at the edges of the bulk and subflow gaps (1 s) and of the cut-overs
 # of OTHER_THRESHOLDS (0.5 s and 2 s).
-OTHER_THRESHOLDS = MeterConfig(flow_timeout=2.0, activity_timeout=0.5)
+OTHER_THRESHOLDS = {"flow_timeout": 2.0, "activity_timeout": 0.5}
 OTHER_GAPS_US = [0, 0, 1, 250_000, 499_999, 500_000, 500_001, 999_999, 1_000_000, 1_000_001, 1_999_999,
                  2_000_000, 2_000_001, 5_000_000]
 
@@ -90,7 +99,7 @@ class TestAgainstRowMeter:
     @given(interleaved_traces(OTHER_GAPS_US))
     @settings(max_examples=50, deadline=None)
     def test_other_thresholds(self, packets):
-        assert_same_as_rows(packets, OTHER_THRESHOLDS)
+        assert_same_as_rows(packets, **OTHER_THRESHOLDS)
 
     def test_random_multi_flow_traces(self):
         rng = np.random.default_rng(5)

@@ -157,6 +157,32 @@ class TestForkMap:
         finally:
             set_threads(before)
 
+    def test_fork_map_and_select_hold_openblas_at_one_thread(self, monkeypatch, tmp_path):
+        threads, sets = [4], []  # a fake OpenBLAS's thread count, and each count set
+
+        def fake_call(symbols, restype=ctypes.c_int, argtypes=()):
+            if symbols == parallel.OPENBLAS_GET_THREADS:
+                return lambda: threads[0]
+            if symbols == parallel.OPENBLAS_SET_THREADS:
+                return lambda n: sets.append(n) or threads.__setitem__(0, n)
+            return None
+
+        monkeypatch.setattr(parallel, "openblas_call", fake_call)
+        cpus(monkeypatch, 2)
+        assert parallel.fork_map(lambda t: threads[0], [0, 1]) == [1, 1]
+        assert_no_child_left()
+        assert sets == [1, 4] and threads == [4]
+
+        # `select` with one method runs its ranker here, at one thread too.
+        seen, rank_lasso = [], featsel.rank_lasso
+        monkeypatch.setattr(featsel, "rank_lasso", lambda ds, seed: seen.append(threads[0]) or rank_lasso(ds, seed))
+        train = tmp_path / "train.csv"
+        preprocess.write_dataset_csv(capped_lasso_split(), train)
+        sets.clear()
+        assert main(["select", "--train", str(train), "--method", "lasso", "--k", "3",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert seen == [1] and sets == [1, 4] and threads == [4]
+
 
 def experiment_like_jobs():
     """Jobs shaped like the experiment's: three experts on benign plus their
@@ -320,10 +346,10 @@ class TestForkedScenarios:
             metering["scenario"] = config.scenario  # a worker meters the trace it generated last
             return generate(config)
 
-        def failing_meter(trace, config):
+        def failing_meter(trace):
             if metering["scenario"] == scenario:
                 raise ValueError("meter broke")
-            return meter(trace, config)
+            return meter(trace)
 
         monkeypatch.setattr(simnet, "generate", generate_noted)
         monkeypatch.setattr(flowmeter, "meter", failing_meter)

@@ -109,8 +109,8 @@ def record_chain(scenarios, fraction, seed, spec, columns):
     return pooled, removed, split, anonymized, [oracle_prep._matrix(t, columns) for t in anonymized]
 
 
-def assert_same_chain(scenarios, fraction, seed, spec, ip_mode="both", drop_ports=True, keep_timestamp=True):
-    columns = preprocess._column_names(drop_ports, keep_timestamp, ip_mode)
+def assert_same_chain(scenarios, fraction, seed, spec, ip_mode="both"):
+    columns = preprocess._column_names(ip_mode)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = table_chain(scenarios, fraction, seed, spec, columns)
@@ -134,10 +134,10 @@ def scenario_flows(draw):
 
 
 @given(scenario_flows(), st.sampled_from(FRACTIONS) | st.floats(0.01, 0.99), st.integers(0, 10**6),
-       ANONYMIZE, st.sampled_from(IP_MODES), st.booleans(), st.booleans())
+       ANONYMIZE, st.sampled_from(IP_MODES))
 @settings(max_examples=150, deadline=None)
-def test_chain_matches_records(scenarios, fraction, seed, spec, ip_mode, drop_ports, keep_timestamp):
-    assert_same_chain(scenarios, fraction, seed, spec, ip_mode, drop_ports, keep_timestamp)
+def test_chain_matches_records(scenarios, fraction, seed, spec, ip_mode):
+    assert_same_chain(scenarios, fraction, seed, spec, ip_mode)
 
 
 @pytest.mark.parametrize("spec", ["none", "randomize", "shift:1", "shift:3", "switch:5,6", "switch:5,99"])
@@ -151,7 +151,7 @@ def test_empty_and_one_flow_input(n, spec):
 def test_pool_keeps_tied_starts_in_order():
     # Hundreds of flows on three start times: any unstable sort reorders them.
     scenarios = [(name, make_flows(300, i, starts=(1.0, 2.0, 3.0))) for i, name in enumerate(SCENARIOS)]
-    assert_same_chain(scenarios, 0.5, 7, "shift:2", ip_mode="none", drop_ports=False)
+    assert_same_chain(scenarios, 0.5, 7, "shift:2", ip_mode="none")
 
 
 @given(st.lists(st.tuples(st.sampled_from(HOSTS), st.sampled_from(HOSTS)), max_size=30),

@@ -206,11 +206,9 @@ def pool(n_benign=30, n_attack=10, seed=0):
 class TestBuildDataset:
     def test_drop_ports_and_ip_columns(self):
         flows = pool()
-        train, test = build_dataset(table_of(FlowTable, flows), drop_ports=True, split_fraction=0.5, shuffle_seed=1)
-        assert "Src Port" not in train.feature_names
-        assert train.feature_names[:2] == ["Src IP", "Dst IP"]
-        train2, _ = build_dataset(table_of(FlowTable, flows), drop_ports=False, split_fraction=0.5, shuffle_seed=1)
-        assert "Src Port" in train2.feature_names
+        train, test = build_dataset(table_of(FlowTable, flows), split_fraction=0.5, shuffle_seed=1)
+        assert "Src Port" not in train.feature_names and "Dst Port" not in train.feature_names
+        assert train.feature_names == ["Src IP", "Dst IP", *FEATURE_NAMES]
 
     def test_ip_modes(self):
         flows = pool()
@@ -222,12 +220,6 @@ class TestBuildDataset:
         ):
             train, _ = build_dataset(table_of(FlowTable, flows), split_fraction=0.5, shuffle_seed=1, ip_mode=mode)
             assert {n for n in train.feature_names if "IP" in n} == expected
-
-    def test_timestamp_toggle(self):
-        flows = pool()
-        train, _ = build_dataset(table_of(FlowTable, flows), keep_timestamp=False, split_fraction=0.5, shuffle_seed=1)
-        assert "Timestamp" not in train.feature_names
-        assert len(train.feature_names) == 2 + 77
 
     def test_normalization_bounds_and_inverse(self):
         flows = pool()

@@ -4,7 +4,9 @@
 loops of `oracle_simnet` set on `_TraceBuilder` in place of `stream` and
 `flood`.  Every column of the two traces must match to the bit, which also
 holds the rng to the same draws: one jitter too many or too few shifts every
-port, topic count and cycle drawn after it.
+port, topic count and cycle drawn after it.  The traffic model's constants
+are patched on `simnet`, which reads them at call time, to reach streams
+longer than a block, acks past the trace end and floods cut short.
 """
 
 import hashlib
@@ -60,12 +62,12 @@ def assert_same_trace(config: ScenarioConfig, refused_acks: list | None = None) 
 
 
 @st.composite
-def configs(draw) -> ScenarioConfig:
-    """A desk config of a drawn scenario, seed and scale with its publish
-    interval, attack window and flood gap redrawn.  The duration is cut at a
-    drawn microsecond, so streams end mid-block and an ack can fall past the
-    trace end; short publish intervals shorten the trace to keep its packet
-    count near the desk config's."""
+def configs(draw) -> tuple[ScenarioConfig, dict]:
+    """A desk config of a drawn scenario, seed and scale, and the values of
+    `simnet`'s publish interval, flood window and flood gap to run it with.
+    The duration is cut at a drawn microsecond, so streams end mid-block and
+    an ack can fall past the trace end; short publish intervals shorten the
+    trace to keep its packet count near the desk config's."""
     scenario = draw(st.sampled_from(SCENARIOS))
     seed = draw(st.integers(min_value=0, max_value=2**20))
     scale = draw(st.floats(min_value=0.02, max_value=1.0))
@@ -74,46 +76,47 @@ def configs(draw) -> ScenarioConfig:
     duration = config.duration * min(1.0, interval / 0.5) * draw(st.floats(min_value=0.05, max_value=1.0))
     duration = max(1.0, round(duration, 6))
     fitting = int((duration - 0.011) // config.relaunch_period) + 1
-    active = draw(st.none() | st.floats(min_value=0.01, max_value=10.0))
+    active = draw(st.just(simnet.DOS_ACTIVE_S) | st.floats(min_value=0.01, max_value=10.0))
     # At most 400 flood datagrams per launch.
-    gap = draw(st.floats(min_value=max(1e-6, (active or 0.08) / 400), max_value=0.05))
-    return replace(
-        config,
-        duration=duration,
-        publish_interval=interval,
-        relaunch_count=min(config.relaunch_count, max(0, fitting)),
-        attack_active=active,
-        dos_gap=gap,
-    )
+    gap = draw(st.floats(min_value=max(1e-6, active / 400), max_value=0.05))
+    config = replace(config, duration=duration, relaunch_count=min(config.relaunch_count, max(0, fitting)))
+    return config, {"PUBLISH_INTERVAL_S": interval, "DOS_ACTIVE_S": active, "DOS_GAP_S": gap}
 
 
 @given(configs())
 @settings(max_examples=60, deadline=None)
-def test_generate_matches_the_per_packet_loops(config):
-    assert_same_trace(config)
+def test_generate_matches_the_per_packet_loops(drawn):
+    config, constants = drawn
+    with mock.patch.multiple(simnet, **constants):
+        assert_same_trace(config)
 
 
 @pytest.mark.parametrize("scenario,duration", [(name, 20.2603) for name in SCENARIOS]
                          + [("benign", 21.4111), ("dos", 21.4111), ("clone", 21.4111), ("malsub", 23.8634)])
-def test_acks_past_the_trace_end_are_dropped(scenario, duration):
+def test_acks_past_the_trace_end_are_dropped(monkeypatch, scenario, duration):
     """Durations at which the reference refuses an ack past the trace end
     (seed 7, 50 ms publish interval); each case asserts that it does."""
-    config = ScenarioConfig(scenario, duration=duration, publish_interval=0.05, relaunch_period=5.0,
-                            relaunch_count=0 if scenario == "benign" else 2, benign_relaunch_period=12.0, rng_seed=7)
+    monkeypatch.setattr(simnet, "PUBLISH_INTERVAL_S", 0.05)
+    config = ScenarioConfig(scenario, duration=duration, relaunch_period=5.0,
+                            relaunch_count=0 if scenario == "benign" else 2, rng_seed=7)
     refused: list[int] = []
     assert_same_trace(config, refused)
     assert refused and min(refused) >= config.duration * 1e6
 
 
-def test_floods_that_end_before_their_first_datagram():
-    config = ScenarioConfig("dos", duration=5.0, relaunch_period=1.0, relaunch_count=4, attack_active=0.01)
+def test_floods_that_end_before_their_first_datagram(monkeypatch):
+    # A 10 ms flood window closes as the flood would start, 10 ms after the launch.
+    monkeypatch.setattr(simnet, "DOS_ACTIVE_S", 0.01)
+    config = ScenarioConfig("dos", duration=5.0, relaunch_period=1.0, relaunch_count=4)
     assert_same_trace(config)
 
 
-def test_streams_longer_than_one_block():
+def test_streams_longer_than_one_block(monkeypatch):
     # A 1 ms interval over a 40 s publisher cycle: about 40k batches a stream,
     # drawn in several full blocks.
-    config = ScenarioConfig("benign", duration=90.0, publish_interval=0.001, n_publishers=2, rng_seed=3)
+    for name, value in (("PUBLISH_INTERVAL_S", 0.001), ("N_PUBLISHERS", 2), ("BENIGN_RELAUNCH_PERIOD_S", 40.0)):
+        monkeypatch.setattr(simnet, name, value)
+    config = ScenarioConfig("benign", duration=90.0, rng_seed=3)
     assert_same_trace(config)
 
 
