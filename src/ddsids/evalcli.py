@@ -32,8 +32,8 @@ import numpy as np
 from . import detector, featsel, flowmeter, parallel, preprocess, simnet
 from .detector import DetectorModel, EnsembleModel, TrainConfig
 from .flowmeter import FlowTable
-from .preprocess import IP_MODES, AnonymizeMode, Dataset
-from .simnet import SUBNET_HOSTS, ScenarioConfig
+from .preprocess import IP_MODES, Dataset
+from .simnet import ScenarioConfig
 
 OUT_DIR_ENV = "DDSIDS_OUT_DIR"
 CLI_TOP_K = 20  # features `ddsids select` keeps by default
@@ -118,7 +118,7 @@ class ExperimentPlan:
         if self.selection_method not in SELECTION_METHODS:
             raise ValueError(f"unknown selection method {self.selection_method!r}; known: {', '.join(SELECTION_METHODS)}")
         _wanted_models(self)
-        _anonymize_mode(self.anonymize)
+        preprocess.parse_anonymize(self.anonymize)
 
     def seed_for(self, use: str) -> int:
         """The seed of a seeded use of the plan, derived from the master seed:
@@ -197,12 +197,11 @@ class ExperimentReport:
 @dataclass
 class PipelineCache:
     """Labeled, stripped, time/addr-encoded flows shared across experiments,
-    the notes of their label rules, each scenario's name, packets and flows,
-    the router sessions stripped from them, the wall time of the stages that
-    built them, and the feature rankings already computed on splits of them."""
+    each scenario's name, packets and flows, the router sessions stripped from
+    them, the wall time of the stages that built them, and the feature
+    rankings already computed on splits of them."""
 
     flows: FlowTable
-    notes: list[str]
     scenarios: list[dict]
     router_sessions_removed: int = 0
     timing: dict[str, float] = field(default_factory=dict)
@@ -211,7 +210,8 @@ class PipelineCache:
     @property
     def footnotes(self) -> list[str]:
         removed = self.router_sessions_removed
-        return self.notes + ([f"removed {removed} router session(s)"] if removed else [])
+        notes = preprocess.rule_notes(s["name"] for s in self.scenarios)
+        return notes + ([f"removed {removed} router session(s)"] if removed else [])
 
 
 @contextmanager
@@ -237,33 +237,31 @@ class _StageError(RuntimeError):
 
 
 def labelled_scenarios(flows_of: Callable, tasks: Sequence[tuple[int, str, object]],
-                       flow_dir: Path | None = None) -> list[tuple[str, FlowTable, list[str]]]:
-    """Each scenario's flows, labelled: (name, flows, the label rule's notes)
-    in position order.  A task is (position, name, source), and
-    `flows_of(name, source)` gives the scenario's flows, which
-    `preprocess.label_scenario` labels and, given `flow_dir`, writes to
-    `<flow_dir>/<name>.flows.csv`.  The tasks run side by side through
-    `parallel.fork_map`, dealt in the order given."""
+                       flow_dir: Path | None = None) -> list[tuple[str, FlowTable]]:
+    """Each scenario's flows, labelled: (name, flows) in position order.  A
+    task is (position, name, source), and `flows_of(name, source)` gives the
+    scenario's flows, which `preprocess.label_scenario` labels and, given
+    `flow_dir`, writes to `<flow_dir>/<name>.flows.csv`.  The tasks run side
+    by side through `parallel.fork_map`, dealt in the order given."""
     def labelled(task):
         position, name, source = task
-        flows, notes = preprocess.label_scenario(name, flows_of(name, source))
+        flows = preprocess.label_scenario(name, flows_of(name, source))
         if flow_dir is not None:
             flowmeter.write_flow_csv(flows, flow_dir / f"{name}.flows.csv")
-        return position, name, flows, notes
+        return position, name, flows
 
     done = sorted(parallel.fork_map(labelled, tasks), key=lambda result: result[0])
-    return [(name, flows, notes) for _, name, flows, notes in done]
+    return [(name, flows) for _, name, flows in done]
 
 
-def pool_scenarios(scenarios: Sequence[tuple[str, FlowTable, list[str]]]) -> tuple[FlowTable, int, list[str], list[dict]]:
+def pool_scenarios(scenarios: Sequence[tuple[str, FlowTable]]) -> tuple[FlowTable, int, list[dict]]:
     """The labelled scenarios pooled in the order given, which
     `preprocess.pool`'s stable sort depends on: (pooled flows, router
-    sessions removed, the notes, each scenario's name, packets and flows).
-    A scenario's packets are those its flows count in both directions."""
-    pooled, removed = preprocess.pool(FlowTable.concat([flows for _, flows, _ in scenarios]))
-    notes = [note for _, _, rule_notes in scenarios for note in rule_notes]
-    sizes = [{"name": name, "packets": _packets(flows), "flows": len(flows)} for name, flows, _ in scenarios]
-    return pooled, removed, notes, sizes
+    sessions removed, each scenario's name, packets and flows).  A
+    scenario's packets are those its flows count in both directions."""
+    pooled, removed = preprocess.pool(FlowTable.concat([flows for _, flows in scenarios]))
+    sizes = [{"name": name, "packets": _packets(flows), "flows": len(flows)} for name, flows in scenarios]
+    return pooled, removed, sizes
 
 
 def _packets(flows: FlowTable) -> int:
@@ -271,15 +269,21 @@ def _packets(flows: FlowTable) -> int:
     return int(flows.features[:, columns].sum())
 
 
+def _simulated(config: ScenarioConfig, out: Path | None) -> simnet.PacketTrace:
+    """A scenario's trace; given `out`, its packets and its config are
+    written there as `<scenario>.packets.csv` and `<scenario>.config.txt`."""
+    trace = simnet.generate(config)
+    if out is not None:
+        simnet.write_packet_csv(trace, out / f"{config.scenario}.packets.csv")
+        simnet.save_scenario_config(config, out / f"{config.scenario}.config.txt")
+    return trace
+
+
 def _simulated_flows(name: str, config: ScenarioConfig, trace_dir: Path | None) -> FlowTable:
-    """A scenario's trace, with its config written to `trace_dir` when
-    given, metered; the trace dies here.  An error names the scenario."""
+    """A scenario's trace (`_simulated`), metered; the trace dies here.  An
+    error names the scenario."""
     try:
-        trace = simnet.generate(config)
-        if trace_dir is not None:
-            simnet.write_packet_csv(trace, trace_dir / f"{name}.packets.csv")
-            simnet.save_scenario_config(config, trace_dir / f"{name}.config.txt")
-        return flowmeter.meter(trace)
+        return flowmeter.meter(_simulated(config, trace_dir))
     except Exception as exc:  # the stage reports it; the scenario is named here, where it is known
         raise RuntimeError(f"scenario {name}: {exc}") from exc
 
@@ -299,55 +303,11 @@ def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCa
     with _stage("scenarios", timing):
         scenarios = labelled_scenarios(partial(_simulated_flows, trace_dir=trace_dir), tasks, flow_dir)
     with _stage("preprocess", timing):
-        pooled, removed, notes, sizes = pool_scenarios(scenarios)
+        pooled, removed, sizes = pool_scenarios(scenarios)
         if flow_dir is not None:
             flowmeter.write_flow_csv(pooled, flow_dir / "pooled.flows.csv")
             flowmeter.write_feature_names(flow_dir / "features.txt")
-    return PipelineCache(flows=pooled, notes=notes, scenarios=sizes, router_sessions_removed=removed, timing=timing)
-
-
-def _anonymize_mode(spec: str) -> AnonymizeMode | None:
-    """The address mode of a `shift:<k>` or `switch:<a>,<b>` spec; None for
-    "none" and "randomize".  Raises ValueError on any other spec."""
-    if spec in ("none", "randomize"):
-        return None
-    kind, _, arg = spec.partition(":")
-    try:
-        if kind == "shift":
-            return AnonymizeMode("shift", shift_by=int(arg))
-        if kind == "switch":
-            a, b = (int(x) for x in arg.split(","))
-            return AnonymizeMode("switch", pair=(a, b))
-    except ValueError as exc:
-        raise ValueError(f"bad anonymize spec {spec!r}: {exc}") from None
-    raise ValueError(f"unknown anonymize spec {spec!r}; expected none, shift:<k>, switch:<a>,<b> or randomize")
-
-
-def _apply_anonymize(plan: ExperimentPlan, train_flows, test_flows, footnotes):
-    mode = _anonymize_mode(plan.anonymize)
-    if plan.anonymize == "randomize":
-        footnotes.append("test-split addresses reassigned per session from the subnet range")
-        return train_flows, randomize_sessions(test_flows, plan.seed_for("randomize"))
-    if mode is None:
-        return train_flows, test_flows
-    if mode.kind == "shift":
-        footnotes.append(f"addresses shifted by {mode.shift_by} across train and test")
-        merged = preprocess.anonymize(FlowTable.concat([train_flows, test_flows]), mode)
-        return merged[: len(train_flows)], merged[len(train_flows) :]
-    a, b = mode.pair
-    footnotes.append(f"addresses {a} and {b} switched in the test split")
-    return train_flows, preprocess.anonymize(test_flows, mode)
-
-
-def randomize_sessions(flows: FlowTable, seed: int) -> FlowTable:
-    """Per-session random address assignment from the subnet host range
-    (`simnet.SUBNET_HOSTS`), keeping src != dst: each flow draws its source,
-    then its destination among the other hosts."""
-    rng = np.random.default_rng(seed)
-    n = len(SUBNET_HOSTS)
-    draws = np.array([(rng.integers(n), rng.integers(n - 1)) for _ in range(len(flows))], dtype=np.int64)
-    src, dst = draws.reshape(-1, 2).T
-    return flows.with_columns(addresses=[str(h) for h in SUBNET_HOSTS], src=src, dst=dst + (dst >= src))
+    return PipelineCache(flows=pooled, scenarios=sizes, router_sessions_removed=removed, timing=timing)
 
 
 def build_datasets(
@@ -358,7 +318,10 @@ def build_datasets(
     feature is kept."""
     with _stage("preprocess", timing):
         train_flows, test_flows = preprocess.split_flows(cache.flows, plan.split_fraction, plan.seed_for("split"))
-        train_flows, test_flows = _apply_anonymize(plan, train_flows, test_flows, footnotes)
+        train_flows, test_flows, note = preprocess.anonymize(train_flows, test_flows, plan.anonymize,
+                                                             plan.seed_for("randomize"))
+        if note:
+            footnotes.append(note)
         train_ds, test_ds = preprocess.build_dataset_from_split(
             train_flows,
             test_flows,
@@ -427,7 +390,8 @@ def _rankings(train_ds: Dataset, seed: int) -> list[featsel.FeatureRanking]:
 
 def _rank(train_ds: Dataset, method: str, seed: int) -> featsel.FeatureRanking:
     if method != "consensus":
-        return _RANKERS[method](train_ds, seed)
+        with parallel.one_blas_thread():
+            return _RANKERS[method](train_ds, seed)
     rankings = _rankings(train_ds, seed)
     names = train_ds.feature_names
     mean_pos = {n: float(np.mean([r.ranked_names.index(n) for r in rankings])) for n in names}
@@ -475,11 +439,7 @@ def train_models(
         models = detector.train_many(jobs)
         experts = dict(zip(attacks, models))
         single = models[-1] if want_single else None
-        ensemble = None
-        if want_ensemble:
-            if sorted(experts) != sorted(detector.EXPERT_ATTACKS):
-                raise ValueError("ensemble needs all three experts")
-            ensemble = EnsembleModel(experts=dict(experts))
+        ensemble = EnsembleModel(experts=dict(experts)) if want_ensemble else None
     return experts, single, ensemble
 
 
@@ -552,8 +512,7 @@ def run_experiment(
             mdir = out_dir / "models"
             mdir.mkdir(exist_ok=True)
             manifest = preprocess.dataset_manifest(train_ds, test_ds, cache.scenarios, plan.anonymize,
-                                                   plan.seed_for("randomize"), cache.router_sessions_removed,
-                                                   cache.notes)
+                                                   plan.seed_for("randomize"), cache.router_sessions_removed)
             if ranking is not None:
                 manifest["selection"] = {"method": plan.selection_method, "k": plan.feature_k,
                                          "flagged": len(ranking.flagged)}
@@ -726,11 +685,8 @@ def _cmd_simulate(args) -> int:
             config = replace(config, rng_seed=args.seed)
     else:
         config = scenario_configs(_plan_from_args(args))[args.scenario or "benign"]
-    trace = simnet.generate(config)
-    path = out / f"{config.scenario}.packets.csv"
-    simnet.write_packet_csv(trace, path)
-    simnet.save_scenario_config(config, out / f"{config.scenario}.config.txt")
-    print(f"{path}: {len(trace)} packets")
+    trace = _simulated(config, out)
+    print(f"{out / f'{config.scenario}.packets.csv'}: {len(trace)} packets")
     return 0
 
 
@@ -758,14 +714,14 @@ def _cmd_preprocess(args) -> int:
             raise ValueError(f"--flows gives the label {label_name!r} twice")
         tasks.append((position, label_name, path))
     scenarios = labelled_scenarios(lambda name, path: flowmeter.read_flow_csv(path), tasks)
-    pooled, removed, notes, sizes = pool_scenarios(scenarios)
+    pooled, removed, sizes = pool_scenarios(scenarios)
     if len(classes := sorted(set(pooled.label))) < 2:
         raise ValueError(f"the pooled flows hold only {', '.join(classes) or 'nothing'}; "
                          "a split needs benign and attack flows")
     train_ds, test_ds = preprocess.build_dataset(pooled, split_fraction=args.split, shuffle_seed=args.seed,
                                                  ip_mode=args.ip_mode)
     write_split(train_ds, test_ds, out)
-    manifest = preprocess.dataset_manifest(train_ds, test_ds, sizes, "none", None, removed, notes)
+    manifest = preprocess.dataset_manifest(train_ds, test_ds, sizes, "none", None, removed)
     preprocess.write_manifest(out / "dataset.manifest.json", manifest)
     print(f"{out}: train {train_ds.matrix.shape}, test {test_ds.matrix.shape}")
     return 0
@@ -784,8 +740,7 @@ def _cmd_select(args) -> int:
         return 0
     k = CLI_TOP_K if args.k is None else args.k
     featsel.check_k(train_ds, k)
-    with parallel.one_blas_thread():
-        ranking = _RANKERS[args.method](train_ds, args.seed)
+    ranking = _rank(train_ds, args.method, args.seed)
     featsel.write_scores_csv(ranking, out / f"scores-{args.method}.csv")
     reduced = featsel.select(train_ds, ranking, k)
     preprocess.write_dataset_csv(reduced, out / f"train.top{k}.csv")

@@ -21,16 +21,15 @@ from __future__ import annotations
 import json
 import platform
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowTable
 from .parallel import openblas_core, usable_cpus
-from .simnet import ATTACK_SCENARIOS as ATTACK_LABELS, ATTACKER_HOST, ROUTER_HOSTS, SCENARIOS, read_rows, write_rows
+from .simnet import ATTACKER_HOST, ROUTER_HOSTS, SCENARIOS, SUBNET_HOSTS, read_rows, write_rows
 
-DIRECTIONALITIES = ("bidirectional", "destination_only", "source_only")
 IP_MODES = ("both", "source_only", "destination_only", "none")
 SRC_IP_COL = "Src IP"
 DST_IP_COL = "Dst IP"
@@ -46,45 +45,9 @@ DOCUMENTED_RULE_COMBOS = {
     ("clone", "destination_only"),
 }
 
-
-@dataclass(frozen=True)
-class LabelRule:
-    attack_label: str
-    directionality: str = "bidirectional"
-    malicious_octet: int = ATTACKER_HOST
-
-    def __post_init__(self):
-        if self.attack_label not in ATTACK_LABELS:
-            raise ValueError(f"attack_label must be one of {ATTACK_LABELS}")
-        if self.directionality not in DIRECTIONALITIES:
-            raise ValueError(f"directionality must be one of {DIRECTIONALITIES}")
-        if not 2 <= self.malicious_octet <= 254:
-            raise ValueError("malicious_octet must be within 2..254")
-
-
-# The rule each attack scenario's flows are labelled by; benign traces keep
-# the meter's "benign" label.
-LABEL_RULES = {
-    "dos": LabelRule("dos", "bidirectional"),
-    "clone": LabelRule("clone", "source_only"),
-    "malsub": LabelRule("malsub", "bidirectional"),
-}
-
-
-@dataclass(frozen=True)
-class AnonymizeMode:
-    kind: str  # shift | switch
-    shift_by: int = 1
-    pair: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("shift", "switch"):
-            raise ValueError(f"unknown anonymize kind {self.kind!r}")
-        if self.kind == "shift" and self.shift_by < 1:
-            raise ValueError("shift_by must be >= 1")
-        if self.kind == "switch":
-            if self.pair is None or len(self.pair) != 2 or self.pair[0] == self.pair[1]:
-                raise ValueError("switch requires a pair of two distinct addresses")
+# The directionality each attack scenario's flows are labelled by (`label`);
+# benign traces keep the meter's "benign" label.
+LABEL_RULES = {"dos": "bidirectional", "clone": "source_only", "malsub": "bidirectional"}
 
 
 def _octet(address: str) -> int:
@@ -103,28 +66,31 @@ def _octets(flows: FlowTable, parse=_octet) -> np.ndarray:
     return octets
 
 
-def label(flows: FlowTable, rule: LabelRule) -> FlowTable:
-    """Label flows whose addresses match the rule; everything else is benign."""
-    malicious = _octets(flows) == rule.malicious_octet
+def label(flows: FlowTable, attack: str, directionality: str) -> FlowTable:
+    """Label `attack` the flows whose source (source_only), destination
+    (destination_only) or either address (bidirectional) is the attacker host,
+    `simnet.ATTACKER_HOST`; everything else is benign."""
+    malicious = _octets(flows) == ATTACKER_HOST
     src_hit, dst_hit = malicious[flows.src], malicious[flows.dst]
-    hit = {"source_only": src_hit, "destination_only": dst_hit}.get(rule.directionality, src_hit | dst_hit)
-    return flows.with_columns(label=np.array(["benign", rule.attack_label], dtype=object)[hit.astype(np.intp)])
+    hit = {"source_only": src_hit, "destination_only": dst_hit}.get(directionality, src_hit | dst_hit)
+    return flows.with_columns(label=np.array(["benign", attack], dtype=object)[hit.astype(np.intp)])
 
 
-def label_scenario(name: str, flows: FlowTable) -> tuple[FlowTable, list[str]]:
-    """Label one scenario's flows by its rule and prefix their ids with the
-    scenario name; returns (flows, notes), a note for a rule outside
-    DOCUMENTED_RULE_COMBOS."""
+def label_scenario(name: str, flows: FlowTable) -> FlowTable:
+    """Label one scenario's flows by its rule in LABEL_RULES and prefix their
+    ids with the scenario name."""
     if name != "benign" and name not in LABEL_RULES:
         raise ValueError(f"scenario {name!r} is not one of: benign, {', '.join(LABEL_RULES)}")
-    notes: list[str] = []
     if name in LABEL_RULES:
-        rule = LABEL_RULES[name]
-        flows = label(flows, rule)
-        if (rule.attack_label, rule.directionality) not in DOCUMENTED_RULE_COMBOS:
-            notes.append(f"labeling combination {rule.attack_label}/{rule.directionality} is outside "
-                         "the documented reliable set")
-    return flows.with_columns(flow_id=[f"{name}:{i}" for i in flows.flow_id.tolist()]), notes
+        flows = label(flows, name, LABEL_RULES[name])
+    return flows.with_columns(flow_id=[f"{name}:{i}" for i in flows.flow_id.tolist()])
+
+
+def rule_notes(names: Iterable[str]) -> list[str]:
+    """A note for each named scenario whose label rule is outside
+    DOCUMENTED_RULE_COMBOS, in the order named."""
+    return [f"labeling combination {name}/{LABEL_RULES[name]} is outside the documented reliable set"
+            for name in names if name in LABEL_RULES and (name, LABEL_RULES[name]) not in DOCUMENTED_RULE_COMBOS]
 
 
 def pool(flows: FlowTable) -> tuple[FlowTable, int]:
@@ -164,31 +130,67 @@ def encode_ips(flows: FlowTable) -> FlowTable:
     return flows.with_columns(addresses=[str(octet) for octet in _octets(flows).tolist()])
 
 
-def observed_addresses(flows: FlowTable) -> list[int]:
+def parse_anonymize(spec: str) -> tuple[str, tuple[int, ...]]:
+    """The kind and arguments of an address regime: ("none", ()),
+    ("randomize", ()), ("shift", (k,)) from `shift:<k>` with k >= 1, or
+    ("switch", (a, b)) from `switch:<a>,<b>` with a != b.  Raises ValueError
+    on any other spec."""
+    if spec in ("none", "randomize"):
+        return spec, ()
+    kind, _, arg = spec.partition(":")
     try:
-        return sorted({int(flows.addresses[i]) for i in _used_addresses(flows)})
+        if kind == "shift":
+            if (k := int(arg)) < 1:
+                raise ValueError("shift_by must be >= 1")
+            return kind, (k,)
+        if kind == "switch":
+            a, b = (int(x) for x in arg.split(","))
+            if a == b:
+                raise ValueError("switch requires a pair of two distinct addresses")
+            return kind, (a, b)
+    except ValueError as exc:
+        raise ValueError(f"bad anonymize spec {spec!r}: {exc}") from None
+    raise ValueError(f"unknown anonymize spec {spec!r}; expected none, shift:<k>, switch:<a>,<b> or randomize")
+
+
+def anonymize(train: FlowTable, test: FlowTable, spec: str, seed: int) -> tuple[FlowTable, FlowTable, str | None]:
+    """An encoded split under the address regime `spec` (`parse_anonymize`),
+    and the footnote that names it, None for "none".
+
+    shift      the addresses observed in either split move k steps along
+               their sorted list, wrapping at the end;
+    switch     the two addresses of the pair trade places in the test split;
+    randomize  each test flow draws its source from the subnet hosts
+               (`simnet.SUBNET_HOSTS`), then its destination among the other
+               hosts, from a generator seeded by `seed`.
+    """
+    kind, args = parse_anonymize(spec)
+    if kind == "none":
+        return train, test, None
+    if kind == "randomize":
+        rng = np.random.default_rng(seed)
+        n = len(SUBNET_HOSTS)
+        draws = np.array([(rng.integers(n), rng.integers(n - 1)) for _ in range(len(test))], dtype=np.int64)
+        src, dst = draws.reshape(-1, 2).T
+        test = test.with_columns(addresses=[str(h) for h in SUBNET_HOSTS], src=src, dst=dst + (dst >= src))
+        return train, test, "test-split addresses reassigned per session from the subnet range"
+    # shift moves the addresses of both splits, switch those of the test split
+    moved = FlowTable.concat([train, test]) if kind == "shift" else test
+    try:
+        observed = sorted({int(moved.addresses[i]) for i in _used_addresses(moved)})
     except ValueError:
         raise ValueError("anonymize requires octet-encoded addresses (run encode_ips first)") from None
-
-
-def anonymize(flows: FlowTable, mode: AnonymizeMode) -> FlowTable:
-    """Apply an address anonymization experiment to encoded flows.
-
-    shift      observed addresses move k steps along the sorted observed list,
-               wrapping at the end;
-    switch     the two addresses of the pair trade places.
-    """
-    observed = observed_addresses(flows)
-    if mode.kind == "shift":
-        n = len(observed)
-        mapping = {observed[i]: observed[(i + mode.shift_by) % n] for i in range(n)}
+    if kind == "shift":
+        mapping = {a: observed[(i + args[0]) % len(observed)] for i, a in enumerate(observed)}
+        note = f"addresses shifted by {args[0]} across train and test"
     else:
-        a, b = mode.pair
-        missing = [x for x in (a, b) if x not in observed]
+        missing = [x for x in args if x not in observed]
         if missing:
             raise ValueError(f"switch pair addresses not observed: {missing}")
-        mapping = {a: b, b: a}
-    return flows.with_columns(addresses=[str(mapping.get(a, a)) for a in _octets(flows, int).tolist()])
+        a, b = args
+        mapping, note = {a: b, b: a}, f"addresses {a} and {b} switched in the test split"
+    moved = moved.with_columns(addresses=[str(mapping.get(a, a)) for a in _octets(moved, int).tolist()])
+    return (moved[: len(train)], moved[len(train) :], note) if kind == "shift" else (train, moved, note)
 
 
 @dataclass
@@ -346,18 +348,19 @@ def dataset_manifest(
     anonymize_mode: str,
     anonymize_seed: int | None,
     router_sessions_removed: int,
-    notes: Sequence[str],
 ) -> dict:
     """What built `train` and `test`: the pooled scenarios (each a dict of
     its name, packets and flows) and their label rules, the notes the rules
-    raised, the router sessions stripped, the flow columns left out of the
-    matrix, the rows per label of each split, the normalization constants
-    and the runtime environment."""
+    raise (`rule_notes`), the router sessions stripped, the flow columns left
+    out of the matrix, the rows per label of each split, the normalization
+    constants and the runtime environment."""
+    names = [s["name"] for s in scenarios]
     return {
         "environment": runtime_environment(),
         "scenarios": list(scenarios),
-        "label_rules": {s["name"]: asdict(LABEL_RULES[s["name"]]) for s in scenarios if s["name"] in LABEL_RULES},
-        "notes": list(notes),
+        "label_rules": {name: {"attack_label": name, "directionality": LABEL_RULES[name],
+                               "malicious_octet": ATTACKER_HOST} for name in names if name in LABEL_RULES},
+        "notes": rule_notes(names),
         "router_sessions_removed": router_sessions_removed,
         "anonymize_mode": anonymize_mode,
         "anonymize_seed": anonymize_seed,

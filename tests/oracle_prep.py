@@ -1,7 +1,8 @@
 """Record-at-a-time reference for the flow-preparation chain.
 
 These are the functions the columnar `FlowTable` chain replaced, kept
-verbatim: labeling, router stripping, timestamp and address encoding,
+verbatim but for their arguments (a label rule's attack, directionality and
+attacker octet, and an anonymization's parsed kind and arguments): labeling, router stripping, timestamp and address encoding,
 anonymization, the stratified split, the matrix build, per-session address
 randomization and the flow CSV reader.  Each takes and returns plain lists of
 `records.FlowRecord`s; `label_scenario` and `pool`, which chain them, edit and empty
@@ -18,17 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ddsids.evalcli import SUBNET_HOSTS
 from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, FLOW_BLOCK, LABEL_NAME, METADATA_NAMES
-from ddsids.preprocess import (
-    DOCUMENTED_RULE_COMBOS,
-    DST_IP_COL,
-    LABEL_RULES,
-    SRC_IP_COL,
-    AnonymizeMode,
-    LabelRule,
-)
-from ddsids.simnet import ROUTER_HOSTS
+from ddsids.preprocess import DOCUMENTED_RULE_COMBOS, DST_IP_COL, LABEL_RULES, SRC_IP_COL
+from ddsids.simnet import ATTACKER_HOST, ROUTER_HOSTS, SUBNET_HOSTS
 from records import FlowRecord
 
 
@@ -36,28 +29,25 @@ def _octet(address: str) -> int:
     return int(address.rsplit(".", 1)[-1])
 
 
-def label(flows: Sequence[FlowRecord], rule: LabelRule, strict: bool = False) -> list[FlowRecord]:
+def label(flows: Sequence[FlowRecord], attack: str, directionality: str, malicious_octet: int = ATTACKER_HOST,
+          strict: bool = False) -> list[FlowRecord]:
     """Label flows whose addresses match the rule; everything else is benign."""
-    combo = (rule.attack_label, rule.directionality)
-    if combo not in DOCUMENTED_RULE_COMBOS:
-        message = (
-            f"labeling combination {rule.attack_label}/{rule.directionality} is outside "
-            "the documented reliable set"
-        )
+    if (attack, directionality) not in DOCUMENTED_RULE_COMBOS:
+        message = f"labeling combination {attack}/{directionality} is outside the documented reliable set"
         if strict:
             raise ValueError(message)
         warnings.warn(message, stacklevel=2)
     out = []
     for f in flows:
-        src_hit = _octet(f.src_ip) == rule.malicious_octet
-        dst_hit = _octet(f.dst_ip) == rule.malicious_octet
-        if rule.directionality == "source_only":
+        src_hit = _octet(f.src_ip) == malicious_octet
+        dst_hit = _octet(f.dst_ip) == malicious_octet
+        if directionality == "source_only":
             hit = src_hit
-        elif rule.directionality == "destination_only":
+        elif directionality == "destination_only":
             hit = dst_hit
         else:
             hit = src_hit or dst_hit
-        out.append(replace(f, label=rule.attack_label if hit else "benign"))
+        out.append(replace(f, label=attack if hit else "benign"))
     return out
 
 
@@ -70,7 +60,7 @@ def label_scenario(name: str, flows: list[FlowRecord]) -> tuple[list[FlowRecord]
     if name in LABEL_RULES:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            flows = label(flows, LABEL_RULES[name])
+            flows = label(flows, name, LABEL_RULES[name])
         notes = [str(w.message) for w in caught]
     for f in flows:
         f.flow_id = f"{name}:{f.flow_id}"
@@ -137,19 +127,19 @@ def observed_addresses(flows: Sequence[FlowRecord]) -> list[int]:
     return sorted(seen)
 
 
-def anonymize(flows: Sequence[FlowRecord], mode: AnonymizeMode) -> list[FlowRecord]:
+def anonymize(flows: Sequence[FlowRecord], kind: str, args: tuple[int, ...]) -> list[FlowRecord]:
     """Apply an address anonymization experiment to encoded flows.
 
-    shift      observed addresses move k steps along the sorted observed list,
-               wrapping at the end;
-    switch     the two addresses of the pair trade places.
+    shift      (k,): observed addresses move k steps along the sorted observed
+               list, wrapping at the end;
+    switch     (a, b): the two addresses of the pair trade places.
     """
     observed = observed_addresses(flows)
-    if mode.kind == "shift":
+    if kind == "shift":
         n = len(observed)
-        mapping = {observed[i]: observed[(i + mode.shift_by) % n] for i in range(n)}
+        mapping = {observed[i]: observed[(i + args[0]) % n] for i in range(n)}
     else:
-        a, b = mode.pair
+        a, b = args
         missing = [x for x in (a, b) if x not in observed]
         if missing:
             raise ValueError(f"switch pair addresses not observed: {missing}")

@@ -462,6 +462,47 @@ def test_golden_artifacts(small_experiments):
     assert digests == GOLDEN
 
 
+# The seed-7 split under each address regime: SHA-256 of its train.csv and
+# test.csv, and the footnote the regime adds after the cache's own (the label
+# rules' notes and the router count) and before the constant features'.
+REGIME_GOLDEN = {
+    "shift:1": ("8e9a2edf1ec10d2f3d04e7301a12404c78ac06052f3a41b4e8aeb8e01f6e3ee7",
+                "46426548079813c5acfc37f72098fc9fb3ba289d1cdbaddfdec8e8ba4d618057",
+                "addresses shifted by 1 across train and test"),
+    "switch:5,6": ("348423193b187262df9ab78eac25976e414c0939fb4eb228579db803c0448f78",
+                   "1eee3ad66c07fdfa52226d0df450b27b42f6ad88068e64fc6f79be3a0c897298",
+                   "addresses 5 and 6 switched in the test split"),
+    "randomize": ("348423193b187262df9ab78eac25976e414c0939fb4eb228579db803c0448f78",
+                  "c8d2fdd6edc9d280fc28c5a4219970210d0e247eba31d4e5e2b82bf6d7776648",
+                  "test-split addresses reassigned per session from the subnet range"),
+}
+SEED7_FOOTNOTES = [
+    "labeling combination clone/source_only is outside the documented reliable set",
+    "labeling combination malsub/bidirectional is outside the documented reliable set",
+    "removed 1000 router session(s)",
+]
+SEED7_CONSTANT = (
+    "constant feature(s) normalized to zero: Protocol, Fwd Pkt Len Min, Bwd Pkt Len Min, Fwd PSH Flags, "
+    "Bwd PSH Flags, Fwd URG Flags, Bwd URG Flags, Pkt Len Min, FIN Flag Cnt, SYN Flag Cnt, RST Flag Cnt, "
+    "PSH Flag Cnt, ACK Flag Cnt, URG Flag Cnt, CWE Flag Cnt, ECE Flag Cnt, Down/Up Ratio, Bwd Byts/b Avg, "
+    "Bwd Pkts/b Avg, Bwd Blk Rate Avg, Init Fwd Win Byts, Init Bwd Win Byts, Fwd Seg Size Min, Active Std, "
+    "Idle Mean, Idle Std, Idle Max, Idle Min"
+)
+
+
+@pytest.mark.parametrize("spec", REGIME_GOLDEN)
+def test_address_regime_golden_split(plan, cache, spec, tmp_path):
+    if plan.seed != 7:
+        pytest.skip("the regimes' splits are pinned for seed 7")
+    footnotes = list(cache.footnotes)
+    train_ds, test_ds, _ = evalcli.build_datasets(replace(plan, anonymize=spec), cache, footnotes, {})
+    evalcli.write_split(train_ds, test_ds, tmp_path)
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("train.csv", "test.csv"))
+    train_sha, test_sha, note = REGIME_GOLDEN[spec]
+    assert digests == (train_sha, test_sha)
+    assert footnotes == SEED7_FOOTNOTES + [note, SEED7_CONSTANT]
+
+
 def test_reports_do_not_depend_on_the_blas_kernel(tmp_path):
     # Model files may differ in their last bits between OpenBLAS kernels;
     # what the run reports, and the data it reports on, may not.

@@ -18,7 +18,6 @@ from ddsids.evalcli import (
     emit_histogram,
     main,
     metrics,
-    randomize_sessions,
     run_experiment,
     scenario_configs,
 )
@@ -109,8 +108,10 @@ class TestHistogram:
 def test_randomize_sessions_addresses():
     plan = ExperimentPlan(seed=2, scale=0.05)
     cache = build_cache(plan)
-    out = records_of(randomize_sessions(cache.flows, seed=9))
-    hosts = set(evalcli.SUBNET_HOSTS)
+    train, test, _ = preprocess.anonymize(cache.flows[:0], cache.flows, "randomize", 9)
+    assert len(train) == 0
+    out = records_of(test)
+    hosts = set(simnet.SUBNET_HOSTS)
     for f in out:
         assert int(f.src_ip) in hosts and int(f.dst_ip) in hosts
         assert f.src_ip != f.dst_ip
@@ -306,6 +307,20 @@ class TestPlanValidation:
             assert rc == 1
             err = capsys.readouterr().err
             assert err.startswith("ddsids: error: ") and flag.lstrip("-") in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("scramble", "error: unknown anonymize spec 'scramble'; expected none, shift:<k>, switch:<a>,<b> or randomize"),
+        ("shift:one", "error: bad anonymize spec 'shift:one': invalid literal for int() with base 10: 'one'"),
+        ("shift:0", "error: bad anonymize spec 'shift:0': shift_by must be >= 1"),
+        ("switch:5", "error: bad anonymize spec 'switch:5': not enough values to unpack (expected 2, got 1)"),
+        ("switch:5,5", "error: bad anonymize spec 'switch:5,5': switch requires a pair of two distinct addresses"),
+        ("switch:5,99", "stage preprocess: switch pair addresses not observed: [99]"),
+    ])
+    def test_cli_names_a_bad_anonymize_spec(self, tmp_path, capsys, spec, message):
+        rc = main(["experiment", "--seed", "5", "--scale", "0.06", "--epochs", "1", "--anonymize", spec,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"ddsids: {message}\n"
 
     @pytest.mark.parametrize("verb", ["simulate", "preprocess", "select", "train", "experiment", "sweep"])
     def test_cli_rejects_a_negative_seed_by_name(self, verb, capsys):

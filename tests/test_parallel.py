@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -183,6 +184,23 @@ class TestForkMap:
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert seen == [1] and sets == [1, 4] and threads == [4]
 
+    def test_a_single_method_ranks_inside_one_blas_thread(self, monkeypatch):
+        held, seen = [], []
+
+        @contextmanager
+        def counted():
+            held.append(1)
+            try:
+                yield
+            finally:
+                held.pop()
+
+        monkeypatch.setattr(parallel, "one_blas_thread", counted)
+        rank_univariate = featsel.rank_univariate
+        monkeypatch.setattr(featsel, "rank_univariate", lambda ds: seen.append(len(held)) or rank_univariate(ds))
+        evalcli.compute_ranking(capped_lasso_split(), "univariate", 7, {})
+        assert seen == [1] and held == []
+
 
 def experiment_like_jobs():
     """Jobs shaped like the experiment's: three experts on benign plus their
@@ -329,7 +347,7 @@ class TestForkedScenarios:
         assert len(forks) == 1
         assert_no_child_left()
         assert snapshot(forked.flows) == snapshot(serial.flows)
-        assert forked.notes == serial.notes and len(serial.notes) == 2  # the clone and malsub rules
+        assert forked.footnotes == serial.footnotes and len(serial.footnotes) == 3  # clone, malsub, routers
         assert forked.router_sessions_removed == serial.router_sessions_removed > 0
         assert forked.scenarios == serial.scenarios
         assert [s["name"] for s in serial.scenarios] == list(simnet.SCENARIOS)

@@ -1,8 +1,8 @@
 """The columnar flow-preparation chain against the record-at-a-time chain it
 replaced (`oracle_prep`).
 
-Both chains run on the same drawn flows: label each scenario, pool (strip
-routers, sort, encode timestamps and addresses), split, anonymize the way an
+Both chains run on the same drawn flows: label each scenario and note its
+rule, pool (strip routers, sort, encode timestamps and addresses), split, anonymize the way an
 experiment does (shift, switch or randomize) and build the matrix.  Records
 are compared on the `repr` of every field and matrices by their bytes; where
 the reference raises, the table chain must raise the same message.
@@ -10,6 +10,7 @@ the reference raises, the table chain must raise the same message.
 
 import copy
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 import oracle_prep
 from ddsids import evalcli, preprocess
 from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, FLOW_BLOCK, FlowTable, read_flow_csv, write_flow_csv
-from ddsids.preprocess import DIRECTIONALITIES, IP_MODES, LabelRule
+from ddsids.preprocess import IP_MODES
 from ddsids.simnet import ATTACK_SCENARIOS, SCENARIOS
 from records import FlowRecord, records_of, table_of
 
 HOSTS = (2, 3, 4, 5, 6, 7)  # 2 and 3 are the routers
+DIRECTIONALITIES = ("bidirectional", "destination_only", "source_only")
 STARTS = (0.0, 0.5, 0.5, 1.25, 3.0)  # few distinct values, so starts tie
 FRACTIONS = (0.5, 0.25, 0.75, 0.1, 0.3, 0.9)  # quotas that round at .5
 ANONYMIZE = (st.sampled_from(["randomize", "none"]) | st.integers(1, 8).map("shift:{}".format)
@@ -72,49 +74,54 @@ def same(got, want):
 
 
 def table_chain(scenarios, fraction, seed, spec, columns):
-    tables = [preprocess.label_scenario(name, table_of(FlowTable, flows))[0] for name, flows in scenarios]
+    tables = [preprocess.label_scenario(name, table_of(FlowTable, flows)) for name, flows in scenarios]
+    notes = preprocess.rule_notes(name for name, _ in scenarios)
     pooled, removed = preprocess.pool(FlowTable.concat(tables))
     split = outcome(preprocess.split_flows, pooled, fraction, seed)
     if isinstance(split, str):
-        return pooled, removed, split
+        return notes, pooled, removed, split
     plan = evalcli.ExperimentPlan(seed=seed, anonymize=spec)
-    anonymized = outcome(evalcli._apply_anonymize, plan, *split, [])
+    anonymized = outcome(preprocess.anonymize, *split, plan.anonymize, plan.seed_for("randomize"))
     if isinstance(anonymized, str):
-        return pooled, removed, split, anonymized
-    return pooled, removed, split, anonymized, [preprocess._matrix(t, columns) for t in anonymized]
+        return notes, pooled, removed, split, anonymized
+    anonymized = anonymized[:2]
+    return notes, pooled, removed, split, anonymized, [preprocess._matrix(t, columns) for t in anonymized]
 
 
 def record_chain(scenarios, fraction, seed, spec, columns):
-    pooled = []
+    pooled, notes = [], []
     for name, flows in scenarios:
-        pooled.extend(oracle_prep.label_scenario(name, copy.deepcopy(flows))[0])
+        labelled, rule_notes = oracle_prep.label_scenario(name, copy.deepcopy(flows))
+        pooled.extend(labelled)
+        notes.extend(rule_notes)
     pooled, removed = oracle_prep.pool(pooled)
     split = outcome(oracle_prep.split_flows, pooled, fraction, seed)
     if isinstance(split, str):
-        return pooled, removed, split
+        return notes, pooled, removed, split
     train, test = split
-    mode = evalcli._anonymize_mode(spec)
-    if spec == "randomize":
+    kind, args = preprocess.parse_anonymize(spec)
+    if kind == "randomize":
         anonymized = train, oracle_prep.randomize_sessions(test, seed * 1000 + 30)
-    elif mode is None:
+    elif kind == "none":
         anonymized = train, test
-    elif mode.kind == "shift":
-        merged = outcome(oracle_prep.anonymize, train + test, mode)
+    elif kind == "shift":
+        merged = outcome(oracle_prep.anonymize, train + test, kind, args)
         anonymized = merged if isinstance(merged, str) else (merged[: len(train)], merged[len(train) :])
     else:
-        test = outcome(oracle_prep.anonymize, test, mode)
+        test = outcome(oracle_prep.anonymize, test, kind, args)
         anonymized = test if isinstance(test, str) else (train, test)
     if isinstance(anonymized, str):
-        return pooled, removed, split, anonymized
-    return pooled, removed, split, anonymized, [oracle_prep._matrix(t, columns) for t in anonymized]
+        return notes, pooled, removed, split, anonymized
+    return notes, pooled, removed, split, anonymized, [oracle_prep._matrix(t, columns) for t in anonymized]
 
 
 def assert_same_chain(scenarios, fraction, seed, spec, ip_mode="both"):
     columns = preprocess._column_names(ip_mode)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = table_chain(scenarios, fraction, seed, spec, columns)
-        want = record_chain(scenarios, fraction, seed, spec, columns)
+        notes, *got = table_chain(scenarios, fraction, seed, spec, columns)
+        want_notes, *want = record_chain(scenarios, fraction, seed, spec, columns)
+    assert notes == want_notes
     assert len(got) == len(want)
     assert fields(got[0]) == fields(want[0]) and got[1] == want[1]
     for got_stage, want_stage in zip(got[2:4], want[2:4]):
@@ -160,10 +167,12 @@ def test_pool_keeps_tied_starts_in_order():
 def test_every_label_rule(pairs, attack, directionality, octet):
     flows = [FlowRecord(f"f{i}", f"10.0.5.{a}", i, f"10.0.5.{b}", 1, 17, float(i), [0.0] * len(FEATURE_NAMES))
              for i, (a, b) in enumerate(pairs)]
-    rule = LabelRule(attack, directionality, octet)
-    with warnings.catch_warnings():
+    # The attacker host is a constant; it is patched to reach every octet.
+    with mock.patch.object(preprocess, "ATTACKER_HOST", octet), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert fields(preprocess.label(table_of(FlowTable, flows), rule)) == fields(oracle_prep.label(flows, rule))
+        got = preprocess.label(table_of(FlowTable, flows), attack, directionality)
+        want = oracle_prep.label(flows, attack, directionality, octet)
+    assert fields(got) == fields(want)
 
 
 @pytest.mark.parametrize("n", [0, 1, FLOW_BLOCK - 1, FLOW_BLOCK, 2 * FLOW_BLOCK + 1])

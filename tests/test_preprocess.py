@@ -3,8 +3,6 @@ import pytest
 
 from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, FlowTable
 from ddsids.preprocess import (
-    AnonymizeMode,
-    LabelRule,
     anonymize,
     build_dataset,
     build_dataset_from_split,
@@ -12,7 +10,8 @@ from ddsids.preprocess import (
     encode_timestamps,
     label,
     label_scenario,
-    observed_addresses,
+    parse_anonymize,
+    rule_notes,
     split_flows,
     strip_router_flows,
 )
@@ -39,42 +38,43 @@ def make_flow(src="10.0.5.5", dst="10.0.5.4", start=0.0, label_="benign", sport=
 class TestLabel:
     def test_source_only_matches_source(self):
         flows = [make_flow(src="10.0.5.6", dst="10.0.5.4")]
-        rule = LabelRule("dos", "source_only")
-        assert records_of(label(table_of(FlowTable, flows), rule))[0].label == "dos"
+        assert records_of(label(table_of(FlowTable, flows), "dos", "source_only"))[0].label == "dos"
 
     def test_source_only_excludes_destination(self):
         flows = [make_flow(src="10.0.5.4", dst="10.0.5.6")]
-        assert records_of(label(table_of(FlowTable, flows), LabelRule("dos", "source_only")))[0].label == "benign"
+        assert records_of(label(table_of(FlowTable, flows), "dos", "source_only"))[0].label == "benign"
 
     def test_absent_address_is_benign(self):
         flows = [make_flow(src="10.0.5.5", dst="10.0.5.4")]
         for directionality in ("bidirectional", "source_only", "destination_only"):
-            rule = LabelRule("dos", directionality)
-            assert records_of(label(table_of(FlowTable, flows), rule))[0].label == "benign"
+            assert records_of(label(table_of(FlowTable, flows), "dos", directionality))[0].label == "benign"
 
     def test_bidirectional_matches_either_side(self):
         flows = [make_flow(src="10.0.5.6"), make_flow(dst="10.0.5.6"), make_flow()]
-        labels = label(table_of(FlowTable, flows), LabelRule("dos", "bidirectional")).label.tolist()
+        labels = label(table_of(FlowTable, flows), "dos", "bidirectional").label.tolist()
         assert labels == ["dos", "dos", "benign"]
 
     def test_undocumented_combo_notes(self):
-        flows = table_of(FlowTable, [make_flow()])
-        notes = {name: label_scenario(name, flows)[1] for name in ("benign", "dos", "clone", "malsub")}
+        notes = {name: rule_notes([name]) for name in ("benign", "dos", "clone", "malsub")}
         outside = "labeling combination {} is outside the documented reliable set"
         assert notes == {"benign": [], "dos": [], "clone": [outside.format("clone/source_only")],
                          "malsub": [outside.format("malsub/bidirectional")]}
+        assert rule_notes(["malsub", "benign", "clone", "dos"]) == [notes["malsub"][0], notes["clone"][0]]
 
     def test_purity_under_permutation(self):
         flows = [make_flow(src=f"10.0.5.{o}", seed=o) for o in (2, 4, 5, 6, 6, 3)]
-        rule = LabelRule("dos", "bidirectional")
-        labeled = label(table_of(FlowTable, flows), rule).label.tolist()
+        labeled = label(table_of(FlowTable, flows), "dos", "bidirectional").label.tolist()
         perm = [3, 0, 5, 1, 4, 2]
-        relabeled = label(table_of(FlowTable, [flows[i] for i in perm]), rule).label.tolist()
+        relabeled = label(table_of(FlowTable, [flows[i] for i in perm]), "dos", "bidirectional").label.tolist()
         assert relabeled == [labeled[i] for i in perm]
 
     def test_rule_validation(self):
-        with pytest.raises(ValueError, match="malicious_octet"):
-            LabelRule("dos", "bidirectional", malicious_octet=1)
+        # A scenario without a rule is rejected; benign keeps the meter's labels.
+        flows = table_of(FlowTable, [make_flow(src="10.0.5.6", label_="benign")])
+        with pytest.raises(ValueError, match="^scenario 'worm' is not one of: benign, dos, clone, malsub$"):
+            label_scenario("worm", flows)
+        assert records_of(label_scenario("benign", flows))[0].label == "benign"
+        assert records_of(label_scenario("dos", flows))[0].flow_id.startswith("dos:")
 
 
 class TestStripRouters:
@@ -137,6 +137,20 @@ class TestEncodeIps:
             encode_ips(table_of(FlowTable, flows))
 
 
+def shifted(flows, k):
+    """`flows` as the training split of a `shift:<k>` regime."""
+    return anonymize(flows, flows[:0], f"shift:{k}", 0)[0]
+
+
+def switched(flows, a, b):
+    """`flows` as the test split of a `switch:<a>,<b>` regime."""
+    return anonymize(flows[:0], flows, f"switch:{a},{b}", 0)[1]
+
+
+def observed(flows) -> list[int]:
+    return sorted({int(ip) for f in records_of(flows) for ip in (f.src_ip, f.dst_ip)})
+
+
 class TestAnonymize:
     def encoded(self, octets=((5, 4), (6, 4), (2, 3), (4, 6))):
         flows = [make_flow(src=f"10.0.5.{a}", dst=f"10.0.5.{b}", seed=i) for i, (a, b) in enumerate(octets)]
@@ -146,49 +160,63 @@ class TestAnonymize:
         flows = encode_ips(table_of(
             FlowTable, [make_flow(src=f"10.0.5.{a}", dst=f"10.0.5.{b}", seed=a) for a, b in ((2, 3), (4, 5), (6, 2))]
         ))
-        out = records_of(anonymize(flows, AnonymizeMode("shift", shift_by=1)))
+        out = records_of(shifted(flows, 1))
         # observed {2,3,4,5,6}: 2->3, 6->2
         assert out[0].src_ip == "3"
         assert out[2].src_ip == "2"
 
     def test_shift_full_cycle_is_identity(self):
         flows = self.encoded()
-        n = len(observed_addresses(flows))
-        out = anonymize(flows, AnonymizeMode("shift", shift_by=n))
+        out = shifted(flows, len(observed(flows)))
         assert [(f.src_ip, f.dst_ip) for f in records_of(out)] == [(f.src_ip, f.dst_ip) for f in records_of(flows)]
 
     def test_switch_example(self):
         flows = self.encoded()
-        out = records_of(anonymize(flows, AnonymizeMode("switch", pair=(5, 6))))
+        out = records_of(switched(flows, 5, 6))
         assert out[0].src_ip == "6"
         assert out[1].src_ip == "5"
         assert out[0].dst_ip == "4"
 
     def test_switch_twice_is_identity(self):
         flows = self.encoded()
-        mode = AnonymizeMode("switch", pair=(5, 6))
-        out = anonymize(anonymize(flows, mode), mode)
+        out = switched(switched(flows, 5, 6), 5, 6)
         assert [(f.src_ip, f.dst_ip) for f in records_of(out)] == [(f.src_ip, f.dst_ip) for f in records_of(flows)]
 
     def test_switch_unobserved_pair_rejected(self):
         with pytest.raises(ValueError, match="not observed"):
-            anonymize(self.encoded(), AnonymizeMode("switch", pair=(5, 99)))
+            switched(self.encoded(), 5, 99)
 
     def test_anonymize_never_touches_features(self):
         flows = self.encoded()
-        for mode in (
-            AnonymizeMode("shift", shift_by=2),
-            AnonymizeMode("switch", pair=(5, 6)),
-        ):
-            out = anonymize(flows, mode)
+        for out in (shifted(flows, 2), switched(flows, 5, 6)):
             for before, after in zip(records_of(flows), records_of(out)):
                 assert before.features == after.features
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="shift_by"):
-            AnonymizeMode("shift", shift_by=0)
+            parse_anonymize("shift:0")
         with pytest.raises(ValueError, match="pair"):
-            AnonymizeMode("switch", pair=(5, 5))
+            parse_anonymize("switch:5,5")
+        assert [parse_anonymize(spec) for spec in ("none", "randomize", "shift:3", "switch:5,6")] == [
+            ("none", ()), ("randomize", ()), ("shift", (3,)), ("switch", (5, 6))]
+
+    def test_regimes_move_the_split_they_name(self):
+        train, test = self.encoded(((5, 4), (2, 3))), self.encoded(((6, 4), (4, 6)))
+        kept_train, kept_test, note = anonymize(train, test, "none", 0)
+        assert kept_train is train and kept_test is test and note is None
+        moved_train, moved_test, note = anonymize(train, test, "shift:1", 0)
+        # observed across both splits {2,3,4,5,6}: each moves one step, 6 wraps to 2
+        assert [(f.src_ip, f.dst_ip) for f in records_of(moved_train)] == [("6", "5"), ("3", "4")]
+        assert [(f.src_ip, f.dst_ip) for f in records_of(moved_test)] == [("2", "5"), ("5", "2")]
+        assert note == "addresses shifted by 1 across train and test"
+        kept_train, moved_test, note = anonymize(train, test, "switch:4,6", 0)
+        assert kept_train is train and note == "addresses 4 and 6 switched in the test split"
+        assert [(f.src_ip, f.dst_ip) for f in records_of(moved_test)] == [("4", "6"), ("6", "4")]
+        with pytest.raises(ValueError, match=r"not observed: \[5\]"):
+            anonymize(train, test, "switch:5,6", 0)  # 5 is in the training split only
+        kept_train, moved_test, note = anonymize(train, test, "randomize", 9)
+        assert kept_train is train and note == "test-split addresses reassigned per session from the subnet range"
+        assert all(f.src_ip != f.dst_ip for f in records_of(moved_test))
 
 
 def pool(n_benign=30, n_attack=10, seed=0):

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from ddsids.evalcli import ConfusionCounts, metrics
 from ddsids.flowmeter import FEATURE_NAMES, FlowTable, meter
-from ddsids.preprocess import AnonymizeMode, anonymize, encode_ips, observed_addresses
+from ddsids.preprocess import encode_ips
 from ddsids.simnet import PacketTrace
 from records import FlowRecord, PacketRecord, records_of, table_of
+from test_preprocess import observed, shifted, switched
 
 
 octets = st.integers(min_value=2, max_value=254)
@@ -43,40 +44,36 @@ class TestAnonymizeProperties:
     @settings(max_examples=60, deadline=None)
     def test_shift_full_cycle_is_identity(self, pairs):
         flows = flows_from_octets(pairs)
-        n = len(observed_addresses(flows))
-        out = anonymize(flows, AnonymizeMode("shift", shift_by=n))
+        out = shifted(flows, len(observed(flows)))
         assert [(f.src_ip, f.dst_ip) for f in records_of(out)] == [(f.src_ip, f.dst_ip) for f in records_of(flows)]
 
     @given(address_pairs(), st.integers(min_value=1, max_value=300))
     @settings(max_examples=60, deadline=None)
     def test_shift_is_a_bijection_on_observed(self, pairs, k):
         flows = flows_from_octets(pairs)
-        observed = observed_addresses(flows)
-        out = anonymize(flows, AnonymizeMode("shift", shift_by=k))
+        out = shifted(flows, k)
         mapping = {}
         for before, after in zip(records_of(flows), records_of(out)):
             mapping[int(before.src_ip)] = int(after.src_ip)
             mapping[int(before.dst_ip)] = int(after.dst_ip)
-        assert sorted(mapping.values()) == observed
+        assert sorted(mapping.values()) == observed(flows)
 
     @given(address_pairs())
     @settings(max_examples=60, deadline=None)
     def test_switch_twice_is_identity(self, pairs):
         flows = flows_from_octets(pairs)
-        observed = observed_addresses(flows)
-        if len(observed) < 2:
+        seen = observed(flows)
+        if len(seen) < 2:
             return
-        mode = AnonymizeMode("switch", pair=(observed[0], observed[-1]))
-        out = anonymize(anonymize(flows, mode), mode)
+        out = switched(switched(flows, seen[0], seen[-1]), seen[0], seen[-1])
         assert [(f.src_ip, f.dst_ip) for f in records_of(out)] == [(f.src_ip, f.dst_ip) for f in records_of(flows)]
 
     @given(address_pairs())
     @settings(max_examples=30, deadline=None)
     def test_anonymize_preserves_features(self, pairs):
         flows = flows_from_octets(pairs)
-        for mode in (AnonymizeMode("shift", shift_by=3),):
-            out = anonymize(flows, mode)
-            assert [f.features for f in records_of(out)] == [f.features for f in records_of(flows)]
+        out = shifted(flows, 3)
+        assert [f.features for f in records_of(out)] == [f.features for f in records_of(flows)]
 
 
 @st.composite
