@@ -118,7 +118,11 @@ class ExperimentPlan:
         if self.selection_method not in SELECTION_METHODS:
             raise ValueError(f"unknown selection method {self.selection_method!r}; known: {', '.join(SELECTION_METHODS)}")
         _wanted_models(self)
-        preprocess.parse_anonymize(self.anonymize)
+        kind, args = preprocess.parse_anonymize(self.anonymize)
+        # The plan's traffic holds the subnet hosts, and preprocessing strips the routers.
+        hosts = [h for h in simnet.SUBNET_HOSTS if h not in simnet.ROUTER_HOSTS]
+        if kind == "switch" and (outside := [a for a in args if a not in hosts]):
+            raise ValueError(f"switch pair addresses outside the subnet hosts {hosts}: {outside}")
 
     def seed_for(self, use: str) -> int:
         """The seed of a seeded use of the plan, derived from the master seed:
@@ -216,11 +220,13 @@ class PipelineCache:
 
 @contextmanager
 def _stage(name: str, timing: dict[str, float]):
-    """Runs one pipeline stage: an error raised inside is tagged with the
-    stage's name, the heap it freed goes back to the OS
+    """Runs one pipeline stage: glibc's mmap threshold is pinned before it
+    (`parallel.pin_mmap_threshold`), an error raised inside is tagged with
+    the stage's name, the heap it freed goes back to the OS
     (`parallel.trim_heap`), and its wall time, the trim included, is added
     to timing[f"{name}_s"]."""
     started = time.perf_counter()
+    parallel.pin_mmap_threshold()
     try:
         yield
     except _StageError:
@@ -903,6 +909,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     clash = _clashing_option(args)
     if clash:
         parser.error(clash)
+    parallel.pin_mmap_threshold()
     try:
         return args.func(args)
     except _StageError as exc:

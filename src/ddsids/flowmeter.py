@@ -37,17 +37,18 @@ time; downstream preprocessing replaces it with inter-session deltas.
 The meter works on the columns of a ``PacketTrace``: one stable sort groups
 the packets by flow, and every feature is a reduction over each flow's
 segment of the sorted columns.  Float sums are added left to right within a
-flow and squares are taken with Python's ``**``, so each value is the one a
-per-packet loop over the flow would compute, to the last bit.
+flow and squares are libm ``pow``'s, as Python's ``**`` takes them, so each
+value is the one a per-packet loop over the flow would compute, to the last
+bit.
 """
 
 from __future__ import annotations
 
-import operator
+from functools import partial
 
 import numpy as np
 
-from .simnet import INT64, PORTS, SCENARIOS, ColumnTable, PacketTrace, read_rows, write_rows
+from .simnet import INT64, PORTS, SCENARIOS, ColumnTable, PacketTrace, format_once, read_rows, write_rows
 
 FEATURE_NAMES = [
     "Protocol",
@@ -172,14 +173,12 @@ def _ordered_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return total
 
 
-_pow = np.frompyfunc(operator.pow, 2, 1)
-
-
 def _squared(values: np.ndarray) -> np.ndarray:
-    """``v ** 2`` of each value as Python computes it (libm ``pow``, which
-    rounds a few squares differently from ``v * v``), once per distinct value."""
-    distinct, where = np.unique(values, return_inverse=True)
-    return _pow(distinct, 2).astype(np.float64)[where]
+    """``v ** 2`` of each value as Python computes it: libm ``pow``, here
+    through `np.float_power`'s C loop, with no Python float per value.
+    ``v * v`` rounds some squares differently, and so does `np.power`, which
+    runs a SIMD pow of its own where the CPU has one."""
+    return np.float_power(values, np.full(len(values), 2.0))
 
 
 def _run_stats(values: np.ndarray, sizes: np.ndarray):
@@ -412,9 +411,10 @@ def write_flow_csv(flows: FlowTable, path) -> None:
     quoted = '"{}",'.format
     with open(path, "w") as fh:
         fh.write(",".join(f'"{h}"' for h in METADATA_NAMES + FEATURE_NAMES + [LABEL_NAME]) + "\n")
-        write_rows(fh, [(flows.flow_id, quoted), (flows.src, address.__getitem__), (flows.src_port, quoted),
-                        (flows.dst, address.__getitem__), (flows.dst_port, quoted), (flows.start_time, '"{!r}",'.format),
-                        (flows.features, "{!r},".format), (flows.label, '"{}"\n'.format)], FLOW_BLOCK)
+        columns = [(flows.flow_id, quoted), (flows.src, address.__getitem__), (flows.src_port, quoted),
+                   (flows.dst, address.__getitem__), (flows.dst_port, quoted), (flows.start_time, '"{!r}",'.format),
+                   (flows.features, "{!r},".format), (flows.label, '"{}"\n'.format)]
+        write_rows(fh, [(values, partial(format_once, fmt=fmt)) for values, fmt in columns], FLOW_BLOCK)
 
 
 # A flow row: the start time and the features are one run of floats.

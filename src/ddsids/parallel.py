@@ -29,7 +29,10 @@ a trim threshold, which it raises to twice the largest mmap'd block freed so
 far, so what a finished stage leaves resident depends on the sizes and order
 of everything freed before it.  `evalcli` trims at the end of every pipeline
 stage and every command, so that the next one's peak does not sit on that
-remainder.
+remainder.  `pin_mmap_threshold()` fixes glibc's mmap threshold, the size
+from which a block gets its own mapping, which glibc otherwise raises to the
+largest mmap'd block freed so far: pinned before the first stage, where a
+block of a given size lives no longer depends on what was freed before it.
 """
 
 from __future__ import annotations
@@ -44,6 +47,15 @@ from typing import Callable, Sequence
 OPENBLAS_CORENAME = ("scipy_openblas_get_corename64_", "openblas_get_corename")
 OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
 OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+# mallopt's parameter number for the mmap threshold in glibc's malloc.h,
+# and the threshold pinned: blocks below it come from the heap, larger ones
+# get their own mapping, which goes back to the OS when freed.  Measured on
+# the benchmark: at 512 KiB and below, cli-chain's peak no longer moves with
+# the checkout path (at 1 MiB and up, and unpinned, it jumps 4-8 MB on some
+# paths); below 512 KiB the page faults of fresh mappings cost run time.
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 512 << 10
 
 # Set in a forked child, so that it runs any nested fork_map in turn.
 _in_child = False
@@ -80,6 +92,18 @@ def trim_heap() -> None:
     except (OSError, TypeError, AttributeError):  # no C library by that name, or no malloc_trim in it
         return
     trim(0)
+
+
+def pin_mmap_threshold() -> None:
+    """glibc's `mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)`, which also
+    ends glibc's own moving of the threshold.  Nothing where the C library has
+    no such call."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library by that name, or no mallopt in it
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
 
 
 def openblas_core() -> str | None:

@@ -22,13 +22,14 @@ import json
 import platform
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowTable
 from .parallel import openblas_core, usable_cpus
-from .simnet import ATTACKER_HOST, ROUTER_HOSTS, SCENARIOS, SUBNET_HOSTS, read_rows, write_rows
+from .simnet import ATTACKER_HOST, ROUTER_HOSTS, SCENARIOS, SUBNET_HOSTS, format_once, read_rows, write_rows
 
 IP_MODES = ("both", "source_only", "destination_only", "none")
 SRC_IP_COL = "Src IP"
@@ -379,8 +380,8 @@ def dataset_manifest(
 def write_dataset_csv(dataset: Dataset, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(f'"{n}"' for n in dataset.feature_names) + ',"Label"\n')
-        write_rows(fh, [(np.asarray(dataset.matrix, dtype=np.float64), "{!r},".format),
-                        (dataset.labels, '"{}"\n'.format)], FLOW_BLOCK)
+        write_rows(fh, [(np.asarray(dataset.matrix, dtype=np.float64), partial(format_once, fmt="{!r},".format)),
+                        (dataset.labels, partial(format_once, fmt='"{}"\n'.format))], FLOW_BLOCK)
 
 
 def _dataset_row(path, header: list[str]) -> np.dtype:

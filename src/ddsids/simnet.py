@@ -45,6 +45,7 @@ from array import array
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -288,14 +289,19 @@ class _TraceBuilder:
         self.emit_rows(rows)
 
     def finish(self) -> PacketTrace:
-        """The emitted packets ordered by (time, emit order)."""
+        """The emitted packets ordered by (time, emit order).  Each column is
+        gathered on its own by that order, so the trace owns its columns and
+        keeps no copy of the event block alive."""
         events = np.frombuffer(self.events, dtype=np.int64).reshape(-1, 6)
-        t_us, src, sport, dst, dport, payload = events[np.argsort(events[:, 0], kind="stable")].T
-        hosts, ends = np.unique(np.concatenate([src, dst]), return_inverse=True)
-        n = len(t_us)
+        order = np.argsort(events[:, 0], kind="stable")
+        ts = events[order, 0] / 1e6
+        src, sport, dst, dport, payload = (events[order, j] for j in range(1, 6))
+        hosts = np.union1d(np.unique(src), np.unique(dst))
+        n = len(order)
         return PacketTrace(
-            [f"{SUBNET}{h}" for h in hosts.tolist()], t_us / 1e6, ends[:n], sport, ends[n:], dport,
-            np.full(n, PROTO_UDP), payload, np.full(n, HEADER_LEN), np.zeros(n),
+            [f"{SUBNET}{h}" for h in hosts.tolist()], ts, np.searchsorted(hosts, src), sport,
+            np.searchsorted(hosts, dst), dport, np.full(n, PROTO_UDP), payload, np.full(n, HEADER_LEN),
+            np.zeros(n, np.int64),
         )
 
 
@@ -441,35 +447,114 @@ def generate(config: ScenarioConfig) -> PacketTrace:
 PACKET_CSV_HEADER = "ts,src_ip,src_port,dst_ip,dst_port,proto,payload_len,header_len,flags"
 
 
-def format_once(values: np.ndarray, fmt) -> np.ndarray:
-    """``fmt(v)`` for each value, as an object array of the same shape, with
-    each distinct value formatted once.  Floats are told apart by their bits,
-    so -0.0 and every NaN payload keep their own text."""
+_PAD = 0xFF  # pads a cell's bytes; no UTF-8 text holds it
+
+
+def format_once(values, fmt) -> np.ndarray:
+    """The cells (see `write_rows`) of ``fmt(v)`` for each value, each
+    distinct value formatted once: the texts are the only Python objects made
+    per value, and only per distinct value.  Floats are told apart by their
+    bits, so -0.0 and every NaN payload keep their own text.  The texts are
+    encoded by one join, as UTF-8 with surrogates passed, which decodes back
+    to every str."""
     values = np.ascontiguousarray(values)
     keys = values.view(np.int64) if values.dtype == np.float64 else values
     distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
-    texts = np.array([fmt(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
-    return texts[inverse].reshape(values.shape)
+    texts = list(map(fmt, distinct.view(values.dtype).tolist()))
+    joined = "".join(texts)
+    data = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
+    lengths = map(len, texts) if len(data) == len(joined) else (len(t.encode("utf-8", "surrogatepass")) for t in texts)
+    lengths = np.fromiter(lengths, np.int64, len(texts))
+    width = int(lengths.max(initial=0))
+    table = np.full((len(texts), width), _PAD, np.uint8)
+    table[np.arange(width) >= width - lengths[:, None]] = data
+    return table[inverse].reshape(*values.shape, width)
+
+
+def _digits(magnitudes: np.ndarray, width: int) -> np.ndarray:
+    """The last `width` decimal digits of each uint64 as ASCII, right-aligned,
+    the zeros before its first digit replaced by _PAD (0 keeps its digit)."""
+    out = np.empty((len(magnitudes), width), np.uint8)
+    for k in range(width - 1, -1, -1):
+        quotient = magnitudes // np.uint64(10)
+        out[:, k] = magnitudes - quotient * np.uint64(10) + np.uint64(ord("0"))
+        if k < width - 1:
+            np.copyto(out[:, k], _PAD, where=magnitudes == 0)
+        magnitudes = quotient
+    return out
+
+
+def _width(magnitudes: np.ndarray) -> int:
+    """The decimal digits of the largest uint64."""
+    return len(str(int(magnitudes.max(initial=0))))
+
+
+def _decimal_cells(values: np.ndarray, sep: str) -> np.ndarray:
+    """The cells (see `write_rows`) of ``f"{v}{sep}"`` for each int64, by
+    digit arithmetic, with no Python object per value."""
+    negative = values < 0
+    # -(-2**63) wraps to itself, whose bits read as the uint64 2**63.
+    magnitudes = np.where(negative, -values, values).view(np.uint64)
+    width = _width(magnitudes)
+    cells = np.empty((len(values), 1 + width + len(sep)), np.uint8)
+    cells[:, 0] = np.where(negative, ord("-"), _PAD)  # the padding between sign and digits drops out
+    cells[:, 1 : width + 1] = _digits(magnitudes, width)
+    cells[:, width + 1 :] = np.frombuffer(sep.encode(), np.uint8)
+    return cells
+
+
+def _seconds_cells(ts: np.ndarray) -> np.ndarray:
+    """The cells (see `write_rows`) of ``f"{t:.6f},"`` for each float.
+
+    A time t of n = rint(t * 1e6) microseconds with n / 1e6 == t, t >= 0
+    without a sign bit and t < 2**33 s is written as ``<n // 10**6>.<n %
+    10**6:06d>`` by digit arithmetic: t is then the double nearest n / 10**6,
+    within half an ulp (at most 2**-21 s) of it, so rounding t's exact value
+    to six decimals gives n, with no tie.  Every other time is formatted once
+    per distinct value (`format_once`)."""
+    fast = (ts >= 0) & (ts < 2.0**33) & ~np.signbit(ts)  # NaN fails the comparisons
+    micros = np.rint(np.where(fast, ts, 0.0) * 1e6)
+    fast &= micros / 1e6 == ts
+    micros = micros.astype(np.uint64)
+    seconds = micros // np.uint64(10**6)
+    width = _width(seconds)
+    cells = np.empty((len(ts), width + 8), np.uint8)
+    cells[:, :width] = _digits(seconds, width)
+    cells[:, width] = ord(".")
+    cells[:, width + 1 : -1] = _digits(micros % np.uint64(10**6) + np.uint64(10**6), 7)[:, 1:]  # zero-padded
+    cells[:, -1] = ord(",")
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        texts = format_once(ts[slow], "{:.6f},".format)
+        cells = np.pad(cells, ((0, 0), (max(0, texts.shape[1] - cells.shape[1]), 0)), constant_values=_PAD)
+        cells[slow] = _PAD
+        cells[slow, cells.shape[1] - texts.shape[1] :] = texts
+    return cells
 
 
 def write_rows(fh, columns: Sequence[tuple], block: int) -> None:
-    """Write the rows of `columns`, `block` rows at a time.  A column pairs a
-    sequence, one entry (or, in a 2-D array, one row of cells) per row, with
-    the format of a cell and the separator after it; a block is one join of
-    its cells, each distinct value formatted once."""
+    """Write the rows of `columns`, `block` rows at a time, to the text file
+    `fh`.  A column pairs a sequence, one entry (or, in a 2-D array, one row
+    of entries) per row, with the function that turns a block of it into
+    cells: a uint8 array with one more axis than the block, holding each
+    entry's text, its separator included, as UTF-8 bytes among _PAD bytes.
+    A block is its cells in row order with the padding dropped, decoded into
+    one string and written at once: no Python object is made per cell."""
     for lo in range(0, len(columns[0][0]), block):
-        cells = [format_once(values[lo : lo + block], fmt) for values, fmt in columns]
-        fh.write("".join(np.concatenate([c if c.ndim == 2 else c[:, None] for c in cells], axis=1).ravel().tolist()))
+        cells = [cells_of(values[lo : lo + block]) for values, cells_of in columns]
+        chars = np.concatenate([c.reshape(len(c), -1) for c in cells], axis=1)
+        fh.write(str(chars[chars != _PAD], "utf-8", "surrogatepass"))
 
 
 def write_packet_csv(trace: PacketTrace, path) -> None:
-    address = [a + "," for a in trace.addresses]
-    formats = ["{:.6f},".format, address.__getitem__, "{},".format, address.__getitem__, *["{},".format] * 4,
-               "{}\n".format]
+    # Each address is formatted once per trace; a block's address cells are rows of that table.
+    address = format_once(np.arange(len(trace.addresses)), [a + "," for a in trace.addresses].__getitem__).__getitem__
+    number = partial(_decimal_cells, sep=",")
+    cells = [_seconds_cells, address, number, address, number, number, number, number, partial(_decimal_cells, sep="\n")]
     try:
         with open(path, "w") as fh:
             fh.write(PACKET_CSV_HEADER + "\n")
-            write_rows(fh, [(getattr(trace, name), fmt) for name, fmt in zip(PACKET_COLUMNS, formats)], _ROW_BLOCK)
+            write_rows(fh, [(getattr(trace, name), c) for name, c in zip(PACKET_COLUMNS, cells)], _ROW_BLOCK)
     except OSError as exc:
         raise OSError(f"cannot write packet csv {path}: {exc}") from exc
 

@@ -287,6 +287,8 @@ class TestPlanValidation:
         ({"feature_k": 0}, "feature_k"),
         ({"epochs": 0}, "epochs"),
         ({"seed": -1}, "seed must be non-negative"),
+        ({"anonymize": "switch:5,99"}, r"outside the subnet hosts \[4, 5, 6\]: \[99\]"),
+        ({"anonymize": "switch:2,4"}, r"outside the subnet hosts \[4, 5, 6\]: \[2\]"),
     ])
     def test_rejected_on_construction(self, change, message):
         with pytest.raises(ValueError, match=message):
@@ -314,13 +316,14 @@ class TestPlanValidation:
         ("shift:0", "error: bad anonymize spec 'shift:0': shift_by must be >= 1"),
         ("switch:5", "error: bad anonymize spec 'switch:5': not enough values to unpack (expected 2, got 1)"),
         ("switch:5,5", "error: bad anonymize spec 'switch:5,5': switch requires a pair of two distinct addresses"),
-        ("switch:5,99", "stage preprocess: switch pair addresses not observed: [99]"),
+        ("switch:5,99", "error: switch pair addresses outside the subnet hosts [4, 5, 6]: [99]"),
     ])
     def test_cli_names_a_bad_anonymize_spec(self, tmp_path, capsys, spec, message):
         rc = main(["experiment", "--seed", "5", "--scale", "0.06", "--epochs", "1", "--anonymize", spec,
                    "--out-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == f"ddsids: {message}\n"
+        assert not (tmp_path / "traces").exists()  # rejected before any scenario is simulated
 
     @pytest.mark.parametrize("verb", ["simulate", "preprocess", "select", "train", "experiment", "sweep"])
     def test_cli_rejects_a_negative_seed_by_name(self, verb, capsys):

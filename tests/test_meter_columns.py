@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_meter_rows
-from ddsids import flowmeter
+from ddsids import evalcli, flowmeter
 from ddsids.flowmeter import FEATURE_NAMES, meter
 from ddsids.simnet import PacketTrace, ScenarioConfig, generate
 from oracle_flow import random_flow_packets
@@ -135,3 +135,48 @@ def test_every_feature_is_a_float():
         for flow in records_of(meter(packets)):
             bad = [name for name, v in zip(FEATURE_NAMES, flow.features) if type(v) is not float]
             assert not bad, f"{flow.flow_id}: {bad}"
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _python_squares(values: np.ndarray) -> np.ndarray:
+    return np.array([v ** 2 for v in values.tolist()], dtype=np.float64)
+
+
+def test_squares_match_python_pow_bit_for_bit():
+    """`_squared` against Python's ``v ** 2`` on values where `np.power` and
+    ``v * v`` round differently: signed zeros, negatives, subnormals,
+    magnitudes near 1e-154 and 1e154 (whose squares near-underflow and
+    near-overflow) and random bit patterns with squares below the float
+    range's top."""
+    rng = np.random.default_rng(2106)
+    top = np.sqrt(np.finfo(np.float64).max)
+    random_bits = rng.integers(0, 2**64, size=400_000, dtype=np.uint64).view(np.float64)
+    random_bits = random_bits[np.isfinite(random_bits) & (np.abs(random_bits) < top)]
+    values = np.concatenate([
+        [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, top, -top, np.inf, -np.inf],
+        rng.uniform(0.5, 1.5, 20_000) * 1e-154, -rng.uniform(0.5, 1.3, 20_000) * 1e154,
+        rng.uniform(-1, 1, 20_000) * 10.0 ** rng.integers(-320, 150, 20_000),
+        rng.standard_normal(20_000) * 1e6, random_bits,
+    ])
+    assert np.array_equal(_bits(flowmeter._squared(values)), _bits(_python_squares(values)))
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_squares_of_the_experiment_traces_match_python_pow(seed):
+    """Every array the meter squares for a seed's four scenario traces."""
+    squared, square = [], flowmeter._squared
+
+    def recorded(values):
+        squared.append(np.array(values))
+        return square(values)
+
+    for config in evalcli.scenario_configs(evalcli.ExperimentPlan(seed=seed)).values():
+        trace = generate(config)
+        with mock.patch.object(flowmeter, "_squared", recorded):
+            meter(trace)
+    assert squared and sum(map(len, squared)) > len(squared)
+    for values in squared:
+        assert np.array_equal(_bits(square(values)), _bits(_python_squares(values)))

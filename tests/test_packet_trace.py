@@ -5,7 +5,7 @@ import pytest
 
 import oracle_meter_rows
 from ddsids.flowmeter import FlowTable, meter
-from ddsids.simnet import PacketTrace, ScenarioConfig, generate, read_packet_csv, write_packet_csv
+from ddsids.simnet import PACKET_COLUMNS, PacketTrace, ScenarioConfig, generate, read_packet_csv, write_packet_csv
 from records import records_of, table_of
 
 
@@ -54,6 +54,20 @@ class TestPacketTrace:
         back = table_of(PacketTrace, iter(records_of(trace)))
         assert records_of(back) == records_of(trace)
         assert records_of(trace[1:]) != records_of(trace)
+
+    @pytest.mark.parametrize("scenario", ["benign", "clone", "malsub"])
+    def test_generated_columns_own_their_memory(self, scenario):
+        """Each column is its own contiguous n x 8 bytes, not a strided view
+        into the block of simulated events."""
+        trace = generate(ScenarioConfig(scenario, duration=30.0, relaunch_period=5.0, relaunch_count=4, rng_seed=3))
+        for name in PACKET_COLUMNS:
+            column = getattr(trace, name)
+            assert column.flags.c_contiguous, name
+            root = column
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            assert root.base is None and root.flags.owndata, name
+            assert root.nbytes == len(trace) * 8, name
 
     def test_columns_are_read_only(self):
         trace = small_trace()

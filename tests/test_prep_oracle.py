@@ -80,8 +80,8 @@ def table_chain(scenarios, fraction, seed, spec, columns):
     split = outcome(preprocess.split_flows, pooled, fraction, seed)
     if isinstance(split, str):
         return notes, pooled, removed, split
-    plan = evalcli.ExperimentPlan(seed=seed, anonymize=spec)
-    anonymized = outcome(preprocess.anonymize, *split, plan.anonymize, plan.seed_for("randomize"))
+    # The spec goes to anonymize as it is: a plan rejects a switch address outside the subnet hosts.
+    anonymized = outcome(preprocess.anonymize, *split, spec, evalcli.ExperimentPlan(seed=seed).seed_for("randomize"))
     if isinstance(anonymized, str):
         return notes, pooled, removed, split, anonymized
     anonymized = anonymized[:2]

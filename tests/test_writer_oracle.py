@@ -1,11 +1,15 @@
 """The block-formatting CSV writers against the row-at-a-time writers.
 
-Each writer formats every distinct value of a block once and joins the block
-in one go; `oracle_writers` formats every cell.  Their files must be equal
-byte for byte, on values whose text is easy to get wrong when values are told
-apart by equality instead of by bits (-0.0 and 0.0, NaNs of any payload),
-on infinities, subnormals and floats whose repr needs 17 digits, on blocks
-where most values repeat, and on row counts around the block size.
+Each writer formats every distinct value of a block once, or builds its text
+by digit arithmetic, and joins the block in one go; `oracle_writers` formats
+every cell.  Their files must be equal byte for byte, on values whose text is
+easy to get wrong when values are told apart by equality instead of by bits
+(-0.0 and 0.0, NaNs of any payload), on infinities, subnormals and floats
+whose repr needs 17 digits, on blocks where most values repeat, on row counts
+around the block size, and at the edges of the packet writer's arithmetic:
+times on both sides of 2**33 s, seventh-decimal ties, times that are no whole
+count of microseconds, int64 extremes, and addresses holding a NUL byte or a
+character beyond ASCII.
 """
 
 import tempfile
@@ -95,6 +99,11 @@ def test_flow_csv_matches_row_writer(flows):
 def packet_traces(draw) -> PacketTrace:
     rows = draw(st.sampled_from([0, 1, 2, 3, 50]) | st.integers(min_value=0, max_value=30))
     ts = draw(value_blocks(rows, 1))[:, 0]
+    # Whole microseconds on both sides of 2**33 s, which the writer turns into
+    # text by arithmetic below it, mixed into the block with the drawn times.
+    micros = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1))).integers(0, 2**34 * 10**6, rows)
+    whole = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
+    ts = np.where(whole, micros / 1e6, ts)
     ints = st.sampled_from([0, 1, -1, 17, 28, 65535, 2**53 + 1, 2**63 - 1, -(2**63)]) | st.integers(-(2**63), 2**63 - 1)
     pool = draw(st.lists(ints, min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -117,4 +126,43 @@ def test_packet_csv_across_the_block_boundary(rows):
     trace = generate(ScenarioConfig("benign", duration=1500.0))
     assert len(trace) > _ROW_BLOCK + 1
     trace = trace[:rows]
+    assert written(write_packet_csv, trace, "p.csv") == written(oracle_writers.write_packet_csv, trace, "p.csv")
+
+
+TIME_EDGES = [
+    2.0**33, np.nextafter(2.0**33, 0.0), np.nextafter(2.0**33, np.inf), 2.0**33 - 1e-6, 2.0**33 + 1e-6,
+    8589934591.999999, 8589934591.9999995, 2.0**34 + 0.5, 2.0**53, 1e300,
+    5e-7, 1.0000005, 2.5e-6, 0.0000015, 1234.5678905, 1e-7, 0.1 + 0.2, 1 / 3, 123.456789, 0.000001, 999999.999999,
+    0.0, -0.0, -1.5, -1e-7, -5e-7, -2.0**33, 5e-324, 2.2250738585072014e-308,
+    float("nan"), _bits(0xFFF8000000000000), float("inf"), float("-inf"),
+]
+INT_EDGES = [-(2**63), -(2**63) + 1, 2**63 - 1, 2**63 - 2, -1, 0, 1, 9, 10, 99, 100, 65535, 65536,
+             10**18 - 1, 10**18, -(10**18), 4 * 10**18]
+EDGE_ADDRESSES = ["10.0.5.4", "a\0b", "\0", "10.0.5.\u00e9", ""]
+
+
+def edge_trace(rows: int) -> PacketTrace:
+    """`rows` packets of whole-microsecond times below 2**33 s, with every
+    edge time and int64 extreme spread over them, in every integer column."""
+    rng = np.random.default_rng(rows)
+    ts = rng.integers(0, 2**33 * 10**6, rows) / 1e6
+    ts[rng.permutation(rows)[: len(TIME_EDGES)]] = TIME_EDGES[:rows]
+    columns = rng.integers(-(2**20), 2**20, (6, rows))
+    for column in columns:
+        column[rng.permutation(rows)[: len(INT_EDGES)]] = INT_EDGES[:rows]
+    src, dst = rng.integers(len(EDGE_ADDRESSES), size=(2, rows))
+    return PacketTrace(EDGE_ADDRESSES, ts, src, columns[0], dst, *columns[1:])
+
+
+@pytest.mark.parametrize("rows", [1, 2, len(TIME_EDGES), 200, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+def test_packet_csv_at_the_edges_of_its_arithmetic(rows):
+    trace = edge_trace(rows)
+    assert written(write_packet_csv, trace, "p.csv") == written(oracle_writers.write_packet_csv, trace, "p.csv")
+
+
+@pytest.mark.parametrize("ts", TIME_EDGES, ids=repr)
+def test_packet_csv_time_alone_in_its_block(ts):
+    """Each edge time as the one row of a block: a block whose times are all
+    whole microseconds or all formatted by value."""
+    trace = PacketTrace(["10.0.5.4"], [ts], [0], [1], [0], [2], [17], [0], [28], [0])
     assert written(write_packet_csv, trace, "p.csv") == written(oracle_writers.write_packet_csv, trace, "p.csv")
