@@ -79,7 +79,7 @@ def metrics(counts: ConfusionCounts) -> tuple[float, float | None]:
 
 
 def confusion_from(labels: Sequence[str], predicted_benign: np.ndarray) -> ConfusionCounts:
-    truth_benign = np.array([lab == "benign" for lab in labels])
+    truth_benign = np.array([lab == "benign" for lab in labels], dtype=bool)
     predicted_benign = np.asarray(predicted_benign, dtype=bool)
     return ConfusionCounts(
         tp=int(np.sum(truth_benign & predicted_benign)),
@@ -296,9 +296,10 @@ def _simulated_flows(name: str, config: ScenarioConfig, trace_dir: Path | None) 
 
 def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCache:
     """Every scenario simulated, metered and labelled, each in its own forked
-    worker (`parallel.fork_map`), then pooled in SCENARIOS order.  Given an
-    `out_dir`, each trace, config and flow table goes under its `traces/` and
-    `flows/`, with the pooled flows and the feature names."""
+    worker (`parallel.fork_map`), then pooled in SCENARIOS order, in memory.
+    Given an `out_dir`, `traces/` holds each scenario's packets and config
+    (`_simulated`), and `flows/` each scenario's labelled flows,
+    `<scenario>.flows.csv`, and the feature names, `features.txt`."""
     timing: dict[str, float] = {}
     trace_dir = flow_dir = None
     if out_dir is not None:
@@ -311,7 +312,6 @@ def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCa
     with _stage("preprocess", timing):
         pooled, removed, sizes = pool_scenarios(scenarios)
         if flow_dir is not None:
-            flowmeter.write_flow_csv(pooled, flow_dir / "pooled.flows.csv")
             flowmeter.write_feature_names(flow_dir / "features.txt")
     return PipelineCache(flows=pooled, scenarios=sizes, router_sessions_removed=removed, timing=timing)
 

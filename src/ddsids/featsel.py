@@ -75,8 +75,8 @@ def _binary_targets(dataset: Dataset, method: str) -> np.ndarray:
     labels."""
     y = dataset.binary_labels()
     if len(set(y.tolist())) < 2:
-        found = ", ".join(sorted(set(dataset.labels))) or "no rows"
-        raise ValueError(f"{method} ranking needs both benign and attack rows; the training set holds only {found}")
+        found = f"only {', '.join(sorted(set(dataset.labels)))}" if len(dataset.labels) else "no rows"
+        raise ValueError(f"{method} ranking needs both benign and attack rows; the training set holds {found}")
     return y
 
 

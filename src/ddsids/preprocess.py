@@ -252,6 +252,8 @@ def split_flows(
     empty = labels[quota == 0].tolist()
     if empty:
         raise ValueError(f"split leaves no training rows for label(s): {sorted(empty)}")
+    if (quota == totals).all():
+        raise ValueError("split leaves no test rows")
     # Each shuffled flow's position among the shuffled flows of its label.
     rank = np.empty(len(order), dtype=np.int64)
     rank[np.argsort(code, kind="stable")] = np.arange(len(order)) - np.repeat(np.cumsum(totals) - totals, totals)

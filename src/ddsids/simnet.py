@@ -86,6 +86,10 @@ COMPACT_BATCH_FRACTION = 0.25
 # instead of forging a plausible topic batch.
 CLONE_FILLER_FRACTION = 0.65
 
+# The longest scenario a config may ask for, about ten times the longest at
+# desk scale (clone, 8,500 s): a longer one has no bound on its packets.
+MAX_DURATION_S = 86_400.0
+
 SCENARIOS = ("benign", "dos", "clone", "malsub")
 ATTACK_SCENARIOS = ("dos", "clone", "malsub")
 
@@ -196,6 +200,8 @@ class ScenarioConfig:
         for f in fields(self):
             if isinstance(value := getattr(self, f.name), float) and math.isinf(value):
                 raise ValueError(f"{f.name} must be finite")
+        if self.duration > MAX_DURATION_S:
+            raise ValueError(f"duration must be at most {MAX_DURATION_S:g} s")
 
 
 class _TraceBuilder:

@@ -169,6 +169,8 @@ def split_flows(
     empty = [lab for lab, q in quota.items() if q == 0]
     if empty:
         raise ValueError(f"split leaves no training rows for label(s): {sorted(empty)}")
+    if all(quota[lab] == n for lab, n in totals.items()):
+        raise ValueError("split leaves no test rows")
 
     taken: dict[str, int] = {lab: 0 for lab in totals}
     train, test = [], []

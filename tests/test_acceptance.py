@@ -450,7 +450,6 @@ GOLDEN = {
     "flows/clone.flows.csv": "656b5741e10e4507cd06a56e0181a2d24188f6e0416055082f64978725d9ca03",
     "flows/dos.flows.csv": "9290d88c8ed49d3e67b5c53c4d4589e9803686435182660d345e49e012f8df17",
     "flows/malsub.flows.csv": "7138154de1c0e9ee0510fd37eb40c03ceca2628093dd8015f27416cd56459339",
-    "flows/pooled.flows.csv": "fad16a129af93169e5c5c1dadffbf4e30b4fb99e1df93636a6ca4fe9bc86aa00",
 }
 
 
@@ -460,6 +459,47 @@ def test_golden_artifacts(small_experiments):
     paths += sorted(out.glob("traces/*.packets.csv")) + sorted(out.glob("flows/*.flows.csv"))
     digests = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
     assert digests == GOLDEN
+
+
+# Every file `experiment` writes, sorted.  Each is read by a verb, a test or
+# `perfbench/checks.py`, or named in the README as an output; a file added
+# here says which.
+EXPERIMENT_OUTPUTS = [
+    "dataset.manifest.json",
+    "flows/benign.flows.csv",
+    "flows/clone.flows.csv",
+    "flows/dos.flows.csv",
+    "flows/features.txt",
+    "flows/malsub.flows.csv",
+    "models/ensemble.model.txt",
+    "models/expert-clone.model.txt",
+    "models/expert-clone.training.csv",
+    "models/expert-dos.model.txt",
+    "models/expert-dos.training.csv",
+    "models/expert-malsub.model.txt",
+    "models/expert-malsub.training.csv",
+    "models/single.model.txt",
+    "models/single.training.csv",
+    "report.csv",
+    "report.txt",
+    "single.histogram.csv",
+    "test.csv",
+    "timing.csv",
+    "traces/benign.config.txt",
+    "traces/benign.packets.csv",
+    "traces/clone.config.txt",
+    "traces/clone.packets.csv",
+    "traces/dos.config.txt",
+    "traces/dos.packets.csv",
+    "traces/malsub.config.txt",
+    "traces/malsub.packets.csv",
+    "train.csv",
+]
+
+
+def test_experiment_writes_only_its_outputs(small_experiments):
+    out = small_experiments[0]
+    assert sorted(path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()) == EXPERIMENT_OUTPUTS
 
 
 # The seed-7 split under each address regime: SHA-256 of its train.csv and

@@ -63,6 +63,9 @@ class TestMetrics:
         assert (counts.tp, counts.fp, counts.tn, counts.fn) == (1, 1, 2, 1)
         assert counts.benign_total == 2 and counts.attack_total == 3
 
+    def test_confusion_from_no_rows(self):
+        assert confusion_from([], np.array([], dtype=bool)) == ConfusionCounts(0, 0, 0, 0)
+
 
 class TestHistogram:
     def constant_model(self, score, width=3):
@@ -582,6 +585,14 @@ class TestCliContracts:
                                            "a split needs benign and attack flows\n")
         assert not (tmp_path / "data" / "train.csv").exists()
 
+    def test_preprocess_rejects_a_split_with_no_test_rows(self, tmp_path, capsys):
+        flows = [f"{name}={scenario_flows(tmp_path, name)}" for name in ("benign", "dos")]
+        rc = main(["preprocess", "--flows", flows[0], "--flows", flows[1], "--split", "0.9999999",
+                   "--out-dir", str(tmp_path / "data")])
+        assert rc == 1
+        assert capsys.readouterr().err == "ddsids: error: split leaves no test rows\n"
+        assert not (tmp_path / "data" / "test.csv").exists()
+
     def test_preprocess_rejects_unknown_label(self, tmp_path, capsys):
         flows = tmp_path / "dos.flows.csv"
         flowmeter.write_flow_csv(flowmeter.FlowTable.empty(), flows)
@@ -627,6 +638,21 @@ class TestCliContracts:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("ddsids:") and "f0, f1, f2" in err
+
+    @pytest.mark.parametrize("kind, message", [("single", "empty test set"),
+                                               ("ensemble", "metrics need at least one classified row")])
+    def test_evaluate_rejects_a_test_set_with_no_rows(self, tmp_path, capsys, kind, message):
+        full = toy_dataset(seed=3)
+        model = self.trained(full)
+        if kind == "ensemble":
+            model = detector.EnsembleModel(experts={a: model for a in detector.EXPERT_ATTACKS})
+        path, test_csv = tmp_path / "model.txt", tmp_path / "test.csv"
+        detector.save_model(model, path)
+        preprocess.write_dataset_csv(full, test_csv)
+        test_csv.write_text(test_csv.read_text().splitlines(keepends=True)[0])  # the header alone
+        rc = main(["evaluate", "--model", str(path), "--test", str(test_csv), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"ddsids: error: {message}\n"
 
     @pytest.mark.parametrize("extra, flag", [(["--scenario", "benign"], "--scenario"), (["--scale", "0.5"], "--scale")])
     def test_simulate_config_rejects_what_the_file_sets(self, tmp_path, capsys, extra, flag):

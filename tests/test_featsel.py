@@ -93,10 +93,12 @@ class TestRfe:
 
 
 @pytest.mark.parametrize("rank", [rank_rfe, rank_lasso])
-@pytest.mark.parametrize("labels, found", [(["benign"], "benign"), (["dos", "clone"], "clone, dos")])
+@pytest.mark.parametrize("labels, found", [(["benign"], "benign"), (["dos", "clone"], "clone, dos"), ([], None)])
 def test_linear_rankers_reject_one_class(rank, labels, found):
-    ds = dataset_from(np.random.default_rng(9).uniform(0, 1, (60, 4)), labels * (60 // len(labels)))
-    with pytest.raises(ValueError, match=f"needs both benign and attack rows; the training set holds only {found}$"):
+    labels = labels * (60 // max(len(labels), 1))
+    ds = dataset_from(np.random.default_rng(9).uniform(0, 1, (len(labels), 4)), labels)
+    holds = f"only {found}" if found else "no rows"
+    with pytest.raises(ValueError, match=f"needs both benign and attack rows; the training set holds {holds}$"):
         rank(ds)
 
 

@@ -144,6 +144,8 @@ CONFIG = ScenarioConfig("dos", duration=3.0, relaunch_period=0.5, relaunch_count
     (3, "relaunch_period 0.5", "line 3: expected 'key = value', got 'relaunch_period 0.5\\n'"),
     (5, "rng_seed = -1", "rng_seed must be non-negative"),
     (2, "duration = -3.0", "duration must be positive"),
+    (2, "duration = 1e303", "duration must be at most 86400 s"),
+    (2, "duration = 86401.0", "duration must be at most 86400 s"),
     # Settings that are simnet constants now, as a file written before they
     # were would still set them.
     *[(6, f"{key} = {value}", f"line 6, field '{key}': unknown scenario field '{key}'") for key, value in (

@@ -293,6 +293,12 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="no training rows"):
             split_flows(table_of(FlowTable, flows), 0.2, 1)
 
+    @pytest.mark.parametrize("n_benign, n_attack, fraction", [(40, 12, 0.9999999), (1, 1, 0.5), (0, 0, 0.5)])
+    def test_empty_test_side_rejected(self, n_benign, n_attack, fraction):
+        flows = pool(n_benign=n_benign, n_attack=n_attack)
+        with pytest.raises(ValueError, match="^split leaves no test rows$"):
+            split_flows(table_of(FlowTable, flows), fraction, 1)
+
     def test_normalization_from_train_only(self):
         flows = pool()
         train_flows, test_flows = split_flows(table_of(FlowTable, flows), 0.5, 7)

@@ -42,6 +42,8 @@ class TestConfig:
         ("relaunch_period", float("nan"), "relaunch_period must be positive"),
         ("duration", float("inf"), "duration must be finite"),
         ("relaunch_period", float("inf"), "relaunch_period must be finite"),
+        ("duration", 1e303, "duration must be at most 86400 s"),
+        ("duration", 86_401.0, "duration must be at most 86400 s"),
     ])
     def test_rejects_nan_and_out_of_range_timings(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -54,6 +56,9 @@ class TestConfig:
     def test_rejects_oversized_relaunch_count(self):
         with pytest.raises(ValueError, match="relaunch_count"):
             ScenarioConfig("dos", duration=10.0, relaunch_count=2001)
+
+    def test_accepts_the_longest_duration(self):
+        assert ScenarioConfig("clone", duration=simnet.MAX_DURATION_S).duration == 86_400.0
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = ScenarioConfig("clone", duration=55.0, relaunch_period=2.5, relaunch_count=10, rng_seed=42)
