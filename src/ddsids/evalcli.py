@@ -784,7 +784,10 @@ def _cmd_evaluate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = detector.load_model(args.model)
-    test_ds = _model_view(model, preprocess.read_dataset_csv(args.test))
+    test_ds = preprocess.read_dataset_csv(args.test)
+    if not test_ds.labels:
+        raise ValueError(f"{args.test}: the test set holds no rows")
+    test_ds = _model_view(model, test_ds)
     counts = score(model, test_ds)
     if not isinstance(model, EnsembleModel):
         write_histogram_csv(emit_histogram(model, test_ds), out / "histogram.csv")

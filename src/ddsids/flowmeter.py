@@ -145,6 +145,7 @@ ACTIVITY_TIMEOUT_S = 5.0  # a longer gap ends an active span
 BULK_GAP_S = 1.0  # a gap this long ends a bulk
 SUBFLOW_GAP_S = 1.0  # a longer gap starts a subflow
 FLOW_BLOCK = 256  # flows (or dataset rows) formatted at a time
+METER_BLOCK = 1 << 15  # packets metered at a time, in whole flows; each block repeats _ordered_sums' steps
 
 
 class FlowTable(ColumnTable):
@@ -393,7 +394,16 @@ def meter(packets: PacketTrace) -> FlowTable:
     address = packets.addresses
     flow_id = [f"{address[s]}:{sp}->{address[d]}:{dp}/{p}#{n}" for s, sp, d, dp, p, n in
                zip(src.tolist(), sport.tolist(), dst.tolist(), dport.tolist(), proto.tolist(), serial.tolist())]
-    features = _features(packets, order, sizes)
+    # Every feature is a reduction within one flow, so blocks of whole flows,
+    # about METER_BLOCK packets each, give the matrix a whole read would.
+    features = np.empty((len(sizes), len(FEATURE_NAMES)))
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        start = ends[lo] - sizes[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, start + METER_BLOCK, side="right")))
+        features[lo:hi] = _features(packets, order[start : ends[hi - 1]], sizes[lo:hi])
+        lo = hi
     return FlowTable(address, flow_id, src, sport, dst, dport, proto, ts[first], features, ["benign"] * len(first))
 
 
@@ -417,9 +427,10 @@ def write_flow_csv(flows: FlowTable, path) -> None:
         write_rows(fh, [(values, partial(format_once, fmt=fmt)) for values, fmt in columns], FLOW_BLOCK)
 
 
-# A flow row: the start time and the features are one run of floats.
+# A flow row, its fields named as the FlowTable columns they fill.
 _FLOW_ROW = np.dtype([("flow_id", object), ("src", object), ("src_port", np.int64), ("dst", object),
-                      ("dst_port", np.int64), ("values", np.float64, (1 + len(FEATURE_NAMES),)), ("label", object)])
+                      ("dst_port", np.int64), ("start_time", np.float64),
+                      ("features", np.float64, (len(FEATURE_NAMES),)), ("label", object)])
 _FLOW_HEADER = METADATA_NAMES + FEATURE_NAMES + [LABEL_NAME]
 
 
@@ -442,9 +453,6 @@ def read_flow_csv(path) -> FlowTable:
     catalog, a port outside 0..65535, a Protocol outside the 64-bit range and
     a label that is not a scenario name."""
     bounds = {"Src Port": PORTS, "Dst Port": PORTS, "Protocol": INT64, LABEL_NAME: SCENARIOS}
-    _, rows = read_rows(path, _flow_row, '"', bounds)
-    values = rows["values"]
-    return FlowTable.from_columns(
-        [rows["flow_id"].tolist(), rows["src"], rows["src_port"].copy(), rows["dst"],
-         rows["dst_port"].copy(), values[:, 1 + FEATURE_INDEX["Protocol"]].astype(np.int64), values[:, 0].copy(),
-         np.ascontiguousarray(values[:, 1:]), rows["label"].tolist()])
+    _, columns, texts = read_rows(path, _flow_row, '"', bounds)
+    columns["protocol"] = columns["features"][:, FEATURE_INDEX["Protocol"]].astype(np.int64)
+    return FlowTable.from_coded(columns, texts)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowTable
 from .parallel import openblas_core, usable_cpus
-from .simnet import ATTACKER_HOST, ROUTER_HOSTS, SCENARIOS, SUBNET_HOSTS, format_once, read_rows, write_rows
+from .simnet import ATTACKER_HOST, ROUTER_HOSTS, SCENARIOS, SUBNET_HOSTS, decoded, format_once, read_rows, write_rows
 
 IP_MODES = ("both", "source_only", "destination_only", "none")
 SRC_IP_COL = "Src IP"
@@ -401,7 +401,7 @@ def read_dataset_csv(path) -> Dataset:
     """Inverse of write_dataset_csv, through simnet.read_rows; rejects an
     empty file, a last column other than Label, a repeated column name and a
     label that is not a scenario name."""
-    header, rows = read_rows(path, _dataset_row, '"', {"Label": SCENARIOS})
+    header, columns, texts = read_rows(path, _dataset_row, '"', {"Label": SCENARIOS})
     width = len(header) - 1
-    return Dataset(np.ascontiguousarray(rows["values"]), rows["label"].tolist(), header[:-1], 0, np.zeros(width),
+    return Dataset(columns["values"], decoded(columns["label"], texts["label"]), header[:-1], 0, np.zeros(width),
                    np.ones(width))

@@ -95,7 +95,7 @@ ATTACK_SCENARIOS = ("dos", "clone", "malsub")
 
 
 PACKET_COLUMNS = ("ts", "src", "src_port", "dst", "dst_port", "proto", "payload_len", "header_len", "flags")
-_ROW_BLOCK = 1 << 14  # rows simulated, or turned into text, at a time
+_ROW_BLOCK = 1 << 14  # rows simulated, turned into text or read from it at a time
 
 
 def _address_codes(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
@@ -103,6 +103,11 @@ def _address_codes(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]
     column after the other, and each column's cells as indices into them."""
     index = {a: i for i, a in enumerate(dict.fromkeys(chain.from_iterable(columns)))}
     return list(index), [np.fromiter(map(index.__getitem__, c), np.int64, len(c)) for c in columns]
+
+
+def decoded(codes: np.ndarray, texts: Sequence[str]) -> list[str]:
+    """The text each code indexes in `texts`."""
+    return list(map(texts.__getitem__, codes.tolist()))
 
 
 class ColumnTable:
@@ -145,6 +150,18 @@ class ColumnTable:
         for k, code in zip(where, codes):
             columns[k] = code
         return cls(addresses, *columns)
+
+    @classmethod
+    def from_coded(cls, columns: dict[str, np.ndarray], texts: dict[str, list[str]]) -> "ColumnTable":
+        """A table from columns as `read_rows` gives them, by name: the
+        address columns' codes into their own text tables recoded over the
+        one table `_address_codes` merges from those, and any other text
+        column decoded."""
+        addresses, where = _address_codes(*(texts[name] for name in cls.ADDRESS_COLUMNS))
+        columns = {**columns, **{name: w[columns[name]] for name, w in zip(cls.ADDRESS_COLUMNS, where)}}
+        for name in texts.keys() - set(cls.ADDRESS_COLUMNS):
+            columns[name] = decoded(columns[name], texts[name])
+        return cls(addresses, *(columns[name] for name in cls.COLUMNS))
 
     @classmethod
     def concat(cls, tables: Sequence["ColumnTable"]) -> "ColumnTable":
@@ -583,32 +600,56 @@ def _line_stats(path) -> tuple[int, int, bool]:
     return lines, longest, odd
 
 
-def tokenized_rows(fh, line_stats: tuple[int, int, bool], header_lines: int, dtype: np.dtype,
-                   quotechar: str | None = None) -> np.ndarray | None:
-    """The rows of the text file `fh`, whose `_line_stats` are `line_stats`,
-    read past its `header_lines` header lines by numpy's C tokenizer into a
-    structured array of `dtype`; None where that read could differ from the
-    csv module's.  Its quoting is the csv module's (a quote opens a quoted
-    field only as the field's first character), and it raises on a field
-    count off the dtype's, a cell that is no number and an integer beyond 64
-    bits.  It skips blank lines, so the rows must number the newline bytes;
-    a carriage return (it ends a line too) or a NUL (the csv module rejects
-    it before Python 3.11) sends the file to the csv module, as does a line
-    beyond the csv field size or Python's int digit limit."""
-    lines, longest, odd = line_stats
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or sys.maxsize
-    if odd or longest > min(csv.field_size_limit(), digits) or lines <= header_lines:
-        return None
+def tokenized_rows(lines: list[str], dtype: np.dtype, quotechar: str | None = None) -> np.ndarray | None:
+    """A block of text lines read by numpy's C tokenizer into a structured
+    array of `dtype`; None where that read could differ from the csv
+    module's.  Its quoting is the csv module's (a quote opens a quoted field
+    only as the field's first character), and it raises on a field count off
+    the dtype's, a cell that is no number and an integer beyond 64 bits.  It
+    skips blank lines and reads a quoted field on over a newline, so the rows
+    must number the lines, and the last line must not end inside a quoted
+    field, which the next block would go on with."""
+    if quotechar:
+        try:
+            next(csv.reader(lines[-1:], quotechar=quotechar, strict=True), None)
+        except csv.Error:
+            return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns of input with no rows
-            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar=quotechar, ndmin=1)
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=quotechar, ndmin=1)
     except (ValueError, UserWarning):
         return None
-    return rows if len(rows) == lines - header_lines else None
+    return rows if len(rows) == len(lines) else None
+
+
+def _gathered(blocks, dtype: np.dtype, rows: int) -> tuple[dict[str, np.ndarray], dict[str, list[str]]] | None:
+    """The structured arrays of `dtype` in `blocks`, `rows` rows in all,
+    written block by block into one contiguous array per field, and the
+    table of each text field's distinct texts in the order they first show,
+    the field's cells coded as int64 indices into it; None at a block that
+    is None.  No cell's text outlives its block but as a table entry."""
+    columns = {name: np.empty((rows, *dtype[name].shape), np.int64 if dtype[name] == object else dtype[name].base)
+               for name in dtype.names}
+    tables: dict[str, dict[str, int]] = {name: {} for name in dtype.names if dtype[name] == object}
+    lo = 0
+    for block in blocks:
+        if block is None:
+            return None
+        for name, column in columns.items():
+            cells = block[name]
+            if name in tables:
+                table = tables[name]
+                for text in dict.fromkeys(cells):
+                    table.setdefault(text, len(table))
+                cells = np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
+            column[lo : lo + len(block)] = cells
+        lo += len(block)
+    return columns, {name: list(table) for name, table in tables.items()}
 
 
 _CELL_BLOCK = 1 << 12  # cells parsed at a time: few, so the csv module's row lists die young
+_TEXT_BLOCK = 1 << 18  # bytes of whole lines the tokenizer reads at a time, _ROW_BLOCK lines at most
 PORTS = range(1 << 16)
 INT64 = range(-(1 << 63), 1 << 63)
 LENGTHS = range(INT64.stop)
@@ -643,10 +684,11 @@ def _csv_reader(fh, quotechar: str | None):
     return csv.reader(fh, quotechar=quotechar) if quotechar else csv.reader(fh, quoting=csv.QUOTE_NONE)
 
 
-def _column_views(rows: np.ndarray) -> list[np.ndarray]:
-    """One view into a structured array of rows per CSV column, in file order."""
-    return [column for name in rows.dtype.names
-            for column in rows[name].reshape(len(rows), math.prod(rows.dtype[name].shape)).T]
+def _column_views(rows, dtype: np.dtype) -> list[np.ndarray]:
+    """One view per CSV column, in file order, into `rows`: a structured
+    array of `dtype` or a mapping from its field names to arrays."""
+    return [column for name in dtype.names
+            for column in rows[name].reshape(len(rows[name]), math.prod(dtype[name].shape)).T]
 
 
 def _row_fault(row: list[str], header: list[str], dtype: np.dtype, bounds: dict) -> tuple[int | None, str] | None:
@@ -656,7 +698,7 @@ def _row_fault(row: list[str], header: list[str], dtype: np.dtype, bounds: dict)
     column by its declared tuple of allowed values, if any."""
     if len(row) != len(header):
         return None, ""
-    for c, (name, column, cell) in enumerate(zip(header, _column_views(np.zeros(0, dtype)), row)):
+    for c, (name, column, cell) in enumerate(zip(header, _column_views(np.zeros(0, dtype), dtype), row)):
         kind = column.dtype.kind
         bound = bounds.get(name, INT64 if kind == "i" else None)
         try:
@@ -673,15 +715,18 @@ def _row_fault(row: list[str], header: list[str], dtype: np.dtype, bounds: dict)
             return c, f"outside {bound.start}..{bound.stop - 1}"
 
 
-def _first_bad_row(rows: np.ndarray, header: list[str], bounds: dict) -> int | None:
-    """The first row with a non-finite float or a value outside its column's bound, or None."""
-    bad = np.zeros(len(rows), bool)
-    for name, column in zip(header, _column_views(rows)):
+def _first_bad_row(columns: dict[str, np.ndarray], texts: dict[str, list[str]], header: list[str], dtype: np.dtype,
+                   bounds: dict) -> int | None:
+    """The first row of `_gathered` columns with a non-finite float or a
+    value outside its column's bound, or None."""
+    fields = [name for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
+    bad = np.zeros(len(columns[dtype.names[0]]), bool)
+    for name, field, column in zip(header, fields, _column_views(columns, dtype)):
         bound = bounds.get(name)
         if column.dtype.kind == "f":
             bad |= ~np.isfinite(column)
         if isinstance(bound, tuple):
-            bad |= ~np.isin(column, bound)
+            bad |= np.array([text not in bound for text in texts[field]], bool)[column]
         elif bound is not None:
             bad |= (column < bound.start) | (column >= bound.stop)
     return int(np.argmax(bad)) if bad.any() else None
@@ -700,7 +745,7 @@ def _parsed_rows(reader, header: list[str], dtype: np.dtype, bounds: dict) -> tu
         try:
             if set(map(len, cells)) != {width}:
                 raise ValueError("a field count off the header's")
-            for c, column in enumerate(_column_views(block)):
+            for c, column in enumerate(_column_views(block, dtype)):
                 column[:] = flat[c::width]
         except (ValueError, OverflowError):
             rows = np.concatenate(blocks)
@@ -709,33 +754,48 @@ def _parsed_rows(reader, header: list[str], dtype: np.dtype, bounds: dict) -> tu
     return np.concatenate(blocks), None
 
 
-def read_rows(path, row_type, quotechar: str | None,
-              bounds: dict[str, range | tuple[str, ...]]) -> tuple[list[str], np.ndarray]:
+def read_rows(path, row_type, quotechar: str | None, bounds: dict[str, range | tuple[str, ...]]
+              ) -> tuple[list[str], dict[str, np.ndarray], dict[str, list[str]]]:
     """The header and the rows of the CSV file `path` (`quotechar` None: no
-    quoting), the rows in a structured array of the dtype (a text, float64
-    or int64 field per column or run of columns) that `row_type(path,
-    header)` gives or raises for the header.  numpy's C tokenizer reads the
-    rows where it reads them as the csv module would, else the csv module
-    does.  A rejection names the path and line, and the column, reason and
-    text of a cell `_row_fault` rejects under the bounds `bounds` declares,
-    or the line of the first byte that is not UTF-8."""
-    stats = _line_stats(path)
+    quoting), the rows as the columns and text tables of `_gathered`, by the
+    fields of the structured dtype (a text, float64 or int64 field per column
+    or run of columns) that `row_type(path, header)` gives or raises for the
+    header.  numpy's C tokenizer reads the rows a block of lines at a time
+    (as many lines as `_TEXT_BLOCK` bytes hold at the longest line's length,
+    `_ROW_BLOCK` at most) where it reads every block as the csv module would,
+    else the csv module reads the file.  A rejection names the path and line,
+    and the column, reason and text of a cell `_row_fault` rejects under the
+    bounds `bounds` declares, or the line of the first byte that is not
+    UTF-8."""
+    lines, longest, odd = _line_stats(path)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or sys.maxsize
     # The csv module asks for newline="", but a file with no carriage return
-    # (stats[2] flags one, or a NUL) reads the same in the default mode, in
+    # (`odd` flags one, or a NUL) reads the same in the default mode, in
     # which numpy's tokenizer is faster.
-    with open_text(path, newline="" if stats[2] else None) as fh:
+    with open_text(path, newline="" if odd else None) as fh:
         reader = _csv_reader(fh, quotechar)
         try:
             header = next(reader, [])
             dtype = row_type(path, header)
-            rows, r = tokenized_rows(fh, stats, reader.line_num, dtype, quotechar), None
-            if rows is None:
+            read, r = None, None
+            # A carriage return ends a line for the tokenizer too, and a NUL
+            # is rejected by the csv module before Python 3.11; a line beyond
+            # the csv field size or Python's int digit limit is the csv
+            # module's to reject.
+            if not odd and longest <= min(csv.field_size_limit(), digits):
+                block_lines = max(1, min(_ROW_BLOCK, _TEXT_BLOCK // longest))
+                blocks = iter(lambda: list(islice(fh, block_lines)), [])
+                read = _gathered((tokenized_rows(block, dtype, quotechar) for block in blocks), dtype,
+                                 lines - reader.line_num)
+            if read is None:
                 fh.seek(0)
                 reader = _csv_reader(fh, quotechar)
                 rows, r = _parsed_rows(islice(reader, 1, None), header, dtype, bounds)
+                read = _gathered([rows], dtype, len(rows))
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        bad = _first_bad_row(rows, header, bounds)
+        columns, texts = read
+        bad = _first_bad_row(columns, texts, header, dtype, bounds)
         r = r if bad is None else bad
         if r is not None:
             # Found only now, as the tokenizer keeps neither lines nor text;
@@ -744,11 +804,11 @@ def read_rows(path, row_type, quotechar: str | None,
             reader = _csv_reader(fh, quotechar)
             next(islice(reader, r + 1, r + 1), None)  # the header and the rows before row r
             line, row = reader.line_num + 1, next(reader)
-            c, reason = _row_fault(row, header, rows.dtype, bounds)
+            c, reason = _row_fault(row, header, dtype, bounds)
             if c is None:
                 raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
             raise ValueError(f"{path}: line {line}, column {header[c]!r}: {reason} {row[c]!r}")
-    return header, rows
+    return header, columns, texts
 
 
 def _packet_row(path, header: list[str]) -> np.dtype:
@@ -762,9 +822,8 @@ def read_packet_csv(path) -> PacketTrace:
     """Inverse of write_packet_csv, through read_rows; ports lie in 0..65535
     and lengths are non-negative."""
     bounds = {"src_port": PORTS, "dst_port": PORTS, "payload_len": LENGTHS, "header_len": LENGTHS}
-    _, rows = read_rows(path, _packet_row, None, bounds)
-    return PacketTrace.from_columns([rows[name] if name in PacketTrace.ADDRESS_COLUMNS else rows[name].copy()
-                                     for name in PACKET_COLUMNS])
+    _, columns, texts = read_rows(path, _packet_row, None, bounds)
+    return PacketTrace.from_coded(columns, texts)
 
 
 def parsed(text: str, kind=float, finite: bool = True):

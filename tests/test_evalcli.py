@@ -639,9 +639,8 @@ class TestCliContracts:
         err = capsys.readouterr().err
         assert err.startswith("ddsids:") and "f0, f1, f2" in err
 
-    @pytest.mark.parametrize("kind, message", [("single", "empty test set"),
-                                               ("ensemble", "metrics need at least one classified row")])
-    def test_evaluate_rejects_a_test_set_with_no_rows(self, tmp_path, capsys, kind, message):
+    @pytest.mark.parametrize("kind", ["single", "ensemble"])
+    def test_evaluate_rejects_a_test_set_with_no_rows(self, tmp_path, capsys, kind):
         full = toy_dataset(seed=3)
         model = self.trained(full)
         if kind == "ensemble":
@@ -652,7 +651,7 @@ class TestCliContracts:
         test_csv.write_text(test_csv.read_text().splitlines(keepends=True)[0])  # the header alone
         rc = main(["evaluate", "--model", str(path), "--test", str(test_csv), "--out-dir", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err == f"ddsids: error: {message}\n"
+        assert capsys.readouterr().err == f"ddsids: error: {test_csv}: the test set holds no rows\n"
 
     @pytest.mark.parametrize("extra, flag", [(["--scenario", "benign"], "--scenario"), (["--scale", "0.5"], "--scale")])
     def test_simulate_config_rejects_what_the_file_sets(self, tmp_path, capsys, extra, flag):

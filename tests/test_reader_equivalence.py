@@ -7,6 +7,7 @@ import csv
 import re
 import tempfile
 from contextlib import contextmanager, nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,22 +91,30 @@ def block_parsers_only():
 
 
 @contextmanager
-def small_blocks():
-    """Blocks of one row, so a few rows span several blocks."""
+def small_blocks(lines: int = 1):
+    """Blocks of one row for the csv module and of `lines` lines for the
+    tokenizer, so a few rows span several blocks."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simnet, "_CELL_BLOCK", 1)
+        mp.setattr(simnet, "_ROW_BLOCK", lines)
         yield
 
 
+# The tokenizer's lines per block in the comparisons: a block boundary after every row, or after every other one.
+BLOCK_LINES = (1, 2)
+
+
 def assert_same(read, text: str):
-    with tempfile.TemporaryDirectory() as tmp, small_blocks():
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.csv"
         path.write_bytes(text.encode())
-        fast = outcome(read, path)
-        with block_parsers_only():
+        with small_blocks(), block_parsers_only():
             blocks = outcome(read, path)
-    same = fast == blocks  # compared outside the assert: pytest would diff the two at length
-    assert same, f"the two paths read {text[:300]!r} differently"
+        for lines in BLOCK_LINES:
+            with small_blocks(lines):
+                fast = outcome(read, path)
+            same = fast == blocks  # compared outside the assert: pytest would diff the two at length
+            assert same, f"the two paths read {text[:300]!r} differently, {lines} lines per tokenizer block"
 
 
 ADDRESSES = ["10.0.5.4", "10.0.5.5", " 10.0.5.6", "host b", "10.0.5.6", "10.0.5.中", "10.0.5.255555555555555555"]
@@ -234,6 +243,12 @@ class TestTokenizerPath:
         assert read_dataset_csv(tmp_path / "d.csv").matrix.tobytes() == train.matrix.tobytes()
         assert taken == [True, True, True]
 
+    def test_a_block_ending_inside_a_quoted_field_is_not_tokenized(self):
+        """The next block would go on with the field, so the csv module reads the file."""
+        dtype = np.dtype([("values", np.float64, (1,)), ("label", object)])
+        assert simnet.tokenized_rows(['1.5,"dos"\n'], dtype, '"') is not None
+        assert simnet.tokenized_rows(['1.5,"dos\n'], dtype, '"') is None
+
 
 INT64 = "outside -9223372036854775808..9223372036854775807"
 READERS = {
@@ -283,9 +298,31 @@ def test_rejection_names_path_line_and_column(tmp_path, fmt, column, cell, reaso
     path = tmp_path / "in.csv"
     path.write_text("".join(lines))
     where = "line 3" if cell is None else f"line 3, column {column!r}:"
-    for parsers in (nullcontext, block_parsers_only):
+    for parsers in (nullcontext, block_parsers_only, *(partial(small_blocks, lines) for lines in BLOCK_LINES)):
         with parsers(), pytest.raises(ValueError, match=re.escape(f"{path}: {where} {reason}")):
             read(path)
+
+
+@pytest.mark.parametrize("fmt", ["packet", "flow"])
+def test_address_table_lists_every_source_first(tmp_path, fmt):
+    """An address first seen as a destination in a later block follows every
+    source address in the table, as `_address_codes` orders one, whatever
+    the blocks."""
+    pairs = [(ADDRESSES[0], ADDRESSES[1]), (ADDRESSES[1], ADDRESSES[2]), (ADDRESSES[3], ADDRESSES[0])]
+    if fmt == "packet":
+        read, text = read_packet_csv, packet_text([PacketRecord(0.5 * i, src, 1000 + i, dst, 53, 17, 48, 28, 0)
+                                                   for i, (src, dst) in enumerate(pairs)])
+    else:
+        read, text = read_flow_csv, flow_text([FlowRecord(f"f{i}", src, 1000 + i, dst, 53, 17, 0.25 * i,
+                                                          [17.0] + FLOATS * 9 + [1.0] * 5)
+                                               for i, (src, dst) in enumerate(pairs)])
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    for parsers in (nullcontext, block_parsers_only, *(partial(small_blocks, lines) for lines in BLOCK_LINES)):
+        with parsers():
+            table = read(path)
+        assert table.addresses == tuple(ADDRESSES[k] for k in (0, 1, 3, 2))
+        assert [(table.addresses[s], table.addresses[d]) for s, d in zip(table.src, table.dst)] == pairs
 
 
 @pytest.mark.parametrize("argv, cell, message", [
