@@ -52,6 +52,7 @@ ENSEMBLE_MAGIC = "ddsids-ensemble v1"
 _SCORE_EPS = 1e-12
 MOMENTUM = 0.9
 BATCH_SIZE = 32  # rows per training step
+PREDICT_BLOCK = 1024  # rows scored at a time
 THRESHOLD = 0.5  # benign score cut-off of every model trained here
 MAX_EPOCHS = 10_000  # 250x the experiment's 40; a pass lays out every epoch's cuts up front
 
@@ -145,17 +146,29 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def predict(model: DetectorModel, rows: np.ndarray) -> np.ndarray:
-    """Per-row benign score, strictly inside (0, 1).  Each layer's activation
-    is dropped once the next one is computed, so at most two are held."""
+    """Per-row benign score, strictly inside (0, 1).  The rows are scored
+    PREDICT_BLOCK at a time into one vector of scores, and each layer's
+    activation is dropped once the next one is computed, so beside the
+    scores at most two activations of one block are held.  A lone last row
+    joins the block before it: numpy multiplies a single row through BLAS's
+    matrix-vector product, which can round differently from the matrix
+    product that scores the same row among others."""
     a = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if a.shape[1] != model.input_width:
         raise ValueError(f"row width {a.shape[1]} does not match model input width {model.input_width}")
     last = len(model.weights) - 1
-    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ W
-        z += b
-        a = _sigmoid(z) if i == last else np.maximum(z, 0.0, out=z)
-    return np.clip(a[:, 0], _SCORE_EPS, 1.0 - _SCORE_EPS)
+    scores = np.empty(len(a))
+    lo = 0
+    while lo < len(a):
+        hi = lo + PREDICT_BLOCK + (lo + PREDICT_BLOCK + 1 == len(a))
+        x = a[lo:hi]
+        for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+            z = x @ W
+            z += b
+            x = _sigmoid(z) if i == last else np.maximum(z, 0.0, out=z)
+        scores[lo:hi] = x[:, 0]
+        lo = hi
+    return np.clip(scores, _SCORE_EPS, 1.0 - _SCORE_EPS, out=scores)
 
 
 def classify(model: DetectorModel, rows: np.ndarray) -> np.ndarray:

@@ -265,7 +265,7 @@ def pool_scenarios(scenarios: Sequence[tuple[str, FlowTable]]) -> tuple[FlowTabl
     `preprocess.pool`'s stable sort depends on: (pooled flows, router
     sessions removed, each scenario's name, packets and flows).  A
     scenario's packets are those its flows count in both directions."""
-    pooled, removed = preprocess.pool(FlowTable.concat([flows for _, flows in scenarios]))
+    pooled, removed = preprocess.pool([flows for _, flows in scenarios])
     sizes = [{"name": name, "packets": _packets(flows), "flows": len(flows)} for name, flows in scenarios]
     return pooled, removed, sizes
 
@@ -719,11 +719,12 @@ def _cmd_preprocess(args) -> int:
         if label_name in [name for _, name, _ in tasks]:
             raise ValueError(f"--flows gives the label {label_name!r} twice")
         tasks.append((position, label_name, path))
-    scenarios = labelled_scenarios(lambda name, path: flowmeter.read_flow_csv(path), tasks)
-    pooled, removed, sizes = pool_scenarios(scenarios)
+    # Nothing holds the labelled tables once they are pooled.
+    pooled, removed, sizes = pool_scenarios(
+        labelled_scenarios(lambda name, path: flowmeter.read_flow_csv(path), tasks))
     if len(classes := sorted(set(pooled.label))) < 2:
-        raise ValueError(f"the pooled flows hold only {', '.join(classes) or 'nothing'}; "
-                         "a split needs benign and attack flows")
+        held = f"only {classes[0]}" if classes else "no flows"
+        raise ValueError(f"the pooled flows hold {held}; a split needs benign and attack flows")
     train_ds, test_ds = preprocess.build_dataset(pooled, split_fraction=args.split, shuffle_seed=args.seed,
                                                  ip_mode=args.ip_mode)
     write_split(train_ds, test_ds, out)

@@ -207,26 +207,40 @@ def _run_sums(values: np.ndarray, starts: np.ndarray, n_runs: int) -> np.ndarray
     return out
 
 
-def _assemble(trace: PacketTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group packets into flows: one stable sort on the direction-insensitive
-    5-tuple, cut at gaps > FLOW_TIMEOUT_S.  Returns the packet order that lists
-    each flow's packets in time order, flows ordered by their first packet;
-    each flow's packet count; and each flow's serial among the flows of its
-    5-tuple."""
+def _tuple_order(trace: PacketTrace) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of the packets by their direction-insensitive
+    5-tuple, and where in that order the tuple changes.  The key is a
+    sequence of columns, not a stacked array, and is gathered into that
+    order a column at a time; it is dropped on return, before `_assemble`
+    orders the flows."""
     sa, sp, da, dp = trace.src, trace.src_port, trace.dst, trace.dst_port
     src_low = (sa < da) | ((sa == da) & (sp <= dp))
-    key = np.stack([np.where(src_low, sa, da), np.where(src_low, sp, dp),
-                    np.where(src_low, da, sa), np.where(src_low, dp, sp), trace.proto])
-    by_key = np.lexsort(key[::-1])
-    key, ts = key[:, by_key], trace.ts[by_key]
-    new_key = np.ones(len(ts), dtype=bool)
-    new_key[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
+    # Least significant first, as np.lexsort takes them: the low end's
+    # address sorts first, then its port, the high end's address and port.
+    key = (trace.proto, np.where(src_low, dp, sp), np.where(src_low, da, sa), np.where(src_low, sp, dp),
+           np.where(src_low, sa, da))
+    by_key = np.lexsort(key)
+    new_key = np.zeros(len(by_key), dtype=bool)
+    new_key[:1] = True
+    for column in key:
+        column = column[by_key]
+        new_key[1:] |= column[1:] != column[:-1]
+    return by_key, new_key
+
+
+def _assemble(trace: PacketTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group packets into flows: one stable sort on the direction-insensitive
+    5-tuple (`_tuple_order`), cut at gaps > FLOW_TIMEOUT_S.  Returns the
+    packet order that lists each flow's packets in time order, flows ordered
+    by their first packet; each flow's packet count; and each flow's serial
+    among the flows of its 5-tuple."""
+    by_key, new_key = _tuple_order(trace)
     new_flow = new_key.copy()
-    new_flow[1:] |= ts[1:] - ts[:-1] > FLOW_TIMEOUT_S
+    new_flow[1:] |= np.diff(trace.ts[by_key]) > FLOW_TIMEOUT_S
     flow_starts = np.flatnonzero(new_flow)
     flow_no = np.arange(len(flow_starts))
     serial = flow_no - np.maximum.accumulate(np.where(new_key[flow_starts], flow_no, 0))
-    sizes = np.diff(np.append(flow_starts, len(ts)))
+    sizes = np.diff(np.append(flow_starts, len(by_key)))
     first = by_key[flow_starts]
     by_first = np.argsort(first)
     order = by_key[np.argsort(np.repeat(first, sizes), kind="stable")]

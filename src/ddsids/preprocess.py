@@ -1,19 +1,19 @@
 """Turns labeled flow tables into model-ready datasets.
 
 The pipeline is: label each scenario's flows (`label_scenario`); pool them,
-strip router sessions, sort by start time, rewrite the Timestamp feature as
-inter-session deltas and encode the addresses down to their varying octet
-(`pool`); split them; optionally anonymize them; then build the train/test
-matrices.  Session identity metadata (flow id, start time, ports) never
-reaches the matrix, and min-max normalization is fitted on the training split
-only; test values are clipped into [0, 1].
+leaving out router sessions, sorted by start time, with the Timestamp feature
+rewritten as inter-session deltas and the addresses encoded down to their
+varying octet (`pool`); split them; optionally anonymize them; then build the
+train/test matrices.  Session identity metadata (flow id, start time, ports)
+never reaches the matrix, and min-max normalization is fitted on the training
+split only; test values are clipped into [0, 1].
 
 Every step is a column operation on a ``FlowTable``: labels and router
 stripping are masks over the octets of the few addresses in its address
-table, the timestamp deltas are one ``np.diff`` over the start times, address
-encoding and anonymization rewrite only the address table, the split takes a
-per-label quota of the shuffled rows, and the matrix is filled by column
-slices.
+table, pooling gathers each column once in start-time order, the timestamp
+deltas are one subtraction over the sorted start times, address encoding and
+anonymization rewrite only the address table, the split takes a per-label
+quota of the shuffled rows, and the matrix is filled by column slices.
 """
 
 from __future__ import annotations
@@ -94,33 +94,28 @@ def rule_notes(names: Iterable[str]) -> list[str]:
             for name in names if name in LABEL_RULES and (name, LABEL_RULES[name]) not in DOCUMENTED_RULE_COMBOS]
 
 
-def pool(flows: FlowTable) -> tuple[FlowTable, int]:
-    """Strip router sessions, sort by start time (stably) and encode
-    timestamps and addresses; returns (pooled flows, router sessions removed)."""
-    kept, removed = strip_router_flows(flows)
-    kept = kept[np.argsort(kept.start_time, kind="stable")]
-    return encode_ips(encode_timestamps(kept)), removed
-
-
-def strip_router_flows(flows: FlowTable) -> tuple[FlowTable, int]:
-    """Drop flows touching the router hosts (`simnet.ROUTER_HOSTS`); returns
-    (kept, removed count)."""
+def _unrouted(flows: FlowTable) -> np.ndarray:
+    """The rows of `flows` touching neither router host (`simnet.ROUTER_HOSTS`)."""
     router = np.isin(_octets(flows), ROUTER_HOSTS)
-    keep = ~(router[flows.src] | router[flows.dst])
-    return flows[keep], len(flows) - int(keep.sum())
+    return np.flatnonzero(~(router[flows.src] | router[flows.dst]))
 
 
-def encode_timestamps(flows: FlowTable) -> FlowTable:
-    """Rewrite the Timestamp feature: 0 for the earliest session, then the
-    start delta (seconds) to the immediately preceding session."""
-    start = flows.start_time
-    unordered = np.flatnonzero(start[1:] < start[:-1])
-    if len(unordered):
-        raise ValueError(f"flows not ordered by start time at index {unordered[0] + 1}")
-    features = flows.features.copy()
-    features[:, FEATURE_INDEX["Timestamp"]] = 0.0
-    features[1:, FEATURE_INDEX["Timestamp"]] = np.diff(start)
-    return flows.with_columns(features=features)
+def pool(tables: Sequence[FlowTable]) -> tuple[FlowTable, int]:
+    """The flows of `tables` but those touching a router host, one table
+    after another, then sorted (stably) by start time, with the Timestamp
+    feature rewritten as the start delta (seconds) to the preceding flow, 0
+    for the first, and the addresses encoded (`encode_ips`); returns
+    (pooled flows, router sessions removed).  Each column is gathered once,
+    straight from `tables` into its sorted place (`FlowTable.gathered`)."""
+    rows = [_unrouted(t) for t in tables]
+    start = np.concatenate([np.empty(0), *(t.start_time[r] for t, r in zip(tables, rows))])
+    order = np.argsort(start, kind="stable")
+    addresses, columns = FlowTable.gathered(tables, rows, order)
+    timestamp = columns["features"][:, FEATURE_INDEX["Timestamp"]]
+    timestamp[:1] = 0.0
+    np.subtract(columns["start_time"][1:], columns["start_time"][:-1], out=timestamp[1:])
+    removed = sum(map(len, tables)) - len(order)
+    return encode_ips(FlowTable(addresses, *(columns[name] for name in FlowTable.COLUMNS))), removed
 
 
 def encode_ips(flows: FlowTable) -> FlowTable:

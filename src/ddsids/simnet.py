@@ -141,17 +141,6 @@ class ColumnTable:
         return cls((), *[()] * len(cls.COLUMNS))
 
     @classmethod
-    def from_columns(cls, columns: Sequence) -> "ColumnTable":
-        """A table from one sequence per column, with address strings in the
-        address columns, coded by `_address_codes`."""
-        columns = list(columns)
-        where = [k for k, name in enumerate(cls.COLUMNS) if name in cls.ADDRESS_COLUMNS]
-        addresses, codes = _address_codes(*(columns[k] for k in where))
-        for k, code in zip(where, codes):
-            columns[k] = code
-        return cls(addresses, *columns)
-
-    @classmethod
     def from_coded(cls, columns: dict[str, np.ndarray], texts: dict[str, list[str]]) -> "ColumnTable":
         """A table from columns as `read_rows` gives them, by name: the
         address columns' codes into their own text tables recoded over the
@@ -165,13 +154,30 @@ class ColumnTable:
 
     @classmethod
     def concat(cls, tables: Sequence["ColumnTable"]) -> "ColumnTable":
-        """The rows of `tables` one after another, over their address tables
-        merged by `_address_codes`."""
-        if not tables:
-            return cls.empty()
+        """The rows of `tables` one after another (`gathered`)."""
+        addresses, columns = cls.gathered(tables, [np.arange(len(t)) for t in tables],
+                                          np.arange(sum(map(len, tables))))
+        return cls(addresses, *(columns[name] for name in cls.COLUMNS))
+
+    @classmethod
+    def gathered(cls, tables: Sequence["ColumnTable"], rows: Sequence[np.ndarray],
+                 order: np.ndarray) -> tuple[list[str], dict[str, np.ndarray]]:
+        """The address table and the columns, by name and still writable, of
+        a table of the rows `rows[i]` of each of `tables` taken one table
+        after another and then put in `order` (row j is row `order[j]` of
+        those), over the tables' address tables merged by `_address_codes`.
+        Each column is allocated once and filled a table at a time."""
         addresses, where = _address_codes(*(t.addresses for t in tables))
-        return cls(addresses, *(np.concatenate([w[getattr(t, name)] if name in cls.ADDRESS_COLUMNS else getattr(t, name)
-                                                for t, w in zip(tables, where)]) for name in cls.COLUMNS))
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        places = np.split(place, np.cumsum([len(r) for r in rows[:-1]]))
+        columns = {}
+        for name, dtype in zip(cls.COLUMNS, cls.DTYPES):
+            column = columns[name] = np.empty((len(order), *cls.SHAPES.get(name, ())), dtype=dtype)
+            for t, r, w, at in zip(tables, rows, where, places):
+                values = getattr(t, name)[r]
+                column[at] = w[values] if name in cls.ADDRESS_COLUMNS else values
+        return addresses, columns
 
     def with_columns(self, addresses: Sequence[str] | None = None, **columns) -> "ColumnTable":
         """A table of the same type with the given columns, or address table, replaced."""

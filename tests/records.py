@@ -8,7 +8,7 @@ records are equal, whatever the order of their address tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import chain, starmap
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -49,8 +49,15 @@ RECORDS = {PacketTrace: PacketRecord, FlowTable: FlowRecord}
 
 
 def table_of(kind: type[ColumnTable], records: Iterable) -> ColumnTable:
-    fields = attrgetter(*RECORDS[kind].__annotations__)
-    return kind.from_columns(list(zip(*map(fields, records))) or [()] * len(kind.COLUMNS))
+    """A `kind` table of `records`: its address table lists each address as
+    it first shows in the source addresses, then in the destinations, and
+    the address columns index it."""
+    columns = list(zip(*map(attrgetter(*RECORDS[kind].__annotations__), records))) or [()] * len(kind.COLUMNS)
+    where = [k for k, name in enumerate(kind.COLUMNS) if name in kind.ADDRESS_COLUMNS]
+    index = {a: i for i, a in enumerate(dict.fromkeys(chain.from_iterable(columns[k] for k in where)))}
+    for k in where:
+        columns[k] = [index[a] for a in columns[k]]
+    return kind(list(index), *columns)
 
 
 def records_of(table: ColumnTable) -> list:

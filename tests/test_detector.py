@@ -226,6 +226,26 @@ class TestPrediction:
         scores = predict(model, xs)
         assert np.all(np.diff(scores) > 0)
 
+    @pytest.mark.parametrize("shape", [[80, 78, 64, 39, 1], [20, 20, 14, 7, 1], [2, 2, 2, 1, 1]])
+    def test_blocked_scores_match_a_whole_matrix_pass(self, shape, monkeypatch):
+        # Blocks of 8 rows, against one pass of plain numpy over every row:
+        # the scores must agree bit for bit, a lone last row included.
+        block = 8
+        monkeypatch.setattr(detector, "PREDICT_BLOCK", block)
+        rng = np.random.default_rng(sum(shape))
+        model = DetectorModel(shape=shape, weights=[rng.normal(0, a ** -0.5, (a, b)) for a, b in zip(shape, shape[1:])],
+                              biases=[rng.normal(0, 0.1, b) for b in shape[1:]])
+        for n in (1, block - 1, block, block + 1, 2 * block + 1):
+            X = rng.uniform(0, 1, (n, shape[0]))
+            a = X
+            for W, b in zip(model.weights[:-1], model.biases[:-1]):
+                a = np.maximum(a @ W + b, 0.0)
+            z = a @ model.weights[-1] + model.biases[-1]
+            e = np.exp(-np.abs(z))
+            want = np.clip(np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))[:, 0], 1e-12, 1.0 - 1e-12)
+            got = predict(model, X)
+            assert got.tobytes() == want.tobytes(), f"{n} rows"
+
 
 class TestAdjudication:
     def constant_model(self, score):

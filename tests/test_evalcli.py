@@ -585,6 +585,25 @@ class TestCliContracts:
                                            "a split needs benign and attack flows\n")
         assert not (tmp_path / "data" / "train.csv").exists()
 
+    @pytest.mark.parametrize("kept", ["header-only", "router-only"])
+    def test_preprocess_rejects_a_pool_with_no_flows(self, tmp_path, capsys, kept):
+        # Either every file holds no rows, or every row is a router session
+        # (of the simulated scenarios only malsub has any).
+        specs, written = [], 0
+        for name in ("benign", "malsub"):
+            flows = flowmeter.meter(simnet.generate(scenario_configs(ExperimentPlan(seed=4, scale=0.02))[name]))
+            router = np.isin([int(a.rsplit(".", 1)[1]) for a in flows.addresses], simnet.ROUTER_HOSTS)
+            rows = router[flows.src] | router[flows.dst] if kept == "router-only" else np.zeros(len(flows), bool)
+            flowmeter.write_flow_csv(flows[rows], tmp_path / f"{name}.flows.csv")
+            specs += ["--flows", f"{name}={tmp_path / f'{name}.flows.csv'}"]
+            written += int(rows.sum())
+        assert (written > 0) == (kept == "router-only")
+        rc = main(["preprocess", *specs, "--out-dir", str(tmp_path / "data")])
+        assert rc == 1
+        assert capsys.readouterr().err == ("ddsids: error: the pooled flows hold no flows; "
+                                           "a split needs benign and attack flows\n")
+        assert not (tmp_path / "data" / "train.csv").exists()
+
     def test_preprocess_rejects_a_split_with_no_test_rows(self, tmp_path, capsys):
         flows = [f"{name}={scenario_flows(tmp_path, name)}" for name in ("benign", "dos")]
         rc = main(["preprocess", "--flows", flows[0], "--flows", flows[1], "--split", "0.9999999",

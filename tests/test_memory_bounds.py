@@ -1,23 +1,36 @@
-"""The packet reader and the meter hold a block at a time, not a file's
-worth of temporaries: measured by tracemalloc on the desk-scale seed-7 clone
-trace (135,788 packets), against the bytes of the trace's columns.  The
-blocks are of fixed size, so a much smaller trace would read a larger ratio."""
+"""The packet reader, the meter, pooling and scoring hold a block at a time
+or gather once, not a file's or a table's worth of temporaries: measured by
+tracemalloc on the desk-scale seed-7 clone trace (135,788 packets) against
+the bytes of the trace's columns, on the seed-7 scenarios pooled against the
+pooled features, and on their test matrix against one block of rows.  The
+blocks are of fixed size, so a much smaller input would read a larger
+ratio."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from ddsids import flowmeter, simnet
+from ddsids import detector, flowmeter, preprocess, simnet
 from ddsids.evalcli import ExperimentPlan, scenario_configs
+
+PLAN = ExperimentPlan(seed=7)
 
 
 @pytest.fixture(scope="module")
 def clone_trace(tmp_path_factory):
     """The trace's packet file and the bytes of its columns."""
-    trace = simnet.generate(scenario_configs(ExperimentPlan(seed=7))["clone"])
+    trace = simnet.generate(scenario_configs(PLAN)["clone"])
     path = tmp_path_factory.mktemp("trace") / "clone.csv"
     simnet.write_packet_csv(trace, path)
     return path, sum(getattr(trace, name).nbytes for name in trace.COLUMNS)
+
+
+@pytest.fixture(scope="module")
+def scenarios():
+    """Each scenario simulated, metered and labelled, in SCENARIOS order."""
+    return [preprocess.label_scenario(name, flowmeter.meter(simnet.generate(config)))
+            for name, config in scenario_configs(PLAN).items()]
 
 
 def traced_peak(fn, *args):
@@ -36,4 +49,25 @@ def test_packet_reader_and_meter_peaks(clone_trace):
     trace, read_peak = traced_peak(simnet.read_packet_csv, path)
     assert read_peak <= 2.0 * column_bytes, f"read peak {read_peak / column_bytes:.2f}x the trace"
     _, meter_peak = traced_peak(flowmeter.meter, trace)
-    assert meter_peak <= 1.5 * column_bytes, f"meter peak {meter_peak / column_bytes:.2f}x the trace"
+    assert meter_peak <= 1.1 * column_bytes, f"meter peak {meter_peak / column_bytes:.2f}x the trace"
+
+
+def test_pool_gathers_once(scenarios):
+    (pooled, _), peak = traced_peak(preprocess.pool, scenarios)
+    feature_bytes = pooled.features.nbytes
+    assert peak <= 2.0 * feature_bytes, f"pool peak {peak / feature_bytes:.2f}x the pooled features"
+
+
+def test_predict_holds_one_block(scenarios):
+    pooled, _ = preprocess.pool(scenarios)
+    _, test = preprocess.build_dataset(pooled, PLAN.split_fraction, PLAN.seed_for("split"))
+    assert len(test.matrix) > 2 * detector.PREDICT_BLOCK
+    shape = detector.default_shape(test.width)
+    rng = np.random.default_rng(0)
+    model = detector.DetectorModel(shape, [rng.normal(0, a ** -0.5, (a, b)) for a, b in zip(shape, shape[1:])],
+                                   [np.zeros(b) for b in shape[1:]])
+    scores, peak = traced_peak(detector.predict, model, test.matrix)
+    # The scores, and every layer's activation of one block of at most
+    # PREDICT_BLOCK + 1 rows: a bound the test set's row count does not move.
+    bound = scores.nbytes + 8 * (detector.PREDICT_BLOCK + 1) * sum(shape[1:])
+    assert peak <= bound, f"predict peak {peak} bytes, bound {bound}"

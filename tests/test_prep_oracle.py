@@ -76,7 +76,7 @@ def same(got, want):
 def table_chain(scenarios, fraction, seed, spec, columns):
     tables = [preprocess.label_scenario(name, table_of(FlowTable, flows)) for name, flows in scenarios]
     notes = preprocess.rule_notes(name for name, _ in scenarios)
-    pooled, removed = preprocess.pool(FlowTable.concat(tables))
+    pooled, removed = preprocess.pool(tables)
     split = outcome(preprocess.split_flows, pooled, fraction, seed)
     if isinstance(split, str):
         return notes, pooled, removed, split

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,12 @@ from ddsids.preprocess import (
     build_dataset,
     build_dataset_from_split,
     encode_ips,
-    encode_timestamps,
     label,
     label_scenario,
     parse_anonymize,
+    pool,
     rule_notes,
     split_flows,
-    strip_router_flows,
 )
 from records import FlowRecord, records_of, table_of
 
@@ -77,6 +78,11 @@ class TestLabel:
         assert records_of(label_scenario("dos", flows))[0].flow_id.startswith("dos:")
 
 
+def octets(flows):
+    """`flows` with their addresses encoded as `pool` encodes them."""
+    return [replace(f, src_ip=f.src_ip.rsplit(".", 1)[1], dst_ip=f.dst_ip.rsplit(".", 1)[1]) for f in flows]
+
+
 class TestStripRouters:
     def test_removes_router_flows(self):
         flows = [
@@ -84,46 +90,53 @@ class TestStripRouters:
             make_flow(src="10.0.5.3", dst="10.0.5.4"),
             make_flow(),
         ]
-        kept, removed = strip_router_flows(table_of(FlowTable, flows))
+        kept, removed = pool([table_of(FlowTable, flows)])
         assert removed == 2
-        assert all(f.src_ip not in ("10.0.5.2", "10.0.5.3") for f in records_of(kept))
+        assert all(f.src_ip not in ("2", "3") for f in records_of(kept))
 
     def test_identity_without_routers(self):
         flows = [make_flow(), make_flow(src="10.0.5.6")]
-        kept, removed = strip_router_flows(table_of(FlowTable, flows))
-        assert removed == 0 and records_of(kept) == flows
+        kept, removed = pool([table_of(FlowTable, flows)])
+        assert removed == 0 and records_of(kept) == octets(flows)
 
     def test_all_router_input(self):
         flows = [make_flow(src="10.0.5.2", dst="10.0.5.3") for _ in range(4)]
-        kept, removed = strip_router_flows(table_of(FlowTable, flows))
+        kept, removed = pool([table_of(FlowTable, flows)])
         assert len(kept) == 0 and removed == 4
 
 
 class TestTimestamps:
     def test_delta_encoding(self):
         flows = [make_flow(start=s) for s in (10.0, 10.5, 12.0)]
-        out = records_of(encode_timestamps(table_of(FlowTable, flows)))
+        out = records_of(pool([table_of(FlowTable, flows)])[0])
         deltas = [f.feature("Timestamp") for f in out]
         assert deltas == [0.0, 0.5, 1.5]
 
     def test_single_flow(self):
-        out = records_of(encode_timestamps(table_of(FlowTable, [make_flow(start=99.0)])))
+        out = records_of(pool([table_of(FlowTable, [make_flow(start=99.0)])])[0])
         assert out[0].feature("Timestamp") == 0.0
 
     def test_simultaneous_flows(self):
-        out = records_of(encode_timestamps(table_of(FlowTable, [make_flow(start=5.0), make_flow(start=5.0)])))
+        out = records_of(pool([table_of(FlowTable, [make_flow(start=5.0), make_flow(start=5.0)])])[0])
         assert [f.feature("Timestamp") for f in out] == [0.0, 0.0]
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError, match="ordered"):
-            encode_timestamps(table_of(FlowTable, [make_flow(start=2.0), make_flow(start=1.0)]))
+    def test_unsorted_input_is_sorted(self):
+        out = records_of(pool([table_of(FlowTable, [make_flow(start=2.0), make_flow(start=1.0)])])[0])
+        assert [f.start_time for f in out] == [1.0, 2.0]
+        assert [f.feature("Timestamp") for f in out] == [0.0, 1.0]
 
     def test_delta_sum_telescopes(self):
         starts = sorted(np.random.default_rng(5).uniform(0, 500, 40).tolist())
         flows = [make_flow(start=s) for s in starts]
-        out = records_of(encode_timestamps(table_of(FlowTable, flows)))
+        out = records_of(pool([table_of(FlowTable, flows)])[0])
         total = sum(f.feature("Timestamp") for f in out)
         assert abs(total - (starts[-1] - starts[0])) < 1e-9
+
+    def test_features_owned_and_read_only(self):
+        source = table_of(FlowTable, [make_flow(start=s) for s in (3.0, 1.0)])
+        kept, _ = pool([source])
+        assert not kept.features.flags.writeable and not np.shares_memory(kept.features, source.features)
+        assert source.features[:, FEATURE_INDEX["Timestamp"]].tolist() == [3.0, 1.0]
 
 
 class TestEncodeIps:
@@ -219,7 +232,7 @@ class TestAnonymize:
         assert all(f.src_ip != f.dst_ip for f in records_of(moved_test))
 
 
-def pool(n_benign=30, n_attack=10, seed=0):
+def flow_pool(n_benign=30, n_attack=10, seed=0):
     rng = np.random.default_rng(seed)
     flows = []
     for i in range(n_benign):
@@ -233,13 +246,13 @@ def pool(n_benign=30, n_attack=10, seed=0):
 
 class TestBuildDataset:
     def test_drop_ports_and_ip_columns(self):
-        flows = pool()
+        flows = flow_pool()
         train, test = build_dataset(table_of(FlowTable, flows), split_fraction=0.5, shuffle_seed=1)
         assert "Src Port" not in train.feature_names and "Dst Port" not in train.feature_names
         assert train.feature_names == ["Src IP", "Dst IP", *FEATURE_NAMES]
 
     def test_ip_modes(self):
-        flows = pool()
+        flows = flow_pool()
         for mode, expected in (
             ("both", {"Src IP", "Dst IP"}),
             ("source_only", {"Src IP"}),
@@ -250,7 +263,7 @@ class TestBuildDataset:
             assert {n for n in train.feature_names if "IP" in n} == expected
 
     def test_normalization_bounds_and_inverse(self):
-        flows = pool()
+        flows = flow_pool()
         train, test = build_dataset(table_of(FlowTable, flows), split_fraction=0.6, shuffle_seed=2)
         assert train.matrix.min() >= 0.0 and train.matrix.max() <= 1.0
         assert test.matrix.min() >= 0.0 and test.matrix.max() <= 1.0
@@ -266,7 +279,7 @@ class TestBuildDataset:
             assert rel.max() <= 1e-9 * max(1.0, np.abs(col_raw).max())
 
     def test_constant_feature_flagged_and_zeroed(self):
-        flows = pool()
+        flows = flow_pool()
         for f in flows:
             f.features[FEATURE_INDEX["Init Fwd Win Byts"]] = 0.0
         train, test = build_dataset(table_of(FlowTable, flows), split_fraction=0.5, shuffle_seed=3)
@@ -276,31 +289,31 @@ class TestBuildDataset:
         assert not test.matrix[:, j].any()
 
     def test_same_seed_same_split(self):
-        flows = pool()
+        flows = flow_pool()
         a_train, a_test = build_dataset(table_of(FlowTable, flows), split_fraction=0.5, shuffle_seed=9)
         b_train, b_test = build_dataset(table_of(FlowTable, flows), split_fraction=0.5, shuffle_seed=9)
         assert np.array_equal(a_train.matrix, b_train.matrix)
         assert a_test.labels == b_test.labels
 
     def test_stratified_split_counts(self):
-        flows = pool(n_benign=40, n_attack=12)
+        flows = flow_pool(n_benign=40, n_attack=12)
         train, test = build_dataset(table_of(FlowTable, flows), split_fraction=0.75, shuffle_seed=4)
         assert train.class_counts() == {"benign": 30, "dos": 9}
         assert test.class_counts() == {"benign": 10, "dos": 3}
 
     def test_empty_train_class_rejected(self):
-        flows = pool(n_benign=30, n_attack=1)
+        flows = flow_pool(n_benign=30, n_attack=1)
         with pytest.raises(ValueError, match="no training rows"):
             split_flows(table_of(FlowTable, flows), 0.2, 1)
 
     @pytest.mark.parametrize("n_benign, n_attack, fraction", [(40, 12, 0.9999999), (1, 1, 0.5), (0, 0, 0.5)])
     def test_empty_test_side_rejected(self, n_benign, n_attack, fraction):
-        flows = pool(n_benign=n_benign, n_attack=n_attack)
+        flows = flow_pool(n_benign=n_benign, n_attack=n_attack)
         with pytest.raises(ValueError, match="^split leaves no test rows$"):
             split_flows(table_of(FlowTable, flows), fraction, 1)
 
     def test_normalization_from_train_only(self):
-        flows = pool()
+        flows = flow_pool()
         train_flows, test_flows = split_flows(table_of(FlowTable, flows), 0.5, 7)
         train, test = build_dataset_from_split(train_flows, test_flows)
         j = train.feature_names.index("Flow Duration")
