@@ -3,4 +3,4 @@ publish/subscribe middleware attacks."""
 
 __version__ = "0.1.0"
 
-from . import detector, evalcli, featsel, flowmeter, preprocess, simnet  # noqa: F401
+from . import detector, evalcli, featsel, flowmeter, preprocess, simnet, tables  # noqa: F401

@@ -45,7 +45,8 @@ import numpy as np
 
 from . import parallel
 from .preprocess import Dataset
-from .simnet import ATTACK_SCENARIOS as EXPERT_ATTACKS, open_text, parsed
+from .simnet import ATTACK_SCENARIOS as EXPERT_ATTACKS
+from .tables import open_text, parsed
 
 MODEL_MAGIC = "ddsids-model v1"
 ENSEMBLE_MAGIC = "ddsids-ensemble v1"

@@ -34,6 +34,7 @@ from .detector import DetectorModel, EnsembleModel, TrainConfig
 from .flowmeter import FlowTable
 from .preprocess import IP_MODES, Dataset
 from .simnet import ScenarioConfig
+from .tables import parsed
 
 OUT_DIR_ENV = "DDSIDS_OUT_DIR"
 CLI_TOP_K = 20  # features `ddsids select` keeps by default
@@ -700,6 +701,10 @@ def _cmd_meter(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     packets = simnet.read_packet_csv(args.packets)
+    # The reader takes one row per line after the header: packet i is on line i + 2.
+    if (i := flowmeter.time_inversion(ts := packets.ts)) is not None:
+        raise ValueError(f"{args.packets}: line {i + 2}: packets not time-sorted: "
+                         f"ts={ts[i]:.6f} after ts={ts[i - 1]:.6f}")
     flows = flowmeter.meter(packets)
     path = out / (Path(args.packets).stem.replace(".packets", "") + ".flows.csv")
     flowmeter.write_flow_csv(flows, path)
@@ -760,7 +765,7 @@ def _widths(text: str) -> list[int]:
     widths = []
     for i, cell in enumerate(text.split(","), 1):
         try:
-            widths.append(simnet.parsed(cell, int))
+            widths.append(parsed(cell, int))
         except ValueError as exc:
             raise ValueError(f"--shape cell {i}: {exc}") from None
     return widths
@@ -788,7 +793,7 @@ def _cmd_evaluate(args) -> int:
     test_ds = preprocess.read_dataset_csv(args.test)
     if not test_ds.labels:
         raise ValueError(f"{args.test}: the test set holds no rows")
-    test_ds = _model_view(model, test_ds)
+    test_ds = _model_view(model, test_ds, args.test)
     counts = score(model, test_ds)
     if not isinstance(model, EnsembleModel):
         write_histogram_csv(emit_histogram(model, test_ds), out / "histogram.csv")
@@ -798,15 +803,16 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _model_view(model: DetectorModel | EnsembleModel, test_ds: Dataset) -> Dataset:
-    """The test set projected onto the feature columns the model was trained
-    on, in the model's order; unchanged for a model that stores no names."""
+def _model_view(model: DetectorModel | EnsembleModel, test_ds: Dataset, path) -> Dataset:
+    """The test set read from `path` projected onto the feature columns the
+    model was trained on, in the model's order; unchanged for a model that
+    stores no names."""
     wanted = model.feature_names
     if not wanted or wanted == test_ds.feature_names:
         return test_ds
     missing = [n for n in wanted if n not in test_ds.feature_names]
     if missing:
-        raise ValueError(f"test set lacks {len(missing)} of the model's features: {', '.join(missing)}")
+        raise ValueError(f"{path}: test set lacks {len(missing)} of the model's features: {', '.join(missing)}")
     return test_ds.project(wanted)
 
 

@@ -48,7 +48,8 @@ from functools import partial
 
 import numpy as np
 
-from .simnet import INT64, PORTS, SCENARIOS, ColumnTable, PacketTrace, format_once, read_rows, write_rows
+from .simnet import SCENARIOS, PacketTrace
+from .tables import FLOW_BLOCK, INT64, IPV4, PORTS, ColumnTable, format_once, read_rows, write_rows
 
 FEATURE_NAMES = [
     "Protocol",
@@ -144,7 +145,6 @@ FLOW_TIMEOUT_S = 120.0  # a longer gap ends a flow
 ACTIVITY_TIMEOUT_S = 5.0  # a longer gap ends an active span
 BULK_GAP_S = 1.0  # a gap this long ends a bulk
 SUBFLOW_GAP_S = 1.0  # a longer gap starts a subflow
-FLOW_BLOCK = 256  # flows (or dataset rows) formatted at a time
 METER_BLOCK = 1 << 15  # packets metered at a time, in whole flows; each block repeats _ordered_sums' steps
 
 
@@ -382,6 +382,12 @@ def _features(trace: PacketTrace, order: np.ndarray, sizes: np.ndarray) -> np.nd
     return out
 
 
+def time_inversion(ts: np.ndarray) -> int | None:
+    """The first index whose time precedes the one before it, or None."""
+    inverted = np.flatnonzero(ts[1:] < ts[:-1])
+    return int(inverted[0]) + 1 if len(inverted) else None
+
+
 def meter(packets: PacketTrace) -> FlowTable:
     """Assemble time-sorted packets into flows and compute their features.
 
@@ -395,9 +401,7 @@ def meter(packets: PacketTrace) -> FlowTable:
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"packet {i} has an invalid {name}: {getattr(packets, name)[i].item()}")
-    inverted = np.flatnonzero(ts[1:] < ts[:-1])
-    if len(inverted):
-        i = int(inverted[0]) + 1
+    if (i := time_inversion(ts)) is not None:
         raise ValueError(f"packets not time-sorted: index {i} has ts={ts[i]:.6f} after ts={ts[i - 1]:.6f}")
     if not len(packets):
         return FlowTable.empty()
@@ -464,9 +468,10 @@ def _flow_row(path, header: list[str]) -> np.dtype:
 
 def read_flow_csv(path) -> FlowTable:
     """Inverse of write_flow_csv, through read_rows; rejects a header off the
-    catalog, a port outside 0..65535, a Protocol outside the 64-bit range and
-    a label that is not a scenario name."""
-    bounds = {"Src Port": PORTS, "Dst Port": PORTS, "Protocol": INT64, LABEL_NAME: SCENARIOS}
+    catalog, an address that is not IPv4, a port outside 0..65535, a Protocol
+    outside the 64-bit range and a label that is not a scenario name."""
+    bounds = {"Src IP": IPV4, "Dst IP": IPV4, "Src Port": PORTS, "Dst Port": PORTS, "Protocol": INT64,
+              LABEL_NAME: SCENARIOS}
     _, columns, texts = read_rows(path, _flow_row, '"', bounds)
     columns["protocol"] = columns["features"][:, FEATURE_INDEX["Protocol"]].astype(np.int64)
     return FlowTable.from_coded(columns, texts)

@@ -27,9 +27,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FLOW_BLOCK, FlowTable
+from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FlowTable
 from .parallel import openblas_core, usable_cpus
-from .simnet import ATTACKER_HOST, ROUTER_HOSTS, SCENARIOS, SUBNET_HOSTS, decoded, format_once, read_rows, write_rows
+from .simnet import ATTACKER_HOST, ROUTER_HOSTS, SCENARIOS, SUBNET_HOSTS
+from .tables import FLOW_BLOCK, decoded, format_once, read_rows, write_rows
 
 IP_MODES = ("both", "source_only", "destination_only", "none")
 SRC_IP_COL = "Src IP"
@@ -171,9 +172,9 @@ def anonymize(train: FlowTable, test: FlowTable, spec: str, seed: int) -> tuple[
         test = test.with_columns(addresses=[str(h) for h in SUBNET_HOSTS], src=src, dst=dst + (dst >= src))
         return train, test, "test-split addresses reassigned per session from the subnet range"
     # shift moves the addresses of both splits, switch those of the test split
-    moved = FlowTable.concat([train, test]) if kind == "shift" else test
+    moved = (train, test) if kind == "shift" else (test,)
     try:
-        observed = sorted({int(moved.addresses[i]) for i in _used_addresses(moved)})
+        observed = sorted({int(t.addresses[i]) for t in moved for i in _used_addresses(t)})
     except ValueError:
         raise ValueError("anonymize requires octet-encoded addresses (run encode_ips first)") from None
     if kind == "shift":
@@ -185,8 +186,8 @@ def anonymize(train: FlowTable, test: FlowTable, spec: str, seed: int) -> tuple[
             raise ValueError(f"switch pair addresses not observed: {missing}")
         a, b = args
         mapping, note = {a: b, b: a}, f"addresses {a} and {b} switched in the test split"
-    moved = moved.with_columns(addresses=[str(mapping.get(a, a)) for a in _octets(moved, int).tolist()])
-    return (moved[: len(train)], moved[len(train) :], note) if kind == "shift" else (train, moved, note)
+    moved = [t.with_columns(addresses=[str(mapping.get(a, a)) for a in _octets(t, int).tolist()]) for t in moved]
+    return (*moved, note) if kind == "shift" else (train, *moved, note)
 
 
 @dataclass
@@ -393,7 +394,7 @@ def _dataset_row(path, header: list[str]) -> np.dtype:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Inverse of write_dataset_csv, through simnet.read_rows; rejects an
+    """Inverse of write_dataset_csv, through tables.read_rows; rejects an
     empty file, a last column other than Label, a repeated column name and a
     label that is not a scenario name."""
     header, columns, texts = read_rows(path, _dataset_row, '"', {"Label": SCENARIOS})

@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, FLOW_BLOCK, LABEL_NAME, METADATA_NAMES
+from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, LABEL_NAME, METADATA_NAMES
 from ddsids.preprocess import DOCUMENTED_RULE_COMBOS, DST_IP_COL, LABEL_RULES, SRC_IP_COL
 from ddsids.simnet import ATTACKER_HOST, ROUTER_HOSTS, SUBNET_HOSTS
+from ddsids.tables import FLOW_BLOCK
 from records import FlowRecord
 
 

@@ -13,7 +13,8 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from ddsids.flowmeter import FEATURE_INDEX, FlowTable
-from ddsids.simnet import ColumnTable, PacketTrace
+from ddsids.simnet import PacketTrace
+from ddsids.tables import ColumnTable
 
 
 class PacketRecord(NamedTuple):

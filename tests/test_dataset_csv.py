@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from ddsids.evalcli import main
-from ddsids.flowmeter import FLOW_BLOCK
 from ddsids.preprocess import Dataset, read_dataset_csv, write_dataset_csv
+from ddsids.tables import FLOW_BLOCK
 
 
 class TestDatasetCsv:

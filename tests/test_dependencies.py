@@ -104,3 +104,46 @@ def test_every_constant_is_read():
     readers = package_trees() + [(path, ast.parse(path.read_text(), filename=str(path))) for path in scripts]
     unused = unused_definitions(lambda name: name.strip("_").isupper(), readers)
     assert not unused, "constants nothing reads: " + ", ".join(unused)
+
+
+def test_only_tables_reads_csv_text():
+    """`csv` and `warnings` serve the CSV reader, which lives in `tables`."""
+    found = [f"{path.name}:{node.lineno}: {name}" for path, tree in package_trees() if path.name != "tables.py"
+             for node in ast.walk(tree) for name in imported(node) if name.split(".")[0] in ("csv", "warnings")]
+    assert not found, "csv or warnings imported outside tables.py: " + ", ".join(found)
+
+
+def package_imports(tree) -> list[tuple[int, str, list[str]]]:
+    """(line, module, names) of each `from` import of a ddsids module, by
+    its name within the package, relative or absolute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "ddsids":
+                continue
+            found.append((node.lineno, module.removeprefix("ddsids").lstrip("."), [a.name for a in node.names]))
+    return found
+
+
+def test_tables_is_a_leaf():
+    tree = dict((path.name, tree) for path, tree in package_trees())["tables.py"]
+    found = [f"tables.py:{line}: {module or '.'}" for line, module, _ in package_imports(tree)]
+    assert not found, "tables.py imports from the package: " + ", ".join(found)
+
+
+def test_tables_names_come_from_tables():
+    """No module or test takes a name `tables` defines from another module,
+    by import or as an attribute of it."""
+    trees = dict((path.name, tree) for path, tree in package_trees())
+    owned = {name for name, _ in module_definitions(trees["tables.py"], lambda name: True)}
+    modules = {path.stem for path in Path(ddsids.__file__).parent.glob("*.py")} - {"tables"}
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    found = []
+    for path, tree in package_trees() + [(path, ast.parse(path.read_text(), filename=str(path))) for path in tests]:
+        found += [f"{path.name}:{line}: {module}.{name}" for line, module, names in package_imports(tree)
+                  if module in modules for name in names if name in owned]
+        found += [f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr in owned]
+    assert not found, "names of tables taken from elsewhere: " + ", ".join(found)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ddsids import detector, simnet
+from ddsids import detector, flowmeter, simnet
 from ddsids.detector import DetectorModel, EnsembleModel, load_model, save_model
 from ddsids.evalcli import ExperimentPlan, main, scenario_configs
 from ddsids.preprocess import Dataset, write_dataset_csv
@@ -252,3 +252,44 @@ def test_simulate_on_a_mutated_config(files, token, cell):
     trace = simnet.PacketTrace.empty()
     with mock.patch.object(simnet, "generate", lambda config: trace):
         run_cli(["simulate", "--config", str(path), "--out-dir", str(files / "out")], path)
+
+
+def mutated_cell(text: str, cell_index: int, cell: str) -> str:
+    """The CSV text with one of its cells, the parts between commas and line
+    ends, replaced by `cell`."""
+    parts = re.split(r"([,\n])", text)
+    cells = [i for i, part in enumerate(parts) if part not in (",", "\n")]
+    parts[cells[cell_index % len(cells)]] = cell
+    return "".join(parts)
+
+
+@pytest.fixture(scope="module")
+def chain_files(tmp_path_factory):
+    """Packet and flow files of the benign and dos scenarios at scale 0.03."""
+    root = tmp_path_factory.mktemp("chain")
+    for name, config in scenario_configs(ExperimentPlan(scale=0.03)).items():
+        if name in ("benign", "dos"):
+            trace = simnet.generate(config)
+            simnet.write_packet_csv(trace, root / f"{name}.packets.csv")
+            flowmeter.write_flow_csv(flowmeter.meter(trace), root / f"{name}.flows.csv")
+    return root
+
+
+# Each verb's argv for a mutated file, and the file it mutates.
+CSV_VERBS = {
+    "meter": (["meter", "--packets", "{}"], "dos.packets.csv"),
+    "preprocess": (["preprocess", "--flows", "benign={root}/benign.flows.csv", "--flows", "dos={}"], "dos.flows.csv"),
+    "evaluate": (["evaluate", "--model", "{files}/model.txt", "--test", "{}"], "test.csv"),
+}
+
+
+@settings(FUZZ, max_examples=70)
+@given(st.integers(0, 10**6), st.sampled_from(ODD_CELLS + ["host-a", "70000", "-1"]))
+@pytest.mark.parametrize("verb", CSV_VERBS)
+def test_verb_on_a_mutated_csv_file(files, chain_files, verb, cell_index, cell):
+    argv, name = CSV_VERBS[verb]
+    source = files if verb == "evaluate" else chain_files
+    path = chain_files / f"mutated.{name}"
+    path.write_text(mutated_cell((source / name).read_text(), cell_index, cell))
+    run_cli([a.format(path, root=chain_files, files=files) for a in argv] + ["--out-dir", str(chain_files / "out")],
+            path)

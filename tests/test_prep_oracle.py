@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_prep
 from ddsids import evalcli, preprocess
-from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, FLOW_BLOCK, FlowTable, read_flow_csv, write_flow_csv
+from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, FlowTable, read_flow_csv, write_flow_csv
 from ddsids.preprocess import IP_MODES
 from ddsids.simnet import ATTACK_SCENARIOS, SCENARIOS
+from ddsids.tables import FLOW_BLOCK
 from records import FlowRecord, records_of, table_of
 
 HOSTS = (2, 3, 4, 5, 6, 7)  # 2 and 3 are the routers

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ddsids import flowmeter, preprocess, simnet
+from ddsids import flowmeter, preprocess, simnet, tables
 from ddsids.evalcli import main
 from ddsids.flowmeter import FEATURE_NAMES, FlowTable, read_flow_csv, write_flow_csv
 from ddsids.preprocess import Dataset, read_dataset_csv, write_dataset_csv
@@ -86,7 +86,7 @@ def outcome(read, path):
 def block_parsers_only():
     """The readers with the tokenizer path switched off."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "tokenized_rows", lambda *args, **kwargs: None)
+        mp.setattr(tables, "tokenized_rows", lambda *args, **kwargs: None)
         yield
 
 
@@ -95,8 +95,8 @@ def small_blocks(lines: int = 1):
     """Blocks of one row for the csv module and of `lines` lines for the
     tokenizer, so a few rows span several blocks."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "_CELL_BLOCK", 1)
-        mp.setattr(simnet, "_ROW_BLOCK", lines)
+        mp.setattr(tables, "_CELL_BLOCK", 1)
+        mp.setattr(tables, "ROW_BLOCK", lines)
         yield
 
 
@@ -117,7 +117,9 @@ def assert_same(read, text: str):
             assert same, f"the two paths read {text[:300]!r} differently, {lines} lines per tokenizer block"
 
 
-ADDRESSES = ["10.0.5.4", "10.0.5.5", " 10.0.5.6", "host b", "10.0.5.6", "10.0.5.中", "10.0.5.255555555555555555"]
+# IPv4 addresses first, which the packet and flow readers accept; the rest they reject alike.
+ADDRESSES = ["10.0.5.4", "10.0.5.5", "10.0.5.6", "10.0.5.7", "10.0.5.255", " 10.0.5.6", "host b", "10.0.5.中",
+             "10.0.5.255555555555555555"]
 # Mostly scenario names, which the flow and dataset readers accept; the odd
 # texts, a minority, are rejected alike by both paths.
 LABELS = [*SCENARIOS] * 12 + ["a,b", 'say "hi"', "", "#x"]
@@ -222,13 +224,13 @@ class TestTokenizerPath:
     def taken(self, monkeypatch):
         """Whether each read took the tokenizer path."""
         taken = []
-        real = simnet.tokenized_rows
+        real = tables.tokenized_rows
 
         def spy(*args, **kwargs):
             rows = real(*args, **kwargs)
             taken.append(rows is not None)
             return rows
-        monkeypatch.setattr(simnet, "tokenized_rows", spy)
+        monkeypatch.setattr(tables, "tokenized_rows", spy)
         return taken
 
     def test_writer_output(self, tmp_path, taken):
@@ -246,8 +248,8 @@ class TestTokenizerPath:
     def test_a_block_ending_inside_a_quoted_field_is_not_tokenized(self):
         """The next block would go on with the field, so the csv module reads the file."""
         dtype = np.dtype([("values", np.float64, (1,)), ("label", object)])
-        assert simnet.tokenized_rows(['1.5,"dos"\n'], dtype, '"') is not None
-        assert simnet.tokenized_rows(['1.5,"dos\n'], dtype, '"') is None
+        assert tables.tokenized_rows(['1.5,"dos"\n'], dtype, '"') is not None
+        assert tables.tokenized_rows(['1.5,"dos\n'], dtype, '"') is None
 
 
 INT64 = "outside -9223372036854775808..9223372036854775807"
@@ -272,6 +274,8 @@ READERS = {
     ("packet", "header_len", "-1", "outside 0..9223372036854775807 '-1'"),
     ("packet", "flags", "99999999999999999999", f"{INT64} '99999999999999999999'"),
     ("packet", "flags", None, "has 8 fields, expected 9"),
+    ("packet", "src_ip", "host-a", "not an IPv4 address 'host-a'"),
+    ("packet", "dst_ip", "10.0.5.256", "not an IPv4 address '10.0.5.256'"),
     ("flow", "Flow Duration", "zz", "not a number 'zz'"),
     ("flow", "Src Port", "x", "not an integer 'x'"),
     ("flow", "Src Port", "70000", "outside 0..65535 '70000'"),
@@ -279,6 +283,8 @@ READERS = {
     ("flow", "Protocol", "1e19", f"{INT64} '1e19'"),
     ("flow", "Label", None, "has 84 fields, expected 85"),
     ("flow", "Label", "foo", "not one of benign, dos, clone, malsub 'foo'"),
+    ("flow", "Src IP", "host-a", "not an IPv4 address 'host-a'"),
+    ("flow", "Dst IP", "1.5", "not an IPv4 address '1.5'"),
     ("dataset", "b", "zz", "not a number 'zz'"),
     ("dataset", "Label", None, "has 3 fields, expected 4"),
     ("dataset", "Label", "", "not one of benign, dos, clone, malsub ''"),
@@ -328,12 +334,17 @@ def test_address_table_lists_every_source_first(tmp_path, fmt):
 @pytest.mark.parametrize("argv, cell, message", [
     (["meter", "--packets"], "x", "line 3, column 'payload_len': not an integer 'x'"),
     (["train", "--train"], "zz", "line 3, column 'b': not a number 'zz'"),
+    (["meter", "--packets"], "host-a", "line 3, column 'src_ip': not an IPv4 address 'host-a'"),
+    (["meter", "--packets"], "9", "line 4: packets not time-sorted: ts=1.000000 after ts=9.000000"),
 ])
 def test_cli_prints_the_rejection(tmp_path, capsys, argv, cell, message):
+    """The cell replaces line 3's cell in the column the message names, or
+    else its first, a packet's time."""
     text = (READERS["packet"] if argv[0] == "meter" else READERS["dataset"])[1]()
     lines = text.splitlines(keepends=True)
     cells = lines[2].split(",")
-    cells[6 if argv[0] == "meter" else 1] = cell
+    named = re.search(r"column '(.+?)'", message)
+    cells[next(csv.reader(lines[:1])).index(named[1]) if named else 0] = cell
     lines[2] = ",".join(cells)
     path = tmp_path / "in.csv"
     path.write_text("".join(lines))

@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_writers
-from ddsids.flowmeter import FEATURE_NAMES, FLOW_BLOCK, FlowTable, write_flow_csv
+from ddsids.flowmeter import FEATURE_NAMES, FlowTable, write_flow_csv
 from ddsids.preprocess import Dataset, write_dataset_csv
-from ddsids.simnet import _ROW_BLOCK, PacketTrace, ScenarioConfig, generate, write_packet_csv
+from ddsids.simnet import PacketTrace, ScenarioConfig, generate, write_packet_csv
+from ddsids.tables import FLOW_BLOCK, ROW_BLOCK
 from records import FlowRecord, table_of
 
 
@@ -121,10 +122,10 @@ def test_packet_csv_matches_row_writer(trace):
     assert written(write_packet_csv, trace, "p.csv") == want
 
 
-@pytest.mark.parametrize("rows", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+@pytest.mark.parametrize("rows", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
 def test_packet_csv_across_the_block_boundary(rows):
     trace = generate(ScenarioConfig("benign", duration=1500.0))
-    assert len(trace) > _ROW_BLOCK + 1
+    assert len(trace) > ROW_BLOCK + 1
     trace = trace[:rows]
     assert written(write_packet_csv, trace, "p.csv") == written(oracle_writers.write_packet_csv, trace, "p.csv")
 
@@ -154,7 +155,7 @@ def edge_trace(rows: int) -> PacketTrace:
     return PacketTrace(EDGE_ADDRESSES, ts, src, columns[0], dst, *columns[1:])
 
 
-@pytest.mark.parametrize("rows", [1, 2, len(TIME_EDGES), 200, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+@pytest.mark.parametrize("rows", [1, 2, len(TIME_EDGES), 200, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
 def test_packet_csv_at_the_edges_of_its_arithmetic(rows):
     trace = edge_trace(rows)
     assert written(write_packet_csv, trace, "p.csv") == written(oracle_writers.write_packet_csv, trace, "p.csv")
