@@ -36,7 +36,6 @@ may round its GEMMs differently.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -715,19 +714,21 @@ def _read_model_block(lines: _Lines) -> DetectorModel:
 
 
 def save_model(model: DetectorModel | EnsembleModel, path) -> None:
-    """Writes a model file; a model whose feature names would not read back
-    leaves no file."""
-    fh = io.StringIO()
-    if isinstance(model, EnsembleModel):
-        fh.write(ENSEMBLE_MAGIC + "\n")
-        _write_header(fh, _ENSEMBLE_HEADER, model)
-        for attack in EXPERT_ATTACKS:
-            fh.write(f"expert: {attack}\n")
-            _write_model_block(fh, model.experts[attack])
-    else:
-        _write_model_block(fh, model)
-    with open(path, "w") as out:
-        out.write(fh.getvalue())
+    """Writes a model file, a block at a time straight to the file; a model
+    whose feature names would not read back leaves no file, as every name
+    is checked before it is opened."""
+    ensemble = isinstance(model, EnsembleModel)
+    for block in model.experts.values() if ensemble else [model]:
+        _names(block.feature_names)
+    with open(path, "w") as fh:
+        if ensemble:
+            fh.write(ENSEMBLE_MAGIC + "\n")
+            _write_header(fh, _ENSEMBLE_HEADER, model)
+            for attack in EXPERT_ATTACKS:
+                fh.write(f"expert: {attack}\n")
+                _write_model_block(fh, model.experts[attack])
+        else:
+            _write_model_block(fh, model)
 
 
 def load_model(path) -> DetectorModel | EnsembleModel:

@@ -324,14 +324,15 @@ def build_datasets(
     of the ranking that selected them; that ranking, or None when every
     feature is kept."""
     with _stage("preprocess", timing):
-        train_flows, test_flows = preprocess.split_flows(cache.flows, plan.split_fraction, plan.seed_for("split"))
-        train_flows, test_flows, note = preprocess.anonymize(train_flows, test_flows, plan.anonymize,
-                                                             plan.seed_for("randomize"))
+        train_side, test_side = preprocess.split_flows(cache.flows, plan.split_fraction, plan.seed_for("split"))
+        train_side, test_side, note = preprocess.anonymize(train_side, test_side, plan.anonymize,
+                                                           plan.seed_for("randomize"))
         if note:
             footnotes.append(note)
         train_ds, test_ds = preprocess.build_dataset_from_split(
-            train_flows,
-            test_flows,
+            cache.flows,
+            train_side,
+            test_side,
             shuffle_seed=plan.seed_for("split"),
             ip_mode=plan.ip_mode,
         )
@@ -450,14 +451,12 @@ def train_models(
     return experts, single, ensemble
 
 
-def score(model: DetectorModel | EnsembleModel, dataset: Dataset) -> ConfusionCounts:
-    """The confusion counts of a model's verdicts on a dataset: the detector's
-    benign threshold for a single model, OR-adjudication for an ensemble."""
+def _benign_verdicts(model: DetectorModel | EnsembleModel, matrix: np.ndarray) -> np.ndarray:
+    """True where a model reads the row benign: the detector's benign
+    threshold for a single model, OR-adjudication for an ensemble."""
     if isinstance(model, EnsembleModel):
-        predicted_benign = detector.adjudicate(model, dataset.matrix) == "benign"
-    else:
-        predicted_benign = detector.classify(model, dataset.matrix)
-    return confusion_from(dataset.labels, predicted_benign)
+        return detector.adjudicate(model, matrix) == "benign"
+    return detector.classify(model, matrix)
 
 
 def evaluate_models(
@@ -469,23 +468,30 @@ def evaluate_models(
     timing: dict[str, float],
 ) -> list[ReportRow]:
     """One row per model: each expert on the benign and its attack's test rows,
-    the single model and the ensemble on all of them."""
-    scored = [(EXPERT_ROW_NAMES[a], experts[a], {"benign", a}) for a in detector.EXPERT_ATTACKS if a in experts]
+    the single model and the ensemble on all of them.  Each model classifies
+    the whole test matrix once, and a row counts its verdicts under its
+    rows' label mask: `predict` scores a row alike in any block of two or
+    more rows, so no verdict depends on which other rows are scored."""
+    # Each model with its report rows: (name, the labels of the rows it counts, None for all).
+    scored = [(experts[a], [(EXPERT_ROW_NAMES[a], {"benign", a})]) for a in detector.EXPERT_ATTACKS if a in experts]
     if single is not None:
-        scored.append(("SINGLE CNN", single, None))
+        single_rows = [("SINGLE CNN", None)]
         if plan.anonymize == "randomize":
             # The randomization experiment reads out per-attack confusion of
             # the universal model.
-            scored += [(f"SINGLE CNN / {EXPERT_ROW_NAMES[a]}", single, {"benign", a}) for a in detector.EXPERT_ATTACKS]
+            single_rows += [(f"SINGLE CNN / {EXPERT_ROW_NAMES[a]}", {"benign", a}) for a in detector.EXPERT_ATTACKS]
+        scored.append((single, single_rows))
     if ensemble is not None:
-        scored.append(("ENSEMBLE", ensemble, None))
+        scored.append((ensemble, [("ENSEMBLE", None)]))
     rows = []
     with _stage("evaluate", timing):
-        for name, model, labels in scored:
-            # Each subset view is freed once scored, before the next is made,
-            # so no two are held at once.
-            counts = score(model, test_ds if labels is None else test_ds.subset(labels))
-            rows.append(ReportRow(name, counts, *metrics(counts)))
+        labels = np.array(test_ds.labels, dtype=object)
+        for model, model_rows in scored:
+            benign = _benign_verdicts(model, test_ds.matrix)
+            for name, keep in model_rows:
+                mask = slice(None) if keep is None else np.isin(labels, list(keep))
+                counts = confusion_from(labels[mask], benign[mask])
+                rows.append(ReportRow(name, counts, *metrics(counts)))
     return rows
 
 
@@ -713,6 +719,19 @@ def _cmd_meter(args) -> int:
     return 0
 
 
+def _one_subnet(scenarios: list[tuple[str, FlowTable]], tasks: Sequence[tuple[int, str, str]]
+                ) -> list[tuple[str, FlowTable]]:
+    """The scenarios read from the flow files of `tasks`, once every flow
+    they pool shares one subnet; else the rejection names the file and line
+    of the first flow that leaves it (`preprocess.off_subnet`)."""
+    if (off := preprocess.off_subnet([flows for _, flows in scenarios])) is not None:
+        i, row, address, subnet = off
+        # The reader takes one row per line after the header: flow r is on line r + 2.
+        raise ValueError(f"{tasks[i][2]}: line {row + 2}: address {address} is outside the subnet {subnet} "
+                         "of the flows before it; mixed subnets cannot be octet-encoded")
+    return scenarios
+
+
 def _cmd_preprocess(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -726,7 +745,7 @@ def _cmd_preprocess(args) -> int:
         tasks.append((position, label_name, path))
     # Nothing holds the labelled tables once they are pooled.
     pooled, removed, sizes = pool_scenarios(
-        labelled_scenarios(lambda name, path: flowmeter.read_flow_csv(path), tasks))
+        _one_subnet(labelled_scenarios(lambda name, path: flowmeter.read_flow_csv(path), tasks), tasks))
     if len(classes := sorted(set(pooled.label))) < 2:
         held = f"only {classes[0]}" if classes else "no flows"
         raise ValueError(f"the pooled flows hold {held}; a split needs benign and attack flows")
@@ -794,7 +813,7 @@ def _cmd_evaluate(args) -> int:
     if not test_ds.labels:
         raise ValueError(f"{args.test}: the test set holds no rows")
     test_ds = _model_view(model, test_ds, args.test)
-    counts = score(model, test_ds)
+    counts = confusion_from(test_ds.labels, _benign_verdicts(model, test_ds.matrix))
     if not isinstance(model, EnsembleModel):
         write_histogram_csv(emit_histogram(model, test_ds), out / "histogram.csv")
     acc, det = metrics(counts)

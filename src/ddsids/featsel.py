@@ -118,12 +118,16 @@ class _GramStats:
     y_mean: float
 
     @classmethod
-    def from_xy(cls, X: np.ndarray, y: np.ndarray) -> "_GramStats":
-        n = X.shape[0]
-        col_mean = X.mean(axis=0)
+    def from_xy(cls, X: np.ndarray, y: np.ndarray, fit: np.ndarray) -> "_GramStats":
+        """The statistics of the rows of (X, y) where the mask `fit` is true;
+        their copy of X is centered in place, the one copy made of it."""
+        Xc, y = X[fit], y[fit]
+        n = Xc.shape[0]
+        col_mean = Xc.mean(axis=0)
         y_mean = float(y.mean())
-        Xc = X - col_mean
-        Xc[:, X.min(axis=0) == X.max(axis=0)] = 0.0
+        constant = Xc.min(axis=0) == Xc.max(axis=0)
+        Xc -= col_mean
+        Xc[:, constant] = 0.0
         return cls(gram=Xc.T @ Xc / n, xty=Xc.T @ (y - y_mean) / n, col_mean=col_mean, y_mean=y_mean)
 
     def intercepts(self, W: np.ndarray) -> np.ndarray:
@@ -222,7 +226,7 @@ def _lasso_paths(X: np.ndarray, y: np.ndarray, seed: int) -> tuple[np.ndarray, l
     paths = []
     for k in range(LASSO_FOLDS + 1):
         fit = fold_of != k  # all rows for k == LASSO_FOLDS
-        stats = _GramStats.from_xy(X[fit], y[fit])
+        stats = _GramStats.from_xy(X, y, fit)
         paths.append((stats, _homotopy(stats, LASSO_LAMBDAS)))
     return fold_of, paths
 

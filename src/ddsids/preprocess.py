@@ -11,9 +11,12 @@ split only; test values are clipped into [0, 1].
 Every step is a column operation on a ``FlowTable``: labels and router
 stripping are masks over the octets of the few addresses in its address
 table, pooling gathers each column once in start-time order, the timestamp
-deltas are one subtraction over the sorted start times, address encoding and
-anonymization rewrite only the address table, the split takes a per-label
-quota of the shuffled rows, and the matrix is filled by column slices.
+deltas are one subtraction over the sorted start times, and address encoding
+rewrites only the address table.  A split holds no flows: each side
+(`SplitSide`) is its row numbers into the pooled table, a per-label quota of
+the shuffled rows, with their address codes.  Anonymization rewrites only a
+side's address table and codes, and each matrix is gathered a block of rows
+at a time straight from the pooled features, beside its address columns.
 """
 
 from __future__ import annotations
@@ -56,11 +59,11 @@ def _octet(address: str) -> int:
     return int(address.rsplit(".", 1)[-1])
 
 
-def _used_addresses(flows: FlowTable) -> list[int]:
+def _used_addresses(flows: FlowTable | SplitSide) -> list[int]:
     return np.unique(np.concatenate([flows.src, flows.dst])).tolist()
 
 
-def _octets(flows: FlowTable, parse=_octet) -> np.ndarray:
+def _octets(flows: FlowTable | SplitSide, parse=_octet) -> np.ndarray:
     """`parse` of each address-table entry some flow uses; -1 for the others."""
     octets = np.full(len(flows.addresses), -1, dtype=np.int64)
     for i in _used_addresses(flows):
@@ -119,6 +122,24 @@ def pool(tables: Sequence[FlowTable]) -> tuple[FlowTable, int]:
     return encode_ips(FlowTable(addresses, *(columns[name] for name in FlowTable.COLUMNS))), removed
 
 
+def off_subnet(tables: Sequence[FlowTable]) -> tuple[int, int, str, str] | None:
+    """The first flow `pool(tables)` keeps, in table then row order, with an
+    address outside the subnet of the first kept flow's source: (table,
+    row, address, that subnet); None when every kept address is in it, as
+    `encode_ips` requires."""
+    subnet = None
+    for i, t in enumerate(tables):
+        if not len(rows := _unrouted(t)):
+            continue
+        prefixes = [a.rsplit(".", 1)[0] for a in t.addresses]
+        subnet = prefixes[t.src[rows[0]]] if subnet is None else subnet
+        off = np.array([p != subnet for p in prefixes], dtype=bool)
+        if len(bad := rows[off[t.src[rows]] | off[t.dst[rows]]]):
+            row = int(bad[0])
+            return i, row, t.addresses[t.src[row] if off[t.src[row]] else t.dst[row]], subnet
+    return None
+
+
 def encode_ips(flows: FlowTable) -> FlowTable:
     """Reduce addresses to their only varying octet (10.0.5.5 -> 5)."""
     prefixes = {flows.addresses[i].rsplit(".", 1)[0] for i in _used_addresses(flows)}
@@ -150,9 +171,30 @@ def parse_anonymize(spec: str) -> tuple[str, tuple[int, ...]]:
     raise ValueError(f"unknown anonymize spec {spec!r}; expected none, shift:<k>, switch:<a>,<b> or randomize")
 
 
-def anonymize(train: FlowTable, test: FlowTable, spec: str, seed: int) -> tuple[FlowTable, FlowTable, str | None]:
+@dataclass(frozen=True)
+class SplitSide:
+    """One side of a split of a pooled table: its row numbers into the table,
+    in split order, and those rows' addresses, `src` and `dst` codes into
+    `addresses`.  Anonymization rewrites the addresses; the rows stay."""
+
+    rows: np.ndarray
+    addresses: tuple[str, ...]
+    src: np.ndarray
+    dst: np.ndarray
+
+    @classmethod
+    def of(cls, flows: FlowTable, rows: np.ndarray) -> "SplitSide":
+        """The side of the rows `rows` of `flows`, with their addresses as `flows` codes them."""
+        return cls(rows, flows.addresses, flows.src[rows], flows.dst[rows])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def anonymize(train: SplitSide, test: SplitSide, spec: str, seed: int) -> tuple[SplitSide, SplitSide, str | None]:
     """An encoded split under the address regime `spec` (`parse_anonymize`),
-    and the footnote that names it, None for "none".
+    and the footnote that names it, None for "none".  Only the sides'
+    address tables and codes change.
 
     shift      the addresses observed in either split move k steps along
                their sorted list, wrapping at the end;
@@ -169,7 +211,7 @@ def anonymize(train: FlowTable, test: FlowTable, spec: str, seed: int) -> tuple[
         n = len(SUBNET_HOSTS)
         draws = np.array([(rng.integers(n), rng.integers(n - 1)) for _ in range(len(test))], dtype=np.int64)
         src, dst = draws.reshape(-1, 2).T
-        test = test.with_columns(addresses=[str(h) for h in SUBNET_HOSTS], src=src, dst=dst + (dst >= src))
+        test = replace(test, addresses=tuple(str(h) for h in SUBNET_HOSTS), src=src, dst=dst + (dst >= src))
         return train, test, "test-split addresses reassigned per session from the subnet range"
     # shift moves the addresses of both splits, switch those of the test split
     moved = (train, test) if kind == "shift" else (test,)
@@ -186,7 +228,7 @@ def anonymize(train: FlowTable, test: FlowTable, spec: str, seed: int) -> tuple[
             raise ValueError(f"switch pair addresses not observed: {missing}")
         a, b = args
         mapping, note = {a: b, b: a}, f"addresses {a} and {b} switched in the test split"
-    moved = [t.with_columns(addresses=[str(mapping.get(a, a)) for a in _octets(t, int).tolist()]) for t in moved]
+    moved = [replace(t, addresses=tuple(str(mapping.get(a, a)) for a in _octets(t, int).tolist())) for t in moved]
     return (*moved, note) if kind == "shift" else (train, *moved, note)
 
 
@@ -234,10 +276,9 @@ class Dataset:
                        constant_features=[n for n in self.constant_features if n in set(names)])
 
 
-def split_flows(
-    flows: FlowTable, split_fraction: float, shuffle_seed: int
-) -> tuple[FlowTable, FlowTable]:
-    """Seeded shuffle, then a label-stratified split at split_fraction."""
+def split_flows(flows: FlowTable, split_fraction: float, shuffle_seed: int) -> tuple[SplitSide, SplitSide]:
+    """Seeded shuffle, then a label-stratified split at split_fraction: the
+    (train, test) sides of `flows`, each its row numbers in shuffled order."""
     if not 0 < split_fraction < 1:
         raise ValueError("split_fraction must be within (0, 1)")
     rng = np.random.default_rng(shuffle_seed)
@@ -254,10 +295,11 @@ def split_flows(
     rank = np.empty(len(order), dtype=np.int64)
     rank[np.argsort(code, kind="stable")] = np.arange(len(order)) - np.repeat(np.cumsum(totals) - totals, totals)
     train = rank < quota[code]
-    return flows[order[train]], flows[order[~train]]
+    return SplitSide.of(flows, order[train]), SplitSide.of(flows, order[~train])
 
 
 def _column_names(ip_mode: str) -> list[str]:
+    """The address columns `ip_mode` keeps, then every feature in catalog order."""
     if ip_mode not in IP_MODES:
         raise ValueError(f"ip_mode must be one of {IP_MODES}")
     columns: list[str] = []
@@ -268,30 +310,32 @@ def _column_names(ip_mode: str) -> list[str]:
     return columns + FEATURE_NAMES
 
 
-# Matrix columns taken from a flow's metadata rather than its features.
-_METADATA_COLUMNS = {
-    SRC_IP_COL: lambda t: _octets(t, int)[t.src],
-    DST_IP_COL: lambda t: _octets(t, int)[t.dst],
-}
-
-
-def _matrix(flows: FlowTable, columns: Sequence[str]) -> np.ndarray:
-    """The flows' values of `columns`, one column slice each."""
-    return np.column_stack([_METADATA_COLUMNS[name](flows) if name in _METADATA_COLUMNS
-                            else flows.features[:, FEATURE_INDEX[name]] for name in columns])
+def _matrix(flows: FlowTable, side: SplitSide, columns: Sequence[str]) -> np.ndarray:
+    """The values of `columns` (`_column_names`) on the side's rows: the
+    address columns from the side's own addresses, the features gathered
+    from `flows` FLOW_BLOCK rows at a time into their place, so no copy of
+    the side's features is held beside the matrix."""
+    width = len(columns) - len(FEATURE_NAMES)
+    matrix = np.empty((len(side), len(columns)))
+    for j, name in enumerate(columns[:width]):
+        matrix[:, j] = _octets(side, int)[side.src if name == SRC_IP_COL else side.dst]
+    for lo in range(0, len(side), FLOW_BLOCK):
+        matrix[lo : lo + FLOW_BLOCK, width:] = flows.features[side.rows[lo : lo + FLOW_BLOCK]]
+    return matrix
 
 
 def build_dataset_from_split(
-    train_flows: FlowTable,
-    test_flows: FlowTable,
+    flows: FlowTable,
+    train_side: SplitSide,
+    test_side: SplitSide,
     shuffle_seed: int = 0,
     ip_mode: str = "both",
 ) -> tuple[Dataset, Dataset]:
-    """Assemble matrices for an existing flow split; normalization constants
-    come from the training side only."""
+    """Assemble the matrices of a split of `flows` (`split_flows`, perhaps
+    anonymized); normalization constants come from the training side only."""
     columns = _column_names(ip_mode)
-    train_m = _matrix(train_flows, columns)
-    test_m = _matrix(test_flows, columns)
+    train_m = _matrix(flows, train_side, columns)
+    test_m = _matrix(flows, test_side, columns)
 
     lo = train_m.min(axis=0)
     hi = train_m.max(axis=0)
@@ -306,8 +350,8 @@ def build_dataset_from_split(
         m[:, span == 0] = 0.0
     np.clip(test_m, 0.0, 1.0, out=test_m)
 
-    train = Dataset(train_m, train_flows.label.tolist(), columns, shuffle_seed, lo, hi, constant)
-    test = Dataset(test_m, test_flows.label.tolist(), list(columns), shuffle_seed, lo, hi, list(constant))
+    train = Dataset(train_m, flows.label[train_side.rows].tolist(), columns, shuffle_seed, lo, hi, constant)
+    test = Dataset(test_m, flows.label[test_side.rows].tolist(), list(columns), shuffle_seed, lo, hi, list(constant))
     return train, test
 
 
@@ -317,8 +361,8 @@ def build_dataset(
     shuffle_seed: int = 0,
     ip_mode: str = "both",
 ) -> tuple[Dataset, Dataset]:
-    train_flows, test_flows = split_flows(flows, split_fraction, shuffle_seed)
-    return build_dataset_from_split(train_flows, test_flows, shuffle_seed=shuffle_seed, ip_mode=ip_mode)
+    train_side, test_side = split_flows(flows, split_fraction, shuffle_seed)
+    return build_dataset_from_split(flows, train_side, test_side, shuffle_seed=shuffle_seed, ip_mode=ip_mode)
 
 
 def runtime_environment() -> dict:

@@ -3,8 +3,8 @@
 These are the functions the columnar `FlowTable` chain replaced, kept
 verbatim but for their arguments (a label rule's attack, directionality and
 attacker octet, and an anonymization's parsed kind and arguments): labeling, router stripping, timestamp and address encoding,
-anonymization, the stratified split, the matrix build, per-session address
-randomization and the flow CSV reader.  Each takes and returns plain lists of
+anonymization, the stratified split, the matrix build and its normalization,
+per-session address randomization and the flow CSV reader.  Each takes and returns plain lists of
 `records.FlowRecord`s; `label_scenario` and `pool`, which chain them, edit and empty
 the lists they are given.  `test_prep_oracle.py` runs both chains on the
 same flows and compares them record for record and matrix bit for bit.
@@ -204,6 +204,28 @@ def _matrix(flows: Sequence[FlowRecord], columns: Sequence[str]) -> np.ndarray:
             else:
                 matrix[rows, j] = features[:, FEATURE_INDEX[name]]
     return matrix
+
+
+def build_dataset_from_split(train: Sequence[FlowRecord], test: Sequence[FlowRecord], columns: Sequence[str]
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The train and test matrices of `columns`, min-max normalized by the
+    training rows (test values clipped into [0, 1]), the training minimum and
+    maximum per column, and the columns constant on the training rows."""
+    train_m = _matrix(train, columns)
+    test_m = _matrix(test, columns)
+
+    lo = train_m.min(axis=0)
+    hi = train_m.max(axis=0)
+    span = hi - lo
+    constant = [columns[j] for j in np.nonzero(span == 0)[0]]
+    safe_span = np.where(span == 0, 1.0, span)
+
+    for m in (train_m, test_m):
+        m -= lo
+        m /= safe_span
+        m[:, span == 0] = 0.0
+    np.clip(test_m, 0.0, 1.0, out=test_m)
+    return train_m, test_m, lo, hi, constant
 
 
 def randomize_sessions(flows: Sequence[FlowRecord], seed: int, hosts: Sequence[int] = SUBNET_HOSTS) -> list[FlowRecord]:

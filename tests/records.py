@@ -2,7 +2,8 @@
 they check ddsids against.  ddsids takes and returns column tables only;
 `table_of` makes a `PacketTrace` or `FlowTable` of records and `records_of`
 reads a table back as records, so two tables hold the same rows when their
-records are equal, whatever the order of their address tables.
+records are equal, whatever the order of their address tables.  A side of a
+split holds row numbers only; `side_table` makes the table of its rows.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from ddsids.flowmeter import FEATURE_INDEX, FlowTable
+from ddsids.preprocess import SplitSide
 from ddsids.simnet import PacketTrace
 from ddsids.tables import ColumnTable
 
@@ -67,3 +69,8 @@ def records_of(table: ColumnTable) -> list:
         if name in table.ADDRESS_COLUMNS:
             columns[k] = [table.addresses[i] for i in columns[k]]
     return list(starmap(RECORDS[type(table)], zip(*columns)))
+
+
+def side_table(flows: FlowTable, side: SplitSide) -> FlowTable:
+    """The rows of `flows` one side of a split of it names, with the side's addresses."""
+    return flows[side.rows].with_columns(addresses=side.addresses, src=side.src, dst=side.dst)

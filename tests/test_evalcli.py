@@ -22,7 +22,7 @@ from ddsids.evalcli import (
     scenario_configs,
 )
 from ddsids.preprocess import Dataset
-from records import records_of
+from records import records_of, side_table
 
 
 SMALL_PLAN = ExperimentPlan(seed=5, scale=0.06, epochs=6)
@@ -111,9 +111,11 @@ class TestHistogram:
 def test_randomize_sessions_addresses():
     plan = ExperimentPlan(seed=2, scale=0.05)
     cache = build_cache(plan)
-    train, test, _ = preprocess.anonymize(cache.flows[:0], cache.flows, "randomize", 9)
+    rows = np.arange(len(cache.flows))
+    sides = [preprocess.SplitSide.of(cache.flows, r) for r in (rows[:0], rows)]
+    train, test, _ = preprocess.anonymize(*sides, "randomize", 9)
     assert len(train) == 0
-    out = records_of(test)
+    out = records_of(side_table(cache.flows, test))
     hosts = set(simnet.SUBNET_HOSTS)
     for f in out:
         assert int(f.src_ip) in hosts and int(f.dst_ip) in hosts
@@ -611,6 +613,20 @@ class TestCliContracts:
         assert rc == 1
         assert capsys.readouterr().err == "ddsids: error: split leaves no test rows\n"
         assert not (tmp_path / "data" / "test.csv").exists()
+
+    def test_preprocess_names_a_flow_outside_the_subnet(self, tmp_path, capsys):
+        paths = {name: scenario_flows(tmp_path, name) for name in ("benign", "dos")}
+        lines = paths["dos"].read_text().splitlines(keepends=True)
+        n = next(i for i, line in enumerate(lines) if '"10.0.5.6"' in line)
+        lines[n] = lines[n].replace('"10.0.5.6"', '"10.0.6.6"', 1)
+        paths["dos"].write_text("".join(lines))
+        rc = main(["preprocess", *(f"--flows={name}={path}" for name, path in paths.items()),
+                   "--out-dir", str(tmp_path / "data")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"ddsids: error: {paths['dos']}: line {n + 1}: address 10.0.6.6 is outside "
+                                           "the subnet 10.0.5 of the flows before it; "
+                                           "mixed subnets cannot be octet-encoded\n")
+        assert not (tmp_path / "data" / "train.csv").exists()
 
     def test_preprocess_rejects_unknown_label(self, tmp_path, capsys):
         flows = tmp_path / "dos.flows.csv"

@@ -131,7 +131,7 @@ class TestLasso:
         n = 150
         X = rng.uniform(0, 1, size=(n, 2))
         y = (X[:, 0] * 0.7 - X[:, 1] * 0.3 + 0.2 > 0.35).astype(float)
-        stats = featsel._GramStats.from_xy(X, y)
+        stats = featsel._GramStats.from_xy(X, y, np.ones(n, bool))
         W = featsel._homotopy(stats, np.array([1.0, 0.01, 0.0]))
         A = np.column_stack([np.ones(n), X])
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -156,7 +156,8 @@ class TestLasso:
         latent = X @ np.array([1.2, -0.8, 0.5, 0.0, 0.0, 0.0])
         labels = ["benign" if v > np.median(latent) else "dos" for v in latent]
         ds = dataset_from(X, labels)
-        W = featsel._homotopy(featsel._GramStats.from_xy(ds.matrix, ds.binary_labels()), featsel.LASSO_LAMBDAS)
+        stats = featsel._GramStats.from_xy(ds.matrix, ds.binary_labels(), np.ones(n, bool))
+        W = featsel._homotopy(stats, featsel.LASSO_LAMBDAS)
         nonzero = [int(np.count_nonzero(w)) for w in W]
         assert all(a <= b for a, b in zip(nonzero, nonzero[1:]))
 

@@ -190,6 +190,14 @@ def test_feature_names_that_cannot_round_trip(tmp_path, name):
     assert not (tmp_path / "m.txt").exists()
 
 
+def test_an_ensemble_with_a_name_it_cannot_save_leaves_no_file(tmp_path):
+    # The file is written a block at a time, so every expert's names are checked before it is opened.
+    expert = replace(model(), feature_names=["a|b", "c", "d"])
+    with pytest.raises(ValueError, match=re.escape("feature name 'a|b' cannot be saved in a model file")):
+        save_model(EnsembleModel(experts={a: expert for a in detector.EXPERT_ATTACKS}), tmp_path / "m.txt")
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_train_rejects_a_feature_name_it_cannot_save(tmp_path, capsys):
     rng = np.random.default_rng(0)
     ds = Dataset(matrix=rng.uniform(0, 1, (40, 3)), labels=["benign", "dos"] * 20, feature_names=["a|b", "c", "d"],

@@ -3,9 +3,12 @@ replaced (`oracle_prep`).
 
 Both chains run on the same drawn flows: label each scenario and note its
 rule, pool (strip routers, sort, encode timestamps and addresses), split, anonymize the way an
-experiment does (shift, switch or randomize) and build the matrix.  Records
-are compared on the `repr` of every field and matrices by their bytes; where
-the reference raises, the table chain must raise the same message.
+experiment does (shift, switch or randomize) and build the normalized
+matrices.  A side of the table chain's split, its row numbers into the pooled
+table, is read as the table of those rows (`records.side_table`).  Records
+are compared on the `repr` of every field, and matrices and normalization
+constants by their bytes; where the reference raises, the table chain must
+raise the same message.
 """
 
 import copy
@@ -22,7 +25,7 @@ from ddsids.flowmeter import FEATURE_INDEX, FEATURE_NAMES, FlowTable, read_flow_
 from ddsids.preprocess import IP_MODES
 from ddsids.simnet import ATTACK_SCENARIOS, SCENARIOS
 from ddsids.tables import FLOW_BLOCK
-from records import FlowRecord, records_of, table_of
+from records import FlowRecord, records_of, side_table, table_of
 
 HOSTS = (2, 3, 4, 5, 6, 7)  # 2 and 3 are the routers
 DIRECTIONALITIES = ("bidirectional", "destination_only", "source_only")
@@ -74,7 +77,7 @@ def same(got, want):
     return True
 
 
-def table_chain(scenarios, fraction, seed, spec, columns):
+def table_chain(scenarios, fraction, seed, spec, ip_mode):
     tables = [preprocess.label_scenario(name, table_of(FlowTable, flows)) for name, flows in scenarios]
     notes = preprocess.rule_notes(name for name, _ in scenarios)
     pooled, removed = preprocess.pool(tables)
@@ -83,13 +86,16 @@ def table_chain(scenarios, fraction, seed, spec, columns):
         return notes, pooled, removed, split
     # The spec goes to anonymize as it is: a plan rejects a switch address outside the subnet hosts.
     anonymized = outcome(preprocess.anonymize, *split, spec, evalcli.ExperimentPlan(seed=seed).seed_for("randomize"))
+    split_tables = [side_table(pooled, side) for side in split]
     if isinstance(anonymized, str):
-        return notes, pooled, removed, split, anonymized
-    anonymized = anonymized[:2]
-    return notes, pooled, removed, split, anonymized, [preprocess._matrix(t, columns) for t in anonymized]
+        return notes, pooled, removed, split_tables, anonymized
+    train, test = preprocess.build_dataset_from_split(pooled, *anonymized[:2], shuffle_seed=seed, ip_mode=ip_mode)
+    built = train.matrix, test.matrix, train.norm_min, train.norm_max, train.constant_features
+    return (notes, pooled, removed, split_tables, [side_table(pooled, side) for side in anonymized[:2]], built,
+            [train.labels, test.labels])
 
 
-def record_chain(scenarios, fraction, seed, spec, columns):
+def record_chain(scenarios, fraction, seed, spec, ip_mode):
     pooled, notes = [], []
     for name, flows in scenarios:
         labelled, rule_notes = oracle_prep.label_scenario(name, copy.deepcopy(flows))
@@ -113,15 +119,15 @@ def record_chain(scenarios, fraction, seed, spec, columns):
         anonymized = test if isinstance(test, str) else (train, test)
     if isinstance(anonymized, str):
         return notes, pooled, removed, split, anonymized
-    return notes, pooled, removed, split, anonymized, [oracle_prep._matrix(t, columns) for t in anonymized]
+    built = oracle_prep.build_dataset_from_split(*anonymized, preprocess._column_names(ip_mode))
+    return notes, pooled, removed, split, anonymized, built, [[f.label for f in side] for side in anonymized]
 
 
 def assert_same_chain(scenarios, fraction, seed, spec, ip_mode="both"):
-    columns = preprocess._column_names(ip_mode)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        notes, *got = table_chain(scenarios, fraction, seed, spec, columns)
-        want_notes, *want = record_chain(scenarios, fraction, seed, spec, columns)
+        notes, *got = table_chain(scenarios, fraction, seed, spec, ip_mode)
+        want_notes, *want = record_chain(scenarios, fraction, seed, spec, ip_mode)
     assert notes == want_notes
     assert len(got) == len(want)
     assert fields(got[0]) == fields(want[0]) and got[1] == want[1]
@@ -131,8 +137,11 @@ def assert_same_chain(scenarios, fraction, seed, spec, ip_mode="both"):
             return
         for got_part, want_part in zip(got_stage, want_stage):
             assert fields(got_part) == fields(want_part)
-    for got_m, want_m in zip(got[4], want[4]):
-        assert got_m.shape == want_m.shape and got_m.tobytes() == want_m.tobytes()
+    *got_arrays, got_constant = got[4]
+    *want_arrays, want_constant = want[4]
+    for got_a, want_a in zip(got_arrays, want_arrays):
+        assert got_a.shape == want_a.shape and got_a.tobytes() == want_a.tobytes()
+    assert got_constant == want_constant and got[5] == want[5]
 
 
 @st.composite
@@ -146,6 +155,13 @@ def scenario_flows(draw):
 @settings(max_examples=150, deadline=None)
 def test_chain_matches_records(scenarios, fraction, seed, spec, ip_mode):
     assert_same_chain(scenarios, fraction, seed, spec, ip_mode)
+
+
+@pytest.mark.parametrize("spec", ["none", "shift:2", "switch:4,6", "randomize"])
+@pytest.mark.parametrize("ip_mode", IP_MODES)
+def test_every_regime_and_address_mode(spec, ip_mode):
+    scenarios = [(name, make_flows(40, i)) for i, name in enumerate(SCENARIOS)]
+    assert_same_chain(scenarios, 0.5, 7, spec, ip_mode)
 
 
 @pytest.mark.parametrize("spec", ["none", "randomize", "shift:1", "shift:3", "switch:5,6", "switch:5,99"])

@@ -15,8 +15,9 @@ from ddsids.preprocess import (
     pool,
     rule_notes,
     split_flows,
+    SplitSide,
 )
-from records import FlowRecord, records_of, table_of
+from records import FlowRecord, records_of, side_table, table_of
 
 
 def make_flow(src="10.0.5.5", dst="10.0.5.4", start=0.0, label_="benign", sport=40000, dport=50000, seed=0):
@@ -150,14 +151,19 @@ class TestEncodeIps:
             encode_ips(table_of(FlowTable, flows))
 
 
+def sides(*tables):
+    """Every row of each table as one side of a split."""
+    return [SplitSide.of(t, np.arange(len(t))) for t in tables]
+
+
 def shifted(flows, k):
     """`flows` as the training split of a `shift:<k>` regime."""
-    return anonymize(flows, flows[:0], f"shift:{k}", 0)[0]
+    return side_table(flows, anonymize(*sides(flows, flows[:0]), f"shift:{k}", 0)[0])
 
 
 def switched(flows, a, b):
     """`flows` as the test split of a `switch:<a>,<b>` regime."""
-    return anonymize(flows[:0], flows, f"switch:{a},{b}", 0)[1]
+    return side_table(flows, anonymize(*sides(flows[:0], flows), f"switch:{a},{b}", 0)[1])
 
 
 def observed(flows) -> list[int]:
@@ -214,22 +220,27 @@ class TestAnonymize:
             ("none", ()), ("randomize", ()), ("shift", (3,)), ("switch", (5, 6))]
 
     def test_regimes_move_the_split_they_name(self):
-        train, test = self.encoded(((5, 4), (2, 3))), self.encoded(((6, 4), (4, 6)))
+        train_flows, test_flows = self.encoded(((5, 4), (2, 3))), self.encoded(((6, 4), (4, 6)))
+        train, test = sides(train_flows, test_flows)
+
+        def addresses(flows, side):
+            return [(f.src_ip, f.dst_ip) for f in records_of(side_table(flows, side))]
+
         kept_train, kept_test, note = anonymize(train, test, "none", 0)
         assert kept_train is train and kept_test is test and note is None
         moved_train, moved_test, note = anonymize(train, test, "shift:1", 0)
         # observed across both splits {2,3,4,5,6}: each moves one step, 6 wraps to 2
-        assert [(f.src_ip, f.dst_ip) for f in records_of(moved_train)] == [("6", "5"), ("3", "4")]
-        assert [(f.src_ip, f.dst_ip) for f in records_of(moved_test)] == [("2", "5"), ("5", "2")]
+        assert addresses(train_flows, moved_train) == [("6", "5"), ("3", "4")]
+        assert addresses(test_flows, moved_test) == [("2", "5"), ("5", "2")]
         assert note == "addresses shifted by 1 across train and test"
         kept_train, moved_test, note = anonymize(train, test, "switch:4,6", 0)
         assert kept_train is train and note == "addresses 4 and 6 switched in the test split"
-        assert [(f.src_ip, f.dst_ip) for f in records_of(moved_test)] == [("4", "6"), ("6", "4")]
+        assert addresses(test_flows, moved_test) == [("4", "6"), ("6", "4")]
         with pytest.raises(ValueError, match=r"not observed: \[5\]"):
             anonymize(train, test, "switch:5,6", 0)  # 5 is in the training split only
         kept_train, moved_test, note = anonymize(train, test, "randomize", 9)
         assert kept_train is train and note == "test-split addresses reassigned per session from the subnet range"
-        assert all(f.src_ip != f.dst_ip for f in records_of(moved_test))
+        assert all(src != dst for src, dst in addresses(test_flows, moved_test))
 
 
 def flow_pool(n_benign=30, n_attack=10, seed=0):
@@ -313,10 +324,10 @@ class TestBuildDataset:
             split_flows(table_of(FlowTable, flows), fraction, 1)
 
     def test_normalization_from_train_only(self):
-        flows = flow_pool()
-        train_flows, test_flows = split_flows(table_of(FlowTable, flows), 0.5, 7)
-        train, test = build_dataset_from_split(train_flows, test_flows)
+        flows = table_of(FlowTable, flow_pool())
+        train_side, test_side = split_flows(flows, 0.5, 7)
+        train, test = build_dataset_from_split(flows, train_side, test_side)
         j = train.feature_names.index("Flow Duration")
-        raw_train = [f.feature("Flow Duration") for f in records_of(train_flows)]
+        raw_train = [f.feature("Flow Duration") for f in records_of(side_table(flows, train_side))]
         assert train.norm_min[j] == min(raw_train)
         assert train.norm_max[j] == max(raw_train)
