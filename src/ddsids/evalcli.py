@@ -719,19 +719,6 @@ def _cmd_meter(args) -> int:
     return 0
 
 
-def _one_subnet(scenarios: list[tuple[str, FlowTable]], tasks: Sequence[tuple[int, str, str]]
-                ) -> list[tuple[str, FlowTable]]:
-    """The scenarios read from the flow files of `tasks`, once every flow
-    they pool shares one subnet; else the rejection names the file and line
-    of the first flow that leaves it (`preprocess.off_subnet`)."""
-    if (off := preprocess.off_subnet([flows for _, flows in scenarios])) is not None:
-        i, row, address, subnet = off
-        # The reader takes one row per line after the header: flow r is on line r + 2.
-        raise ValueError(f"{tasks[i][2]}: line {row + 2}: address {address} is outside the subnet {subnet} "
-                         "of the flows before it; mixed subnets cannot be octet-encoded")
-    return scenarios
-
-
 def _cmd_preprocess(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -743,9 +730,14 @@ def _cmd_preprocess(args) -> int:
         if label_name in [name for _, name, _ in tasks]:
             raise ValueError(f"--flows gives the label {label_name!r} twice")
         tasks.append((position, label_name, path))
-    # Nothing holds the labelled tables once they are pooled.
-    pooled, removed, sizes = pool_scenarios(
-        _one_subnet(labelled_scenarios(lambda name, path: flowmeter.read_flow_csv(path), tasks), tasks))
+    scenarios = labelled_scenarios(lambda name, path: flowmeter.read_flow_csv(path), tasks)
+    if (off := preprocess.off_subnet([flows for _, flows in scenarios])) is not None:
+        i, row, address, subnet = off
+        raise ValueError(f"{tasks[i][2]}: line {flowmeter.flow_line(tasks[i][2], row)}: address {address} is "
+                         f"outside the subnet {subnet} of the first non-router flow's source; "
+                         "mixed subnets cannot be octet-encoded")
+    pooled, removed, sizes = pool_scenarios(scenarios)
+    del scenarios  # nothing holds the labelled tables once they are pooled
     if len(classes := sorted(set(pooled.label))) < 2:
         held = f"only {classes[0]}" if classes else "no flows"
         raise ValueError(f"the pooled flows hold {held}; a split needs benign and attack flows")

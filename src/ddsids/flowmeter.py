@@ -49,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from .simnet import SCENARIOS, PacketTrace
-from .tables import FLOW_BLOCK, INT64, IPV4, PORTS, ColumnTable, format_once, read_rows, write_rows
+from .tables import FLOW_BLOCK, INT64, IPV4, PORTS, ColumnTable, format_once, read_rows, row_line, write_rows
 
 FEATURE_NAMES = [
     "Protocol",
@@ -450,6 +450,7 @@ _FLOW_ROW = np.dtype([("flow_id", object), ("src", object), ("src_port", np.int6
                       ("dst_port", np.int64), ("start_time", np.float64),
                       ("features", np.float64, (len(FEATURE_NAMES),)), ("label", object)])
 _FLOW_HEADER = METADATA_NAMES + FEATURE_NAMES + [LABEL_NAME]
+_QUOTECHAR = '"'  # write_flow_csv quotes the metadata and the label
 
 
 def _flow_row(path, header: list[str]) -> np.dtype:
@@ -466,12 +467,17 @@ def _flow_row(path, header: list[str]) -> np.dtype:
     return _FLOW_ROW
 
 
+def flow_line(path, row: int) -> int:
+    """The line of the flow CSV file `path` on which flow `row` starts."""
+    return row_line(path, _QUOTECHAR, row)
+
+
 def read_flow_csv(path) -> FlowTable:
     """Inverse of write_flow_csv, through read_rows; rejects a header off the
     catalog, an address that is not IPv4, a port outside 0..65535, a Protocol
     outside the 64-bit range and a label that is not a scenario name."""
     bounds = {"Src IP": IPV4, "Dst IP": IPV4, "Src Port": PORTS, "Dst Port": PORTS, "Protocol": INT64,
               LABEL_NAME: SCENARIOS}
-    _, columns, texts = read_rows(path, _flow_row, '"', bounds)
+    _, columns, texts = read_rows(path, _flow_row, _QUOTECHAR, bounds)
     columns["protocol"] = columns["features"][:, FEATURE_INDEX["Protocol"]].astype(np.int64)
     return FlowTable.from_coded(columns, texts)

@@ -26,7 +26,7 @@ import platform
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -122,14 +122,16 @@ def pool(tables: Sequence[FlowTable]) -> tuple[FlowTable, int]:
     return encode_ips(FlowTable(addresses, *(columns[name] for name in FlowTable.COLUMNS))), removed
 
 
-def off_subnet(tables: Sequence[FlowTable]) -> tuple[int, int, str, str] | None:
-    """The first flow `pool(tables)` keeps, in table then row order, with an
-    address outside the subnet of the first kept flow's source: (table,
-    row, address, that subnet); None when every kept address is in it, as
-    `encode_ips` requires."""
+def off_subnet(tables: Sequence[FlowTable], kept: Callable[[FlowTable], np.ndarray] = _unrouted
+               ) -> tuple[int, int, str, str] | None:
+    """The first of the rows `kept(t)` of each table t (by default the flows
+    `pool(tables)` keeps), in table then row order, with an address outside
+    the subnet of the first such row's source: (table, row, address, that
+    subnet); None when every address of those rows is in it, as `encode_ips`
+    requires."""
     subnet = None
     for i, t in enumerate(tables):
-        if not len(rows := _unrouted(t)):
+        if not len(rows := kept(t)):
             continue
         prefixes = [a.rsplit(".", 1)[0] for a in t.addresses]
         subnet = prefixes[t.src[rows[0]]] if subnet is None else subnet
@@ -141,9 +143,10 @@ def off_subnet(tables: Sequence[FlowTable]) -> tuple[int, int, str, str] | None:
 
 
 def encode_ips(flows: FlowTable) -> FlowTable:
-    """Reduce addresses to their only varying octet (10.0.5.5 -> 5)."""
-    prefixes = {flows.addresses[i].rsplit(".", 1)[0] for i in _used_addresses(flows)}
-    if len(prefixes) > 1:
+    """Reduce addresses to their only varying octet (10.0.5.5 -> 5); every
+    flow must lie in one subnet (`off_subnet`)."""
+    if off_subnet([flows], kept=lambda t: np.arange(len(t))) is not None:
+        prefixes = {flows.addresses[i].rsplit(".", 1)[0] for i in _used_addresses(flows)}
         raise ValueError(f"mixed subnets cannot be octet-encoded: {sorted(prefixes)}")
     return flows.with_columns(addresses=[str(octet) for octet in _octets(flows).tolist()])
 

@@ -400,6 +400,22 @@ def _parsed_rows(reader, header: list[str], dtype: np.dtype, bounds: dict) -> tu
     return np.concatenate(blocks), None
 
 
+def _row_at(fh, quotechar: str | None, r: int) -> tuple[int, list[str]]:
+    """The line on which row r (after the header) of the open CSV file `fh`
+    starts, and its cells, as the csv module reads the file from its start:
+    a quoted cell may run on over a newline."""
+    fh.seek(0)
+    reader = _csv_reader(fh, quotechar)
+    next(islice(reader, r + 1, r + 1), None)  # the header and the rows before row r
+    return reader.line_num + 1, next(reader)
+
+
+def row_line(path, quotechar: str | None, r: int) -> int:
+    """The line on which row r (after the header) of the CSV file `path` starts (`_row_at`)."""
+    with open_text(path, newline="") as fh:
+        return _row_at(fh, quotechar, r)[0]
+
+
 def read_rows(path, row_type, quotechar: str | None, bounds: dict[str, range | tuple[str, ...] | TextRule]
               ) -> tuple[list[str], dict[str, np.ndarray], dict[str, list[str]]]:
     """The header and the rows of the CSV file `path` (`quotechar` None: no
@@ -448,10 +464,7 @@ def read_rows(path, row_type, quotechar: str | None, bounds: dict[str, range | t
         if r is not None:
             # Found only now, as the tokenizer keeps neither lines nor text;
             # on the files it reads, row r sits on line header_lines + 1 + r.
-            fh.seek(0)
-            reader = _csv_reader(fh, quotechar)
-            next(islice(reader, r + 1, r + 1), None)  # the header and the rows before row r
-            line, row = reader.line_num + 1, next(reader)
+            line, row = _row_at(fh, quotechar, r)
             c, reason = _row_fault(row, header, dtype, bounds)
             if c is None:
                 raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")

@@ -614,17 +614,23 @@ class TestCliContracts:
         assert capsys.readouterr().err == "ddsids: error: split leaves no test rows\n"
         assert not (tmp_path / "data" / "test.csv").exists()
 
-    def test_preprocess_names_a_flow_outside_the_subnet(self, tmp_path, capsys):
+    @pytest.mark.parametrize("multiline_id", [False, True])
+    def test_preprocess_names_a_flow_outside_the_subnet(self, tmp_path, capsys, multiline_id):
         paths = {name: scenario_flows(tmp_path, name) for name in ("benign", "dos")}
         lines = paths["dos"].read_text().splitlines(keepends=True)
         n = next(i for i, line in enumerate(lines) if '"10.0.5.6"' in line)
         lines[n] = lines[n].replace('"10.0.5.6"', '"10.0.6.6"', 1)
+        if multiline_id:
+            # The first flow's quoted Flow ID runs on over a newline, so the later rows start a line further on.
+            assert n > 1
+            lines[1] = lines[1].replace('",', '\nid",', 1)
+            n += 1
         paths["dos"].write_text("".join(lines))
         rc = main(["preprocess", *(f"--flows={name}={path}" for name, path in paths.items()),
                    "--out-dir", str(tmp_path / "data")])
         assert rc == 1
         assert capsys.readouterr().err == (f"ddsids: error: {paths['dos']}: line {n + 1}: address 10.0.6.6 is outside "
-                                           "the subnet 10.0.5 of the flows before it; "
+                                           "the subnet 10.0.5 of the first non-router flow's source; "
                                            "mixed subnets cannot be octet-encoded\n")
         assert not (tmp_path / "data" / "train.csv").exists()
 

@@ -89,9 +89,11 @@ def table_chain(scenarios, fraction, seed, spec, ip_mode):
     split_tables = [side_table(pooled, side) for side in split]
     if isinstance(anonymized, str):
         return notes, pooled, removed, split_tables, anonymized
+    columns = preprocess._column_names(ip_mode)
+    raw = [preprocess._matrix(pooled, side, columns) for side in anonymized[:2]]
     train, test = preprocess.build_dataset_from_split(pooled, *anonymized[:2], shuffle_seed=seed, ip_mode=ip_mode)
     built = train.matrix, test.matrix, train.norm_min, train.norm_max, train.constant_features
-    return (notes, pooled, removed, split_tables, [side_table(pooled, side) for side in anonymized[:2]], built,
+    return (notes, pooled, removed, split_tables, [side_table(pooled, side) for side in anonymized[:2]], raw, built,
             [train.labels, test.labels])
 
 
@@ -119,8 +121,10 @@ def record_chain(scenarios, fraction, seed, spec, ip_mode):
         anonymized = test if isinstance(test, str) else (train, test)
     if isinstance(anonymized, str):
         return notes, pooled, removed, split, anonymized
-    built = oracle_prep.build_dataset_from_split(*anonymized, preprocess._column_names(ip_mode))
-    return notes, pooled, removed, split, anonymized, built, [[f.label for f in side] for side in anonymized]
+    columns = preprocess._column_names(ip_mode)
+    raw = [oracle_prep._matrix(side, columns) for side in anonymized]
+    built = oracle_prep.build_dataset_from_split(*anonymized, columns)
+    return notes, pooled, removed, split, anonymized, raw, built, [[f.label for f in side] for side in anonymized]
 
 
 def assert_same_chain(scenarios, fraction, seed, spec, ip_mode="both"):
@@ -137,11 +141,13 @@ def assert_same_chain(scenarios, fraction, seed, spec, ip_mode="both"):
             return
         for got_part, want_part in zip(got_stage, want_stage):
             assert fields(got_part) == fields(want_part)
-    *got_arrays, got_constant = got[4]
-    *want_arrays, want_constant = want[4]
-    for got_a, want_a in zip(got_arrays, want_arrays):
+    *got_arrays, got_constant = got[5]
+    *want_arrays, want_constant = want[5]
+    # The raw matrices too: normalization zeroes the train-constant columns and clips the test side.
+    for got_a, want_a in zip([*got[4], *got_arrays], [*want[4], *want_arrays]):
         assert got_a.shape == want_a.shape and got_a.tobytes() == want_a.tobytes()
-    assert got_constant == want_constant and got[5] == want[5]
+    assert got_constant == want_constant and got[6] == want[6]
+    return got
 
 
 @st.composite
@@ -162,6 +168,14 @@ def test_chain_matches_records(scenarios, fraction, seed, spec, ip_mode):
 def test_every_regime_and_address_mode(spec, ip_mode):
     scenarios = [(name, make_flows(40, i)) for i, name in enumerate(SCENARIOS)]
     assert_same_chain(scenarios, 0.5, 7, spec, ip_mode)
+
+
+@pytest.mark.parametrize("spec", ["none", "switch:4,6", "randomize"])
+def test_sides_of_several_row_blocks(spec):
+    # Each side spans more than one FLOW_BLOCK-row block of the matrix gather.
+    scenarios = [(name, make_flows(300, i)) for i, name in enumerate(SCENARIOS)]
+    raw = assert_same_chain(scenarios, 0.5, 7, spec)[4]
+    assert min(len(m) for m in raw) > FLOW_BLOCK
 
 
 @pytest.mark.parametrize("spec", ["none", "randomize", "shift:1", "shift:3", "switch:5,6", "switch:5,99"])
