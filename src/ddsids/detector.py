@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -107,8 +107,6 @@ class DetectorModel:
     biases: list[np.ndarray]
     threshold: float = THRESHOLD
     feature_names: list[str] = field(default_factory=list)
-    norm_min: np.ndarray | None = None
-    norm_max: np.ndarray | None = None
     seed: int = 0
     epochs: int = 0
     loss_curve: list[float] = field(default_factory=list)
@@ -358,8 +356,6 @@ class _Run:
             weights=weights,
             biases=biases,
             feature_names=list(dataset.feature_names),
-            norm_min=None if dataset.norm_min is None else np.array(dataset.norm_min, dtype=np.float64),
-            norm_max=None if dataset.norm_max is None else np.array(dataset.norm_max, dtype=np.float64),
             seed=config.seed,
             epochs=config.epochs,
         )
@@ -583,10 +579,10 @@ def _hex_list(values) -> str:
     return " ".join(float(v).hex() for v in values)
 
 
-def _hexes(text: str, width: int | None = None, finite: bool = True) -> list[float]:
-    """The hex floats of a text, `width` of them when given."""
-    values = [parsed(tok, float.fromhex, finite) for tok in text.split()]
-    if width is not None and len(values) != width:
+def _hexes(text: str, width: int) -> list[float]:
+    """The `width` finite hex floats of a text."""
+    values = [parsed(tok, float.fromhex) for tok in text.split()]
+    if len(values) != width:
         raise ValueError(f"has {len(values)} values, expected {width}")
     return values
 
@@ -619,43 +615,26 @@ def _names(names: Sequence[str]) -> str:
     return "|".join(names)
 
 
-class _Field(NamedTuple):
-    """How a header value is written and read back; a field with no read
-    carries the one text `write`.  A per-input value has one entry per input
-    column, or none."""
-
-    write: Callable | str
-    read: Callable | None = None
-    per_input: bool = False
-
-
-_NORM = _Field(lambda values: "-" if values is None else _hex_list(values),
-               lambda text: None if text == "-" else np.array(_hexes(text)), per_input=True)
-_CURVE = _Field(_hex_list, partial(_hexes, finite=False))
-# The header of a model block, in file order; each tag is the DetectorModel
-# attribute it carries.  The threshold, the norms, and the weights and biases
-# of the `layer:` and `bias:` lines that follow must be finite; the curves may
-# hold NaN, as a run without a holdout writes NaN accuracies.
+# The header of a model block, in file order: each tag is the DetectorModel
+# attribute it carries, with how its value is written and how it is read.
+# The threshold, and the weights and biases of the `layer:` and `bias:` lines
+# that follow, must be finite.  The seed and the epochs are the file's record
+# of how the model was trained; the loss and holdout curves are in the
+# training log (`write_training_log`).
 _HEADER = {
-    "shape": _Field(lambda shape: " ".join(map(str, shape)), _shape),
-    "hidden_activation": _Field("relu"),
-    "threshold": _Field(lambda value: float(value).hex(), partial(parsed, kind=float.fromhex)),
-    "seed": _Field(str, partial(parsed, kind=int)),
-    "epochs": _Field(str, partial(parsed, kind=int)),
-    "feature_names": _Field(_names, lambda text: text.split("|") if text else [], per_input=True),
-    "norm_min": _NORM,
-    "norm_max": _NORM,
-    "loss_curve": _CURVE,
-    "holdout_accuracy": _CURVE,
-    "conv": _Field("-"),
+    "shape": (lambda shape: " ".join(map(str, shape)), _shape),
+    "threshold": (lambda value: float(value).hex(), partial(parsed, kind=float.fromhex)),
+    "seed": (str, partial(parsed, kind=int)),
+    "epochs": (str, partial(parsed, kind=int)),
+    "feature_names": (_names, lambda text: text.split("|") if text else []),
 }
 # An ensemble's header: the fields of the model header that EnsembleModel carries.
 _ENSEMBLE_HEADER = {tag: f for tag, f in _HEADER.items() if tag in {x.name for x in fields(EnsembleModel)}}
 
 
-def _write_header(fh, header: dict[str, _Field], obj) -> None:
-    for tag, f in header.items():
-        fh.write(f"{tag}: {f.write(getattr(obj, tag)) if f.read else f.write}\n")
+def _write_header(fh, header: dict[str, tuple[Callable, Callable]], obj) -> None:
+    for tag, (write, _) in header.items():
+        fh.write(f"{tag}: {write(getattr(obj, tag))}\n")
 
 
 def _write_model_block(fh, model: DetectorModel) -> None:
@@ -697,12 +676,10 @@ class _Lines:
 def _read_model_block(lines: _Lines) -> DetectorModel:
     """The model block after its magic line."""
     model = DetectorModel(shape=[], weights=[], biases=[])
-    for tag, f in _HEADER.items():
-        value = lines.next(tag, f.read or _one_of(tag, f.write))
-        if f.per_input and value is not None and len(value) not in (0, model.input_width):
-            raise lines.fault(tag, f"has {len(value)} entries, expected {model.input_width}")
-        if f.read:
-            setattr(model, tag, value)
+    for tag, (_, read) in _HEADER.items():
+        setattr(model, tag, lines.next(tag, read))
+    if len(model.feature_names) not in (0, model.input_width):
+        raise lines.fault("feature_names", f"has {len(model.feature_names)} entries, expected {model.input_width}")
     for i, (rows, cols) in enumerate(zip(model.shape[:-1], model.shape[1:])):
         if (dims := lines.next("layer", _ints)) != [i, rows, cols]:
             raise lines.fault("layer", f"expected '{i} {rows} {cols}', got {' '.join(map(str, dims))!r}")
@@ -738,7 +715,7 @@ def load_model(path) -> DetectorModel | EnsembleModel:
         lines = _Lines(fh, path)
         if lines.next(None, _one_of("model version", MODEL_MAGIC, ENSEMBLE_MAGIC), tagged=False) == MODEL_MAGIC:
             return _read_model_block(lines)
-        header = {tag: lines.next(tag, f.read) for tag, f in _ENSEMBLE_HEADER.items()}
+        header = {tag: lines.next(tag, read) for tag, (_, read) in _ENSEMBLE_HEADER.items()}
         experts = {}
         for _ in EXPERT_ATTACKS:
             attack = lines.next("expert", _one_of("expert", *(a for a in EXPERT_ATTACKS if a not in experts)))

@@ -111,8 +111,8 @@ class ExperimentPlan:
             raise ValueError("scale must be within (0, 1]")
         if not 0 < self.split_fraction < 1:
             raise ValueError("split_fraction must be within (0, 1)")
-        if self.feature_k < 1:
-            raise ValueError("feature_k must be at least 1")
+        if not 1 <= self.feature_k <= len(flowmeter.FEATURE_NAMES):
+            raise ValueError(f"feature_k must be within [1, {len(flowmeter.FEATURE_NAMES)}]")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         TrainConfig(epochs=self.epochs)  # checks the epoch ceiling
@@ -329,13 +329,8 @@ def build_datasets(
                                                            plan.seed_for("randomize"))
         if note:
             footnotes.append(note)
-        train_ds, test_ds = preprocess.build_dataset_from_split(
-            cache.flows,
-            train_side,
-            test_side,
-            shuffle_seed=plan.seed_for("split"),
-            ip_mode=plan.ip_mode,
-        )
+        train_ds, test_ds = preprocess.build_dataset_from_split(cache.flows, train_side, test_side,
+                                                                ip_mode=plan.ip_mode)
         if train_ds.constant_features:
             footnotes.append(
                 "constant feature(s) normalized to zero: " + ", ".join(train_ds.constant_features)
@@ -525,7 +520,8 @@ def run_experiment(
             mdir = out_dir / "models"
             mdir.mkdir(exist_ok=True)
             manifest = preprocess.dataset_manifest(train_ds, test_ds, cache.scenarios, plan.anonymize,
-                                                   plan.seed_for("randomize"), cache.router_sessions_removed)
+                                                   plan.seed_for("randomize"), plan.seed_for("split"),
+                                                   cache.router_sessions_removed)
             if ranking is not None:
                 manifest["selection"] = {"method": plan.selection_method, "k": plan.feature_k,
                                          "flagged": len(ranking.flagged)}
@@ -744,7 +740,7 @@ def _cmd_preprocess(args) -> int:
     train_ds, test_ds = preprocess.build_dataset(pooled, split_fraction=args.split, shuffle_seed=args.seed,
                                                  ip_mode=args.ip_mode)
     write_split(train_ds, test_ds, out)
-    manifest = preprocess.dataset_manifest(train_ds, test_ds, sizes, "none", None, removed)
+    manifest = preprocess.dataset_manifest(train_ds, test_ds, sizes, "none", None, args.seed, removed)
     preprocess.write_manifest(out / "dataset.manifest.json", manifest)
     print(f"{out}: train {train_ds.matrix.shape}, test {test_ds.matrix.shape}")
     return 0

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, FlowTable
+from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, METADATA_NAMES, FlowTable
 from .parallel import openblas_core, usable_cpus
 from .simnet import ATTACKER_HOST, ROUTER_HOSTS, SCENARIOS, SUBNET_HOSTS
 from .tables import FLOW_BLOCK, decoded, format_once, read_rows, write_rows
@@ -38,8 +38,6 @@ from .tables import FLOW_BLOCK, decoded, format_once, read_rows, write_rows
 IP_MODES = ("both", "source_only", "destination_only", "none")
 SRC_IP_COL = "Src IP"
 DST_IP_COL = "Dst IP"
-SRC_PORT_COL = "Src Port"
-DST_PORT_COL = "Dst Port"
 
 # Directional labeling combinations reported as reliable; anything else is
 # accepted with a note in the report.
@@ -240,7 +238,6 @@ class Dataset:
     matrix: np.ndarray
     labels: list[str]
     feature_names: list[str]
-    shuffle_seed: int
     norm_min: np.ndarray
     norm_max: np.ndarray
     constant_features: list[str] = field(default_factory=list)
@@ -331,7 +328,6 @@ def build_dataset_from_split(
     flows: FlowTable,
     train_side: SplitSide,
     test_side: SplitSide,
-    shuffle_seed: int = 0,
     ip_mode: str = "both",
 ) -> tuple[Dataset, Dataset]:
     """Assemble the matrices of a split of `flows` (`split_flows`, perhaps
@@ -353,8 +349,8 @@ def build_dataset_from_split(
         m[:, span == 0] = 0.0
     np.clip(test_m, 0.0, 1.0, out=test_m)
 
-    train = Dataset(train_m, flows.label[train_side.rows].tolist(), columns, shuffle_seed, lo, hi, constant)
-    test = Dataset(test_m, flows.label[test_side.rows].tolist(), list(columns), shuffle_seed, lo, hi, list(constant))
+    train = Dataset(train_m, flows.label[train_side.rows].tolist(), columns, lo, hi, constant)
+    test = Dataset(test_m, flows.label[test_side.rows].tolist(), list(columns), lo, hi, list(constant))
     return train, test
 
 
@@ -365,7 +361,7 @@ def build_dataset(
     ip_mode: str = "both",
 ) -> tuple[Dataset, Dataset]:
     train_side, test_side = split_flows(flows, split_fraction, shuffle_seed)
-    return build_dataset_from_split(flows, train_side, test_side, shuffle_seed=shuffle_seed, ip_mode=ip_mode)
+    return build_dataset_from_split(flows, train_side, test_side, ip_mode=ip_mode)
 
 
 def runtime_environment() -> dict:
@@ -393,12 +389,14 @@ def dataset_manifest(
     scenarios: Sequence[dict],
     anonymize_mode: str,
     anonymize_seed: int | None,
+    shuffle_seed: int,
     router_sessions_removed: int,
 ) -> dict:
     """What built `train` and `test`: the pooled scenarios (each a dict of
     its name, packets and flows) and their label rules, the notes the rules
-    raise (`rule_notes`), the router sessions stripped, the flow columns left
-    out of the matrix, the rows per label of each split, the normalization
+    raise (`rule_notes`), the seed of the split's shuffle, the router sessions
+    stripped, the flow file's metadata columns left out of the matrix (in the
+    file's order), the rows per label of each split, the normalization
     constants and the runtime environment."""
     names = [s["name"] for s in scenarios]
     return {
@@ -410,8 +408,8 @@ def dataset_manifest(
         "router_sessions_removed": router_sessions_removed,
         "anonymize_mode": anonymize_mode,
         "anonymize_seed": anonymize_seed,
-        "shuffle_seed": train.shuffle_seed,
-        "dropped_columns": ["Flow ID", "Start Time", SRC_PORT_COL, DST_PORT_COL],
+        "shuffle_seed": shuffle_seed,
+        "dropped_columns": [name for name in METADATA_NAMES if name not in train.feature_names],
         "rows_per_label": {"train": train.class_counts(), "test": test.class_counts()},
         "feature_names": list(train.feature_names),
         "constant_features": list(train.constant_features),
@@ -446,5 +444,5 @@ def read_dataset_csv(path) -> Dataset:
     label that is not a scenario name."""
     header, columns, texts = read_rows(path, _dataset_row, '"', {"Label": SCENARIOS})
     width = len(header) - 1
-    return Dataset(columns["values"], decoded(columns["label"], texts["label"]), header[:-1], 0, np.zeros(width),
+    return Dataset(columns["values"], decoded(columns["label"], texts["label"]), header[:-1], np.zeros(width),
                    np.ones(width))

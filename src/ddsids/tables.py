@@ -472,13 +472,13 @@ def read_rows(path, row_type, quotechar: str | None, bounds: dict[str, range | t
     return header, columns, texts
 
 
-def parsed(text: str, kind=float, finite: bool = True):
+def parsed(text: str, kind=float):
     """`kind(text)` for kind str, int, float or float.fromhex, rejected with
     the reasons the CSV readers give: not an integer, not a number, non-finite."""
     try:
         value = kind(text)
     except ValueError:
         raise ValueError(f"not {'an integer' if kind is int else 'a number'} {text!r}") from None
-    if finite and isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
     return value

@@ -630,7 +630,6 @@ def test_criterion_10_shape_gate():
         matrix=np.random.default_rng(0).uniform(0, 1, (40, 78)),
         labels=["benign" if i % 2 else "dos" for i in range(40)],
         feature_names=[f"f{i}" for i in range(78)],
-        shuffle_seed=0,
         norm_min=np.zeros(78),
         norm_max=np.ones(78),
     )

@@ -4,15 +4,27 @@ builds its plan with `_plan_from_args`.  An option nothing reads would be
 accepted and silently ignored.
 
 Every field of a settings class is set to a value other than its default
-somewhere: a field nothing sets holds one value and belongs in a constant."""
+somewhere: a field nothing sets holds one value and belongs in a constant.
+
+An invalid value of a numeric option ends in a usage error (exit 2) or a
+one-line `ddsids:` message (exit 1), never a traceback, and before any
+simulation or training starts."""
 
 import argparse
 import ast
+import contextlib
 import inspect
+import io
+import string
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
-from ddsids import detector, evalcli, simnet
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ddsids import detector, evalcli, flowmeter, preprocess, simnet
 
 PLAN_FIELDS = {f.name for f in fields(evalcli.ExperimentPlan)}
 
@@ -72,3 +84,70 @@ def test_every_settings_field_is_set_by_a_call_or_an_option():
     unset = [f"{cls.__name__}.{f.name}" for cls in SETTINGS for f in fields(cls)
              if f.name not in set_in_source(cls) | dests]
     assert not unset, "fields nothing sets: " + ", ".join(unset)
+
+
+# The numeric options of the verbs that simulate, train or read input files.
+# A run is given valid inputs (`verb_argv`) and one drawn value, its only fault.
+NUMERIC_OPTIONS = {
+    "experiment": ("--epochs", "--k", "--split", "--scale", "--seed"),
+    "train": ("--epochs", "--seed"),
+    "select": ("--k", "--seed"),
+    "preprocess": ("--split", "--seed"),
+}
+
+# Values no numeric option takes: zero, negatives, NaN, infinities, 1e308,
+# integers beyond 64 bits and text that is no number.  A non-negative integer
+# of any size is a seed, so --seed draws only the values that are not one.
+INVALID = st.one_of(
+    st.sampled_from(["0", "-0", "0.0", "nan", "NaN", "inf", "-inf", "Infinity", "1e308", "-1e308"]),
+    st.integers(max_value=-1).map(str),
+    st.floats(max_value=-1e-9, allow_nan=False).map(repr),
+    st.integers(min_value=2**64).map(str),
+    st.integers(max_value=-2**64).map(str),
+    st.text(string.ascii_letters + " ,_-", min_size=1, max_size=8),
+)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A benign and a dos flow file, and a training set the verbs accept."""
+    root = tmp_path_factory.mktemp("inputs")
+    configs = evalcli.scenario_configs(evalcli.ExperimentPlan(seed=4, scale=0.02))
+    for scenario in ("benign", "dos"):
+        flowmeter.write_flow_csv(flowmeter.meter(simnet.generate(configs[scenario])), root / f"{scenario}.flows.csv")
+    rng = np.random.default_rng(0)
+    preprocess.write_dataset_csv(preprocess.Dataset(rng.uniform(0, 1, (20, 3)), ["benign", "dos"] * 10,
+                                                    ["a", "b", "c"], np.zeros(3), np.ones(3)), root / "train.csv")
+    return root
+
+
+def verb_argv(verb: str, root: Path) -> list[str]:
+    """The verb with valid inputs and an output directory under `root`."""
+    files = {"experiment": [], "train": ["--train", str(root / "train.csv")],
+             "select": ["--train", str(root / "train.csv")],
+             "preprocess": ["--flows", f"benign={root / 'benign.flows.csv'}", "--flows", f"dos={root / 'dos.flows.csv'}"]}
+    return [verb, *files[verb], "--out-dir", str(root / "out")]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_an_invalid_numeric_option_is_refused_by_message(inputs, data):
+    verb = data.draw(st.sampled_from(sorted(NUMERIC_OPTIONS)), label="verb")
+    flag = data.draw(st.sampled_from(NUMERIC_OPTIONS[verb]), label="flag")
+    value = data.draw(INVALID.filter(lambda v: flag != "--seed" or not v.isdecimal()), label="value")
+    err = io.StringIO()
+    # A simulation or a training stops at once, so no value, however large, starts a pass.
+    with mock.patch.object(simnet, "generate", side_effect=RuntimeError("simulated")) as generate, \
+            mock.patch.object(detector, "train_many", side_effect=RuntimeError("trained")) as train_many, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = evalcli.main(verb_argv(verb, inputs) + [f"{flag}={value}"])
+        except SystemExit as exited:
+            rc = exited.code
+    assert not generate.called and not train_many.called, "a pass started on an invalid option"
+    text = err.getvalue()
+    if rc == 2:
+        assert text.startswith("usage: ddsids ") and f"error: argument {flag}" in text, text
+    else:
+        assert rc == 1 and text.startswith("ddsids: ") and "\n" not in text.rstrip("\n"), (rc, text)
+

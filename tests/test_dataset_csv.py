@@ -16,7 +16,7 @@ class TestDatasetCsv:
     def dataset(self, n):
         rng = np.random.default_rng(n)
         return Dataset(rng.uniform(-1e3, 1e3, (n, 3)), ["benign", "dos"] * (n // 2) + ["benign"] * (n % 2),
-                       ["a", "b", "c"], 0, np.zeros(3), np.ones(3))
+                       ["a", "b", "c"], np.zeros(3), np.ones(3))
 
     @pytest.mark.parametrize("n", [0, 1, FLOW_BLOCK, 2 * FLOW_BLOCK + 3])
     def test_round_trip_across_blocks(self, tmp_path, n):

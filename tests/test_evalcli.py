@@ -81,7 +81,6 @@ class TestHistogram:
             matrix=rng.uniform(0, 1, size=(len(labels), width)),
             labels=list(labels),
             feature_names=[f"f{i}" for i in range(width)],
-            shuffle_seed=0,
             norm_min=np.zeros(width),
             norm_max=np.ones(width),
         )
@@ -309,7 +308,7 @@ class TestPlanValidation:
 
         monkeypatch.setattr(simnet, "generate", no_simulation)
         for flag, value in (("--epochs", "0"), ("--epochs", "1000000000000"), ("--model", "mystery"), ("--k", "0"),
-                            ("--anonymize", "scramble")):
+                            ("--k", "79"), ("--anonymize", "scramble")):
             rc = main(["experiment", "--seed", "5", "--scale", "0.06", flag, value, "--out-dir", str(tmp_path)])
             assert rc == 1
             err = capsys.readouterr().err
@@ -341,7 +340,7 @@ class TestPlanValidation:
 class TestCli:
     def test_train_rejects_zero_epochs(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
-        ds = Dataset(rng.random((12, 3)), ["benign", "dos"] * 6, ["f0", "f1", "f2"], 0, np.zeros(3), np.ones(3))
+        ds = Dataset(rng.random((12, 3)), ["benign", "dos"] * 6, ["f0", "f1", "f2"], np.zeros(3), np.ones(3))
         preprocess.write_dataset_csv(ds, tmp_path / "train.csv")
         rc = main(["train", "--train", str(tmp_path / "train.csv"), "--epochs", "0", "--out-dir", str(tmp_path / "m")])
         assert rc == 1
@@ -429,18 +428,30 @@ class TestCli:
         for key in ("label_rules", "dropped_columns", "feature_names", "constant_features", "normalization"):
             assert cli[key] == ref[key], key
         assert set(cli["label_rules"]) == {"dos", "clone", "malsub"}
-        assert cli["dropped_columns"] == ["Flow ID", "Start Time", "Src Port", "Dst Port"]
+        assert cli["dropped_columns"] == ["Flow ID", "Src Port", "Dst Port", "Start Time"]
 
     def test_cli_manifest_names_what_it_dropped(self, tmp_path):
+        """Under every --ip-mode, the metadata columns of the flow file that
+        the matrix leaves out, in the file's order."""
         out = tmp_path / "chain"
         assert main(["simulate", "--scenario", "dos", "--seed", "4", "--scale", "0.05", "--out-dir", str(out)]) == 0
         assert main(["meter", "--packets", str(out / "dos.packets.csv"), "--out-dir", str(out)]) == 0
-        assert main(["preprocess", "--flows", f"dos={out / 'dos.flows.csv'}", "--out-dir", str(out)]) == 0
-        manifest = json.loads((out / "dataset.manifest.json").read_text())
-        assert manifest["dropped_columns"] == ["Flow ID", "Start Time", "Src Port", "Dst Port"]
-        assert list(manifest["label_rules"]) == ["dos"]
-        assert not set(manifest["dropped_columns"]) & set(manifest["feature_names"])
-        assert "Timestamp" in manifest["feature_names"]
+        for ip_mode, dropped in (
+            ("both", ["Flow ID", "Src Port", "Dst Port", "Start Time"]),
+            ("source_only", ["Flow ID", "Src Port", "Dst IP", "Dst Port", "Start Time"]),
+            ("destination_only", ["Flow ID", "Src IP", "Src Port", "Dst Port", "Start Time"]),
+            ("none", ["Flow ID", "Src IP", "Src Port", "Dst IP", "Dst Port", "Start Time"]),
+        ):
+            data = out / ip_mode
+            assert main(["preprocess", "--flows", f"dos={out / 'dos.flows.csv'}", "--ip-mode", ip_mode,
+                         "--out-dir", str(data)]) == 0
+            manifest = json.loads((data / "dataset.manifest.json").read_text())
+            assert manifest["dropped_columns"] == dropped, ip_mode
+            assert list(manifest["label_rules"]) == ["dos"]
+            assert not set(manifest["dropped_columns"]) & set(manifest["feature_names"])
+            assert set(manifest["dropped_columns"]) | set(manifest["feature_names"]) == set(
+                flowmeter.METADATA_NAMES + flowmeter.FEATURE_NAMES)
+            assert "Timestamp" in manifest["feature_names"]
 
     def test_experiment_cli_writes_report(self, tmp_path):
         out = tmp_path / "exp"
@@ -473,7 +484,6 @@ def toy_dataset(n=300, width=6, seed=0):
         matrix=X,
         labels=["benign" if v else "dos" for v in y],
         feature_names=[f"f{i}" for i in range(width)],
-        shuffle_seed=0,
         norm_min=np.zeros(width),
         norm_max=np.ones(width),
     )

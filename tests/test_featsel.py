@@ -19,14 +19,13 @@ from ddsids.featsel import (
 from ddsids.preprocess import Dataset
 
 
-def dataset_from(matrix, labels, names=None, seed=0):
+def dataset_from(matrix, labels, names=None):
     matrix = np.asarray(matrix, dtype=np.float64)
     names = names or [f"f{i}" for i in range(matrix.shape[1])]
     return Dataset(
         matrix=matrix,
         labels=list(labels),
         feature_names=list(names),
-        shuffle_seed=seed,
         norm_min=np.zeros(matrix.shape[1]),
         norm_max=np.ones(matrix.shape[1]),
     )
@@ -39,7 +38,7 @@ def binary_toy(n=240, width=4, informative=0, seed=0, noise=0.05):
     X = rng.uniform(0, 1, size=(n, width))
     X[:, informative] = y * 0.8 + 0.1 + rng.uniform(-noise, noise, size=n)
     labels = ["benign" if v else "dos" for v in y]
-    return dataset_from(X, labels, seed=seed)
+    return dataset_from(X, labels)
 
 
 class TestRfe:
@@ -329,7 +328,6 @@ class TestUnivariate:
             matrix=ds.matrix * np.array([3.0, 0.5, 11.0, 2.0]) + np.array([1.0, -2.0, 0.0, 5.0]),
             labels=ds.labels,
             feature_names=ds.feature_names,
-            shuffle_seed=0,
             norm_min=ds.norm_min,
             norm_max=ds.norm_max,
         )

@@ -32,7 +32,6 @@ def dataset(labels, width, seed):
         matrix=rng.uniform(0, 1, size=(len(labels), width)),
         labels=list(labels),
         feature_names=[f"f{i}" for i in range(width)],
-        shuffle_seed=seed,
         norm_min=np.zeros(width),
         norm_max=np.ones(width),
     )

@@ -24,8 +24,8 @@ NAMES = ["f0", "f1", "f2"]
 
 
 def model(seed: int = 1) -> DetectorModel:
-    """A [3, 3, 2, 2, 1] model as training leaves one: names, norms and curves
-    (a NaN holdout accuracy, as a run without a holdout writes)."""
+    """A [3, 3, 2, 2, 1] model as training leaves one: names and curves (a NaN
+    holdout accuracy, as a run without a holdout records)."""
     rng = np.random.default_rng(seed)
     shape = [3, 3, 2, 2, 1]
     return DetectorModel(
@@ -34,8 +34,6 @@ def model(seed: int = 1) -> DetectorModel:
         biases=[rng.normal(0, 0.1, size=b) for b in shape[1:]],
         threshold=0.5,
         feature_names=list(NAMES),
-        norm_min=np.array([0.0, -1.5, 2.0]),
-        norm_max=np.array([1.0, 3.25, 9.0]),
         seed=seed,
         epochs=2,
         loss_curve=[0.7, 0.6],
@@ -69,10 +67,13 @@ class TestBytesRoundTrip:
         assert resaved(path, load_scenario_config, save_scenario_config) == path.read_bytes()
 
     def test_nan_curves_load(self, tmp_path):
+        # The curves go to the training log, NaN and all; the model file holds finite values only.
         path = tmp_path / "m.txt"
         save_model(model(), path)
-        assert "holdout_accuracy: nan nan\n" in path.read_text()
-        assert np.isnan(load_model(path).holdout_accuracy).all()
+        assert "nan" not in path.read_text()
+        assert load_model(path).holdout_accuracy == []
+        detector.write_training_log(model(), tmp_path / "training.csv")
+        assert (tmp_path / "training.csv").read_text() == "epoch,loss,holdout_accuracy\n0,0.7,nan\n1,0.6,nan\n"
 
 
 def edited(text: str, line: int, new: str | None) -> str:
@@ -82,39 +83,35 @@ def edited(text: str, line: int, new: str | None) -> str:
     return "".join(lines[: line - 1] + ([] if new is None else [new + "\n", *lines[line:]]))
 
 
-# A [3, 3, 2, 2, 1] model file: line 1 magic, 2-12 the header, 13 `layer: 0 3
-# 3`, 14-16 its rows, 17 its bias, ... 31 `end`.  An ensemble file: line 1
-# magic, 2 threshold, 3 `expert: dos`, 4-34 its block, 35 `expert: clone`.
+# A [3, 3, 2, 2, 1] model file: line 1 magic, 2-6 the header, 7 `layer: 0 3
+# 3`, 8-10 its rows, 11 its bias, ... 25 `end`.  An ensemble file: line 1
+# magic, 2 threshold, 3 `expert: dos`, 4-28 its block, 29 `expert: clone`.
 @pytest.mark.parametrize("kind, line, new, message", [
-    ("model", 5, "seed: x", "line 5, field 'seed': not an integer 'x'"),
-    ("model", 4, "threshold: 0.5zz", "line 4, field 'threshold': not a number '0.5zz'"),
-    ("model", 13, "layer: 0 5 x", "line 13, field 'layer': not an integer 'x'"),
-    ("model", 4, "threshold: nan", "line 4, field 'threshold': non-finite value 'nan'"),
-    ("model", 15, "inf 0x0p+0 0x0p+0", "line 15, field 'layer': non-finite value 'inf'"),
-    ("model", 17, "bias: 0x0p+0 -inf 0x0p+0", "line 17, field 'bias': non-finite value '-inf'"),
-    ("model", 8, "norm_min: 0x0p+0 nan 0x0p+0", "line 8, field 'norm_min': non-finite value 'nan'"),
-    ("model", 6, "epochs 2", "line 6, field 'epochs': expected 'epochs' line, got 'epochs 2'"),
-    ("model", 3, "hidden_activation: tanh",
-     "line 3, field 'hidden_activation': unsupported hidden_activation 'tanh', expected 'relu'"),
+    ("model", 4, "seed: x", "line 4, field 'seed': not an integer 'x'"),
+    ("model", 3, "threshold: 0.5zz", "line 3, field 'threshold': not a number '0.5zz'"),
+    ("model", 7, "layer: 0 5 x", "line 7, field 'layer': not an integer 'x'"),
+    ("model", 3, "threshold: nan", "line 3, field 'threshold': non-finite value 'nan'"),
+    ("model", 9, "inf 0x0p+0 0x0p+0", "line 9, field 'layer': non-finite value 'inf'"),
+    ("model", 11, "bias: 0x0p+0 -inf 0x0p+0", "line 11, field 'bias': non-finite value '-inf'"),
+    ("model", 5, "epochs 2", "line 5, field 'epochs': expected 'epochs' line, got 'epochs 2'"),
     ("model", 2, "shape: 2", "line 2, field 'shape': invalid network shape: hidden layer count must be 3 or 4, "
                              "got -1; output layer must have exactly 1 neuron, got 2"),
-    ("model", 7, "feature_names: a|b", "line 7, field 'feature_names': has 2 entries, expected 3"),
-    ("model", 9, "norm_max: 0x1p+0", "line 9, field 'norm_max': has 1 entries, expected 3"),
-    ("model", 18, "layer: 1 3 3", "line 18, field 'layer': expected '1 3 2', got '1 3 3'"),
-    ("model", 16, "0x1p-1 0x1p-1", "line 16, field 'layer': has 2 values, expected 3"),
-    ("model", 22, "bias: 0x0p+0", "line 22, field 'bias': has 1 values, expected 2"),
-    ("model", 31, "ending", "line 31, field 'end': unsupported line 'ending', expected 'end'"),
-    ("model", 20, None, "line 20, field 'layer': truncated model file"),
+    ("model", 6, "feature_names: a|b", "line 6, field 'feature_names': has 2 entries, expected 3"),
+    ("model", 12, "layer: 1 3 3", "line 12, field 'layer': expected '1 3 2', got '1 3 3'"),
+    ("model", 10, "0x1p-1 0x1p-1", "line 10, field 'layer': has 2 values, expected 3"),
+    ("model", 16, "bias: 0x0p+0", "line 16, field 'bias': has 1 values, expected 2"),
+    ("model", 25, "ending", "line 25, field 'end': unsupported line 'ending', expected 'end'"),
+    ("model", 14, None, "line 14, field 'layer': truncated model file"),
     ("model", 1, "ddsids-model v2", "line 1: unsupported model version 'ddsids-model v2', "
                                     "expected 'ddsids-model v1' or 'ddsids-ensemble v1'"),
     ("ensemble", 2, "threshold: inf", "line 2, field 'threshold': non-finite value 'inf'"),
     ("ensemble", 3, "expert: flood", "line 3, field 'expert': unsupported expert 'flood', "
                                      "expected 'dos' or 'clone' or 'malsub'"),
-    ("ensemble", 35, "expert: dos", "line 35, field 'expert': unsupported expert 'dos', "
+    ("ensemble", 29, "expert: dos", "line 29, field 'expert': unsupported expert 'dos', "
                                     "expected 'clone' or 'malsub'"),
-    ("ensemble", 36, "ddsids-ensemble v1", "line 36: unsupported model version 'ddsids-ensemble v1', "
+    ("ensemble", 30, "ddsids-ensemble v1", "line 30: unsupported model version 'ddsids-ensemble v1', "
                                            "expected 'ddsids-model v1'"),
-    ("ensemble", 42, "feature_names: a|b|c", "experts disagree on their feature names"),
+    ("ensemble", 35, "feature_names: a|b|c", "experts disagree on their feature names"),
 ])
 def test_model_file_faults(tmp_path, capsys, kind, line, new, message):
     path = tmp_path / "m.txt"
@@ -125,6 +122,22 @@ def test_model_file_faults(tmp_path, capsys, kind, line, new, message):
     assert str(raised.value) == f"{path}: {message}"
     assert main(["evaluate", "--model", str(path), "--test", str(tmp_path / "t.csv"), "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"ddsids: error: {path}: {message}\n"
+
+
+def test_a_file_in_the_eleven_field_layout_is_rejected(tmp_path, capsys):
+    """A model block's header once also held hidden_activation after the
+    shape, and norm_min, norm_max, loss_curve, holdout_accuracy and conv
+    after the feature names, under the same magic line.  Such a file fails
+    on its third line, like any other bad model file."""
+    path = tmp_path / "m.txt"
+    save_model(model(), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([*lines[:2], "hidden_activation: relu\n", *lines[2:6], "norm_min: -\n", "norm_max: -\n",
+                             "loss_curve: 0x1.6666666666666p-1 0x1.3333333333333p-1\n", "holdout_accuracy: nan nan\n",
+                             "conv: -\n", *lines[6:]]))
+    message = f"{path}: line 3, field 'threshold': expected 'threshold' line, got 'hidden_activation: relu'"
+    assert main(["evaluate", "--model", str(path), "--test", str(tmp_path / "t.csv"), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"ddsids: error: {message}\n"
 
 
 CONFIG = ScenarioConfig("dos", duration=3.0, relaunch_period=0.5, relaunch_count=2, rng_seed=4)
@@ -201,7 +214,7 @@ def test_an_ensemble_with_a_name_it_cannot_save_leaves_no_file(tmp_path):
 def test_train_rejects_a_feature_name_it_cannot_save(tmp_path, capsys):
     rng = np.random.default_rng(0)
     ds = Dataset(matrix=rng.uniform(0, 1, (40, 3)), labels=["benign", "dos"] * 20, feature_names=["a|b", "c", "d"],
-                 shuffle_seed=0, norm_min=np.zeros(3), norm_max=np.ones(3))
+                 norm_min=np.zeros(3), norm_max=np.ones(3))
     write_dataset_csv(ds, tmp_path / "train.csv")
     argv = ["train", "--train", str(tmp_path / "train.csv"), "--epochs", "1", "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 1
@@ -237,7 +250,7 @@ def files(tmp_path_factory):
     save_scenario_config(CONFIG, root / "config.txt")
     rng = np.random.default_rng(3)
     write_dataset_csv(Dataset(matrix=rng.uniform(0, 1, (12, 3)), labels=["benign", "dos", "clone", "malsub"] * 3,
-                              feature_names=list(NAMES), shuffle_seed=0, norm_min=np.zeros(3), norm_max=np.ones(3)),
+                              feature_names=list(NAMES), norm_min=np.zeros(3), norm_max=np.ones(3)),
                       root / "test.csv")
     return root
 

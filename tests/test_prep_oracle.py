@@ -91,7 +91,7 @@ def table_chain(scenarios, fraction, seed, spec, ip_mode):
         return notes, pooled, removed, split_tables, anonymized
     columns = preprocess._column_names(ip_mode)
     raw = [preprocess._matrix(pooled, side, columns) for side in anonymized[:2]]
-    train, test = preprocess.build_dataset_from_split(pooled, *anonymized[:2], shuffle_seed=seed, ip_mode=ip_mode)
+    train, test = preprocess.build_dataset_from_split(pooled, *anonymized[:2], ip_mode=ip_mode)
     built = train.matrix, test.matrix, train.norm_min, train.norm_max, train.constant_features
     return (notes, pooled, removed, split_tables, [side_table(pooled, side) for side in anonymized[:2]], raw, built,
             [train.labels, test.labels])

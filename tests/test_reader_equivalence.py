@@ -143,7 +143,7 @@ def flow_text(rows) -> str:
 def dataset_text(matrix, labels, names) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
-        write_dataset_csv(Dataset(matrix, labels, names, 0, np.zeros(len(names)), np.ones(len(names))), path)
+        write_dataset_csv(Dataset(matrix, labels, names, np.zeros(len(names)), np.ones(len(names))), path)
         return path.read_text()
 
 

@@ -66,7 +66,7 @@ def datasets(draw) -> Dataset:
     matrix = draw(value_blocks(rows, width))
     labels = draw(st.lists(st.sampled_from(["benign", "dos", "clone", "malsub"]), min_size=rows, max_size=rows))
     names = [f"f{j}" for j in range(width)]
-    return Dataset(matrix, labels, names, 0, np.zeros(width), np.ones(width))
+    return Dataset(matrix, labels, names, np.zeros(width), np.ones(width))
 
 
 @given(datasets())
