@@ -79,13 +79,12 @@ def validate_shape(shape: Sequence[int]) -> list[str]:
 
 
 def default_shape(width: int) -> list[int]:
-    """A valid shape for a given input width (3 hidden layers)."""
+    """A valid shape for a given input width, 3 hidden layers: 78-64-39 from
+    an input of 78 up, else each as wide as the input, the widest the shape
+    rule allows (narrower ones left some few-feature experts constant)."""
     if width >= 78:
         return [width, 78, 64, 39, 1]
-    h1 = width
-    h2 = max(1, (2 * width + 2) // 3)
-    h3 = max(1, (width + 2) // 3)
-    return [width, h1, min(h1, h2), min(h2, h3), 1]
+    return [width, width, width, width, 1]
 
 
 @dataclass(frozen=True)
@@ -345,8 +344,9 @@ class _Run:
             W = rng.uniform(-1.0, 1.0, size=(fan_in, fan_out)) / np.sqrt(fan_in)
             hidden = i < len(shape) - 2
             if hidden:
-                # Sign-align each unit so it starts active on non-negative inputs;
-                # narrow layers would otherwise risk starting fully dead.
+                # Sign-align each unit so its weights sum to at least zero,
+                # which leans it toward starting active on the non-negative
+                # (min-max normalized) inputs rather than dead on every row.
                 flip = W.sum(axis=0) < 0
                 W[:, flip] *= -1.0
             weights.append(W)

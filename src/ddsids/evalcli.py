@@ -222,17 +222,16 @@ class PipelineCache:
 @contextmanager
 def _stage(name: str, timing: dict[str, float]):
     """Runs one pipeline stage: glibc's mmap threshold is pinned before it
-    (`parallel.pin_mmap_threshold`), an error raised inside is tagged with
-    the stage's name, the heap it freed goes back to the OS
+    (`parallel.pin_mmap_threshold`), the heap it freed goes back to the OS
     (`parallel.trim_heap`), and its wall time, the trim included, is added
-    to timing[f"{name}_s"]."""
+    to timing[f"{name}_s"].  An input or file error (ValueError, OSError)
+    raised inside is tagged with the stage's name; any other exception is a
+    fault of the program and keeps its type and traceback."""
     started = time.perf_counter()
     parallel.pin_mmap_threshold()
     try:
         yield
-    except _StageError:
-        raise
-    except Exception as exc:
+    except (ValueError, OSError) as exc:
         raise _StageError(f"stage {name}: {exc}") from exc
     finally:
         parallel.trim_heap()
@@ -288,11 +287,11 @@ def _simulated(config: ScenarioConfig, out: Path | None) -> simnet.PacketTrace:
 
 def _simulated_flows(name: str, config: ScenarioConfig, trace_dir: Path | None) -> FlowTable:
     """A scenario's trace (`_simulated`), metered; the trace dies here.  An
-    error names the scenario."""
+    input or file error names the scenario."""
     try:
         return flowmeter.meter(_simulated(config, trace_dir))
-    except Exception as exc:  # the stage reports it; the scenario is named here, where it is known
-        raise RuntimeError(f"scenario {name}: {exc}") from exc
+    except (ValueError, OSError) as exc:  # the stage reports it; the scenario is named here, where it is known
+        raise ValueError(f"scenario {name}: {exc}") from exc
 
 
 def build_cache(plan: ExperimentPlan, out_dir: Path | None = None) -> PipelineCache:
@@ -336,7 +335,7 @@ def build_datasets(
                 "constant feature(s) normalized to zero: " + ", ".join(train_ds.constant_features)
             )
     ranking = None
-    if plan.feature_k < train_ds.width - _n_address_columns(train_ds):
+    if plan.feature_k < len(flowmeter.FEATURE_NAMES):
         with _stage("select", timing):
             ranking = compute_ranking(train_ds, plan.selection_method, plan.seed, cache.rankings)
             train_ds = featsel.select(train_ds, ranking, plan.feature_k)
@@ -402,10 +401,6 @@ def _rank(train_ds: Dataset, method: str, seed: int) -> featsel.FeatureRanking:
     scores = {n: float(len(names) - mean_pos[n]) for n in names}
     flagged = [f"{r.method}: {entry}" for r in rankings for entry in r.flagged]
     return featsel.FeatureRanking("consensus", ranked, scores, flagged)
-
-
-def _n_address_columns(ds: Dataset) -> int:
-    return sum(1 for n in ds.feature_names if n in (preprocess.SRC_IP_COL, preprocess.DST_IP_COL))
 
 
 def _wanted_models(plan: ExperimentPlan) -> tuple[list[str], bool, bool]:

@@ -93,9 +93,9 @@ class TestShapeValidation:
         assert rejected == 20
 
     def test_default_shape_valid(self):
-        for width in (5, 10, 20, 78, 80, 82):
+        for width in (1, 5, 10, 20, 77, 78, 80, 82):
             assert validate_shape(default_shape(width)) == []
-            assert default_shape(width)[0] == width
+            assert default_shape(width) == ([width] * 4 if width < 78 else [width, 78, 64, 39]) + [1]
 
 
 class TestTraining:

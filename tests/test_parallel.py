@@ -217,8 +217,8 @@ def experiment_like_jobs():
     ]
     jobs.append(TrainJob(ds, shape, TrainConfig(epochs=3, seed=24)))
     jobs.append(TrainJob(ds, shape, TrainConfig(epochs=0, seed=25)))
-    wide = [12, 12, 12, 12, 1]
-    jobs += [TrainJob(ds, wide, TrainConfig(epochs=2, seed=s)) for s in (26, 27)]
+    deep = [12, 12, 12, 12, 12, 1]
+    jobs += [TrainJob(ds, deep, TrainConfig(epochs=2, seed=s)) for s in (26, 27)]
     return jobs
 
 
@@ -379,6 +379,27 @@ class TestForkedScenarios:
         assert rc == 1
         assert capsys.readouterr().err == f"ddsids: stage scenarios: scenario {scenario}: meter broke\n"
         assert_no_child_left()
+
+    @pytest.mark.parametrize("module, name, error", [(simnet, "generate", TypeError("unsupported operand")),
+                                                     (detector, "train_many", KeyError("bug"))],
+                             ids=["scenarios", "train"])
+    def test_a_bug_inside_a_stage_keeps_its_traceback(self, monkeypatch, tmp_path, capsys, module, name, error):
+        # Only input and file errors (ValueError, OSError) become a stage's
+        # one-line `ddsids:` message.  A TypeError in a scenario's worker or a
+        # KeyError in training is a fault of the program: it leaves `main`
+        # as it was raised, with its traceback.
+        cpus(monkeypatch, 2)
+
+        def broken(*args):
+            raise error
+
+        monkeypatch.setattr(module, name, broken)
+        argv = ["experiment", "--seed", "5", "--scale", "0.06", "--epochs", "1", "--model", "expert:dos",
+                "--out-dir", str(tmp_path)]
+        with pytest.raises(type(error), match=str(error)):
+            main(argv)
+        assert_no_child_left()
+        assert capsys.readouterr().err == ""
 
     def test_write_split_forked_is_serial_byte_for_byte(self, monkeypatch, tmp_path):
         train, test = dataset(list(LABELS) * 5, 4, seed=3), dataset(list(LABELS) * 3, 4, seed=4)
