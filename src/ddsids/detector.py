@@ -129,6 +129,8 @@ class EnsembleModel:
             raise ValueError(f"experts disagree on input width: {sorted(widths)}")
         if len({tuple(m.feature_names) for m in self.experts.values()}) != 1:
             raise ValueError("experts disagree on their feature names")
+        if any(m.threshold != self.threshold for m in self.experts.values()):
+            raise ValueError(f"an expert's threshold differs from the ensemble's {self.threshold}")
 
     @property
     def feature_names(self) -> list[str]:
@@ -168,8 +170,11 @@ def predict(model: DetectorModel, rows: np.ndarray) -> np.ndarray:
     return np.clip(scores, _SCORE_EPS, 1.0 - _SCORE_EPS, out=scores)
 
 
-def classify(model: DetectorModel, rows: np.ndarray) -> np.ndarray:
-    """True where the row is classified benign."""
+def classify(model: DetectorModel | EnsembleModel, rows: np.ndarray) -> np.ndarray:
+    """True where the row is classified benign.  An ensemble reads a row
+    benign only when every expert does, so one attack vote flags it."""
+    if isinstance(model, EnsembleModel):
+        return np.logical_and.reduce([classify(expert, rows) for expert in model.experts.values()])
     return predict(model, rows) >= model.threshold
 
 
@@ -557,15 +562,6 @@ def _lockstep(runs: list[_Run]) -> None:
     for run in runs:
         run.model.weights = [W.copy() for W in run.model.weights]
         run.model.biases = [b.copy() for b in run.model.biases]
-
-
-def adjudicate(ensemble: EnsembleModel, rows: np.ndarray) -> np.ndarray:
-    """Per-row verdicts; benign only when every expert votes benign."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    benign = np.ones(rows.shape[0], dtype=bool)
-    for attack in EXPERT_ATTACKS:
-        benign &= predict(ensemble.experts[attack], rows) >= ensemble.threshold
-    return np.where(benign, "benign", "attack")
 
 
 def write_training_log(model: DetectorModel, path) -> None:

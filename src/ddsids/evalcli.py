@@ -441,14 +441,6 @@ def train_models(
     return experts, single, ensemble
 
 
-def _benign_verdicts(model: DetectorModel | EnsembleModel, matrix: np.ndarray) -> np.ndarray:
-    """True where a model reads the row benign: the detector's benign
-    threshold for a single model, OR-adjudication for an ensemble."""
-    if isinstance(model, EnsembleModel):
-        return detector.adjudicate(model, matrix) == "benign"
-    return detector.classify(model, matrix)
-
-
 def evaluate_models(
     plan: ExperimentPlan,
     test_ds: Dataset,
@@ -477,7 +469,7 @@ def evaluate_models(
     with _stage("evaluate", timing):
         labels = np.array(test_ds.labels, dtype=object)
         for model, model_rows in scored:
-            benign = _benign_verdicts(model, test_ds.matrix)
+            benign = detector.classify(model, test_ds.matrix)
             for name, keep in model_rows:
                 mask = slice(None) if keep is None else np.isin(labels, list(keep))
                 counts = confusion_from(labels[mask], benign[mask])
@@ -568,14 +560,12 @@ def write_histogram_csv(rows: Sequence[tuple[float, int, int]], path) -> None:
 
 
 def sweep_ip_modes(
-    base_plan: ExperimentPlan, out_dir: Path | None = None, cache: PipelineCache | None = None
+    base_plan: ExperimentPlan, cache: PipelineCache, out_dir: Path | None = None
 ) -> tuple[dict[str, ExperimentReport], str]:
     """The four address regimes on identical traffic and seeds, plus the
     per-attack detection ordering check (both >= destination_only >= none).
     With an out_dir, the comparison and the stage times of the shared cache
     (`timing.csv`) go to its root."""
-    if cache is None:
-        cache = build_cache(base_plan, Path(out_dir) if out_dir else None)
     reports = {}
     for mode in IP_MODES:
         plan = replace(base_plan, ip_mode=mode, anonymize="none")
@@ -615,11 +605,9 @@ def sweep_ip_modes(
 
 
 def run_anonymize_probes(
-    base_plan: ExperimentPlan, out_dir: Path | None = None, cache: PipelineCache | None = None
+    base_plan: ExperimentPlan, cache: PipelineCache, out_dir: Path | None = None
 ) -> dict[str, ExperimentReport]:
     """Shift, switch and randomize probes on the with-IP regime."""
-    if cache is None:
-        cache = build_cache(base_plan, Path(out_dir) if out_dir else None)
     probes = {
         "shift": replace(base_plan, ip_mode="both", anonymize="shift:1"),
         "switch": replace(base_plan, ip_mode="both", anonymize="switch:5,6"),
@@ -796,7 +784,7 @@ def _cmd_evaluate(args) -> int:
     if not test_ds.labels:
         raise ValueError(f"{args.test}: the test set holds no rows")
     test_ds = _model_view(model, test_ds, args.test)
-    counts = confusion_from(test_ds.labels, _benign_verdicts(model, test_ds.matrix))
+    counts = confusion_from(test_ds.labels, detector.classify(model, test_ds.matrix))
     if not isinstance(model, EnsembleModel):
         write_histogram_csv(emit_histogram(model, test_ds), out / "histogram.csv")
     acc, det = metrics(counts)
@@ -829,10 +817,10 @@ def _cmd_sweep(args) -> int:
     plan = _plan_from_args(args)
     out = Path(args.out_dir)
     cache = build_cache(plan, out)
-    reports, comparison = sweep_ip_modes(plan, out, cache)
+    reports, comparison = sweep_ip_modes(plan, cache, out)
     print(comparison, end="")
     if not args.skip_anonymize:
-        probes = run_anonymize_probes(plan, out, cache)
+        probes = run_anonymize_probes(plan, cache, out)
         for name, report in probes.items():
             print(report.text(), end="")
     return 0

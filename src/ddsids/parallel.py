@@ -10,9 +10,11 @@ for bit what the calls give in this process.  Its callers: the lockstep
 training parts (`detector.train_many`), the four rankers of a consensus and
 of `ddsids select --method all` (`evalcli._rankings`), the scenario chains
 of `evalcli.build_cache` (simulate, meter, label, write) and the flow reads
-of `ddsids preprocess`, and the train/test pair writer.  None of these runs
-inside another, so nothing nests a fork; a `fork_map` inside a child would
-run its tasks in turn there.
+of `ddsids preprocess`, and the train/test pair writer.  One nests: the
+importance ranker trains its baseline with `detector.train`, so
+`train_many` calls `fork_map` inside a ranker's worker.  That call has one
+part, which runs in place; a `fork_map` inside a child runs its tasks in
+turn there.
 Children are processes rather than threads because these stages make many
 small numpy calls and much Python work, which the interpreter lock would
 serialise.

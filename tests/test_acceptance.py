@@ -46,7 +46,10 @@ def acceptance_seeds(option: str) -> tuple[int, ...]:
 
 def pytest_generate_tests(metafunc):
     if "plan" in metafunc.fixturenames:
-        seeds = acceptance_seeds(metafunc.config.getoption("--acceptance-seeds"))
+        if metafunc.function.__name__ == "test_address_regime_golden_split":
+            seeds = (7,)  # the regimes' splits are pinned for seed 7; it reuses seed 7's session cache
+        else:
+            seeds = acceptance_seeds(metafunc.config.getoption("--acceptance-seeds"))
         metafunc.parametrize("plan", seeds, indirect=True, scope="session")
 
 
@@ -93,7 +96,7 @@ def reduced_reports(plan, cache):
 
 @pytest.fixture(scope="session")
 def probe_reports(plan, cache):
-    return evalcli.run_anonymize_probes(plan, cache=cache)
+    return evalcli.run_anonymize_probes(plan, cache)
 
 
 # --------------------------------------------------------------------------
@@ -424,8 +427,8 @@ def test_criterion_8_or_adjudication():
             "malsub": _passthrough_expert(2),
         }
     )
-    verdicts = detector.adjudicate(ensemble, rows)
-    flagged = set(np.nonzero(verdicts == "attack")[0].tolist())
+    benign = detector.classify(ensemble, rows)
+    flagged = set(np.nonzero(~benign)[0].tolist())
     union = set()
     for i, attack in enumerate(("dos", "clone", "malsub")):
         expert_scores = detector.predict(ensemble.experts[attack], rows)
@@ -558,8 +561,6 @@ SEED7_CONSTANT = (
 
 @pytest.mark.parametrize("spec", REGIME_GOLDEN)
 def test_address_regime_golden_split(plan, cache, spec, tmp_path):
-    if plan.seed != 7:
-        pytest.skip("the regimes' splits are pinned for seed 7")
     footnotes = list(cache.footnotes)
     train_ds, test_ds, _ = evalcli.build_datasets(replace(plan, anonymize=spec), cache, footnotes, {})
     evalcli.write_split(train_ds, test_ds, tmp_path)

@@ -8,8 +8,8 @@ from ddsids.detector import (
     DetectorModel,
     EnsembleModel,
     TrainConfig,
-    adjudicate,
     bce_loss,
+    classify,
     default_shape,
     load_model,
     loss_and_gradients,
@@ -266,11 +266,11 @@ class TestAdjudication:
 
     def test_one_attack_vote_suffices(self):
         ens = self.ensemble(0.9, 0.9, 0.2)
-        assert adjudicate(ens, np.zeros((1, 2)))[0] == "attack"
+        assert not classify(ens, np.zeros((1, 2)))[0]
 
     def test_unanimous_benign(self):
         ens = self.ensemble(0.9, 0.9, 0.9)
-        assert adjudicate(ens, np.zeros((1, 2)))[0] == "benign"
+        assert classify(ens, np.zeros((1, 2)))[0]
 
     def test_missing_expert_rejected(self):
         with pytest.raises(ValueError, match="experts"):
@@ -287,9 +287,9 @@ class TestAdjudication:
         for _ in range(300):
             scores = rng.uniform(0.01, 0.99, 3)
             ens = self.ensemble(*scores)
-            verdict = adjudicate(ens, np.zeros((1, 2)))[0]
+            benign = classify(ens, np.zeros((1, 2)))[0]
             expert_flags = [s < 0.5 for s in scores]
-            assert (verdict == "attack") == any(expert_flags)
+            assert (not benign) == any(expert_flags)
 
 
 class TestSaveLoad:
@@ -351,4 +351,4 @@ class TestSaveLoad:
         back = load_model(path)
         assert isinstance(back, EnsembleModel)
         X = np.random.default_rng(4).uniform(0, 1, (25, 2))
-        assert np.array_equal(adjudicate(ens, X), adjudicate(back, X))
+        assert np.array_equal(classify(ens, X), classify(back, X))

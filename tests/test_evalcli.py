@@ -237,14 +237,14 @@ class TestSweep:
     def test_ip_mode_sweep_and_probes(self, tmp_path):
         plan = SMALL_PLAN
         cache = build_cache(plan)
-        reports, comparison = evalcli.sweep_ip_modes(plan, tmp_path, cache)
+        reports, comparison = evalcli.sweep_ip_modes(plan, cache, tmp_path)
         assert set(reports) == {"both", "source_only", "destination_only", "none"}
         assert "# detection rate by address regime" in comparison
         assert "ordering both >= destination_only >= none" in comparison
         assert (tmp_path / "ip_mode_comparison.txt").exists()
         for mode in reports:
             assert (tmp_path / f"ip-{mode}" / "report.txt").exists()
-        probes = evalcli.run_anonymize_probes(plan, cache=cache)
+        probes = evalcli.run_anonymize_probes(plan, cache)
         assert set(probes) == {"shift", "switch", "randomize"}
         randomize_rows = [r.name for r in probes["randomize"].rows]
         assert "SINGLE CNN / Clone" in randomize_rows
@@ -359,6 +359,21 @@ class TestCli:
         rc = main(["train", "--train", str(tmp_path / "missing.csv"), "--shape", "5,x", "--out-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == "ddsids: error: --shape cell 2: not an integer 'x'\n"
+
+    def test_train_saves_a_given_four_hidden_layer_shape_that_evaluate_reads(self, tmp_path, capsys):
+        # default_shape gives 3 hidden layers, so 4 come from --shape alone.
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.random((40, 3)), ["benign", "dos"] * 20, ["f0", "f1", "f2"], np.zeros(3), np.ones(3))
+        preprocess.write_dataset_csv(ds, tmp_path / "train.csv")
+        rc = main(["train", "--train", str(tmp_path / "train.csv"), "--shape", "3,3,3,2,2,1", "--epochs", "2",
+                   "--out-dir", str(tmp_path / "m")])
+        assert rc == 0
+        assert (tmp_path / "m" / "model.txt").read_text().splitlines()[1] == "shape: 3 3 3 2 2 1"
+        capsys.readouterr()
+        rc = main(["evaluate", "--model", str(tmp_path / "m" / "model.txt"), "--test", str(tmp_path / "train.csv"),
+                   "--out-dir", str(tmp_path / "e")])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("tp=")
 
     def test_simulate_and_meter(self, tmp_path):
         out = tmp_path / "art"
@@ -581,6 +596,13 @@ class TestCliContracts:
         assert capsys.readouterr().err.startswith(f"ddsids: error: {flows}: line 6, column 'Start Time': non-finite")
         assert not (tmp_path / "data" / "train.csv").exists()
 
+    @pytest.mark.parametrize("spec", ["dos", "dos="])
+    def test_preprocess_rejects_a_flows_value_without_a_path(self, tmp_path, capsys, spec):
+        rc = main(["preprocess", "--flows", spec, "--out-dir", str(tmp_path / "data")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"ddsids: error: --flows expects label=path, got {spec!r}\n"
+        assert not (tmp_path / "data" / "train.csv").exists()
+
     def test_preprocess_rejects_a_repeated_label(self, tmp_path, capsys):
         flows = scenario_flows(tmp_path, "benign")
         rc = main(["preprocess", "--flows", f"benign={flows}", "--flows", f"benign={flows}",
@@ -664,7 +686,7 @@ class TestCliContracts:
         ensemble = detector.EnsembleModel(experts={a: model for a in detector.EXPERT_ATTACKS})
         cases = {
             "single": (model, detector.classify(model, view.matrix)),
-            "ensemble": (ensemble, detector.adjudicate(ensemble, view.matrix) == "benign"),
+            "ensemble": (ensemble, detector.classify(ensemble, view.matrix)),
         }
         for name, (m, benign_pred) in cases.items():
             counts = confusion_from(view.labels, benign_pred)

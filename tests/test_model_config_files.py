@@ -112,6 +112,8 @@ def edited(text: str, line: int, new: str | None) -> str:
     ("ensemble", 30, "ddsids-ensemble v1", "line 30: unsupported model version 'ddsids-ensemble v1', "
                                            "expected 'ddsids-model v1'"),
     ("ensemble", 35, "feature_names: a|b|c", "experts disagree on their feature names"),
+    # The dos expert's own threshold, 0.99: no expert is read at a cut-off it was not saved with.
+    ("ensemble", 6, f"threshold: {0.99.hex()}", "an expert's threshold differs from the ensemble's 0.5"),
 ])
 def test_model_file_faults(tmp_path, capsys, kind, line, new, message):
     path = tmp_path / "m.txt"
