@@ -377,16 +377,20 @@ _RANKERS = {
 SELECTION_METHODS = ("consensus", *_RANKERS)
 
 
-# The order `_rankings` deals the methods in.  fork_map gives task i to worker
-# i % workers, so on two CPUs importance, which trains a detector and takes
-# as long as the other three together, runs beside univariate alone.
-_DEAL = ("lasso", "importance", "rfe", "univariate")
+# The methods `_rankings` deals to each worker of `parallel.fork_map`, run in
+# turn there.  Importance runs alone in worker 0, this process, so that its
+# own fork_map can fork the scoring of its shuffles (a fork_map inside a
+# child runs its tasks in turn); lasso, rfe and univariate together take
+# about as long as importance's baseline training, and run in the child,
+# which also keeps rfe's footprint out of this process.
+_DEAL = (("importance",), ("lasso", "rfe", "univariate"))
 
 
 def _rankings(train_ds: Dataset, seed: int) -> list[featsel.FeatureRanking]:
     """Every single method's ranking of the split, in `_RANKERS` order, the
     methods run side by side (`parallel.fork_map`)."""
-    ranked = dict(zip(_DEAL, parallel.fork_map(lambda method: _RANKERS[method](train_ds, seed), _DEAL)))
+    dealt = parallel.fork_map(lambda methods: [_RANKERS[m](train_ds, seed) for m in methods], _DEAL)
+    ranked = {m: r for methods, rankings in zip(_DEAL, dealt) for m, r in zip(methods, rankings)}
     return [ranked[method] for method in _RANKERS]
 
 

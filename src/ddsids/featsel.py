@@ -16,12 +16,13 @@ handles any number of classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import detector
+from . import detector, parallel
 from .preprocess import Dataset
 
 F_SENTINEL = 1e300  # stands in for an infinite F when within-class variance is 0
@@ -322,28 +323,44 @@ def rank_univariate(dataset: Dataset) -> FeatureRanking:
 
 def rank_importance(dataset: Dataset, seed: int = 0) -> FeatureRanking:
     """Permutation importance against a freshly trained baseline detector:
-    each feature's mean accuracy drop over IMPORTANCE_TRIALS shuffles."""
+    each feature's mean accuracy drop over IMPORTANCE_TRIALS shuffles.
+
+    A shuffle changes only the holdout rows whose cell it moves, compared
+    by bits; every other row keeps its input, and with it its baseline
+    verdict, since `detector.predict` scores a row alike in any block of
+    two or more rows.  So only the changed rows are classified again.  A
+    shuffle rearranges the column's bit patterns, so it changes no row or
+    at least two, and a shuffle of a column constant in the holdout costs
+    no `classify`.  The shuffles are scored in chunks of features side by
+    side (`parallel.fork_map`), each chunk from a copy of the generator
+    taken where its first permutation is drawn, so every permutation is
+    the one a single pass over the features would draw.
+    """
     rng = np.random.default_rng(seed)
     y = dataset.binary_labels()
     n = len(y)
     order = rng.permutation(n)
     n_hold = max(1, int(round(0.25 * n)))
     hold, fit = order[:n_hold], order[n_hold:]
+    for side, rows in (("holdout", hold), ("fit", fit)):
+        if len(set(y[rows].tolist())) < 2:
+            raise ValueError(
+                f"the baseline {side} split holds a single class; permutation importance is not meaningful"
+            )
 
-    fit_ds = replace(dataset, matrix=dataset.matrix[fit], labels=[dataset.labels[i] for i in fit])
     config = detector.TrainConfig(
         learning_rate=IMPORTANCE_LEARNING_RATE, epochs=IMPORTANCE_EPOCHS, seed=seed, holdout_fraction=0.0
     )
-    model = detector.train(fit_ds, detector.default_shape(dataset.width), config)
+    job = detector.TrainJob(dataset, detector.default_shape(dataset.width), config, rows=fit)
+    [model] = detector.train_many([job])
 
     X_hold = dataset.matrix[hold]
     y_hold = y[hold] >= 0.5
     predicted = detector.classify(model, X_hold)
-    baseline = float((predicted == y_hold).mean())
+    correct = predicted == y_hold
+    baseline = float(correct.mean())
     # Balanced accuracy, the mean recall of the two classes: a constant
     # predictor scores exactly 0.5 however unequal the classes are.
-    if y_hold.all() or not y_hold.any():
-        raise ValueError("the baseline holdout split holds a single class; permutation importance is not meaningful")
     balanced = 0.5 * (float(predicted[y_hold].mean()) + float((~predicted[~y_hold]).mean()))
     if balanced <= 0.5:
         raise ValueError(
@@ -351,16 +368,39 @@ def rank_importance(dataset: Dataset, seed: int = 0) -> FeatureRanking:
             "(majority-class) guess; permutation importance is not meaningful"
         )
 
-    drops = np.zeros(dataset.width)
-    for j in range(dataset.width):
-        total = 0.0
-        for _ in range(IMPORTANCE_TRIALS):
-            perm = rng.permutation(len(hold))
-            shuffled = X_hold.copy()
-            shuffled[:, j] = X_hold[perm, j]
-            acc = float((detector.classify(model, shuffled) == y_hold).mean())
-            total += baseline - acc
-        drops[j] = total / IMPORTANCE_TRIALS
+    bits = X_hold.view(np.uint64)
+    baseline_correct = int(correct.sum())
+
+    def drops_of(chunk: tuple[int, int, np.random.Generator]) -> list[float]:
+        """The drops of features lo..hi-1, their shuffles drawn from `draws`."""
+        lo, hi, draws = chunk
+        drops = []
+        for j in range(lo, hi):
+            total = 0.0
+            for _ in range(IMPORTANCE_TRIALS):
+                perm = draws.permutation(n_hold)
+                changed = np.flatnonzero(bits[perm, j] != bits[:, j])
+                right = baseline_correct
+                if len(changed):
+                    shuffled = X_hold[changed]
+                    shuffled[:, j] = X_hold[perm[changed], j]
+                    verdicts = detector.classify(model, shuffled)
+                    right += int((verdicts == y_hold[changed]).sum()) - int(correct[changed].sum())
+                total += baseline - right / n_hold
+            drops.append(total / IMPORTANCE_TRIALS)
+        return drops
+
+    # One chunk per usable CPU, each holding an equal share of the columns
+    # a shuffle can change.
+    moving = np.flatnonzero((bits != bits[0]).any(axis=0))
+    parts = max(1, min(parallel.usable_cpus(), len(moving)))
+    cuts = [0, *(int(moving[len(moving) * k // parts]) for k in range(1, parts)), dataset.width]
+    chunks = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        chunks.append((lo, hi, copy.deepcopy(rng)))
+        for _ in range((hi - lo) * IMPORTANCE_TRIALS):
+            rng.permutation(n_hold)
+    drops = [drop for part in parallel.fork_map(drops_of, chunks) for drop in part]
 
     ranked_names = _ordered(dataset.feature_names, [(-drops[j],) for j in range(dataset.width)])
     scores = {dataset.feature_names[j]: float(drops[j]) for j in range(dataset.width)}

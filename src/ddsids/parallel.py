@@ -8,13 +8,15 @@ made with `os.fork`, which inherits the tasks and `fn` as they stand and
 sends its results back through a pipe, pickled.  Results are therefore bit
 for bit what the calls give in this process.  Its callers: the lockstep
 training parts (`detector.train_many`), the four rankers of a consensus and
-of `ddsids select --method all` (`evalcli._rankings`), the scenario chains
-of `evalcli.build_cache` (simulate, meter, label, write) and the flow reads
-of `ddsids preprocess`, and the train/test pair writer.  One nests: the
-importance ranker trains its baseline with `detector.train`, so
-`train_many` calls `fork_map` inside a ranker's worker.  That call has one
-part, which runs in place; a `fork_map` inside a child runs its tasks in
-turn there.
+of `ddsids select --method all` (`evalcli._rankings`: importance in worker
+0, the other three in turn in one child), the scoring of importance's
+shuffles (`featsel.rank_importance`), the scenario chains of
+`evalcli.build_cache` (simulate, meter, label, write) and the flow reads of
+`ddsids preprocess`, and the train/test pair writer.  Two nest in the
+rankers' worker 0: importance trains its baseline with `train_many`, whose
+`fork_map` has one part and runs it in place, and then scores its shuffles
+with a `fork_map` that forks children of its own.  A `fork_map` inside a
+child runs its tasks in turn there.
 Children are processes rather than threads because these stages make many
 small numpy calls and much Python work, which the interpreter lock would
 serialise.

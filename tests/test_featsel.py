@@ -384,17 +384,33 @@ class TestImportance:
     def test_constant_baseline_rejected(self, monkeypatch, score):
         # A constant predictor scores a balanced accuracy of exactly 0.5,
         # whichever class it names and however unequal the classes are.
-        def constant(dataset, shape, config):
+        def constant(jobs):
+            [job] = jobs
+            shape = job.shape
             weights = [np.zeros((a, b)) for a, b in zip(shape[:-1], shape[1:])]
             biases = [np.zeros(b) for b in shape[1:]]
             biases[-1][0] = np.log(score / (1 - score))
-            return detector.DetectorModel(shape=list(shape), weights=weights, biases=biases)
+            return [detector.DetectorModel(shape=list(shape), weights=weights, biases=biases)]
 
-        monkeypatch.setattr(detector, "train", constant)
+        monkeypatch.setattr(detector, "train_many", constant)
         labels = ["benign"] * 150 + ["dos"] * 50
         ds = dataset_from(np.random.default_rng(2).uniform(0, 1, (200, 3)), labels)
         with pytest.raises(ValueError, match="balanced accuracy 0.500"):
             rank_importance(ds, seed=4)
+
+    @pytest.mark.parametrize("side", ["holdout", "fit"])
+    def test_a_one_class_side_is_rejected_before_training(self, monkeypatch, side):
+        # 4,000 rows of 78 columns, one of them an attack: the side of
+        # importance's split without it holds a single class, which is
+        # named before any baseline is trained.
+        n, seed = 4000, 4
+        order = np.random.default_rng(seed).permutation(n)  # the first quarter is the holdout
+        labels = ["benign"] * n
+        labels[order[-1] if side == "holdout" else order[0]] = "dos"
+        ds = dataset_from(np.random.default_rng(5).uniform(0, 1, (n, 78)), labels)
+        monkeypatch.setattr(detector, "train_many", lambda jobs: pytest.fail("trained a baseline"))
+        with pytest.raises(ValueError, match=f"^the baseline {side} split holds a single class"):
+            rank_importance(ds, seed=seed)
 
     def test_imbalanced_small_split_ranks(self):
         # Scale 0.2, seed 3, without addresses: 704 of 943 training rows are

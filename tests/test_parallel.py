@@ -38,6 +38,19 @@ def counted_forks(monkeypatch) -> list:
     return forks
 
 
+def mapped_here(monkeypatch) -> list:
+    """(qualified name of fn, task count) of each `parallel.fork_map` call
+    made in this process; a child's calls stay in the child."""
+    mapped, fork_map = [], parallel.fork_map
+    monkeypatch.setattr(parallel, "fork_map",
+                        lambda fn, tasks: mapped.append((fn.__qualname__, len(tasks))) or fork_map(fn, tasks))
+    return mapped
+
+
+def broken_rfe(dataset):
+    raise ValueError("rfe broke")
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -299,8 +312,12 @@ class TestForkedRankings:
         serial = evalcli.compute_ranking(ds, "consensus", 3, {})
         cpus(monkeypatch, 2)
         forks = counted_forks(monkeypatch)
+        mapped = mapped_here(monkeypatch)
         forked = evalcli.compute_ranking(ds, "consensus", 3, {})
-        assert len(forks) == 1  # importance and univariate; the lasso and rfe run here
+        # The child that ranks by lasso, rfe and univariate, and the one that
+        # scores half of importance's shuffles: importance runs here.
+        assert len(forks) == 2
+        assert ("rank_importance.<locals>.drops_of", 2) in mapped
         assert_no_child_left()
         assert forked.ranked_names == serial.ranked_names
         assert np.array(list(forked.scores.values())).tobytes() == np.array(list(serial.scores.values())).tobytes()
@@ -320,7 +337,11 @@ class TestForkedRankings:
         assert set(outputs[1]) == {"ranking_report.txt", *(f"scores-{m}.csv" for m in evalcli._RANKERS)}
 
     def test_importance_baseline_message_survives_a_child(self, monkeypatch):
+        # Importance runs in this process and raises there; a ranker dealt
+        # to the child (rfe) raises through it.  Each message reads alike
+        # on one CPU and on two.
         ds = capped_lasso_split()
+        classify = detector.classify
         monkeypatch.setattr(detector, "classify", lambda model, rows: np.ones(len(rows), bool))
         message = "^baseline balanced accuracy 0.500 does not beat the 0.500 of a constant"
         cpus(monkeypatch, 1)
@@ -330,11 +351,21 @@ class TestForkedRankings:
         with pytest.raises(ValueError) as forked:
             evalcli.compute_ranking(ds, "consensus", 3, {})
         assert str(forked.value) == str(serial.value)
-        assert "in forked worker" in str(forked.value.__cause__)
         assert_no_child_left()
         with pytest.raises(evalcli._StageError, match=f"^stage select: {message[1:]}"):
             evalcli.run_experiment(replace(SMALL_PLAN, feature_k=5))
         assert_no_child_left()
+
+        monkeypatch.setattr(detector, "classify", classify)
+        monkeypatch.setattr(featsel, "rank_rfe", broken_rfe)
+        raised = {}
+        for count in (1, 2):
+            cpus(monkeypatch, count)
+            with pytest.raises(ValueError, match="^rfe broke$") as raised[count]:
+                evalcli.compute_ranking(ds, "consensus", 3, {})
+            assert_no_child_left()
+        assert raised[1].value.__cause__ is None
+        assert "in forked worker" in str(raised[2].value.__cause__)
 
 
 class TestForkedScenarios:
