@@ -45,7 +45,7 @@ import numpy as np
 from . import parallel
 from .preprocess import Dataset
 from .simnet import ATTACK_SCENARIOS as EXPERT_ATTACKS
-from .tables import open_text, parsed
+from .tables import create_text, open_text, parsed
 
 MODEL_MAGIC = "ddsids-model v1"
 ENSEMBLE_MAGIC = "ddsids-ensemble v1"
@@ -565,7 +565,7 @@ def _lockstep(runs: list[_Run]) -> None:
 
 
 def write_training_log(model: DetectorModel, path) -> None:
-    with open(path, "w") as fh:
+    with create_text(path) as fh:
         fh.write("epoch,loss,holdout_accuracy\n")
         for i, (loss, acc) in enumerate(zip(model.loss_curve, model.holdout_accuracy)):
             fh.write(f"{i},{loss!r},{acc!r}\n")
@@ -693,7 +693,7 @@ def save_model(model: DetectorModel | EnsembleModel, path) -> None:
     ensemble = isinstance(model, EnsembleModel)
     for block in model.experts.values() if ensemble else [model]:
         _names(block.feature_names)
-    with open(path, "w") as fh:
+    with create_text(path) as fh:
         if ensemble:
             fh.write(ENSEMBLE_MAGIC + "\n")
             _write_header(fh, _ENSEMBLE_HEADER, model)

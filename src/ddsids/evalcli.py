@@ -34,7 +34,7 @@ from .detector import DetectorModel, EnsembleModel, TrainConfig
 from .flowmeter import FlowTable
 from .preprocess import IP_MODES, Dataset
 from .simnet import ScenarioConfig
-from .tables import parsed
+from .tables import create_text, parsed
 
 OUT_DIR_ENV = "DDSIDS_OUT_DIR"
 CLI_TOP_K = 20  # features `ddsids select` keeps by default
@@ -506,8 +506,9 @@ def run_experiment(
 
     if out_dir is not None:
         with _stage("report", timing):
-            (out_dir / "report.txt").write_text(report.text())
-            (out_dir / "report.csv").write_text(report.csv())
+            for name, text in (("report.txt", report.text()), ("report.csv", report.csv())):
+                with create_text(out_dir / name) as fh:
+                    fh.write(text)
             mdir = out_dir / "models"
             mdir.mkdir(exist_ok=True)
             manifest = preprocess.dataset_manifest(train_ds, test_ds, cache.scenarios, plan.anonymize,
@@ -543,7 +544,8 @@ def write_split(train_ds: Dataset, test_ds: Dataset, out_dir: Path) -> None:
 
 def write_timing_csv(timing: dict[str, float], path) -> None:
     lines = [f"{k},{v:.3f}" for k, v in sorted(timing.items())]
-    Path(path).write_text("stage,seconds\n" + "\n".join(lines) + "\n")
+    with create_text(path) as fh:
+        fh.write("stage,seconds\n" + "\n".join(lines) + "\n")
 
 
 def emit_histogram(model: DetectorModel, test_ds: Dataset) -> list[tuple[float, int, int]]:
@@ -557,7 +559,7 @@ def emit_histogram(model: DetectorModel, test_ds: Dataset) -> list[tuple[float, 
 
 
 def write_histogram_csv(rows: Sequence[tuple[float, int, int]], path) -> None:
-    with open(path, "w") as fh:
+    with create_text(path) as fh:
         fh.write("bin_low,expected_count,predicted_count\n")
         for lo, exp_n, pred_n in rows:
             fh.write(f"{lo:.6f},{exp_n},{pred_n}\n")
@@ -603,7 +605,8 @@ def sweep_ip_modes(
     comparison = "\n".join(lines) + "\n"
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "ip_mode_comparison.txt").write_text(comparison)
+        with create_text(Path(out_dir) / "ip_mode_comparison.txt") as fh:
+            fh.write(comparison)
         write_timing_csv(cache.timing, Path(out_dir) / "timing.csv")
     return reports, comparison
 
@@ -739,7 +742,8 @@ def _cmd_select(args) -> int:
     train_ds = preprocess.read_dataset_csv(args.train)
     if args.method == "all":
         rankings = _rankings(train_ds, args.seed)
-        (out / "ranking_report.txt").write_text(featsel.ranking_report(rankings))
+        with create_text(out / "ranking_report.txt") as fh:
+            fh.write(featsel.ranking_report(rankings))
         for r in rankings:
             featsel.write_scores_csv(r, out / f"scores-{r.method}.csv")
         print(out / "ranking_report.txt")

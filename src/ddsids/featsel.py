@@ -24,6 +24,7 @@ import numpy as np
 
 from . import detector, parallel
 from .preprocess import Dataset
+from .tables import create_text
 
 F_SENTINEL = 1e300  # stands in for an infinite F when within-class variance is 0
 RFE_STEP = 5  # features dropped per elimination fit
@@ -436,7 +437,7 @@ def ranking_report(rankings: Sequence[FeatureRanking]) -> str:
 
 
 def write_scores_csv(ranking: FeatureRanking, path) -> None:
-    with open(path, "w") as fh:
+    with create_text(path) as fh:
         fh.write("rank,feature,score\n")
         for i, name in enumerate(ranking.ranked_names, 1):
             fh.write(f'{i},"{name}",{ranking.scores[name]!r}\n')

@@ -49,7 +49,8 @@ from functools import partial
 import numpy as np
 
 from .simnet import SCENARIOS, PacketTrace
-from .tables import FLOW_BLOCK, INT64, IPV4, PORTS, ColumnTable, format_once, read_rows, row_line, write_rows
+from .tables import (FLOW_BLOCK, INT64, IPV4, PORTS, ROW_BLOCK, ColumnTable, create_text, format_once, read_rows,
+                     row_line, write_rows)
 
 FEATURE_NAMES = [
     "Protocol",
@@ -145,7 +146,6 @@ FLOW_TIMEOUT_S = 120.0  # a longer gap ends a flow
 ACTIVITY_TIMEOUT_S = 5.0  # a longer gap ends an active span
 BULK_GAP_S = 1.0  # a gap this long ends a bulk
 SUBFLOW_GAP_S = 1.0  # a longer gap starts a subflow
-METER_BLOCK = 1 << 15  # packets metered at a time, in whole flows; each block repeats _ordered_sums' steps
 
 
 class FlowTable(ColumnTable):
@@ -159,17 +159,26 @@ class FlowTable(ColumnTable):
 def _ordered_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Sum of each run of `values` (consecutive runs of the given sizes),
     added left to right from 0.0 as Python's ``sum()`` adds a list; numpy's
-    own reductions add pairwise and round differently.  One step per offset
-    into the runs, over the runs still open at that offset."""
+    own reductions add pairwise and round differently.  The runs no longer
+    than a cutoff L take one step per offset below L, over the runs still
+    open at that offset; each longer run is one sequential
+    `np.add.accumulate`, its last value plus 0.0 (the start, which turns a
+    sum of -0.0 values into 0.0).  L minimizes L plus the number of longer
+    runs, so a call takes at most about 2 * sqrt(len(values)) numpy steps."""
     total = np.zeros(len(sizes))
     if not len(values):
         return total
     by_size = np.argsort(-sizes, kind="stable")
     starts = (np.cumsum(sizes) - sizes)[by_size]
-    still_open = len(sizes) - np.cumsum(np.bincount(sizes))
+    still_open = len(sizes) - np.cumsum(np.bincount(sizes))  # the runs longer than each size
+    cutoff = int(np.argmin(np.arange(len(still_open)) + still_open))
+    long_runs = int(still_open[cutoff])
     acc = np.zeros(len(sizes))
-    for j, k in enumerate(still_open[:-1].tolist()):
-        acc[:k] += values[starts[:k] + j]
+    ends = starts + sizes[by_size]
+    for r in range(long_runs):
+        acc[r] = np.add.accumulate(values[starts[r] : ends[r]])[-1] + 0.0
+    for j, k in enumerate(still_open[:cutoff].tolist()):
+        acc[long_runs:k] += values[starts[long_runs:k] + j]
     total[by_size] = acc
     return total
 
@@ -413,13 +422,13 @@ def meter(packets: PacketTrace) -> FlowTable:
     flow_id = [f"{address[s]}:{sp}->{address[d]}:{dp}/{p}#{n}" for s, sp, d, dp, p, n in
                zip(src.tolist(), sport.tolist(), dst.tolist(), dport.tolist(), proto.tolist(), serial.tolist())]
     # Every feature is a reduction within one flow, so blocks of whole flows,
-    # about METER_BLOCK packets each, give the matrix a whole read would.
+    # about ROW_BLOCK packets each, give the matrix a whole read would.
     features = np.empty((len(sizes), len(FEATURE_NAMES)))
     ends = np.cumsum(sizes)
     lo = 0
     while lo < len(sizes):
         start = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, start + METER_BLOCK, side="right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, start + ROW_BLOCK, side="right")))
         features[lo:hi] = _features(packets, order[start : ends[hi - 1]], sizes[lo:hi])
         lo = hi
     return FlowTable(address, flow_id, src, sport, dst, dport, proto, ts[first], features, ["benign"] * len(first))
@@ -427,7 +436,7 @@ def meter(packets: PacketTrace) -> FlowTable:
 
 def write_feature_names(path) -> None:
     """Machine-readable catalog: one name per line, order-significant."""
-    with open(path, "w") as fh:
+    with create_text(path) as fh:
         for name in FEATURE_NAMES:
             fh.write(name + "\n")
 
@@ -437,7 +446,7 @@ def write_flow_csv(flows: FlowTable, path) -> None:
     quoted label per flow."""
     address = [f'"{a}",' for a in flows.addresses]
     quoted = '"{}",'.format
-    with open(path, "w") as fh:
+    with create_text(path) as fh:
         fh.write(",".join(f'"{h}"' for h in METADATA_NAMES + FEATURE_NAMES + [LABEL_NAME]) + "\n")
         columns = [(flows.flow_id, quoted), (flows.src, address.__getitem__), (flows.src_port, quoted),
                    (flows.dst, address.__getitem__), (flows.dst_port, quoted), (flows.start_time, '"{!r}",'.format),

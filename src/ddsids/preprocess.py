@@ -33,7 +33,7 @@ import numpy as np
 from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, METADATA_NAMES, FlowTable
 from .parallel import openblas_core, usable_cpus
 from .simnet import ATTACKER_HOST, ROUTER_HOSTS, SCENARIOS, SUBNET_HOSTS
-from .tables import FLOW_BLOCK, decoded, format_once, read_rows, write_rows
+from .tables import FLOW_BLOCK, create_text, decoded, format_once, read_rows, write_rows
 
 IP_MODES = ("both", "source_only", "destination_only", "none")
 SRC_IP_COL = "Src IP"
@@ -378,7 +378,7 @@ def runtime_environment() -> dict:
 
 
 def write_manifest(path, manifest: dict) -> None:
-    with open(path, "w") as fh:
+    with create_text(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -421,7 +421,7 @@ def dataset_manifest(
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    with open(path, "w") as fh:
+    with create_text(path) as fh:
         fh.write(",".join(f'"{n}"' for n in dataset.feature_names) + ',"Label"\n')
         write_rows(fh, [(np.asarray(dataset.matrix, dtype=np.float64), partial(format_once, fmt="{!r},".format)),
                         (dataset.labels, partial(format_once, fmt='"{}"\n'.format))], FLOW_BLOCK)

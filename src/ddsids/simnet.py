@@ -44,8 +44,8 @@ from functools import partial
 
 import numpy as np
 
-from .tables import (IPV4, LENGTHS, PORTS, ROW_BLOCK, ColumnTable, _decimal_cells, _seconds_cells, format_once, open_text,
-                     parsed, read_rows, write_rows)
+from .tables import (IPV4, LENGTHS, PORTS, ROW_BLOCK, ColumnTable, _decimal_cells, _seconds_cells, create_text,
+                     format_once, open_text, parsed, read_rows, write_rows)
 
 SUBNET = "10.0.5."
 ROUTER_HOSTS = (2, 3)
@@ -383,7 +383,7 @@ def write_packet_csv(trace: PacketTrace, path) -> None:
     number = partial(_decimal_cells, sep=",")
     cells = [_seconds_cells, address, number, address, number, number, number, number, partial(_decimal_cells, sep="\n")]
     try:
-        with open(path, "w") as fh:
+        with create_text(path) as fh:
             fh.write(PACKET_CSV_HEADER + "\n")
             write_rows(fh, [(getattr(trace, name), c) for name, c in zip(PACKET_COLUMNS, cells)], ROW_BLOCK)
     except OSError as exc:
@@ -442,7 +442,7 @@ def load_scenario_config(path) -> ScenarioConfig:
 
 def save_scenario_config(config: ScenarioConfig, path) -> None:
     """Writes each field of the config, in declaration order."""
-    with open(path, "w") as fh:
+    with create_text(path) as fh:
         for f in fields(ScenarioConfig):
             value = getattr(config, f.name)
             fh.write(f"{f.name} = {value!r}\n" if isinstance(value, float) else f"{f.name} = {value}\n")

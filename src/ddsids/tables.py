@@ -7,25 +7,27 @@ cells built by digit arithmetic or by `format_once`; `read_rows` reads a CSV
 file back into columns, with numpy's C tokenizer where it reads as the csv
 module would and the csv module elsewhere, and rejects a cell outside its
 column's bound by path, line and column.  `open_text` and `parsed` give the
-other text files (models, scenario configs) the same rejections.  The module
-knows nothing of the simulation, the meter or the detectors.
+other text files (models, scenario configs) the same rejections, and
+`create_text` opens every file the package writes.  The module knows nothing
+of the simulation, the meter or the detectors.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
 import warnings
 from collections.abc import Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable
 
 import numpy as np
 
-ROW_BLOCK = 1 << 14  # rows simulated, turned into text or read from it at a time
+ROW_BLOCK = 1 << 14  # rows simulated, metered (in whole flows), turned into text or read from it at a time
 FLOW_BLOCK = 256  # flows (or dataset rows) formatted at a time
 _CELL_BLOCK = 1 << 12  # cells parsed at a time: few, so the csv module's row lists die young
 _TEXT_BLOCK = 1 << 18  # bytes of whole lines the tokenizer reads at a time, ROW_BLOCK lines at most
@@ -299,6 +301,17 @@ def _gathered(blocks, dtype: np.dtype, rows: int) -> tuple[dict[str, np.ndarray]
             column[lo : lo + len(block)] = cells
         lo += len(block)
     return columns, {name: list(table) for name, table in tables.items()}
+
+
+def create_text(path):
+    """`path` open for writing as a new text file.  A file already at `path`
+    is unlinked first, not truncated: ext4 (default `auto_da_alloc`) starts
+    writing back a truncated file when it is closed, and truncating it again
+    waits for that writeback, where a new file waits for nothing.  So a link
+    at `path` is replaced, not written through."""
+    with suppress(FileNotFoundError):
+        os.unlink(path)
+    return open(path, "w")
 
 
 @contextmanager

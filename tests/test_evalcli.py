@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 import os
 import subprocess
@@ -782,3 +784,67 @@ def test_python_m_ddsids_runs_the_cli():
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.startswith("usage: ddsids")
+
+
+class TestArtifactFiles:
+    """Every artifact is created as a new file: a file already at its path
+    is unlinked, not truncated and rewritten."""
+
+    @pytest.fixture
+    def write_opens(self, tmp_path, monkeypatch):
+        """The (path, whether it existed) of each write-mode `open` made from
+        here on, forked workers' included: each is logged through a file
+        descriptor the workers inherit."""
+        log = tmp_path / "write-opens.log"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        real_open = builtins.open
+
+        def logged_open(file, mode="r", *args, **kwargs):
+            if not isinstance(file, int) and set(mode) & set("wxa+"):
+                os.write(fd, f"{int(os.path.lexists(file))} {os.fspath(file)}\n".encode())
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", logged_open)
+        monkeypatch.setattr(io, "open", logged_open)  # pathlib's open
+        yield lambda: [(line[2:], line[0] == "1") for line in log.read_text().splitlines()]
+        os.close(fd)
+
+    def test_no_write_opens_a_file_that_exists(self, tmp_path, write_opens):
+        out, traces, flows, scored = (tmp_path / name for name in ("exp", "traces", "flows", "scored"))
+        for _ in range(2):
+            assert main(["experiment", "--seed", "5", "--scale", "0.06", "--epochs", "2", "--out-dir", str(out)]) == 0
+        for scenario in ("dos", "clone"):
+            assert main(["simulate", "--scenario", scenario, "--seed", "4", "--scale", "0.05",
+                         "--out-dir", str(traces)]) == 0
+            assert main(["meter", "--packets", str(traces / f"{scenario}.packets.csv"), "--out-dir", str(flows)]) == 0
+        for _ in range(2):
+            assert main(["evaluate", "--model", str(out / "models" / "single.model.txt"), "--test",
+                         str(out / "test.csv"), "--out-dir", str(scored)]) == 0
+        opens = write_opens()
+        written = {path for path, _ in opens}
+        for path in (out / "report.txt", out / "train.csv", out / "models" / "single.model.txt",
+                     flows / "features.txt", scored / "histogram.csv"):
+            assert sum(p == str(path) for p, _ in opens) == 2, path
+        assert str(out / "timing.csv") in written and str(traces / "dos.packets.csv") in written
+        assert [path for path, existed in opens if existed] == []
+
+    def test_meter_names_an_artifact_path_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["simulate", "--scenario", "dos", "--seed", "4", "--scale", "0.05",
+                     "--out-dir", str(tmp_path)]) == 0
+        (tmp_path / "features.txt").mkdir()
+        capsys.readouterr()
+        rc = main(["meter", "--packets", str(tmp_path / "dos.packets.csv"), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("ddsids: error: ") and str(tmp_path / "features.txt") in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert (tmp_path / "features.txt").is_dir()
+
+    def test_experiment_names_an_artifact_path_that_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "report.txt").mkdir(parents=True)
+        rc = main(["experiment", "--seed", "5", "--scale", "0.06", "--epochs", "1", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("ddsids: stage report: ") and str(tmp_path / "report.txt") in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert (tmp_path / "report.txt").is_dir()

@@ -7,7 +7,10 @@ with fewer than two packets had an integer 0 for ``Fwd/Bwd IAT Tot`` and now
 has 0.0.
 """
 
+import operator
+import time
 from contextlib import nullcontext
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -180,3 +183,46 @@ def test_squares_of_the_experiment_traces_match_python_pow(seed):
     assert squared and sum(map(len, squared)) > len(squared)
     for values in squared:
         assert np.array_equal(_bits(square(values)), _bits(_python_squares(values)))
+
+
+def _left_to_right_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each run's float sum added left to right from 0.0, as Python's
+    ``sum()`` adds a list of floats up to Python 3.11."""
+    runs = np.split(values, np.cumsum(sizes)[:-1])
+    return np.array([reduce(operator.add, run.tolist(), 0.0) for run in runs], dtype=np.float64)
+
+
+@pytest.mark.parametrize("mix", ["desk", "long", "one"])
+def test_ordered_sums_add_left_to_right_at_any_run_length(mix):
+    """`_ordered_sums` against a left-to-right fold, bit for bit, on runs of
+    1 to 200,000 values: desk-scale runs of at most 80, where the cutoff is
+    the longest run; short runs beside a few long ones, where each long run
+    is summed on its own; and one 200,000-value run.  The values span the
+    float range, with signed zeros, subnormals and one run of -0.0 only."""
+    rng = np.random.default_rng(37)
+    sizes = {"desk": rng.integers(0, 81, 500),
+             "long": np.concatenate([rng.integers(0, 6, 400), rng.integers(1000, 20_000, 5), [1, 1, 200_000]]),
+             "one": np.array([200_000])}[mix]
+    sizes = rng.permutation(sizes)
+    values = rng.standard_normal(int(sizes.sum())) * 10.0 ** rng.integers(-300, 300, int(sizes.sum()))
+    values[rng.random(len(values)) < 0.05] = -0.0
+    values[rng.random(len(values)) < 0.02] = rng.choice([5e-324, -5e-324, 1e-310])
+    if mix != "one":  # the second-longest run: summed by steps in "desk", on its own in "long"
+        run = int(np.argsort(sizes, kind="stable")[-2])
+        values[sizes[:run].sum() : sizes[: run + 1].sum()] = -0.0
+    assert np.array_equal(_bits(flowmeter._ordered_sums(values, sizes)), _bits(_left_to_right_sums(values, sizes)))
+
+
+def test_one_long_flow_meters_in_time_linear_in_its_packets():
+    """A 160,000-packet flow: the meter's sums take a few steps per long run,
+    not one per packet of the longest flow."""
+    rng = np.random.default_rng(11)
+    n = 160_000
+    fwd = rng.random(n) < 0.6
+    trace = PacketTrace(["10.0.5.4", "10.0.5.5"], np.arange(n) * 1e-3, np.where(fwd, 0, 1), np.where(fwd, 5000, 6000),
+                        np.where(fwd, 1, 0), np.where(fwd, 6000, 5000), np.full(n, 17), rng.integers(0, 256, n),
+                        np.full(n, 28), np.zeros(n, np.int64))
+    started = time.perf_counter()
+    flows = meter(trace)
+    assert len(flows) == 1 and flows.features[0, flowmeter.FEATURE_INDEX["Tot Fwd Pkts"]] == fwd.sum()
+    assert time.perf_counter() - started < 0.5
