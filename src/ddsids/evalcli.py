@@ -919,7 +919,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(clash)
     parallel.pin_mmap_threshold()
     try:
-        return args.func(args)
+        with parallel.one_blas_thread():
+            return args.func(args)
     except _StageError as exc:
         print(f"ddsids: {exc}", file=sys.stderr)
         return 1

@@ -48,6 +48,7 @@ from functools import partial
 
 import numpy as np
 
+from .parallel import spread_rows
 from .simnet import SCENARIOS, PacketTrace
 from .tables import (FLOW_BLOCK, INT64, IPV4, PORTS, ROW_BLOCK, ColumnTable, create_text, format_once, read_rows,
                      row_line, write_rows)
@@ -451,7 +452,7 @@ def write_flow_csv(flows: FlowTable, path) -> None:
         columns = [(flows.flow_id, quoted), (flows.src, address.__getitem__), (flows.src_port, quoted),
                    (flows.dst, address.__getitem__), (flows.dst_port, quoted), (flows.start_time, '"{!r}",'.format),
                    (flows.features, "{!r},".format), (flows.label, '"{}"\n'.format)]
-        write_rows(fh, [(values, partial(format_once, fmt=fmt)) for values, fmt in columns], FLOW_BLOCK)
+        write_rows(fh, [(values, partial(format_once, fmt=fmt)) for values, fmt in columns], FLOW_BLOCK, spread_rows)
 
 
 # A flow row, its fields named as the FlowTable columns they fill.
@@ -487,6 +488,6 @@ def read_flow_csv(path) -> FlowTable:
     outside the 64-bit range and a label that is not a scenario name."""
     bounds = {"Src IP": IPV4, "Dst IP": IPV4, "Src Port": PORTS, "Dst Port": PORTS, "Protocol": INT64,
               LABEL_NAME: SCENARIOS}
-    _, columns, texts = read_rows(path, _flow_row, _QUOTECHAR, bounds)
+    _, columns, texts = read_rows(path, _flow_row, _QUOTECHAR, bounds, spread_rows)
     columns["protocol"] = columns["features"][:, FEATURE_INDEX["Protocol"]].astype(np.int64)
     return FlowTable.from_coded(columns, texts)

@@ -21,6 +21,16 @@ Children are processes rather than threads because these stages make many
 small numpy calls and much Python work, which the interpreter lock would
 serialise.
 
+`spread_rows` cuts a table into one contiguous run of rows per free CPU and
+runs them through `fork_map`; every CSV writer and reader (`tables`, called
+from `simnet`, `flowmeter` and `preprocess`) spreads its rows so.  A CPU is
+free when no worker of this process holds it (`free_cpus`): inside a child
+none is, so nothing forks there; in worker 0 of a running `fork_map` only
+those of its children that have exited are, so that `experiment` and
+`reduced-k`, whose scenario and split workers write tables, do not
+oversubscribe the CPUs; elsewhere every usable CPU is.  A table below
+SPREAD_CELLS cells stays in this process.
+
 For the length of the forked section OpenBLAS is held at one thread in this
 process and in the children (`one_blas_thread`): its worker threads would
 otherwise spin on the cores the workers need whenever a product crosses its
@@ -61,8 +71,19 @@ OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_t
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD_BYTES = 512 << 10
 
+# A table of fewer cells (rows times cells per row) is written or read in
+# this process, in one run (`spread_rows`).  Measured on a 2-CPU host: a
+# fork and reap of a 60-80 MB process costs 0.7-2 ms, and a second run paid
+# for itself from about 30k cells for flow and dataset writes (float repr,
+# ~190 ns a cell), 150k-250k for reads and 300k for packet writes (20-40 ns
+# a cell).  Every table of the desk-scale CLI chain but the top-20 dataset
+# lies above this cut-off.
+SPREAD_CELLS = 1 << 17
+
 # Set in a forked child, so that it runs any nested fork_map in turn.
 _in_child = False
+# The children of the fork_maps running in this process, their worker 0.
+_siblings: list[int] = []
 
 
 def openblas_call(symbols: Sequence[str], restype=ctypes.c_int, argtypes=()):
@@ -71,7 +92,7 @@ def openblas_call(symbols: Sequence[str], restype=ctypes.c_int, argtypes=()):
     library is found by path in /proc/self/maps and opened only if already
     loaded."""
     try:
-        with open("/proc/self/maps") as fh:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
             paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()})
     except OSError:
         return None
@@ -120,13 +141,17 @@ def openblas_core() -> str | None:
 @contextmanager
 def one_blas_thread():
     """OpenBLAS held at one thread for the block, then set back to the
-    count it had; nothing where no loaded OpenBLAS has both calls."""
+    count it had; nothing where it is at one thread already, or where no
+    loaded OpenBLAS has both calls."""
     get_threads = openblas_call(OPENBLAS_GET_THREADS)
     set_threads = openblas_call(OPENBLAS_SET_THREADS, restype=None, argtypes=[ctypes.c_int])
     if get_threads is None or set_threads is None:
         yield
         return
     threads = get_threads()
+    if threads == 1:
+        yield
+        return
     set_threads(1)
     try:
         yield
@@ -138,6 +163,30 @@ def usable_cpus() -> int:
     """The CPUs this process may run on; 1 where the platform does not say."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity is not None else 1
+
+
+def free_cpus() -> int:
+    """The usable CPUs (`usable_cpus`) that no other worker of this process
+    holds: one, its own, in a forked child; in worker 0 of a running
+    `fork_map`, those that none of its children still running holds (a
+    child that has exited holds none, and `os.waitid` tells that without
+    reaping it)."""
+    if _in_child or not hasattr(os, "fork"):
+        return 1
+    running = sum(os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None for pid in _siblings)
+    return max(1, usable_cpus() - running)
+
+
+def spread_rows(rows: int, width: int, prepare: Callable[[list[range]], Callable[[int], object]]) -> list:
+    """`[work(i) for i in range(len(runs))]`, `work = prepare(runs)`: the
+    rows `range(rows)` of a table `width` cells wide cut into contiguous runs
+    of near-equal length, one per free CPU (`free_cpus`), or one run, here,
+    for a table of fewer than SPREAD_CELLS cells.  `prepare` runs in this
+    process before any fork, so what it makes the workers share; run i runs
+    in worker i of a `fork_map`, run 0 in this process."""
+    count = max(1, min(free_cpus(), rows)) if rows * width >= SPREAD_CELLS else 1
+    cuts = [rows * i // count for i in range(count + 1)]
+    return fork_map(prepare([range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]), range(count))
 
 
 def fork_map(fn: Callable, tasks: Sequence) -> list:
@@ -175,6 +224,7 @@ def fork_map(fn: Callable, tasks: Sequence) -> list:
                     _serve(fn, [tasks[i] for i in indices], write_end)
                 os.close(write_end)
                 children.append((pid, read_end, indices))
+                _siblings.append(pid)
             for i in range(0, len(tasks), workers):
                 results[i] = fn(tasks[i])
             for pid, read_end, indices in children:
@@ -186,6 +236,7 @@ def fork_map(fn: Callable, tasks: Sequence) -> list:
                     results[i] = result
         finally:
             for pid, read_end, _ in children:
+                _siblings.remove(pid)
                 if pid not in reaped:
                     import signal  # only a failed fork_map needs it; importing it costs start-up time
 

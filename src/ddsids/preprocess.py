@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .flowmeter import FEATURE_NAMES, FEATURE_INDEX, METADATA_NAMES, FlowTable
-from .parallel import openblas_core, usable_cpus
+from .parallel import openblas_core, spread_rows, usable_cpus
 from .simnet import ATTACKER_HOST, ROUTER_HOSTS, SCENARIOS, SUBNET_HOSTS
 from .tables import FLOW_BLOCK, create_text, decoded, format_once, read_rows, write_rows
 
@@ -424,7 +424,7 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     with create_text(path) as fh:
         fh.write(",".join(f'"{n}"' for n in dataset.feature_names) + ',"Label"\n')
         write_rows(fh, [(np.asarray(dataset.matrix, dtype=np.float64), partial(format_once, fmt="{!r},".format)),
-                        (dataset.labels, partial(format_once, fmt='"{}"\n'.format))], FLOW_BLOCK)
+                        (dataset.labels, partial(format_once, fmt='"{}"\n'.format))], FLOW_BLOCK, spread_rows)
 
 
 def _dataset_row(path, header: list[str]) -> np.dtype:
@@ -442,7 +442,7 @@ def read_dataset_csv(path) -> Dataset:
     """Inverse of write_dataset_csv, through tables.read_rows; rejects an
     empty file, a last column other than Label, a repeated column name and a
     label that is not a scenario name."""
-    header, columns, texts = read_rows(path, _dataset_row, '"', {"Label": SCENARIOS})
+    header, columns, texts = read_rows(path, _dataset_row, '"', {"Label": SCENARIOS}, spread_rows)
     width = len(header) - 1
     return Dataset(columns["values"], decoded(columns["label"], texts["label"]), header[:-1], np.zeros(width),
                    np.ones(width))

@@ -44,6 +44,7 @@ from functools import partial
 
 import numpy as np
 
+from .parallel import spread_rows
 from .tables import (IPV4, LENGTHS, PORTS, ROW_BLOCK, ColumnTable, _decimal_cells, _seconds_cells, create_text,
                      format_once, open_text, parsed, read_rows, write_rows)
 
@@ -385,7 +386,8 @@ def write_packet_csv(trace: PacketTrace, path) -> None:
     try:
         with create_text(path) as fh:
             fh.write(PACKET_CSV_HEADER + "\n")
-            write_rows(fh, [(getattr(trace, name), c) for name, c in zip(PACKET_COLUMNS, cells)], ROW_BLOCK)
+            write_rows(fh, [(getattr(trace, name), c) for name, c in zip(PACKET_COLUMNS, cells)], ROW_BLOCK,
+                       spread_rows)
     except OSError as exc:
         raise OSError(f"cannot write packet csv {path}: {exc}") from exc
 
@@ -402,7 +404,7 @@ def read_packet_csv(path) -> PacketTrace:
     ports lie in 0..65535 and lengths are non-negative."""
     bounds = {"src_ip": IPV4, "dst_ip": IPV4, "src_port": PORTS, "dst_port": PORTS, "payload_len": LENGTHS,
               "header_len": LENGTHS}
-    _, columns, texts = read_rows(path, _packet_row, None, bounds)
+    _, columns, texts = read_rows(path, _packet_row, None, bounds, spread_rows)
     return PacketTrace.from_coded(columns, texts)
 
 

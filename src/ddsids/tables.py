@@ -8,19 +8,30 @@ file back into columns, with numpy's C tokenizer where it reads as the csv
 module would and the csv module elsewhere, and rejects a cell outside its
 column's bound by path, line and column.  `open_text` and `parsed` give the
 other text files (models, scenario configs) the same rejections, and
-`create_text` opens every file the package writes.  The module knows nothing
-of the simulation, the meter or the detectors.
+`create_text` opens every file the package writes.  Every text file is
+UTF-8, whatever the locale.
+
+Both `write_rows` and `read_rows` cut a table into contiguous runs of rows
+and handle them side by side, through the `spread` their caller passes
+(`parallel.spread_rows`), so that this module forks nothing itself.  A
+written run other than the first is formatted into a file that no path
+names and appended to the file in run order by the kernel; a read run fills
+its rows of columns that the runs share, its texts coded against a table of
+its own, merged in run order.  Either way the file, and the columns and
+texts read, are those of one run.  The module knows nothing of the
+simulation, the meter or the detectors.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import mmap
 import os
 import sys
 import warnings
 from collections.abc import Sequence
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable
@@ -223,36 +234,77 @@ def _seconds_cells(ts: np.ndarray) -> np.ndarray:
     return cells
 
 
-def write_rows(fh, columns: Sequence[tuple], block: int) -> None:
+def write_rows(fh, columns: Sequence[tuple], block: int, spread) -> None:
     """Write the rows of `columns`, `block` rows at a time, to the text file
     `fh`.  A column pairs a sequence, one entry (or, in a 2-D array, one row
     of entries) per row, with the function that turns a block of it into
     cells: a uint8 array with one more axis than the block, holding each
     entry's text, its separator included, as UTF-8 bytes among _PAD bytes.
     A block is its cells in row order with the padding dropped, decoded into
-    one string and written at once: no Python object is made per cell."""
+    one string and written at once: no Python object is made per cell.
+
+    `spread(rows, cells per row, prepare)` cuts the rows into contiguous
+    runs and writes them side by side (`parallel.spread_rows`): run 0 into
+    `fh`, each other run into a UTF-8 file of its own that no path names,
+    whose bytes are then appended to `fh` in run order by the kernel."""
+    rows = len(columns[0][0])
+    width = sum(math.prod(np.shape(values[:1])[1:]) for values, _ in columns)
+    with ExitStack() as stack:
+        sinks = [fh]
+
+        def prepare(runs: list[range]) -> Callable[[int], None]:
+            sinks.extend(stack.enter_context(_unnamed_text()) for _ in runs[1:])
+            return lambda i: _write_run(sinks[i], [(values[runs[i].start : runs[i].stop], cells_of)
+                                                   for values, cells_of in columns], block)
+
+        spread(rows, width, prepare)
+        fh.flush()
+        for sink in sinks[1:]:
+            size, offset = os.fstat(sink.fileno()).st_size, 0
+            while offset < size and (sent := os.sendfile(fh.fileno(), sink.fileno(), offset, size - offset)):
+                offset += sent
+
+
+def _write_run(fh, columns: Sequence[tuple], block: int) -> None:
+    """The rows of `columns` written to `fh` as `write_rows` writes them, and flushed."""
     for lo in range(0, len(columns[0][0]), block):
         cells = [cells_of(values[lo : lo + block]) for values, cells_of in columns]
         chars = np.concatenate([c.reshape(len(c), -1) for c in cells], axis=1)
         fh.write(str(chars[chars != _PAD], "utf-8", "surrogatepass"))
+    fh.flush()
 
 
-def _line_stats(path) -> tuple[int, int, bool]:
-    """(lines, bytes in the longest line, whether a carriage return or a NUL
-    occurs) of a file, read 1 MiB at a time."""
-    lines = longest = start = size = 0  # `start`: the offset of the line being read
+def _unnamed_text():
+    """A new UTF-8 text file open for writing that no path names: a memfd,
+    or an unlinked temporary file where the platform has no memfd."""
+    if hasattr(os, "memfd_create"):
+        return open(os.memfd_create("ddsids-run"), "w", encoding="utf-8")
+    import tempfile  # only a platform without memfd needs it; importing it costs start-up time
+
+    return tempfile.TemporaryFile("w", encoding="utf-8")
+
+
+def _line_stats(path) -> tuple[int, bool, np.ndarray]:
+    """(bytes in the longest line, whether a carriage return or a NUL
+    occurs, the byte offset at which each line starts) of a file, read 1 MiB
+    at a time."""
+    longest = start = size = 0  # `start`: the offset of the line being read
     odd = False
+    starts = [np.zeros(1, np.int64)]
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
             ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + (size + 1)
             if len(ends):
                 longest = max(longest, int(ends[0]) - start, int(np.diff(ends).max(initial=0)))
-                start, lines = int(ends[-1]), lines + len(ends)
+                start = int(ends[-1])
+                starts.append(ends)
             size += len(chunk)
             odd = odd or b"\r" in chunk or b"\0" in chunk
     if size > start:
-        lines, longest = lines + 1, max(longest, size - start)
-    return lines, longest, odd
+        longest = max(longest, size - start)
+    else:
+        starts[-1] = starts[-1][:-1]  # the end of the file starts no line
+    return longest, odd, np.concatenate(starts)
 
 
 def tokenized_rows(lines: list[str], dtype: np.dtype, quotechar: str | None = None) -> np.ndarray | None:
@@ -278,14 +330,12 @@ def tokenized_rows(lines: list[str], dtype: np.dtype, quotechar: str | None = No
     return rows if len(rows) == len(lines) else None
 
 
-def _gathered(blocks, dtype: np.dtype, rows: int) -> tuple[dict[str, np.ndarray], dict[str, list[str]]] | None:
-    """The structured arrays of `dtype` in `blocks`, `rows` rows in all,
-    written block by block into one contiguous array per field, and the
-    table of each text field's distinct texts in the order they first show,
-    the field's cells coded as int64 indices into it; None at a block that
-    is None.  No cell's text outlives its block but as a table entry."""
-    columns = {name: np.empty((rows, *dtype[name].shape), np.int64 if dtype[name] == object else dtype[name].base)
-               for name in dtype.names}
+def _gathered(blocks, dtype: np.dtype, columns: dict[str, np.ndarray]) -> dict[str, list[str]] | None:
+    """The structured arrays of `dtype` in `blocks` written block by block
+    into `columns`, one array per field as `_empty_columns` makes them, and
+    the table of each text field's distinct texts in the order they first
+    show, the field's cells coded as int64 indices into it; None at a block
+    that is None.  No cell's text outlives its block but as a table entry."""
     tables: dict[str, dict[str, int]] = {name: {} for name in dtype.names if dtype[name] == object}
     lo = 0
     for block in blocks:
@@ -300,7 +350,73 @@ def _gathered(blocks, dtype: np.dtype, rows: int) -> tuple[dict[str, np.ndarray]
                 cells = np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
             column[lo : lo + len(block)] = cells
         lo += len(block)
-    return columns, {name: list(table) for name, table in tables.items()}
+    return {name: list(table) for name, table in tables.items()}
+
+
+def _empty_columns(dtype: np.dtype, rows: int, shared: bool) -> dict[str, np.ndarray]:
+    """An empty array of `rows` rows per field of `dtype`, a text field's as
+    int64 codes; where `shared`, each in an anonymous mapping of its own,
+    which the children this process forks write into as it does, and which
+    goes back to the OS with the last array that views it."""
+    fields = {name: ((rows, *dtype[name].shape), np.dtype(np.int64 if dtype[name] == object else dtype[name].base))
+              for name in dtype.names}
+    if not shared:
+        return {name: np.empty(shape, kind) for name, (shape, kind) in fields.items()}
+    return {name: np.frombuffer(_shared_mapping(max(1, math.prod(shape) * kind.itemsize)), kind,
+                                math.prod(shape)).reshape(shape) for name, (shape, kind) in fields.items()}
+
+
+def _shared_mapping(size: int) -> mmap.mmap:
+    """`size` bytes of anonymous memory that forked children share."""
+    return mmap.mmap(-1, size)
+
+
+def _tokenized_runs(path, dtype: np.dtype, quotechar: str | None, block_lines: int, starts: np.ndarray,
+                    spread) -> tuple[dict[str, np.ndarray], dict[str, list[str]]] | None:
+    """The columns and text tables of `_gathered` of the rows whose lines
+    start at the byte offsets `starts` of the CSV file `path`, one row per
+    line, or None.  `spread(rows, cells per row, prepare)` cuts the rows into
+    contiguous runs and reads them side by side (`parallel.spread_rows`).
+    Each run is read from its first line by the tokenizer, `block_lines`
+    lines at a time, into its own rows of columns the runs share, its text
+    fields coded against tables of its own; the text tables of later runs
+    are then merged in run order, which keeps the order in which texts first
+    show.  None where a run is not read whole by the tokenizer or holds a
+    byte that is not UTF-8: the file is then the serial reader's to read."""
+    cut: list[range] = []
+    columns: dict[str, np.ndarray] = {}
+
+    def prepare(runs: list[range]) -> Callable[[int], dict[str, list[str]] | None]:
+        cut.extend(runs)
+        columns.update(_empty_columns(dtype, len(starts), shared=len(runs) > 1))
+        return read_run
+
+    def read_run(i: int) -> dict[str, list[str]] | None:
+        run = cut[i]
+        with open(path, encoding="utf-8") as fh:
+            if run:
+                # At a line start the UTF-8 decoder holds no state, so the
+                # byte offset is the position that `tell` would give there.
+                fh.seek(int(starts[run.start]))
+            lines = islice(fh, len(run))
+            blocks = iter(lambda: list(islice(lines, block_lines)), [])
+            try:
+                return _gathered((tokenized_rows(block, dtype, quotechar) for block in blocks), dtype,
+                                 {name: column[run.start : run.stop] for name, column in columns.items()})
+            except UnicodeDecodeError:
+                return None
+
+    width = sum(math.prod(dtype[name].shape) for name in dtype.names)
+    found = spread(len(starts), width, prepare)
+    if any(texts is None for texts in found):
+        return None
+    texts = {name: {text: code for code, text in enumerate(table)} for name, table in found[0].items()}
+    for run, later in zip(cut[1:], found[1:]):
+        for name, table in texts.items():
+            codes = np.fromiter((table.setdefault(text, len(table)) for text in later[name]), np.int64, len(later[name]))
+            column = columns[name][run.start : run.stop]
+            column[:] = codes[column]
+    return columns, {name: list(table) for name, table in texts.items()}
 
 
 def create_text(path):
@@ -311,7 +427,7 @@ def create_text(path):
     at `path` is replaced, not written through."""
     with suppress(FileNotFoundError):
         os.unlink(path)
-    return open(path, "w")
+    return open(path, "w", encoding="utf-8")
 
 
 @contextmanager
@@ -319,7 +435,7 @@ def open_text(path, newline: str | None = None):
     """`path` open for reading as text; a byte that does not decode ends the
     read with a ValueError naming the path and the byte's line."""
     try:
-        with open(path, newline=newline) as fh:
+        with open(path, encoding="utf-8", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise _not_decoded(path, exc) from None
@@ -429,7 +545,7 @@ def row_line(path, quotechar: str | None, r: int) -> int:
         return _row_at(fh, quotechar, r)[0]
 
 
-def read_rows(path, row_type, quotechar: str | None, bounds: dict[str, range | tuple[str, ...] | TextRule]
+def read_rows(path, row_type, quotechar: str | None, bounds: dict[str, range | tuple[str, ...] | TextRule], spread
               ) -> tuple[list[str], dict[str, np.ndarray], dict[str, list[str]]]:
     """The header and the rows of the CSV file `path` (`quotechar` None: no
     quoting), the rows as the columns and text tables of `_gathered`, by the
@@ -437,14 +553,15 @@ def read_rows(path, row_type, quotechar: str | None, bounds: dict[str, range | t
     or run of columns) that `row_type(path, header)` gives or raises for the
     header.  numpy's C tokenizer reads the rows a block of lines at a time
     (as many lines as `_TEXT_BLOCK` bytes hold at the longest line's length,
-    `ROW_BLOCK` at most) where it reads every block as the csv module would,
-    else the csv module reads the file.  A rejection names the path and line,
-    and the column, reason and text of a cell `_row_fault` rejects under the
+    `ROW_BLOCK` at most), in runs read side by side (`_tokenized_runs`, cut
+    by `spread`), where it reads every block as the csv module would, else
+    the csv module reads the file.  A rejection names the path and line, and
+    the column, reason and text of a cell `_row_fault` rejects under the
     bounds `bounds` declares (a tuple of texts: the texts allowed), or the
     line of the first byte that is not UTF-8."""
     bounds = {name: TextRule(b.__contains__, f"not one of {', '.join(b)}") if isinstance(b, tuple) else b
               for name, b in bounds.items()}
-    lines, longest, odd = _line_stats(path)
+    longest, odd, starts = _line_stats(path)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or sys.maxsize
     # The csv module asks for newline="", but a file with no carriage return
     # (`odd` flags one, or a NUL) reads the same in the default mode, in
@@ -461,14 +578,13 @@ def read_rows(path, row_type, quotechar: str | None, bounds: dict[str, range | t
             # module's to reject.
             if not odd and longest <= min(csv.field_size_limit(), digits):
                 block_lines = max(1, min(ROW_BLOCK, _TEXT_BLOCK // longest))
-                blocks = iter(lambda: list(islice(fh, block_lines)), [])
-                read = _gathered((tokenized_rows(block, dtype, quotechar) for block in blocks), dtype,
-                                 lines - reader.line_num)
+                read = _tokenized_runs(path, dtype, quotechar, block_lines, starts[reader.line_num :], spread)
             if read is None:
                 fh.seek(0)
                 reader = _csv_reader(fh, quotechar)
                 rows, r = _parsed_rows(islice(reader, 1, None), header, dtype, bounds)
-                read = _gathered([rows], dtype, len(rows))
+                columns = _empty_columns(dtype, len(rows), shared=False)
+                read = columns, _gathered([rows], dtype, columns)
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         columns, texts = read

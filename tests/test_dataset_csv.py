@@ -1,18 +1,45 @@
 """The dataset CSV reader: block-wise parsing and the inputs it rejects."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddsids
 from ddsids.evalcli import main
 from ddsids.preprocess import Dataset, read_dataset_csv, write_dataset_csv
 from ddsids.tables import FLOW_BLOCK
 
 
+# Writes a dataset with a feature name beyond ASCII and reads it back.
+UTF8_PROBE = """
+import sys
+import numpy as np
+from ddsids.preprocess import Dataset, read_dataset_csv, write_dataset_csv
+write_dataset_csv(Dataset(np.ones((2, 1)), ["benign", "dos"], ["Fl\\u00f6w"], np.zeros(1), np.ones(1)), sys.argv[1])
+print(ascii(read_dataset_csv(sys.argv[1]).feature_names))
+"""
+
+
 class TestDatasetCsv:
+    def test_text_is_utf8_whatever_the_locale(self, tmp_path):
+        """Under the C locale, with Python's UTF-8 mode and locale coercion off."""
+        src = str(Path(ddsids.__file__).parents[1])
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        path = tmp_path / "d.csv"
+        done = subprocess.run([sys.executable, "-c", UTF8_PROBE, str(path)], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "['Fl\\xf6w']\n"
+        assert path.read_bytes().startswith('"Flöw","Label"\n'.encode())
+
     def dataset(self, n):
         rng = np.random.default_rng(n)
         return Dataset(rng.uniform(-1e3, 1e3, (n, 3)), ["benign", "dos"] * (n // 2) + ["benign"] * (n % 2),

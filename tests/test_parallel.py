@@ -1,6 +1,7 @@
 """`parallel.fork_map`, and the lockstep trainer, the consensus rankers,
 the scenario chains and the train/test writer that run on it, forked
-against serial; the lasso ranking, which does not fork.
+against serial; the lasso ranking, which does not fork; and the CPUs a
+table's runs may take inside a fork_map.
 
 The usable CPU count is patched, so the forked path runs on a one-CPU
 machine too.  After every call no child may be left: `os.waitpid(-1,
@@ -25,11 +26,7 @@ from ddsids.detector import TrainConfig, TrainJob
 from ddsids.evalcli import ExperimentPlan, build_cache, main, write_split
 from test_featsel import dataset_from
 from test_lockstep_train import LABELS, assert_same_bytes, dataset
-from test_reader_equivalence import snapshot
-
-
-def cpus(monkeypatch, count):
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: count)
+from test_reader_equivalence import cpus, snapshot
 
 
 def counted_forks(monkeypatch) -> list:
@@ -197,6 +194,14 @@ class TestForkMap:
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert seen == [1] and sets == [1, 4] and threads == [4]
 
+        # `train` trains a model of one part, which runs here, at one thread too.
+        seen.clear()
+        classify = detector.classify
+        monkeypatch.setattr(detector, "classify", lambda model, rows: seen.append(threads[0]) or classify(model, rows))
+        sets.clear()
+        assert main(["train", "--train", str(train), "--epochs", "2", "--out-dir", str(tmp_path / "model")]) == 0
+        assert seen and set(seen) == {1} and sets == [1, 4] and threads == [4]
+
     def test_a_single_method_ranks_inside_one_blas_thread(self, monkeypatch):
         held, seen = [], []
 
@@ -286,6 +291,45 @@ class TestForkedStages:
         assert len(detector.train_many(experiment_like_jobs())) == 7
         ds = dataset(list(LABELS) * 15, 4, seed=9)
         assert len(featsel.rank_lasso(ds).ranked_names) == 4
+
+
+class TestSpreadRows:
+    def test_a_table_takes_only_free_cpus(self, monkeypatch, tmp_path):
+        """In worker 0 of a fork_map whose sibling still runs, a table write
+        or read forks nothing; once that sibling has exited, each forks a run
+        for the CPU it left.  Inside a child, nothing forks."""
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(parallel, "SPREAD_CELLS", 1)
+        forks = counted_forks(monkeypatch)
+        ds = dataset(list(LABELS) * 5, 4, seed=3)
+        release_read, release_write = os.pipe()
+
+        def forks_of_a_write_and_read(path):
+            before = len(forks)
+            preprocess.write_dataset_csv(ds, path)
+            assert preprocess.read_dataset_csv(path).matrix.tobytes() == ds.matrix.tobytes()
+            return len(forks) - before
+
+        def task(t):
+            if t:  # the child, which runs until worker 0 releases it
+                made = forks_of_a_write_and_read(tmp_path / "child.csv")
+                os.read(release_read, 1)
+                return made
+            running = forks_of_a_write_and_read(tmp_path / "running.csv")
+            os.write(release_write, b"x")
+            deadline = time.monotonic() + 30
+            while parallel.free_cpus() < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return running, forks_of_a_write_and_read(tmp_path / "exited.csv")
+
+        try:
+            (running, exited), in_child = parallel.fork_map(task, [0, 1])
+        finally:
+            os.close(release_read)
+            os.close(release_write)
+        assert (running, exited, in_child) == (0, 2, 0)
+        assert_no_child_left()
+        assert parallel.free_cpus() == 2
 
 
 SMALL_PLAN = ExperimentPlan(seed=5, scale=0.06, epochs=1, model="expert:dos")

@@ -1,9 +1,13 @@
 """The packet, flow and dataset readers parse a file with numpy's C tokenizer
 and fall back to the csv module where it could read it differently.  Every
 text, valid or mutated, must give the same columns bit for bit, labels and
-address table either way, or the same error."""
+address table either way, or the same error, at 1, 2 and 3 usable CPUs with
+every table cut into one run of rows per CPU, each run read by a forked
+worker but the first."""
 
 import csv
+import dataclasses
+import os
 import re
 import tempfile
 from contextlib import contextmanager, nullcontext
@@ -14,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ddsids import flowmeter, preprocess, simnet, tables
+from ddsids import flowmeter, parallel, preprocess, simnet, tables
 from ddsids.evalcli import main
 from ddsids.flowmeter import FEATURE_NAMES, FlowTable, read_flow_csv, write_flow_csv
 from ddsids.preprocess import Dataset, read_dataset_csv, write_dataset_csv
@@ -102,6 +106,21 @@ def small_blocks(lines: int = 1):
 
 # The tokenizer's lines per block in the comparisons: a block boundary after every row, or after every other one.
 BLOCK_LINES = (1, 2)
+# The usable CPU counts in the comparisons: one run, two, or more runs than CPUs.
+CPUS = (1, 2, 3)
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: count)
+
+
+@contextmanager
+def runs(count: int):
+    """`count` usable CPUs, and every table, however small, cut into runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        cpus(mp, count)
+        mp.setattr(parallel, "SPREAD_CELLS", 1)
+        yield
 
 
 def assert_same(read, text: str):
@@ -111,10 +130,12 @@ def assert_same(read, text: str):
         with small_blocks(), block_parsers_only():
             blocks = outcome(read, path)
         for lines in BLOCK_LINES:
-            with small_blocks(lines):
-                fast = outcome(read, path)
-            same = fast == blocks  # compared outside the assert: pytest would diff the two at length
-            assert same, f"the two paths read {text[:300]!r} differently, {lines} lines per tokenizer block"
+            for count in CPUS:
+                with small_blocks(lines), runs(count):
+                    fast = outcome(read, path)
+                same = fast == blocks  # compared outside the assert: pytest would diff the two at length
+                assert same, (f"the two paths read {text[:300]!r} differently, {lines} lines per tokenizer block, "
+                              f"{count} CPUs")
 
 
 # IPv4 addresses first, which the packet and flow readers accept; the rest they reject alike.
@@ -251,6 +272,50 @@ class TestTokenizerPath:
         assert tables.tokenized_rows(['1.5,"dos"\n'], dtype, '"') is not None
         assert tables.tokenized_rows(['1.5,"dos\n'], dtype, '"') is None
 
+    def test_a_run_ending_inside_a_quoted_field_is_not_tokenized(self, tmp_path):
+        """Flow 1's id runs over two lines, and two runs of its file's five
+        lines of rows meet between them: the csv module reads the file."""
+        rows = [FlowRecord(f"f{i}", ADDRESSES[i % 2], 1000 + i, ADDRESSES[4], 53, 17, 0.25 * i,
+                           [17.0] + FLOATS * 9 + [1.0] * 5) for i in range(4)]
+        rows[1] = dataclasses.replace(rows[1], flow_id="f\n1")
+        path = tmp_path / "f.csv"
+        path.write_text(flow_text(rows))
+        assert path.read_text().count("\n") == 6
+        with runs(2):
+            read = read_flow_csv(path)
+        assert records_of(read) == records_of(table_of(FlowTable, rows))
+        with block_parsers_only():
+            assert snapshot(read_flow_csv(path)) == snapshot(read)
+
+    @pytest.mark.parametrize("fmt", ["packet", "flow", "dataset"])
+    def test_every_cpu_count_reads_a_file_alike(self, tmp_path, fmt, monkeypatch):
+        """A header and no rows; and a file of rows below the cut-off under
+        which a table stays in this process, which no CPU count forks for,
+        and one of as many rows again, which two CPUs read in two runs."""
+        read, text = READERS[fmt]
+        header, *rows = text().splitlines(keepends=True)
+        path = tmp_path / "in.csv"
+        path.write_text(header)
+        with block_parsers_only():
+            empty = outcome(read, path)
+        for count in CPUS:
+            with runs(count):
+                assert outcome(read, path) == empty, count
+        cells = len(next(csv.reader([header])))
+        below = rows * ((parallel.SPREAD_CELLS - 1) // cells // len(rows))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        for lines, spread in ((below, 0), (below * 2, 1)):
+            path.write_text(header + "".join(lines))
+            with block_parsers_only():
+                want = outcome(read, path)
+            assert want[0] == "read"
+            for count in CPUS:
+                cpus(monkeypatch, count)
+                forks.clear()
+                assert outcome(read, path) == want
+                assert len(forks) == spread * (count - 1), (len(lines), count)
+
 
 INT64 = "outside -9223372036854775808..9223372036854775807"
 READERS = {
@@ -304,7 +369,9 @@ def test_rejection_names_path_line_and_column(tmp_path, fmt, column, cell, reaso
     path = tmp_path / "in.csv"
     path.write_text("".join(lines))
     where = "line 3" if cell is None else f"line 3, column {column!r}:"
-    for parsers in (nullcontext, block_parsers_only, *(partial(small_blocks, lines) for lines in BLOCK_LINES)):
+    # Three runs of one row each put the fault in the second.
+    for parsers in (nullcontext, block_parsers_only, *(partial(small_blocks, lines) for lines in BLOCK_LINES),
+                    *(partial(runs, count) for count in CPUS)):
         with parsers(), pytest.raises(ValueError, match=re.escape(f"{path}: {where} {reason}")):
             read(path)
 
@@ -383,7 +450,7 @@ def test_a_byte_that_is_not_utf8_is_named_by_line(tmp_path, capsys, fmt, argv, n
     path = tmp_path / "in.csv"
     path.write_bytes(b"".join(lines))
     message = f"{path}: line 3: not UTF-8, byte 0xff at column 2"
-    for parsers in (nullcontext, block_parsers_only):
+    for parsers in (nullcontext, block_parsers_only, *(partial(runs, count) for count in CPUS)):
         with parsers(), pytest.raises(ValueError) as raised:
             read(path)
         assert str(raised.value) == message

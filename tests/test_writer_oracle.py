@@ -9,9 +9,12 @@ whose repr needs 17 digits, on blocks where most values repeat, on row counts
 around the block size, and at the edges of the packet writer's arithmetic:
 times on both sides of 2**33 s, seventh-decimal ties, times that are no whole
 count of microseconds, int64 extremes, and addresses holding a NUL byte or a
-character beyond ASCII.
+character beyond ASCII.  Each writer writes the same bytes at 1, 2 and 3
+usable CPUs with every table cut into one run of rows per CPU, each run
+formatted by a forked worker but the first (`written_in_runs`).
 """
 
+import os
 import tempfile
 from pathlib import Path
 
@@ -20,11 +23,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_writers
+from ddsids import parallel
 from ddsids.flowmeter import FEATURE_NAMES, FlowTable, write_flow_csv
 from ddsids.preprocess import Dataset, write_dataset_csv
 from ddsids.simnet import PacketTrace, ScenarioConfig, generate, write_packet_csv
 from ddsids.tables import FLOW_BLOCK, ROW_BLOCK
 from records import FlowRecord, table_of
+from test_reader_equivalence import CPUS, cpus, runs
 
 
 def _bits(u: int) -> float:
@@ -59,6 +64,16 @@ def written(writer, data, name: str) -> bytes:
         return path.read_bytes()
 
 
+def written_in_runs(writer, data, name: str) -> bytes:
+    """The bytes `writer` writes, which must be the same at each of CPUS."""
+    files = []
+    for count in CPUS:
+        with runs(count):
+            files.append(written(writer, data, name))
+    assert files.count(files[0]) == len(files), f"{name} differs across {CPUS} CPUs"
+    return files[0]
+
+
 @st.composite
 def datasets(draw) -> Dataset:
     rows = draw(st.sampled_from(ROW_COUNTS) | st.integers(min_value=0, max_value=40))
@@ -72,7 +87,35 @@ def datasets(draw) -> Dataset:
 @given(datasets())
 @settings(max_examples=80, deadline=None)
 def test_dataset_csv_matches_row_writer(dataset):
-    assert written(write_dataset_csv, dataset, "d.csv") == written(oracle_writers.write_dataset_csv, dataset, "d.csv")
+    want = written(oracle_writers.write_dataset_csv, dataset, "d.csv")
+    assert written_in_runs(write_dataset_csv, dataset, "d.csv") == want
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+def test_a_table_below_the_cutoff_is_written_here(monkeypatch, above):
+    """Two usable CPUs: a dataset of fewer cells than the cut-off is written
+    in this process, one of as many rows again in two runs, alike."""
+    width = 9  # and the label: ten cells a row
+    rows = (parallel.SPREAD_CELLS - 1) // (width + 1) * (2 if above else 1)
+    rng = np.random.default_rng(rows)
+    dataset = Dataset(rng.standard_normal((rows, width)), (["dos", "benign"] * rows)[:rows],
+                      [f"f{j}" for j in range(width)], np.zeros(width), np.ones(width))
+    want = written(oracle_writers.write_dataset_csv, dataset, "d.csv")
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    cpus(monkeypatch, 2)
+    assert written(write_dataset_csv, dataset, "d.csv") == want
+    assert len(forks) == above
+
+
+@pytest.mark.parametrize("writer, oracle, data", [
+    (write_packet_csv, oracle_writers.write_packet_csv, PacketTrace.empty()),
+    (write_flow_csv, lambda flows, path: oracle_writers.write_flow_csv([], path), FlowTable.empty()),
+    (write_dataset_csv, oracle_writers.write_dataset_csv, Dataset(np.zeros((0, 2)), [], ["a", "b"], np.zeros(2),
+                                                                  np.ones(2))),
+], ids=["packet", "flow", "dataset"])
+def test_a_table_of_no_rows(writer, oracle, data):
+    assert written_in_runs(writer, data, "t.csv") == written(oracle, data, "t.csv")
 
 
 @st.composite
@@ -93,7 +136,7 @@ def flow_lists(draw) -> list[FlowRecord]:
 @settings(max_examples=40, deadline=None)
 def test_flow_csv_matches_row_writer(flows):
     want = written(oracle_writers.write_flow_csv, flows, "f.csv")
-    assert written(write_flow_csv, table_of(FlowTable, flows), "f.csv") == want
+    assert written_in_runs(write_flow_csv, table_of(FlowTable, flows), "f.csv") == want
 
 
 @st.composite
@@ -119,7 +162,7 @@ def packet_traces(draw) -> PacketTrace:
 @settings(max_examples=60, deadline=None)
 def test_packet_csv_matches_row_writer(trace):
     want = written(oracle_writers.write_packet_csv, trace, "p.csv")
-    assert written(write_packet_csv, trace, "p.csv") == want
+    assert written_in_runs(write_packet_csv, trace, "p.csv") == want
 
 
 @pytest.mark.parametrize("rows", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
@@ -127,7 +170,7 @@ def test_packet_csv_across_the_block_boundary(rows):
     trace = generate(ScenarioConfig("benign", duration=1500.0))
     assert len(trace) > ROW_BLOCK + 1
     trace = trace[:rows]
-    assert written(write_packet_csv, trace, "p.csv") == written(oracle_writers.write_packet_csv, trace, "p.csv")
+    assert written_in_runs(write_packet_csv, trace, "p.csv") == written(oracle_writers.write_packet_csv, trace, "p.csv")
 
 
 TIME_EDGES = [
@@ -158,7 +201,7 @@ def edge_trace(rows: int) -> PacketTrace:
 @pytest.mark.parametrize("rows", [1, 2, len(TIME_EDGES), 200, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
 def test_packet_csv_at_the_edges_of_its_arithmetic(rows):
     trace = edge_trace(rows)
-    assert written(write_packet_csv, trace, "p.csv") == written(oracle_writers.write_packet_csv, trace, "p.csv")
+    assert written_in_runs(write_packet_csv, trace, "p.csv") == written(oracle_writers.write_packet_csv, trace, "p.csv")
 
 
 @pytest.mark.parametrize("ts", TIME_EDGES, ids=repr)
@@ -166,4 +209,4 @@ def test_packet_csv_time_alone_in_its_block(ts):
     """Each edge time as the one row of a block: a block whose times are all
     whole microseconds or all formatted by value."""
     trace = PacketTrace(["10.0.5.4"], [ts], [0], [1], [0], [2], [17], [0], [28], [0])
-    assert written(write_packet_csv, trace, "p.csv") == written(oracle_writers.write_packet_csv, trace, "p.csv")
+    assert written_in_runs(write_packet_csv, trace, "p.csv") == written(oracle_writers.write_packet_csv, trace, "p.csv")
